@@ -148,9 +148,11 @@ func Fig5b(e *Env) string {
 	// the visible-satellite count across cities and an orbital period.
 	hist := stats.MustNewHistogram(0, 24, 12)
 	var buf []orbit.SatID
-	for _, city := range e.Cities {
-		for t := 0.0; t < cfg.PeriodSec(); t += 300 {
-			buf = c.VisibleFrom(buf[:0], city.Point, t)
+	snap := c.NewSnapshot()
+	for t := 0.0; t < cfg.PeriodSec(); t += 300 {
+		snap.Update(t)
+		for _, city := range e.Cities {
+			buf = snap.VisibleFrom(buf[:0], city.Point)
 			hist.Add(float64(len(buf)))
 		}
 	}

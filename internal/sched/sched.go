@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"starcdn/internal/geo"
 	"starcdn/internal/orbit"
@@ -24,8 +25,10 @@ type Scheduler struct {
 	seed     uint64
 	users    []geo.Point
 	// cache of the current epoch's assignments
+	haveEpoch   bool // false until the first recompute: every int64 is a real epoch
 	epochIdx    int64
-	assignments []orbit.SatID // -1 when no satellite is visible
+	assignments []orbit.SatID   // -1 when no satellite is visible
+	snap        *orbit.Snapshot // the constellation at the epoch start, refilled per epoch
 	visBuf      []orbit.SatID
 }
 
@@ -46,8 +49,9 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 		epochSec:    epochSec,
 		seed:        uint64(seed),
 		users:       append([]geo.Point(nil), users...),
-		epochIdx:    -1,
 		assignments: make([]orbit.SatID, len(users)),
+		snap:        c.NewSnapshot(),
+		visBuf:      make([]orbit.SatID, 0, 64), // a few dozen in view at most; append grows it if a shell shows more
 	}
 	return s, nil
 }
@@ -65,8 +69,8 @@ func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
 	if u < 0 || u >= len(s.users) {
 		return -1, false
 	}
-	epoch := int64(tSec / s.epochSec)
-	if epoch != s.epochIdx {
+	epoch := int64(math.Floor(tSec / s.epochSec))
+	if !s.haveEpoch || epoch != s.epochIdx {
 		s.recompute(epoch)
 	}
 	id := s.assignments[u]
@@ -78,10 +82,10 @@ func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
 // satellites": each user picks uniformly among its visible satellites,
 // re-randomised each epoch.
 func (s *Scheduler) recompute(epoch int64) {
-	s.epochIdx = epoch
-	t := float64(epoch) * s.epochSec
+	s.haveEpoch, s.epochIdx = true, epoch
+	s.snap.Update(float64(epoch) * s.epochSec)
 	for u := range s.users {
-		s.visBuf = s.c.VisibleFrom(s.visBuf[:0], s.users[u], t)
+		s.visBuf = s.snap.VisibleFrom(s.visBuf[:0], s.users[u])
 		if len(s.visBuf) == 0 {
 			s.assignments[u] = -1
 			continue
@@ -97,7 +101,8 @@ func (s *Scheduler) VisibleCount(u int, tSec float64) int {
 	if u < 0 || u >= len(s.users) {
 		return 0
 	}
-	return len(s.c.VisibleFrom(nil, s.users[u], tSec))
+	s.visBuf = s.c.VisibleFrom(s.visBuf[:0], s.users[u], tSec)
+	return len(s.visBuf)
 }
 
 // mix is a splitmix64-style hash of three words.

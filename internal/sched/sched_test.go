@@ -1,13 +1,15 @@
 package sched
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"starcdn/internal/geo"
 	"starcdn/internal/orbit"
 )
 
-func setup(t *testing.T) (*orbit.Constellation, []geo.Point) {
+func setup(t testing.TB) (*orbit.Constellation, []geo.Point) {
 	t.Helper()
 	c, err := orbit.New(orbit.DefaultStarlinkShell())
 	if err != nil {
@@ -171,5 +173,113 @@ func TestUniformSpreadAcrossVisible(t *testing.T) {
 	}
 	if len(seen) < 3 {
 		t.Errorf("NY user stuck on %d satellites over 30 epochs", len(seen))
+	}
+}
+
+// TestFirstContactDigest pins every assignment of 9 cities × 720 epochs under
+// the paper's 126-slot outage mask, for three seeds, to digests recorded from
+// the per-user brute-force sweep that preceded orbit.Snapshot (commit
+// 0165c18). Any change to which satellites count as visible, or to their
+// order, moves the seeded pick and so the digest.
+func TestFirstContactDigest(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want uint64
+	}{
+		{7, 0x3da3b8730573f3ca},
+		{42, 0x823b2dda9cfee940},
+		{107, 0x709e5284415692b6},
+	} {
+		c, users := setup(t)
+		c.ApplyOutageMask(126, tc.seed)
+		s, err := New(c, users, 0, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for e := 0; e < 720; e++ {
+			for u := range users {
+				id, _ := s.FirstContact(u, float64(e)*DefaultEpochSec)
+				binary.LittleEndian.PutUint64(b[:], uint64(id))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("seed %d: digest %#x, want %#x", tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestNegativeTimeOnFreshScheduler: epoch -1 used to double as the "nothing
+// computed yet" sentinel and times were truncated toward zero, so a fresh
+// scheduler asked about t in [-2·epoch, -epoch) skipped recompute and returned
+// the zero-valued assignment (satellite 0, visible), and (-epoch, 0) aliased
+// epoch 0.
+func TestNegativeTimeOnFreshScheduler(t *testing.T) {
+	c, users := setup(t)
+	polar, err := New(c, []geo.Point{geo.NewPoint(89.9, 0)}, 15, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := polar.FirstContact(0, -20); ok {
+		t.Errorf("polar user at t=-20 on a fresh scheduler got satellite %d; it sees %d", id, polar.VisibleCount(0, -20))
+	}
+	for _, tSec := range []float64{-20, -7.5} {
+		fresh, _ := New(c, users, 15, 3)
+		warm, _ := New(c, users, 15, 3)
+		warm.FirstContact(0, 600)
+		for u := range users {
+			a, okA := fresh.FirstContact(u, tSec)
+			b, okB := warm.FirstContact(u, tSec)
+			if a != b || okA != okB {
+				t.Errorf("t=%v user %d: fresh scheduler %d/%v, warm scheduler %d/%v", tSec, u, a, okA, b, okB)
+			}
+		}
+	}
+	// (-epoch, 0) is epoch -1, not epoch 0: its assignments are computed at
+	// t=-15, where at least one city's pick differs from t=0's.
+	s, _ := New(c, users, 15, 3)
+	same := true
+	for u := range users {
+		a, _ := s.FirstContact(u, -7.5)
+		b, _ := s.FirstContact(u, 0)
+		same = same && a == b
+	}
+	if same {
+		t.Error("t=-7.5 and t=0 returned identical assignments for all users: epoch -1 aliases epoch 0")
+	}
+}
+
+// TestActivityChangeBetweenEpochs: the chaos schedules flip satellites
+// mid-run, and the scheduler's reused snapshot must see the mask in force at
+// each epoch boundary, not the one it was first filled under.
+func TestActivityChangeBetweenEpochs(t *testing.T) {
+	c, users := setup(t)
+	s, _ := New(c, users, 15, 5)
+	first, ok := s.FirstContact(4, 0)
+	if !ok {
+		t.Fatal("New York sees nothing at t=0")
+	}
+	for _, id := range c.VisibleFrom(nil, users[4], 15) {
+		c.SetActive(id, false)
+	}
+	if got, _ := s.FirstContact(4, 14.9); got != first {
+		t.Errorf("assignment changed within the epoch: %d -> %d", first, got)
+	}
+	if id, ok := s.FirstContact(4, 15); ok {
+		t.Errorf("every satellite in view at t=15 is down, yet user got %d", id)
+	}
+	c.ApplyOutageMask(0, 0)
+	if _, ok := s.FirstContact(4, 30); !ok {
+		t.Error("all satellites restored, yet user sees nothing at t=30")
+	}
+	fresh, _ := New(c, users, 15, 5)
+	for u := range users {
+		a, _ := s.FirstContact(u, 45)
+		b, _ := fresh.FirstContact(u, 45)
+		if a != b {
+			t.Errorf("user %d: reused scheduler picked %d, fresh one %d", u, a, b)
+		}
 	}
 }

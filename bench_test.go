@@ -137,9 +137,8 @@ func BenchmarkSimHotPath(b *testing.B) {
 //	          runtime-metrics bridge, both flushing per recorder epoch —
 //	          the full performance-observability deployment
 //
-// The acceptance bar is ≤5% slowdown for the metrics variant, ≤2% extra for
-// the recorder on top of metrics, and ≤2% extra for phases+runtime on top of
-// metrics.
+// The acceptance bars are differences in ns per request between variants,
+// stated next to their data in BENCH_obs.json.
 func BenchmarkObsOverhead(b *testing.B) {
 	e := env()
 	tr, err := e.ProductionTrace("video")
@@ -247,10 +246,10 @@ func BenchmarkObsOverhead(b *testing.B) {
 //	                   per-satellite latency quantile sketches updated on
 //	                   every request
 //
-// The acceptance bar is ≤5% slowdown for sketches over metrics-only. Results
-// must stay identical — the assertion below is the bench-side half of the
-// byte-identical-reports contract (experiments.TestObsDoesNotChangeReports
-// is the report-side half).
+// The acceptance bar, in ns per request over metrics-only, is stated next to
+// its data in BENCH_obs.json. Results must stay identical — the assertion
+// below is the bench-side half of the byte-identical-reports contract
+// (experiments.TestObsDoesNotChangeReports is the report-side half).
 func BenchmarkSketchOverhead(b *testing.B) {
 	e := env()
 	tr, err := e.ProductionTrace("video")

@@ -57,6 +57,28 @@ var benchSpecs = []benchSpec{
 		pattern: "^BenchmarkSketchOverhead$", benchtime: "5x", count: 8,
 		file: obsFile,
 	},
+	// The per-operation prices behind the two whole-run benchmarks above.
+	{
+		name: "BenchmarkTopKObserve", pkg: "./internal/obs/",
+		pattern: "^BenchmarkTopKObserve$", benchtime: "2000000x", count: 8, benchmem: true,
+		file: obsFile,
+	},
+	{
+		name: "BenchmarkSketchObserve", pkg: "./internal/obs/",
+		pattern: "^BenchmarkSketchObserve$", benchtime: "2000000x", count: 8, benchmem: true,
+		file: obsFile,
+	},
+	{
+		name: "BenchmarkPhaseMark", pkg: "./internal/obs/",
+		pattern: "^BenchmarkPhaseMark$", benchtime: "2000000x", count: 8, benchmem: true,
+		file: obsFile,
+	},
+	{
+		name: "BenchmarkRecorderSnapshot", pkg: "./internal/obs/",
+		pattern: "^BenchmarkRecorderSnapshot$", benchtime: "2000x", count: 8, benchmem: true,
+		file:         obsFile,
+		smokePattern: "^BenchmarkRecorderSnapshot$", smokeBenchtime: "200x",
+	},
 }
 
 // command renders the go test invocation for a spec (smoke or full).

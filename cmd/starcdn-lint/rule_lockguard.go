@@ -25,6 +25,12 @@ package main
 //   - a helper only ever called with the lock held inherits the guard
 //     through its entry context — guarded-in-caller does not flag in the
 //     callee.
+//   - a mutex declared in another package than the field is never inferred
+//     as its guard: it can only be an owner's lock, held through entry
+//     contexts, over a type that leaves synchronization to whoever holds it
+//     (obs.Sketch.mu over sketch.Quantile) — and such a type is also used
+//     single-owner with no lock at all (per-worker shards). A type-based
+//     vote cannot tell those instances apart (the owner exemption).
 //
 // A lock-free access that is genuinely safe (single-threaded phase,
 // happens-before established elsewhere) is waived with the rationale:
@@ -93,6 +99,9 @@ func (r ruleLockGuard) CheckTree(tree *Tree) []Diagnostic {
 		// Strict majority with at least two locked sites infers the guard.
 		if bestMu == nil || bestCount < 2 || bestCount*2 <= total {
 			continue
+		}
+		if bestMu.Pkg() != field.Pkg() {
+			continue // the owner exemption
 		}
 		for _, a := range accs {
 			if la.guardedBy(a, bestMu) {

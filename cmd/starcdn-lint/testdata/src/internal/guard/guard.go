@@ -7,11 +7,15 @@
 // through its entry context: raw-in-callee but guarded-in-caller must NOT
 // flag. Hits.evs is atomic-discipline (sync/atomic at every site) and is
 // exempt from guard inference no matter how asymmetric its lock usage looks.
+// Owned locks a tally.Tally from outside its package: the owner exemption
+// keeps that lock from being inferred as the guard of Tally's fields.
 package guard
 
 import (
 	"sync"
 	"sync/atomic"
+
+	"fixture/internal/guard/tally"
 )
 
 // Store counts events behind a mutex.
@@ -111,4 +115,33 @@ func (h *Hits) Load() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return atomic.LoadInt64(&h.evs)
+}
+
+// Owned keeps a shared tally behind its own mutex.
+type Owned struct {
+	mu sync.Mutex
+	t  *tally.Tally
+}
+
+// Add counts under the owner's lock.
+func (o *Owned) Add(d int64) {
+	o.mu.Lock()
+	o.t.Add(d)
+	o.mu.Unlock()
+}
+
+// Drain reads and zeroes under the owner's lock.
+func (o *Owned) Drain() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := o.t.N()
+	o.t.Reset()
+	return n
+}
+
+// CountAlone drives a tally no other goroutine can reach: no lock needed.
+func CountAlone(ds []int64, t *tally.Tally) {
+	for _, d := range ds {
+		t.Add(d)
+	}
 }

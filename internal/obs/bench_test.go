@@ -1,0 +1,135 @@
+package obs
+
+import (
+	"math"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"starcdn/internal/obs/sketch"
+)
+
+// The micro-benchmarks below price the obs operations sim.Run pays with
+// Sketches, a Recorder and Phases on: a top-K update (three per request), a
+// sketch observation (two per request), a phase mark (five or six per
+// request) and a recorder epoch over a few hundred per-satellite sketches.
+// BENCH_obs.json records them in ns per operation, next to the whole-run
+// variants they explain.
+
+const benchStream = 1 << 16 // pre-drawn stream length; a power of two, so i&(benchStream-1) cycles it
+
+// BenchmarkTopKObserve is one TopK.ObserveIDEx at the default k=32 under the
+// two key streams of a run: Zipf object IDs (the hot keys stay tracked, the
+// tail evicts) and near-uniform satellite IDs (almost every update evicts).
+func BenchmarkTopKObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, 7999)
+	objects, sats := make([]uint64, benchStream), make([]uint64, benchStream)
+	for i := range objects {
+		objects[i] = zipf.Uint64()
+		sats[i] = uint64(rng.Intn(1170))
+	}
+	for _, v := range []struct {
+		name string
+		keys []uint64
+	}{{"zipf-objects", objects}, {"uniform-sats", sats}} {
+		b.Run(v.name, func(b *testing.B) {
+			tk := NewRegistry().TopK("bench_topk", 32)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tk.ObserveIDEx(v.keys[i&(benchStream-1)], 1, sketch.Exemplar{Req: int64(i)})
+			}
+		})
+	}
+}
+
+// benchLatenciesMs draws log-normal latencies around 30 ms, the shape of a
+// run's serve latencies.
+func benchLatenciesMs(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Exp(rng.NormFloat64()*0.6 + 3.4)
+	}
+	return out
+}
+
+// BenchmarkSketchObserve is one Sketch.ObserveEx: "continuous" never repeats
+// a value, so every observation pays the math.Log of the bucket index;
+// "repeated" is the memo hit — the lock, the counters and one indexed add.
+func BenchmarkSketchObserve(b *testing.B) {
+	continuous := benchLatenciesMs(rand.New(rand.NewSource(2)), benchStream)
+	repeated := make([]float64, benchStream)
+	for i := range repeated {
+		repeated[i] = 29.5
+	}
+	for _, v := range []struct {
+		name string
+		xs   []float64
+	}{{"continuous", continuous}, {"repeated", repeated}} {
+		b.Run(v.name, func(b *testing.B) {
+			sk := NewRegistry().Sketch("bench_sketch", 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x := v.xs[i&(benchStream-1)]
+				sk.ObserveEx(x, sketch.Exemplar{Req: int64(i), Value: x})
+			}
+		})
+	}
+}
+
+// BenchmarkPhaseMark is one PhaseClock.Mark on a live profiler — a monotonic
+// clock read and an atomic add — which sim.Run pays five times per hit and
+// six per miss with Phases on.
+func BenchmarkPhaseMark(b *testing.B) {
+	b.Run("sim", func(b *testing.B) {
+		pc := NewSimPhases(nil).Clock()
+		pc.Begin()
+		for i := 0; i < b.N; i++ {
+			pc.Mark(i % len(SimPhaseStages))
+		}
+	})
+}
+
+// sketchRecorder returns a recorder over a registry of n per-satellite
+// latency sketches, each holding a few hundred observations, that has taken
+// its first snapshot (so the plan and the rings exist).
+func sketchRecorder(n int) *Recorder {
+	reg := NewRegistry()
+	rng := rand.New(rand.NewSource(3))
+	for s := 0; s < n; s++ {
+		sk := reg.Sketch("bench_sat_latency_ms", 0, L("sat", strconv.Itoa(s)))
+		for _, x := range benchLatenciesMs(rng, 400) {
+			sk.Observe(x)
+		}
+	}
+	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1, Capacity: 64})
+	rec.Seal(0)
+	return rec
+}
+
+// BenchmarkRecorderSnapshot is one recorder epoch over 300 populated
+// sketches: one bucket walk per sketch for its three quantiles, and no
+// allocation once the plan is built.
+func BenchmarkRecorderSnapshot(b *testing.B) {
+	b.Run("300-sketches", func(b *testing.B) {
+		rec := sketchRecorder(300)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec.Seal(float64(i + 1))
+		}
+	})
+}
+
+// TestRecorderSketchSnapshotAllocFree holds the recorder's sketch path to
+// zero allocations per epoch in steady state.
+func TestRecorderSketchSnapshotAllocFree(t *testing.T) {
+	rec := sketchRecorder(20)
+	now := 0.0
+	if allocs := testing.AllocsPerRun(50, func() { now++; rec.Seal(now) }); allocs != 0 {
+		t.Errorf("a recorder epoch over sketches allocates %v times, want 0", allocs)
+	}
+	if pt, ok := rec.Last(`bench_sat_latency_ms_q{sat="7",q="0.5"}`); !ok || !(pt.V > 10 && pt.V < 100) {
+		t.Errorf("recorded median = %+v (ok=%v), want a latency near 30 ms", pt, ok)
+	}
+}

@@ -45,6 +45,7 @@ type Recorder struct {
 	// the key-rendering cost once) only when new series register.
 	plan    []recSeries
 	planGen uint64
+	qv      []float64 // snapshot scratch: one sketch's SketchQuantiles estimates
 
 	onEpoch  []func(epochSec float64) // hooks (SLO evaluation), run unlocked
 	preEpoch []func(epochSec float64) // pre-snapshot hooks, run under r.mu
@@ -90,6 +91,7 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 		hists:    make(map[string][]float64),
 		next:     opts.EpochSec,
 		planGen:  ^uint64(0), // force the first snapshot to build a plan
+		qv:       make([]float64, len(SketchQuantiles)),
 	}
 }
 
@@ -257,11 +259,10 @@ func (r *Recorder) snapshotLocked(t float64) {
 			}
 			rs.samples[slot] = float64(s.tk.N())
 		case sketchKind:
-			qv, _, count, _, _, _ := s.sk.snapshotSketch()
+			rs.samples[slot] = float64(s.sk.quantilesInto(r.qv))
 			for i := range rs.qs {
-				rs.qs[i][slot] = qv[i]
+				rs.qs[i][slot] = r.qv[i]
 			}
-			rs.samples[slot] = float64(count)
 		}
 	}
 	r.head = (r.head + 1) % r.capN

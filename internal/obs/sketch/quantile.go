@@ -1,12 +1,8 @@
 package sketch
 
-import (
-	"math"
-	"sort"
-	"sync"
-)
+import "math"
 
-// defaultQuantileBuckets caps the bucket map of a Quantile sketch. With
+// defaultQuantileBuckets caps the occupied buckets of a Quantile sketch. With
 // relative accuracy α=0.01 (γ≈1.0202) 1024 buckets span ~20 orders of
 // magnitude before the collapse path ever runs, so in practice the cap is
 // a memory guarantee, not an accuracy cost.
@@ -33,33 +29,38 @@ type QBucket struct {
 // log-spaced buckets (index ⌈log_γ x⌉ with γ=(1+α)/(1−α)); bucket counts
 // are order-independent, so Merge (bucket-wise addition) is exact.
 //
-// Memory is bounded by maxBuckets: past the cap the lowest-index buckets
-// collapse together (sacrificing resolution at the cheap low end first,
-// the DDSketch convention), deterministically by sorted index.
+// Buckets live in one contiguous window over the log-γ indices seen so far
+// (a bucket exists iff its Count > 0), so an observation is an index and
+// every walk is in index order with no sort. At most maxBuckets buckets are
+// occupied: past the cap the lowest occupied buckets collapse together
+// (sacrificing resolution at the cheap low end first, the DDSketch
+// convention). The window itself spans the occupied index range — a few
+// hundred cells for latencies in milliseconds, and never more than the
+// float64 exponent range divided by ln γ.
 //
-// The sketch self-synchronizes: every method is safe for concurrent use.
-// The single-owner shard paths pay only an uncontended lock per sample.
+// Not synchronized: a Quantile has one owner, or sits behind its owner's
+// lock (obs.Sketch).
 type Quantile struct {
 	alpha      float64
 	gamma, lg  float64
 	maxBuckets int
 
-	mu       sync.Mutex
 	n        int64
 	sum      float64
 	min, max float64
 	zero     int64 // observations ≤ minIndexable (incl. non-positive)
 	zeroEx   Exemplar
-	buckets  map[int]*QBucket
-	// lastX/lastIdx/lastB memoise the most recent index computation and its
-	// bucket: replayed latencies come from a small discrete set (hop
-	// geometry), so repeated values skip both the math.Log and the bucket
-	// map lookup. lastX is 0 when empty — unreachable, since only values >
-	// minIndexable are indexed; collapse invalidates lastB (it may delete
-	// the cached bucket).
+	// win[i] is the bucket of log-γ index base+i (win[i].Index says so);
+	// occupied counts the cells with Count > 0.
+	win      []QBucket
+	base     int
+	occupied int
+	// lastX/lastIdx memoise the most recent index computation: replayed
+	// latencies come from a small discrete set (hop geometry), so repeated
+	// values skip the math.Log. lastX is 0 when empty — unreachable, since
+	// only values > minIndexable are indexed.
 	lastX   float64
 	lastIdx int
-	lastB   *QBucket
 }
 
 // NewQuantile returns a sketch with relative accuracy alpha (values outside
@@ -79,7 +80,6 @@ func NewQuantile(alpha float64, maxBuckets int) *Quantile {
 		maxBuckets: maxBuckets,
 		min:        math.Inf(1),
 		max:        math.Inf(-1),
-		buckets:    make(map[int]*QBucket),
 	}
 }
 
@@ -96,8 +96,6 @@ func (s *Quantile) Count() int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.n
 }
 
@@ -108,19 +106,12 @@ func (s *Quantile) Sum() float64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.sum
 }
 
 // Min returns the smallest observation (NaN when empty or nil).
 func (s *Quantile) Min() float64 {
-	if s == nil {
-		return math.NaN()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
+	if s == nil || s.n == 0 {
 		return math.NaN()
 	}
 	return s.min
@@ -128,12 +119,7 @@ func (s *Quantile) Min() float64 {
 
 // Max returns the largest observation (NaN when empty or nil).
 func (s *Quantile) Max() float64 {
-	if s == nil {
-		return math.NaN()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
+	if s == nil || s.n == 0 {
 		return math.NaN()
 	}
 	return s.max
@@ -148,7 +134,6 @@ func (s *Quantile) ObserveEx(x float64, ex Exemplar) {
 	if s == nil || math.IsNaN(x) {
 		return
 	}
-	s.mu.Lock()
 	s.n++
 	s.sum += x
 	s.min = math.Min(s.min, x)
@@ -158,29 +143,22 @@ func (s *Quantile) ObserveEx(x float64, ex Exemplar) {
 		if ex.better(s.zeroEx) {
 			s.zeroEx = ex
 		}
-		s.mu.Unlock()
 		return
 	}
-	b := s.lastB
-	if x != s.lastX || b == nil {
-		idx := s.index(x)
-		b = s.buckets[idx]
-		if b == nil {
-			b = &QBucket{Index: idx} //lint:ignore hotalloc one bucket per occupied log-scale index, bounded by the collapse cap
-			s.buckets[idx] = b
-		}
-		s.lastX, s.lastIdx, s.lastB = x, idx, b
+	if x != s.lastX {
+		s.lastX, s.lastIdx = x, s.index(x)
 	}
-	b.Count++
-	if ex.better(b.Ex) {
-		b.Ex = ex
-	}
+	s.add(s.lastIdx, 1, ex)
 	s.collapse()
-	s.mu.Unlock()
 }
 
-// index maps a positive observation to its log-γ bucket.
+// index maps a positive observation to its log-γ bucket. +Inf shares the
+// bucket of the largest finite value, which keeps every index (and so the
+// window) inside the float64 exponent range.
 func (s *Quantile) index(x float64) int {
+	if x > math.MaxFloat64 {
+		x = math.MaxFloat64
+	}
 	return int(math.Ceil(math.Log(x) / s.lg))
 }
 
@@ -191,28 +169,114 @@ func (s *Quantile) value(idx int) float64 {
 	return 2 * math.Pow(s.gamma, float64(idx)) / (s.gamma + 1)
 }
 
-// collapse enforces maxBuckets by folding the lowest-index bucket into its
-// nearest higher neighbour until the cap holds. Sorting the indices keeps
-// the operation deterministic; collapsing low buckets first preserves tail
-// (p99) accuracy at the cost of resolution near zero.
+// add folds count observations and their exemplar into bucket idx, growing
+// the window to cover it.
+func (s *Quantile) add(idx int, count int64, ex Exemplar) {
+	i := idx - s.base
+	if uint(i) >= uint(len(s.win)) {
+		s.grow(idx)
+		i = idx - s.base
+	}
+	b := &s.win[i]
+	if b.Count == 0 {
+		s.occupied++
+	}
+	b.Count += count
+	if ex.better(b.Ex) {
+		b.Ex = ex
+	}
+}
+
+// grow reallocates the window to cover idx, with slack on the side that grew
+// so a drifting value range costs O(log) reallocations, not one per bucket.
+func (s *Quantile) grow(idx int) {
+	if len(s.win) == 0 {
+		s.base = idx
+	}
+	lo, hi := min(idx, s.base), max(idx, s.base+len(s.win)-1)
+	if pad := len(s.win)/2 + 8; idx == lo {
+		lo -= pad
+	} else {
+		hi += pad
+	}
+	win := make([]QBucket, hi-lo+1) //lint:ignore hotalloc the window reallocates only when an observation falls outside it, geometrically; a settled value range never grows it
+	for i := range win {
+		win[i].Index = lo + i
+	}
+	copy(win[s.base-lo:], s.win)
+	s.win, s.base = win, lo
+}
+
+// collapse enforces maxBuckets by folding the lowest occupied bucket into
+// the next occupied one until the cap holds; collapsing low buckets first
+// preserves tail (p99) accuracy at the cost of resolution near zero.
 func (s *Quantile) collapse() {
-	if len(s.buckets) <= s.maxBuckets {
-		return
-	}
-	s.lastX, s.lastIdx, s.lastB = 0, 0, nil // the cached bucket may be folded away
-	idxs := make([]int, 0, len(s.buckets))  //lint:ignore hotalloc collapse scratch; collapse fires only when the bucket cap is exceeded, amortised over many observations
-	for i := range s.buckets {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for len(idxs) > s.maxBuckets {
-		lo, next := s.buckets[idxs[0]], s.buckets[idxs[1]]
-		next.Count += lo.Count
-		if lo.Ex.better(next.Ex) {
-			next.Ex = lo.Ex
+	lo := 0
+	for s.occupied > s.maxBuckets {
+		for s.win[lo].Count == 0 {
+			lo++
 		}
-		delete(s.buckets, idxs[0])
-		idxs = idxs[1:]
+		next := lo + 1
+		for s.win[next].Count == 0 {
+			next++
+		}
+		s.win[next].Count += s.win[lo].Count
+		if s.win[lo].Ex.better(s.win[next].Ex) {
+			s.win[next].Ex = s.win[lo].Ex
+		}
+		s.win[lo].Count, s.win[lo].Ex = 0, Exemplar{}
+		s.occupied--
+		lo = next
+	}
+}
+
+// rank is the 1-based position of the q-quantile (q clamped to [0,1]) among
+// the n observations.
+func (s *Quantile) rank(q float64) int64 {
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	return max(int64(math.Ceil(q*float64(s.n))), 1)
+}
+
+// At answers several quantiles in one ascending bucket walk: for each qs[i]
+// it stores the estimate in vals[i] and the exemplar of the bucket holding
+// it in exs[i]. Either destination may be nil; the walk allocates nothing.
+// Ascending qs share one walk; a smaller q after a larger one restarts it.
+// An empty or nil sketch answers NaN and the zero Exemplar.
+func (s *Quantile) At(qs, vals []float64, exs []Exemplar) {
+	empty := s == nil || s.n == 0
+	i, cum, prev := -1, int64(0), int64(0) // i == -1 is the zero bucket
+	for k, q := range qs {
+		v, ex := math.NaN(), Exemplar{}
+		if !empty {
+			target := s.rank(q)
+			if k == 0 || target < prev {
+				i, cum = -1, s.zero // start the walk, or start it over
+			}
+			prev = target
+			// zero plus the bucket counts sum to n ≥ target, so the walk
+			// stops inside the window, on an occupied bucket.
+			for cum < target {
+				i++
+				cum += s.win[i].Count
+			}
+			if i < 0 {
+				// The zero bucket holds values ≤ minIndexable; report them as 0.
+				v, ex = 0, s.zeroEx
+			} else {
+				v, ex = s.value(s.win[i].Index), s.win[i].Ex
+			}
+		}
+		if vals != nil {
+			vals[k] = v
+		}
+		if exs != nil {
+			exs[k] = ex
+		}
 	}
 }
 
@@ -220,70 +284,33 @@ func (s *Quantile) collapse() {
 // empty. The estimate is within relative error α of the true quantile as
 // long as the collapse path has not merged the target bucket.
 func (s *Quantile) Quantile(q float64) float64 {
-	if s == nil {
-		return math.NaN()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(s.n)))
-	if target < 1 {
-		target = 1
-	}
-	cum := s.zero
-	if cum >= target {
-		// The zero bucket holds values ≤ minIndexable; report them as 0.
-		return 0
-	}
-	for _, b := range s.bucketsAsc() {
-		cum += b.Count
-		if cum >= target {
-			return s.value(b.Index)
-		}
-	}
-	return s.value(s.maxIndex()) // unreachable: counts always sum to n
+	qs, v := [1]float64{q}, [1]float64{}
+	s.At(qs[:], v[:], nil)
+	return v[0]
 }
 
-// bucketsAsc returns the buckets sorted by index — the deterministic
-// iteration every consumer (quantile walk, exposition) uses. Callers hold mu.
-func (s *Quantile) bucketsAsc() []QBucket {
-	out := make([]QBucket, 0, len(s.buckets)) //lint:ignore hotalloc per-epoch snapshot for quantile exposition, bounded by the bucket cap; not on the per-request path
-	for _, b := range s.buckets {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index }) //lint:ignore hotalloc sort closure on the per-epoch snapshot path, not per request
-	return out
-}
-
-// maxIndex returns the highest occupied bucket index (0 when none).
-func (s *Quantile) maxIndex() int {
-	first, max := true, 0
-	for i := range s.buckets {
-		if first || i > max {
-			max = i
-			first = false
-		}
-	}
-	return max
+// ExemplarNear returns the exemplar of the bucket holding the q-quantile —
+// the trace of a request that actually experienced roughly that value.
+// ok=false when the sketch is empty or the bucket carries no exemplar.
+func (s *Quantile) ExemplarNear(q float64) (Exemplar, bool) {
+	qs, ex := [1]float64{q}, [1]Exemplar{}
+	s.At(qs[:], nil, ex[:])
+	return ex[0], ex[0].Valid()
 }
 
 // Buckets returns the occupied buckets sorted ascending by index, plus the
-// zero-bucket count and its exemplar. The slices are copies.
+// zero-bucket count and its exemplar. The slice is a copy.
 func (s *Quantile) Buckets() (buckets []QBucket, zero int64, zeroEx Exemplar) {
 	if s == nil {
 		return nil, 0, Exemplar{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bucketsAsc(), s.zero, s.zeroEx
+	buckets = make([]QBucket, 0, s.occupied)
+	for _, b := range s.win {
+		if b.Count > 0 {
+			buckets = append(buckets, b)
+		}
+	}
+	return buckets, s.zero, s.zeroEx
 }
 
 // ZeroExemplar returns the exemplar of the zero bucket.
@@ -291,44 +318,7 @@ func (s *Quantile) ZeroExemplar() Exemplar {
 	if s == nil {
 		return Exemplar{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.zeroEx
-}
-
-// ExemplarNear returns the exemplar of the bucket holding the q-quantile —
-// the trace of a request that actually experienced roughly that value.
-// ok=false when the sketch is empty or the bucket carries no exemplar.
-func (s *Quantile) ExemplarNear(q float64) (Exemplar, bool) {
-	if s == nil {
-		return Exemplar{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Exemplar{}, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(s.n)))
-	if target < 1 {
-		target = 1
-	}
-	cum := s.zero
-	if cum >= target {
-		return s.zeroEx, s.zeroEx.Valid()
-	}
-	for _, b := range s.bucketsAsc() {
-		cum += b.Count
-		if cum >= target {
-			return b.Ex, b.Ex.Valid()
-		}
-	}
-	return Exemplar{}, false
 }
 
 // Merge folds o into s bucket-wise — the exact union sketch (counts and
@@ -336,79 +326,47 @@ func (s *Quantile) ExemplarNear(q float64) (Exemplar, bool) {
 // observations, whatever the interleaving; only the float Sum is
 // order-sensitive in its last bits). Sketches must share alpha to merge
 // meaningfully; differing geometries are folded by re-indexing o's bucket
-// midpoints, an α-bounded approximation.
+// midpoints, an α-bounded approximation. o is not modified.
 func (s *Quantile) Merge(o *Quantile) {
-	if s == nil || o == nil {
+	if s == nil || o == nil || o.n == 0 {
 		return
 	}
-	// Snapshot the donor under its own lock first; the two locks are never
-	// held together, so cross merges cannot deadlock.
-	ov := o.mergeView()
-	if ov.n == 0 {
-		return
+	s.n += o.n
+	s.sum += o.sum
+	s.min = math.Min(s.min, o.min)
+	s.max = math.Max(s.max, o.max)
+	s.zero += o.zero
+	if o.zeroEx.better(s.zeroEx) {
+		s.zeroEx = o.zeroEx
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.n += ov.n
-	s.sum += ov.sum
-	s.min = math.Min(s.min, ov.min)
-	s.max = math.Max(s.max, ov.max)
-	s.zero += ov.zero
-	if ov.zeroEx.better(s.zeroEx) {
-		s.zeroEx = ov.zeroEx
-	}
-	sameGeometry := o.gamma == s.gamma // geometry is immutable after construction
-	for _, ob := range ov.buckets {
+	sameGeometry := o.gamma == s.gamma
+	for _, ob := range o.win {
+		if ob.Count == 0 {
+			continue
+		}
 		idx := ob.Index
 		if !sameGeometry {
 			idx = s.index(o.value(ob.Index))
 		}
-		b := s.buckets[idx]
-		if b == nil {
-			b = &QBucket{Index: idx}
-			s.buckets[idx] = b
-		}
-		b.Count += ob.Count
-		if ob.Ex.better(b.Ex) {
-			b.Ex = ob.Ex
-		}
+		s.add(idx, ob.Count, ob.Ex)
 	}
 	s.collapse()
 }
 
-// quantileView is the donor snapshot Merge works from.
-type quantileView struct {
-	n        int64
-	sum      float64
-	min, max float64
-	zero     int64
-	zeroEx   Exemplar
-	buckets  []QBucket
-}
-
-// mergeView snapshots the fields Merge needs under the donor's lock.
-func (s *Quantile) mergeView() quantileView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return quantileView{
-		n: s.n, sum: s.sum, min: s.min, max: s.max,
-		zero: s.zero, zeroEx: s.zeroEx, buckets: s.bucketsAsc(),
-	}
-}
-
-// Reset clears the sketch for reuse (per-segment worker sketches).
+// Reset clears the sketch for reuse (per-segment worker sketches); the
+// window keeps its extent, so the next segment's values index straight in.
 func (s *Quantile) Reset() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.n = 0
 	s.sum = 0
 	s.zero = 0
 	s.zeroEx = Exemplar{}
 	s.min = math.Inf(1)
 	s.max = math.Inf(-1)
-	s.lastX, s.lastIdx, s.lastB = 0, 0, nil
-	clear(s.buckets)
+	s.occupied = 0
+	for i := range s.win {
+		s.win[i].Count, s.win[i].Ex = 0, Exemplar{}
+	}
 }

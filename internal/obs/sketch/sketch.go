@@ -21,8 +21,8 @@
 //     bounded by the other side's minimum tracked count.
 //
 //   - Bounded: memory is fixed by construction (k entries, width×depth
-//     counters, a capped bucket map), independent of stream length or key
-//     cardinality.
+//     counters, a capped number of occupied buckets in one window over the
+//     value range), independent of stream length or key cardinality.
 //
 // Sketches carry optional trace exemplars: the sampled trace ID of a
 // request that contributed to a top-K entry or quantile bucket, linking a
@@ -30,9 +30,11 @@
 // Exemplar replacement keeps the largest request index (freshest sample),
 // which is commutative, so merged sketches agree on exemplars too.
 //
-// The structures are NOT internally synchronized: callers either own a
-// sketch exclusively (per-worker shards) or wrap it in a mutex (the obs
-// registry instruments do the latter).
+// The structures are NOT internally synchronized — none of them holds a
+// mutex. A caller either owns a sketch exclusively (the replayer's
+// per-worker shards, merged at a barrier) or keeps it behind its own lock
+// (the obs registry instruments: obs.TopK.mu, obs.Sketch.mu), so an update
+// costs at most one lock.
 package sketch
 
 // Exemplar links a summary cell (a top-K entry, a quantile bucket) to one

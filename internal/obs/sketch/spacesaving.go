@@ -1,9 +1,6 @@
 package sketch
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Entry is one tracked key of a Space-Saving summary. Count overestimates
 // the key's true frequency by at most Err: true ∈ [Count-Err, Count].
@@ -39,14 +36,13 @@ type node struct {
 // sift-down — O(log k) instead of the O(k) min scan, which is what keeps
 // the eviction-heavy tail of a Zipf stream off the hot-path profile.
 //
-// The summary self-synchronizes: every method is safe for concurrent use.
-// The single-owner shard paths pay only an uncontended lock per update.
+// Not synchronized: a SpaceSaving has one owner, or sits behind its owner's
+// lock (obs.TopK).
 type SpaceSaving struct {
-	k  int
-	mu sync.Mutex
-	n  int64
-	m  map[uint64]*node
-	h  []*node // min-heap by (count, key); h[0] is the eviction victim
+	k int
+	n int64
+	m map[uint64]*node
+	h []*node // min-heap by (count, key); h[0] is the eviction victim
 }
 
 // NewSpaceSaving returns a summary tracking at most k keys (k < 1 selects 1).
@@ -70,8 +66,6 @@ func (s *SpaceSaving) N() int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.n
 }
 
@@ -80,8 +74,6 @@ func (s *SpaceSaving) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.m)
 }
 
@@ -101,7 +93,6 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 	if s == nil || inc <= 0 {
 		return 0, false
 	}
-	s.mu.Lock()
 	s.n += inc
 	if nd, found := s.m[key]; found {
 		nd.e.Count += inc
@@ -110,7 +101,6 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 		}
 		// The count grew, so the entry can only move away from the root.
 		s.siftDown(nd.pos)
-		s.mu.Unlock()
 		return 0, false
 	}
 	if len(s.m) < s.k {
@@ -118,7 +108,6 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 		s.m[key] = nd
 		s.h = append(s.h, nd)
 		s.siftUp(nd.pos)
-		s.mu.Unlock()
 		return 0, false
 	}
 	// The newcomer inherits the victim's count as its overestimation bound
@@ -130,7 +119,6 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 	v.e = Entry{Key: key, Count: v.e.Count + inc, Err: v.e.Count, Ex: ex}
 	s.m[key] = v
 	s.siftDown(0)
-	s.mu.Unlock()
 	return evicted, true
 }
 
@@ -151,7 +139,7 @@ func entryLess(a, b *node) bool {
 	return a.e.Key < b.e.Key
 }
 
-// siftUp restores the heap invariant after an insertion at i. Callers hold mu.
+// siftUp restores the heap invariant after an insertion at i.
 func (s *SpaceSaving) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
@@ -165,7 +153,7 @@ func (s *SpaceSaving) siftUp(i int) {
 }
 
 // siftDown restores the heap invariant after the entry at i grew (or was
-// replaced). Callers hold mu.
+// replaced).
 func (s *SpaceSaving) siftDown(i int) {
 	n := len(s.h)
 	for {
@@ -188,7 +176,7 @@ func (s *SpaceSaving) siftDown(i int) {
 
 // minCount is the smallest tracked count when the summary is full — the
 // upper bound on any untracked key's true frequency — and 0 otherwise
-// (an unfull summary tracks every key it has seen exactly). Callers hold mu.
+// (an unfull summary tracks every key it has seen exactly).
 func (s *SpaceSaving) minCount() int64 {
 	if s == nil || len(s.m) < s.k {
 		return 0
@@ -203,8 +191,6 @@ func (s *SpaceSaving) Top() []Entry {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Entry, 0, len(s.h)) //lint:ignore hotalloc per-epoch Top snapshot, bounded by the sketch cap; not on the per-request path
 	for _, nd := range s.h {
 		out = append(out, nd.e)
@@ -221,26 +207,18 @@ func (s *SpaceSaving) Top() []Entry {
 // key asc) survive, so merge(a,b) and merge(b,a) produce identical
 // summaries. The receiver keeps its own capacity; o is not modified.
 func (s *SpaceSaving) Merge(o *SpaceSaving) {
-	if s == nil || o == nil {
+	if s == nil || o == nil || o.n == 0 {
 		return
 	}
-	// Snapshot the donor under its own lock first; the two locks are never
-	// held together, so cross merges cannot deadlock.
-	on, om, minO := o.mergeView()
-	if on == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	minS := s.minCount()
-	merged := make([]Entry, 0, len(s.m)+len(om))
+	minS, minO := s.minCount(), o.minCount()
+	merged := make([]Entry, 0, len(s.h)+len(o.h))
 	for _, nd := range s.h {
 		me := nd.e
-		if oe, ok := om[me.Key]; ok {
-			me.Count += oe.Count
-			me.Err += oe.Err
-			if oe.Ex.better(me.Ex) {
-				me.Ex = oe.Ex
+		if od, ok := o.m[me.Key]; ok {
+			me.Count += od.e.Count
+			me.Err += od.e.Err
+			if od.e.Ex.better(me.Ex) {
+				me.Ex = od.e.Ex
 			}
 		} else {
 			me.Count += minO
@@ -248,11 +226,12 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 		}
 		merged = append(merged, me)
 	}
-	for key, oe := range om {
-		if _, ok := s.m[key]; ok {
+	for _, od := range o.h {
+		oe := od.e
+		if _, ok := s.m[oe.Key]; ok {
 			continue
 		}
-		merged = append(merged, Entry{Key: key, Count: oe.Count + minS, Err: oe.Err + minS, Ex: oe.Ex})
+		merged = append(merged, Entry{Key: oe.Key, Count: oe.Count + minS, Err: oe.Err + minS, Ex: oe.Ex})
 	}
 	sort.Slice(merged, func(i, j int) bool { return entryGreater(merged[i], merged[j]) })
 	if len(merged) > s.k {
@@ -268,19 +247,7 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	for i := len(s.h)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
-	s.n += on
-}
-
-// mergeView snapshots the fields Merge needs from a donor: total weight, an
-// entry copy, and the minimum tracked count.
-func (s *SpaceSaving) mergeView() (n int64, m map[uint64]Entry, min int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m = make(map[uint64]Entry, len(s.h))
-	for _, nd := range s.h {
-		m[nd.e.Key] = nd.e
-	}
-	return s.n, m, s.minCount()
+	s.n += o.n
 }
 
 // Reset clears the summary for reuse (per-segment worker sketches).
@@ -288,8 +255,6 @@ func (s *SpaceSaving) Reset() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.n = 0
 	clear(s.m)
 	s.h = s.h[:0]

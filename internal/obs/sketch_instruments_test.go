@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"starcdn/internal/obs/sketch"
@@ -407,5 +408,73 @@ func TestRecorderTopKSketchRings(t *testing.T) {
 		if v != nil {
 			t.Errorf("rank-3 point %d = %v, want null (no third entry)", i, *v)
 		}
+	}
+}
+
+// TestInstrumentsConcurrentObserveAndScrape: the sketches hold no lock of
+// their own, so TopK.mu and Sketch.mu are all that stands between
+// concurrent observers, a worker merging its single-owner shards, and a
+// scraper reading Top()/Quantile()/Snapshot() and driving recorder epochs.
+// Run under -race; the totals must also come out exact.
+func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
+	r := NewRegistry()
+	tk := r.TopK("starcdn_popularity_objects", 8)
+	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
+	rec := NewRecorder(r, RecorderOptions{EpochSec: 1, Capacity: 16})
+
+	const writers, perWriter, merges, perMerge = 4, 4000, 40, 50
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for epoch := 1.0; ; epoch++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if top := tk.Top(); len(top) > 8 {
+				t.Errorf("Top() returned %d entries from a k=8 instrument", len(top))
+			}
+			_, _, _ = tk.N(), sk.Quantile(0.99), sk.Count()
+			r.Snapshot()
+			rec.Seal(epoch)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				ex := sketch.Exemplar{TraceID: fmt.Sprintf("w%d", w), Req: int64(i)}
+				tk.ObserveIDEx(uint64(i%50), 1, ex)
+				sk.ObserveEx(float64(1+i%200), ex)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		shard, lat := NewTopKShard(8), sketch.NewQuantile(0, 0)
+		for m := 0; m < merges; m++ {
+			for i := 0; i < perMerge; i++ {
+				shard.ObserveID(uint64(i%50), 1)
+				lat.Observe(float64(1 + i))
+			}
+			tk.MergeShard(shard)
+			sk.MergeQuantile(lat)
+			shard.Reset()
+			lat.Reset()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-scraped
+
+	const want = writers*perWriter + merges*perMerge
+	if tk.N() != want || sk.Count() != want {
+		t.Errorf("after concurrent updates N = %d, Count = %d, want %d each", tk.N(), sk.Count(), want)
 	}
 }

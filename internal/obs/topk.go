@@ -49,10 +49,11 @@ type TopKEntry struct {
 
 // TopKShard is the single-owner form of a TopK instrument: a Space-Saving
 // summary, a Count-Min refinement grid, and a bounded name table, with no
-// shard-level lock of its own (the summaries self-lock, so a single-owner
-// worker pays only uncontended locks). Per-worker shards absorb updates and
-// merge into the registry's TopK instrument at deterministic barriers
-// (segment boundaries in the concurrent replayer).
+// lock anywhere (internal/obs/sketch is not synchronized either). One
+// goroutine owns a shard: per-worker shards absorb updates and merge into
+// the registry's TopK instrument at deterministic barriers (segment
+// boundaries in the concurrent replayer), and the TopK instrument's shard
+// sits behind TopK.mu.
 type TopKShard struct {
 	ss    *sketch.SpaceSaving
 	cm    *sketch.CountMin
@@ -200,8 +201,9 @@ func (t *TopKShard) merge(o *TopKShard) {
 
 // TopK is a registry instrument tracking the approximate top-K keys of a
 // stream (hot objects, hot satellites, hot buckets) in bounded memory: a
-// mutex-protected TopKShard. Updates from concurrent goroutines are safe; a
-// nil TopK ignores every call (the disabled-registry path).
+// TopKShard behind mu, the only lock an update takes. Updates from
+// concurrent goroutines are safe; a nil TopK ignores every call (the
+// disabled-registry path).
 type TopK struct {
 	mu    sync.Mutex
 	shard *TopKShard
@@ -281,8 +283,9 @@ func (t *TopK) Top() []TopKEntry {
 }
 
 // Sketch is a registry instrument summarising a value distribution with a
-// relative-error quantile sketch: a mutex-protected sketch.Quantile.
-// Concurrent observers are safe; a nil Sketch ignores every call.
+// relative-error quantile sketch: a sketch.Quantile behind mu, the only lock
+// an observation takes. Concurrent observers are safe; a nil Sketch ignores
+// every call.
 type Sketch struct {
 	mu sync.Mutex
 	q  *sketch.Quantile
@@ -339,13 +342,20 @@ func (s *Sketch) Quantile(q float64) float64 {
 // snapshotSketch freezes the exposition view of the instrument: values and
 // exemplars at SketchQuantiles, plus count/sum/min/max.
 func (s *Sketch) snapshotSketch() (qv []float64, ex []sketch.Exemplar, count int64, sum, min, max float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	qv = make([]float64, len(SketchQuantiles))
 	ex = make([]sketch.Exemplar, len(SketchQuantiles))
-	for i, q := range SketchQuantiles {
-		qv[i] = s.q.Quantile(q)
-		ex[i], _ = s.q.ExemplarNear(q)
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.q.At(SketchQuantiles, qv, ex)
 	return qv, ex, s.q.Count(), s.q.Sum(), s.q.Min(), s.q.Max()
+}
+
+// quantilesInto is the recorder's per-epoch view: the SketchQuantiles
+// estimates stored into qv and the sample count, in one bucket walk, with no
+// exemplars and no allocation.
+func (s *Sketch) quantilesInto(qv []float64) (count int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.q.At(SketchQuantiles, qv, nil)
+	return s.q.Count()
 }

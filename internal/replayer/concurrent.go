@@ -68,9 +68,10 @@ func ReplayConcurrent(h *core.HashScheme, cluster *Cluster, users []geo.Point, t
 	// their retry state behave like long-lived terminal stacks.
 	clients := make([]*Client, len(users))
 	// Per-location sketch shards: each worker records into its own shard
-	// without cross-worker coordination (the underlying summaries self-lock,
-	// so a single owner pays only uncontended locks), and the segment barrier
-	// below merges them into the shared instruments in location order — a
+	// with no lock at all (a segment runs one goroutine per location, and the
+	// sketches are single-owner structures), and the segment barrier below —
+	// wg.Wait orders it after every worker's writes — merges them into the
+	// shared instruments in location order — a
 	// deterministic merge schedule, so the concurrent summaries are
 	// independent of goroutine interleaving (and, below the eviction
 	// threshold, identical to a sequential replay's).

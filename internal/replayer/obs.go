@@ -127,9 +127,10 @@ func (po *popObs) mergeShard(ps *popShard) {
 }
 
 // popShard is the single-owner per-worker form of popObs: each concurrent
-// worker owns one, records into it without cross-worker contention (the
-// summaries self-lock, so the owner pays uncontended locks), and hands it to
-// popObs.mergeShard at the next segment barrier (then reset for reuse).
+// worker owns one and records into it with no lock (nothing in it is
+// synchronized, so no second goroutine may touch it before the barrier),
+// and hands it to popObs.mergeShard at the next segment barrier (then reset
+// for reuse).
 type popShard struct {
 	objects *obs.TopKShard
 	sats    *obs.TopKShard

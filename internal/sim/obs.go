@@ -31,7 +31,7 @@ type runObs struct {
 	served *obs.Counter
 	hits   *obs.Counter
 	reg    *obs.Registry
-	perSat map[orbit.SatID]*satObs
+	perSat []satObs // indexed by SatID; rate is nil until the satellite first serves
 	// pop is the opt-in streaming-sketch telemetry (Config.Sketches); nil
 	// keeps the metrics-only fast path.
 	pop *popObs
@@ -48,7 +48,7 @@ type popObs struct {
 	sats    *obs.TopK
 	buckets *obs.TopK
 	latency *obs.Sketch
-	perSat  map[orbit.SatID]*obs.Sketch
+	perSat  []*obs.Sketch // indexed by SatID; nil until the satellite first serves
 	// bucketOf maps an object to its consistent-hash bucket (-1 when the
 	// policy has no bucket structure); nil disables the bucket top-K.
 	bucketOf func(cache.ObjectID) int
@@ -60,13 +60,13 @@ type popObs struct {
 // cross-pipeline top-K parity a straight series comparison). The top-Ks are
 // keyed by integer identity — the update path never builds a key string;
 // the Pop*Key renderers only run at exposition time for tracked entries.
-func newPopObs(reg *obs.Registry, bucketOf func(cache.ObjectID) int) *popObs {
+func newPopObs(reg *obs.Registry, numSats int, bucketOf func(cache.ObjectID) int) *popObs {
 	po := &popObs{
 		objects:  reg.TopK("starcdn_popularity_objects", 0),
 		sats:     reg.TopK("starcdn_popularity_sats", 0),
 		buckets:  reg.TopK("starcdn_popularity_buckets", 0),
 		latency:  reg.Sketch("starcdn_sketch_serve_latency_ms", 0),
-		perSat:   make(map[orbit.SatID]*obs.Sketch),
+		perSat:   make([]*obs.Sketch, numSats),
 		bucketOf: bucketOf,
 		reg:      reg,
 	}
@@ -121,10 +121,11 @@ type satObs struct {
 }
 
 // newRunObs resolves the run-level series; nil registry disables everything.
-// sketches opts in to the streaming-sketch telemetry (top-K popularity and
-// latency quantile sketches); bucketOf may be nil when the policy has no
+// numSats is the constellation's slot count, the bound on every serving
+// SatID. sketches opts in to the streaming-sketch telemetry (top-K popularity
+// and latency quantile sketches); bucketOf may be nil when the policy has no
 // consistent-hash bucket structure.
-func newRunObs(reg *obs.Registry, sketches bool, bucketOf func(cache.ObjectID) int) *runObs {
+func newRunObs(reg *obs.Registry, numSats int, sketches bool, bucketOf func(cache.ObjectID) int) *runObs {
 	if reg == nil {
 		return nil
 	}
@@ -137,7 +138,7 @@ func newRunObs(reg *obs.Registry, sketches bool, bucketOf func(cache.ObjectID) i
 		revives:     reg.Counter("starcdn_sim_failures_total", obs.L("kind", "revive")),
 		served:      reg.Counter("starcdn_sim_served_total"),
 		hits:        reg.Counter("starcdn_sim_hits_total"),
-		perSat:      make(map[orbit.SatID]*satObs),
+		perSat:      make([]satObs, numSats),
 	}
 	for _, s := range Sources() {
 		l := obs.L("source", s.String())
@@ -145,7 +146,7 @@ func newRunObs(reg *obs.Registry, sketches bool, bucketOf func(cache.ObjectID) i
 		ro.bytesSource[s] = reg.Counter("starcdn_sim_bytes_total", l)
 	}
 	if sketches {
-		ro.pop = newPopObs(reg, bucketOf)
+		ro.pop = newPopObs(reg, numSats, bucketOf)
 	}
 	return ro
 }
@@ -169,17 +170,17 @@ func (ro *runObs) record(out *Outcome, r *trace.Request, req int64, totalMs floa
 	if hit {
 		ro.hits.Inc()
 	}
-	if !hit || src == SourceGroundEdge {
+	// The same rule as Metrics.record: a shed request moved no bytes.
+	if (!hit || src == SourceGroundEdge) && src != SourceShed {
 		ro.uplinkBytes.Add(size)
 	}
 	ro.islBytes.Add(out.ISLBytes)
 	ro.latency.Observe(totalMs)
 	if sat := out.ServerSat; sat >= 0 {
-		so := ro.perSat[sat]
-		if so == nil {
-			so = &satObs{rate: ro.reg.Gauge("starcdn_sim_sat_hit_rate", //lint:ignore hotalloc one satObs and label per satellite, created at first sight and cached
-				obs.L("sat", strconv.Itoa(int(sat))))}
-			ro.perSat[sat] = so
+		so := &ro.perSat[sat]
+		if so.rate == nil {
+			so.rate = ro.reg.Gauge("starcdn_sim_sat_hit_rate",
+				obs.L("sat", strconv.Itoa(int(sat)))) //lint:ignore hotalloc per-satellite label is formatted once, at the satellite's first serve; the gauge handle is cached
 		}
 		so.req++
 		if hit {

@@ -1,0 +1,112 @@
+package sim
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strings"
+	"testing"
+
+	"starcdn/internal/obs"
+)
+
+// obsArtifactsDigest pins every deterministic observability artifact of one
+// seeded full-stack run (Metrics + Sketches + Recorder + Phases + a sampling
+// tracer for exemplars). It was recorded at the commit before the sketch
+// storage, locking and recorder-walk rewrite, so a change to bucket indices,
+// eviction order, Count-Min placements, the exemplar rule or a ring value
+// shows here as a digest mismatch.
+const obsArtifactsDigest = "e914516f3e2f6e167bc4a97836ff72b72f906775a3311f6829718c8c3b31e50f"
+
+// wallClockSeries reports the families whose values are wall-clock
+// measurements and therefore differ run to run.
+func wallClockSeries(key string) bool {
+	return strings.HasPrefix(key, "starcdn_phase_") || strings.HasPrefix(key, "starcdn_go_")
+}
+
+func TestObsArtifactsPinned(t *testing.T) {
+	e := newEnv(t, 6000, 900)
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(reg, obs.RecorderOptions{EpochSec: 15, Capacity: 128})
+	ph := obs.NewSimPhases(reg)
+	ph.BindRecorder(rec)
+	var spans bytes.Buffer
+	cfg := Config{Seed: 5, Metrics: reg, Sketches: true, Recorder: rec, Phases: ph,
+		Tracer: obs.NewTracer(&spans, 0.2, 42)}
+	p := e.starcdn(t, 9, 16<<20, StarCDNOptions{Hashing: true, Relay: true})
+	if _, err := Run(e.c, e.users, e.tr, p, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+
+	// Registry JSON exposition, wall-clock families dropped. encoding/json
+	// sorts map keys, so the re-encoding is deterministic.
+	var expo bytes.Buffer
+	if err := reg.WriteJSON(&expo); err != nil {
+		t.Fatal(err)
+	}
+	var series map[string]json.RawMessage
+	if err := json.Unmarshal(expo.Bytes(), &series); err != nil {
+		t.Fatal(err)
+	}
+	for k := range series {
+		if wallClockSeries(k) {
+			delete(series, k)
+		}
+	}
+	if len(series) < 100 {
+		t.Fatalf("only %d series in the exposition; the run did not exercise the per-satellite sketches", len(series))
+	}
+	b, err := json.Marshal(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(b)
+
+	// /popularity.json as served (it holds no wall-clock series).
+	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeOptions{Registry: reg, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/popularity.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(pop, []byte(`"exemplars"`)) {
+		t.Fatal("popularity view carries no exemplars; the tracer did not sample")
+	}
+	h.Write(pop)
+
+	// Every recorder ring, bit for bit.
+	rings := 0
+	for _, key := range rec.Series() {
+		if wallClockSeries(key) {
+			continue
+		}
+		rings++
+		fmt.Fprintf(h, "%s\n", key)
+		for _, pt := range rec.Window(key, 0) {
+			fmt.Fprintf(h, "%x %x\n", math.Float64bits(pt.T), math.Float64bits(pt.V))
+		}
+	}
+	if rings < 100 {
+		t.Fatalf("only %d recorder rings", rings)
+	}
+
+	if got := hex.EncodeToString(h.Sum(nil)); got != obsArtifactsDigest {
+		t.Errorf("obs artifacts digest = %s, want %s (%d series, %d rings)",
+			got, obsArtifactsDigest, len(series), rings)
+	}
+}

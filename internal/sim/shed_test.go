@@ -182,6 +182,12 @@ func TestShedHoldsP99UnderChaosKillWave(t *testing.T) {
 		t.Errorf("shedding did not relieve the uplink: %d vs control %d bytes",
 			mShed.UplinkBytes, mCtl.UplinkBytes)
 	}
+	// The live counter an SLO would read follows the same rule as Metrics: a
+	// rejected request moved no bytes.
+	if got := reg.Counter("starcdn_sim_uplink_bytes_total").Value(); got != mShed.UplinkBytes {
+		t.Errorf("live uplink counter = %d with %d requests shed, metrics say %d",
+			got, mShed.BySource[SourceShed], mShed.UplinkBytes)
+	}
 
 	// The controller's trajectory is visible in the flight recorder: the
 	// stage climbs to admission control (≥ 2) during the wave and the final

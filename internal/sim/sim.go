@@ -123,7 +123,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if bp, ok := p.(interface{ ObjectBucket(cache.ObjectID) int }); ok {
 		bucketOf = bp.ObjectBucket
 	}
-	ro := newRunObs(cfg.Metrics, cfg.Sketches, bucketOf)
+	ro := newRunObs(cfg.Metrics, c.NumSlots(), cfg.Sketches, bucketOf)
 	if ro != nil {
 		failures.OnApply(ro.onFailure)
 	}
@@ -158,10 +158,13 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if len(cfg.Failures) > 0 {
 		ctx.TransientDown = failures.TransientDown
 	}
-	// One mark-chain clock for the whole run; with phases off its marks are a
-	// single pointer test and never read the clock.
+	// One mark chain for the whole run, begun once: the shed mark of request
+	// i+1 closes what the obs mark of request i opened, so the stage seconds
+	// sum to the loop's wall time. With phases off the marks are a single
+	// pointer test and never read the clock.
 	pc := cfg.Phases.Clock()
 	ctx.Phase = &pc
+	pc.Begin()
 	// Rolling uplink demand for congestion modelling (15 s window).
 	const demandWindowSec = 15.0
 	var demandWindowStart float64
@@ -179,7 +182,6 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 				i, r.TimeSec, prevTimeSec)
 			prevTimeSec = r.TimeSec
 		}
-		pc.Begin()
 		// Advance cannot fail here: the only hook ever registered (the obs
 		// failure counters) never returns an error.
 		_ = failures.Advance(r.TimeSec)

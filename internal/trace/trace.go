@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"starcdn/internal/cache"
 )
@@ -37,8 +37,14 @@ func (t *Trace) Append(r Request) { t.Requests = append(t.Requests, r) }
 // Sort orders requests by time (stable, so same-time requests keep their
 // generation order).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].TimeSec < t.Requests[j].TimeSec
+	slices.SortStableFunc(t.Requests, func(a, b Request) int {
+		switch {
+		case a.TimeSec < b.TimeSec:
+			return -1
+		case b.TimeSec < a.TimeSec:
+			return 1
+		}
+		return 0
 	})
 }
 

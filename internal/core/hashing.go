@@ -181,9 +181,8 @@ func (h *HashScheme) Responsible(first orbit.SatID, b BucketID) (orbit.SatID, bo
 // resort. transientDown may be nil when no transient failures are active,
 // in which case every down owner is treated as a long-term loss.
 //
-// Both the in-process simulator (sim.StarCDN) and the distributed TCP
-// replayer route through this single lookup so the two pipelines make
-// byte-identical placement decisions under any failure schedule.
+// sim.Ladder is its one caller outside tests, for the simulator and the TCP
+// replayer alike.
 func (h *HashScheme) ServingOwner(first orbit.SatID, b BucketID, transientDown func(orbit.SatID) bool) (owner orbit.SatID, serve bool) {
 	owner = h.NearestOwner(first, b)
 	if h.grid.Constellation().Active(owner) {

@@ -60,10 +60,10 @@ func (ro *replayObs) sketching() bool { return ro != nil && ro.pop != nil }
 // the quantile sketch.
 func (ro *replayObs) recordPop(r *trace.Request, req int64, sat orbit.SatID,
 	bucket int, wallLatencyMs float64, traceID string) {
-	if ro == nil || ro.pop == nil {
-		return
+	if ro != nil && ro.pop != nil {
+		po := ro.pop
+		observePop(po.objects, po.sats, po.buckets, po.latency, r, req, sat, bucket, wallLatencyMs, traceID)
 	}
-	ro.pop.record(r, req, sat, bucket, wallLatencyMs, traceID)
 }
 
 // popObs holds the replay-side streaming-sketch instruments: the same top-K
@@ -98,18 +98,23 @@ func popObjectNamer(id uint64) string { return sim.PopObjectKey(cache.ObjectID(i
 func popSatNamer(id uint64) string    { return sim.PopSatKey(orbit.SatID(id)) }
 func popBucketNamer(id uint64) string { return sim.PopBucketKey(int(id)) }
 
-func (po *popObs) record(r *trace.Request, req int64, sat orbit.SatID,
-	bucket int, wallLatencyMs float64, traceID string) {
+// observePop is the one update rule of the popularity telemetry, over the
+// shared instruments or a worker's shard alike.
+func observePop(objects, sats, buckets interface {
+	ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar)
+}, latency interface {
+	ObserveEx(x float64, ex sketch.Exemplar)
+}, r *trace.Request, req int64, sat orbit.SatID, bucket int, wallLatencyMs float64, traceID string) {
 	ex := sketch.Exemplar{TraceID: traceID, Req: req, Value: float64(r.Size)}
-	po.objects.ObserveIDEx(uint64(r.Object), 1, ex)
+	objects.ObserveIDEx(uint64(r.Object), 1, ex)
 	if bucket >= 0 {
-		po.buckets.ObserveIDEx(uint64(bucket), 1, ex)
+		buckets.ObserveIDEx(uint64(bucket), 1, ex)
 	}
 	if sat >= 0 {
-		po.sats.ObserveIDEx(uint64(sat), 1, ex)
+		sats.ObserveIDEx(uint64(sat), 1, ex)
 	}
 	// NaN (no wire contact) is ignored by the sketch.
-	po.latency.ObserveEx(wallLatencyMs,
+	latency.ObserveEx(wallLatencyMs,
 		sketch.Exemplar{TraceID: traceID, Req: req, Value: wallLatencyMs})
 }
 
@@ -151,22 +156,12 @@ func newPopShard() *popShard {
 	return ps
 }
 
-// record is popObs.record against the single-owner shard.
-func (ps *popShard) record(r *trace.Request, req int64, sat orbit.SatID,
+// recordPop is replayObs.recordPop against the single-owner shard.
+func (ps *popShard) recordPop(r *trace.Request, req int64, sat orbit.SatID,
 	bucket int, wallLatencyMs float64, traceID string) {
-	if ps == nil {
-		return
+	if ps != nil {
+		observePop(ps.objects, ps.sats, ps.buckets, ps.latency, r, req, sat, bucket, wallLatencyMs, traceID)
 	}
-	ex := sketch.Exemplar{TraceID: traceID, Req: req, Value: float64(r.Size)}
-	ps.objects.ObserveIDEx(uint64(r.Object), 1, ex)
-	if bucket >= 0 {
-		ps.buckets.ObserveIDEx(uint64(bucket), 1, ex)
-	}
-	if sat >= 0 {
-		ps.sats.ObserveIDEx(uint64(sat), 1, ex)
-	}
-	ps.latency.ObserveEx(wallLatencyMs,
-		sketch.Exemplar{TraceID: traceID, Req: req, Value: wallLatencyMs})
 }
 
 // reset clears the shard for the next segment (the merged state lives in the

@@ -1,7 +1,6 @@
 package replayer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"starcdn/internal/sched"
 	"starcdn/internal/shed"
 	"starcdn/internal/sim"
-	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 )
 
@@ -134,38 +132,45 @@ type Options struct {
 	// the same contract sim.Config.Shedder follows, so a sequential replay
 	// and a sim run sharing a seed and shed config shed the identical
 	// request set. Pass the same controller in the cluster's
-	// ServerOptions.Shedder to also enforce it at the wire (StatusShed).
+	// ServerOptions.Shedder to also enforce it at the wire (StatusShed); the
+	// shed set is the same either way.
 	Shedder *shed.Controller
 }
 
-// newReplayClient builds the client matching the options.
-func newReplayClient(opts Options) *Client {
-	co := opts.Fault.clientOptions(opts.Seed)
-	co.Obs = opts.Obs
-	co.Tracer = opts.Tracer
-	co.Propagate = opts.Propagate
-	co.Shed = opts.Shedder != nil
-	co.Phases = opts.Phases
-	return NewClientOpts(co)
+// replay is what the two drivers share. Each request is planned — everything
+// decided before a cache is contacted, in global request order — and then
+// served: sim.Ladder's Fetch over a tcpFabric. Replay does the two back to
+// back; ReplayConcurrent plans a segment ahead and serves it on workers.
+type replay struct {
+	ladder    sim.Ladder
+	cluster   *Cluster
+	scheduler *sched.Scheduler
+	fs        *sim.FailureSchedule
+	tr        *trace.Trace
+	opts      Options
+	ro        *replayObs
+	fabrics   []*tcpFabric // every fabric handed out, for close
+	stopRec   func()       // stops the wall-clock recorder ticks; nil without a recorder
 }
 
-// validate performs the shared option/argument checks.
-func validate(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) error {
+// newReplay checks the arguments, binds the failure schedule to the
+// constellation with the cluster's kill/revive as its hook, and starts the
+// recorder; the caller defers close.
+func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) (*replay, error) {
 	if h == nil || cluster == nil {
-		return fmt.Errorf("replayer: nil hash scheme or cluster")
+		return nil, fmt.Errorf("replayer: nil hash scheme or cluster")
 	}
 	if len(users) != len(tr.Locations) {
-		return fmt.Errorf("replayer: %d users for %d locations", len(users), len(tr.Locations))
+		return nil, fmt.Errorf("replayer: %d users for %d locations", len(users), len(tr.Locations))
 	}
 	if len(opts.Failures) > 0 && opts.Fault == nil {
-		return fmt.Errorf("replayer: a failure schedule requires a FaultPolicy")
+		return nil, fmt.Errorf("replayer: a failure schedule requires a FaultPolicy")
 	}
-	return nil
-}
-
-// newSchedule binds the failure schedule to the constellation and wires the
-// kill/revive hook into the cluster.
-func newSchedule(c *orbit.Constellation, cluster *Cluster, opts Options) (*sim.FailureSchedule, error) {
+	c := h.Grid().Constellation()
+	scheduler, err := sched.New(c, users, opts.EpochSec, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
 	fs, err := sim.NewFailureSchedule(c, opts.Failures)
 	if err != nil {
 		return nil, err
@@ -176,115 +181,133 @@ func newSchedule(c *orbit.Constellation, cluster *Cluster, opts Options) (*sim.F
 		}
 		return cluster.Revive(ev.Sat)
 	})
-	return fs, nil
+	rp := &replay{
+		ladder:  sim.Ladder{Hash: h, Hashing: opts.Hashing, Relay: opts.Relay},
+		cluster: cluster, scheduler: scheduler, fs: fs, tr: tr, opts: opts,
+		ro: newReplayObs(opts.Obs, opts.Sketches),
+	}
+	if opts.Recorder != nil {
+		rp.stopRec = opts.Recorder.StartWall()
+	}
+	return rp, nil
 }
 
-// homeFor resolves where a request is served: the first-contact satellite,
-// or — with hashing — the bucket owner under the §3.4 failure policy.
-// serve=false means the request is accounted as a ground miss without
-// contacting any satellite: either no satellite is visible (first == -1), or
-// the owner is in a transient outage (miss-through, first >= 0).
-func homeFor(h *core.HashScheme, scheduler *sched.Scheduler, fs *sim.FailureSchedule,
-	r *trace.Request, hashing bool) (home, first orbitSat, serve bool) {
-	first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
+// newFabric gives one client (a terminal's connection pool and retry state,
+// configured from the options) its view of the cluster.
+func (rp *replay) newFabric() *tcpFabric {
+	opts := &rp.opts
+	co := opts.Fault.clientOptions(opts.Seed)
+	co.Obs, co.Tracer, co.Propagate, co.Phases = opts.Obs, opts.Tracer, opts.Propagate, opts.Phases
+	co.Shed = opts.Shedder != nil
+	f := &tcpFabric{cluster: rp.cluster, client: NewClientOpts(co), faulty: opts.Fault != nil}
+	rp.fabrics = append(rp.fabrics, f)
+	return f
+}
+
+// close stops the recorder and the pooled loopback connections; a close
+// error after a completed replay cannot invalidate the measured meter.
+func (rp *replay) close() {
+	if rp.stopRec != nil {
+		rp.stopRec()
+	}
+	for _, f := range rp.fabrics {
+		_ = f.client.Close()
+	}
+}
+
+// planned is one request with everything decided before a cache is contacted.
+type planned struct {
+	req   *trace.Request
+	index int64 // global request index (drives deterministic trace sampling)
+	stage shed.Stage
+	route sim.Route
+	addr  string // the owner's dial address when route.Contact
+}
+
+// plan decides request i up to the first cache contact. It must run in
+// global request order and never on a worker: the scheduler, the shed
+// controller's clock and session table, and lazy server starts
+// (Cluster.Addr) are all touched here. Ordering contract with sim.Run: the
+// caller advances failures, then the controller closes its epochs, then the
+// request is decided — so stage changes land on identical request boundaries.
+func (rp *replay) plan(i int) (planned, error) {
+	r := &rp.tr.Requests[i]
+	p := planned{req: r, index: int64(i)}
+	ctrl := rp.opts.Shedder
+	if ctrl != nil {
+		ctrl.Tick(r.TimeSec)
+	}
+	first, visible := rp.scheduler.FirstContact(r.Location, r.TimeSec)
 	if !visible {
-		return -1, -1, false
+		first = -1
 	}
-	if !hashing {
-		return first, first, true
+	if ctrl != nil {
+		p.stage = ctrl.Stage()
+		if first >= 0 && !ctrl.AdmitSession(r.Location, r.TimeSec) {
+			// Stage ≥ 2 turned the session away before any satellite was
+			// contacted, where sim.Run rejects it.
+			p.route = sim.Route{First: first, Home: -1, Fetched: sim.Fetched{
+				Source: sim.SourceShed, Action: shed.ActionRejectSession}}
+			return p, nil
+		}
 	}
-	home, serve = h.ServingOwner(first, h.BucketOf(r.Object), fs.TransientDown)
-	return home, first, serve
+	p.route = rp.ladder.Route(first, r.Object, p.stage, rp.fs.TransientDown)
+	if !p.route.Contact {
+		return p, nil
+	}
+	var err error
+	p.addr, err = rp.cluster.Addr(p.route.Home)
+	return p, err
 }
 
-// degradedSource classifies a request that never contacts a satellite:
-// no coverage when nothing is visible, otherwise a §3.4 ground miss-through.
-func degradedSource(first orbitSat) sim.Source {
-	if first < 0 {
-		return sim.SourceNoCover
+// popRecorder takes a request's sketch update: the shared instruments
+// (*replayObs) or a concurrent worker's shard (*popShard). Both are nil-safe.
+type popRecorder interface {
+	recordPop(r *trace.Request, req int64, sat orbitSat, bucket int, wallLatencyMs float64, traceID string)
+}
+
+// serve carries a planned request to its verdict and accounts it. When the
+// request is sampled each TCP exchange appends a hop with its measured
+// wall-clock latency; a verdict reached without contact keeps the hop the sim
+// pipeline records for it, so the two hop chains stay comparable.
+func (rp *replay) serve(f *tcpFabric, p *planned, m *cache.Meter, pop popRecorder) error {
+	r, opts := p.req, &rp.opts
+	rt := newReqTrace(opts, p.index, r, p.route.First)
+	// The bucket key is a pure function of the object, so every path — shed,
+	// degraded, served — feeds the bucket top-K.
+	bucket := -1
+	if rp.ro.sketching() && opts.Hashing {
+		bucket = int(rp.ladder.Hash.BucketOf(r.Object))
 	}
-	return sim.SourceGround
+	got := p.route.Fetched
+	wallLatency := math.NaN() // no contact: nothing to measure, the sketch skips it
+	if p.route.Contact {
+		start := time.Now()
+		f.rt, f.addr = rt, p.addr
+		var err error
+		if got, err = rp.ladder.Fetch(f, p.route, r, p.stage, nil); err != nil {
+			return err
+		}
+		if got.Source == sim.SourceShed {
+			rt.addHop(obs.Hop{Kind: "shed", Sat: int(p.route.Home)})
+		}
+		wallLatency = wallMs(start)
+	} else {
+		rt.addHop(p.route.Hop())
+	}
+	rt.finish(opts.Tracer, got.Source, wallLatency)
+	rp.ro.record(got.Source, r.Size)
+	pop.recordPop(r, p.index, p.route.Home, bucket, wallLatency, rt.traceID())
+	m.Record(r.Size, got.Source.Hit())
+	if opts.Shedder != nil {
+		opts.Shedder.Observe(got.Signal())
+	}
+	return nil
 }
 
 // wallMs measures elapsed wall-clock milliseconds since start.
 func wallMs(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
-}
-
-// serveRequest replays one request against the cluster over TCP and reports
-// where it was served from, mirroring sim.StarCDN's Source taxonomy. With
-// fault tolerance enabled, network failures degrade per §3.4 instead of
-// erroring: an unreachable owner is a ground miss, an unreachable relay
-// neighbour is skipped, and a failed admit merely leaves the object
-// uncached. When span is non-nil each TCP exchange appends a hop with its
-// measured wall-clock latency.
-//
-// stage applies the client side of overload control — relay probes are
-// skipped at stage ≥ 1 — while the wire answers the rest: an owner miss at
-// stage ≥ 3 comes back as StatusShed (shed.ErrShed here), which is a served
-// refusal, not a fault. The returned shed.Signal is the controller feedback
-// matching sim.Run's: Degraded marks the §3.4 miss-through, Action what
-// shedding did to the request.
-func serveRequest(h *core.HashScheme, cluster *Cluster, client *Client,
-	home, first orbitSat, addr string, r *trace.Request, opts Options,
-	stage shed.Stage, rt *reqTrace) (sim.Source, shed.Signal, error) {
-	faulty := opts.Fault != nil
-	ownerStart := time.Now()
-	sc, hopID := rt.nextHop()
-	hit, err := client.GetCtx(addr, r.Object, r.Size, sc)
-	rt.addHop(obs.Hop{Kind: "owner", Sat: int(home), WallMs: wallMs(ownerStart),
-		SpanID: hopID})
-	if errors.Is(err, shed.ErrShed) {
-		// Stage ≥ 3 hits-only: the owner ran the Get (recency touched, miss
-		// metered — identical to the simulator's stage-3 path) and refused
-		// the fetch behind it. Nothing is admitted and nothing is retried.
-		rt.addHop(obs.Hop{Kind: "shed", Sat: int(home)})
-		return sim.SourceShed, shed.Signal{Action: shed.ActionHitOnly}, nil
-	}
-	if err != nil {
-		if !faulty {
-			return sim.SourceGround, shed.Signal{}, err
-		}
-		// Owner unreachable: §3.4 miss-through — the burn signal.
-		return sim.SourceGround, shed.Signal{Degraded: true}, nil
-	}
-	if hit {
-		if home == first {
-			return sim.SourceLocal, shed.Signal{}, nil
-		}
-		return sim.SourceBucket, shed.Signal{}, nil
-	}
-	if opts.Relay && !stage.Sheds(core.ValueRelayProbe) {
-		src, served, err := relayFetch(h, cluster, client, home, r, opts.Hashing, faulty, rt)
-		if err != nil {
-			return sim.SourceGround, shed.Signal{}, err
-		}
-		if served {
-			// Store a copy at the owner for future local hits. The write-back
-			// admit rides under the serving relay hop's span (rt.cur), the
-			// step that produced the copy. A shed answer just leaves the
-			// object uncached, like a faulty admit.
-			err := client.AdmitCtx(addr, r.Object, r.Size, rt.cur())
-			if err != nil && !faulty && !errors.Is(err, shed.ErrShed) {
-				return src, shed.Signal{}, err
-			}
-			return src, shed.Signal{}, nil
-		}
-	}
-	// Ground fetch; the owner caches the object on the way through.
-	action := shed.ActionNone
-	if opts.Relay && stage.Sheds(core.ValueRelayProbe) {
-		action = shed.ActionRelaySkip
-	}
-	groundStart := time.Now()
-	sc, hopID = rt.nextHop()
-	err = client.AdmitCtx(addr, r.Object, r.Size, sc)
-	rt.addHop(obs.Hop{Kind: "ground", Sat: int(home), WallMs: wallMs(groundStart),
-		SpanID: hopID})
-	if err != nil && !faulty && !errors.Is(err, shed.ErrShed) {
-		return sim.SourceGround, shed.Signal{}, err
-	}
-	return sim.SourceGround, shed.Signal{Action: action}, nil
 }
 
 // checkMeter asserts exact byte accounting after a completed replay: every
@@ -303,125 +326,27 @@ func checkMeter(m cache.Meter, tr *trace.Trace) {
 // Replay drives a trace through a TCP cluster using StarCDN's request flow:
 // schedule a first-contact satellite, route to the bucket owner, Get over
 // TCP, relay-fetch from same-bucket neighbours on a miss, and Admit on the
-// way back from the ground. It implements the same decision pipeline as
-// sim.StarCDN so the two can be cross-validated request for request — with
+// way back from the ground — sim.Ladder, the decision code sim.StarCDN runs,
+// so the two can be cross-validated request for request and, with
 // Options.Failures, kill for kill.
 func Replay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) (cache.Meter, error) {
 	var meter cache.Meter
-	if err := validate(h, cluster, users, tr, opts); err != nil {
-		return meter, err
-	}
-	c := h.Grid().Constellation()
-	scheduler, err := sched.New(c, users, opts.EpochSec, opts.Seed)
+	rp, err := newReplay(h, cluster, users, tr, opts)
 	if err != nil {
 		return meter, err
 	}
-	fs, err := newSchedule(c, cluster, opts)
-	if err != nil {
-		return meter, err
-	}
-	client := newReplayClient(opts)
-	// Pooled loopback connections; a close error after a completed replay
-	// cannot invalidate the measured meter.
-	defer func() { _ = client.Close() }()
-	ro := newReplayObs(opts.Obs, opts.Sketches)
-	if opts.Recorder != nil {
-		stop := opts.Recorder.StartWall()
-		defer stop()
-	}
-
+	defer rp.close()
+	f := rp.newFabric()
 	for i := range tr.Requests {
-		r := &tr.Requests[i]
-		if err := fs.Advance(r.TimeSec); err != nil {
+		if err := rp.fs.Advance(tr.Requests[i].TimeSec); err != nil {
 			return meter, err
 		}
-		// Ordering contract with sim.Run: failures advance, then the shed
-		// controller closes its epochs, then the request is decided — so
-		// stage changes land on identical request boundaries.
-		if opts.Shedder != nil {
-			opts.Shedder.Tick(r.TimeSec)
-		}
-		home, first, serveSat := homeFor(h, scheduler, fs, r, opts.Hashing)
-		stage := shed.StageNormal
-		if opts.Shedder != nil {
-			stage = opts.Shedder.Stage()
-		}
-		rt := newReqTrace(opts, int64(i), r, first)
-		// The bucket key is a pure function of the object (identical to
-		// sim.StarCDN.ObjectBucket), so every path — shed, degraded, served —
-		// feeds the bucket top-K exactly as the sim pipeline does.
-		bucket := -1
-		if ro.sketching() && opts.Hashing {
-			bucket = int(h.BucketOf(r.Object))
-		}
-		if opts.Shedder != nil && first >= 0 && !opts.Shedder.AdmitSession(r.Location, r.TimeSec) {
-			// Stage ≥ 2 turned the session away before any satellite was
-			// contacted, exactly where sim.Run rejects it.
-			rt.addHop(obs.Hop{Kind: "shed", Sat: int(first)})
-			finishReqTrace(opts.Tracer, rt, sim.SourceShed, time.Time{})
-			ro.record(sim.SourceShed, r.Size)
-			ro.recordPop(r, int64(i), -1, bucket, math.NaN(), rt.traceID())
-			meter.Record(r.Size, false)
-			opts.Shedder.Observe(shed.Signal{Action: shed.ActionRejectSession})
-			continue
-		}
-		if !serveSat {
-			src := degradedSource(first)
-			// The sim's degraded paths record a ground hop (Sat=-1); mirror
-			// it so the two pipelines' hop chains stay comparable.
-			rt.addHop(obs.Hop{Kind: "ground", Sat: -1})
-			finishReqTrace(opts.Tracer, rt, src, time.Time{})
-			ro.record(src, r.Size)
-			ro.recordPop(r, int64(i), -1, bucket, math.NaN(), rt.traceID())
-			meter.Record(r.Size, false)
-			if opts.Shedder != nil {
-				// The §3.4 miss-through (not the no-coverage case) is the
-				// burn signal, as in sim.Run.
-				opts.Shedder.Observe(shed.Signal{Degraded: src == sim.SourceGround})
-			}
-			continue
-		}
-		if stage.Sheds(core.ValueRemoteFetch) && home != first {
-			if stage.Sheds(core.ValueMissFetch) {
-				// Stage 3: a remote-owner request cannot be a cache hit
-				// without the ISL fetch stage 1 already shed, so hits-only
-				// mode rejects it outright instead of loading the uplink.
-				rt.addHop(obs.Hop{Kind: "shed", Sat: int(home)})
-				finishReqTrace(opts.Tracer, rt, sim.SourceShed, time.Time{})
-				ro.record(sim.SourceShed, r.Size)
-				// The owner is charged with the refusal, matching the sim's
-				// ServerSat for the stage-3 remote hits-only path.
-				ro.recordPop(r, int64(i), home, bucket, math.NaN(), rt.traceID())
-				meter.Record(r.Size, false)
-				opts.Shedder.Observe(shed.Signal{Action: shed.ActionHitOnly})
-				continue
-			}
-			// Stage ≥ 1 sheds the remote fetch: serve the §3.4-shaped ground
-			// miss without routing to the owner. No satellite cache is
-			// touched, exactly as in sim.StarCDN's direct-ground path.
-			rt.addHop(obs.Hop{Kind: "ground", Sat: -1})
-			finishReqTrace(opts.Tracer, rt, sim.SourceGround, time.Time{})
-			ro.record(sim.SourceGround, r.Size)
-			ro.recordPop(r, int64(i), -1, bucket, math.NaN(), rt.traceID())
-			meter.Record(r.Size, false)
-			opts.Shedder.Observe(shed.Signal{Action: shed.ActionDirectGround})
-			continue
-		}
-		addr, err := cluster.Addr(home)
+		p, err := rp.plan(i)
 		if err != nil {
 			return meter, err
 		}
-		reqStart := time.Now()
-		src, sig, err := serveRequest(h, cluster, client, home, first, addr, r, opts, stage, rt)
-		if err != nil {
+		if err := rp.serve(f, &p, &meter, rp.ro); err != nil {
 			return meter, err
-		}
-		finishReqTrace(opts.Tracer, rt, src, reqStart)
-		ro.record(src, r.Size)
-		ro.recordPop(r, int64(i), home, bucket, wallMs(reqStart), rt.traceID())
-		meter.Record(r.Size, src.Hit())
-		if opts.Shedder != nil {
-			opts.Shedder.Observe(sig)
 		}
 	}
 	checkMeter(meter, tr)
@@ -445,7 +370,7 @@ type reqTrace struct {
 // when the request is not sampled. The root span carries the derived trace
 // identity whether or not wire propagation is on (the IDs are free and make
 // sim/replay span files cross-referenceable).
-func newReqTrace(opts Options, i int64, r *trace.Request, first orbitSat) *reqTrace {
+func newReqTrace(opts *Options, i int64, r *trace.Request, first orbitSat) *reqTrace {
 	if !opts.Tracer.Sampled(i) {
 		return nil
 	}
@@ -473,11 +398,7 @@ func (t *reqTrace) nextHop() (sc *obs.SpanContext, spanID string) {
 		return nil, ""
 	}
 	t.hop++
-	id := obs.DeriveSpanID(t.hi, t.lo, t.hop)
-	if t.propagate {
-		sc = &obs.SpanContext{TraceHi: t.hi, TraceLo: t.lo, Parent: id, Sampled: true}
-	}
-	return sc, obs.SpanIDString(id)
+	return t.cur(), obs.SpanIDString(obs.DeriveSpanID(t.hi, t.lo, t.hop))
 }
 
 // cur returns the wire context of the most recently allocated hop span, for
@@ -508,76 +429,16 @@ func (t *reqTrace) addHop(h obs.Hop) {
 	t.span.AddHop(h)
 }
 
-// finishReqTrace stamps the outcome on a request trace and emits its root
-// span. A zero start means the request never contacted a satellite (no wall
-// time to measure); such degraded requests still record the ground hop the
-// sim pipeline records, keeping the two hop chains comparable.
-func finishReqTrace(tr *obs.Tracer, rt *reqTrace, src sim.Source, start time.Time) {
-	if rt == nil {
+// finish stamps the verdict on the root span and emits it. wallLatencyMs is
+// NaN for a request that never contacted a satellite (no wall time to
+// measure).
+func (t *reqTrace) finish(tr *obs.Tracer, src sim.Source, wallLatencyMs float64) {
+	if t == nil {
 		return
 	}
-	rt.span.Source = src.String()
-	rt.span.Hit = src.Hit()
-	if !start.IsZero() {
-		rt.span.WallMs = wallMs(start)
+	t.span.Source, t.span.Hit = src.String(), src.Hit()
+	if !math.IsNaN(wallLatencyMs) {
+		t.span.WallMs = wallLatencyMs
 	}
-	tr.Emit(rt.span)
-}
-
-// relayFetch checks the west then east same-bucket neighbours over TCP,
-// mirroring sim.StarCDN's relayed fetch (west first, then east). With fault
-// tolerance, an unreachable neighbour is treated exactly like an absent one
-// (§3.4): skip it and try the other direction. On success the returned
-// source identifies the serving direction (relay-west/relay-east).
-func relayFetch(h *core.HashScheme, cluster *Cluster, client *Client, home orbitSat,
-	r *trace.Request, hashing, faulty bool, rt *reqTrace) (sim.Source, bool, error) {
-	for _, d := range []topo.Direction{topo.West, topo.East} {
-		src := sim.SourceRelayWest
-		if d == topo.East {
-			src = sim.SourceRelayEast
-		}
-		var nb orbitSat
-		var ok bool
-		if hashing {
-			nb, ok = h.RelayNeighbor(home, d)
-		} else {
-			nb = h.Grid().Neighbor(home, d)
-			ok = h.Grid().Constellation().Active(nb)
-		}
-		if !ok {
-			continue
-		}
-		addr, err := cluster.Addr(nb)
-		if err != nil {
-			return src, false, err
-		}
-		relayStart := time.Now()
-		// One hop span per direction probe; a probe that finds no copy leaves
-		// its server-side contains span parentless among the client hops, and
-		// -assemble adopts it under the trace root (a probed-but-unused path).
-		sc, hopID := rt.nextHop()
-		has, err := client.ContainsCtx(addr, r.Object, sc)
-		if err != nil {
-			// A shed answer (the neighbour refuses probes while overloaded)
-			// means the same thing as an unreachable neighbour: no relay
-			// copy available here, try the other direction.
-			if faulty || errors.Is(err, shed.ErrShed) {
-				continue
-			}
-			return src, false, err
-		}
-		if has {
-			// Touch the serving neighbour (recency) as sim does.
-			if _, err := client.GetCtx(addr, r.Object, r.Size, sc); err != nil {
-				if faulty || errors.Is(err, shed.ErrShed) {
-					continue
-				}
-				return src, false, err
-			}
-			rt.addHop(obs.Hop{Kind: src.String(), Sat: int(nb),
-				WallMs: wallMs(relayStart), SpanID: hopID})
-			return src, true, nil
-		}
-	}
-	return sim.SourceGround, false, nil
+	tr.Emit(t.span)
 }

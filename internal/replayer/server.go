@@ -117,7 +117,7 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 		s.log = opts.Log.With("sat", int(id))
 	}
 	if opts.Obs != nil {
-		sat := obs.L("sat", strconv.Itoa(int(id)))
+		sat := obs.L("sat", strconv.Itoa(int(id))) //lint:ignore hotalloc once per server start; the chain from sim.Run exists only because sim.Fabric also resolves to tcpFabric, which sim.Run never holds
 		s.reqs = opts.Obs.Counter("starcdn_server_requests_total", sat)
 		s.hitRate = opts.Obs.Gauge("starcdn_server_hit_rate", sat)
 		s.open = opts.Obs.Gauge("starcdn_server_open_conns", sat)

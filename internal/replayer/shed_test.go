@@ -65,8 +65,18 @@ func stage3Controller(t *testing.T) *shed.Controller {
 // its strictest form: under an identical §3.4 kill schedule and an identical
 // shed configuration, the in-process simulator and the sequential TCP replay
 // must shed the identical request set — same meters, same per-action shed
-// counters, same stage transitions, same final stage.
+// counters, same stage transitions, same final stage. Options.Shedder alone
+// promises that; wire enforcement (ServerOptions.Shedder) must change nothing.
 func TestShedParitySimVsSequentialReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		serverShed bool
+	}{{"server-shedder-on", true}, {"server-shedder-off", false}} {
+		t.Run(tc.name, func(t *testing.T) { shedParitySimVsSequentialReplay(t, tc.serverShed) })
+	}
+}
+
+func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
 	const requests = 6000
 	const traceSeed = 31
 	const capacity = 64 << 20
@@ -108,9 +118,14 @@ func TestShedParitySimVsSequentialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The one controller drives both sides of the wire: the replay loop's
-	// client-side decisions and the servers' StatusShed enforcement.
-	cluster, err := NewClusterOpts(cache.LRU, capacity, ServerOptions{Shedder: tcpCtrl})
+	// With serverShed the one controller drives both sides of the wire: the
+	// replay loop's client-side decisions and the servers' StatusShed
+	// enforcement.
+	var sopts ServerOptions
+	if serverShed {
+		sopts.Shedder = tcpCtrl
+	}
+	cluster, err := NewClusterOpts(cache.LRU, capacity, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,229 @@
+package sim
+
+import (
+	"errors"
+
+	"starcdn/internal/cache"
+	"starcdn/internal/core"
+	"starcdn/internal/obs"
+	"starcdn/internal/orbit"
+	"starcdn/internal/shed"
+	"starcdn/internal/topo"
+	"starcdn/internal/trace"
+)
+
+// Ladder is StarCDN's request decision ladder (§3.2–§3.4 plus the overload
+// stages of internal/shed), written once: first contact → §3.4 serving owner
+// → shed-stage gates → owner Get → west/east relay probe → admit/ground.
+// sim.StarCDN runs it over in-memory caches and the TCP replayer over a
+// cluster, so the two pipelines decide every request with the same code;
+// they differ only in the Fabric underneath and in what they lay over the
+// verdict (a latency model here, wall-clock hops there).
+type Ladder struct {
+	Hash    *core.HashScheme
+	Hashing bool // route to the consistent-hash bucket owner
+	Relay   bool // probe the west/east neighbours on an owner miss
+}
+
+// Role says in which capacity the ladder touches a satellite's cache, so a
+// Fabric can label its hops without re-deriving ladder state. An Admit under
+// a relay role is the write-back at the owner of the copy that neighbour
+// served; under RoleGround it is the ground fetch.
+type Role uint8
+
+const (
+	RoleOwner Role = iota
+	RoleRelayWest
+	RoleRelayEast
+	RoleGround
+)
+
+// String is the role's span hop kind.
+func (r Role) String() string {
+	return [...]string{"owner", "relay-west", "relay-east", "ground"}[r]
+}
+
+// Fabric is the cache plane under the ladder: *satCaches in memory, the
+// replayer's tcpFabric over the wire.
+type Fabric interface {
+	Get(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) (hit bool, err error)
+	Contains(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) (has bool, err error)
+	Admit(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) error
+}
+
+// ErrUnreachable is the Fabric error for a satellite that did not answer
+// (§3.4, seen from the client). Like shed.ErrShed it degrades the step it
+// hit — owner Get: ground miss-through, nothing admitted; probe or touch:
+// skip that neighbour; admit: leave the object uncached. Any other Fabric
+// error aborts the request.
+var ErrUnreachable = errors.New("sim: satellite unreachable")
+
+func soft(err error) bool {
+	return errors.Is(err, ErrUnreachable) || errors.Is(err, shed.ErrShed)
+}
+
+// Fetched is the ladder's verdict on one request.
+type Fetched struct {
+	Source Source
+	Action shed.Action // what overload control did to the request
+	// Degraded marks the §3.4 miss-through (transient or unreachable owner),
+	// the overload controller's burn signal.
+	Degraded bool
+	Relay    orbit.SatID // the neighbour that served, on a relay source only
+}
+
+// Signal is the overload-controller feedback for the verdict.
+func (f Fetched) Signal() shed.Signal {
+	return shed.Signal{Degraded: f.Degraded, Action: f.Action}
+}
+
+// Route is everything decided before a cache is contacted.
+type Route struct {
+	First orbit.SatID // first-contact satellite, -1 when none is visible
+	// Home is the satellite to contact — or, without contact, the one charged
+	// with the refusal; -1 when no satellite takes part.
+	Home    orbit.SatID
+	Contact bool
+	Fetched // the final verdict when Contact is false
+}
+
+// Hop is the span hop a verdict reached without contact leaves: the refusal
+// at the satellite charged with it (the first contact for a session turned
+// away), or a ground fetch no satellite took part in.
+func (r Route) Hop() obs.Hop {
+	if r.Source != SourceShed {
+		return obs.Hop{Kind: "ground", Sat: -1}
+	}
+	if r.Home < 0 {
+		return obs.Hop{Kind: "shed", Sat: int(r.First)}
+	}
+	return obs.Hop{Kind: "shed", Sat: int(r.Home)}
+}
+
+// Route resolves where a request is served. transientDown may be nil (see
+// core.HashScheme.ServingOwner).
+func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
+	transientDown func(orbit.SatID) bool) Route {
+	if first < 0 {
+		return Route{First: -1, Home: -1, Fetched: Fetched{Source: SourceNoCover}}
+	}
+	if !l.Hashing {
+		return Route{First: first, Home: first, Contact: true}
+	}
+	// §3.4: a transient outage is served as a plain miss from the ground; a
+	// long-term failure is remapped to the next available satellite, which
+	// inherits the bucket.
+	owner, serve := l.Hash.ServingOwner(first, l.Hash.BucketOf(obj), transientDown)
+	if !serve {
+		return Route{First: first, Home: -1,
+			Fetched: Fetched{Source: SourceGround, Degraded: true}}
+	}
+	if owner != first && stage.Sheds(core.ValueRemoteFetch) {
+		// Stage ≥ 1 sheds the ISL route to a remote owner and serves the
+		// §3.4-shaped ground miss directly. Stage 3 (hits only) rejects the
+		// request instead: it cannot be a hit without the route just shed,
+		// and the ground fallback would keep the congested uplink saturated.
+		if stage.Sheds(core.ValueMissFetch) {
+			return Route{First: first, Home: owner,
+				Fetched: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}}
+		}
+		return Route{First: first, Home: -1,
+			Fetched: Fetched{Source: SourceGround, Action: shed.ActionDirectGround}}
+	}
+	return Route{First: first, Home: owner, Contact: true}
+}
+
+// RelayNeighbor resolves the west/east relay target: the same-bucket
+// neighbour √L planes away with hashing on, the immediate inter-orbit
+// neighbour without (the StarCDN-Hashing ablation).
+func (l Ladder) RelayNeighbor(sat orbit.SatID, d topo.Direction) (orbit.SatID, bool) {
+	if l.Hashing {
+		return l.Hash.RelayNeighbor(sat, d)
+	}
+	nb := l.Hash.Grid().Neighbor(sat, d)
+	return nb, l.Hash.Grid().Constellation().Active(nb)
+}
+
+// Fetch serves a Contact route over the fabric: owner Get, on a miss the
+// relayed fetch of §3.3 — west first (it retraces this satellite's recent
+// footprint), then east — and last the ground, the owner caching the object
+// on the way through. Only with relayStats (Table 3 wants both answers) is
+// east probed after a west hit.
+func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.Stage,
+	relayStats *RelayAvailability) (Fetched, error) {
+	obj, size, home := req.Object, req.Size, rt.Home
+	hit, err := fabric.Get(home, obj, size, RoleOwner)
+	if err != nil {
+		switch {
+		case errors.Is(err, shed.ErrShed):
+			// The wire enforced stage 3 itself; same verdict as below.
+			return Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, nil
+		case errors.Is(err, ErrUnreachable):
+			return Fetched{Source: SourceGround, Degraded: true}, nil
+		}
+		return Fetched{}, err
+	}
+	if hit {
+		if home == rt.First {
+			return Fetched{Source: SourceLocal}, nil
+		}
+		return Fetched{Source: SourceBucket}, nil
+	}
+	// Stage 3 serves hits only. The Get above already refreshed recency, as
+	// on a wire that refuses after answering; nothing is admitted.
+	if stage.Sheds(core.ValueMissFetch) {
+		return Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, nil
+	}
+	action := shed.ActionNone
+	switch {
+	case !l.Relay:
+	case stage.Sheds(core.ValueRelayProbe):
+		action = shed.ActionRelaySkip // stage ≥ 1: straight to the ground
+	default:
+		var has [2]bool
+		served, relay := -1, orbit.SatID(-1)
+		for i, d := range [2]topo.Direction{topo.West, topo.East} {
+			if served >= 0 && relayStats == nil {
+				break
+			}
+			nb, ok := l.RelayNeighbor(home, d)
+			if !ok {
+				continue
+			}
+			role := RoleRelayWest + Role(i)
+			if has[i], err = fabric.Contains(nb, obj, size, role); err != nil {
+				if !soft(err) {
+					return Fetched{}, err
+				}
+				has[i] = false
+			}
+			if !has[i] || served >= 0 {
+				continue
+			}
+			// Touch the serving neighbour's recency; if that fails softly,
+			// try the other direction.
+			if _, err = fabric.Get(nb, obj, size, role); err != nil {
+				if !soft(err) {
+					return Fetched{}, err
+				}
+				continue
+			}
+			served, relay = i, nb
+		}
+		if relayStats != nil && (has[0] || has[1]) {
+			relayStats.Record(size, has[0], has[1])
+		}
+		if served >= 0 {
+			// Keep a copy at the owner: later requests hit without the relay.
+			err = fabric.Admit(home, obj, size, RoleRelayWest+Role(served))
+			if err != nil && !soft(err) {
+				return Fetched{}, err
+			}
+			return Fetched{Source: SourceRelayWest + Source(served), Relay: relay}, nil
+		}
+	}
+	if err = fabric.Admit(home, obj, size, RoleGround); err != nil && !soft(err) {
+		return Fetched{}, err
+	}
+	return Fetched{Source: SourceGround, Action: action}, nil
+}

@@ -10,7 +10,6 @@ import (
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/shed"
-	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 )
 
@@ -84,23 +83,48 @@ func (cfg CacheConfig) build() cache.Policy {
 	return p
 }
 
-// satCaches lazily materialises one cache per satellite slot.
+// satCaches lazily materialises one cache per satellite slot, indexed by
+// SatID. It is the in-memory Fabric.
 type satCaches struct {
 	cfg    CacheConfig
-	caches map[orbit.SatID]cache.Policy
+	caches []cache.Policy
+	// phase is the running request's mark chain (nil-safe); the owner Get
+	// closes the cache stage on it.
+	phase *obs.PhaseClock
 }
 
-func newSatCaches(cfg CacheConfig) *satCaches {
-	return &satCaches{cfg: cfg, caches: make(map[orbit.SatID]cache.Policy)}
-}
+func newSatCaches(cfg CacheConfig) *satCaches { return &satCaches{cfg: cfg} }
 
 func (s *satCaches) at(id orbit.SatID) cache.Policy {
-	c, ok := s.caches[id]
-	if !ok {
+	for int(id) >= len(s.caches) {
+		s.caches = append(s.caches, nil)
+	}
+	c := s.caches[id]
+	if c == nil {
 		c = s.cfg.build()
 		s.caches[id] = c
 	}
 	return c
+}
+
+// Get implements Fabric.
+func (s *satCaches) Get(sat orbit.SatID, obj cache.ObjectID, _ int64, role Role) (bool, error) {
+	hit := s.at(sat).Get(obj)
+	if role == RoleOwner {
+		s.phase.Mark(obs.PhaseSimCache)
+	}
+	return hit, nil
+}
+
+// Contains implements Fabric.
+func (s *satCaches) Contains(sat orbit.SatID, obj cache.ObjectID, _ int64, _ Role) (bool, error) {
+	return s.at(sat).Contains(obj), nil
+}
+
+// Admit implements Fabric.
+func (s *satCaches) Admit(sat orbit.SatID, obj cache.ObjectID, size int64, _ Role) error {
+	admit(s.at(sat), obj, size)
+	return nil
 }
 
 // admit inserts an object, ignoring the object-larger-than-capacity error
@@ -192,15 +216,13 @@ type StarCDNOptions struct {
 	PrefetchEpochSec float64 // pull interval (default 15 s)
 }
 
-// westDirection aliases the relay direction used by the prefetcher.
-const westDirection = topo.West
-
 // StarCDN is the paper's system (§3): consistent-hashing routing to a bucket
 // owner, relayed fetch from same-bucket inter-orbit neighbours on a miss,
 // and remap-based failure handling.
 type StarCDN struct {
 	hash   *core.HashScheme
 	opts   StarCDNOptions
+	ladder Ladder
 	caches *satCaches
 	// relayStats receives Table 3 availability tallies when non-nil.
 	relayStats *RelayAvailability
@@ -210,7 +232,8 @@ type StarCDN struct {
 
 // NewStarCDN builds a StarCDN policy over the hash scheme.
 func NewStarCDN(h *core.HashScheme, cfg CacheConfig, opts StarCDNOptions) *StarCDN {
-	p := &StarCDN{hash: h, opts: opts, caches: newSatCaches(cfg)}
+	p := &StarCDN{hash: h, opts: opts, caches: newSatCaches(cfg),
+		ladder: Ladder{Hash: h, Hashing: opts.Hashing, Relay: opts.Relay}}
 	if opts.Prefetch {
 		p.prefetch = newPrefetcher(opts.PrefetchCount, opts.PrefetchEpochSec)
 	}
@@ -255,151 +278,66 @@ func (p *StarCDN) Name() string {
 	}
 }
 
-// Serve implements Policy.
+// Serve implements Policy: the Ladder decides, over the in-memory caches;
+// Serve lays the latency model, ISL byte-hops, span hops and phase marks over
+// its verdict. The seeded draws sit between the ladder's two halves — the
+// route RTT after Route, the relay or ground RTT after Fetch.
 func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
-	if ctx.First < 0 {
-		groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: -1, SimMs: groundMs})
-		return Outcome{Source: SourceNoCover, ServerSat: -1, SpaceMs: groundMs}
+	req := ctx.Req
+	rt := p.ladder.Route(ctx.First, req.Object, ctx.ShedStage, ctx.TransientDown)
+	if !rt.Contact {
+		out := Outcome{Source: rt.Source, ServerSat: rt.Home, Shed: rt.Action}
+		hop := rt.Hop()
+		if rt.Source != SourceShed {
+			out.SpaceMs = ctx.Latency.GroundFetchRTTMs(ctx.Rng)
+			hop.SimMs = out.SpaceMs
+		}
+		ctx.Span.AddHop(hop)
+		return out
 	}
-	home := ctx.First
+	home := rt.Home
 	routeMs := 0.0
 	if p.opts.Hashing {
-		b := p.hash.BucketOf(ctx.Req.Object)
-		// §3.4 via the shared failure-aware lookup: transient unavailability
-		// is served as a plain miss from the ground; long-term failures are
-		// remapped to the next available satellite, which inherits the
-		// bucket. The TCP replayer routes through the same call so the two
-		// pipelines agree under any failure schedule.
-		owner, serve := p.hash.ServingOwner(ctx.First, b, ctx.TransientDown)
-		if !serve {
-			groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-			ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: -1, SimMs: groundMs})
-			return Outcome{Source: SourceGround, ServerSat: -1, SpaceMs: groundMs}
-		}
-		home = owner
-		// Stage ≥ 1 sheds the remote fetch: instead of routing over the
-		// ISLs to the bucket owner, serve the §3.4-shaped ground miss
-		// directly. The owner's cache is never touched, exactly like the
-		// reactive degrade above, so both pipelines stay byte-identical.
-		// At stage 3 (hits only) the request is rejected outright instead:
-		// it cannot be a cache hit without the ISL fetch stage 1 already
-		// shed, and falling back to the ground would keep the congested
-		// uplink saturated — the opposite of what hits-only mode is for.
-		if ctx.ShedStage.Sheds(core.ValueRemoteFetch) && owner != ctx.First {
-			if ctx.ShedStage.Sheds(core.ValueMissFetch) {
-				ctx.Span.AddHop(obs.Hop{Kind: "shed", Sat: int(owner)})
-				return Outcome{Source: SourceShed, ServerSat: owner,
-					Shed: shed.ActionHitOnly}
-			}
-			groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-			ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: -1, SimMs: groundMs})
-			return Outcome{Source: SourceGround, ServerSat: -1, SpaceMs: groundMs,
-				Shed: shed.ActionDirectGround}
-		}
 		ph, sh := p.hash.RoutingHops(ctx.First, home)
 		routeMs = ctx.Latency.ISLPathRTTMs(ph, sh, ctx.Rng)
 	}
 	if p.prefetch != nil {
-		p.prefetch.maybePrefetch(p, home, ctx.Req.TimeSec)
+		p.prefetch.maybePrefetch(p, home, req.TimeSec)
 	}
 	// Content served away from the first contact rides the ISLs back.
 	routeHops := p.hash.Grid().TotalHops(ctx.First, home)
-	routeISLBytes := ctx.Req.Size * int64(routeHops)
+	out := Outcome{ServerSat: home, SpaceMs: routeMs, ISLBytes: req.Size * int64(routeHops)}
 	ctx.Span.AddHop(obs.Hop{Kind: "owner", Sat: int(home),
 		ISLHops: routeHops, SimMs: routeMs})
 	ctx.Phase.Mark(obs.PhaseSimHash)
-	c := p.caches.at(home)
-	hit := c.Get(ctx.Req.Object)
-	ctx.Phase.Mark(obs.PhaseSimCache)
-	if hit {
+	p.caches.phase = ctx.Phase
+	got, err := p.ladder.Fetch(p.caches, rt, req, ctx.ShedStage, p.relayStats)
+	if invariant.Enabled {
+		invariant.Assertf(err == nil, "sim: in-memory fabric failed: %v", err)
+	}
+	out.Source, out.Shed = got.Source, got.Action
+	switch got.Source {
+	case SourceLocal, SourceBucket:
 		if p.prefetch != nil {
-			p.prefetch.recordHit(home, ctx.Req.Object)
+			p.prefetch.recordHit(home, req.Object)
 		}
-		src := SourceBucket
-		if home == ctx.First {
-			src = SourceLocal
-		}
-		return Outcome{Source: src, ServerSat: home, SpaceMs: routeMs,
-			ISLBytes: routeISLBytes}
-	}
-
-	// Stage ≥ 3 sheds the ground fetch behind the miss: only cache hits
-	// are served. The Get above already refreshed recency (same as the
-	// TCP server, which answers the Get before learning it must shed), so
-	// cache state stays identical; nothing is admitted.
-	if ctx.ShedStage.Sheds(core.ValueMissFetch) {
+	case SourceShed:
+		out.ISLBytes = 0 // no content moved
 		ctx.Span.AddHop(obs.Hop{Kind: "shed", Sat: int(home)})
-		return Outcome{Source: SourceShed, ServerSat: home, SpaceMs: routeMs,
-			Shed: shed.ActionHitOnly}
+	case SourceRelayWest, SourceRelayEast:
+		relayMs := ctx.Latency.ISLPathRTTMs(p.relayHops(), 0, ctx.Rng)
+		out.SpaceMs += relayMs
+		out.ISLBytes += req.Size * int64(p.relayHops())
+		ctx.Span.AddHop(obs.Hop{Kind: got.Source.String(), Sat: int(got.Relay),
+			ISLHops: p.relayHops(), SimMs: relayMs})
+		ctx.Phase.Mark(obs.PhaseSimRelay)
+	case SourceGround:
+		groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
+		out.SpaceMs += groundMs
+		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(home), SimMs: groundMs})
+		ctx.Phase.Mark(obs.PhaseSimRelay)
 	}
-
-	// Miss at the bucket owner: relayed fetch from same-bucket inter-orbit
-	// neighbours (§3.3). West is checked first — it retraces this
-	// satellite's recent footprint; east costs the same so it stays enabled.
-	// Stage ≥ 1 sheds the probes: the miss goes straight to the ground.
-	if p.opts.Relay && !ctx.ShedStage.Sheds(core.ValueRelayProbe) {
-		westHit, eastHit := false, false
-		var westSat, eastSat orbit.SatID
-		if nb, ok := p.relayNeighbor(home, topo.West); ok {
-			westSat = nb
-			westHit = p.caches.at(nb).Contains(ctx.Req.Object)
-		}
-		if nb, ok := p.relayNeighbor(home, topo.East); ok {
-			eastSat = nb
-			eastHit = p.caches.at(nb).Contains(ctx.Req.Object)
-		}
-		if p.relayStats != nil && (westHit || eastHit) {
-			p.relayStats.Record(ctx.Req.Size, westHit, eastHit)
-		}
-		if westHit || eastHit {
-			src := SourceRelayWest
-			nb := westSat
-			if !westHit {
-				src = SourceRelayEast
-				nb = eastSat
-			}
-			// Touch the serving neighbour's cache and store a copy locally
-			// so subsequent requests hit without the relay penalty.
-			p.caches.at(nb).Get(ctx.Req.Object)
-			admit(c, ctx.Req.Object, ctx.Req.Size)
-			relayMs := ctx.Latency.ISLPathRTTMs(p.relayHops(), 0, ctx.Rng)
-			relayISLBytes := ctx.Req.Size * int64(p.relayHops())
-			ctx.Span.AddHop(obs.Hop{Kind: src.String(), Sat: int(nb),
-				ISLHops: p.relayHops(), SimMs: relayMs})
-			ctx.Phase.Mark(obs.PhaseSimRelay)
-			return Outcome{Source: src, ServerSat: home, SpaceMs: routeMs + relayMs,
-				ISLBytes: routeISLBytes + relayISLBytes}
-		}
-	}
-
-	// Ground fetch; the owner caches the object on the way through.
-	action := shed.ActionNone
-	if p.opts.Relay && ctx.ShedStage.Sheds(core.ValueRelayProbe) {
-		action = shed.ActionRelaySkip
-	}
-	admit(c, ctx.Req.Object, ctx.Req.Size)
-	groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-	ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(home), SimMs: groundMs})
-	ctx.Phase.Mark(obs.PhaseSimRelay)
-	return Outcome{Source: SourceGround, ServerSat: home,
-		SpaceMs:  routeMs + groundMs,
-		ISLBytes: routeISLBytes,
-		Shed:     action}
-}
-
-// relayNeighbor resolves the east/west relay target: the same-bucket
-// neighbour √L planes away when hashing is on, or the immediate inter-orbit
-// neighbour when hashing is off (the StarCDN-Hashing ablation).
-func (p *StarCDN) relayNeighbor(sat orbit.SatID, d topo.Direction) (orbit.SatID, bool) {
-	if p.opts.Hashing {
-		return p.hash.RelayNeighbor(sat, d)
-	}
-	nb := p.hash.Grid().Neighbor(sat, d)
-	if !p.hash.Grid().Constellation().Active(nb) {
-		return nb, false
-	}
-	return nb, true
+	return out
 }
 
 // relayHops is the inter-orbit hop count to a relay neighbour.

@@ -3,6 +3,7 @@ package sim
 import (
 	"starcdn/internal/cache"
 	"starcdn/internal/orbit"
+	"starcdn/internal/topo"
 )
 
 // PrefetchStats accounts the proactive-prefetch alternative of §3.3: how
@@ -59,7 +60,7 @@ func (pf *prefetcher) maybePrefetch(p *StarCDN, home orbit.SatID, timeSec float6
 		return
 	}
 	pf.lastEpoch[home] = epoch
-	west, ok := p.relayNeighbor(home, westDirection)
+	west, ok := p.ladder.RelayNeighbor(home, topo.West)
 	if !ok {
 		return
 	}

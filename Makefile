@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint waivers shardaudit allocaudit fmt bench bench-check bench-update debug-test race chaos obs clean
+.PHONY: all build test check lint waivers fmt bench bench-check bench-update debug-test race chaos obs clean
 
 all: build
 
@@ -16,8 +16,8 @@ test:
 ## check: the repository's CI gate — fmt, vet, starcdn-lint + waiver audit,
 ## build (both tag sets), race tests, debug-invariant tests, a chaos pass,
 ## an obs smoke, a bench smoke, and the starcdn-bench regression gate
-## (alloc budgets + wall bound, alone in its own phase). Independent steps
-## run concurrently and each reports its wall-clock time (scripts/check.sh).
+## (the hard allocs/op budgets). Independent steps run concurrently and
+## each reports its wall-clock time (scripts/check.sh).
 check:
 	sh scripts/check.sh
 
@@ -30,20 +30,6 @@ lint:
 ## and fail on stale waivers (lines that no longer trigger the rule).
 waivers:
 	$(GO) run ./cmd/starcdn-lint -waivers ./...
-
-## shardaudit: regenerate SHARD_AUDIT.md, the inventory of mutable shared
-## state reachable from sim.Run that the sharded parallel engine (ROADMAP
-## item 1) must partition. `make check` fails if the committed file drifts.
-shardaudit:
-	$(GO) run ./cmd/starcdn-lint -shardaudit > SHARD_AUDIT.md
-
-## allocaudit: regenerate ALLOC_AUDIT.md, the classified inventory of every
-## allocation site reachable from the hot-path roots (kind, escape verdict,
-## call chain, waiver coverage — see DESIGN.md §7). `make check` fails if
-## the committed file drifts or the allocs/op budgets in BENCH_core.json
-## are exceeded.
-allocaudit:
-	$(GO) run ./cmd/starcdn-lint -allocaudit > ALLOC_AUDIT.md
 
 fmt:
 	gofmt -w $(shell gofmt -l . | grep -v '^cmd/starcdn-lint/testdata/')

@@ -22,9 +22,8 @@ type benchSpec struct {
 	file      string // which baseline file records it
 
 	// smokePattern/smokeBenchtime configure the CI smoke gate (-check
-	// -smoke): a single cheap run that enforces the hard allocs/op budgets
-	// and a widened wall-clock bound. Empty means the benchmark is not part
-	// of the smoke gate.
+	// -smoke): a single cheap run that enforces the hard allocs/op
+	// budgets. Empty means the benchmark is not part of the smoke gate.
 	smokePattern   string
 	smokeBenchtime string
 }

@@ -21,15 +21,14 @@ type Verdict struct {
 // improved means faster at significance (refresh the baseline when it
 // sticks), indistinguishable means the difference is inside the noise.
 const (
-	verdictImproved   = "improved"
-	verdictRegressed  = "regressed"
-	verdictIndist     = "indistinguishable"
-	verdictAllocs     = "alloc-regressed"
-	verdictSmokeOK    = "smoke-ok"
-	verdictMissing    = "missing"
-	verdictNew        = "new-variant"
-	verdictSkipped    = "skipped"
-	verdictSmokeSlack = 1.5 // smoke wall bound: single run vs baseline median
+	verdictImproved  = "improved"
+	verdictRegressed = "regressed"
+	verdictIndist    = "indistinguishable"
+	verdictAllocs    = "alloc-regressed"
+	verdictSmokeOK   = "smoke-ok"
+	verdictMissing   = "missing"
+	verdictNew       = "new-variant"
+	verdictSkipped   = "skipped"
 )
 
 // fails reports whether a verdict fails the CI gate.
@@ -128,11 +127,12 @@ func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	return out
 }
 
-// evalSmoke is the CI gate's cheap mode: one run per smoke benchmark, hard
-// allocs/op budgets (seeded, so deterministic), and a widened wall-clock
-// bound — fail only when the single run lands more than verdictSmokeSlack
-// times the committed median (the statistical comparison needs the full
-// 8-run mode). Variants outside the smoke set are skipped, not failed.
+// evalSmoke is the CI gate's cheap mode: one run per smoke benchmark,
+// gating only what is deterministic — the hard allocs/op budgets (seeded,
+// so exact at one run). The single run's wall time is reported, never
+// judged: a one-sample wall bound fails at an unchanged commit on a noisy
+// host, and the statistical comparison needs the full 8-run mode. Variants
+// outside the smoke set are skipped, not failed.
 func evalSmoke(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	var out []Verdict
 	for _, b := range f.Benchmarks {
@@ -149,11 +149,6 @@ func evalSmoke(f *baselineFile, groups map[string][]benchRun) []Verdict {
 			v.MedianNs = int64(fresh)
 			v.EffectPct = round1(effectPct(float64(r.NsPerOpMedian), fresh))
 			v.Verdict = verdictSmokeOK
-			if fresh > verdictSmokeSlack*float64(r.NsPerOpMedian) {
-				v.Verdict = verdictRegressed
-				v.Detail = fmt.Sprintf("single smoke run %.1fx the committed median (bound %.1fx)",
-					fresh/float64(r.NsPerOpMedian), verdictSmokeSlack)
-			}
 			if av := allocVerdict(b, r, runs); av != "" {
 				v.Verdict = verdictAllocs
 				v.Detail = av

@@ -6,14 +6,12 @@ package main
 // sites plus *references*: a function or method named as a value (a method
 // value like `s.onFailure` passed as a callback, a function identifier
 // stored in a table) may be called later, so the reference produces an
-// edge — without it, callbacks registered from the hot path would be
-// invisible to every reachability-based rule (sharedwrite, hotalloc, the
-// audits). Deferred calls and `go`-statement callees are ordinary call
-// expressions and resolve the same way. Calls through interfaces still end
-// at the abstract callee (no concrete body to follow); the hotalloc sweep
-// layers a class-hierarchy bridge on top for exactly that case
-// (rule_hotalloc.go), and the direct (per-package) rules cover the
-// packages with the strongest obligations.
+// edge — without it, callbacks registered from the simulation packages
+// would be invisible to the taint rule. Deferred calls and `go`-statement
+// callees are ordinary call expressions and resolve the same way. Calls
+// through interfaces end at the abstract callee (no concrete body to
+// follow), keeping the analysis free of false paths; the direct
+// (per-package) rules cover the packages with the strongest obligations.
 //
 // During graph construction each function also records its determinism
 // "sources": calls to wall-clock time functions (time.Now/Since/Until) and
@@ -41,36 +39,21 @@ type funcNode struct {
 	decl *ast.FuncDecl
 
 	callees    []*types.Func // statically resolved callees and references, in source order
-	ifaceCalls []*types.Func // abstract interface-method callees (for the CHA bridge)
 	wallClock  []srcCall     // time.Now/Since/Until call sites
 	globalRand []srcCall     // global math/rand draw sites
 }
 
 // addEdge records one resolved callee or function reference, routing the
-// determinism sources into their dedicated lists and abstract interface
-// methods into ifaceCalls (they have no body; the hotalloc sweep bridges
-// them to concrete implementations).
+// determinism sources into their dedicated lists.
 func (n *funcNode) addEdge(fn *types.Func, pos token.Pos) {
 	switch {
 	case isWallClock(fn):
 		n.wallClock = append(n.wallClock, srcCall{pos: pos, name: "time." + fn.Name()})
 	case isGlobalRand(fn):
 		n.globalRand = append(n.globalRand, srcCall{pos: pos, name: "rand." + fn.Name()})
-	case isIfaceMethod(fn):
-		n.ifaceCalls = append(n.ifaceCalls, fn)
 	default:
 		n.callees = append(n.callees, fn)
 	}
-}
-
-// isIfaceMethod reports whether fn is an interface method (abstract: no
-// concrete body can back it directly).
-func isIfaceMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return types.IsInterface(sig.Recv().Type())
 }
 
 // callGraph indexes the module's functions and their static call edges.
@@ -193,24 +176,14 @@ func buildCallGraph(t *Tree) *callGraph {
 // BFS predecessor (entries have no predecessor). Traversal order is the
 // deterministic graph order, so reported chains are stable across runs.
 func (g *callGraph) reachableFrom(entries func(relPath string) bool) (map[*types.Func]bool, map[*types.Func]*types.Func) {
-	var roots []*funcNode
-	for _, n := range g.order {
-		if entries(n.pkg.RelPath) {
-			roots = append(roots, n)
-		}
-	}
-	return g.reachableFromNodes(roots)
-}
-
-// reachableFromNodes is reachableFrom seeded with explicit entry functions
-// (the sharedwrite rule and the shard audit start from sim.Run alone).
-func (g *callGraph) reachableFromNodes(roots []*funcNode) (map[*types.Func]bool, map[*types.Func]*types.Func) {
 	reach := make(map[*types.Func]bool)
 	parent := make(map[*types.Func]*types.Func)
 	var queue []*funcNode
-	for _, n := range roots {
-		reach[n.obj] = true
-		queue = append(queue, n)
+	for _, n := range g.order {
+		if entries(n.pkg.RelPath) {
+			reach[n.obj] = true
+			queue = append(queue, n)
+		}
 	}
 	for len(queue) > 0 {
 		n := queue[0]

@@ -1,59 +1,46 @@
-// Command starcdn-lint is the repository's stdlib-only static analyzer.
-// Since PR 4 it is a type-checked analysis engine: every package of the
-// module is parsed under one file set and type-checked with go/types
-// (load.go), and an interprocedural call graph (callgraph.go) makes the
-// determinism rules taint analyses. The rules:
+// Command starcdn-lint is the repository's stdlib-only static analyzer:
+// every package of the module is parsed under one file set and type-checked
+// with go/types (load.go), and a static interprocedural call graph
+// (callgraph.go) makes the determinism rules taint analyses. Ten rules:
 //
 //	simtime    — no wall-clock time (time.Now/Since/Until) inside the
-//	             simulation packages, nor in any function transitively
-//	             reachable from them; sim time must flow through the clock
+//	             simulation packages; sim time must flow through the clock
 //	             abstraction so runs are reproducible.
-//	globalrand — no global math/rand top-level functions in internal/, nor
-//	             in any function reachable from the simulation packages;
+//	globalrand — no global math/rand top-level functions in internal/;
 //	             randomness must come from an injected seeded *rand.Rand.
+//	taint      — the interprocedural half of the two rules above: a
+//	             wall-clock read or global-rand draw in any function
+//	             transitively reachable from the simulation packages is
+//	             reported (as simtime/globalrand) with its call chain.
 //	maporder   — in hashing/figure-emitting packages, ranging over a map
 //	             (resolved exactly through aliases, embedded fields, and
 //	             cross-package types) must not feed slice appends or output
 //	             directly without a sort.
-//	panicfree  — no panic() in library code (non-cmd, non-example,
-//	             non-test); Must* constructors are exempt by convention.
-//	closecheck — no unchecked Close()/Flush() calls in cmd/ and the
-//	             multi-process replayer; dropped errors there lose data.
 //	errdrop    — no silently discarded error results in internal/ and cmd/
-//	             (generalizing closecheck to every error-returning call);
-//	             fmt print-family calls and never-failing in-memory writers
-//	             are exempt by policy.
-//	atomicmix  — no struct field accessed both through sync/atomic
-//	             functions and by plain loads/stores; mixed access hides
-//	             data races from the race detector's happens-before view.
+//	             (bare call, defer, or go statement; Close and Flush
+//	             included); fmt print-family calls and never-failing
+//	             in-memory writers are exempt by policy.
 //	deadline   — net.Conn reads/writes in internal/replayer must be
 //	             preceded by a SetDeadline/SetReadDeadline/SetWriteDeadline
 //	             on the same connection in the same function, protecting
 //	             the fault-tolerance contract (a stalled peer must not
 //	             hang a replay).
+//	metricname — metric names follow the starcdn_<family>_ vocabulary and
+//	             bounded label conventions of DESIGN.md §9.
+//	panicfree  — no panic() in library code (non-cmd, non-example,
+//	             non-test); Must* constructors are exempt by convention.
+//	atomicmix  — no struct field accessed both through sync/atomic
+//	             functions and by plain loads/stores; mixed access hides
+//	             data races from the race detector's happens-before view.
 //	printf     — no fmt.Print*/global log.* in internal/ (outside
 //	             internal/obs); library output must flow through injected
 //	             writers and the obs slog logger so tests can capture it.
 //
-// Since PR 6 a dataflow layer (cfg.go + dataflow.go: per-function CFGs and
-// a must-hold lockset analysis with interprocedural entry contexts) powers
-// three concurrency rules:
-//
-//	lockguard   — RacerD-style guard inference: a struct field accessed
-//	              with a given mutex held at a strict majority of its access
-//	              sites is inferred guarded by it; every lock-free access in
-//	              internal/ is flagged. Constructor writes and atomic-
-//	              discipline fields do not vote.
-//	goroleak    — a goroutine spawned in internal/ or cmd/ whose body (and
-//	              everything it calls) reaches no join primitive (channel
-//	              op, select, WaitGroup.Done/Wait, Cond.Wait, ctx.Done/Err),
-//	              and whose spawner does not wait either, is undrainable
-//	              and flagged.
-//	sharedwrite — any write to package-level state reachable from sim.Run
-//	              is flagged with its call chain; a sharded engine would
-//	              race on it. `-shardaudit` (shardaudit.go) reuses the sweep
-//	              to emit SHARD_AUDIT.md, the full shared-state inventory
-//	              for the ROADMAP item 1 refactor.
+// Every rule is held to one standard (DESIGN.md §7): it names a defect it
+// caught in this tree or TestInjectedDefectsCaught reintroduces the defect
+// and watches the rule fire. Concurrency and allocation are not linted:
+// `go test -race` and the allocs/op budgets in BENCH_*.json gate those on
+// executed code.
 //
 // A finding can be suppressed with a directive comment on the same line or
 // the line above:
@@ -75,11 +62,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"io"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding at a source position.
@@ -87,16 +72,6 @@ type Diagnostic struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	// Chain is the hot-path call chain from a root to the finding, for the
-	// rules that compute one (hotalloc); empty otherwise. The -json output
-	// carries it structurally so tooling never parses the message text.
-	Chain []string
-	// Waived marks a finding suppressed by a //lint:ignore directive, with
-	// the directive's reason. Waived findings never reach res.diags (they
-	// do not gate); the -json mode reports them so downstream tooling sees
-	// the full ledger.
-	Waived       bool
-	WaiverReason string
 }
 
 func (d Diagnostic) String() string {
@@ -129,19 +104,17 @@ func allRules() []Rule {
 		ruleGlobalRand{},
 		ruleMapOrder{},
 		rulePanicFree{},
-		ruleCloseCheck{},
 		ruleErrDrop{},
 		ruleAtomicMix{},
 		ruleDeadline{},
 		rulePrintf{},
 		ruleMetricName{},
-		rulePoolCheck{},
 	}
 }
 
 // allTreeRules returns the whole-module analyses.
 func allTreeRules() []TreeRule {
-	return []TreeRule{ruleTaint{}, ruleLockGuard{}, ruleGoroLeak{}, ruleSharedWrite{}, ruleHotAlloc{}}
+	return []TreeRule{ruleTaint{}}
 }
 
 // ignoreDirective is a parsed //lint:ignore comment.
@@ -259,26 +232,14 @@ func buildIgnoreIndex(tree *Tree) *ignoreIndex {
 	return idx
 }
 
-// suppressor returns the directive waiving d (marking it used), or nil.
-func (idx *ignoreIndex) suppressor(d Diagnostic) *ignoreDirective {
-	byLine := idx.byFile[d.Pos.Filename]
-	if byLine == nil {
-		return nil
-	}
-	dir := byLine[d.Pos.Line]
+// suppressed reports whether a directive waives d, marking it used.
+func (idx *ignoreIndex) suppressed(d Diagnostic) bool {
+	dir := idx.byFile[d.Pos.Filename][d.Pos.Line]
 	if dir == nil || !dir.rules[d.Rule] {
-		return nil
+		return false
 	}
 	dir.used[d.Rule] = true
-	return dir
-}
-
-// ruleTiming is one rule's wall-clock cost in a run (load included as the
-// pseudo-rule "load"), mirroring check.sh's per-step timings so a dataflow
-// regression shows up in the lint output itself.
-type ruleTiming struct {
-	Name string
-	D    time.Duration
+	return true
 }
 
 // lintResult is one full analysis run over a tree.
@@ -286,26 +247,8 @@ type lintResult struct {
 	tree *Tree
 	// diags are the unsuppressed findings in the selected packages, sorted.
 	diags []Diagnostic
-	// waived are the suppressed findings in the selected packages, sorted,
-	// each carrying its directive's reason. They never gate; the -json
-	// output reports them alongside diags.
-	waived []Diagnostic
 	// directives are every //lint:ignore in the tree, with usage marked.
 	directives []*ignoreDirective
-	// timings are per-rule wall-clock costs, in run order.
-	timings []ruleTiming
-}
-
-// writeTimings renders the per-rule timing table as one line.
-func (res *lintResult) writeTimings(w io.Writer) {
-	parts := make([]string, 0, len(res.timings))
-	var total time.Duration
-	for _, t := range res.timings {
-		parts = append(parts, fmt.Sprintf("%s %s", t.Name, t.D.Round(time.Millisecond)))
-		total += t.D
-	}
-	fmt.Fprintf(w, "starcdn-lint timings: %s | total %s\n",
-		strings.Join(parts, " | "), total.Round(time.Millisecond))
 }
 
 // selectPackages resolves lint patterns to the set of RelPaths rules report
@@ -340,43 +283,30 @@ func selectPackages(tree *Tree, patterns []string) map[string]bool {
 // reported. Directive usage is tracked tree-wide so the waiver audit sees
 // exact liveness.
 func runLint(root string, patterns []string) (*lintResult, error) {
-	loadStart := time.Now()
 	tree, err := loadTree(root)
 	if err != nil {
 		return nil, err
 	}
-	timings := []ruleTiming{{Name: "load", D: time.Since(loadStart)}}
 	selected := selectPackages(tree, patterns)
 	ignores := buildIgnoreIndex(tree)
 
 	var raw []Diagnostic
 	for _, rule := range allRules() {
-		start := time.Now()
 		for _, pkg := range tree.Packages {
-			if !rule.Applies(pkg.RelPath) {
-				continue
+			if rule.Applies(pkg.RelPath) {
+				raw = append(raw, rule.Check(tree, pkg)...)
 			}
-			raw = append(raw, rule.Check(tree, pkg)...)
 		}
-		timings = append(timings, ruleTiming{Name: rule.Name(), D: time.Since(start)})
 	}
 	for _, rule := range allTreeRules() {
-		start := time.Now()
 		raw = append(raw, rule.CheckTree(tree)...)
-		timings = append(timings, ruleTiming{Name: rule.Name(), D: time.Since(start)})
 	}
 
-	var diags, waived []Diagnostic
+	var diags []Diagnostic
 	for _, d := range raw {
-		if dir := ignores.suppressor(d); dir != nil {
-			if selected[relDirOf(root, d.Pos.Filename)] {
-				d.Waived = true
-				d.WaiverReason = dir.reason
-				waived = append(waived, d)
-			}
-			continue
-		}
-		if selected[relDirOf(root, d.Pos.Filename)] {
+		// suppressed is consulted for every finding, selected or not, so
+		// directive usage is exact tree-wide.
+		if !ignores.suppressed(d) && selected[relDirOf(root, d.Pos.Filename)] {
 			diags = append(diags, d)
 		}
 	}
@@ -388,12 +318,8 @@ func runLint(root string, patterns []string) (*lintResult, error) {
 	for i := range diags {
 		diags[i].Pos.Filename = relativize(root, diags[i].Pos.Filename)
 	}
-	for i := range waived {
-		waived[i].Pos.Filename = relativize(root, waived[i].Pos.Filename)
-	}
 	sortDiagnostics(diags)
-	sortDiagnostics(waived)
-	return &lintResult{tree: tree, diags: diags, waived: waived, directives: ignores.directives, timings: timings}, nil
+	return &lintResult{tree: tree, diags: diags, directives: ignores.directives}, nil
 }
 
 // lintTree is the plain-findings entry point used by main and the tests.

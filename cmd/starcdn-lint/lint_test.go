@@ -1,12 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
+	"fmt"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -59,9 +61,8 @@ func TestEachRuleFires(t *testing.T) {
 		seen[d.Rule]++
 	}
 	for _, rule := range []string{
-		"simtime", "globalrand", "maporder", "panicfree", "closecheck",
-		"errdrop", "atomicmix", "deadline", "printf", "metricname", "directive",
-		"lockguard", "goroleak", "sharedwrite", "hotalloc", "poolcheck",
+		"simtime", "globalrand", "maporder", "panicfree", "errdrop",
+		"atomicmix", "deadline", "printf", "metricname", "directive",
 	} {
 		if seen[rule] == 0 {
 			t.Errorf("rule %s produced no findings on fixtures", rule)
@@ -124,21 +125,15 @@ func TestWaiverAudit(t *testing.T) {
 	problems := auditWaivers(res, &buf)
 	out := buf.String()
 
-	// 5 problems: three stale waivers (the misattached globalrand directive
-	// plus the deliberately dead hotalloc and poolcheck directives in
+	// 3 problems: one stale waiver (the misattached globalrand directive in
 	// internal/directives), one missing-reason directive
 	// (internal/replayer/conn.go), one block-comment directive
 	// (internal/directives/directives.go).
-	if problems != 5 {
-		t.Errorf("auditWaivers problems = %d, want 5\n%s", problems, out)
+	if problems != 3 {
+		t.Errorf("auditWaivers problems = %d, want 3\n%s", problems, out)
 	}
 	for _, want := range []string{
-		"STALE waiver for globalrand",
-		// The allocation-era rules feed the same staleness machinery: a
-		// hotalloc waiver off the hot path and a poolcheck waiver with no
-		// checkout on its line must both be called out.
-		"STALE waiver for hotalloc",
-		"STALE waiver for poolcheck",
+		"internal/directives/directives.go:23: STALE waiver for globalrand",
 		// the comma-rule directive lists both rules, sorted, and is live
 		// for both (no stale line may name it).
 		"internal/directives/directives.go:14: errdrop,globalrand: fixture: one directive waiving two rules on one line",
@@ -149,28 +144,10 @@ func TestWaiverAudit(t *testing.T) {
 			t.Errorf("audit output missing %q\n%s", want, out)
 		}
 	}
-	// Live waivers must not be reported stale. hotalloc and poolcheck have
-	// both a live fixture waiver (hotloop.Note, bufpool.ShutdownLeak) and a
-	// stale one, so their stale reports must name internal/directives only.
-	for _, live := range []string{"deadline", "atomicmix", "errdrop", "simtime", "panicfree", "printf", "maporder", "closecheck", "lockguard", "goroleak"} {
+	// Live waivers must not be reported stale.
+	for _, live := range []string{"deadline", "atomicmix", "errdrop", "simtime", "panicfree", "printf", "maporder"} {
 		if strings.Contains(out, "STALE waiver for "+live) {
 			t.Errorf("live %s waiver reported stale\n%s", live, out)
-		}
-	}
-	for _, live := range []string{
-		"internal/hotloop/hotloop.go:79: hotalloc: fixture: live waiver",
-		"internal/bufpool/bufpool.go:60: poolcheck: fixture: live waiver",
-	} {
-		if !strings.Contains(out, live) {
-			t.Errorf("audit output missing live waiver %q\n%s", live, out)
-		}
-	}
-	for _, stale := range []string{
-		"internal/directives/directives.go:42: STALE waiver for hotalloc",
-		"internal/directives/directives.go:44: STALE waiver for poolcheck",
-	} {
-		if !strings.Contains(out, stale) {
-			t.Errorf("stale waiver not attributed correctly, missing %q\n%s", stale, out)
 		}
 	}
 }
@@ -299,315 +276,6 @@ var d int //lint:ignore epsilon same-line reason
 	}
 }
 
-// TestLockGuardDataflow pins the lockguard behaviours the goldens cannot
-// express as absences: the interprocedural guarded-in-caller case
-// (guard.addLocked) and the atomic-discipline false-positive guard
-// (guard.Hits.evs) must draw no finding, while the raw accesses in a callee
-// reached only from an unlocked caller (guard.drain) must be flagged with
-// the inferred site statistics.
-func TestLockGuardDataflow(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	diags, err := lintTree(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drainFindings int
-	for _, d := range diags {
-		if d.Rule != "lockguard" {
-			continue
-		}
-		if d.Pos.Filename != "internal/guard/guard.go" {
-			t.Errorf("lockguard finding outside the guard fixture: %s", d)
-			continue
-		}
-		if !strings.Contains(d.Message, "(guard.Store).n") || !strings.Contains(d.Message, "mu-guarded") {
-			t.Errorf("lockguard message lacks field/mutex identity: %s", d.Message)
-		}
-		if strings.Contains(d.Message, "addLocked") {
-			t.Errorf("guarded-in-caller callee flagged (entry context lost): %s", d)
-		}
-		if strings.Contains(d.Message, "evs") {
-			t.Errorf("atomic-discipline field flagged by lockguard: %s", d)
-		}
-		if strings.Contains(d.Message, "in guard.(Store).drain") {
-			drainFindings++
-		}
-	}
-	if drainFindings != 2 {
-		t.Errorf("drain (raw callee from unlocked caller) drew %d findings, want 2", drainFindings)
-	}
-}
-
-// TestGoroLeakJoins pins the goroleak clean cases: a WaitGroup join, a
-// channel rendezvous, and a join sitting in a transitive callee must not be
-// flagged; the fixture's two leaks must be the only spawn findings.
-func TestGoroLeakJoins(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	diags, err := lintTree(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inSpawn []string
-	for _, d := range diags {
-		if d.Rule != "goroleak" {
-			continue
-		}
-		if d.Pos.Filename == "internal/spawn/spawn.go" {
-			inSpawn = append(inSpawn, d.Message)
-		}
-	}
-	if len(inSpawn) != 2 {
-		t.Errorf("spawn fixture drew %d goroleak findings, want 2 (Leak, LeakNamed): %v", len(inSpawn), inSpawn)
-	}
-	for _, msg := range inSpawn {
-		if !strings.Contains(msg, "spawn.Leak") {
-			t.Errorf("goroleak finding outside Leak/LeakNamed: %s", msg)
-		}
-	}
-}
-
-// TestShardAuditDeterministic renders the audit twice over independently
-// loaded trees and requires byte-identical output — the property the
-// check.sh drift phase depends on.
-func TestShardAuditDeterministic(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	render := func() string {
-		tree, err := loadTree(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := writeShardAudit(tree, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("shard audit not deterministic across loads:\n--- first ---\n%s--- second ---\n%s", a, b)
-	}
-	for _, want := range []string{
-		"# Shard-readiness audit",
-		"## 1. Package-level writes on the hot path",
-		"`shared.Total`",
-		"sim.Run → shared.Bump",
-		"## 3. Loop-carried state in sim.Run",
-		"`total` (float64)",
-	} {
-		if !strings.Contains(a, want) {
-			t.Errorf("shard audit missing %q\n%s", want, a)
-		}
-	}
-	if strings.Contains(a, "shared.factor") {
-		t.Errorf("dead-from-hot-path write (shared.Tune) leaked into the audit:\n%s", a)
-	}
-}
-
-// TestShardAuditMatchesCommitted regenerates the audit for the real module
-// and compares it to the committed SHARD_AUDIT.md, mirroring the check.sh
-// drift gate so `go test ./...` alone catches a stale audit.
-func TestShardAuditMatchesCommitted(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed, err := os.ReadFile(filepath.Join(root, "SHARD_AUDIT.md"))
-	if err != nil {
-		t.Skipf("no committed SHARD_AUDIT.md: %v", err)
-	}
-	tree, err := loadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := writeShardAudit(tree, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(committed) {
-		t.Errorf("SHARD_AUDIT.md is stale; regenerate with `make shardaudit`")
-	}
-}
-
-// TestJSONDiagnostics exercises the -json output over the fixture tree:
-// the document must be deterministic, parse back under the published
-// schema, agree with the text-mode findings, carry structural call chains
-// for hotalloc, and include waived findings flagged with their directive
-// reasons (they are reported, but only unwaived findings are counted).
-func TestJSONDiagnostics(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	render := func() (*lintResult, string) {
-		res, err := runLint(root, []string{"./..."})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := writeJSONDiagnostics(res, &b); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
-	}
-	res, a := render()
-	if _, b := render(); a != b {
-		t.Errorf("-json output not deterministic across runs:\n--- first ---\n%s--- second ---\n%s", a, b)
-	}
-
-	var rep jsonReport
-	if err := json.Unmarshal([]byte(a), &rep); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, a)
-	}
-	if rep.Counts.Findings != len(res.diags) {
-		t.Errorf("counts.findings = %d, want %d (text-mode findings)", rep.Counts.Findings, len(res.diags))
-	}
-	if rep.Counts.Waived != len(res.waived) || rep.Counts.Waived == 0 {
-		t.Errorf("counts.waived = %d, want %d (> 0: the fixtures carry live waivers)",
-			rep.Counts.Waived, len(res.waived))
-	}
-	if got := len(rep.Findings); got != len(res.diags)+len(res.waived) {
-		t.Errorf("len(findings) = %d, want %d unwaived + %d waived", got, len(res.diags), len(res.waived))
-	}
-
-	var hotallocChain, waivedReason, waivedHotalloc bool
-	for _, f := range rep.Findings {
-		if f.Rule == "" || f.File == "" || f.Line == 0 {
-			t.Errorf("finding missing schema basics: %+v", f)
-		}
-		if f.Chain == nil {
-			t.Errorf("finding %s at %s:%d has null chain; the schema promises an array", f.Rule, f.File, f.Line)
-		}
-		if f.Waived != (f.WaiverReason != "") {
-			t.Errorf("waived flag and reason disagree: %+v", f)
-		}
-		if f.Rule == "hotalloc" && !f.Waived && len(f.Chain) > 0 && f.Chain[0] == "sim.Run" {
-			hotallocChain = true
-		}
-		if f.Waived && strings.HasPrefix(f.WaiverReason, "fixture:") {
-			waivedReason = true
-		}
-		// The deliberately waived hotloop.Note site must surface with its
-		// waiver, not vanish the way it does from text mode.
-		if f.Rule == "hotalloc" && f.Waived && f.File == "internal/hotloop/hotloop.go" {
-			waivedHotalloc = true
-		}
-	}
-	if !hotallocChain {
-		t.Errorf("no unwaived hotalloc finding carries a chain rooted at sim.Run\n%s", a)
-	}
-	if !waivedReason || !waivedHotalloc {
-		t.Errorf("waived findings incomplete (fixture reason seen=%v, waived hotloop hotalloc seen=%v)\n%s",
-			waivedReason, waivedHotalloc, a)
-	}
-}
-
-// TestAllocAuditDeterministic renders the allocation audit twice over
-// independently loaded fixture trees and requires byte-identical output —
-// the property the check.sh drift phase depends on — then spot-checks the
-// content: flagged fixture sites render with their chains and `// want`
-// markers mean they are UNWAIVED, the bridge-only Absorb site appears, the
-// waived hotloop.Note site reproduces its waiver reason, and quiet
-// constructor allocations land in the inventory, not the flagged section.
-func TestAllocAuditDeterministic(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	render := func() string {
-		tree, err := loadTree(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := writeAllocAudit(tree, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("alloc audit not deterministic across loads:\n--- first ---\n%s--- second ---\n%s", a, b)
-	}
-	for _, want := range []string{
-		"# Hot-path allocation audit",
-		"## 1. Flagged sites",
-		"## 2. Audit-only inventory",
-		// The fixture findings carry `// want` markers, not waivers, so the
-		// flagged section must show them as unwaived.
-		"— UNWAIVED",
-		// The interface-bridge-only method's stored composite, with the
-		// dispatch marked in its chain.
-		"hotloop.(memSink).Absorb",
-		// The deliberately waived fixture site reproduces its reason.
-		"waived: fixture: live waiver — epoch-boundary bookkeeping",
-	} {
-		if !strings.Contains(a, want) {
-			t.Errorf("alloc audit missing %q\n%s", want, a)
-		}
-	}
-	// Constructor allocations (returned-only) must be inventory, never
-	// flagged: NewTable's composite belongs to section 2 exclusively.
-	flagged := a[:strings.Index(a, "## 2. Audit-only inventory")]
-	if strings.Contains(flagged, "hotloop.NewTable") {
-		t.Errorf("returned-only constructor allocation flagged:\n%s", flagged)
-	}
-	if !strings.Contains(a, "hotloop/hotloop.go:55") {
-		t.Errorf("constructor composite missing from the inventory:\n%s", a)
-	}
-}
-
-// TestAllocAuditMatchesCommitted regenerates the audit for the real module
-// and compares it to the committed ALLOC_AUDIT.md, mirroring the check.sh
-// drift gate so `go test ./...` alone catches a stale audit.
-func TestAllocAuditMatchesCommitted(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed, err := os.ReadFile(filepath.Join(root, "ALLOC_AUDIT.md"))
-	if err != nil {
-		t.Skipf("no committed ALLOC_AUDIT.md: %v", err)
-	}
-	tree, err := loadTree(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := writeAllocAudit(tree, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(committed) {
-		t.Errorf("ALLOC_AUDIT.md is stale; regenerate with `make allocaudit`")
-	}
-}
-
-// TestRuleTimings requires every rule (and the loader) to report a timing:
-// the check.sh lint budget reads these, so a silently missing entry would
-// un-gate a runaway rule.
-func TestRuleTimings(t *testing.T) {
-	root := filepath.Join("testdata", "src")
-	res, err := runLint(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(allRules()) + len(allTreeRules()) + 1 // +1 for the loader
-	if len(res.timings) != want {
-		t.Fatalf("got %d timings, want %d", len(res.timings), want)
-	}
-	names := make(map[string]bool)
-	for _, tm := range res.timings {
-		if tm.D < 0 {
-			t.Errorf("rule %s reports negative duration %v", tm.Name, tm.D)
-		}
-		names[tm.Name] = true
-	}
-	for _, n := range []string{"load", "lockguard", "goroleak", "sharedwrite", "taint"} {
-		if !names[n] {
-			t.Errorf("timings missing entry for %s", n)
-		}
-	}
-	var b strings.Builder
-	res.writeTimings(&b)
-	if !strings.Contains(b.String(), "starcdn-lint timings: load ") ||
-		!strings.Contains(b.String(), "| total ") {
-		t.Errorf("timing line misrendered: %s", b.String())
-	}
-}
-
 // TestSelfClean runs the linter over its own module tree and requires zero
 // findings: the repo must stay lint-clean, and the ignore directives in
 // real code must parse.
@@ -625,5 +293,189 @@ func TestSelfClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// injectedDefects reintroduces, as added files in a copy of the real module,
+// one defect per rule (DESIGN.md §7's "injection test" column). Each file
+// carries `// want <rule>` markers in the fixture style; the rule named is
+// the only one that reports that line, so dropping any rule from
+// allRules()/allTreeRules() leaves a marker unmatched.
+var injectedDefects = map[string]string{
+	"internal/sim/zz_injected.go": `package sim
+
+import (
+	"time"
+
+	"starcdn/internal/core"
+)
+
+func injectedNow() time.Time { return time.Now() } // want simtime
+
+// injectedStep is the taint entry: core.InjectedDraw is reachable from it.
+func injectedStep() int { return core.InjectedDraw() }
+`,
+	// globalrand polices all of internal/ directly, so taint's own catch is
+	// the wall-clock read: internal/core is outside simtime's packages.
+	"internal/core/zz_injected.go": `package core
+
+import (
+	"math/rand"
+	"time"
+)
+
+func InjectedDraw() int {
+	if time.Now().IsZero() { // want taint
+		panic("injected") // want panicfree
+	}
+	return rand.Intn(10) // want globalrand
+}
+`,
+	"internal/experiments/zz_injected.go": `package experiments
+
+func injectedKeys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want maporder
+	}
+	return keys
+}
+`,
+	"internal/replayer/zz_injected.go": `package replayer
+
+import (
+	"bufio"
+	"encoding/json"
+	"net"
+)
+
+func injectedSave(w *bufio.Writer, x any) {
+	enc := json.NewEncoder(w)
+	enc.Encode(x) // want errdrop
+	w.Flush()     // want errdrop
+}
+
+func injectedRead(conn net.Conn) (int, error) {
+	buf := make([]byte, 1)
+	return conn.Read(buf) // want deadline
+}
+`,
+	"internal/obs/zz_injected.go": `package obs
+
+import "sync/atomic"
+
+func injectedMetric(r *Registry) *Counter {
+	return r.Counter("starcdn_warp_events_total") // want metricname
+}
+
+type injectedCounter struct{ n int64 }
+
+func (c *injectedCounter) inc() { atomic.AddInt64(&c.n, 1) }
+
+func (c *injectedCounter) get() int64 { return c.n } // want atomicmix
+`,
+	"internal/sched/zz_injected.go": `package sched
+
+import "fmt"
+
+func injectedTrace() { fmt.Println("epoch") } // want printf
+`,
+}
+
+// copyModule copies what the loader reads of the module at root into dst:
+// go.mod, the root package, internal/ and cmd/ (non-test Go files only, no
+// testdata).
+func copyModule(t *testing.T, root, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			top := strings.Split(filepath.ToSlash(rel), "/")[0]
+			if d.Name() == "testdata" || (rel != "." && top != "internal" && top != "cmd") {
+				return filepath.SkipDir
+			}
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		if rel != "go.mod" && (!strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go")) {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInjectedDefectsCaught is the rule-for-rules gate: a rule stays in the
+// suite only while a reintroduced defect makes it fire. One lint run over a
+// copy of the real module plus injectedDefects must report exactly the
+// marked lines — every finding sits in an injected file, so the copy itself
+// is clean — and every rule in allRules()/allTreeRules() must own a marker.
+func TestInjectedDefectsCaught(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	copyModule(t, root, dst)
+
+	var want []string
+	owned := make(map[string]bool)
+	for rel, src := range injectedDefects {
+		if err := os.WriteFile(filepath.Join(dst, rel), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(src, "\n") {
+			_, rule, ok := strings.Cut(line, "// want ")
+			if !ok {
+				continue
+			}
+			owned[rule] = true
+			if rule == "taint" {
+				rule = "simtime" // taint reports under the determinism rule it extends
+			}
+			want = append(want, fmt.Sprintf("%s:%d: %s", rel, i+1, rule))
+		}
+	}
+	var rules []string
+	for _, r := range allRules() {
+		rules = append(rules, r.Name())
+	}
+	for _, r := range allTreeRules() {
+		rules = append(rules, r.Name())
+	}
+	for _, name := range rules {
+		if !owned[name] {
+			t.Errorf("rule %s has no injected defect; cite one in injectedDefects or delete the rule", name)
+		}
+	}
+
+	diags, err := lintTree(dst, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%s:%d: %s", d.Pos.Filename, d.Pos.Line, d.Rule))
+		if d.Pos.Filename == "internal/core/zz_injected.go" && d.Rule == "simtime" &&
+			!strings.Contains(d.Message, "sim.injectedStep → core.InjectedDraw") {
+			t.Errorf("taint finding lacks the injected call chain: %s", d.Message)
+		}
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("injected defects and findings differ\n--- got ---\n%s\n--- want ---\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

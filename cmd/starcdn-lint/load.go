@@ -55,18 +55,11 @@ type Package struct {
 // file set, plus the lazily built interprocedural call graph.
 type Tree struct {
 	Root     string
-	Module   string
 	Fset     *token.FileSet
 	Packages []*Package
 	byPath   map[string]*Package // import path -> package
 
-	graph *callGraph    // built on first use
-	locks *lockAnalysis // built on first use (dataflow.go)
-}
-
-// PackageAt returns the loaded package with the given RelPath, or nil.
-func (t *Tree) PackageAt(rel string) *Package {
-	return t.byPath[importPathFor(t.Module, rel)]
+	graph *callGraph // built on first use
 }
 
 // importPathFor joins the module path and a package RelPath.
@@ -237,7 +230,6 @@ func loadTree(root string) (*Tree, error) {
 	fset := token.NewFileSet()
 	tree := &Tree{
 		Root:   root,
-		Module: module,
 		Fset:   fset,
 		byPath: make(map[string]*Package),
 	}

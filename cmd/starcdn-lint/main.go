@@ -11,27 +11,13 @@ func main() {
 	waivers := flag.Bool("waivers", false,
 		"audit //lint:ignore directives: list rule, reason, and file:line for each, "+
 			"and fail on stale waivers (waived lines that no longer trigger the rule)")
-	shardAudit := flag.Bool("shardaudit", false,
-		"emit the shard-readiness audit (SHARD_AUDIT.md contents) to stdout: the "+
-			"inventory of mutable shared state reachable from sim.Run that the sharded "+
-			"parallel engine must partition; deterministic, byte-identical across runs")
-	allocAudit := flag.Bool("allocaudit", false,
-		"emit the hot-path allocation audit (ALLOC_AUDIT.md contents) to stdout: every "+
-			"allocation site reachable from the hot-path roots with kind, escape verdict, "+
-			"call chain, and waiver coverage; deterministic, byte-identical across runs")
-	jsonOut := flag.Bool("json", false,
-		"emit findings as one JSON document (stable schema: rule, pos, chain, "+
-			"waived + reason; waived findings included but not counted) instead of "+
-			"the line-per-finding text format")
-	timings := flag.Bool("timings", false,
-		"print per-rule wall-clock timings to stderr after the run")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: starcdn-lint [-waivers] [-shardaudit] [-allocaudit] [-json] [-timings] [packages]\n\n"+
-				"Type-checked lint for StarCDN Go packages: determinism (simtime/\n"+
-				"globalrand taint, maporder), robustness (panicfree, closecheck,\n"+
-				"errdrop, atomicmix, deadline), and concurrency dataflow (lockguard,\n"+
-				"goroleak, sharedwrite), plus output hygiene (printf).\n"+
+			"usage: starcdn-lint [-waivers] [packages]\n\n"+
+				"Type-checked lint for StarCDN Go packages, ten rules: determinism\n"+
+				"(simtime, globalrand, their interprocedural taint, maporder),\n"+
+				"robustness (errdrop, deadline, panicfree, atomicmix) and output\n"+
+				"hygiene (metricname, printf).\n"+
 				"Patterns: ./... (whole module), ./dir/... (subtree), or a directory.\n"+
 				"Defaults to ./... relative to the enclosing module root.\n")
 		flag.PrintDefaults()
@@ -43,22 +29,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
 		os.Exit(2)
 	}
-	if *shardAudit || *allocAudit {
-		tree, err := loadTree(root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
-			os.Exit(2)
-		}
-		write := writeShardAudit
-		if *allocAudit {
-			write = writeAllocAudit
-		}
-		if err := write(tree, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
-			os.Exit(2)
-		}
-		return
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -68,9 +38,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
 		os.Exit(2)
 	}
-	if *timings {
-		res.writeTimings(os.Stderr)
-	}
 	if *waivers {
 		if problems := auditWaivers(res, os.Stdout); problems > 0 {
 			fmt.Fprintf(os.Stderr, "starcdn-lint: %d waiver problem(s)\n", problems)
@@ -78,15 +45,8 @@ func main() {
 		}
 		return
 	}
-	if *jsonOut {
-		if err := writeJSONDiagnostics(res, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range res.diags {
-			fmt.Println(d)
-		}
+	for _, d := range res.diags {
+		fmt.Println(d)
 	}
 	if len(res.diags) > 0 {
 		fmt.Fprintf(os.Stderr, "starcdn-lint: %d finding(s)\n", len(res.diags))

@@ -6,26 +6,24 @@ import (
 	"strings"
 )
 
-// ruleErrDrop generalizes closecheck to *every* error-returning call whose
-// result is silently discarded in internal/ and cmd/: a bare expression
-// statement, `defer f(...)`, or `go f(...)` where f's signature carries an
-// error result. Checking the error or explicitly discarding it
-// (`_ = f(...)`, `_, _ = g(...)`) passes — the discard is then a visible,
-// reviewable decision — as does a //lint:ignore errdrop waiver with a
-// reason.
+// ruleErrDrop flags every error-returning call whose result is silently
+// discarded in internal/ and cmd/: a bare expression statement,
+// `defer f(...)`, or `go f(...)` where f's signature carries an error
+// result. Close and Flush are the sharpest case — trace files, model files
+// and TCP frames only hit the disk/socket there, so a dropped error
+// silently truncates data — and need no rule of their own. Checking the
+// error or explicitly discarding it (`_ = f(...)`, `_, _ = g(...)`) passes
+// — the discard is then a visible, reviewable decision — as does a
+// //lint:ignore errdrop waiver with a reason.
 //
 // Principled exemptions (the waiver policy, DESIGN.md §7):
 //
 //   - the fmt print family (Print*/Fprint*): terminal output is
 //     best-effort, and writes routed through buffered sinks surface their
-//     errors at the Flush/Close boundary, which closecheck enforces;
+//     errors at the Flush/Close boundary, which this rule enforces;
 //   - methods on *bytes.Buffer and *strings.Builder, and the hash.Hash
 //     interface: documented to never return a non-nil error (the
-//     signatures only exist to satisfy io.Writer);
-//   - Close/Flush in packages where closecheck applies (cmd/ and the
-//     replayer), which reports them under its own rule name so existing
-//     waivers keep working. Everywhere else in internal/, an unchecked
-//     Close is an errdrop finding.
+//     signatures only exist to satisfy io.Writer).
 type ruleErrDrop struct{}
 
 func (ruleErrDrop) Name() string { return "errdrop" }
@@ -33,6 +31,27 @@ func (ruleErrDrop) Name() string { return "errdrop" }
 func (ruleErrDrop) Applies(relPath string) bool {
 	return relPath == "internal" || strings.HasPrefix(relPath, "internal/") ||
 		strings.HasPrefix(relPath, "cmd/")
+}
+
+// callReturnsError reports whether the call's signature carries an error
+// result (anywhere in the result tuple).
+func callReturnsError(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return false // builtin, conversion
+	}
+	errType := types.Universe.Lookup("error").Type()
+	res := sig.Results()
+	for i := 0; i < res.Len(); i++ {
+		if types.Identical(res.At(i).Type(), errType) {
+			return true
+		}
+	}
+	return false
 }
 
 // errDropExempt reports whether the call is exempt from errdrop by policy.
@@ -99,15 +118,8 @@ func callDisplayName(info *types.Info, call *ast.CallExpr) string {
 
 func (r ruleErrDrop) Check(tree *Tree, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	closecheckOwns := (ruleCloseCheck{}).Applies(pkg.RelPath)
 	flag := func(call *ast.CallExpr, how string) {
-		if !callReturnsError(pkg.Info, call) {
-			return
-		}
-		if _, isFlushLike := flushLikeCall(call); isFlushLike && closecheckOwns {
-			return // closecheck reports these under its own rule name
-		}
-		if errDropExempt(pkg.Info, call) {
+		if !callReturnsError(pkg.Info, call) || errDropExempt(pkg.Info, call) {
 			return
 		}
 		diags = append(diags, Diagnostic{

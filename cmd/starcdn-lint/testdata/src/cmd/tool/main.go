@@ -1,4 +1,4 @@
-// Command tool is a closecheck-rule fixture: unchecked Close/Flush in cmd/
+// Command tool is an errdrop-rule fixture: unchecked Close/Flush in cmd/
 // must be flagged; checked or explicitly discarded errors pass. panic() is
 // allowed in cmd/ binaries.
 package main
@@ -16,10 +16,10 @@ func main() {
 	}
 	w := bufio.NewWriter(f)
 
-	w.Flush() // want closecheck
-	f.Close() // want closecheck
+	w.Flush() // want errdrop
+	f.Close() // want errdrop
 
-	defer f.Close() // want closecheck
+	defer f.Close() // want errdrop
 
 	if err := w.Flush(); err != nil { // ok: checked
 		log.Fatal(err)
@@ -34,6 +34,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	//lint:ignore closecheck fixture demonstrating the escape hatch
+	//lint:ignore errdrop fixture demonstrating the escape hatch
 	defer g.Close()
 }

@@ -31,16 +31,3 @@ lint:ignore globalrand buried in a block comment, which never takes effect
 func blockComment(n int) int {
 	return mrand.Intn(n) // want globalrand
 }
-
-// staleAllocEra carries waivers for the allocation-era rules on lines that
-// trigger neither: this package is not reachable from any hot-path root, so
-// a hotalloc waiver here can never suppress anything, and no pooled value is
-// checked out, so the poolcheck waiver is equally dead. Both must surface as
-// stale in the -waivers audit — a rationale that outlives its finding is a
-// lie in the ledger.
-func staleAllocEra(n int) int {
-	//lint:ignore hotalloc fixture: stale — not on any hot path, nothing to suppress
-	m := n * 2
-	//lint:ignore poolcheck fixture: stale — no pool checkout on this line
-	return m + 1
-}

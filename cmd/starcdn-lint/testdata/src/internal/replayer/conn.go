@@ -1,4 +1,4 @@
-// Package replayer is a closecheck- and deadline-rule fixture for the
+// Package replayer is an errdrop- and deadline-rule fixture for the
 // multi-process replayer package, plus a malformed-directive case. The
 // deadline cases cover direct Read/Write on a bare conn, the reader/writer
 // handoff (passing a conn to a helper that only sees io.Reader), the
@@ -16,7 +16,7 @@ type pool struct{ conns map[string]net.Conn }
 
 func (p *pool) drop(addr string) {
 	if conn, ok := p.conns[addr]; ok {
-		conn.Close() // want closecheck
+		conn.Close() // want errdrop
 		delete(p.conns, addr)
 	}
 }
@@ -33,7 +33,7 @@ func (p *pool) closeAll() error {
 }
 
 func (p *pool) handle(conn net.Conn) {
-	defer conn.Close() // want closecheck
+	defer conn.Close() // want errdrop
 	buf := make([]byte, 1)
 	for {
 		if _, err := conn.Read(buf); err != nil { // want deadline
@@ -90,10 +90,10 @@ func (l *loggedConn) Read(p []byte) (int, error) {
 }
 
 func (p *pool) fireAndForget(conn net.Conn) {
-	go conn.Close() // want closecheck
+	go conn.Close() // want errdrop
 }
 
 func malformedDirective(conn net.Conn) {
-	//lint:ignore closecheck
+	//lint:ignore errdrop
 	_ = conn // the directive above is missing its reason -> want directive
 }

@@ -6,28 +6,16 @@
 package sim
 
 import (
-	"fixture/internal/hotloop"
-	"fixture/internal/shared"
 	"fixture/internal/stats"
 	"fixture/simutil"
 )
 
-// Run drives the per-step cost model in fixture/simutil and records served
-// objects in fixture/internal/shared — whose package-level writes the
-// sharedwrite rule flags with this hot path's call chains — and admits each
-// step into fixture/internal/hotloop, whose allocation sites the hotalloc
-// sweep classifies (the Sink goes through interface dispatch, so the
-// class-hierarchy bridge is on this path too).
+// Run drives the per-step cost model in fixture/simutil.
 func Run(steps int) float64 {
 	total := 0.0
-	tbl := hotloop.NewTable()
-	sink := hotloop.NewSink()
 	for i := 0; i < steps; i++ {
 		total += simutil.StepCost(i)
-		shared.Bump(uint64(i), 1)
-		tbl.Process(sink, uint64(i))
 	}
-	shared.Forget(0)
 	return total
 }
 

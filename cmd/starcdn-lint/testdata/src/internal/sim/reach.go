@@ -21,7 +21,7 @@ func DeferredTeardown() {
 }
 
 // SpawnJitter reaches DrawJitter only as a go-statement callee; the
-// receive on done owns the join, so goroleak stays quiet.
+// receive on done joins it.
 func SpawnJitter() {
 	done := make(chan struct{})
 	go reachutil.DrawJitter(done)

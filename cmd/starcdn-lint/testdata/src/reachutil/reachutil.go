@@ -1,6 +1,6 @@
 // Package reachutil seeds the callgraph-reachability regression fixtures:
 // each function here is reached from fixture sim code through one of the
-// edge kinds that once blinded reachability-based rules — a method-value
+// edge kinds that once blinded the reachability analysis — a method-value
 // reference, a deferred call, and a go-statement callee. The determinism
 // sources below must each be reported by the taint rules WITH the call
 // chain; if any edge kind regresses, the finding (and its `// want` marker)
@@ -31,7 +31,7 @@ func StampNow() time.Time {
 }
 
 // DrawJitter is reached only as a go-statement callee (sim.SpawnJitter).
-// It closes done so the spawner's receive joins it (goroleak-clean).
+// It closes done so the spawner's receive joins it.
 func DrawJitter(done chan struct{}) {
 	_ = rand.Intn(10) // want globalrand
 	close(done)

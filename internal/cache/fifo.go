@@ -52,7 +52,7 @@ func (c *fifoCache) Admit(id ObjectID, size int64) error {
 		c.evict()
 		return nil
 	}
-	n := &fifoNode{id: id, size: size} //lint:ignore hotalloc node lives for the object's cache residency; the rate is bounded by admissions, not requests
+	n := &fifoNode{id: id, size: size}
 	c.items[id] = n
 	n.next = c.head
 	if c.head != nil {

@@ -77,7 +77,7 @@ func (c *lfuCache) Admit(id ObjectID, size int64) error {
 		c.evictUntilFits()
 		return nil
 	}
-	n := &lfuNode{id: id, size: size, freq: 1} //lint:ignore hotalloc node lives for the object's cache residency; the rate is bounded by admissions, not requests
+	n := &lfuNode{id: id, size: size, freq: 1}
 	c.items[id] = n
 	c.bucketFor(1).pushFront(n)
 	c.minFreq = 1
@@ -153,7 +153,7 @@ func (c *lfuCache) detach(n *lfuNode) {
 func (c *lfuCache) bucketFor(freq int64) *lfuBucket {
 	b, ok := c.buckets[freq]
 	if !ok {
-		b = &lfuBucket{freq: freq} //lint:ignore hotalloc one bucket per distinct frequency, shared by every object at that count; creation is rare after warmup
+		b = &lfuBucket{freq: freq}
 		c.buckets[freq] = b
 	}
 	return b

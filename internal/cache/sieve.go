@@ -74,7 +74,7 @@ func (c *sieveCache) Admit(id ObjectID, size int64) error {
 		delete(c.items, v.id)
 		c.used -= v.size
 	}
-	n := &sieveNode{id: id, size: size} //lint:ignore hotalloc node lives for the object's cache residency; the rate is bounded by admissions, not requests
+	n := &sieveNode{id: id, size: size}
 	c.items[id] = n
 	// Insert at head (newest).
 	n.next = c.head

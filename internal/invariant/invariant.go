@@ -27,5 +27,5 @@ import "fmt"
 // invariant means every number the simulator emits afterwards is suspect,
 // and debug builds must fail loudly rather than publish a wrong figure.
 func failf(format string, args ...any) {
-	panic(fmt.Sprintf("invariant violated: "+format, args...)) //lint:ignore panicfree,hotalloc debug-build sanitizer must abort on violated invariants; the formatted message is the failure path's last act
+	panic(fmt.Sprintf("invariant violated: "+format, args...)) //lint:ignore panicfree debug-build sanitizer must abort on violated invariants
 }

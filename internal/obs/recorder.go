@@ -283,28 +283,28 @@ func (r *Recorder) rebuildPlanLocked() {
 		switch s.kind {
 		case histogramKind:
 			r.hists[s.key] = s.h.bounds
-			rs.cntRing = r.ringLocked(s.key + "_count")     //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
-			rs.sumRing = r.ringLocked(s.key + "_sum")       //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
-			rs.buckets = make([][]float64, len(s.h.counts)) //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+			rs.cntRing = r.ringLocked(s.key + "_count")
+			rs.sumRing = r.ringLocked(s.key + "_sum")
+			rs.buckets = make([][]float64, len(s.h.counts))
 			for i := range s.h.counts {
 				le := "+Inf"
 				if i < len(s.h.bounds) {
 					le = formatFloat(s.h.bounds[i])
 				}
 				bs := SeriesSnapshot{Labels: append(append([]Label(nil), s.labels...), L("le", le))}
-				rs.buckets[i] = r.ringLocked(s.name + "_bucket" + bs.LabelString()) //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+				rs.buckets[i] = r.ringLocked(s.name + "_bucket" + bs.LabelString())
 			}
 		case topkKind:
-			rs.samples = r.ringLocked(s.key + "_samples") //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
-			rs.ranks = make([][]float64, promTopKRanks)   //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+			rs.samples = r.ringLocked(s.key + "_samples")
+			rs.ranks = make([][]float64, promTopKRanks)
 			for i := range rs.ranks {
-				rs.ranks[i] = r.ringLocked(derivedRingKey(s.name+"_topk", s.labels, "rank", formatFloat(float64(i+1)))) //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+				rs.ranks[i] = r.ringLocked(derivedRingKey(s.name+"_topk", s.labels, "rank", formatFloat(float64(i+1))))
 			}
 		case sketchKind:
-			rs.samples = r.ringLocked(s.key + "_samples")   //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
-			rs.qs = make([][]float64, len(SketchQuantiles)) //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+			rs.samples = r.ringLocked(s.key + "_samples")
+			rs.qs = make([][]float64, len(SketchQuantiles))
 			for i, q := range SketchQuantiles {
-				rs.qs[i] = r.ringLocked(derivedRingKey(s.name+"_q", s.labels, "q", formatFloat(q))) //lint:ignore hotalloc ring plan is rebuilt only when the series set changes between epochs, never per request
+				rs.qs[i] = r.ringLocked(derivedRingKey(s.name+"_q", s.labels, "q", formatFloat(q)))
 			}
 		default:
 			rs.ring = r.ringLocked(s.key)
@@ -328,7 +328,7 @@ func derivedRingKey(name string, labels []Label, extraKey, extraVal string) stri
 func (r *Recorder) ringLocked(key string) []float64 {
 	ring, ok := r.vals[key]
 	if !ok {
-		ring = make([]float64, r.capN) //lint:ignore hotalloc one ring per series, allocated at first snapshot and reused for the whole run
+		ring = make([]float64, r.capN)
 		for i := range ring {
 			ring[i] = math.NaN()
 		}

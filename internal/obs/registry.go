@@ -211,7 +211,7 @@ func seriesKey(name string, labels []Label) (string, []Label) {
 		return name, nil
 	}
 	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key }) //lint:ignore hotalloc label sort runs at series resolution, which callers do once at setup or first sight, never per request
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
 	b.WriteString(name)
 	b.WriteByte('{')
@@ -237,12 +237,12 @@ func (r *Registry) lookup(name string, labels []Label, kind metricKind, bounds [
 	if ok && s.kind == kind {
 		return s
 	}
-	ns := &series{name: name, key: key, labels: ls, kind: kind} //lint:ignore hotalloc series and instrument are created once, at first registration; later lookups return the cached series
+	ns := &series{name: name, key: key, labels: ls, kind: kind}
 	switch kind {
 	case counterKind:
-		ns.c = &Counter{} //lint:ignore hotalloc series and instrument are created once, at first registration; later lookups return the cached series
+		ns.c = &Counter{}
 	case gaugeKind:
-		ns.g = &Gauge{} //lint:ignore hotalloc series and instrument are created once, at first registration; later lookups return the cached series
+		ns.g = &Gauge{}
 	case histogramKind:
 		ns.h = newHistogram(bounds)
 	case topkKind:

@@ -144,7 +144,6 @@ func ServeWith(addr string, opts ServeOptions) (*Server, error) {
 			ReadHeaderTimeout: 10 * time.Second,
 		},
 	}
-	//lint:ignore goroleak process-lifetime by design: Serve blocks until Server.Close severs the listener, which is the goroutine's join — the http.Server owns the shutdown handshake, not a channel in this package
 	go func() {
 		// ErrServerClosed (and any accept error after Close) is the normal
 		// shutdown path for an opt-in debug listener.

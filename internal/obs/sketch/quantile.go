@@ -199,7 +199,7 @@ func (s *Quantile) grow(idx int) {
 	} else {
 		hi += pad
 	}
-	win := make([]QBucket, hi-lo+1) //lint:ignore hotalloc the window reallocates only when an observation falls outside it, geometrically; a settled value range never grows it
+	win := make([]QBucket, hi-lo+1)
 	for i := range win {
 		win[i].Index = lo + i
 	}

@@ -104,7 +104,7 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 		return 0, false
 	}
 	if len(s.m) < s.k {
-		nd := &node{e: Entry{Key: key, Count: inc, Ex: ex}, pos: len(s.h)} //lint:ignore hotalloc allocates only while the sketch fills to its cap k; at capacity the minimum node is recycled in place
+		nd := &node{e: Entry{Key: key, Count: inc, Ex: ex}, pos: len(s.h)}
 		s.m[key] = nd
 		s.h = append(s.h, nd)
 		s.siftUp(nd.pos)
@@ -191,11 +191,11 @@ func (s *SpaceSaving) Top() []Entry {
 	if s == nil {
 		return nil
 	}
-	out := make([]Entry, 0, len(s.h)) //lint:ignore hotalloc per-epoch Top snapshot, bounded by the sketch cap; not on the per-request path
+	out := make([]Entry, 0, len(s.h))
 	for _, nd := range s.h {
 		out = append(out, nd.e)
 	}
-	sort.Slice(out, func(i, j int) bool { return entryGreater(out[i], out[j]) }) //lint:ignore hotalloc sort closure on the per-epoch snapshot path, not per request
+	sort.Slice(out, func(i, j int) bool { return entryGreater(out[i], out[j]) })
 	return out
 }
 

@@ -107,7 +107,6 @@ func (t *TopKShard) SetNamer(f func(uint64) string) {
 	if t == nil {
 		return
 	}
-	//lint:ignore lockguard namer is written once before the shard is shared (resolve time; the TopK instrument path additionally holds its mu), so every later read happens-after the write
 	t.namer = f
 }
 

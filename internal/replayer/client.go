@@ -201,7 +201,7 @@ func (c *Client) entry(addr string) *poolEntry {
 	defer c.mu.Unlock()
 	e, ok := c.conns[addr]
 	if !ok {
-		e = &poolEntry{} //lint:ignore hotalloc one pool entry per server address for the client's lifetime
+		e = &poolEntry{}
 		c.conns[addr] = e
 	}
 	return e
@@ -306,7 +306,7 @@ func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Du
 	if c.tracer == nil || sc == nil || !sc.Sampled {
 		return
 	}
-	span := &obs.Span{ //lint:ignore hotalloc retry span is built only on the sampled retry path, which already paid a backoff sleep
+	span := &obs.Span{
 		TraceID: sc.TraceString(),
 		SpanID:  obs.SpanIDString(c.tracer.NewSpanID()),
 		Parent:  obs.SpanIDString(sc.Parent),
@@ -315,7 +315,7 @@ func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Du
 		WallMs:  float64(backoff) / float64(time.Millisecond),
 	}
 	if cause != nil {
-		span.Source = "attempt-" + strconv.Itoa(attempt) //lint:ignore hotalloc label built only for sampled retries, orders of magnitude rarer than frames
+		span.Source = "attempt-" + strconv.Itoa(attempt)
 	}
 	c.tracer.Emit(span)
 }

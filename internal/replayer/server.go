@@ -117,7 +117,7 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 		s.log = opts.Log.With("sat", int(id))
 	}
 	if opts.Obs != nil {
-		sat := obs.L("sat", strconv.Itoa(int(id))) //lint:ignore hotalloc once per server start; the chain from sim.Run exists only because sim.Fabric also resolves to tcpFabric, which sim.Run never holds
+		sat := obs.L("sat", strconv.Itoa(int(id)))
 		s.reqs = opts.Obs.Counter("starcdn_server_requests_total", sat)
 		s.hitRate = opts.Obs.Gauge("starcdn_server_hit_rate", sat)
 		s.open = opts.Obs.Gauge("starcdn_server_open_conns", sat)
@@ -355,7 +355,7 @@ func opName(op Op) string {
 // -assemble subtracts from the client hop's wall time to attribute network
 // versus serving cost.
 func (s *Server) emitOpSpan(m message, st Status, sc *obs.SpanContext, start time.Time) {
-	s.tracer.Emit(&obs.Span{ //lint:ignore hotalloc operation span is built only for sampled requests carrying a propagated trace context
+	s.tracer.Emit(&obs.Span{
 		TraceID: sc.TraceString(),
 		SpanID:  obs.SpanIDString(s.tracer.NewSpanID()),
 		Parent:  obs.SpanIDString(sc.Parent),

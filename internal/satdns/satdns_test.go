@@ -57,7 +57,14 @@ func newFixture(t *testing.T) (*Server, *Client, *simClock, *sched.Scheduler) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return srv, cl, clock, s
+	// The server's goroutine owns s. Tests compare against an identically
+	// seeded twin: assignments are a pure function of (seed, user, epoch),
+	// and a UDP round trip is not an ordering the race detector can see.
+	oracle, err := sched.New(c, users, 15, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, cl, clock, oracle
 }
 
 func TestResolveMatchesScheduler(t *testing.T) {

@@ -447,7 +447,7 @@ func (c *Controller) AdmitSession(loc int, t float64) bool {
 		}
 		return false
 	}
-	c.sessions[loc] = &session{lastSeen: t} //lint:ignore hotalloc one session record per admitted session, reclaimed by the idle sweep; not per request
+	c.sessions[loc] = &session{lastSeen: t}
 	if c.o != nil {
 		c.o.sessions.Set(float64(len(c.sessions)))
 	}

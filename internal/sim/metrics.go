@@ -202,7 +202,7 @@ func (m *Metrics) record(sat orbit.SatID, loc int, size int64, src Source, laten
 	if m.PerSat != nil && sat >= 0 {
 		pm := m.PerSat[sat]
 		if pm == nil {
-			pm = &cache.Meter{} //lint:ignore hotalloc one meter per satellite, allocated at first request and reused for the run
+			pm = &cache.Meter{}
 			m.PerSat[sat] = pm
 		}
 		pm.Record(size, hit)
@@ -210,7 +210,7 @@ func (m *Metrics) record(sat orbit.SatID, loc int, size int64, src Source, laten
 	if m.PerLocation != nil {
 		lm := m.PerLocation[loc]
 		if lm == nil {
-			lm = &cache.Meter{} //lint:ignore hotalloc one meter per ground location, allocated at first request and reused for the run
+			lm = &cache.Meter{}
 			m.PerLocation[loc] = lm
 		}
 		lm.Record(size, hit)

@@ -107,7 +107,7 @@ func (po *popObs) record(r *trace.Request, req int64, sat orbit.SatID, totalMs f
 		sk := po.perSat[sat]
 		if sk == nil {
 			sk = po.reg.Sketch("starcdn_sketch_sat_serve_latency_ms", 0,
-				obs.L("sat", strconv.Itoa(int(sat)))) //lint:ignore hotalloc per-satellite label is formatted once, at the satellite's first serve; the sketch handle is cached
+				obs.L("sat", strconv.Itoa(int(sat))))
 			po.perSat[sat] = sk
 		}
 		sk.ObserveEx(totalMs, lex)
@@ -180,7 +180,7 @@ func (ro *runObs) record(out *Outcome, r *trace.Request, req int64, totalMs floa
 		so := &ro.perSat[sat]
 		if so.rate == nil {
 			so.rate = ro.reg.Gauge("starcdn_sim_sat_hit_rate",
-				obs.L("sat", strconv.Itoa(int(sat)))) //lint:ignore hotalloc per-satellite label is formatted once, at the satellite's first serve; the gauge handle is cached
+				obs.L("sat", strconv.Itoa(int(sat))))
 		}
 		so.req++
 		if hit {

@@ -72,7 +72,7 @@ func (pf *prefetcher) maybePrefetch(p *StarCDN, home orbit.SatID, timeSec float6
 	dst := p.caches.at(home)
 	marks := pf.pulled[home]
 	if marks == nil {
-		marks = make(map[cache.ObjectID]bool) //lint:ignore hotalloc one mark set per home satellite, created at first prefetch and reused
+		marks = make(map[cache.ObjectID]bool)
 		pf.pulled[home] = marks
 	}
 	for _, obj := range recents.Recent(pf.count) {

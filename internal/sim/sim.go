@@ -204,7 +204,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 			// TCP replayer uses, so a sim run and a replay of the same seed
 			// name their traces identically and can be cross-referenced.
 			hi, lo := cfg.Tracer.TraceID(int64(i))
-			span = &obs.Span{Req: int64(i), TimeSec: r.TimeSec, Loc: r.Location, //lint:ignore hotalloc request span is built only for sampled requests, rate-gated above
+			span = &obs.Span{Req: int64(i), TimeSec: r.TimeSec, Loc: r.Location,
 				Object: uint64(r.Object), Size: r.Size,
 				TraceID: obs.SpanContext{TraceHi: hi, TraceLo: lo}.TraceString(),
 				SpanID:  obs.SpanIDString(obs.DeriveSpanID(hi, lo, 0)),

@@ -8,15 +8,12 @@
 # Every step reports its wall-clock time so budget regressions show up in
 # the CI output itself.
 #
-#   phase 1 (static):  gofmt, go vet, starcdn-lint (with a wall-clock
-#                      budget), starcdn-lint -waivers, shard-audit drift,
-#                      alloc-audit drift
+#   phase 1 (static):  gofmt, go vet, starcdn-lint, starcdn-lint -waivers
 #   phase 2 (build):   go build (release), go build (starcdn_debug)
 #   phase 3 (test):    go test -race, go test -tags starcdn_debug
 #   phase 4 (smoke):   chaos pass, obs smoke, bench smoke
-#   phase 5 (perf):    starcdn-bench regression gate (alloc budgets +
-#                      wall-clock bound) — alone, so its timing bound
-#                      measures the benchmark and not phase-4 contention
+#   phase 5 (perf):    starcdn-bench regression gate (the hard allocs/op
+#                      budgets — the tree's single allocation gate)
 #
 # Usage: scripts/check.sh   (or `make check`)
 set -eu
@@ -41,51 +38,11 @@ step_gofmt() {
 
 step_vet() { go vet ./...; }
 
-step_lint() { go run ./cmd/starcdn-lint -timings ./...; }
+step_lint() { go run ./cmd/starcdn-lint ./...; }
 
 # The waiver ledger: every //lint:ignore must carry a reason and still
 # suppress something; stale waivers fail the gate (DESIGN.md §7).
 step_waivers() { go run ./cmd/starcdn-lint -waivers ./...; }
-
-# The shard-readiness inventory must match its committed golden: a new
-# write to shared state cannot land without regenerating SHARD_AUDIT.md
-# (`make shardaudit`) and showing up in its diff (DESIGN.md §7).
-step_shardaudit() {
-	go run ./cmd/starcdn-lint -shardaudit >"$TMP/shard_audit.md"
-	diff -u SHARD_AUDIT.md "$TMP/shard_audit.md" || {
-		echo "SHARD_AUDIT.md is stale; regenerate with \`make shardaudit\` and audit the diff"
-		return 1
-	}
-}
-
-# The hot-path allocation inventory must match its committed golden: a new
-# allocation reachable from the hot-path roots cannot land without
-# regenerating ALLOC_AUDIT.md (`make allocaudit`) and showing up in its
-# diff — even audit-only sites the hotalloc rule stays quiet about.
-step_allocaudit() {
-	go run ./cmd/starcdn-lint -allocaudit >"$TMP/alloc_audit.md"
-	diff -u ALLOC_AUDIT.md "$TMP/alloc_audit.md" || {
-		echo "ALLOC_AUDIT.md is stale; regenerate with \`make allocaudit\` and audit the diff"
-		return 1
-	}
-}
-
-# LINT_BUDGET caps the whole-tree lint run's wall-clock seconds. The
-# dataflow rules (CFG + lockset fixpoints) and the hotalloc reachability
-# sweep are the costliest analyses in the suite; a pathological regression
-# should fail CI, not creep. Retimed for v4: the full suite (allocation
-# rules included) measures ~16s, so 60s is ~4x headroom.
-LINT_BUDGET=${LINT_BUDGET:-60}
-
-# assert_lint_budget: read the lint step's recorded wall-clock time and
-# fail the static phase if it blew the budget.
-assert_lint_budget() {
-	lint_secs=$(cat "$TMP/lint.time" 2>/dev/null || echo 0)
-	if awk -v t="$lint_secs" -v b="$LINT_BUDGET" 'BEGIN { exit !(t > b) }'; then
-		printf '== FAIL %6ss  starcdn-lint exceeded its %ss budget\n' "$lint_secs" "$LINT_BUDGET"
-		FAILED=1
-	fi
-}
 
 step_build_release() { go build ./...; }
 
@@ -117,13 +74,10 @@ step_obs() { sh scripts/obs_smoke.sh; }
 step_bench() { go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null; }
 
 # The statistical benchmark harness in CI smoke mode: one cheap run per
-# smoke-capable benchmark against the committed BENCH_core.json baselines,
-# enforcing the hard allocs/op budgets (seeded, so deterministic at 1x) and
-# a widened 1.5x wall-clock bound. Full Mann-Whitney comparisons need the
-# 8-run mode (`make bench-check`); this gate catches allocation regressions
-# and gross slowdowns without the 10-minute suite (DESIGN.md §11). It runs
-# as its own serial phase: the wall bound is meaningless while the chaos/
-# obs/bench smokes are saturating the host.
+# smoke-capable benchmark against the committed BENCH_*.json baselines,
+# enforcing the hard allocs/op budgets (seeded, so exact at one run) and
+# nothing else — a single run's wall time is printed, not judged. Wall-clock
+# comparisons need the 8-run mode (`make bench-check`, DESIGN.md §11).
 step_benchgate() { go run ./cmd/starcdn-bench -check -smoke; }
 
 # --- phase driver -----------------------------------------------------
@@ -176,15 +130,10 @@ spawn fmt step_gofmt
 spawn vet step_vet
 spawn lint step_lint
 spawn waivers step_waivers
-spawn shardaudit step_shardaudit
-spawn allocaudit step_allocaudit
 reap fmt "gofmt"
 reap vet "go vet ./..."
 reap lint "starcdn-lint ./..."
-assert_lint_budget
 reap waivers "starcdn-lint -waivers ./... (waiver audit)"
-reap shardaudit "shard-audit drift (SHARD_AUDIT.md vs -shardaudit)"
-reap allocaudit "alloc-audit drift (ALLOC_AUDIT.md vs -allocaudit)"
 gate static
 
 spawn brel step_build_release

@@ -78,6 +78,14 @@ var benchSpecs = []benchSpec{
 		file:         obsFile,
 		smokePattern: "^BenchmarkRecorderSnapshot$", smokeBenchtime: "200x",
 	},
+	// One scheduler epoch, on a new and on a stored timeline row; the stored
+	// one must not allocate.
+	{
+		name: "BenchmarkSchedRecompute", pkg: "./internal/sched/",
+		pattern: "^BenchmarkSchedRecompute$", benchtime: "20000x", count: 8, benchmem: true,
+		file:         coreFile,
+		smokePattern: "^BenchmarkSchedRecompute$/^warm$", smokeBenchtime: "20000x",
+	},
 }
 
 // command renders the go test invocation for a spec (smoke or full).

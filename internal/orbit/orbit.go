@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"starcdn/internal/geo"
 )
@@ -100,6 +101,9 @@ type Constellation struct {
 	phaseStep    float64 // rad of in-plane phase offset per plane (Walker F)
 	planeOfCache []int16 // precomputed plane per SatID
 	slotOfCache  []int16 // precomputed slot per SatID
+
+	timelinesMu sync.Mutex
+	timelines   []*Timeline // one per (users, epochSec) asked about, see Timeline
 }
 
 // New constructs a Constellation from cfg with all slots active.

@@ -62,9 +62,10 @@ func (v *view) sees(sp geo.Point) bool {
 // instant, in SatID order, so that many ground points can be tested against
 // one pass of orbit propagation. It is scratch for one goroutine.
 type Snapshot struct {
-	c   *Constellation
-	ids []SatID
-	pts []geo.Point
+	c           *Constellation
+	inactiveToo bool // a Timeline's snapshot holds every slot
+	ids         []SatID
+	pts         []geo.Point
 }
 
 // NewSnapshot returns an empty snapshot with room for every slot, so Update
@@ -78,7 +79,7 @@ func (c *Constellation) NewSnapshot() *Snapshot {
 func (s *Snapshot) Update(tSec float64) {
 	s.ids, s.pts = s.ids[:0], s.pts[:0]
 	for i, up := range s.c.active {
-		if up {
+		if up || s.inactiveToo {
 			s.ids = append(s.ids, SatID(i))
 			s.pts = append(s.pts, s.c.SubSatellitePoint(SatID(i), tSec))
 		}

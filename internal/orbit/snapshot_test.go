@@ -58,6 +58,20 @@ func forcedPoints(c *Constellation, sp geo.Point) []geo.Point {
 	return pts
 }
 
+// sweepPoints is the ground-point generator of the visibility tests: the
+// forced points around satellite sp plus n random ones.
+func sweepPoints(rng *rand.Rand, c *Constellation, sp geo.Point, n int) []geo.Point {
+	pts := forcedPoints(c, sp)
+	for j := 0; j < n; j++ {
+		p := geo.Point{LatDeg: rng.Float64()*180 - 90, LonDeg: rng.Float64()*360 - 180}
+		if j%8 == 0 { // callers may pass longitudes nobody normalised
+			p.LonDeg = rng.Float64()*1440 - 720
+		}
+		pts = append(pts, p)
+	}
+	return pts
+}
+
 // TestSnapshotMatchesNaiveSweep is the byte-identity contract of the
 // prefilter: over random instants across four days, random outage masks and
 // random and forced ground points, Snapshot.VisibleFrom and the one-shot
@@ -81,15 +95,7 @@ func TestSnapshotMatchesNaiveSweep(t *testing.T) {
 			c.SetActive(SatID(rng.Intn(c.NumSlots())), rng.Intn(2) == 0)
 			snap.Update(tSec)
 			anySat := snap.pts[rng.Intn(len(snap.pts))]
-			pts := forcedPoints(c, anySat)
-			for j := 0; j < perInstant; j++ {
-				p := geo.Point{LatDeg: rng.Float64()*180 - 90, LonDeg: rng.Float64()*360 - 180}
-				if j%8 == 0 { // callers may pass longitudes nobody normalised
-					p.LonDeg = rng.Float64()*1440 - 720
-				}
-				pts = append(pts, p)
-			}
-			for _, p := range pts {
+			for _, p := range sweepPoints(rng, c, anySat, perInstant) {
 				want := naiveVisible(c, p, tSec)
 				if got = snap.VisibleFrom(got[:0], p); !slices.Equal(got, want) {
 					t.Fatalf("%v° shell, t=%v, p=%v: snapshot sees %v, naive sweep %v", cfg.InclinationDeg, tSec, p, got, want)

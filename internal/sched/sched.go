@@ -28,18 +28,21 @@ type Scheduler struct {
 	haveEpoch   bool // false until the first recompute: every int64 is a real epoch
 	epochIdx    int64
 	assignments []orbit.SatID   // -1 when no satellite is visible
-	snap        *orbit.Snapshot // the constellation at the epoch start, refilled per epoch
+	timeline    *orbit.Timeline // who is in view of whom per epoch, shared through the constellation
 	visBuf      []orbit.SatID
 }
 
 // New creates a scheduler for the given user terminals. epochSec <= 0 selects
-// DefaultEpochSec.
+// DefaultEpochSec; NaN and +Inf are errors.
 func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64) (*Scheduler, error) {
 	if c == nil {
 		return nil, fmt.Errorf("sched: nil constellation")
 	}
 	if len(users) == 0 {
 		return nil, fmt.Errorf("sched: no users")
+	}
+	if math.IsNaN(epochSec) || math.IsInf(epochSec, 1) {
+		return nil, fmt.Errorf("sched: epochSec must be finite, got %v", epochSec)
 	}
 	if epochSec <= 0 {
 		epochSec = DefaultEpochSec
@@ -50,7 +53,7 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 		seed:        uint64(seed),
 		users:       append([]geo.Point(nil), users...),
 		assignments: make([]orbit.SatID, len(users)),
-		snap:        c.NewSnapshot(),
+		timeline:    c.Timeline(users, epochSec),
 		visBuf:      make([]orbit.SatID, 0, 64), // a few dozen in view at most; append grows it if a shell shows more
 	}
 	return s, nil
@@ -80,12 +83,14 @@ func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
 // recompute reassigns every user for the new epoch. Per §5.1 the scheduler
 // "splits all requests within the discrete time step to different
 // satellites": each user picks uniformly among its visible satellites,
-// re-randomised each epoch.
+// re-randomised each epoch. The timeline row is geometry only and reads the
+// activity mask when asked, so the candidates are what orbit.VisibleFrom
+// returns at the epoch start under whatever mask is in force at this call.
 func (s *Scheduler) recompute(epoch int64) {
 	s.haveEpoch, s.epochIdx = true, epoch
-	s.snap.Update(float64(epoch) * s.epochSec)
+	row := s.timeline.Epoch(epoch)
 	for u := range s.users {
-		s.visBuf = s.snap.VisibleFrom(s.visBuf[:0], s.users[u])
+		s.visBuf = row.VisibleFrom(s.visBuf[:0], u)
 		if len(s.visBuf) == 0 {
 			s.assignments[u] = -1
 			continue

@@ -3,6 +3,9 @@ package sched
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"starcdn/internal/geo"
@@ -29,6 +32,19 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(c, nil, 15, 1); err == nil {
 		t.Error("no users should fail")
+	}
+	// NaN <= 0 is false: a non-finite epoch length used to pass, put every
+	// recompute at t = NaN and report "no coverage" for the whole run.
+	for _, epochSec := range []float64{math.NaN(), math.Inf(1)} {
+		if s, err := New(c, users, epochSec, 1); err == nil {
+			_, ok := s.FirstContact(4, 0)
+			t.Errorf("epochSec %v accepted (New York in view at t=0: %v)", epochSec, ok)
+		}
+	}
+	for _, epochSec := range []float64{0, -1, math.Inf(-1)} {
+		if s, err := New(c, users, epochSec, 1); err != nil || s.EpochSec() != DefaultEpochSec {
+			t.Errorf("epochSec %v: scheduler %v, error %v; want the default epoch", epochSec, s, err)
+		}
 	}
 	s, err := New(c, users, 0, 1)
 	if err != nil {
@@ -192,18 +208,11 @@ func TestFirstContactDigest(t *testing.T) {
 	} {
 		c, users := setup(t)
 		c.ApplyOutageMask(126, tc.seed)
-		s, err := New(c, users, 0, tc.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h := fnv.New64a()
 		var b [8]byte
-		for e := 0; e < 720; e++ {
-			for u := range users {
-				id, _ := s.FirstContact(u, float64(e)*DefaultEpochSec)
-				binary.LittleEndian.PutUint64(b[:], uint64(id))
-				h.Write(b[:])
-			}
+		for _, id := range firstContacts(t, c, users, tc.seed) {
+			binary.LittleEndian.PutUint64(b[:], uint64(id))
+			h.Write(b[:])
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("seed %d: digest %#x, want %#x", tc.seed, got, tc.want)
@@ -252,8 +261,8 @@ func TestNegativeTimeOnFreshScheduler(t *testing.T) {
 }
 
 // TestActivityChangeBetweenEpochs: the chaos schedules flip satellites
-// mid-run, and the scheduler's reused snapshot must see the mask in force at
-// each epoch boundary, not the one it was first filled under.
+// mid-run, and the scheduler must see the mask in force at each epoch
+// boundary, not the one the timeline row was first filled under.
 func TestActivityChangeBetweenEpochs(t *testing.T) {
 	c, users := setup(t)
 	s, _ := New(c, users, 15, 5)
@@ -282,4 +291,78 @@ func TestActivityChangeBetweenEpochs(t *testing.T) {
 			t.Errorf("user %d: reused scheduler picked %d, fresh one %d", u, a, b)
 		}
 	}
+}
+
+// firstContacts is every assignment of 720 epochs, epoch-major.
+func firstContacts(t *testing.T, c *orbit.Constellation, users []geo.Point, seed int64) []orbit.SatID {
+	t.Helper()
+	s, err := New(c, users, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]orbit.SatID, 0, 720*len(users))
+	for e := 0; e < 720; e++ {
+		for u := range users {
+			id, _ := s.FirstContact(u, float64(e)*DefaultEpochSec)
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestWarmConstellationMatchesFresh: the constellation's timeline outlives a
+// scheduler, and nothing of the run that filled it may show in the next one.
+// A scheduler on a constellation swept under another outage mask and seed
+// returns the 720 × 9 first contacts of one on a constellation nobody used.
+func TestWarmConstellationMatchesFresh(t *testing.T) {
+	fresh, users := setup(t)
+	fresh.ApplyOutageMask(126, 42)
+	want := firstContacts(t, fresh, users, 42)
+
+	warm, _ := setup(t)
+	warm.ApplyOutageMask(400, 7)
+	if other := firstContacts(t, warm, users, 7); slices.Equal(other, want) {
+		t.Fatal("the warming run made the same picks as the run under test; it proves nothing")
+	}
+	warm.ApplyOutageMask(126, 42)
+	if got := firstContacts(t, warm, users, 42); !slices.Equal(got, want) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("epoch %d user %d: warm constellation picked %d, fresh one %d", i/len(users), i%len(users), got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSchedulersShareConstellation: a Scheduler is single-goroutine, the
+// constellation under it is not — two schedulers with their own seeds fill
+// and read its timeline at once and each gets what it gets alone. Run under
+// -race.
+func TestSchedulersShareConstellation(t *testing.T) {
+	alone, users := setup(t)
+	alone.ApplyOutageMask(126, 42)
+	shared, _ := setup(t)
+	shared.ApplyOutageMask(126, 42)
+	var wg sync.WaitGroup
+	for _, seed := range []int64{42, 107} {
+		want := firstContacts(t, alone, users, seed)
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			s, err := New(shared, users, 0, seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for e := 0; e < 720; e++ {
+				for u := range users {
+					if id, _ := s.FirstContact(u, float64(e)*DefaultEpochSec); id != want[e*len(users)+u] {
+						t.Errorf("seed %d epoch %d user %d: picked %d beside another scheduler, %d alone", seed, e, u, id, want[e*len(users)+u])
+						return
+					}
+				}
+			}
+		}(seed)
+	}
+	wg.Wait()
 }

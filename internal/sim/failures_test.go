@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"starcdn/internal/orbit"
@@ -290,4 +291,47 @@ func contactedIDs(c *orbit.Constellation) []orbit.SatID {
 		ids[i] = orbit.SatID(i)
 	}
 	return ids
+}
+
+// TestChaosRunOnWarmConstellationMatchesFresh: the constellation remembers
+// which slots each city could see at each epoch start, and a failure schedule
+// changes which of them work while the run is under way. A chaos run on a
+// constellation that an earlier run swept under another mask, seed and
+// schedule must report Metrics equal field for field to the same run on a
+// constellation nobody used — which it does not if the activity mask is ever
+// stored with the remembered visibility.
+func TestChaosRunOnWarmConstellationMatchesFresh(t *testing.T) {
+	opts := StarCDNOptions{Hashing: true, Relay: true}
+	chaos := ChaosOptions{StartSec: 100, EndSec: 1000, KillFraction: 0.15,
+		TransientFraction: 0.5, ReviveAfterSec: 200, Seed: 6}
+	cfg := Config{Seed: 1, CollectLatency: true, CollectPerSat: true, CollectPerLocation: true}
+	run := func(e *testEnv) *Metrics {
+		t.Helper()
+		e.c.ApplyOutageMask(126, 42)
+		cfg.Failures = GenerateChaos(contactedIDs(e.c), chaos)
+		m, err := Run(e.c, e.users, e.tr, e.starcdn(t, 4, 64<<20, opts), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := run(newEnv(t, 4000, 1200))
+	if want.BySource[SourceGround] == want.Meter.Requests || want.Meter.Hits == 0 {
+		t.Fatalf("the reference run is degenerate: %+v", want.Meter)
+	}
+
+	warm := newEnv(t, 4000, 1200)
+	warm.c.ApplyOutageMask(400, 7)
+	other, err := Run(warm.c, warm.users, warm.tr, warm.starcdn(t, 4, 64<<20, opts), Config{Seed: 99,
+		Failures: GenerateChaos(contactedIDs(warm.c), ChaosOptions{StartSec: 0, EndSec: 1200, KillFraction: 0.3, Seed: 8})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Meter == want.Meter {
+		t.Fatal("the warming run metered exactly what the run under test does; it proves nothing")
+	}
+	if got := run(warm); !reflect.DeepEqual(got, want) {
+		t.Errorf("chaos run on a warm constellation differs from a fresh one:\nwarm  %+v %v\nfresh %+v %v",
+			got.Meter, got.BySource, want.Meter, want.BySource)
+	}
 }

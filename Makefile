@@ -58,11 +58,18 @@ race:
 	$(GO) test -race ./...
 
 ## chaos: the fault-injection and failure-schedule suites under the race
-## detector with debug invariants armed (DESIGN.md §8).
+## detector with debug invariants armed (DESIGN.md §8); `make check` runs
+## this target as its chaos pass, so the list lives here only. The TestShed
+## matches are the overload-control smoke: a kill schedule with shedding on
+## recovers to stage 0 holding the latency SLO (sim), sheds the same request
+## set over the wire (replayer parity), and an idle controller leaves every
+## meter byte-identical; ./internal/shed runs the stage-machine unit suite
+## under the same race/debug armor.
 chaos:
 	$(GO) test -race -tags starcdn_debug -count=1 \
-		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule' \
+		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
 		./internal/replayer/ ./internal/sim/
+	$(GO) test -race -tags starcdn_debug -count=1 ./internal/shed/
 
 ## obs: end-to-end observability smoke — live /metrics + pprof scrape during
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).

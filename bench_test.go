@@ -242,9 +242,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 //	                   "metrics" configuration; the comparison baseline)
 //	metrics+sketches — Config.Sketches on: three top-K popularity summaries
 //	                   (objects, satellites, buckets — Space-Saving plus a
-//	                   Count-Min refinement grid each) and overall plus
-//	                   per-satellite latency quantile sketches updated on
-//	                   every request
+//	                   Count-Min refinement grid each) and one serve-latency
+//	                   quantile sketch, all updated on every request
 //
 // The acceptance bar, in ns per request over metrics-only, is stated next to
 // its data in BENCH_obs.json. Results must stay identical — the assertion

@@ -10,15 +10,15 @@ import (
 )
 
 // ruleMetricName enforces the registry series naming convention wherever an
-// obs.Registry instrument is created. Dashboards, the flight recorder, and
-// the SLO engine all address series by name, so a drifting name silently
+// obs.Registry instrument is created. The flight recorder, the SLO engine
+// and the obs smoke all address series by name, so a drifting name silently
 // orphans every consumer. The contract:
 //
 //   - every name matches `starcdn_[a-z0-9_]+` (lowercase, namespaced, no
 //     trailing underscore)
 //   - the component after the prefix names a known subsystem family
 //     (starcdn_shed_*, starcdn_slo_*, ...), so new series land in an
-//     existing dashboard group instead of inventing a private namespace
+//     existing group instead of inventing a private namespace
 //   - counters end in `_total` (the Prometheus cumulative convention)
 //   - gauges do NOT end in `_total` — a gauge named like a counter lies to
 //     rate() queries
@@ -49,7 +49,7 @@ func (ruleMetricName) Applies(relPath string) bool { return true }
 
 // metricFamilies is the subsystem vocabulary: the first component after the
 // starcdn_ prefix must be one of these, so every series lands in a known
-// dashboard group. A new subsystem earns its entry here in the same PR that
+// group a ?match= query can select. A new subsystem earns its entry here in the same PR that
 // introduces its first metric ("shed" arrived with the overload controller).
 var metricFamilies = []string{
 	"cache", "client", "cluster", "fixture", "go", "phase", "popularity",
@@ -59,7 +59,7 @@ var metricFamilies = []string{
 // metricGoUnitless are the suffixes the runtime-bridge family may carry
 // without a unit: inherently countable quantities sampled from
 // runtime/metrics. Everything else under starcdn_go_* needs a unit suffix so
-// the dashboard can format it.
+// a reader of the exposition can interpret it.
 var metricGoUnitless = []string{"_goroutines", "_cycles"}
 
 // metricFamily extracts the component after the starcdn_ prefix, up to the

@@ -70,18 +70,16 @@ func main() {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the replay finishes (for scraping/profiling)")
 		traceOut      = flag.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
 		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
-		traceSeed     = flag.Int64("trace-seed", 1, "seed for the trace sampling hash")
 		tracePropa    = flag.Bool("trace-propagate", false, "propagate trace context over the wire (protocol v2); server spans join the client's traces")
 		serverTrace   = flag.String("server-trace-out", "", "write server-side operation spans as JSONL to this file (requires -trace-propagate; assemble with starcdn-trace -assemble)")
 
-		sketches = flag.Bool("sketches", false, "streaming sketch telemetry: top-K object/satellite/bucket popularity and a wall-latency quantile sketch with trace exemplars (exposed on /popularity.json with -metrics-addr)")
+		sketches = flag.Bool("sketches", false, "streaming sketch telemetry: top-K object/satellite/bucket popularity and a wall-latency quantile sketch with trace exemplars (full entries on /metrics.json with -metrics-addr)")
 
 		phasesOn    = flag.Bool("phases", false, "attribute round-trip time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
 		recordEpoch = flag.Duration("record-epoch", 0, "flight-recorder snapshot interval (wall clock; 0 disables; e.g. 1s)")
 		sloP99Ms    = flag.Float64("slo-p99-ms", 0, "SLO: p99 client frame latency <= this many ms over -slo-window (0 disables; requires -record-epoch)")
 		sloHitRate  = flag.Float64("slo-hit-rate", 0, "SLO: request hit rate >= this fraction over -slo-window (0 disables; requires -record-epoch)")
 		sloWindow   = flag.Duration("slo-window", time.Minute, "SLO evaluation window")
-		sloBudget   = flag.Float64("slo-budget", 0.01, "SLO error budget: tolerated fraction of breaching epochs")
 
 		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (wire rejections use StatusShed, protocol v3)")
 		shedEpoch = flag.Float64("shed-epoch-sec", 15, "overload-controller epoch in trace seconds (with -shed)")
@@ -204,7 +202,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts.Tracer = obs.NewTracer(traceFile, *traceSample, *traceSeed)
+		opts.Tracer = obs.NewTracer(traceFile, *traceSample, sim.TraceSeed)
 		opts.Propagate = *tracePropa
 	} else if *tracePropa {
 		log.Fatal("-trace-propagate requires -trace-out")
@@ -223,12 +221,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		serverTracer = obs.NewTracer(serverTraceFile, 1, *traceSeed)
+		serverTracer = obs.NewTracer(serverTraceFile, 1, sim.TraceSeed)
 	}
 
 	// Flight recorder + SLO engine: the registry becomes a queryable time
-	// series on /timeseries.json and /dashboard, with starcdn_slo_* burn
-	// rates feeding /healthz degradation alongside cluster kill state.
+	// series on /timeseries.json, with starcdn_slo_* burn rates feeding
+	// /healthz degradation alongside cluster kill state. The error budget is
+	// the SLO default: 1 % of epochs may breach.
 	var recorder *obs.Recorder
 	var sloEngine *obs.SLOEngine
 	if *recordEpoch > 0 {
@@ -243,14 +242,14 @@ func main() {
 			slos = append(slos, obs.SLO{
 				Name: "frame-p99", Series: "starcdn_client_frame_ms",
 				Quantile: 0.99, MaxValue: *sloP99Ms,
-				WindowSec: sloWindow.Seconds(), BudgetFraction: *sloBudget,
+				WindowSec: sloWindow.Seconds(),
 			})
 		}
 		if *sloHitRate > 0 {
 			slos = append(slos, obs.SLO{
 				Name: "hit-rate", Good: "starcdn_replay_hits_total",
 				Total: "starcdn_replay_served_total", MinRatio: *sloHitRate,
-				WindowSec: sloWindow.Seconds(), BudgetFraction: *sloBudget,
+				WindowSec: sloWindow.Seconds(),
 			})
 		}
 		sloEngine, err = obs.NewSLOEngine(recorder, reg, slos)
@@ -302,20 +301,17 @@ func main() {
 
 	if *metricsAddr != "" {
 		health := sloEngine.Health(cluster.Health)
+		if shedCtrl != nil {
+			health = shedCtrl.Health(health)
+		}
 		runtimeBridge := obs.NewRuntimeBridge(reg)
 		runtimeBridge.BindRecorder(recorder)
-		serveOpts := obs.ServeOptions{
+		srv, err := obs.ServeWith(*metricsAddr, obs.ServeOptions{
 			Registry: reg,
 			Health:   health,
 			Recorder: recorder,
-			SLOs:     sloEngine,
 			Runtime:  runtimeBridge,
-		}
-		if shedCtrl != nil {
-			serveOpts.Health = shedCtrl.Health(health)
-			serveOpts.Shed = shedCtrl.Status
-		}
-		srv, err := obs.ServeWith(*metricsAddr, serveOpts)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -397,7 +393,7 @@ func main() {
 	}
 	if opts.Sketches {
 		// The hot set as the sketches saw it: the top-K summary over object
-		// keys and the wall-latency quantile sketch (also on /popularity.json).
+		// keys and the wall-latency quantile sketch (also on /metrics.json).
 		objs := reg.TopK("starcdn_popularity_objects", 0)
 		if top := objs.Top(); len(top) > 0 {
 			if len(top) > 5 {

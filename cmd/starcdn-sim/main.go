@@ -24,6 +24,7 @@ import (
 	"starcdn/internal/experiments"
 	"starcdn/internal/obs"
 	"starcdn/internal/shed"
+	"starcdn/internal/sim"
 )
 
 func main() {
@@ -39,8 +40,7 @@ func main() {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the experiments finish")
 		traceOut      = flag.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
 		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
-		traceSeed     = flag.Int64("trace-seed", 1, "seed for the trace sampling hash")
-		recordEpoch   = flag.Float64("record-epoch", 0, "flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json and /dashboard")
+		recordEpoch   = flag.Float64("record-epoch", 0, "flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json")
 		phasesOn      = flag.Bool("phases", false, "attribute hot-path time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
 
 		shedOn    = flag.Bool("shed", false, "wire a fresh overload controller into every run (graded load shedding under §3.4 degradation; changes results by design)")
@@ -105,7 +105,7 @@ func main() {
 			env.Recorder = obs.NewRecorder(env.Obs, obs.RecorderOptions{EpochSec: *recordEpoch})
 		}
 		// The runtime bridge rides the recorder's epochs when there is one;
-		// otherwise /healthz and the dashboard sample it on demand.
+		// otherwise /healthz samples it on demand.
 		runtimeBridge = obs.NewRuntimeBridge(env.Obs)
 		runtimeBridge.BindRecorder(env.Recorder)
 		srv, err := obs.ServeWith(*metricsAddr, obs.ServeOptions{
@@ -140,7 +140,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		env.Tracer = obs.NewTracer(traceFile, *traceSample, *traceSeed)
+		env.Tracer = obs.NewTracer(traceFile, *traceSample, sim.TraceSeed)
 	}
 
 	names := []string{*experiment}

@@ -67,7 +67,7 @@ func writePromTypeLines(w io.Writer, s SeriesSnapshot) error {
 // (bounded at promTopKRanks) plus the stream weight. Object keys stay out
 // of the label set — the rank is the only added dimension — so scrape
 // cardinality is fixed no matter how many distinct keys the stream holds;
-// the full keyed entries live on /popularity.json.
+// the full keyed entries live on the JSON exposition.
 func writePromTopK(w io.Writer, s SeriesSnapshot) error {
 	for i, e := range s.TopK {
 		if i >= promTopKRanks {

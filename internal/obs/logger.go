@@ -17,21 +17,6 @@ func NewLogger(h slog.Handler) *slog.Logger {
 	return slog.New(h)
 }
 
-// DiscardLogger returns a logger that drops every record — the quiet
-// configuration for benchmarks and tests that assert on behaviour, not logs.
-func DiscardLogger() *slog.Logger {
-	return slog.New(discardHandler{})
-}
-
-// discardHandler drops everything. (slog.DiscardHandler exists only from Go
-// 1.24; the module targets 1.22.)
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
 // CapturedRecord is one structured log record retained by a Capture handler:
 // tests assert on level, message, and attribute values instead of parsing
 // formatted strings.

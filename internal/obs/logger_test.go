@@ -64,11 +64,3 @@ func TestCaptureConcurrent(t *testing.T) {
 		t.Errorf("captured %d records, want 800", got)
 	}
 }
-
-func TestDiscardLogger(t *testing.T) {
-	log := DiscardLogger()
-	log.Error("dropped") // must not panic or print
-	if log.Enabled(nil, slog.LevelError) {
-		t.Error("discard logger claims to be enabled")
-	}
-}

@@ -40,7 +40,7 @@ func TestServeHealthzRuntimeLine(t *testing.T) {
 	}
 
 	// Without a bridge the field stays absent, keeping old payloads stable.
-	s2, err := Serve("127.0.0.1:0", reg, nil)
+	s2, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,44 +51,6 @@ func TestServeHealthzRuntimeLine(t *testing.T) {
 	}()
 	if _, body := get(t, "http://"+s2.Addr()+"/healthz"); strings.Contains(body, `"runtime"`) {
 		t.Errorf("bridge-less /healthz grew a runtime field: %s", body)
-	}
-}
-
-// TestDashboardRuntimePanel: the go-runtime panel renders live bridge state
-// even on a completely fresh recorder (no epochs ticked — every sparkline
-// ring is still NaN-padded), and disappears when no bridge is configured.
-func TestDashboardRuntimePanel(t *testing.T) {
-	reg := NewRegistry()
-	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
-	rt := NewRuntimeBridge(reg)
-	req := httptest.NewRequest(http.MethodGet, "/dashboard", nil)
-	w := httptest.NewRecorder()
-	rec.handleDashboard(reg, nil, nil, rt)(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("fresh-recorder dashboard status = %d", w.Code)
-	}
-	out := w.Body.String()
-	for _, want := range []string{"go runtime", "goroutines", "gc cycles", "sched p99"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-
-	// After bridge-fed epochs the starcdn_go_* sparklines render as series.
-	rt.BindRecorder(rec)
-	rec.TickAt(1)
-	rec.TickAt(2)
-	w = httptest.NewRecorder()
-	rec.handleDashboard(reg, nil, nil, rt)(w, req)
-	if !strings.Contains(w.Body.String(), "starcdn_go_goroutines") {
-		t.Error("dashboard missing the goroutine sparkline after two epochs")
-	}
-
-	// No bridge, no panel.
-	w = httptest.NewRecorder()
-	rec.handleDashboard(reg, nil, nil, nil)(w, req)
-	if strings.Contains(w.Body.String(), "go runtime") {
-		t.Error("bridge-less dashboard rendered the runtime panel")
 	}
 }
 

@@ -38,14 +38,14 @@ type Recorder struct {
 	next  float64              // next epoch boundary (TickAt driving)
 	ticks int64                // total snapshots taken
 
-	// plan caches, per registry series, the destination ring slices and the
-	// atomic sources, so the steady-state snapshot is a straight array walk
-	// with no sorting, label rendering, or map lookups. planGen is the
-	// registry generation the plan was built against; it is rebuilt (paying
-	// the key-rendering cost once) only when new series register.
-	plan    []recSeries
-	planGen uint64
-	qv      []float64 // snapshot scratch: one sketch's SketchQuantiles estimates
+	// plan caches, per registry series in registration order, the
+	// destination ring slices and the atomic sources, so the steady-state
+	// snapshot is a straight array walk with no sorting, label rendering, or
+	// map lookups. The registry is append-only, so the plan only ever grows
+	// by the series registered since the last snapshot (paying each one's
+	// key-rendering cost once).
+	plan []recSeries
+	qv   []float64 // snapshot scratch: one sketch's SketchQuantiles estimates
 
 	onEpoch  []func(epochSec float64) // hooks (SLO evaluation), run unlocked
 	preEpoch []func(epochSec float64) // pre-snapshot hooks, run under r.mu
@@ -90,7 +90,6 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 		vals:     make(map[string][]float64),
 		hists:    make(map[string][]float64),
 		next:     opts.EpochSec,
-		planGen:  ^uint64(0), // force the first snapshot to build a plan
 		qv:       make([]float64, len(SketchQuantiles)),
 	}
 }
@@ -133,7 +132,7 @@ func (r *Recorder) OnEpoch(fn func(t float64)) {
 // would deadlock) and should only read external state and store into
 // registry instruments. Series a hook writes to must be registered before
 // the first snapshot if they are to appear in that snapshot's plan (the
-// generation check runs after the pre-hooks, so same-call registrations are
+// plan is extended after the pre-hooks, so same-call registrations are
 // still picked up — but keep hooks allocation-free by pre-registering).
 func (r *Recorder) OnEpochPre(fn func(t float64)) {
 	if r == nil || fn == nil {
@@ -219,20 +218,16 @@ func (r *Recorder) StartWall() (stop func()) {
 // snapshotLocked appends one epoch. Callers hold r.mu.
 //
 // The hot path is the plan walk: one atomic load and one float store per
-// recorded series, with the key rendering and ring allocation amortised into
-// rebuildPlanLocked (which only runs when the registry gained series).
-// Registry series are append-only, so every ring in r.vals is covered by the
-// plan and no NaN back-padding pass is needed.
+// recorded series, with the key rendering and ring allocation paid once per
+// series in planLocked. Registry series are append-only, so every ring in
+// r.vals is covered by the plan and no NaN back-padding pass is needed.
 func (r *Recorder) snapshotLocked(t float64) {
 	for _, fn := range r.preEpoch {
 		fn(t)
 	}
 	slot := r.head
 	r.times[slot] = t
-	if gen := r.reg.generation(); gen != r.planGen {
-		r.rebuildPlanLocked()
-		r.planGen = gen
-	}
+	r.planLocked(r.reg.seriesFrom(len(r.plan)))
 	for _, rs := range r.plan {
 		s := rs.src
 		switch s.kind {
@@ -272,13 +267,11 @@ func (r *Recorder) snapshotLocked(t float64) {
 	r.ticks++
 }
 
-// rebuildPlanLocked recomputes the snapshot plan from the registry: one entry
-// per series, with destination rings resolved (and NaN-backfilled on first
-// appearance) and histogram bucket keys rendered once. Callers hold r.mu.
-func (r *Recorder) rebuildPlanLocked() {
-	all := r.reg.allSeries()
-	r.plan = r.plan[:0]
-	for _, s := range all {
+// planLocked extends the snapshot plan with newly registered series: one
+// entry each, with destination rings resolved (and NaN-backfilled) and
+// histogram bucket keys rendered once. Callers hold r.mu.
+func (r *Recorder) planLocked(added []*series) {
+	for _, s := range added {
 		rs := recSeries{src: s}
 		switch s.kind {
 		case histogramKind:
@@ -387,18 +380,6 @@ func (r *Recorder) Window(key string, windowSec float64) []Point {
 		out = append(out, Point{T: r.times[slot], V: ring[slot]})
 	}
 	return out
-}
-
-// Last returns the most recent sample of a series (ok=false when the series
-// is unknown, empty, or the recorder nil).
-func (r *Recorder) Last(key string) (Point, bool) {
-	pts := r.Window(key, 0)
-	for i := len(pts) - 1; i >= 0; i-- {
-		if !math.IsNaN(pts[i].V) {
-			return pts[i], true
-		}
-	}
-	return Point{}, false
 }
 
 // Delta returns how much a cumulative series (counter, histogram

@@ -9,43 +9,6 @@ import (
 	"testing"
 )
 
-// TestSparklineDegenerate: the SVG layout must survive the three degenerate
-// windows a fresh or partially-NaN recorder produces — no points, all-NaN
-// points, and a single valid sample — without emitting "NaN" coordinates or
-// an invisible one-coordinate polyline.
-func TestSparklineDegenerate(t *testing.T) {
-	if ch := sparkline("k", nil); !ch.Empty || ch.Points != "" {
-		t.Errorf("nil points: %+v, want Empty with no Points", ch)
-	}
-	nan := math.NaN()
-	allNaN := []Point{{T: 1, V: nan}, {T: 2, V: nan}, {T: 3, V: math.Inf(1)}}
-	if ch := sparkline("k", allNaN); !ch.Empty || ch.Points != "" || ch.Last != "–" {
-		t.Errorf("all-NaN points: %+v, want Empty dash", ch)
-	}
-	single := []Point{{T: 1, V: nan}, {T: 2, V: 7.5}}
-	ch := sparkline("k", single)
-	if ch.Empty {
-		t.Fatalf("single valid sample marked Empty: %+v", ch)
-	}
-	if ch.Last != "7.5" {
-		t.Errorf("Last = %q, want 7.5", ch.Last)
-	}
-	// The dash must be a two-coordinate polyline with finite coordinates.
-	coords := strings.Fields(ch.Points)
-	if len(coords) != 2 {
-		t.Fatalf("single-sample Points = %q, want two coordinates", ch.Points)
-	}
-	if strings.Contains(ch.Points, "NaN") {
-		t.Errorf("NaN leaked into Points %q", ch.Points)
-	}
-	// Equal-min/max series (flat line) must not divide by zero either.
-	flat := []Point{{T: 1, V: 3}, {T: 2, V: 3}, {T: 3, V: 3}}
-	ch = sparkline("k", flat)
-	if ch.Empty || strings.Contains(ch.Points, "NaN") {
-		t.Errorf("flat series: %+v", ch)
-	}
-}
-
 // TestTimeseriesFreshRecorder: a recorder that has never ticked — and one
 // holding only a single epoch — must serve every form of /timeseries.json
 // with 200 and valid JSON, with unobserved series rendered as nulls, never
@@ -109,7 +72,7 @@ func TestTimeseriesFreshRecorder(t *testing.T) {
 
 	// A topk instrument with unfilled ranks records NaN points; the handler
 	// must render them as JSON nulls.
-	reg.TopK("starcdn_popularity_objects", 4).Observe("only-key", 1)
+	reg.TopK("starcdn_popularity_objects", 4).ObserveIDEx(1, 1, noEx)
 	rec.TickAt(2)
 	w, body := get("?match=rank")
 	if w.Code != http.StatusOK {
@@ -124,46 +87,6 @@ func TestTimeseriesFreshRecorder(t *testing.T) {
 		if v != nil {
 			t.Errorf("unfilled rank point = %v, want null", v)
 		}
-	}
-}
-
-// TestDashboardDegenerateSeries: the dashboard must render — valid SVG, no
-// NaN coordinates — over a fresh recorder, an all-NaN series, and
-// single-sample series.
-func TestDashboardDegenerateSeries(t *testing.T) {
-	reg := NewRegistry()
-	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
-
-	render := func() string {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodGet, "/dashboard", nil)
-		w := httptest.NewRecorder()
-		rec.handleDashboard(reg, nil, nil, nil)(w, req)
-		if w.Code != http.StatusOK {
-			t.Fatalf("dashboard status = %d", w.Code)
-		}
-		return w.Body.String()
-	}
-
-	// Fresh recorder: zero series, zero epochs.
-	out := render()
-	if !strings.Contains(out, "<html") {
-		t.Fatalf("fresh dashboard is not HTML:\n%.200s", out)
-	}
-
-	// An all-NaN ring (a topk rank that never fills) plus a single-sample
-	// counter: polylines must carry no NaN coordinates.
-	reg.TopK("starcdn_popularity_objects", 4).Observe("k", 1)
-	reg.Counter("starcdn_test_events_total").Inc()
-	rec.TickAt(1)
-	out = render()
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "points=") && strings.Contains(line, "NaN") {
-			t.Errorf("NaN coordinate in sparkline: %q", line)
-		}
-	}
-	if !strings.Contains(out, "starcdn_test_events_total") {
-		t.Errorf("dashboard missing single-sample series:\n%.400s", out)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -248,9 +247,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if pts := r.Window("x", 0); pts != nil {
 		t.Errorf("nil Window = %v", pts)
 	}
-	if _, ok := r.Last("x"); ok {
-		t.Error("nil Last ok")
-	}
 	if _, ok := r.Delta("x", 0); ok {
 		t.Error("nil Delta ok")
 	}
@@ -325,39 +321,6 @@ func TestTimeseriesHandler(t *testing.T) {
 	}
 }
 
-// TestDashboardHandler checks /dashboard renders sparklines and SLO rows.
-func TestDashboardHandler(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("starcdn_test_latency_ms", []float64{1, 10, 100})
-	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
-	eng, err := NewSLOEngine(rec, reg, []SLO{{
-		Name: "lat-p99", Series: "starcdn_test_latency_ms",
-		Quantile: 0.99, MaxValue: 50, WindowSec: 10,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		h.Observe(5)
-		rec.TickAt(float64(i))
-	}
-	req := httptest.NewRequest(http.MethodGet, "/dashboard", nil)
-	w := httptest.NewRecorder()
-	shedFn := func() ShedStatus {
-		return ShedStatus{Stage: 2, StageName: "stage-2", Burn: 2.5, Enter: 4, Exit: 1, DwellEpochs: 2, Dwell: 1}
-	}
-	rec.handleDashboard(reg, eng, shedFn, nil)(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("dashboard status = %d", w.Code)
-	}
-	out := w.Body.String()
-	for _, want := range []string{"<svg", "starcdn_test_latency_ms", "lat-p99", "polyline", "overload control", "stage-2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dashboard output missing %q", want)
-		}
-	}
-}
-
 // TestServeWithMountsRecorder checks the HTTP server exposes the recorder
 // endpoints when (and only when) a recorder is configured.
 func TestServeWithMountsRecorder(t *testing.T) {
@@ -370,14 +333,23 @@ func TestServeWithMountsRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/timeseries.json", "/dashboard", "/metrics"} {
+	// The listener mounts five endpoints (pprof is covered by
+	// TestServeEndpoints); the two deleted renderings stay gone.
+	for path, want := range map[string]int{
+		"/timeseries.json": http.StatusOK,
+		"/metrics":         http.StatusOK,
+		"/metrics.json":    http.StatusOK,
+		"/healthz":         http.StatusOK,
+		"/dashboard":       http.StatusNotFound,
+		"/popularity.json": http.StatusNotFound,
+	} {
 		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s status = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("%s status = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 

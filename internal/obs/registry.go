@@ -195,7 +195,7 @@ type series struct {
 type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
-	gen    uint64 // bumped whenever a new series registers
+	order  []*series // registration order; append-only
 }
 
 // NewRegistry returns an empty registry.
@@ -252,35 +252,22 @@ func (r *Registry) lookup(name string, labels []Label, kind metricKind, bounds [
 	}
 	if !ok {
 		r.series[key] = ns
-		r.gen++
+		r.order = append(r.order, ns)
 	}
 	return ns
 }
 
-// generation returns a counter that changes whenever a new series registers,
-// so snapshot plans (the flight recorder's) know when to rebuild. Nil-safe.
-func (r *Registry) generation() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
-}
-
-// allSeries returns the registered series in arbitrary order, without the
-// sorting or label rendering Snapshot pays. Nil-safe.
-func (r *Registry) allSeries() []*series {
+// seriesFrom returns the series registered after the first n, in
+// registration order, without the sorting or label rendering Snapshot pays.
+// The registry is append-only, so a reader that has planned n series (the
+// flight recorder) needs only this tail. Nil-safe.
+func (r *Registry) seriesFrom(n int) []*series {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		out = append(out, s)
-	}
-	return out
+	return r.order[n:len(r.order):len(r.order)]
 }
 
 // Counter returns the counter registered under (name, labels), creating it
@@ -385,12 +372,7 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	all := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		all = append(all, s)
-	}
-	r.mu.Unlock()
+	all := r.seriesFrom(0)
 
 	out := make([]SeriesSnapshot, 0, len(all))
 	for _, s := range all {

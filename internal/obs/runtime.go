@@ -9,8 +9,8 @@ import (
 
 // RuntimeBridge samples the Go runtime's own telemetry (runtime/metrics)
 // into the starcdn_go_* gauge family, so a chaos or shed run shows GC and
-// goroutine behaviour in the same /metrics scrape, flight-recorder rings,
-// /timeseries.json epochs, and dashboard as hit rate and burn rate.
+// goroutine behaviour in the same /metrics scrape, flight-recorder rings
+// and /timeseries.json epochs as hit rate and burn rate.
 //
 // The bridge pre-registers its gauges and pre-builds its sample batch at
 // construction; Sample only reads the runtime and stores — it allocates
@@ -35,7 +35,7 @@ type RuntimeBridge struct {
 	schedP99   *Gauge
 
 	prevPause *metrics.Float64Histogram // last /gc/pauses snapshot, for deltas
-	status    RuntimeStatus             // last sample, for /healthz and the dashboard
+	lastPause float64                   // LastGCPauseSec of the last sample; sticky between GCs
 }
 
 // The runtime/metrics names the bridge samples, in batch order.
@@ -49,7 +49,7 @@ const (
 )
 
 // RuntimeStatus is one sample of the bridge, the struct behind the /healthz
-// runtime line and the dashboard panel.
+// runtime line.
 type RuntimeStatus struct {
 	Goroutines     int64
 	HeapBytes      uint64
@@ -60,8 +60,8 @@ type RuntimeStatus struct {
 }
 
 // NewRuntimeBridge builds a bridge registering its gauges in reg. A nil
-// registry is allowed: the bridge still samples (Status and HealthLine work)
-// but exports no series.
+// registry is allowed: the bridge still samples (HealthLine works) but
+// exports no series.
 func NewRuntimeBridge(reg *Registry) *RuntimeBridge {
 	b := &RuntimeBridge{
 		samples: []metrics.Sample{
@@ -94,7 +94,7 @@ func (b *RuntimeBridge) Sample() RuntimeStatus {
 	defer b.mu.Unlock()
 	metrics.Read(b.samples)
 
-	st := RuntimeStatus{LastGCPauseSec: b.status.LastGCPauseSec}
+	st := RuntimeStatus{LastGCPauseSec: b.lastPause}
 	for i := range b.samples {
 		s := &b.samples[i]
 		switch s.Name {
@@ -129,7 +129,7 @@ func (b *RuntimeBridge) Sample() RuntimeStatus {
 		}
 	}
 
-	b.status = st
+	b.lastPause = st.LastGCPauseSec
 	b.goroutines.Set(float64(st.Goroutines))
 	b.heapBytes.Set(float64(st.HeapBytes))
 	b.totalBytes.Set(float64(st.TotalBytes))
@@ -137,16 +137,6 @@ func (b *RuntimeBridge) Sample() RuntimeStatus {
 	b.gcPause.Set(st.LastGCPauseSec)
 	b.schedP99.Set(st.SchedP99Sec)
 	return st
-}
-
-// Status returns the last sample without re-reading the runtime. Nil-safe.
-func (b *RuntimeBridge) Status() RuntimeStatus {
-	if b == nil {
-		return RuntimeStatus{}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.status
 }
 
 // HealthLine samples the runtime and renders the compact /healthz line, e.g.

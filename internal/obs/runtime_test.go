@@ -42,9 +42,14 @@ func TestRuntimeBridgeSample(t *testing.T) {
 	if got := reg.Gauge("starcdn_go_gc_cycles").Value(); got != float64(st.GCCycles) {
 		t.Errorf("gc cycles gauge = %v, status = %d", got, st.GCCycles)
 	}
-	// Status returns the cached sample without re-reading.
-	if b.Status() != st {
-		t.Error("Status does not match the last Sample")
+	if got := reg.Gauge("starcdn_go_mem_total_bytes").Value(); got != float64(st.TotalBytes) {
+		t.Errorf("total-bytes gauge = %v, status = %d", got, st.TotalBytes)
+	}
+	if got := reg.Gauge("starcdn_go_gc_pause_last_seconds").Value(); got != st.LastGCPauseSec {
+		t.Errorf("last-pause gauge = %v, status = %v", got, st.LastGCPauseSec)
+	}
+	if got := reg.Gauge("starcdn_go_sched_latency_p99_seconds").Value(); got != st.SchedP99Sec {
+		t.Errorf("sched-p99 gauge = %v, status = %v", got, st.SchedP99Sec)
 	}
 }
 
@@ -63,7 +68,7 @@ func TestRuntimeBridgeHealthLine(t *testing.T) {
 // TestRuntimeBridgeNil: the nil bridge no-ops everywhere.
 func TestRuntimeBridgeNil(t *testing.T) {
 	var b *RuntimeBridge
-	if b.Sample() != (RuntimeStatus{}) || b.Status() != (RuntimeStatus{}) {
+	if b.Sample() != (RuntimeStatus{}) {
 		t.Error("nil bridge returned a non-zero sample")
 	}
 	if b.HealthLine() != "" {

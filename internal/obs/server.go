@@ -30,34 +30,15 @@ type Health struct {
 	Runtime string `json:"runtime,omitempty"`
 }
 
-// ShedStatus is a snapshot of the overload controller for dashboards and
-// health bodies. It lives here (not in internal/shed) so the obs layer can
-// render it without importing the controller: shed imports obs for its
-// metrics, so the dependency must point this way.
-type ShedStatus struct {
-	Stage        int     `json:"stage"`
-	StageName    string  `json:"stage_name"`
-	Burn         float64 `json:"burn"`
-	Degraded     float64 `json:"degraded"`
-	Enter        float64 `json:"enter,omitempty"` // threshold to escalate (0 at top stage)
-	Exit         float64 `json:"exit,omitempty"`  // threshold to recover (0 at stage 0)
-	DwellEpochs  int     `json:"dwell_epochs"`
-	Dwell        int     `json:"dwell"`
-	SessionsOpen int     `json:"sessions_open"`
-}
-
-// ShedStatusFunc reports the current overload-controller snapshot; nil
-// means no controller is wired in.
-type ShedStatusFunc func() ShedStatus
-
 // HealthFunc reports the current health snapshot; nil means always-OK.
 type HealthFunc func() Health
 
 // Server is the opt-in observability HTTP listener. It mounts:
 //
 //	/metrics          Prometheus text exposition
-//	/metrics.json     expvar-style JSON exposition
-//	/popularity.json  top-K and quantile-sketch series, full keyed detail
+//	/metrics.json     expvar-style JSON exposition; top-K and quantile-sketch
+//	                  series carry their full keyed entries and exemplars
+//	/timeseries.json  flight-recorder queries (with ServeOptions.Recorder)
 //	/healthz          Health JSON (503 when not OK)
 //	/debug/pprof/*    net/http/pprof (profile, heap, trace, ...)
 type Server struct {
@@ -70,28 +51,18 @@ type Server struct {
 type ServeOptions struct {
 	Registry *Registry
 	Health   HealthFunc
-	// Recorder, when non-nil, additionally mounts the flight-recorder
-	// endpoints: /timeseries.json (windowed raw/delta/rate queries) and
-	// /dashboard (live HTML page with SVG sparklines and the SLO table).
+	// Recorder, when non-nil, additionally mounts /timeseries.json
+	// (windowed raw/delta/rate queries against the flight recorder).
 	Recorder *Recorder
-	// SLOs feeds the dashboard's objective table (nil hides it).
-	SLOs *SLOEngine
-	// Shed feeds the dashboard's overload-controller panel (nil hides it).
-	Shed ShedStatusFunc
-	// Runtime, when non-nil, feeds the /healthz runtime line and the
-	// dashboard's go-runtime panel from the runtime-metrics bridge.
+	// Runtime, when non-nil, feeds the /healthz runtime line from the
+	// runtime-metrics bridge.
 	Runtime *RuntimeBridge
 }
 
-// Serve starts the observability listener on addr (host:port; port 0 picks a
-// free one). The registry may be nil, in which case /metrics expositions are
-// empty but pprof and /healthz still work — profiling does not require
-// metrics.
-func Serve(addr string, reg *Registry, health HealthFunc) (*Server, error) {
-	return ServeWith(addr, ServeOptions{Registry: reg, Health: health})
-}
-
-// ServeWith is Serve with the full option set (flight recorder, SLO engine).
+// ServeWith starts the observability listener on addr (host:port; port 0
+// picks a free one). The registry may be nil, in which case /metrics
+// expositions are empty but pprof and /healthz still work — profiling does
+// not require metrics.
 func ServeWith(addr string, opts ServeOptions) (*Server, error) {
 	reg, health := opts.Registry, opts.Health
 	ln, err := net.Listen("tcp", addr)
@@ -123,12 +94,8 @@ func ServeWith(addr string, opts ServeOptions) (*Server, error) {
 		}
 		_ = json.NewEncoder(w).Encode(h)
 	})
-	if reg != nil {
-		mux.HandleFunc("/popularity.json", handlePopularity(reg))
-	}
 	if opts.Recorder != nil {
 		mux.HandleFunc("/timeseries.json", opts.Recorder.handleTimeseries)
-		mux.HandleFunc("/dashboard", opts.Recorder.handleDashboard(reg, opts.SLOs, opts.Shed, opts.Runtime))
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

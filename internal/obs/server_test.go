@@ -27,12 +27,12 @@ func TestServeEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("starcdn_test_total", L("source", "local")).Add(3)
 	degraded := false
-	s, err := Serve("127.0.0.1:0", r, func() Health {
+	s, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: r, Health: func() Health {
 		if degraded {
 			return Health{OK: false, Live: 1, Down: []string{"42"}}
 		}
 		return Health{OK: true, Live: 2, Note: "replaying"}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServeEndpoints(t *testing.T) {
 
 // TestServeNilRegistry: profiling must work without metrics.
 func TestServeNilRegistry(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", nil, nil)
+	s, err := ServeWith("127.0.0.1:0", ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestSpaceSavingMergeCommutes(t *testing.T) {
 // TestSpaceSavingMergeOfShardsEqualsStreamWithoutEviction: while no shard
 // evicts, per-shard summaries merged together equal the single-stream
 // summary exactly — the epoch-merge discipline the concurrent replayer
-// (and ROADMAP item 1's sharded sim engine) builds on.
+// (and the parked sharded parallel sim engine) builds on.
 func TestSpaceSavingMergeOfShardsEqualsStream(t *testing.T) {
 	stream := zipfStream(t, 5, 100, 40000)
 	whole := NewSpaceSaving(128)

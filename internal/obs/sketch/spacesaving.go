@@ -53,14 +53,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, m: make(map[uint64]*node, k), h: make([]*node, 0, k)}
 }
 
-// K returns the entry capacity (0 on nil).
-func (s *SpaceSaving) K() int {
-	if s == nil {
-		return 0
-	}
-	return s.k
-}
-
 // N returns the total stream weight observed (0 on nil).
 func (s *SpaceSaving) N() int64 {
 	if s == nil {
@@ -69,29 +61,13 @@ func (s *SpaceSaving) N() int64 {
 	return s.n
 }
 
-// Len returns the number of tracked keys (0 on nil).
-func (s *SpaceSaving) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.m)
-}
-
 // Update adds weight inc to key. Non-positive increments are ignored.
 func (s *SpaceSaving) Update(key uint64, inc int64) { s.UpdateEx(key, inc, Exemplar{}) }
 
 // UpdateEx is Update carrying an exemplar for the contributing request.
 func (s *SpaceSaving) UpdateEx(key uint64, inc int64, ex Exemplar) {
-	s.UpdateEvict(key, inc, ex)
-}
-
-// UpdateEvict is UpdateEx additionally reporting the key it evicted to make
-// room (ok=false when nothing was evicted), so callers keeping per-key side
-// state (the shard's display-name table) can drop the victim's entry
-// immediately instead of sweeping for stale keys later.
-func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted uint64, ok bool) {
 	if s == nil || inc <= 0 {
-		return 0, false
+		return
 	}
 	s.n += inc
 	if nd, found := s.m[key]; found {
@@ -101,25 +77,23 @@ func (s *SpaceSaving) UpdateEvict(key uint64, inc int64, ex Exemplar) (evicted u
 		}
 		// The count grew, so the entry can only move away from the root.
 		s.siftDown(nd.pos)
-		return 0, false
+		return
 	}
 	if len(s.m) < s.k {
 		nd := &node{e: Entry{Key: key, Count: inc, Ex: ex}, pos: len(s.h)}
 		s.m[key] = nd
 		s.h = append(s.h, nd)
 		s.siftUp(nd.pos)
-		return 0, false
+		return
 	}
 	// The newcomer inherits the victim's count as its overestimation bound
 	// (the classic Space-Saving replacement); its exemplar dies with it. The
 	// victim is the heap root — the unique minimum by (count, key).
 	v := s.h[0]
-	evicted = v.e.Key
-	delete(s.m, evicted)
+	delete(s.m, v.e.Key)
 	v.e = Entry{Key: key, Count: v.e.Count + inc, Err: v.e.Count, Ex: ex}
 	s.m[key] = v
 	s.siftDown(0)
-	return evicted, true
 }
 
 // entryGreater is the (count desc, key asc) total order shared by Top and

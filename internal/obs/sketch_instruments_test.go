@@ -14,17 +14,24 @@ import (
 	"starcdn/internal/obs/sketch"
 )
 
+// objNamer renders test keys as "obj-<id>", the shape of sim.PopObjectKey.
+func objNamer(id uint64) string { return fmt.Sprintf("obj-%d", id) }
+
+// noEx is the exemplar of an untraced update.
+var noEx sketch.Exemplar
+
 // TestTopKExposition: a TopK instrument emits bounded-cardinality rank rows
 // plus a samples counter on the Prometheus exposition, and the full keyed
 // entry list on the JSON exposition.
 func TestTopKExposition(t *testing.T) {
 	r := NewRegistry()
 	tk := r.TopK("starcdn_popularity_objects", 4, L("pipeline", "sim"))
+	tk.SetNamer(objNamer)
 	for i := 0; i < 10; i++ {
-		tk.Observe("obj-1", 1)
+		tk.ObserveIDEx(1, 1, noEx)
 	}
-	tk.Observe("obj-2", 3)
-	tk.Observe("obj-3", 1)
+	tk.ObserveIDEx(2, 3, noEx)
+	tk.ObserveIDEx(3, 1, noEx)
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -78,7 +85,7 @@ func TestTopKExposition(t *testing.T) {
 func TestTopKLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	hostile := "a\nb\"c\\d"
-	r.TopK("starcdn_popularity_objects", 2, L("path", hostile)).Observe("k", 1)
+	r.TopK("starcdn_popularity_objects", 2, L("path", hostile)).ObserveIDEx(1, 1, noEx)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0, L("path", hostile))
 	sk.Observe(5)
 
@@ -162,13 +169,13 @@ func TestSketchEmptyExposition(t *testing.T) {
 func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 	r := NewRegistry()
 	tk := r.TopK("starcdn_popularity_objects", 8)
+	tk.SetNamer(objNamer)
 	// 200 distinct keys; key i observed i times (total 20100). The heavy
 	// tail (193..200 observations) must survive the churn of 192 lighter
 	// keys cycling through the 8 tracked slots.
 	for count := 1; count <= 200; count++ {
-		key := fmt.Sprintf("key-%03d", count)
 		for j := 0; j < count; j++ {
-			tk.Observe(key, 1)
+			tk.ObserveIDEx(uint64(count), 1, noEx)
 		}
 	}
 	if got := tk.N(); got != 20100 {
@@ -180,7 +187,7 @@ func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 	}
 	for _, e := range top {
 		var truth int64
-		if _, err := fmt.Sscanf(e.Key, "key-%d", &truth); err != nil {
+		if _, err := fmt.Sscanf(e.Key, "obj-%d", &truth); err != nil {
 			t.Fatalf("unexpected key %q", e.Key)
 		}
 		if e.Count < truth || e.Count-e.Err > truth {
@@ -191,8 +198,8 @@ func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 		}
 	}
 	// The single heaviest key (guaranteed tracked: 200 > N/k) ranks first.
-	if top[0].Key != "key-200" {
-		t.Errorf("rank-1 key = %s, want key-200", top[0].Key)
+	if top[0].Key != "obj-200" {
+		t.Errorf("rank-1 key = %s, want obj-200", top[0].Key)
 	}
 	// Exposition stays bounded at promTopKRanks rows even at capacity 8.
 	var b bytes.Buffer
@@ -211,12 +218,13 @@ func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 func TestInstrumentMergeCommutes(t *testing.T) {
 	buildShards := func() (*TopKShard, *TopKShard) {
 		a, b := NewTopKShard(4), NewTopKShard(4)
+		const x, y, z = 1, 2, 3
 		for i := 0; i < 5; i++ {
-			a.ObserveEx("x", 1, sketch.Exemplar{TraceID: "ta", Req: int64(i), Value: 1})
+			a.ObserveIDEx(x, 1, sketch.Exemplar{TraceID: "ta", Req: int64(i), Value: 1})
 		}
-		a.Observe("y", 2)
-		b.ObserveEx("x", 3, sketch.Exemplar{TraceID: "tb", Req: 9, Value: 2})
-		b.Observe("z", 4)
+		a.ObserveIDEx(y, 2, noEx)
+		b.ObserveIDEx(x, 3, sketch.Exemplar{TraceID: "tb", Req: 9, Value: 2})
+		b.ObserveIDEx(z, 4, noEx)
 		return a, b
 	}
 
@@ -269,91 +277,68 @@ func TestInstrumentMergeCommutes(t *testing.T) {
 	}
 }
 
-// TestPopularityEndpoint: /popularity.json serves the full keyed top-K and
-// quantile detail with ?k and ?match filters.
+// TestPopularityEndpoint: /metrics.json is the "which objects are hot, and
+// give me a trace of one" endpoint — it serves the full keyed top-K entries
+// and the sketch quantiles with their trace exemplars, the detail the bounded
+// Prometheus rows omit.
 func TestPopularityEndpoint(t *testing.T) {
 	r := NewRegistry()
 	tk := r.TopK("starcdn_popularity_objects", 8)
-	tk.ObserveEx("obj-1", 5, sketch.Exemplar{TraceID: "deadbeef", Req: 3, Value: 100})
-	tk.Observe("obj-2", 2)
-	tk.Observe("obj-3", 1)
+	tk.SetNamer(objNamer)
+	tk.ObserveIDEx(1, 5, sketch.Exemplar{TraceID: "deadbeef", Req: 3, Value: 100})
+	tk.ObserveIDEx(2, 2, noEx)
+	tk.ObserveIDEx(3, 1, noEx)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
-	sk.Observe(4)
+	sk.ObserveEx(4, sketch.Exemplar{TraceID: "cafef00d", Req: 1, Value: 4})
 	sk.Observe(40)
-	r.Counter("starcdn_sim_served_total").Inc() // scalar kinds must not appear
 
-	get := func(q string) map[string]any {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodGet, "/popularity.json"+q, nil)
-		w := httptest.NewRecorder()
-		handlePopularity(r)(w, req)
-		if w.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", q, w.Code)
-		}
-		var body map[string]any
-		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
-			t.Fatalf("%s: bad JSON: %v", q, err)
-		}
-		return body
+	s, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: r})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	body := get("")
-	series := body["series"].([]any)
-	if len(series) != 2 {
-		t.Fatalf("%d series, want 2 (topk + sketch): %v", len(series), body)
+	defer s.Close()
+	_, body := get(t, "http://"+s.Addr()+"/metrics.json")
+	var doc struct {
+		Objects struct {
+			Kind    string      `json:"kind"`
+			N       int64       `json:"n"`
+			Entries []TopKEntry `json:"entries"`
+		} `json:"starcdn_popularity_objects"`
+		Latency struct {
+			Kind      string                     `json:"kind"`
+			Count     int64                      `json:"count"`
+			Quantiles map[string]float64         `json:"quantiles"`
+			Exemplars map[string]sketch.Exemplar `json:"exemplars"`
+		} `json:"starcdn_sketch_serve_latency_ms"`
 	}
-	var sawTopK, sawSketch bool
-	for _, sv := range series {
-		s := sv.(map[string]any)
-		switch s["kind"] {
-		case "topk":
-			sawTopK = true
-			entries := s["entries"].([]any)
-			if len(entries) != 3 {
-				t.Errorf("topk entries = %d, want 3", len(entries))
-			}
-			first := entries[0].(map[string]any)
-			if first["key"] != "obj-1" {
-				t.Errorf("rank-1 key = %v", first["key"])
-			}
-			if first["exemplar"].(map[string]any)["trace"] != "deadbeef" {
-				t.Errorf("rank-1 exemplar = %v", first["exemplar"])
-			}
-		case "sketch":
-			sawSketch = true
-			if s["count"].(float64) != 2 {
-				t.Errorf("sketch count = %v, want 2", s["count"])
-			}
-		default:
-			t.Errorf("unexpected kind %v on /popularity.json", s["kind"])
-		}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("bad /metrics.json: %v\n%s", err, body)
 	}
-	if !sawTopK || !sawSketch {
-		t.Fatalf("missing kinds: topk=%v sketch=%v", sawTopK, sawSketch)
+	if o := doc.Objects; o.Kind != "topk" || o.N != 8 || len(o.Entries) != 3 {
+		t.Fatalf("topk = kind=%q n=%d entries=%d, want topk/8/3", o.Kind, o.N, len(o.Entries))
 	}
-
-	// ?k truncates entries; ?match filters series.
-	body = get("?k=1&match=popularity")
-	series = body["series"].([]any)
-	if len(series) != 1 {
-		t.Fatalf("match filter left %d series, want 1", len(series))
+	if e := doc.Objects.Entries[0]; e.Key != "obj-1" || e.Count != 5 || e.Exemplar.TraceID != "deadbeef" {
+		t.Errorf("rank-1 entry = %+v, want obj-1 ×5 with exemplar deadbeef", e)
 	}
-	if entries := series[0].(map[string]any)["entries"].([]any); len(entries) != 1 {
-		t.Errorf("?k=1 left %d entries", len(entries))
+	if l := doc.Latency; l.Kind != "sketch" || l.Count != 2 || len(l.Quantiles) != len(SketchQuantiles) {
+		t.Errorf("sketch = %+v, want count 2 and %d quantiles", l, len(SketchQuantiles))
+	}
+	if ex := doc.Latency.Exemplars["0.5"]; ex.TraceID != "cafef00d" {
+		t.Errorf("p50 exemplar = %+v, want trace cafef00d", ex)
 	}
 }
 
 // TestRecorderTopKSketchRings: the flight recorder fans a topk instrument
 // out into per-rank rings plus a samples ring, and a sketch into per-quantile
-// rings plus samples, so dashboards can plot hot-set churn over time.
+// rings plus samples, so /timeseries.json can plot hot-set churn over time.
 func TestRecorderTopKSketchRings(t *testing.T) {
 	r := NewRegistry()
 	rec := NewRecorder(r, RecorderOptions{EpochSec: 1})
 	tk := r.TopK("starcdn_popularity_objects", 4)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
 	for i := 1; i <= 3; i++ {
-		tk.Observe("hot", 2)
-		tk.Observe("warm", 1)
+		tk.ObserveIDEx(1, 2, noEx) // hot
+		tk.ObserveIDEx(2, 1, noEx) // warm
 		sk.Observe(float64(10 * i))
 		rec.TickAt(float64(i))
 	}
@@ -460,7 +445,7 @@ func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
 		shard, lat := NewTopKShard(8), sketch.NewQuantile(0, 0)
 		for m := 0; m < merges; m++ {
 			for i := 0; i < perMerge; i++ {
-				shard.ObserveID(uint64(i%50), 1)
+				shard.ObserveIDEx(uint64(i%50), 1, noEx)
 				lat.Observe(float64(1 + i))
 			}
 			tk.MergeShard(shard)

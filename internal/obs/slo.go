@@ -203,7 +203,8 @@ func (e *SLOEngine) evaluate(float64) {
 	}
 }
 
-// SLOStatus is one objective's current state, for the dashboard.
+// SLOStatus is one objective's current state, as the commands' end-of-run
+// summary prints it.
 type SLOStatus struct {
 	Name      string
 	Objective string  // human-readable objective description
@@ -262,26 +263,6 @@ func (e *SLOEngine) Burning() []string {
 		}
 	}
 	return out
-}
-
-// MaxBurn returns the highest burn rate across all objectives as of the
-// last evaluated epoch (0 before any evaluation, and for nil engines).
-// This is the scalar signal a shed.Controller consumes via SetBurn when
-// shedding is driven by wall-clock SLOs instead of the deterministic
-// degraded-fraction mode.
-func (e *SLOEngine) MaxBurn() float64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var max float64
-	for _, st := range e.slos {
-		if b := st.burn.Value(); b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // Health folds the engine into a HealthFunc: it wraps base (nil meaning

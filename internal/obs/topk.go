@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"starcdn/internal/obs/sketch"
@@ -14,27 +14,13 @@ const defaultTopKEntries = 32
 
 // promTopKRanks bounds how many rank-indexed rows a TopK instrument emits
 // on the Prometheus exposition (and how many rank rings the flight recorder
-// keeps). The full tracked set — keys, errors, exemplars — is only on
-// /popularity.json and the JSON exposition, so object identities never
-// become label values.
+// keeps). The full tracked set — keys, errors, exemplars — is only on the
+// JSON exposition, so object identities never become label values.
 const promTopKRanks = 8
 
 // SketchQuantiles are the quantiles a Sketch instrument exposes as
 // bounded-cardinality rows (`name_q{q="..."}`) and records per epoch.
 var SketchQuantiles = []float64{0.5, 0.9, 0.99}
-
-// hashKey is FNV-1a over the key string: the stable string→uint64 mapping
-// the popularity sketches index on. Display names ride alongside in a
-// bounded table, so hashes never leak into expositions.
-func hashKey(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
 
 // TopKEntry is one ranked entry of a TopK snapshot. Count overestimates the
 // key's true frequency by at most Err; Refined is min(Count, Count-Min
@@ -48,20 +34,14 @@ type TopKEntry struct {
 }
 
 // TopKShard is the single-owner form of a TopK instrument: a Space-Saving
-// summary, a Count-Min refinement grid, and a bounded name table, with no
-// lock anywhere (internal/obs/sketch is not synchronized either). One
-// goroutine owns a shard: per-worker shards absorb updates and merge into
-// the registry's TopK instrument at deterministic barriers (segment
-// boundaries in the concurrent replayer), and the TopK instrument's shard
-// sits behind TopK.mu.
+// summary and a Count-Min refinement grid, with no lock anywhere
+// (internal/obs/sketch is not synchronized either). One goroutine owns a
+// shard: per-worker shards absorb updates and merge into the registry's TopK
+// instrument at deterministic barriers (segment boundaries in the
+// concurrent replayer), and the TopK instrument's shard sits behind TopK.mu.
 type TopKShard struct {
-	ss    *sketch.SpaceSaving
-	cm    *sketch.CountMin
-	names map[uint64]string
-	// namer renders a display name from an integer key fed through
-	// ObserveIDEx; nil for string-keyed shards. Rendering happens at
-	// exposition time only, so the per-update path never builds a string.
-	namer func(uint64) string
+	ss *sketch.SpaceSaving
+	cm *sketch.CountMin
 }
 
 // NewTopKShard returns a shard tracking at most k entries (k <= 0 selects
@@ -70,75 +50,20 @@ func NewTopKShard(k int) *TopKShard {
 	if k <= 0 {
 		k = defaultTopKEntries
 	}
-	return &TopKShard{
-		ss:    sketch.NewSpaceSaving(k),
-		cm:    sketch.NewCountMin(1024, 4),
-		names: make(map[uint64]string, 2*k),
-	}
+	return &TopKShard{ss: sketch.NewSpaceSaving(k), cm: sketch.NewCountMin(1024, 4)}
 }
 
-// Observe adds weight inc to key (no-op on nil shards or inc <= 0).
-func (t *TopKShard) Observe(key string, inc int64) { t.ObserveEx(key, inc, sketch.Exemplar{}) }
-
-// ObserveEx is Observe carrying a trace exemplar for the contributing
-// request.
-func (t *TopKShard) ObserveEx(key string, inc int64, ex sketch.Exemplar) {
-	if t == nil || inc <= 0 {
-		return
-	}
-	h := hashKey(key)
-	if evicted, ok := t.ss.UpdateEvict(h, inc, ex); ok {
-		// The victim is no longer tracked; dropping its display name here
-		// keeps the table bounded by k without periodic sweeps.
-		delete(t.names, evicted)
-	}
-	t.cm.Update(h, inc)
-	if _, ok := t.names[h]; !ok {
-		t.names[h] = key
-		if len(t.names) > 4*t.ss.K() {
-			t.pruneNames() // merge-imported keys can still accumulate
-		}
-	}
-}
-
-// SetNamer registers the display-name renderer for integer-keyed shards
-// (ObserveIDEx). Call once at resolve time, before concurrent updates.
-func (t *TopKShard) SetNamer(f func(uint64) string) {
-	if t == nil {
-		return
-	}
-	t.namer = f
-}
-
-// ObserveID records an update keyed by an integer identity (object ID,
-// satellite ID, bucket index) instead of a string. The key IS the identity —
-// no hashing, no name-table traffic — and the display name is rendered
-// lazily at exposition time by the namer (SetNamer). An instrument must be
-// fed through exactly one of the string or ID paths: the two key spaces do
-// not mix.
-func (t *TopKShard) ObserveID(id uint64, inc int64) { t.ObserveIDEx(id, inc, sketch.Exemplar{}) }
-
-// ObserveIDEx is ObserveID carrying a trace exemplar.
+// ObserveIDEx adds weight inc to the entry keyed by an integer identity
+// (object ID, satellite ID, bucket index), carrying a trace exemplar for the
+// contributing request. The key IS the identity — no hashing, no name table
+// — and the display name is rendered lazily at exposition time by the
+// instrument's namer (TopK.SetNamer). No-op on nil shards or inc <= 0.
 func (t *TopKShard) ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar) {
 	if t == nil || inc <= 0 {
 		return
 	}
 	t.ss.UpdateEx(id, inc, ex)
 	t.cm.Update(id, inc)
-}
-
-// pruneNames drops name-table entries for keys the summary no longer
-// tracks, keeping the table (and therefore the shard) bounded by k.
-func (t *TopKShard) pruneNames() {
-	tracked := make(map[uint64]bool, t.ss.Len())
-	for _, e := range t.ss.Top() {
-		tracked[e.Key] = true
-	}
-	for h := range t.names {
-		if !tracked[h] {
-			delete(t.names, h)
-		}
-	}
 }
 
 // N returns the total stream weight observed (0 on nil).
@@ -156,24 +81,17 @@ func (t *TopKShard) Reset() {
 	}
 	t.ss.Reset()
 	t.cm.Reset()
-	clear(t.names)
 }
 
-// top renders the ranked entries with display names and refined estimates.
-func (t *TopKShard) top() []TopKEntry {
+// top renders the ranked entries with display names (the decimal key when
+// namer is nil) and refined estimates.
+func (t *TopKShard) top(namer func(uint64) string) []TopKEntry {
 	entries := t.ss.Top()
 	out := make([]TopKEntry, 0, len(entries))
 	for _, e := range entries {
-		name, ok := t.names[e.Key]
-		if !ok {
-			if t.namer != nil {
-				name = t.namer(e.Key)
-			} else {
-				// A merge can import an entry whose name the donor had
-				// pruned; fall back to the hash so the row stays
-				// identifiable.
-				name = fmt.Sprintf("key-%016x", e.Key)
-			}
+		name := strconv.FormatUint(e.Key, 10)
+		if namer != nil {
+			name = namer(e.Key)
 		}
 		refined := e.Count
 		if est := t.cm.Estimate(e.Key); est < refined {
@@ -185,17 +103,13 @@ func (t *TopKShard) top() []TopKEntry {
 }
 
 // merge folds o into t: mergeable-summaries merge for the Space-Saving
-// side, exact element-wise merge for the Count-Min grid, union for names.
+// side, exact element-wise merge for the Count-Min grid.
 func (t *TopKShard) merge(o *TopKShard) {
 	if t == nil || o == nil {
 		return
 	}
 	t.ss.Merge(o.ss)
 	t.cm.Merge(o.cm)
-	for h, name := range o.names {
-		t.names[h] = name
-	}
-	t.pruneNames()
 }
 
 // TopK is a registry instrument tracking the approximate top-K keys of a
@@ -206,28 +120,15 @@ func (t *TopKShard) merge(o *TopKShard) {
 type TopK struct {
 	mu    sync.Mutex
 	shard *TopKShard
+	// namer renders a display name from the integer key. Rendering happens
+	// at exposition time only, so the per-update path never builds a string.
+	namer func(uint64) string
 }
 
 func newTopK(k int) *TopK { return &TopK{shard: NewTopKShard(k)} }
 
-// Observe adds weight inc to key (no-op on nil).
-func (t *TopK) Observe(key string, inc int64) { t.ObserveEx(key, inc, sketch.Exemplar{}) }
-
-// ObserveEx is Observe carrying a trace exemplar.
-func (t *TopK) ObserveEx(key string, inc int64, ex sketch.Exemplar) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.shard.ObserveEx(key, inc, ex)
-	t.mu.Unlock()
-}
-
-// ObserveID records an update keyed by an integer identity; the display
-// name is rendered lazily by the namer (SetNamer). See TopKShard.ObserveID.
-func (t *TopK) ObserveID(id uint64, inc int64) { t.ObserveIDEx(id, inc, sketch.Exemplar{}) }
-
-// ObserveIDEx is ObserveID carrying a trace exemplar.
+// ObserveIDEx adds weight inc to the entry keyed by id; see
+// TopKShard.ObserveIDEx. No-op on nil.
 func (t *TopK) ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar) {
 	if t == nil {
 		return
@@ -237,14 +138,14 @@ func (t *TopK) ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar) {
 	t.mu.Unlock()
 }
 
-// SetNamer registers the display-name renderer for the ID-keyed observe
-// path. Resolving the same instrument twice re-registers harmlessly.
+// SetNamer registers the display-name renderer. Resolving the same
+// instrument twice re-registers harmlessly.
 func (t *TopK) SetNamer(f func(uint64) string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.shard.SetNamer(f)
+	t.namer = f
 	t.mu.Unlock()
 }
 
@@ -278,7 +179,7 @@ func (t *TopK) Top() []TopKEntry {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.shard.top()
+	return t.shard.top(t.namer)
 }
 
 // Sketch is a registry instrument summarising a value distribution with a

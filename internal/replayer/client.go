@@ -43,7 +43,7 @@ type ClientOptions struct {
 	// Dial overrides the connection factory (nil = real TCP dials).
 	Dial Dialer
 	// Obs, when non-nil, registers the client-side series: attempt/retry/
-	// failure counters and backoff/frame-latency histograms under the
+	// failure counters and the frame-latency histogram under the
 	// starcdn_client_* names.
 	Obs *obs.Registry
 	// Tracer, when non-nil together with Propagate, receives client-side
@@ -75,11 +75,10 @@ type ClientOptions struct {
 // the disabled configuration; the wall-clock frame timer is only armed when
 // observability is on, so the no-op path never calls time.Now.
 type clientObs struct {
-	attempts  *obs.Counter
-	retries   *obs.Counter
-	failures  *obs.Counter
-	backoffMs *obs.Histogram
-	frameMs   *obs.Histogram
+	attempts *obs.Counter
+	retries  *obs.Counter
+	failures *obs.Counter
+	frameMs  *obs.Histogram
 	// rejected counts terminal rejections by cause: an overload-control
 	// shed (the server said no on purpose), an exhausted deadline, or a
 	// refused dial (dead server). Retried-then-recovered attempts are
@@ -97,7 +96,6 @@ func newClientObs(reg *obs.Registry) *clientObs {
 		attempts:    reg.Counter("starcdn_client_attempts_total"),
 		retries:     reg.Counter("starcdn_client_retries_total"),
 		failures:    reg.Counter("starcdn_client_failures_total"),
-		backoffMs:   reg.Histogram("starcdn_client_backoff_ms", nil),
 		frameMs:     reg.Histogram("starcdn_client_frame_ms", nil),
 		rejShed:     reg.Counter("starcdn_client_rejected_total", obs.L("reason", "shed")),
 		rejDeadline: reg.Counter("starcdn_client_rejected_total", obs.L("reason", "deadline")),
@@ -275,7 +273,6 @@ func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, s
 			d := c.backoff(attempt)
 			if c.obs != nil {
 				c.obs.retries.Inc()
-				c.obs.backoffMs.Observe(float64(d) / float64(time.Millisecond))
 			}
 			c.emitRetrySpan(sc, attempt, d, lastErr)
 			rc := c.phases.Clock()

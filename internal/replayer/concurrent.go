@@ -42,7 +42,7 @@ func ReplayConcurrent(h *core.HashScheme, cluster *Cluster, users []geo.Point, t
 	// the concurrent summaries are independent of goroutine interleaving (and,
 	// below the eviction threshold, identical to a sequential replay's).
 	shards := make([]*popShard, len(users))
-	if rp.ro.sketching() {
+	if rp.ro.popObs() != nil {
 		for i := range shards {
 			shards[i] = newPopShard()
 		}
@@ -109,10 +109,9 @@ func ReplayConcurrent(h *core.HashScheme, cluster *Cluster, users []geo.Point, t
 		}
 		// Segment barrier: fold the shards in, in location order, and reset
 		// them for the next segment.
-		if rp.ro.sketching() {
+		if po := rp.ro.popObs(); po != nil {
 			for _, ps := range shards {
-				rp.ro.pop.mergeShard(ps)
-				ps.reset()
+				mergeShard(po, ps)
 			}
 		}
 		start = end

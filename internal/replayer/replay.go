@@ -261,9 +261,9 @@ func (rp *replay) plan(i int) (planned, error) {
 }
 
 // popRecorder takes a request's sketch update: the shared instruments
-// (*replayObs) or a concurrent worker's shard (*popShard). Both are nil-safe.
+// (*sharedPop) or a concurrent worker's shard (*popShard). Both are nil-safe.
 type popRecorder interface {
-	recordPop(r *trace.Request, req int64, sat orbitSat, bucket int, wallLatencyMs float64, traceID string)
+	Record(r *trace.Request, req int64, sat orbitSat, bucket int, wallLatencyMs float64, traceID string)
 }
 
 // serve carries a planned request to its verdict and accounts it. When the
@@ -276,7 +276,7 @@ func (rp *replay) serve(f *tcpFabric, p *planned, m *cache.Meter, pop popRecorde
 	// The bucket key is a pure function of the object, so every path — shed,
 	// degraded, served — feeds the bucket top-K.
 	bucket := -1
-	if rp.ro.sketching() && opts.Hashing {
+	if rp.ro.popObs() != nil && opts.Hashing {
 		bucket = int(rp.ladder.Hash.BucketOf(r.Object))
 	}
 	got := p.route.Fetched
@@ -296,8 +296,8 @@ func (rp *replay) serve(f *tcpFabric, p *planned, m *cache.Meter, pop popRecorde
 		rt.addHop(p.route.Hop())
 	}
 	rt.finish(opts.Tracer, got.Source, wallLatency)
-	rp.ro.record(got.Source, r.Size)
-	pop.recordPop(r, p.index, p.route.Home, bucket, wallLatency, rt.traceID())
+	rp.ro.record(got.Source)
+	pop.Record(r, p.index, p.route.Home, bucket, wallLatency, rt.traceID())
 	m.Record(r.Size, got.Source.Hit())
 	if opts.Shedder != nil {
 		opts.Shedder.Observe(got.Signal())
@@ -345,7 +345,7 @@ func Replay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.T
 		if err != nil {
 			return meter, err
 		}
-		if err := rp.serve(f, &p, &meter, rp.ro); err != nil {
+		if err := rp.serve(f, &p, &meter, rp.ro.popObs()); err != nil {
 			return meter, err
 		}
 	}

@@ -70,7 +70,6 @@ type Server struct {
 	// obs handles (nil when observability is off; updates are no-ops).
 	reqs    *obs.Counter
 	hitRate *obs.Gauge
-	open    *obs.Gauge
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -120,7 +119,6 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 		sat := obs.L("sat", strconv.Itoa(int(id)))
 		s.reqs = opts.Obs.Counter("starcdn_server_requests_total", sat)
 		s.hitRate = opts.Obs.Gauge("starcdn_server_hit_rate", sat)
-		s.open = opts.Obs.Gauge("starcdn_server_open_conns", sat)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -171,7 +169,6 @@ func (s *Server) acceptLoop() {
 		}
 		s.connMu.Lock()
 		s.conns[conn] = struct{}{}
-		s.open.Set(float64(len(s.conns)))
 		s.connMu.Unlock()
 		s.wg.Add(1)
 		go s.handle(conn)
@@ -185,7 +182,6 @@ func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.connMu.Lock()
 		delete(s.conns, conn)
-		s.open.Set(float64(len(s.conns)))
 		s.connMu.Unlock()
 		_ = conn.Close()
 	}()
@@ -387,7 +383,6 @@ type Cluster struct {
 	// obs handles (nil when observability is off).
 	kills   *obs.Counter
 	revives *obs.Counter
-	live    *obs.Gauge
 }
 
 // NewCluster creates an empty cluster; servers spin up lazily per satellite,
@@ -417,7 +412,6 @@ func NewClusterOpts(kind cache.Kind, capacityBytes int64, opts ServerOptions) (*
 	if opts.Obs != nil {
 		c.kills = opts.Obs.Counter("starcdn_cluster_kills_total")
 		c.revives = opts.Obs.Counter("starcdn_cluster_revives_total")
-		c.live = opts.Obs.Gauge("starcdn_cluster_live_servers")
 	}
 	return c, nil
 }
@@ -436,7 +430,6 @@ func (c *Cluster) startLocked(id orbit.SatID) (*Server, error) {
 	delete(c.survivors, id)
 	delete(c.downAddr, id)
 	c.servers[id] = s
-	c.live.Set(float64(len(c.servers)))
 	return s, nil
 }
 
@@ -499,7 +492,6 @@ func (c *Cluster) Kill(id orbit.SatID) error {
 		c.downAddr[id] = s.Addr()
 		c.survivors[id] = ServerOptions{Cache: s.cache, Meter: s.Meter()}
 		c.kills.Inc()
-		c.live.Set(float64(len(c.servers)))
 	} else if _, down := c.downAddr[id]; !down {
 		// Never started: bind and release a port so there is a concrete
 		// address that refuses connections. (The kernel could hand the
@@ -579,7 +571,6 @@ func (c *Cluster) Close() error {
 	c.servers = make(map[orbit.SatID]*Server)
 	c.downAddr = make(map[orbit.SatID]string)
 	c.survivors = make(map[orbit.SatID]ServerOptions)
-	c.live.Set(0)
 	c.mu.Unlock()
 	var first error
 	for _, s := range servers {

@@ -20,10 +20,10 @@
 // compared against per-stage entry thresholds to escalate and against
 // strictly lower exit thresholds to recover, and every transition must be
 // preceded by a minimum dwell (epochs at the current stage) so a single
-// noisy window cannot bounce the stage. The burn signal can instead be fed
-// from an obs.SLOEngine via SetBurn for wall-clock deployments; the
-// internal degraded-fraction mode is the deterministic one the sim/replay
-// parity tests rely on.
+// noisy window cannot bounce the stage. SetBurn swaps in an external burn
+// signal (the replayer's shed tests force a stage with it); the internal
+// degraded-fraction mode is the deterministic one the sim/replay parity
+// tests rely on.
 //
 // Everything is a pure function of the observed request sequence: no wall
 // clock, no global randomness, no package-level state — the same
@@ -470,8 +470,7 @@ func (c *Controller) Burn() float64 {
 }
 
 // SetBurn overrides the internal degraded-fraction burn signal with an
-// external one (e.g. obs.SLOEngine.MaxBurn) at the next epoch close. Use
-// this for wall-clock deployments; the internal signal is the
+// external one at the next epoch close; the internal signal is the
 // deterministic one.
 func (c *Controller) SetBurn(burn float64) {
 	c.mu.Lock()
@@ -480,11 +479,25 @@ func (c *Controller) SetBurn(burn float64) {
 	c.extBurn = burn
 }
 
-// Status snapshots the controller for dashboards and health bodies.
-func (c *Controller) Status() obs.ShedStatus {
+// Status is a snapshot of the controller: what the end-of-run summary prints
+// and what the starcdn_shed_* gauges carry per epoch.
+type Status struct {
+	Stage        int
+	StageName    string
+	Burn         float64
+	Degraded     float64
+	Enter        float64 // threshold to escalate (0 at top stage)
+	Exit         float64 // threshold to recover (0 at stage 0)
+	DwellEpochs  int
+	Dwell        int
+	SessionsOpen int
+}
+
+// Status snapshots the controller.
+func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := obs.ShedStatus{
+	st := Status{
 		Stage:        int(c.stage),
 		StageName:    c.stage.String(),
 		Burn:         c.burn,

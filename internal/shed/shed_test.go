@@ -262,6 +262,10 @@ func TestSessionAdmission(t *testing.T) {
 	if !c2.AdmitSession(12, now) {
 		t.Fatal("expired sessions did not free quota slots")
 	}
+	if open := c2.Status().SessionsOpen; open != 1 {
+		t.Errorf("%d sessions open after the sweep and one admission, want 1", open)
+	}
+	assertGauge(t, reg, "starcdn_shed_sessions_open", 1)
 	if v := counterValue(t, reg, "starcdn_shed_sessions_rejected_total"); v < 2 {
 		t.Errorf("sessions_rejected_total = %v, want >= 2", v)
 	}
@@ -318,6 +322,8 @@ func TestHealthWrapper(t *testing.T) {
 
 func TestStatusSnapshot(t *testing.T) {
 	cfg := testConfig()
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
 	c := mustController(t, cfg)
 	st := c.Status()
 	if st.StageName != "stage-0" || st.Enter != cfg.Enter[0] || st.Exit != 0 {
@@ -335,6 +341,9 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Burn <= 0 || st.Degraded != 1 {
 		t.Fatalf("status signals = %+v", st)
 	}
+	// The per-epoch gauges carry the same signals into the recorder rings.
+	assertGauge(t, reg, "starcdn_shed_burn_rate", st.Burn)
+	assertGauge(t, reg, "starcdn_shed_degraded_ratio", st.Degraded)
 }
 
 func TestErrShedIsTyped(t *testing.T) {

@@ -10,6 +10,12 @@ import (
 	"starcdn/internal/trace"
 )
 
+// TraceSeed keys the trace sampling hash and the span identities of the
+// tracers starcdn-sim and starcdn-replay build. It is one constant because a
+// request carries the same trace identity in both pipelines only if they
+// agree on it.
+const TraceSeed = 1
+
 // runObs holds the pre-resolved obs instruments for one Run. Handles are
 // fetched once up front (registry lookups take a mutex) and updated with
 // plain atomics on the per-request path. A nil *runObs is the disabled
@@ -20,98 +26,83 @@ import (
 // enabling metrics or tracing cannot change simulation results.
 type runObs struct {
 	bySource    [numSources]*obs.Counter
-	bytesSource [numSources]*obs.Counter
 	uplinkBytes *obs.Counter
 	islBytes    *obs.Counter
 	latency     *obs.Histogram
 	kills       *obs.Counter
 	revives     *obs.Counter
-	// served/hits aggregate across sources: the denominator/numerator pair a
-	// hit-rate SLO evaluates (ratio objectives need single series).
-	served *obs.Counter
-	hits   *obs.Counter
-	reg    *obs.Registry
-	perSat []satObs // indexed by SatID; rate is nil until the satellite first serves
+	reg         *obs.Registry
+	perSat      []satObs // indexed by SatID; rate is nil until the satellite first serves
 	// pop is the opt-in streaming-sketch telemetry (Config.Sketches); nil
 	// keeps the metrics-only fast path.
-	pop *popObs
-}
-
-// popObs holds the streaming-sketch instruments of one run: top-K
-// popularity (objects, serving satellites, hash buckets) and quantile
-// latency sketches, all deterministic and mergeable (see internal/obs/
-// sketch). Updates are pure functions of the request stream — no RNG, no
-// wall clock — so enabling them cannot change simulation results, and a
-// sequential TCP replay of the same seed builds identical top-K summaries.
-type popObs struct {
-	objects *obs.TopK
-	sats    *obs.TopK
-	buckets *obs.TopK
-	latency *obs.Sketch
-	perSat  []*obs.Sketch // indexed by SatID; nil until the satellite first serves
-	// bucketOf maps an object to its consistent-hash bucket (-1 when the
-	// policy has no bucket structure); nil disables the bucket top-K.
+	pop *PopObs[*obs.TopK, *obs.Sketch]
+	// bucketOf maps an object to its consistent-hash bucket for the bucket
+	// top-K (-1, or a nil func, when the policy has no bucket structure).
 	bucketOf func(cache.ObjectID) int
-	reg      *obs.Registry
 }
 
-// newPopObs resolves the sketch instruments under the shared popularity/
-// sketch names (the same names the TCP replayer uses, which is what makes
-// cross-pipeline top-K parity a straight series comparison). The top-Ks are
-// keyed by integer identity — the update path never builds a key string;
-// the Pop*Key renderers only run at exposition time for tracked entries.
-func newPopObs(reg *obs.Registry, numSats int, bucketOf func(cache.ObjectID) int) *popObs {
-	po := &popObs{
-		objects:  reg.TopK("starcdn_popularity_objects", 0),
-		sats:     reg.TopK("starcdn_popularity_sats", 0),
-		buckets:  reg.TopK("starcdn_popularity_buckets", 0),
-		latency:  reg.Sketch("starcdn_sketch_serve_latency_ms", 0),
-		perSat:   make([]*obs.Sketch, numSats),
-		bucketOf: bucketOf,
-		reg:      reg,
+// popTopK and popSketch are what the popularity rule needs of its
+// instruments: the registry's shared *obs.TopK and *obs.Sketch fit, and so do
+// a concurrent replay worker's single-owner *obs.TopKShard and
+// *sketch.Quantile.
+type popTopK interface {
+	ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar)
+}
+
+type popSketch interface {
+	ObserveEx(x float64, ex sketch.Exemplar)
+}
+
+// PopObs is one set of streaming-sketch instruments — top-K popularity
+// (objects, serving satellites, hash buckets) and a latency quantile sketch,
+// all deterministic and mergeable (see internal/obs/sketch) — and the one
+// rule that updates them. sim.Run and both TCP replay drivers feed every
+// request through Record, which is what makes per-seed top-K parity between
+// the pipelines an exact comparison. Updates are pure functions of the
+// request stream — no RNG, no wall clock — so enabling them cannot change
+// results.
+type PopObs[K popTopK, S popSketch] struct {
+	Objects, Sats, Buckets K
+	Latency                S
+}
+
+// NewPopObs resolves the shared popularity top-Ks in reg and pairs them with
+// the pipeline's own latency sketch. The top-Ks are keyed by integer identity
+// — the update path never builds a key string; the namers only run at
+// exposition time for tracked entries.
+func NewPopObs(reg *obs.Registry, latency *obs.Sketch) *PopObs[*obs.TopK, *obs.Sketch] {
+	po := &PopObs[*obs.TopK, *obs.Sketch]{
+		Objects: reg.TopK("starcdn_popularity_objects", 0),
+		Sats:    reg.TopK("starcdn_popularity_sats", 0),
+		Buckets: reg.TopK("starcdn_popularity_buckets", 0),
+		Latency: latency,
 	}
-	po.objects.SetNamer(func(id uint64) string { return PopObjectKey(cache.ObjectID(id)) })
-	po.sats.SetNamer(func(id uint64) string { return PopSatKey(orbit.SatID(id)) })
-	po.buckets.SetNamer(func(id uint64) string { return PopBucketKey(int(id)) })
+	po.Objects.SetNamer(func(id uint64) string { return "obj-" + strconv.FormatUint(id, 10) })
+	po.Sats.SetNamer(func(id uint64) string { return "sat-" + strconv.FormatUint(id, 10) })
+	po.Buckets.SetNamer(func(id uint64) string { return "bucket-" + strconv.FormatUint(id, 10) })
 	return po
 }
 
-// PopObjectKey, PopSatKey, and PopBucketKey render the display names of the
-// integer-keyed popularity summaries. Exported so the TCP replayer keys and
-// names its summaries identically — the cross-pipeline parity tests compare
-// entries by these rendered keys.
-func PopObjectKey(obj cache.ObjectID) string {
-	return "obj-" + strconv.FormatUint(uint64(obj), 10)
-}
-
-func PopSatKey(sat orbit.SatID) string { return "sat-" + strconv.Itoa(int(sat)) }
-
-func PopBucketKey(b int) string { return "bucket-" + strconv.Itoa(b) }
-
-// record feeds one request into the sketches. sat < 0 means no satellite
-// served (no coverage, degraded, or session-rejected); traceID is the
-// sampled request's trace identity ("" when unsampled) and becomes the
-// exemplar linking hot entries back to assembled distributed traces.
-func (po *popObs) record(r *trace.Request, req int64, sat orbit.SatID, totalMs float64, traceID string) {
+// Record feeds one request into the sketches (no-op on nil). sat < 0 means
+// no satellite served (no coverage, degraded, or session-rejected) and bucket
+// < 0 that the object has no consistent-hash bucket; a NaN latency (a replayed
+// request that never crossed the wire) is skipped by the quantile sketch.
+// traceID is the sampled request's trace identity ("" when unsampled) and
+// becomes the exemplar linking hot entries back to assembled distributed
+// traces.
+func (po *PopObs[K, S]) Record(r *trace.Request, req int64, sat orbit.SatID, bucket int, latencyMs float64, traceID string) {
+	if po == nil {
+		return
+	}
 	ex := sketch.Exemplar{TraceID: traceID, Req: req, Value: float64(r.Size)}
-	po.objects.ObserveIDEx(uint64(r.Object), 1, ex)
-	if po.bucketOf != nil {
-		if b := po.bucketOf(r.Object); b >= 0 {
-			po.buckets.ObserveIDEx(uint64(b), 1, ex)
-		}
+	po.Objects.ObserveIDEx(uint64(r.Object), 1, ex)
+	if bucket >= 0 {
+		po.Buckets.ObserveIDEx(uint64(bucket), 1, ex)
 	}
-	lex := sketch.Exemplar{TraceID: traceID, Req: req, Value: totalMs}
-	po.latency.ObserveEx(totalMs, lex)
 	if sat >= 0 {
-		po.sats.ObserveIDEx(uint64(sat), 1, ex)
-		sk := po.perSat[sat]
-		if sk == nil {
-			sk = po.reg.Sketch("starcdn_sketch_sat_serve_latency_ms", 0,
-				obs.L("sat", strconv.Itoa(int(sat))))
-			po.perSat[sat] = sk
-		}
-		sk.ObserveEx(totalMs, lex)
+		po.Sats.ObserveIDEx(uint64(sat), 1, ex)
 	}
+	po.Latency.ObserveEx(latencyMs, sketch.Exemplar{TraceID: traceID, Req: req, Value: latencyMs})
 }
 
 // satObs tracks one serving satellite's live hit rate.
@@ -136,17 +127,14 @@ func newRunObs(reg *obs.Registry, numSats int, sketches bool, bucketOf func(cach
 		latency:     reg.Histogram("starcdn_sim_request_latency_ms", nil),
 		kills:       reg.Counter("starcdn_sim_failures_total", obs.L("kind", "kill")),
 		revives:     reg.Counter("starcdn_sim_failures_total", obs.L("kind", "revive")),
-		served:      reg.Counter("starcdn_sim_served_total"),
-		hits:        reg.Counter("starcdn_sim_hits_total"),
 		perSat:      make([]satObs, numSats),
+		bucketOf:    bucketOf,
 	}
 	for _, s := range Sources() {
-		l := obs.L("source", s.String())
-		ro.bySource[s] = reg.Counter("starcdn_sim_requests_total", l)
-		ro.bytesSource[s] = reg.Counter("starcdn_sim_bytes_total", l)
+		ro.bySource[s] = reg.Counter("starcdn_sim_requests_total", obs.L("source", s.String()))
 	}
 	if sketches {
-		ro.pop = newPopObs(reg, numSats, bucketOf)
+		ro.pop = NewPopObs(reg, reg.Sketch("starcdn_sketch_serve_latency_ms", 0))
 	}
 	return ro
 }
@@ -165,11 +153,6 @@ func (ro *runObs) record(out *Outcome, r *trace.Request, req int64, totalMs floa
 	}
 	hit := src.Hit()
 	ro.bySource[src].Inc()
-	ro.bytesSource[src].Add(size)
-	ro.served.Inc()
-	if hit {
-		ro.hits.Inc()
-	}
 	// The same rule as Metrics.record: a shed request moved no bytes.
 	if (!hit || src == SourceGroundEdge) && src != SourceShed {
 		ro.uplinkBytes.Add(size)
@@ -189,7 +172,11 @@ func (ro *runObs) record(out *Outcome, r *trace.Request, req int64, totalMs floa
 		so.rate.Set(float64(so.hit) / float64(so.req))
 	}
 	if ro.pop != nil {
-		ro.pop.record(r, req, out.ServerSat, totalMs, traceID)
+		bucket := -1
+		if ro.bucketOf != nil {
+			bucket = ro.bucketOf(r.Object)
+		}
+		ro.pop.Record(r, req, out.ServerSat, bucket, totalMs, traceID)
 	}
 }
 

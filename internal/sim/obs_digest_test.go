@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
 	"strings"
 	"testing"
 
@@ -17,11 +15,13 @@ import (
 
 // obsArtifactsDigest pins every deterministic observability artifact of one
 // seeded full-stack run (Metrics + Sketches + Recorder + Phases + a sampling
-// tracer for exemplars). It was recorded at the commit before the sketch
-// storage, locking and recorder-walk rewrite, so a change to bucket indices,
-// eviction order, Count-Min placements, the exemplar rule or a ring value
-// shows here as a digest mismatch.
-const obsArtifactsDigest = "e914516f3e2f6e167bc4a97836ff72b72f906775a3311f6829718c8c3b31e50f"
+// tracer for exemplars): the JSON exposition, whose top-K and sketch objects
+// carry the full keyed entries and exemplars, and every recorder ring. It was
+// recorded on the commit before the never-read families were deleted and the
+// recorder plan became incremental, restricted to the families that survive,
+// so a change to bucket indices, eviction order, Count-Min placements, the
+// exemplar rule or a ring value shows here as a digest mismatch.
+const obsArtifactsDigest = "a6f411f9b3b36da72de8e3774a81fa2468b4357e8b51aa5989dce0986bc993d6"
 
 // wallClockSeries reports the families whose values are wall-clock
 // measurements and therefore differ run to run.
@@ -61,33 +61,16 @@ func TestObsArtifactsPinned(t *testing.T) {
 		}
 	}
 	if len(series) < 100 {
-		t.Fatalf("only %d series in the exposition; the run did not exercise the per-satellite sketches", len(series))
+		t.Fatalf("only %d series in the exposition; the run did not exercise the per-satellite gauges", len(series))
+	}
+	if !bytes.Contains(expo.Bytes(), []byte(`"exemplars"`)) {
+		t.Fatal("exposition carries no exemplars; the tracer did not sample")
 	}
 	b, err := json.Marshal(series)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Write(b)
-
-	// /popularity.json as served (it holds no wall-clock series).
-	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeOptions{Registry: reg, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/popularity.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(pop, []byte(`"exemplars"`)) {
-		t.Fatal("popularity view carries no exemplars; the tracer did not sample")
-	}
-	h.Write(pop)
 
 	// Every recorder ring, bit for bit.
 	rings := 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"starcdn/internal/cache"
@@ -69,12 +70,17 @@ func TestRunObsMirrorsMetrics(t *testing.T) {
 	mk := func() Policy {
 		return e.starcdn(t, 9, 32<<20, StarCDNOptions{Hashing: true, Relay: true})
 	}
-	_, m, reg, spans := runTwice(t, e, mk, Config{Seed: 7})
+	_, m, reg, spans := runTwice(t, e, mk, Config{Seed: 7, CollectPerSat: true, Sketches: true})
 
 	counts := make(map[string]float64)
-	var latencyCount int64
+	satRates := make(map[string]float64)
+	var latencyCount, sketchCount int64
 	for _, s := range reg.Snapshot() {
 		switch s.Name {
+		case "starcdn_sim_sat_hit_rate":
+			satRates[s.Labels[0].Value] = s.Value
+		case "starcdn_sketch_serve_latency_ms":
+			sketchCount = s.SketchCount
 		case "starcdn_sim_requests_total":
 			counts[s.LabelString()] = s.Value
 		case "starcdn_sim_uplink_bytes_total":
@@ -95,8 +101,17 @@ func TestRunObsMirrorsMetrics(t *testing.T) {
 			t.Errorf("requests_total%s = %v, metrics say %d", key, counts[key], n)
 		}
 	}
-	if latencyCount != m.Meter.Requests {
-		t.Errorf("latency histogram count = %d, want %d", latencyCount, m.Meter.Requests)
+	if latencyCount != m.Meter.Requests || sketchCount != m.Meter.Requests {
+		t.Errorf("latency histogram count = %d, sketch count = %d, want %d each",
+			latencyCount, sketchCount, m.Meter.Requests)
+	}
+	if len(satRates) != len(m.PerSat) {
+		t.Errorf("%d sat_hit_rate gauges for %d serving satellites", len(satRates), len(m.PerSat))
+	}
+	for sat, meter := range m.PerSat {
+		if got, ok := satRates[strconv.Itoa(int(sat))]; !ok || got != meter.RequestHitRate() {
+			t.Errorf("sat_hit_rate{sat=%d} = %v (present=%v), metrics say %v", sat, got, ok, meter.RequestHitRate())
+		}
 	}
 
 	if int64(len(spans)) != m.Meter.Requests {

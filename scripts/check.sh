@@ -53,18 +53,9 @@ step_test_race() { go test -race ./...; }
 step_test_debug() { go test -tags starcdn_debug ./...; }
 
 # Seeded fault schedules + injected network faults through the TCP
-# replayer, race detector and debug invariants both armed (DESIGN.md §8).
-# The TestShed matches are the overload-control smoke: a kill schedule with
-# shedding on recovers to stage 0 holding the latency SLO (sim), sheds the
-# same request set over the wire (replayer parity), and an idle controller
-# leaves every meter byte-identical; ./internal/shed runs the stage-machine
-# unit suite under the same race/debug armor.
-step_chaos() {
-	go test -race -tags starcdn_debug -count=1 \
-		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
-		./internal/replayer/ ./internal/sim/
-	go test -race -tags starcdn_debug -count=1 ./internal/shed/
-}
+# replayer and the overload-control smoke, race detector and debug
+# invariants both armed (DESIGN.md §8). The test list is `make chaos`'s.
+step_chaos() { make -s chaos; }
 
 # Live /metrics + /healthz + pprof scrape during a TCP replay, then span
 # summarisation with starcdn-trace (DESIGN.md §9). Binds only ephemeral

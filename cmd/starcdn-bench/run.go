@@ -68,9 +68,12 @@ var benchSpecs = []benchSpec{
 		file: obsFile,
 	},
 	{
+		// sim, sim/dark and sim/strided; the smoke gate holds all three to
+		// the entry's 0 allocs/op.
 		name: "BenchmarkPhaseMark", pkg: "./internal/obs/",
 		pattern: "^BenchmarkPhaseMark$", benchtime: "2000000x", count: 8, benchmem: true,
-		file: obsFile,
+		file:         obsFile,
+		smokePattern: "^BenchmarkPhaseMark$", smokeBenchtime: "200000x",
 	},
 	{
 		name: "BenchmarkRecorderSnapshot", pkg: "./internal/obs/",

@@ -11,8 +11,9 @@ import (
 
 // The micro-benchmarks below price the obs operations sim.Run pays with
 // Sketches, a Recorder and Phases on: a top-K update (three per request), a
-// sketch observation (one per request), a phase mark (five or six per
-// request) and a recorder epoch over a few hundred per-satellite sketches.
+// sketch observation (one per request), the phase chain (five or six marks
+// and a lap per request, one request in seventeen lit) and a recorder epoch
+// over a few hundred per-satellite sketches.
 // BENCH_obs.json records them in ns per operation, next to the whole-run
 // variants they explain.
 
@@ -77,15 +78,38 @@ func BenchmarkSketchObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseMark is one PhaseClock.Mark on a live profiler — a monotonic
-// clock read and an atomic add — which sim.Run pays five times per hit and
-// six per miss with Phases on.
+// BenchmarkPhaseMark prices the phase chain. "sim" is one lit Mark on a live
+// profiler — a monotonic clock read and an atomic add — which a fully lit
+// chain (the replayer's) pays at every stage boundary. "sim/dark" is the same
+// loop on a dark request, where Mark is one branch: ~3.5 ns, of which ~3 is
+// the loop's own i%6 (with a constant stage it reads 0.4 ns, too small for
+// the whole-nanosecond baselines). "sim/strided" is what sim.Run pays per
+// request with Phases on: the six marks of a miss plus the Lap, of which one
+// request in phaseStride is lit and one Lap in phaseStride reads the clock.
 func BenchmarkPhaseMark(b *testing.B) {
 	b.Run("sim", func(b *testing.B) {
 		pc := NewSimPhases(nil).Clock()
 		pc.Begin()
 		for i := 0; i < b.N; i++ {
 			pc.Mark(i % len(SimPhaseStages))
+		}
+	})
+	b.Run("sim/dark", func(b *testing.B) {
+		pc := NewSimPhases(nil).Clock()
+		pc.Begin()
+		pc.Lap() // request 1 of the stride: dark
+		for i := 0; i < b.N; i++ {
+			pc.Mark(i % len(SimPhaseStages))
+		}
+	})
+	b.Run("sim/strided", func(b *testing.B) {
+		pc := NewSimPhases(nil).Clock()
+		pc.Begin()
+		for i := 0; i < b.N; i++ {
+			for stage := range SimPhaseStages {
+				pc.Mark(stage)
+			}
+			pc.Lap()
 		}
 	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -23,13 +24,30 @@ import (
 // the disabled configuration: Clock returns an inert clock whose marks cost
 // one pointer test and never read the clock.
 //
-// Per-request cost when enabled is one monotonic-clock read and one atomic
-// add per stage boundary (a mark chain: each Mark both closes the previous
-// stage and opens the next, and sim.Run begins the chain once per run, not
-// once per request). A mark measures ~50 ns on the 2.10 GHz host
-// (BenchmarkPhaseMark in BENCH_obs.json), and sim.Run makes five per cache
-// hit and six per miss: 250–300 ns per request, next to the ~350 ns a dense
-// request costs with observability off. Nearly all of it is the clock read.
+// A lit mark is one monotonic-clock read and one atomic add per stage
+// boundary (a mark chain: each Mark both closes the previous stage and opens
+// the next, and sim.Run begins the chain once per run, not once per
+// request); nearly all of it is the clock read. A loop that also tells its
+// clock where a request ends (PhaseClock.Lap, which sim.Run calls) runs a
+// strided chain: one request in phaseStride is lit and pays those marks, the
+// rest are dark — a dark Mark is one branch — and the dark stretch is timed
+// by the single clock read that ends it. What that buys and what it costs:
+//
+//   - Totals are exact. Lit nanoseconds plus dark nanoseconds is the wall
+//     time from Begin to the last lit mark; only the run's final dark stretch
+//     (under phaseStride requests), which no clock read closes, is left out.
+//   - The split is sampled. Each flush spreads its dark time over the stages
+//     in the proportions its own lit requests measured, so a stage's seconds
+//     are an estimate from every phaseStride-th request. A stage that costs
+//     about the same on every request is estimated well; one whose cost sits
+//     in a few dozen requests per flush (a cold scheduler epoch, the recorder
+//     snapshot inside the shed stage) is estimated noisily — it is seen at
+//     full size when one of those requests is lit and not at all otherwise.
+//   - A chain that never calls Lap (the replayer's per-round-trip clocks)
+//     stays fully lit and is measured exactly, as before.
+//
+// BenchmarkPhaseMark in BENCH_obs.json prices the three cases (sim, sim/dark,
+// sim/strided).
 //
 // Aggregation is epoch-based: marks accumulate nanoseconds per stage;
 // FlushEpoch drains the accumulators into the histograms (one observation =
@@ -41,7 +59,8 @@ type PhaseProfiler struct {
 	pipeline string
 	stages   []string
 	hists    []*Histogram
-	accum    []atomic.Int64 // ns per stage since the last flush
+	accum    []atomic.Int64 // lit ns per stage since the last flush
+	dark     atomic.Int64   // ns of closed dark stretches not yet spread over the stages
 	flushed  []atomic.Int64 // ns per stage drained by past flushes
 	epochs   atomic.Int64   // flushes that recorded at least one stage
 }
@@ -145,38 +164,64 @@ func phaseNowNs() int64 {
 	return int64(time.Since(phaseBase))
 }
 
+// phaseStride is how many requests share one lit request on a chain that
+// calls Lap: request i is lit iff i%phaseStride == 0. Measured on the 2.10 GHz
+// host, BenchmarkPhaseMark/sim/strided (six marks and a lap) reads 250 ns per
+// request fully lit, 75 at stride 4, 41 at 8, 24 at 16, 16 at 32 and 11 at
+// 64, against a dense request's ~650 ns with the stack on: past sixteen or so
+// the chain is under 4 % of the request and a wider stride buys single
+// nanoseconds while thinning the sample of the rare, expensive requests.
+//
+// It is odd on purpose. The loop has power-of-two rhythms of its own — every
+// eighth request's 8-byte appends (the latency samples) open a new cache
+// line — and a stride sharing a factor with them lights only the requests
+// that pay for it: on sim_dense_obs strides 16 and 64 put the obs stage at
+// 0.51 and 0.59 of the loop where the fully lit chain and strides 15, 17 and
+// 61 all say 0.45-0.47.
+const phaseStride = 17
+
 // PhaseClock is one execution strand's mark chain: Begin stamps the chain's
 // start, and each Mark closes the stage that just ran (crediting the time
 // since the previous mark) while opening the next. Clocks are cheap values —
 // take one per request loop or per round trip; concurrent strands each hold
 // their own clock and meet only at the profiler's atomic accumulators.
 //
+// A loop that calls Lap at the end of each request runs the chain strided
+// (see PhaseProfiler); without Lap every mark is lit.
+//
 // All methods are safe on a clock obtained from a nil profiler: they cost a
 // pointer test and never read the clock, preserving the obs-off fast path.
 type PhaseClock struct {
 	p    *PhaseProfiler
-	last int64
+	last int64  // stamp of the latest lit mark; a dark stretch runs from it
+	laps uint64 // requests ended: the index of the request now running
+	lit  bool   // marks read the clock; false before Begin and on a nil profiler
 }
 
 // Clock returns a mark-chain clock feeding p (inert when p is nil).
 func (p *PhaseProfiler) Clock() PhaseClock { return PhaseClock{p: p} }
 
-// Begin stamps the start of a mark chain.
+// Begin stamps the start of a mark chain; request 0 is lit.
 func (c *PhaseClock) Begin() {
 	if c == nil || c.p == nil {
 		return
 	}
-	c.last = phaseNowNs()
+	c.last, c.laps, c.lit = phaseNowNs(), 0, true
 }
 
 // Mark credits the time since the previous mark (or Begin) to stage and
-// advances the chain. Out-of-range stages advance the chain without
-// crediting, so a mismatched profiler degrades to missing attribution rather
-// than a panic on the hot path.
+// advances the chain; on a dark request it is this one branch. Out-of-range
+// stages advance the chain without crediting, so a mismatched profiler
+// degrades to missing attribution rather than a panic on the hot path.
 func (c *PhaseClock) Mark(stage int) {
-	if c == nil || c.p == nil {
+	if c == nil || !c.lit {
 		return
 	}
+	c.mark(stage)
+}
+
+// mark is the lit half of Mark, kept out of line so the dark half inlines.
+func (c *PhaseClock) mark(stage int) {
 	now := phaseNowNs()
 	if uint(stage) < uint(len(c.p.accum)) {
 		c.p.accum[stage].Add(now - c.last)
@@ -184,10 +229,61 @@ func (c *PhaseClock) Mark(stage int) {
 	c.last = now
 }
 
+// Lap ends a request: call it after the request's last Mark. Which requests
+// are lit is a pure function of how many Laps came before. Going dark is
+// free (the stretch starts at the last lit mark); lighting up reads the
+// clock once and banks the whole dark stretch for the next flush to spread.
+func (c *PhaseClock) Lap() {
+	if c == nil || c.p == nil {
+		return
+	}
+	c.lap()
+}
+
+// lap is Lap on a live profiler, kept out of line so the nil test inlines.
+func (c *PhaseClock) lap() {
+	c.laps++
+	if c.laps%phaseStride != 0 {
+		c.lit = false
+		return
+	}
+	if !c.lit {
+		now := phaseNowNs()
+		c.p.dark.Add(now - c.last)
+		c.last, c.lit = now, true
+	}
+}
+
+// spreadDark adds to each stage's lit nanoseconds its share of a dark
+// stretch, in the lit proportions, by cumulative rounding so the shares sum
+// to dark exactly. With nothing lit there are no proportions: it reports
+// false and leaves ns alone.
+func spreadDark(ns []int64, dark int64) bool {
+	var total int64
+	for _, lit := range ns {
+		total += lit
+	}
+	if total <= 0 {
+		return false
+	}
+	var cum, given int64
+	for i, lit := range ns {
+		cum += lit
+		// dark*cum/total without overflow: ten seconds of each is 10^20.
+		hi, lo := bits.Mul64(uint64(dark), uint64(cum))
+		upto, _ := bits.Div64(hi, lo, uint64(total))
+		ns[i] += int64(upto) - given
+		given = int64(upto)
+	}
+	return true
+}
+
 // FlushEpoch drains the per-stage accumulators into the histograms: each
-// stage with nonzero time this epoch records one observation of its seconds.
-// Idle stages observe nothing (a zero would pollute the lowest bucket), and
-// an all-idle flush is free. Nil-safe.
+// stage with nonzero time this epoch records one observation of its seconds
+// — its lit time plus its share of the epoch's dark time (spreadDark). Idle
+// stages observe nothing (a zero would pollute the lowest bucket), and an
+// all-idle flush is free; dark time banked in an epoch with no lit request
+// is carried to the next flush rather than dropped. Nil-safe.
 //
 // Callers either bind the profiler to a flight recorder (BindRecorder), in
 // which case flushes ride the recorder's epochs, or flush once at the end of
@@ -197,19 +293,26 @@ func (p *PhaseProfiler) FlushEpoch() {
 	if p == nil {
 		return
 	}
-	any := false
+	var buf [8]int64 // both canonical pipelines fit, so a flush allocates nothing
+	ns := buf[:0]
 	for i := range p.accum {
-		ns := p.accum[i].Swap(0)
-		if ns <= 0 {
+		ns = append(ns, p.accum[i].Swap(0))
+	}
+	dark := p.dark.Swap(0)
+	if !spreadDark(ns, dark) {
+		if dark != 0 {
+			p.dark.Add(dark)
+		}
+		return
+	}
+	for i, v := range ns {
+		if v <= 0 {
 			continue
 		}
-		any = true
-		p.flushed[i].Add(ns)
-		p.hists[i].Observe(float64(ns) / 1e9)
+		p.flushed[i].Add(v)
+		p.hists[i].Observe(float64(v) / 1e9)
 	}
-	if any {
-		p.epochs.Add(1)
-	}
+	p.epochs.Add(1)
 }
 
 // BindRecorder flushes the profiler on every recorder epoch, inside the
@@ -238,15 +341,21 @@ type PhaseStageSeconds struct {
 }
 
 // Breakdown returns the cumulative per-stage attribution — flushed epochs
-// plus the un-flushed residue — in stage order. Nil profilers return nil.
+// plus the un-flushed residue, spread exactly as a flush now would spread it
+// — in stage order. Nil profilers return nil.
 func (p *PhaseProfiler) Breakdown() []PhaseStageSeconds {
 	if p == nil {
 		return nil
 	}
+	residue := make([]int64, len(p.stages))
+	for i := range p.accum {
+		residue[i] = p.accum[i].Load()
+	}
+	spreadDark(residue, p.dark.Load())
 	out := make([]PhaseStageSeconds, len(p.stages))
 	total := 0.0
 	for i, st := range p.stages {
-		ns := p.flushed[i].Load() + p.accum[i].Load()
+		ns := p.flushed[i].Load() + residue[i]
 		out[i] = PhaseStageSeconds{Stage: st, Seconds: float64(ns) / 1e9}
 		total += out[i].Seconds
 	}

@@ -108,6 +108,7 @@ func TestPhaseNilDiscipline(t *testing.T) {
 	c := p.Clock()
 	c.Begin()
 	c.Mark(PhaseSimCache)
+	c.Lap()
 	p.FlushEpoch()
 	p.BindRecorder(nil)
 	if p.Breakdown() != nil || p.String() != "" || p.Epochs() != 0 {
@@ -116,9 +117,13 @@ func TestPhaseNilDiscipline(t *testing.T) {
 	if p.Pipeline() != "" || p.Stages() != nil {
 		t.Error("nil profiler reported a pipeline")
 	}
-	if c.last != 0 {
+	if c.last != 0 || c.lit {
 		t.Error("inert clock read the clock")
 	}
+	var np *PhaseClock
+	np.Begin()
+	np.Mark(PhaseSimCache)
+	np.Lap()
 }
 
 // TestPhaseBindRecorder: a bound profiler flushes inside the recorder's
@@ -148,5 +153,181 @@ func TestPhaseBindRecorder(t *testing.T) {
 	pts = rec.Window(key, 0)
 	if len(pts) != 2 || pts[1].V != 3 {
 		t.Fatalf("epoch 2 cumulative sum = %v, want 3", pts)
+	}
+}
+
+// phaseTotals sums what a profiler holds: lit nanoseconds not yet flushed,
+// banked dark nanoseconds, and everything past flushes made permanent.
+func phaseTotals(p *PhaseProfiler) (lit, dark, flushed int64) {
+	for i := range p.accum {
+		lit += p.accum[i].Load()
+		flushed += p.flushed[i].Load()
+	}
+	return lit, p.dark.Load(), flushed
+}
+
+// TestPhaseStridedChain drives a clock that calls Lap into its third stride
+// of requests, injecting time by rewinding the chain's stamp: request i is
+// lit iff i%phaseStride == 0, a dark Mark touches neither the clock nor an
+// accumulator, the Lap that ends a dark stretch banks all of it, and a flush
+// conserves every nanosecond — the stage seconds sum to lit plus dark.
+func TestPhaseStridedChain(t *testing.T) {
+	p := NewSimPhases(nil)
+	c := p.Clock()
+	c.Begin()
+	const perStage, perDarkReq = int64(1e6), int64(7e6)
+	var wantLit, wantDark int64
+	const requests = 3*phaseStride - 2 // stops inside the third dark stretch
+	for req := 0; req < requests; req++ {
+		if lit := req%phaseStride == 0; c.lit != lit {
+			t.Fatalf("request %d: lit = %v, want %v", req, c.lit, lit)
+		}
+		litBefore, _, _ := phaseTotals(p)
+		stamp := c.last
+		for stage := range SimPhaseStages {
+			if c.lit {
+				c.last -= perStage
+				wantLit += perStage
+			}
+			c.Mark(stage)
+		}
+		if !c.lit {
+			if litNow, _, _ := phaseTotals(p); litNow != litBefore || c.last != stamp {
+				t.Fatalf("request %d: a dark Mark moved the chain (lit %d -> %d, stamp %d -> %d)",
+					req, litBefore, litNow, stamp, c.last)
+			}
+			c.last -= perDarkReq // this request's share of the dark stretch
+			wantDark += perDarkReq
+		}
+		c.Lap()
+	}
+	// The third dark stretch is still open: only two were closed and banked.
+	wantDark -= (requests - 2*phaseStride - 1) * perDarkReq
+	lit, dark, _ := phaseTotals(p)
+	if lit < wantLit || dark < wantDark {
+		t.Fatalf("lit = %dns, dark = %dns; injected %d and %d", lit, dark, wantLit, wantDark)
+	}
+	// The real clock reads add a little on top of what was injected, nowhere
+	// near another dark request's worth.
+	if dark >= wantDark+perDarkReq {
+		t.Errorf("dark = %dns with %d injected: an open stretch was banked", dark, wantDark)
+	}
+
+	bd := p.Breakdown()
+	p.FlushEpoch()
+	if _, darkLeft, flushed := phaseTotals(p); flushed != lit+dark || darkLeft != 0 {
+		t.Errorf("flush made %dns permanent and left %dns dark, want %d (lit %d + dark %d) and 0",
+			flushed, darkLeft, lit+dark, lit, dark)
+	}
+	// A Breakdown reports the residue as the flush then records it.
+	for i, s := range p.Breakdown() {
+		if s != bd[i] {
+			t.Errorf("stage %q: %+v before the flush, %+v after", s.Stage, bd[i], s)
+		}
+		if s.Seconds <= 0 {
+			t.Errorf("stage %q attributed no time", s.Stage)
+		}
+	}
+}
+
+// TestPhaseDarkSplit: a flush spreads its dark time over the stages in the
+// proportions its own lit requests measured, the shares sum to it exactly
+// whatever the rounding, and idle stages get none.
+func TestPhaseDarkSplit(t *testing.T) {
+	reg := NewRegistry()
+	p := NewSimPhases(reg)
+	p.accum[PhaseSimCache].Store(3e9)
+	p.accum[PhaseSimRelay].Store(1e9)
+	p.dark.Store(8e9)
+	p.FlushEpoch()
+	if c, r := p.flushed[PhaseSimCache].Load(), p.flushed[PhaseSimRelay].Load(); c != 9e9 || r != 3e9 {
+		t.Errorf("cache = %dns, relay = %dns, want 3:1 of 8s on top of 3s and 1s", c, r)
+	}
+	h := reg.Histogram("starcdn_phase_stage_seconds", DefPhaseBucketsSec,
+		L("pipeline", "sim"), L("stage", "cache"))
+	if h.Count() != 1 || h.Sum() != 9 {
+		t.Errorf("cache hist: count=%d sum=%v, want one observation of 9s", h.Count(), h.Sum())
+	}
+	if p.flushed[PhaseSimShed].Load() != 0 || p.dark.Load() != 0 {
+		t.Errorf("idle stage got %dns, %dns left dark", p.flushed[PhaseSimShed].Load(), p.dark.Load())
+	}
+
+	// Thirds of ten do not divide: 3, 3 and 4, never 9 or 11 in all. Past
+	// 2^63 in the product, the split still holds.
+	for _, dark := range []int64{10, 1 << 40} {
+		q := NewSimPhases(nil)
+		for _, st := range []int{PhaseSimShed, PhaseSimHash, PhaseSimObs} {
+			q.accum[st].Store(1 << 30)
+		}
+		q.dark.Store(dark)
+		q.FlushEpoch()
+		_, _, flushed := phaseTotals(q)
+		if flushed != 3<<30+dark {
+			t.Errorf("dark %d: stages sum to %d, want %d", dark, flushed, 3<<30+dark)
+		}
+		if a, b := q.flushed[PhaseSimShed].Load(), q.flushed[PhaseSimObs].Load(); b-a < 0 || b-a > 1 {
+			t.Errorf("dark %d: equal stages got %d and %d", dark, a, b)
+		}
+	}
+}
+
+// TestPhaseDarkCarry: dark time banked in a flush with no lit request has no
+// proportions to follow; it waits for the next flush that has some instead
+// of being dropped, and the empty flush counts no epoch.
+func TestPhaseDarkCarry(t *testing.T) {
+	p := NewSimPhases(nil)
+	p.dark.Store(4e9)
+	p.FlushEpoch()
+	if _, dark, flushed := phaseTotals(p); dark != 4e9 || flushed != 0 || p.Epochs() != 0 {
+		t.Fatalf("unlit flush: dark=%d flushed=%d epochs=%d, want 4e9 carried", dark, flushed, p.Epochs())
+	}
+	for _, s := range p.Breakdown() {
+		if s.Seconds != 0 {
+			t.Errorf("stage %q reports %vs of time no lit request has placed", s.Stage, s.Seconds)
+		}
+	}
+	p.accum[PhaseSimSched].Store(1e9)
+	p.dark.Add(1e9)
+	p.FlushEpoch()
+	if got := p.flushed[PhaseSimSched].Load(); got != 6e9 || p.dark.Load() != 0 || p.Epochs() != 1 {
+		t.Errorf("sched = %dns, dark left %d, epochs %d; want 1s lit + 5s dark in one epoch",
+			got, p.dark.Load(), p.Epochs())
+	}
+}
+
+// TestPhaseShortRun: request 0 is lit, so a loop shorter than the stride
+// still attributes every stage it ran.
+func TestPhaseShortRun(t *testing.T) {
+	p := NewSimPhases(nil)
+	c := p.Clock()
+	c.Begin()
+	for req := 0; req < 3; req++ {
+		for stage := range SimPhaseStages {
+			c.last -= 1e6
+			c.Mark(stage)
+		}
+		c.Lap()
+	}
+	p.FlushEpoch()
+	for i, s := range p.Breakdown() {
+		if ns := p.flushed[i].Load(); ns < 1e6 || ns >= 2e6 {
+			t.Errorf("stage %q = %dns, want request 0's 1ms and nothing from the dark two", s.Stage, ns)
+		}
+	}
+}
+
+// TestPhaseClockWithoutLap: a chain that never calls Lap — the replayer's
+// per-round-trip clocks — stays lit however long it runs and banks no dark
+// time.
+func TestPhaseClockWithoutLap(t *testing.T) {
+	p := NewReplayPhases(nil)
+	c := p.Clock()
+	c.Begin()
+	for i := 0; i < 4*phaseStride; i++ {
+		c.last -= 1e6
+		c.Mark(PhaseReplayRead)
+	}
+	if got := p.accum[PhaseReplayRead].Load(); got < 4*phaseStride*1e6 || !c.lit || p.dark.Load() != 0 {
+		t.Errorf("read = %dns, lit = %v, dark = %d; want every mark credited", got, c.lit, p.dark.Load())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,8 +36,12 @@ type Recorder struct {
 	hists map[string][]float64 // histogram series key -> bucket bounds
 	head  int                  // next physical write slot
 	n     int                  // live entries (<= capN)
-	next  float64              // next epoch boundary (TickAt driving)
 	ticks int64                // total snapshots taken
+
+	// next is the next epoch boundary (TickAt driving) as float64 bits,
+	// written under mu and read without it: the per-request TickAt that
+	// crosses no boundary is one load and a compare.
+	next atomic.Uint64
 
 	// plan caches, per registry series in registration order, the
 	// destination ring slices and the atomic sources, so the steady-state
@@ -82,17 +87,22 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 512
 	}
-	return &Recorder{
+	r := &Recorder{
 		reg:      reg,
 		epochSec: opts.EpochSec,
 		capN:     opts.Capacity,
 		times:    make([]float64, opts.Capacity),
 		vals:     make(map[string][]float64),
 		hists:    make(map[string][]float64),
-		next:     opts.EpochSec,
 		qv:       make([]float64, len(SketchQuantiles)),
 	}
+	r.setNext(opts.EpochSec)
+	return r
 }
+
+// nextBoundary and setNext read and write next as the float64 it holds.
+func (r *Recorder) nextBoundary() float64 { return math.Float64frombits(r.next.Load()) }
+func (r *Recorder) setNext(t float64)     { r.next.Store(math.Float64bits(t)) }
 
 // EpochSec returns the snapshot interval (0 on nil).
 func (r *Recorder) EpochSec() float64 {
@@ -151,14 +161,17 @@ func (r *Recorder) TickAt(t float64) {
 	if r == nil {
 		return
 	}
+	if t < r.nextBoundary() {
+		return
+	}
 	r.mu.Lock()
-	if t < r.next {
+	if t < r.nextBoundary() { // another driver took this epoch
 		r.mu.Unlock()
 		return
 	}
 	boundary := math.Floor(t/r.epochSec) * r.epochSec
 	r.snapshotLocked(boundary)
-	r.next = boundary + r.epochSec
+	r.setNext(boundary + r.epochSec)
 	hooks := r.onEpoch
 	r.mu.Unlock()
 	for _, fn := range hooks {
@@ -174,7 +187,7 @@ func (r *Recorder) Seal(t float64) {
 	}
 	r.mu.Lock()
 	r.snapshotLocked(t)
-	r.next = math.Floor(t/r.epochSec)*r.epochSec + r.epochSec
+	r.setNext(math.Floor(t/r.epochSec)*r.epochSec + r.epochSec)
 	hooks := r.onEpoch
 	r.mu.Unlock()
 	for _, fn := range hooks {

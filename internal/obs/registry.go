@@ -102,9 +102,11 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
 }
 
-// Observe records one sample (no-op on nil).
+// Observe records one sample (no-op on nil). NaN is skipped, the rule
+// sketch.Quantile follows too: it belongs to no bucket, and one NaN added to
+// the sum would leave the series NaN for the rest of the run.
 func (h *Histogram) Observe(x float64) {
-	if h == nil {
+	if h == nil || math.IsNaN(x) {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, x) // first bound >= x

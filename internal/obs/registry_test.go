@@ -87,6 +87,14 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if cum[1] != 3 {
 		t.Errorf("le=10 cumulative = %d, want 3 (bound inclusive)", cum[1])
 	}
+	// NaN is skipped: it lands in no bucket and does not poison the sum.
+	h.Observe(math.NaN())
+	h.Observe(2)
+	_, cum = h.snapshot()
+	if h.Count() != 6 || h.Sum() != 567.5 || cum[3] != 6 {
+		t.Errorf("after NaN then 2: count=%d sum=%v +Inf cumulative=%d, want 6, 567.5 and 6",
+			h.Count(), h.Sum(), cum[3])
+	}
 }
 
 // TestKindMismatchIsDetached: re-registering a series under a different kind

@@ -77,8 +77,17 @@ func (c *CountMin) Update(key uint64, inc int64) {
 		return
 	}
 	c.n += inc
-	for i := range c.rows {
-		c.rows[i][c.slot(i, key)] += inc
+	// slot, spelled out so that ranging over the rows and the equally long
+	// seeds leaves one bounds check per row (the masked slot against the row)
+	// where c.rows[i][c.slot(i, key)] pays three.
+	seeds := c.seeds[:len(c.rows)]
+	for i, row := range c.rows {
+		h := mix64(key ^ seeds[i])
+		if c.mask != 0 {
+			row[h&c.mask] += inc
+		} else {
+			row[h%uint64(len(row))] += inc
+		}
 	}
 }
 

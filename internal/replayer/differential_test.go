@@ -35,7 +35,8 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 		// contact is still alive, and the two pipelines disagree about a
 		// satellite killed mid-epoch — the scheduler keeps handing it out
 		// until the epoch ends, the sim serves from its in-memory cache, the
-		// replay finds its server gone and degrades (ROADMAP item 7).
+		// replay finds its server gone and degrades (ROADMAP: the placement
+		// seam, "Placement is a value").
 		chaos := rng.Intn(3) > 0 && hashing
 		chaosOpts := sim.ChaosOptions{
 			StartSec: 100 + 300*rng.Float64(), KillFraction: 0.1 + 0.3*rng.Float64(),

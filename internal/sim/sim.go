@@ -160,8 +160,9 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	}
 	// One mark chain for the whole run, begun once: the shed mark of request
 	// i+1 closes what the obs mark of request i opened, so the stage seconds
-	// sum to the loop's wall time. With phases off the marks are a single
-	// pointer test and never read the clock.
+	// sum to the loop's wall time. Lap ends each request, which lets the clock
+	// light one request per stride and time the rest as one dark stretch. With
+	// phases off the marks are a single pointer test and never read the clock.
 	pc := cfg.Phases.Clock()
 	ctx.Phase = &pc
 	pc.Begin()
@@ -302,6 +303,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 			metrics.UplinkWindows[w] += r.Size
 		}
 		pc.Mark(obs.PhaseSimObs)
+		pc.Lap()
 	}
 	if cfg.Recorder != nil && len(tr.Requests) > 0 {
 		cfg.Recorder.Seal(tr.Requests[len(tr.Requests)-1].TimeSec)

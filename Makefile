@@ -59,7 +59,9 @@ race:
 
 ## chaos: the fault-injection and failure-schedule suites under the race
 ## detector with debug invariants armed (DESIGN.md §8); `make check` runs
-## this target as its chaos pass, so the list lives here only. The TestShed
+## this target as its chaos pass, so the list lives here only. TestDifferential
+## is the sim-vs-replay oracle, whose hashing-off cases under a kill schedule
+## put a dead first contact through the §3.4 rule in both pipelines. The TestShed
 ## matches are the overload-control smoke: a kill schedule with shedding on
 ## recovers to stage 0 holding the latency SLO (sim), sheds the same request
 ## set over the wire (replayer parity), and an idle controller leaves every
@@ -67,7 +69,7 @@ race:
 ## under the same race/debug armor.
 chaos:
 	$(GO) test -race -tags starcdn_debug -count=1 \
-		-run 'TestChaos|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
+		-run 'TestChaos|TestDifferential|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
 		./internal/replayer/ ./internal/sim/
 	$(GO) test -race -tags starcdn_debug -count=1 ./internal/shed/
 

@@ -31,7 +31,6 @@ import (
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/replayer"
-	"starcdn/internal/sched"
 	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
@@ -129,12 +128,16 @@ func main() {
 	}
 
 	var injector *replayer.FaultInjector
+	inject := *injRefuse > 0 || *injReset > 0 || *injStall > 0 || *injTruncate > 0
+	if inject && !*fault {
+		log.Fatal("-inject-* requires -fault (injected faults need the fault policy)")
+	}
 	if *fault {
 		pol := &replayer.FaultPolicy{
 			IOTimeout: *ioTimeout,
 			Retry:     replayer.RetryPolicy{MaxAttempts: *retries},
 		}
-		if *injRefuse > 0 || *injReset > 0 || *injStall > 0 || *injTruncate > 0 {
+		if inject {
 			injector = replayer.NewFaultInjector(replayer.FaultConfig{
 				Seed:         *injSeed,
 				RefuseRate:   *injRefuse,
@@ -151,7 +154,7 @@ func main() {
 		if !*fault {
 			log.Fatal("-chaos requires -fault (a failure schedule needs the fault policy)")
 		}
-		sats, err := contactedSats(c, h, users, tr, opts)
+		sats, err := replayer.ContactedSats(h, users, tr, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -415,35 +418,4 @@ func main() {
 		fmt.Printf("metrics: lingering %s for scrapes\n", *metricsLinger)
 		time.Sleep(*metricsLinger)
 	}
-}
-
-// contactedSats dry-runs the scheduling decisions on a healthy constellation
-// and returns the distinct satellites the replay would contact — the chaos
-// candidate set, so a kill fraction is a fraction of servers that matter.
-func contactedSats(c *orbit.Constellation, h *core.HashScheme,
-	users []geo.Point, tr *trace.Trace, opts replayer.Options) ([]orbit.SatID, error) {
-	scheduler, err := sched.New(c, users, opts.EpochSec, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[orbit.SatID]bool)
-	var sats []orbit.SatID
-	for i := range tr.Requests {
-		r := &tr.Requests[i]
-		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
-		if !visible {
-			continue
-		}
-		home := first
-		if opts.Hashing {
-			if owner, ok := h.Responsible(first, h.BucketOf(r.Object)); ok {
-				home = owner
-			}
-		}
-		if !seen[home] {
-			seen[home] = true
-			sats = append(sats, home)
-		}
-	}
-	return sats, nil
 }

@@ -154,8 +154,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Print(out)
-		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Println(out)
+		// Timing goes to stderr: stdout is the report, byte-deterministic per seed.
+		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if env.Tracer != nil {

@@ -53,6 +53,16 @@ func NewHashScheme(g *topo.Grid, l int) (*HashScheme, error) {
 	return &HashScheme{grid: g, l: l, root: root}, nil
 }
 
+// OneBucket is the scheme at L = 1 — the paper's no-hashing ablation as a
+// value rather than a code path. Every slot owns the one bucket, so the
+// nearest owner is the first contact itself, routing costs no hops, and the
+// relay neighbours are the adjacent planes; what is left of the scheme is the
+// §3.4 liveness rule (ServingOwner, Remap), which the first contact now
+// passes through like any other owner.
+func OneBucket(g *topo.Grid) *HashScheme {
+	return &HashScheme{grid: g, l: 1, root: 1}
+}
+
 // Buckets returns L, the number of buckets.
 func (h *HashScheme) Buckets() int { return h.l }
 

@@ -271,6 +271,50 @@ func TestRelayNeighbor(t *testing.T) {
 	}
 }
 
+// TestOneBucketIsFirstContactPlacement pins what lets the no-hashing ablation
+// be a value: at L = 1 every slot is its own nearest owner at zero routing
+// hops, and the relay neighbours are the grid's own east/west neighbours one
+// plane away — on the Starlink shell and on a shell whose rings no tile edge
+// above 1 divides.
+func TestOneBucketIsFirstContactPlacement(t *testing.T) {
+	odd, err := orbit.New(orbit.Config{Planes: 7, SatsPerPlane: 5,
+		InclinationDeg: 53, AltitudeKm: 550, MinElevDeg: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topo.Grid{testGrid(t), topo.NewGrid(odd, topo.StarlinkTable1())} {
+		h := OneBucket(g)
+		c := g.Constellation()
+		if h.Buckets() != 1 || h.RelayHops() != 1 {
+			t.Fatalf("buckets=%d relay hops=%d, want 1 and 1", h.Buckets(), h.RelayHops())
+		}
+		dead := g.Neighbor(c.SatAt(3, 2), topo.East)
+		c.SetActive(dead, false)
+		for i := 0; i < c.NumSlots(); i++ {
+			s := orbit.SatID(i)
+			if b := h.BucketOf(cache.ObjectID(i) * 7919); b != 0 {
+				t.Fatalf("BucketOf = %d, want 0", b)
+			}
+			if owner := h.NearestOwner(s, 0); owner != s {
+				t.Fatalf("NearestOwner(%d, 0) = %d", s, owner)
+			}
+			if ph, sh := h.RoutingHops(s, h.NearestOwner(s, 0)); ph != 0 || sh != 0 {
+				t.Fatalf("RoutingHops(%d) = (%d, %d)", s, ph, sh)
+			}
+			for _, d := range []topo.Direction{topo.West, topo.East} {
+				nb, ok := h.RelayNeighbor(s, d)
+				if want := g.Neighbor(s, d); nb != want || ok != c.Active(want) {
+					t.Fatalf("RelayNeighbor(%d, %v) = (%d, %v), want (%d, %v)",
+						s, d, nb, ok, want, c.Active(want))
+				}
+			}
+		}
+		if _, ok := h.RelayNeighbor(c.SatAt(3, 2), topo.East); ok {
+			t.Error("dead relay neighbour should be unavailable")
+		}
+	}
+}
+
 func TestWorstCaseRoutingLatency(t *testing.T) {
 	// Fig. 9 anchor points: L=4 and L=9 share the same worst-case routing
 	// latency; L=16 roughly doubles it (paper: ~40 ms round trip).

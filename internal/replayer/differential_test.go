@@ -19,25 +19,31 @@ import (
 // every per-source count and on the controller's trajectory. Both run
 // sim.Ladder; what this guards is everything around it (failure and epoch
 // ordering, the fabrics, error classes, accounting).
+//
+// A second seed block draws only hashing-off runs under chaos — transient and
+// long-term kills, shedding on and off: a first contact killed mid-epoch must
+// go through the §3.4 rule in both pipelines, which a ladder that skips the
+// rule without hashing gets wrong in the sim alone (it keeps serving from the
+// dead satellite's in-memory cache).
 func TestDifferentialSimVsSequentialReplay(t *testing.T) {
-	const cases = 20
+	const cases, noHashingChaosCases = 20, 24
 	const requests = 1500
 	const capacity = 48 << 20
 	rng := rand.New(rand.NewSource(20250930))
-	for n := 0; n < cases; n++ {
+	for n := 0; n < cases+noHashingChaosCases; n++ {
+		if n == cases {
+			rng = rand.New(rand.NewSource(20251003))
+		}
 		traceSeed, runSeed, chaosSeed := rng.Int63n(1000), rng.Int63n(1000), rng.Int63n(1000)
 		// Early cases walk the four ablations; the rest draw them.
 		hashing, relay := n&1 == 0, n&2 == 0
 		if n >= 8 {
 			hashing, relay = rng.Intn(4) > 0, rng.Intn(4) > 0
 		}
-		// Chaos needs hashing: without it nothing checks that the first
-		// contact is still alive, and the two pipelines disagree about a
-		// satellite killed mid-epoch — the scheduler keeps handing it out
-		// until the epoch ends, the sim serves from its in-memory cache, the
-		// replay finds its server gone and degrades (ROADMAP: the placement
-		// seam, "Placement is a value").
-		chaos := rng.Intn(3) > 0 && hashing
+		chaos := rng.Intn(3) > 0
+		if n >= cases {
+			hashing, chaos = false, true
+		}
 		chaosOpts := sim.ChaosOptions{
 			StartSec: 100 + 300*rng.Float64(), KillFraction: 0.1 + 0.3*rng.Float64(),
 			TransientFraction: float64(rng.Intn(3)) / 2, ReviveAfterSec: float64(rng.Intn(2)) * 200,
@@ -46,7 +52,10 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 		chaosOpts.EndSec = chaosOpts.StartSec + 1 + 300*rng.Float64()
 		shedding, serverShed := rng.Intn(3) > 0, rng.Intn(2) == 0
 		quota, maxDegraded := 3+rng.Intn(6), 0.01+0.04*rng.Float64()
-		faulty := chaos || rng.Intn(2) == 0
+		// The coin is skipped only where it always was (chaos with hashing),
+		// so the first block keeps its 20 cases.
+		coin := chaos && hashing || rng.Intn(2) == 0
+		faulty := chaos || coin
 		name := fmt.Sprintf("case=%d/trace=%d/run=%d/hashing=%v/relay=%v/chaos=%v/shed=%v/server-shed=%v/fault=%v",
 			n, traceSeed, runSeed, hashing, relay, chaos, shedding, serverShed, faulty)
 
@@ -58,7 +67,7 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 				opts.Fault = chaosFaultPolicy()
 			}
 			if chaos {
-				opts.Failures = sim.GenerateChaos(contactedSats(t, hTCP, usersTCP, trTCP, opts), chaosOpts)
+				opts.Failures = sim.GenerateChaos(contacted(t, hTCP, usersTCP, trTCP, opts), chaosOpts)
 				t.Logf("chaos %+v: %d events", chaosOpts, len(opts.Failures))
 			}
 			regSim, regTCP := obs.NewRegistry(), obs.NewRegistry()

@@ -10,7 +10,6 @@ import (
 	"starcdn/internal/core"
 	"starcdn/internal/geo"
 	"starcdn/internal/orbit"
-	"starcdn/internal/sched"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
@@ -224,33 +223,12 @@ func newReplayFixture(t *testing.T, requests int, traceSeed int64) (*core.HashSc
 	return h, users, tr
 }
 
-// contactedSats performs a dry decision pass and returns the distinct
-// satellites the replay would contact with the cluster fully healthy.
-func contactedSats(t *testing.T, h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts Options) []orbit.SatID {
+// contacted is ContactedSats or a fatal test error.
+func contacted(t *testing.T, h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts Options) []orbit.SatID {
 	t.Helper()
-	c := h.Grid().Constellation()
-	scheduler, err := sched.New(c, users, opts.EpochSec, opts.Seed)
+	sats, err := ContactedSats(h, users, tr, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	seen := make(map[orbit.SatID]bool)
-	var sats []orbit.SatID
-	for i := range tr.Requests {
-		r := &tr.Requests[i]
-		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
-		if !visible {
-			continue
-		}
-		home := first
-		if opts.Hashing {
-			if owner, ok := h.Responsible(first, h.BucketOf(r.Object)); ok {
-				home = owner
-			}
-		}
-		if !seen[home] {
-			seen[home] = true
-			sats = append(sats, home)
-		}
 	}
 	return sats
 }
@@ -269,7 +247,7 @@ func TestReplayDeadServerMakesProgress(t *testing.T) {
 			Retry:       RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
 		},
 	}
-	sats := contactedSats(t, h, users, tr, opts)
+	sats := contacted(t, h, users, tr, opts)
 	if len(sats) < 3 {
 		t.Fatalf("fixture contacts only %d satellites", len(sats))
 	}
@@ -318,7 +296,7 @@ func TestReplayDeadServerMakesProgress(t *testing.T) {
 func TestReplayFailFastWithoutPolicy(t *testing.T) {
 	h, users, tr := newReplayFixture(t, 2000, 31)
 	opts := Options{Hashing: true, Relay: true, Seed: 99}
-	sats := contactedSats(t, h, users, tr, opts)
+	sats := contacted(t, h, users, tr, opts)
 	cluster, err := NewCluster(cache.LRU, 64<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,7 @@ func newReplayObs(reg *obs.Registry, sketches bool) *replayObs {
 }
 
 // popObs returns the sketch instruments, nil when they (or all of obs) are
-// off, so callers can skip computing sketch-only inputs (bucket, trace ID) on
-// the disabled path.
+// off.
 func (ro *replayObs) popObs() *sharedPop {
 	if ro == nil {
 		return nil

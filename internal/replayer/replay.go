@@ -182,7 +182,7 @@ func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trac
 		return cluster.Revive(ev.Sat)
 	})
 	rp := &replay{
-		ladder:  sim.Ladder{Hash: h, Hashing: opts.Hashing, Relay: opts.Relay},
+		ladder:  opts.ladder(h),
 		cluster: cluster, scheduler: scheduler, fs: fs, tr: tr, opts: opts,
 		ro: newReplayObs(opts.Obs, opts.Sketches),
 	}
@@ -190,6 +190,43 @@ func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trac
 		rp.stopRec = opts.Recorder.StartWall()
 	}
 	return rp, nil
+}
+
+// ladder is the decision ladder the options select. With hashing off it runs
+// over the one-bucket scheme on h's grid, as sim.NewStarCDN does.
+func (o *Options) ladder(h *core.HashScheme) sim.Ladder {
+	if !o.Hashing {
+		h = core.OneBucket(h.Grid())
+	}
+	return sim.Ladder{Hash: h, Relay: o.Relay}
+}
+
+// ContactedSats dry-runs the replay's routing decisions — the scheduler's
+// first contact, then sim.Ladder's Route — over the constellation as it
+// stands, no failure schedule and no shedding applied, and returns the
+// distinct satellites the replay would contact, in first-contact order. It is
+// the chaos candidate set: a kill fraction of it is a fraction of the servers
+// that matter.
+func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts Options) ([]orbit.SatID, error) {
+	scheduler, err := sched.New(h.Grid().Constellation(), users, opts.EpochSec, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	ladder := opts.ladder(h)
+	seen := make(map[orbit.SatID]bool)
+	var sats []orbit.SatID
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
+		if !visible {
+			continue
+		}
+		if rt := ladder.Route(first, r.Object, shed.StageNormal, nil); rt.Contact && !seen[rt.Home] {
+			seen[rt.Home] = true
+			sats = append(sats, rt.Home)
+		}
+	}
+	return sats, nil
 }
 
 // newFabric gives one client (a terminal's connection pool and retry state,
@@ -275,10 +312,7 @@ func (rp *replay) serve(f *tcpFabric, p *planned, m *cache.Meter, pop popRecorde
 	rt := newReqTrace(opts, p.index, r, p.route.First)
 	// The bucket key is a pure function of the object, so every path — shed,
 	// degraded, served — feeds the bucket top-K.
-	bucket := -1
-	if rp.ro.popObs() != nil && opts.Hashing {
-		bucket = int(rp.ladder.Hash.BucketOf(r.Object))
-	}
+	bucket := int(rp.ladder.Hash.BucketOf(r.Object))
 	got := p.route.Fetched
 	wallLatency := math.NaN() // no contact: nothing to measure, the sketch skips it
 	if p.route.Contact {

@@ -8,7 +8,6 @@ import (
 	"starcdn/internal/core"
 	"starcdn/internal/geo"
 	"starcdn/internal/orbit"
-	"starcdn/internal/sim"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 	"starcdn/internal/workload"
@@ -150,69 +149,25 @@ func TestClusterLazyServers(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesInProcessSim is the replayer's cross-validation: the TCP
-// pipeline must reproduce the in-process simulator's hit sequence exactly
-// (same scheduler seed, same caches, same decision order).
-func TestReplayMatchesInProcessSim(t *testing.T) {
-	c, err := orbit.New(orbit.DefaultStarlinkShell())
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := topo.NewGrid(c, topo.StarlinkTable1())
-	h, err := core.NewHashScheme(grid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cities := geo.PaperCities()
-	users := make([]geo.Point, len(cities))
-	for i, city := range cities {
-		users[i] = city.Point
-	}
-	cls := workload.Video()
-	cls.NumObjects = 2000
-	cls.SizeSigma = 0.5
-	cls.MaxSizeBytes = 4 << 20
-	g, err := workload.NewGenerator(cls, cities, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := g.Generate(8000, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const capacity = 64 << 20
-	const seed = 99
-
-	// In-process run.
-	pol := sim.NewStarCDN(h, sim.CacheConfig{Kind: cache.LRU, Bytes: capacity},
-		sim.StarCDNOptions{Hashing: true, Relay: true})
-	m1, err := sim.Run(c, users, tr, pol, sim.Config{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Distributed run over TCP.
-	cluster, err := NewCluster(cache.LRU, capacity)
+// TestReplaySequentialServesOverTCP: a plain sequential replay (no fault
+// policy) completes, hits, and starts servers lazily. That it agrees with the
+// in-process simulator request for request is the oracle's claim
+// (TestDifferentialSimVsSequentialReplay).
+func TestReplaySequentialServesOverTCP(t *testing.T) {
+	h, users, tr := newReplayFixture(t, 8000, 31)
+	cluster, err := NewCluster(cache.LRU, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	m2, err := Replay(h, cluster, users, tr, Options{Hashing: true, Relay: true, Seed: seed})
+	m, err := Replay(h, cluster, users, tr, Options{Hashing: true, Relay: true, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if m1.Meter.Requests != m2.Requests {
-		t.Fatalf("request counts differ: %d vs %d", m1.Meter.Requests, m2.Requests)
+	if m.Requests != int64(len(tr.Requests)) {
+		t.Errorf("meter recorded %d of %d requests", m.Requests, len(tr.Requests))
 	}
-	if m1.Meter.Hits != m2.Hits {
-		t.Errorf("hit counts differ: in-process %d vs TCP %d", m1.Meter.Hits, m2.Hits)
-	}
-	if m1.Meter.BytesHit != m2.BytesHit {
-		t.Errorf("byte hits differ: %d vs %d", m1.Meter.BytesHit, m2.BytesHit)
-	}
-	if m2.RequestHitRate() <= 0 {
+	if m.RequestHitRate() <= 0 {
 		t.Error("TCP replay produced zero hit rate")
 	}
 	if cluster.Len() == 0 {

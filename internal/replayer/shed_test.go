@@ -64,9 +64,11 @@ func stage3Controller(t *testing.T) *shed.Controller {
 // TestShedParitySimVsSequentialReplay is the overload-control cross-check in
 // its strictest form: under an identical §3.4 kill schedule and an identical
 // shed configuration, the in-process simulator and the sequential TCP replay
-// must shed the identical request set — same meters, same per-action shed
-// counters, same stage transitions, same final stage. Options.Shedder alone
-// promises that; wire enforcement (ServerOptions.Shedder) must change nothing.
+// must shed the identical request set — same per-action shed counters, same
+// stage transitions, same final stage — and the kill wave must overload the
+// controller and let it recover. Options.Shedder alone promises that; wire
+// enforcement (ServerOptions.Shedder) must change nothing. (Meter equality is
+// the oracle's: TestDifferentialSimVsSequentialReplay, shed=true cases.)
 func TestShedParitySimVsSequentialReplay(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -86,7 +88,7 @@ func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
 	hTCP, usersTCP, trTCP := newReplayFixture(t, requests, traceSeed)
 
 	opts := Options{Hashing: true, Relay: true, Seed: seed}
-	sats := contactedSats(t, hTCP, usersTCP, trTCP, opts)
+	sats := contacted(t, hTCP, usersTCP, trTCP, opts)
 	// All-transient kills: every outage is a miss-through wave (the burn
 	// signal) and every satellite comes back, so the run must recover.
 	events := sim.GenerateChaos(sats, sim.ChaosOptions{
@@ -134,21 +136,8 @@ func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
 	opts.Failures = events
 	opts.Obs = obs.NewRegistry()
 	opts.Shedder = tcpCtrl
-	m2, err := Replay(hTCP, cluster, usersTCP, trTCP, opts)
-	if err != nil {
+	if _, err := Replay(hTCP, cluster, usersTCP, trTCP, opts); err != nil {
 		t.Fatal(err)
-	}
-
-	// Hit-for-hit parity: shedding changed which requests hit, and it must
-	// have changed them identically in both pipelines.
-	if m1.Meter.Requests != m2.Requests {
-		t.Fatalf("request counts differ: %d vs %d", m1.Meter.Requests, m2.Requests)
-	}
-	if m1.Meter.Hits != m2.Hits {
-		t.Errorf("hit counts differ under shedding: sim %d vs TCP %d", m1.Meter.Hits, m2.Hits)
-	}
-	if m1.Meter.BytesHit != m2.BytesHit {
-		t.Errorf("byte hits differ under shedding: %d vs %d", m1.Meter.BytesHit, m2.BytesHit)
 	}
 
 	// The shed request sets agree exactly.

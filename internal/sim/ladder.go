@@ -19,10 +19,12 @@ import (
 // cluster, so the two pipelines decide every request with the same code;
 // they differ only in the Fabric underneath and in what they lay over the
 // verdict (a latency model here, wall-clock hops there).
+//
+// The no-hashing ablation is not a branch here: its drivers hand the ladder
+// core.OneBucket, the scheme in which the first contact owns every object.
 type Ladder struct {
-	Hash    *core.HashScheme
-	Hashing bool // route to the consistent-hash bucket owner
-	Relay   bool // probe the west/east neighbours on an owner miss
+	Hash  *core.HashScheme
+	Relay bool // probe the west/east neighbours on an owner miss
 }
 
 // Role says in which capacity the ladder touches a satellite's cache, so a
@@ -107,9 +109,6 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 	if first < 0 {
 		return Route{First: -1, Home: -1, Fetched: Fetched{Source: SourceNoCover}}
 	}
-	if !l.Hashing {
-		return Route{First: first, Home: first, Contact: true}
-	}
 	// §3.4: a transient outage is served as a plain miss from the ground; a
 	// long-term failure is remapped to the next available satellite, which
 	// inherits the bucket.
@@ -131,17 +130,6 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 			Fetched: Fetched{Source: SourceGround, Action: shed.ActionDirectGround}}
 	}
 	return Route{First: first, Home: owner, Contact: true}
-}
-
-// RelayNeighbor resolves the west/east relay target: the same-bucket
-// neighbour √L planes away with hashing on, the immediate inter-orbit
-// neighbour without (the StarCDN-Hashing ablation).
-func (l Ladder) RelayNeighbor(sat orbit.SatID, d topo.Direction) (orbit.SatID, bool) {
-	if l.Hashing {
-		return l.Hash.RelayNeighbor(sat, d)
-	}
-	nb := l.Hash.Grid().Neighbor(sat, d)
-	return nb, l.Hash.Grid().Constellation().Active(nb)
 }
 
 // Fetch serves a Contact route over the fabric: owner Get, on a miss the
@@ -186,7 +174,7 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 			if served >= 0 && relayStats == nil {
 				break
 			}
-			nb, ok := l.RelayNeighbor(home, d)
+			nb, ok := l.Hash.RelayNeighbor(home, d)
 			if !ok {
 				continue
 			}

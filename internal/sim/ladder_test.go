@@ -75,7 +75,7 @@ func newLadderFixture(t *testing.T) ladderFixture {
 func TestLadderRoute(t *testing.T) {
 	fx := newLadderFixture(t)
 	c := fx.h.Grid().Constellation()
-	l := Ladder{Hash: fx.h, Hashing: true, Relay: true}
+	l := Ladder{Hash: fx.h, Relay: true}
 	down := func(id orbit.SatID) bool { return id == fx.owner }
 	contact := func(home orbit.SatID) Route { return Route{First: fx.first, Home: home, Contact: true} }
 	verdict := func(home orbit.SatID, f Fetched) Route { return Route{First: fx.first, Home: home, Fetched: f} }
@@ -95,7 +95,7 @@ func TestLadderRoute(t *testing.T) {
 			want: Route{First: -1, Home: -1, Fetched: Fetched{Source: SourceNoCover}}, hop: "ground -1"},
 		{name: "local owner", ladder: l, first: fx.first, obj: fx.local, want: contact(fx.first)},
 		{name: "remote owner", ladder: l, first: fx.first, obj: fx.remote, want: contact(fx.owner)},
-		{name: "hashing off", ladder: Ladder{Hash: fx.h, Relay: true}, first: fx.first, obj: fx.remote,
+		{name: "hashing off", ladder: Ladder{Hash: core.OneBucket(fx.h.Grid()), Relay: true}, first: fx.first, obj: fx.remote,
 			stage: shed.StageHitsOnly, want: contact(fx.first)},
 		{name: "transient owner", ladder: l, first: fx.first, obj: fx.remote, ownerDown: true, transient: down,
 			want: verdict(-1, Fetched{Source: SourceGround, Degraded: true}), hop: "ground -1"},
@@ -166,7 +166,8 @@ func TestLadderFetch(t *testing.T) {
 	if wNear == w || eNear == e {
 		t.Fatal("fixture needs √L > 1 so the ablation's neighbours differ")
 	}
-	full := Ladder{Hash: fx.h, Hashing: true, Relay: true}
+	full := Ladder{Hash: fx.h, Relay: true}
+	off := Ladder{Hash: core.OneBucket(fx.h.Grid()), Relay: true}
 	boom := errors.New("boom")
 	shedErr := fmt.Errorf("wrapped: %w", shed.ErrShed)
 	gone := fmt.Errorf("wrapped: %w", ErrUnreachable)
@@ -219,9 +220,9 @@ func TestLadderFetch(t *testing.T) {
 		{name: "stage 1 skips probes", ladder: full, first: home, stage: shed.StageRelayOff,
 			has:  map[string]bool{k("Contains", w): true},
 			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{get, ground}},
-		{name: "stage 1 without relay skips nothing", ladder: Ladder{Hash: fx.h, Hashing: true}, first: home,
+		{name: "stage 1 without relay skips nothing", ladder: Ladder{Hash: fx.h}, first: home,
 			stage: shed.StageRelayOff, want: Fetched{Source: SourceGround}, calls: []string{get, ground}},
-		{name: "relay off", ladder: Ladder{Hash: fx.h, Hashing: true}, first: fx.first,
+		{name: "relay off", ladder: Ladder{Hash: fx.h}, first: fx.first,
 			has:  map[string]bool{k("Contains", w): true},
 			want: Fetched{Source: SourceGround}, calls: []string{get, ground}},
 		{name: "stage 3 admits nothing", ladder: full, first: home, stage: shed.StageHitsOnly,
@@ -257,12 +258,12 @@ func TestLadderFetch(t *testing.T) {
 		{name: "inactive west neighbour", ladder: full, first: fx.first, downSat: w,
 			has:  map[string]bool{k("Contains", w): true},
 			want: Fetched{Source: SourceGround}, calls: []string{get, probeE, ground}},
-		{name: "hashing off probes the immediate neighbours", ladder: Ladder{Hash: fx.h, Relay: true}, first: home,
+		{name: "hashing off probes the immediate neighbours", ladder: off, first: home,
 			has:  map[string]bool{k("Contains", eNear): true},
 			want: Fetched{Source: SourceRelayEast, Relay: eNear},
 			calls: []string{get, call("Contains", wNear, RoleRelayWest), call("Contains", eNear, RoleRelayEast),
 				call("Get", eNear, RoleRelayEast), backE}},
-		{name: "hashing off, inactive immediate neighbour", ladder: Ladder{Hash: fx.h, Relay: true}, first: home,
+		{name: "hashing off, inactive immediate neighbour", ladder: off, first: home,
 			downSat: eNear, has: map[string]bool{k("Contains", eNear): true},
 			want: Fetched{Source: SourceGround}, calls: []string{get, call("Contains", wNear, RoleRelayWest), ground}},
 	} {

@@ -220,7 +220,7 @@ type StarCDNOptions struct {
 // owner, relayed fetch from same-bucket inter-orbit neighbours on a miss,
 // and remap-based failure handling.
 type StarCDN struct {
-	hash   *core.HashScheme
+	hash   *core.HashScheme // the scheme requests are served through
 	opts   StarCDNOptions
 	ladder Ladder
 	caches *satCaches
@@ -230,10 +230,15 @@ type StarCDN struct {
 	prefetch *prefetcher
 }
 
-// NewStarCDN builds a StarCDN policy over the hash scheme.
+// NewStarCDN builds a StarCDN policy over the hash scheme. With hashing off
+// the policy serves through the one-bucket scheme on the same grid (§3.2 at
+// L = 1): every first contact is its own owner.
 func NewStarCDN(h *core.HashScheme, cfg CacheConfig, opts StarCDNOptions) *StarCDN {
+	if !opts.Hashing {
+		h = core.OneBucket(h.Grid())
+	}
 	p := &StarCDN{hash: h, opts: opts, caches: newSatCaches(cfg),
-		ladder: Ladder{Hash: h, Hashing: opts.Hashing, Relay: opts.Relay}}
+		ladder: Ladder{Hash: h, Relay: opts.Relay}}
 	if opts.Prefetch {
 		p.prefetch = newPrefetcher(opts.PrefetchCount, opts.PrefetchEpochSec)
 	}
@@ -252,13 +257,11 @@ func (p *StarCDN) PrefetchStats() PrefetchStats {
 // SetRelayStats wires a Table 3 tally sink (usually &Metrics.Relay).
 func (p *StarCDN) SetRelayStats(r *RelayAvailability) { p.relayStats = r }
 
-// ObjectBucket returns the consistent-hash bucket that owns obj, or -1 when
-// hashing is disabled. The popularity telemetry keys per-bucket load on it;
-// policies without a bucket structure simply don't implement the interface.
+// ObjectBucket returns the consistent-hash bucket that owns obj (always 0
+// with hashing off: one bucket carries every request). The popularity
+// telemetry keys per-bucket load on it; policies without a bucket structure
+// simply don't implement the interface.
 func (p *StarCDN) ObjectBucket(obj cache.ObjectID) int {
-	if !p.opts.Hashing {
-		return -1
-	}
 	return int(p.hash.BucketOf(obj))
 }
 
@@ -296,11 +299,8 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 		return out
 	}
 	home := rt.Home
-	routeMs := 0.0
-	if p.opts.Hashing {
-		ph, sh := p.hash.RoutingHops(ctx.First, home)
-		routeMs = ctx.Latency.ISLPathRTTMs(ph, sh, ctx.Rng)
-	}
+	ph, sh := p.hash.RoutingHops(ctx.First, home)
+	routeMs := ctx.Latency.ISLPathRTTMs(ph, sh, ctx.Rng)
 	if p.prefetch != nil {
 		p.prefetch.maybePrefetch(p, home, req.TimeSec)
 	}
@@ -325,11 +325,11 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 		out.ISLBytes = 0 // no content moved
 		ctx.Span.AddHop(obs.Hop{Kind: "shed", Sat: int(home)})
 	case SourceRelayWest, SourceRelayEast:
-		relayMs := ctx.Latency.ISLPathRTTMs(p.relayHops(), 0, ctx.Rng)
+		relayMs := ctx.Latency.ISLPathRTTMs(p.hash.RelayHops(), 0, ctx.Rng)
 		out.SpaceMs += relayMs
-		out.ISLBytes += req.Size * int64(p.relayHops())
+		out.ISLBytes += req.Size * int64(p.hash.RelayHops())
 		ctx.Span.AddHop(obs.Hop{Kind: got.Source.String(), Sat: int(got.Relay),
-			ISLHops: p.relayHops(), SimMs: relayMs})
+			ISLHops: p.hash.RelayHops(), SimMs: relayMs})
 		ctx.Phase.Mark(obs.PhaseSimRelay)
 	case SourceGround:
 		groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
@@ -338,12 +338,4 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 		ctx.Phase.Mark(obs.PhaseSimRelay)
 	}
 	return out
-}
-
-// relayHops is the inter-orbit hop count to a relay neighbour.
-func (p *StarCDN) relayHops() int {
-	if p.opts.Hashing {
-		return p.hash.RelayHops()
-	}
-	return 1
 }

@@ -60,7 +60,7 @@ func (pf *prefetcher) maybePrefetch(p *StarCDN, home orbit.SatID, timeSec float6
 		return
 	}
 	pf.lastEpoch[home] = epoch
-	west, ok := p.ladder.RelayNeighbor(home, topo.West)
+	west, ok := p.hash.RelayNeighbor(home, topo.West)
 	if !ok {
 		return
 	}

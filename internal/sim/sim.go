@@ -118,7 +118,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		return nil, err
 	}
 	// The bucket top-K needs the policy's consistent-hash structure; policies
-	// without one (or with hashing disabled) simply have no bucket series.
+	// without one simply have no bucket series.
 	var bucketOf func(cache.ObjectID) int
 	if bp, ok := p.(interface{ ObjectBucket(cache.ObjectID) int }); ok {
 		bucketOf = bp.ObjectBucket

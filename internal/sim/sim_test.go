@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"starcdn/internal/cache"
@@ -94,6 +95,31 @@ func TestNaiveLRUHitsRepeats(t *testing.T) {
 	}
 	if m.Meter.Requests != 100 {
 		t.Errorf("requests = %d", m.Meter.Requests)
+	}
+}
+
+// TestOneBucketLadderIsNaiveLRU keeps the §5.1 baseline as the independent
+// reference for the ladder over core.OneBucket: with hashing and relay off,
+// StarCDN is an uncoordinated cache per first contact, and must produce the
+// metrics NaiveLRU's 25 lines do — every latency sample and per-satellite
+// meter, so also the same seeded draws in the same order.
+func TestOneBucketLadderIsNaiveLRU(t *testing.T) {
+	e := newEnv(t, 20000, 1800)
+	const cacheBytes = 64 << 20
+	cfg := Config{Seed: 7, CollectLatency: true, CollectPerSat: true}
+	naive, err := Run(e.c, e.users, e.tr, NewNaiveLRU(CacheConfig{Kind: cache.LRU, Bytes: cacheBytes}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := Run(e.c, e.users, e.tr, e.starcdn(t, 4, cacheBytes, StarCDNOptions{}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Meter.Hits == 0 || naive.Meter.Hits == naive.Meter.Requests {
+		t.Fatalf("degenerate fixture: %d hits of %d", naive.Meter.Hits, naive.Meter.Requests)
+	}
+	if !reflect.DeepEqual(naive, ladder) {
+		t.Errorf("metrics differ:\n naive  %+v\n ladder %+v", naive.Meter, ladder.Meter)
 	}
 }
 

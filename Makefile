@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint waivers fmt bench bench-check bench-update debug-test race chaos obs clean
+.PHONY: all build test check lint waivers fmt bench bench-check bench-update debug-test race chaos obs fuzz clean
 
 all: build
 
@@ -77,6 +77,20 @@ chaos:
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).
 obs:
 	sh scripts/obs_smoke.sh
+
+## fuzz: run every fuzz target in the tree for FUZZTIME each, one at a time
+## (`go test -fuzz` takes one target per run) — ROADMAP item 3's acceptance
+## step. Not part of `make check`: `go test` already replays the seed corpora.
+## A finding lands in the package's testdata/fuzz; fix it and commit the file.
+## FuzzServerHandle's execs are loopback dials with scheduler-dependent
+## coverage, so the default 60 s shrink of every new input stalls it at 0
+## execs/s; 100 shrink attempts keep it exploring.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTLE$$' -fuzztime=$(FUZZTIME) ./internal/orbit/
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzServerHandle$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/replayer/
+	$(GO) test -run='^$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/replayer/
 
 clean:
 	$(GO) clean ./...

@@ -69,7 +69,7 @@ func main() {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the replay finishes (for scraping/profiling)")
 		traceOut      = flag.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
 		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
-		tracePropa    = flag.Bool("trace-propagate", false, "propagate trace context over the wire (protocol v2); server spans join the client's traces")
+		tracePropa    = flag.Bool("trace-propagate", false, "propagate trace context over the wire: one context frame ahead of each sampled request's exchanges, so server spans join the client's traces")
 		serverTrace   = flag.String("server-trace-out", "", "write server-side operation spans as JSONL to this file (requires -trace-propagate; assemble with starcdn-trace -assemble)")
 
 		sketches = flag.Bool("sketches", false, "streaming sketch telemetry: top-K object/satellite/bucket popularity and a wall-latency quantile sketch with trace exemplars (full entries on /metrics.json with -metrics-addr)")
@@ -80,7 +80,7 @@ func main() {
 		sloHitRate  = flag.Float64("slo-hit-rate", 0, "SLO: request hit rate >= this fraction over -slo-window (0 disables; requires -record-epoch)")
 		sloWindow   = flag.Duration("slo-window", time.Minute, "SLO evaluation window")
 
-		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (wire rejections use StatusShed, protocol v3)")
+		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (servers answer refused operations with StatusShed)")
 		shedEpoch = flag.Float64("shed-epoch-sec", 15, "overload-controller epoch in trace seconds (with -shed)")
 		shedQuota = flag.Int("shed-quota", 64, "admitted-session quota at the admission-control stage (with -shed)")
 	)
@@ -132,6 +132,12 @@ func main() {
 	if inject && !*fault {
 		log.Fatal("-inject-* requires -fault (injected faults need the fault policy)")
 	}
+	if *retries < 1 {
+		log.Fatal("-retries must be at least 1 (it counts attempts, the first included)")
+	}
+	if *ioTimeout <= 0 {
+		log.Fatal("-io-timeout must be positive (injected stalls last twice as long)")
+	}
 	if *fault {
 		pol := &replayer.FaultPolicy{
 			IOTimeout: *ioTimeout,
@@ -144,6 +150,8 @@ func main() {
 				ResetRate:    *injReset,
 				StallRate:    *injStall,
 				TruncateRate: *injTruncate,
+				// Twice the deadline, so a stalled read always outlives it.
+				StallFor: 2 * *ioTimeout,
 			})
 			pol.Injector = injector
 		}
@@ -277,7 +285,7 @@ func main() {
 	// Overload control: one controller closes the loop on both sides — the
 	// client pipeline consults it per request (Options.Shedder) and every
 	// satellite server enforces its stage at the wire (ServerOptions.Shedder),
-	// so a v3 peer sees StatusShed while a v2 peer sees StatusError.
+	// answering refused operations with StatusShed.
 	var shedCtrl *shed.Controller
 	if *shedOn {
 		cfg := shed.Defaults()

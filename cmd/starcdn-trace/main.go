@@ -4,7 +4,7 @@
 // serving paths with their full hop chains.
 //
 // With -assemble it instead stitches span files from multiple processes
-// (replay client + satellite servers, protocol-v2 trace propagation) into
+// (replay client + satellite servers, starcdn-replay -trace-propagate) into
 // per-trace trees, reporting rooted-tree/orphan counts and critical-path
 // attribution (network vs remote serving time per hop).
 //

@@ -88,7 +88,7 @@ const (
 
 // Replay pipeline stage indices, aligned with ReplayPhaseStages.
 const (
-	PhaseReplayDial  = iota // dial plus the per-connection hello negotiation
+	PhaseReplayDial  = iota // dial of a fresh pooled connection
 	PhaseReplayWrite        // deadline arm, trace-context and request frames
 	PhaseReplayRead         // response frame read
 	PhaseReplayRetry        // backoff sleeps between attempts

@@ -12,13 +12,12 @@ import (
 // TCP — the unit cost every distributed replay pays per request (recorded in
 // BENCH_core.json). Three variants:
 //
-//	get/hit        — plain v1-style frame exchange, no tracing anywhere
-//	get/propagate  — trace propagation on but the request unsampled: the
-//	                 hello negotiation is paid once per connection, after
-//	                 which unsampled requests must cost the same as plain
-//	get/traced     — sampled request: OpTraceContext extension frame on the
-//	                 wire plus a server span serialised to io.Discard (the
-//	                 worst case per-request tracing cost)
+//	get/hit        — plain frame exchange, no tracing anywhere
+//	get/propagate  — an unsampled context passed: no context frame is
+//	                 written, so it must cost the same as plain
+//	get/traced     — sampled request: OpTraceContext frame on the wire plus
+//	                 a server span serialised to io.Discard (the worst case
+//	                 per-request tracing cost)
 func BenchmarkReplayFrame(b *testing.B) {
 	srv, err := NewServerOpts(1, cache.LRU, 1<<30, ServerOptions{
 		Tracer: obs.NewTracer(io.Discard, 1, 1),
@@ -37,8 +36,7 @@ func BenchmarkReplayFrame(b *testing.B) {
 		if err := cl.Admit(addr, obj, size); err != nil {
 			b.Fatal(err)
 		}
-		// Warm the connection (and the hello negotiation, if any) outside
-		// the timed region.
+		// Warm the connection outside the timed region.
 		if hit, err := cl.GetCtx(addr, obj, size, sc); err != nil || !hit {
 			b.Fatalf("warmup get: hit=%v err=%v", hit, err)
 		}
@@ -59,14 +57,10 @@ func BenchmarkReplayFrame(b *testing.B) {
 		run(b, NewClient(), nil)
 	})
 	b.Run("get/propagate", func(b *testing.B) {
-		cl := NewClientOpts(ClientOptions{Propagate: true})
-		run(b, cl, &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9})
+		run(b, NewClient(), &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9})
 	})
 	b.Run("get/traced", func(b *testing.B) {
-		cl := NewClientOpts(ClientOptions{
-			Propagate: true,
-			Tracer:    obs.NewTracer(io.Discard, 1, 2),
-		})
+		cl := NewClientOpts(ClientOptions{Tracer: obs.NewTracer(io.Discard, 1, 2)})
 		run(b, cl, &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9, Sampled: true})
 	})
 }

@@ -46,25 +46,12 @@ type ClientOptions struct {
 	// failure counters and the frame-latency histogram under the
 	// starcdn_client_* names.
 	Obs *obs.Registry
-	// Tracer, when non-nil together with Propagate, receives client-side
-	// child spans for retries (one span per backoff, parented under the
-	// propagated hop span).
+	// Tracer, when non-nil, receives client-side child spans for retries of
+	// requests sent with a sampled context (one span per backoff, parented
+	// under the propagated hop span).
 	Tracer *obs.Tracer
-	// Propagate enables cross-process trace propagation: the client sends an
-	// OpHello once per connection and, when the server grants CapTrace,
-	// prefixes sampled request frames with OpTraceContext extension frames.
-	// Servers that answer the hello with an error (protocol v1) downgrade
-	// the connection to plain frames — old servers interoperate unchanged.
-	Propagate bool
-	// Shed requests CapShed in the per-connection hello: the client
-	// declares it understands StatusShed responses, which it maps to
-	// shed.ErrShed without retrying (the rejection is load control — a
-	// retry would add the very load being shed). Against older servers the
-	// hello degrades gracefully and shed rejections arrive as the familiar
-	// StatusError terminal faults.
-	Shed bool
 	// Phases, when non-nil, attributes each round trip's wall-clock cost to
-	// the replay stages (dial+hello, frame write, frame read, retry
+	// the replay stages (dial, frame write, frame read, retry
 	// backoff). Build it with obs.NewReplayPhases — the client marks the
 	// obs.PhaseReplay* stage indices. Like Obs, enabling it cannot change
 	// replay behaviour.
@@ -139,8 +126,6 @@ type Client struct {
 	dial        Dialer
 	obs         *clientObs
 	tracer      *obs.Tracer
-	propagate   bool
-	shed        bool
 	phases      *obs.PhaseProfiler
 
 	rngMu sync.Mutex
@@ -151,13 +136,6 @@ type Client struct {
 type poolEntry struct {
 	mu   sync.Mutex
 	conn net.Conn
-	// traceOK records the outcome of the per-connection hello negotiation:
-	// true once the server granted CapTrace. Reset when the connection drops
-	// (the revived server behind the address may speak a different version).
-	traceOK bool
-	// shedOK is the CapShed half of the same negotiation: true once the
-	// server granted shed responses on this connection.
-	shedOK bool
 	// scratch is the frame marshal buffer for this connection, guarded by mu
 	// like the conn it serves. Reusing it keeps the per-request exchange
 	// allocation-free (see writeFrameBuf).
@@ -185,8 +163,6 @@ func NewClientOpts(o ClientOptions) *Client {
 		dial:        d,
 		obs:         newClientObs(o.Obs),
 		tracer:      o.Tracer,
-		propagate:   o.Propagate,
-		shed:        o.Shed,
 		phases:      o.Phases,
 		rng:         rand.New(rand.NewSource(o.Seed)),
 	}
@@ -220,8 +196,6 @@ func (e *poolEntry) dropLocked() {
 		_ = e.conn.Close()
 		e.conn = nil
 	}
-	e.traceOK = false
-	e.shedOK = false
 }
 
 // Close closes all pooled connections, returning the first close error.
@@ -247,7 +221,7 @@ func (c *Client) Close() error {
 	return first
 }
 
-// jitter draws one backoff jitter value thread-safely.
+// backoff draws one jittered backoff delay thread-safely.
 func (c *Client) backoff(attempt int) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
@@ -262,11 +236,11 @@ func (c *Client) backoff(attempt int) time.Duration {
 // server that was killed and revived on a new address... as long as the
 // caller re-resolves the address, which Replay does per request.
 //
-// A non-nil sampled sc rides ahead of the request frame as a trace-context
-// extension (when the connection negotiated CapTrace) and each backoff
-// emits a "retry" child span under sc.Parent, so a trace records not just
-// where a request was served but every stall it survived on the way.
-func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, uint64, uint64, error) {
+// A non-nil sampled sc rides ahead of the request frame as an OpTraceContext
+// frame and each backoff emits a "retry" child span under sc.Parent, so a
+// trace records not just where a request was served but every stall it
+// survived on the way.
+func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.retry.attempts(); attempt++ {
 		if attempt > 0 {
@@ -283,19 +257,19 @@ func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, s
 		if c.obs != nil {
 			c.obs.attempts.Inc()
 		}
-		st, a, b, err := c.tryOnce(addr, op, obj, size, sc)
+		st, err := c.tryOnce(addr, op, obj, size, sc)
 		if err == nil {
 			// A shed is a deliberate answer, not a transport fault: the
 			// retry loop must never re-offer load the server just refused.
 			if st == StatusShed && c.obs != nil {
 				c.obs.rejShed.Inc()
 			}
-			return st, a, b, nil
+			return st, nil
 		}
 		lastErr = err
 	}
 	c.obs.recordTerminal(lastErr)
-	return StatusError, 0, 0, lastErr
+	return StatusError, lastErr
 }
 
 // emitRetrySpan records one backoff as a child span of the propagated hop.
@@ -318,7 +292,7 @@ func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Du
 }
 
 // tryOnce performs a single attempt under the per-address lock.
-func (c *Client) tryOnce(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, uint64, uint64, error) {
+func (c *Client) tryOnce(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, error) {
 	e := c.entry(addr)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -329,80 +303,42 @@ func (c *Client) tryOnce(addr string, op Op, obj cache.ObjectID, size int64, sc 
 	if e.conn == nil {
 		conn, err := c.dial(addr, c.dialTimeout)
 		if err != nil {
-			return StatusError, 0, 0, fmt.Errorf("replayer: dial %s: %w", addr, err)
+			return StatusError, fmt.Errorf("replayer: dial %s: %w", addr, err)
 		}
 		e.conn = conn
-		if c.propagate || c.shed {
-			if err := c.helloLocked(e); err != nil {
-				e.dropLocked()
-				return StatusError, 0, 0, err
-			}
-		}
 		pc.Mark(obs.PhaseReplayDial)
 	}
 	if c.ioTimeout > 0 {
 		if err := e.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
 			e.dropLocked()
-			return StatusError, 0, 0, err
+			return StatusError, err
 		}
 	}
 	var frameStart time.Time
 	if c.obs != nil {
 		frameStart = time.Now()
 	}
-	if e.traceOK && sc != nil && sc.Sampled {
+	if sc != nil && sc.Sampled {
 		if err := writeTraceContext(e.conn, *sc); err != nil {
 			e.dropLocked()
-			return StatusError, 0, 0, err
+			return StatusError, err
 		}
 	}
 	if err := writeRequest(e.conn, &e.scratch, op, obj, size); err != nil {
 		e.dropLocked()
-		return StatusError, 0, 0, err
+		return StatusError, err
 	}
 	pc.Mark(obs.PhaseReplayWrite)
-	st, a, b, err := readResponse(e.conn, &e.scratch)
+	st, err := readResponse(e.conn, &e.scratch)
 	if err != nil {
 		e.dropLocked()
-		return StatusError, 0, 0, err
+		return StatusError, err
 	}
 	pc.Mark(obs.PhaseReplayRead)
 	if c.obs != nil {
 		c.obs.frameMs.Observe(float64(time.Since(frameStart)) / float64(time.Millisecond))
 	}
-	return st, a, b, nil
-}
-
-// helloLocked negotiates protocol extensions on a freshly dialed connection;
-// callers hold e.mu. The requested capability bits follow the client's
-// configuration — CapTrace when propagating, CapShed when shed-aware. A
-// modern server answers StatusOK with the granted capability bits; a v1
-// server answers its unknown-op StatusError, which downgrades the connection
-// to plain version-1 frames (traceOK and shedOK stay false). Only transport
-// errors are fatal — version disagreement never is.
-func (c *Client) helloLocked(e *poolEntry) error {
-	if c.ioTimeout > 0 {
-		if err := e.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
-			return err
-		}
-	}
-	var want uint64
-	if c.propagate {
-		want |= CapTrace
-	}
-	if c.shed {
-		want |= CapShed
-	}
-	if err := writeFrameBuf(e.conn, &e.scratch, uint8(OpHello), ProtocolVersion, want); err != nil {
-		return fmt.Errorf("replayer: hello: %w", err)
-	}
-	st, _, caps, err := readResponse(e.conn, &e.scratch)
-	if err != nil {
-		return fmt.Errorf("replayer: hello: %w", err)
-	}
-	e.traceOK = st == StatusOK && caps&CapTrace != 0
-	e.shedOK = st == StatusOK && caps&CapShed != 0
-	return nil
+	return st, nil
 }
 
 // Get performs a lookup (with recency update) and reports a hit.
@@ -414,7 +350,7 @@ func (c *Client) Get(addr string, obj cache.ObjectID, size int64) (bool, error) 
 // shed surfaces as shed.ErrShed — already terminal (no retry happened) and
 // distinguishable from transport faults with errors.Is.
 func (c *Client) GetCtx(addr string, obj cache.ObjectID, size int64, sc *obs.SpanContext) (bool, error) {
-	st, _, _, err := c.roundTrip(addr, OpGet, obj, size, sc)
+	st, err := c.roundTrip(addr, OpGet, obj, size, sc)
 	if err != nil {
 		return false, err
 	}
@@ -432,7 +368,7 @@ func (c *Client) Contains(addr string, obj cache.ObjectID) (bool, error) {
 // ContainsCtx is Contains with an optional propagated trace context. Sheds
 // surface as shed.ErrShed, as in GetCtx.
 func (c *Client) ContainsCtx(addr string, obj cache.ObjectID, sc *obs.SpanContext) (bool, error) {
-	st, _, _, err := c.roundTrip(addr, OpContains, obj, 0, sc)
+	st, err := c.roundTrip(addr, OpContains, obj, 0, sc)
 	if err != nil {
 		return false, err
 	}
@@ -450,7 +386,7 @@ func (c *Client) Admit(addr string, obj cache.ObjectID, size int64) error {
 // AdmitCtx is Admit with an optional propagated trace context. Sheds surface
 // as shed.ErrShed, as in GetCtx.
 func (c *Client) AdmitCtx(addr string, obj cache.ObjectID, size int64, sc *obs.SpanContext) error {
-	st, _, _, err := c.roundTrip(addr, OpAdmit, obj, size, sc)
+	st, err := c.roundTrip(addr, OpAdmit, obj, size, sc)
 	if err != nil {
 		return err
 	}
@@ -461,30 +397,4 @@ func (c *Client) AdmitCtx(addr string, obj cache.ObjectID, size int64, sc *obs.S
 		return fmt.Errorf("replayer: admit rejected with status %d", st)
 	}
 	return nil
-}
-
-// ShedStage queries the server's active overload-control stage and burn
-// rate. Requires ClientOptions.Shed and a server that granted CapShed; older
-// servers answer StatusError, which is returned as an error.
-func (c *Client) ShedStage(addr string) (shed.Stage, float64, error) {
-	st, a, b, err := c.roundTrip(addr, OpShed, 0, 0, nil)
-	if err != nil {
-		return shed.StageNormal, 0, err
-	}
-	if st != StatusOK {
-		return shed.StageNormal, 0, fmt.Errorf("replayer: shed query status %d", st)
-	}
-	return shed.Stage(a), float64(b) / 1e6, nil
-}
-
-// Stats fetches the remote server's (requests, hits) counters.
-func (c *Client) Stats(addr string) (requests, hits uint64, err error) {
-	st, a, b, err := c.roundTrip(addr, OpStats, 0, 0, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if st != StatusOK {
-		return 0, 0, fmt.Errorf("replayer: stats status %d", st)
-	}
-	return a, b, nil
 }

@@ -9,43 +9,17 @@
 //	request:  op(1) | object(8, big endian) | size(8, big endian)
 //	response: status(1) | reserved(8) | reserved(8)
 //
-// Ops: OpGet (lookup + touch), OpContains (peek), OpAdmit (insert),
-// OpStats (returns request count in the first reserved field and hit count
-// in the second).
+// Ops: OpGet (lookup + touch), OpContains (peek), OpAdmit (insert), and
+// OpTraceContext, which carries a sampled request's distributed-trace context:
+// the 128-bit trace ID in its two operand fields, then a fixed 9-byte tail —
+// parent span ID (8, big endian) | flags (1, bit 0 = sampled). It elicits no
+// response; the server attaches the context to the next request frame on the
+// connection.
 //
-// Protocol version 2 adds two negotiated extensions on top of the version-1
-// frames, both backward compatible in either direction:
-//
-//	OpHello        — capability negotiation. A v2 client sends it once per
-//	                 connection (a=protocol version, b=requested capability
-//	                 bits); a v2 server answers StatusOK with the granted
-//	                 capabilities. A v1 server answers its unknown-op
-//	                 StatusError, which the client reads as "no extensions"
-//	                 and the connection proceeds as plain v1. V1 clients
-//	                 never send OpHello, so v2 servers serve them unchanged.
-//	OpTraceContext — distributed-trace context (only after CapTrace was
-//	                 granted). The frame carries the 128-bit trace ID in its
-//	                 two operand fields and is followed by a fixed 9-byte
-//	                 tail: parent span ID (8, big endian) | flags (1, bit 0 =
-//	                 sampled). It elicits no response; the server attaches
-//	                 the context to the next request frame on the connection.
-//
-// Protocol version 3 adds overload control, again negotiated per connection:
-//
-//	CapShed    — requested by clients that understand shed responses. Once
-//	             granted, the server may answer OpGet/OpContains/OpAdmit with
-//	             StatusShed instead of performing the operation, meaning the
-//	             request was deliberately rejected by overload control
-//	             (stage ≥ 2 admission, stage ≥ 3 hits-only). Clients map it
-//	             to shed.ErrShed and MUST NOT retry — the rejection is load
-//	             control, a retry only adds load. On connections without
-//	             CapShed the server answers StatusError instead, which v2
-//	             peers already treat as a terminal fault (fail-fast or the
-//	             §3.4 FaultPolicy degrade), so old clients degrade safely
-//	             without ever seeing an unknown status byte.
-//	OpShed     — stage query (requires CapShed): answered StatusOK with the
-//	             active shed stage in the first operand and the controller
-//	             burn rate ×1e6, truncated, in the second.
+// There is one protocol and nothing to negotiate: every server is started by
+// NewServerOpts in the process, and from the build, of the client that dials
+// it. A server under overload control answers a refused operation with
+// StatusShed, which the client maps to shed.ErrShed and never retries.
 package replayer
 
 import (
@@ -60,31 +34,12 @@ import (
 // Op identifies a cache operation on the wire.
 type Op uint8
 
-// Wire operations.
+// Wire operations. The byte values are fixed; the gaps are retired ops.
 const (
-	OpGet Op = iota + 1
-	OpContains
-	OpAdmit
-	OpStats
-	OpHello        // v2: capability negotiation (a=version, b=capability bits)
-	OpTraceContext // v2: trace-context extension frame (requires CapTrace)
-	OpShed         // v3: shed-stage query (requires CapShed)
-)
-
-// ProtocolVersion is the wire revision this build speaks. Version 1 is the
-// original fixed-frame protocol; version 2 adds hello negotiation and the
-// trace-context extension frame; version 3 adds overload control (CapShed,
-// StatusShed, OpShed).
-const ProtocolVersion = 3
-
-// Capability bits negotiated via OpHello.
-const (
-	// CapTrace lets the client prefix request frames with OpTraceContext so
-	// server-side spans join the client's distributed trace.
-	CapTrace uint64 = 1 << 0
-	// CapShed lets the server answer cache ops with StatusShed (overload
-	// rejection) and the client query the shed stage via OpShed.
-	CapShed uint64 = 1 << 1
+	OpGet          Op = 1
+	OpContains     Op = 2
+	OpAdmit        Op = 3
+	OpTraceContext Op = 6 // trace context for the next request frame, plus a 9-byte tail
 )
 
 // Status is a response code.
@@ -96,10 +51,9 @@ const (
 	StatusHit
 	StatusOK
 	StatusError
-	// StatusShed (v3, requires CapShed) rejects the operation by overload
-	// control: the server is shedding this value class. Not an error in
-	// the transport sense — the connection stays healthy and retrying is
-	// forbidden.
+	// StatusShed rejects the operation by overload control: the server is
+	// shedding this value class. Not an error in the transport sense — the
+	// connection stays healthy and retrying is forbidden.
 	StatusShed
 )
 
@@ -138,54 +92,40 @@ func readFrameBuf(r io.Reader, buf *[frameSize]byte) (message, error) {
 	}, nil
 }
 
-// writeFrame is the convenience form for once-per-connection and test
-// traffic; per-frame paths use writeFrameBuf with a reused buffer.
-func writeFrame(w io.Writer, first uint8, a, b uint64) error {
-	var buf [frameSize]byte
-	return writeFrameBuf(w, &buf, first, a, b)
-}
-
-// readFrame is the convenience form of readFrameBuf; see writeFrame.
-func readFrame(r io.Reader) (message, error) {
-	var buf [frameSize]byte
-	return readFrameBuf(r, &buf)
-}
-
 // writeRequest sends a request frame through the caller's scratch buffer.
 func writeRequest(w io.Writer, buf *[frameSize]byte, op Op, obj cache.ObjectID, size int64) error {
 	return writeFrameBuf(w, buf, uint8(op), uint64(obj), uint64(size))
 }
 
-// writeResponse sends a response frame through the caller's scratch buffer.
-func writeResponse(w io.Writer, buf *[frameSize]byte, st Status, a, b uint64) error {
-	return writeFrameBuf(w, buf, uint8(st), a, b)
+// writeResponse sends a response frame, reserved fields zero, through the
+// caller's scratch buffer.
+func writeResponse(w io.Writer, buf *[frameSize]byte, st Status) error {
+	return writeFrameBuf(w, buf, uint8(st), 0, 0)
 }
 
 // readResponse reads and validates a response frame through the caller's
 // scratch buffer.
-func readResponse(r io.Reader, buf *[frameSize]byte) (Status, uint64, uint64, error) {
+func readResponse(r io.Reader, buf *[frameSize]byte) (Status, error) {
 	m, err := readFrameBuf(r, buf)
 	if err != nil {
-		return StatusError, 0, 0, err
+		return StatusError, err
 	}
 	st := Status(m.op)
 	if st > StatusShed {
-		return StatusError, 0, 0, fmt.Errorf("replayer: bad status byte %d", m.op)
+		return StatusError, fmt.Errorf("replayer: bad status byte %d", m.op)
 	}
-	return st, m.a, m.b, nil
+	return st, nil
 }
 
-// traceTailSize is the fixed extension tail following an OpTraceContext
+// traceTailSize is the fixed tail following an OpTraceContext
 // frame: parent span ID (8) plus a flags byte.
 const traceTailSize = 9
 
 // traceSampledFlag marks a propagated context as sampled.
 const traceSampledFlag = 0x01
 
-// writeTraceContext sends the trace-context extension: one standard frame
-// carrying the 128-bit trace ID, then the 9-byte parent/flags tail. Callers
-// must have negotiated CapTrace first — a v1 server would misparse the tail
-// as the start of the next frame.
+// writeTraceContext sends an OpTraceContext frame: one standard frame
+// carrying the 128-bit trace ID, then the 9-byte parent/flags tail.
 func writeTraceContext(w io.Writer, sc obs.SpanContext) error {
 	var buf [frameSize + traceTailSize]byte
 	buf[0] = uint8(OpTraceContext)

@@ -27,7 +27,7 @@ func TestReadFrameTruncated(t *testing.T) {
 		t.Fatalf("frame size = %d, want %d", len(raw), frameSize)
 	}
 	for cut := 0; cut < frameSize; cut++ {
-		_, err := readFrame(bytes.NewReader(raw[:cut]))
+		_, err := readFrameBuf(bytes.NewReader(raw[:cut]), &scratch)
 		if err == nil {
 			t.Errorf("truncated frame of %d bytes was accepted", cut)
 		}
@@ -46,7 +46,7 @@ func TestReadFrameConsumesExactlyOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteString("trailing")
-	m, err := readFrame(&buf)
+	m, err := readFrameBuf(&buf, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,22 +64,21 @@ func TestReadResponseCorruptStatus(t *testing.T) {
 	var scratch [frameSize]byte
 	for _, bad := range []uint8{uint8(StatusShed) + 1, 42, 255} {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, bad, 1, 2); err != nil {
+		if err := writeFrameBuf(&buf, &scratch, bad, 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := readResponse(&buf, &scratch); err == nil {
+		if _, err := readResponse(&buf, &scratch); err == nil {
 			t.Errorf("status byte %d was accepted", bad)
 		}
 	}
 	// All defined statuses round-trip.
 	for _, st := range []Status{StatusMiss, StatusHit, StatusOK, StatusError, StatusShed} {
 		var buf bytes.Buffer
-		if err := writeResponse(&buf, &scratch, st, 3, 4); err != nil {
+		if err := writeResponse(&buf, &scratch, st); err != nil {
 			t.Fatal(err)
 		}
-		got, a, b, err := readResponse(&buf, &scratch)
-		if err != nil || got != st || a != 3 || b != 4 {
-			t.Errorf("status %d: got (%d,%d,%d,%v)", st, got, a, b, err)
+		if got, err := readResponse(&buf, &scratch); err != nil || got != st {
+			t.Errorf("status %d: got (%d,%v)", st, got, err)
 		}
 	}
 }
@@ -98,7 +97,8 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteFramePropagatesShortWrite(t *testing.T) {
-	if err := writeFrame(&errWriter{n: 5}, uint8(OpGet), 1, 2); err == nil {
+	var scratch [frameSize]byte
+	if err := writeFrameBuf(&errWriter{n: 5}, &scratch, uint8(OpGet), 1, 2); err == nil {
 		t.Error("short write was not reported")
 	}
 }
@@ -131,7 +131,7 @@ func TestServerSurvivesGarbageAndTruncatedInput(t *testing.T) {
 	// the connection usable.
 	cl := NewClientOpts(ClientOptions{IOTimeout: 2 * time.Second})
 	defer func() { _ = cl.Close() }()
-	st, _, _, err := cl.roundTrip(s.Addr(), Op(0xEE), 0xDEADBEEF, 1<<60, nil)
+	st, err := cl.roundTrip(s.Addr(), Op(0xEE), 0xDEADBEEF, 1<<60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,21 +107,21 @@ type Options struct {
 	// Tracer, when non-nil, emits one JSONL span per sampled request with
 	// wall-clock per-hop latencies measured around the real TCP exchanges.
 	Tracer *obs.Tracer
-	// Propagate enables protocol-v2 trace propagation: sampled requests
-	// carry their trace context (trace ID, hop span ID, sampled bit) to the
-	// satellite servers, whose per-operation spans then join the client's
-	// distributed trace (stitched back together by starcdn-trace -assemble).
-	// Requires Tracer; v1 servers negotiate the capability away and the
-	// replay proceeds as plain v1. Propagation never touches the seeded
-	// simulation streams — trace identity is a pure function of (tracer
-	// seed, request index).
+	// Propagate sends each sampled request's trace context (trace ID, hop
+	// span ID, sampled bit) to the satellite servers ahead of its frames, so
+	// their per-operation spans join the client's distributed trace
+	// (stitched back together by starcdn-trace -assemble). It requires
+	// Tracer and costs one extra OpTraceContext frame per sampled exchange;
+	// off, the servers see plain frames. Propagation never touches the
+	// seeded simulation streams — trace identity is a pure function of
+	// (tracer seed, request index).
 	Propagate bool
 	// Recorder, when non-nil, is ticked on wall-clock epochs for the
 	// duration of the replay, turning the Obs registry into a queryable
 	// flight-recorder time series (see obs.Recorder).
 	Recorder *obs.Recorder
 	// Phases, when non-nil, attributes each round trip's wall-clock cost to
-	// the replay stages (dial+hello, frame write, frame read, retry
+	// the replay stages (dial, frame write, frame read, retry
 	// backoff) as starcdn_phase_stage_seconds{pipeline="replay"} histograms.
 	// Build it with obs.NewReplayPhases; bind it to Recorder (BindRecorder)
 	// to flush per wall-clock epoch. Like Obs, it cannot change behaviour.
@@ -234,8 +234,7 @@ func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts 
 func (rp *replay) newFabric() *tcpFabric {
 	opts := &rp.opts
 	co := opts.Fault.clientOptions(opts.Seed)
-	co.Obs, co.Tracer, co.Propagate, co.Phases = opts.Obs, opts.Tracer, opts.Propagate, opts.Phases
-	co.Shed = opts.Shedder != nil
+	co.Obs, co.Tracer, co.Phases = opts.Obs, opts.Tracer, opts.Phases
 	f := &tcpFabric{cluster: rp.cluster, client: NewClientOpts(co), faulty: opts.Fault != nil}
 	rp.fabrics = append(rp.fabrics, f)
 	return f

@@ -16,7 +16,9 @@ type RetryPolicy struct {
 	// BaseBackoff is the nominal delay before the second attempt; each
 	// further attempt doubles it. Zero selects 2ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the per-attempt delay. Zero selects 50ms.
+	// MaxBackoff caps the nominal per-attempt delay d; jitter then spreads
+	// it over [d/2, 3d/2), so a sleep can reach 1.5 × MaxBackoff. Zero
+	// selects 50ms.
 	MaxBackoff time.Duration
 }
 

@@ -39,19 +39,18 @@ type ServerOptions struct {
 	// Meter seeds the server-side accounting (revive continuity).
 	Meter cache.Meter
 	// Tracer, when non-nil, emits one child span per cache operation that
-	// arrives with a sampled trace context (protocol v2, CapTrace): the
-	// server-side half of the distributed trace, written to this process's
-	// own JSONL stream and stitched back together by starcdn-trace
-	// -assemble. Servers without a tracer still negotiate CapTrace and
-	// parse context frames — propagation costs nothing to accept.
+	// arrives behind a sampled OpTraceContext frame: the server-side half of
+	// the distributed trace, written to this process's own JSONL stream and
+	// stitched back together by starcdn-trace -assemble. Servers without a
+	// tracer still parse context frames — propagation costs nothing to
+	// accept.
 	Tracer *obs.Tracer
-	// Shedder, when non-nil, enforces overload control at the wire
-	// (protocol v3): at stage ≥ 1 relay probes (OpContains) are refused,
-	// at stage ≥ 3 owner-miss fetches (OpGet on a miss, OpAdmit) are
-	// refused. Connections that negotiated CapShed get StatusShed; v2
-	// peers get StatusError, their existing terminal-fault path. Cluster
-	// servers share the one controller, like satellites sharing a control
-	// plane; it survives Kill/Revive with the rest of the options.
+	// Shedder, when non-nil, enforces overload control at the wire: at
+	// stage ≥ 1 relay probes (OpContains) are refused, at stage ≥ 3
+	// owner-miss fetches (OpGet on a miss, OpAdmit) are refused, each
+	// answered StatusShed. Cluster servers share the one controller, like
+	// satellites sharing a control plane; it survives Kill/Revive with the
+	// rest of the options.
 	Shedder *shed.Controller
 }
 
@@ -186,12 +185,8 @@ func (s *Server) handle(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	// pending holds the trace context delivered by the last OpTraceContext
-	// extension frame; it applies to exactly the next request frame.
+	// frame; it applies to exactly the next request frame.
 	var pending *obs.SpanContext
-	// shedOK records whether this connection negotiated CapShed: only then
-	// may shed rejections use StatusShed; older peers get StatusError,
-	// their established terminal-fault path.
-	shedOK := false
 	// scratch is this handler's frame marshal buffer, reused for every frame
 	// on the connection so the serve loop allocates nothing per request.
 	var scratch [frameSize]byte
@@ -202,32 +197,17 @@ func (s *Server) handle(conn net.Conn) {
 			return // client closed, malformed/truncated frame, or broken pipe
 		}
 		switch m.op {
-		case OpHello:
-			// Negotiation: grant the trace capability unconditionally —
-			// parsing context frames is cheap whether or not this server
-			// carries a tracer — grant CapShed to peers that asked for it
-			// (they proved they understand StatusShed), and echo the
-			// protocol version.
-			granted := CapTrace
-			if m.b&CapShed != 0 {
-				granted |= CapShed
-				shedOK = true
-			}
-			//lint:ignore deadline response writes go to the kernel socket buffer of a loopback conn; a stalled client is severed by Server.Close
-			if err := writeResponse(conn, &scratch, StatusOK, ProtocolVersion, granted); err != nil {
-				return
-			}
 		case OpTraceContext:
 			// The context frame has a fixed 9-byte tail; it elicits no
 			// response and arms the context for the next request frame.
-			//lint:ignore deadline the extension tail arrives back-to-back with its frame from a client that already armed its own per-frame deadline; Server.Close severs stalled conns
+			//lint:ignore deadline the context tail arrives back-to-back with its frame from a client that already armed its own per-frame deadline; Server.Close severs stalled conns
 			sc, err := readTraceTail(conn, m.a, m.b)
 			if err != nil {
 				return
 			}
 			pending = &sc
 		default:
-			if err := s.serveOne(conn, &scratch, m, pending, shedOK); err != nil {
+			if err := s.serveOne(conn, &scratch, m, pending); err != nil {
 				return
 			}
 			pending = nil
@@ -235,17 +215,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// shedStatus is the wire answer for an operation refused by overload
-// control: StatusShed on connections that negotiated CapShed, StatusError
-// (the pre-v3 terminal-fault path) otherwise.
-func shedStatus(shedOK bool) Status {
-	if shedOK {
-		return StatusShed
-	}
-	return StatusError
-}
-
-func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *obs.SpanContext, shedOK bool) error {
+func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *obs.SpanContext) error {
 	var opStart time.Time
 	if s.tracer != nil && sc != nil && sc.Sampled {
 		opStart = time.Now()
@@ -259,7 +229,6 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 	}
 	s.mu.Lock()
 	var st Status
-	var a, b uint64
 	switch m.op {
 	case OpGet:
 		hit := s.cache.Get(cache.ObjectID(m.a))
@@ -271,7 +240,7 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 			// Stage ≥ 3: hits-only. The Get already ran (recency touched,
 			// miss metered — identical to the simulator's stage-3 path);
 			// the fetch behind it is refused.
-			st = shedStatus(shedOK)
+			st = StatusShed
 		default:
 			st = StatusMiss
 		}
@@ -279,7 +248,7 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 		if stage.Sheds(core.ValueRelayProbe) {
 			// Stage ≥ 1: relay probes are refused without touching the
 			// cache — the probe is speculative work this server is shedding.
-			st = shedStatus(shedOK)
+			st = StatusShed
 		} else if s.cache.Contains(cache.ObjectID(m.a)) {
 			st = StatusHit
 		} else {
@@ -287,7 +256,7 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 		}
 	case OpAdmit:
 		if stage.Sheds(core.ValueMissFetch) {
-			st = shedStatus(shedOK)
+			st = StatusShed
 		} else {
 			err := s.cache.Admit(cache.ObjectID(m.a), int64(m.b))
 			if err == nil || errors.Is(err, cache.ErrTooLarge) {
@@ -295,22 +264,6 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 			} else {
 				st = StatusError
 			}
-		}
-	case OpStats:
-		st = StatusOK
-		a = uint64(s.meter.Requests)
-		b = uint64(s.meter.Hits)
-	case OpShed:
-		if shedOK {
-			st = StatusOK
-			a = uint64(stage)
-			burn := 0.0
-			if s.shed != nil {
-				burn = s.shed.Burn()
-			}
-			b = uint64(burn * 1e6)
-		} else {
-			st = StatusError
 		}
 	default:
 		st = StatusError
@@ -324,7 +277,7 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 		s.emitOpSpan(m, st, sc, opStart)
 	}
 	//lint:ignore deadline response writes go to the kernel socket buffer of a loopback conn; a client that never drains is severed by Server.Close, and blocking here models a congested ISL rather than failing the frame
-	return writeResponse(conn, buf, st, a, b)
+	return writeResponse(conn, buf, st)
 }
 
 // opName labels server-side operation spans.
@@ -336,10 +289,6 @@ func opName(op Op) string {
 		return "contains"
 	case OpAdmit:
 		return "admit"
-	case OpStats:
-		return "stats"
-	case OpShed:
-		return "shed"
 	default:
 		return "op-" + strconv.Itoa(int(op))
 	}

@@ -2,7 +2,6 @@ package replayer
 
 import (
 	"bytes"
-	"net"
 	"sync"
 	"testing"
 
@@ -23,8 +22,8 @@ func (s *syncBuffer) Write(p []byte) (int, error) {
 	return s.b.Write(p)
 }
 
-// TestTracePropagationRoundTrip runs a sequential replay with protocol-v2
-// trace propagation and checks every server-side operation span joins the
+// TestTracePropagationRoundTrip runs a sequential replay with trace
+// propagation and checks every server-side operation span joins the
 // client's distributed trace: same trace ID, parented under one of the root
 // span's hop span IDs (or under another span of the same trace, for spans
 // like relay probes whose hop was never recorded).
@@ -143,97 +142,11 @@ func TestTracePropagationRoundTrip(t *testing.T) {
 	}
 }
 
-// v1Server speaks the pre-extension protocol: every op it does not know —
-// including OpHello — answers StatusError, exactly like an old server build.
-func v1Server(t *testing.T) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := make(map[uint64]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func(conn net.Conn) {
-				defer wg.Done()
-				defer conn.Close()
-				for {
-					m, err := readFrame(conn)
-					if err != nil {
-						return
-					}
-					var st Status
-					mu.Lock()
-					switch m.op {
-					case OpGet, OpContains:
-						if store[m.a] {
-							st = StatusHit
-						} else {
-							st = StatusMiss
-						}
-					case OpAdmit:
-						store[m.a] = true
-						st = StatusOK
-					default: // v1 servers do not know OpHello/OpTraceContext
-						st = StatusError
-					}
-					mu.Unlock()
-					var scratch [frameSize]byte
-					if err := writeResponse(conn, &scratch, st, 0, 0); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String(), func() {
-		ln.Close()
-		wg.Wait()
-	}
-}
-
-// TestTraceV1ServerInterop checks the hello negotiation downgrades cleanly:
-// a propagation-enabled client talking to a protocol-v1 server must complete
-// plain operations (no context frames on the wire, no stream desync) and
-// still emit its own client-side spans.
-func TestTraceV1ServerInterop(t *testing.T) {
-	addr, stop := v1Server(t)
-	defer stop()
-
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf, 1, 3)
-	cl := NewClientOpts(ClientOptions{Propagate: true, Tracer: tracer})
-	defer cl.Close()
-
-	sc := &obs.SpanContext{TraceHi: 1, TraceLo: 2, Parent: 3, Sampled: true}
-	// Miss, admit, hit — three round trips over one downgraded connection.
-	if hit, err := cl.GetCtx(addr, 42, 100, sc); err != nil || hit {
-		t.Fatalf("v1 get: hit=%v err=%v", hit, err)
-	}
-	if err := cl.AdmitCtx(addr, 42, 100, sc); err != nil {
-		t.Fatalf("v1 admit: %v", err)
-	}
-	if hit, err := cl.GetCtx(addr, 42, 100, sc); err != nil || !hit {
-		t.Fatalf("v1 get after admit: hit=%v err=%v", hit, err)
-	}
-	if has, err := cl.ContainsCtx(addr, 42, sc); err != nil || !has {
-		t.Fatalf("v1 contains: has=%v err=%v", has, err)
-	}
-}
-
-// TestTraceV2Negotiation checks the capability grant against a real server:
-// the first exchange on a fresh connection performs the hello, and sampled
-// contexts then ride ahead of request frames without breaking the stream.
-func TestTraceV2Negotiation(t *testing.T) {
+// TestTraceContextFrameOnlyWhenSampled: sampled contexts ride ahead of
+// request frames without breaking the stream and each yields exactly one
+// server span under the propagated parent; unsampled and nil contexts send no
+// context frame.
+func TestTraceContextFrameOnlyWhenSampled(t *testing.T) {
 	var buf syncBuffer
 	serverTracer := obs.NewTracer(&buf, 1, 9)
 	s, err := NewServerOpts(4, cache.LRU, 1<<20, ServerOptions{Tracer: serverTracer})
@@ -242,7 +155,7 @@ func TestTraceV2Negotiation(t *testing.T) {
 	}
 	defer s.Close()
 
-	cl := NewClientOpts(ClientOptions{Propagate: true})
+	cl := NewClient()
 	defer cl.Close()
 	sc := &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9, Sampled: true}
 	if err := cl.AdmitCtx(s.Addr(), 1, 64, sc); err != nil {
@@ -251,7 +164,7 @@ func TestTraceV2Negotiation(t *testing.T) {
 	if hit, err := cl.GetCtx(s.Addr(), 1, 64, sc); err != nil || !hit {
 		t.Fatalf("get: hit=%v err=%v", hit, err)
 	}
-	// Unsampled contexts and nil contexts send no extension frame but still
+	// Unsampled contexts and nil contexts send no context frame but still
 	// round-trip.
 	if _, err := cl.GetCtx(s.Addr(), 1, 64, &obs.SpanContext{Sampled: false}); err != nil {
 		t.Fatal(err)

@@ -79,8 +79,10 @@ obs:
 	sh scripts/obs_smoke.sh
 
 ## fuzz: run every fuzz target in the tree for FUZZTIME each, one at a time
-## (`go test -fuzz` takes one target per run) — ROADMAP item 3's acceptance
-## step. Not part of `make check`: `go test` already replays the seed corpora.
+## (`go test -fuzz` takes one target per run) — the wire-fuzzing gate: a change
+## to the frame format or the server's handler runs the two replayer targets
+## for 60 s each. Not part of `make check`: `go test` already replays the seed
+## corpora.
 ## A finding lands in the package's testdata/fuzz; fix it and commit the file.
 ## FuzzServerHandle's execs are loopback dials with scheduler-dependent
 ## coverage, so the default 60 s shrink of every new input stalls it at 0

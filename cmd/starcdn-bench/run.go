@@ -44,7 +44,7 @@ var benchSpecs = []benchSpec{
 		name: "BenchmarkReplayFrame", pkg: "./internal/replayer/",
 		pattern: "^BenchmarkReplayFrame$", benchtime: "20000x", count: 8, benchmem: true,
 		file:         coreFile,
-		smokePattern: "^BenchmarkReplayFrame$/^get$/^hit$", smokeBenchtime: "2000x",
+		smokePattern: "^BenchmarkReplayFrame$/^(get|fetch)$/^(hit|pipelined)$", smokeBenchtime: "2000x",
 	},
 	{
 		name: "BenchmarkObsOverhead", pkg: ".",

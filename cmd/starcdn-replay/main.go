@@ -3,7 +3,7 @@
 // ISL fetches are real network round trips (the paper's §5.1 multi-process
 // replayer). It reads a binary trace produced by the spacegen tool.
 //
-// With -fault the replayer runs fault-tolerant (per-frame deadlines, bounded
+// With -fault the replayer runs fault-tolerant (per-attempt deadlines, bounded
 // retries with jittered backoff, §3.4 degrade-to-ground), which unlocks the
 // chaos options: -chaos kills a fraction of the contacted satellites
 // mid-replay on a seeded schedule, and the -inject-* flags layer
@@ -48,10 +48,10 @@ func main() {
 		noHash     = flag.Bool("no-hashing", false, "disable consistent hashing")
 		outage     = flag.Int("outage", 0, "deactivate this many satellites")
 		seed       = flag.Int64("seed", 1, "scheduler/outage seed")
-		concurrent = flag.Bool("concurrent", false, "one replay worker per location (the paper's async mode)")
+		concurrent = flag.Bool("concurrent", false, "keep many requests in flight, pipelined to each server in request order; the result equals the sequential replay's")
 
 		fault     = flag.Bool("fault", false, "fault-tolerant replay: deadlines, retries, §3.4 degrade-to-ground")
-		ioTimeout = flag.Duration("io-timeout", 250*time.Millisecond, "per-frame read/write deadline (with -fault)")
+		ioTimeout = flag.Duration("io-timeout", 250*time.Millisecond, "read/write deadline of one exchange with a server (with -fault)")
 		retries   = flag.Int("retries", 3, "max attempts per request frame (with -fault)")
 
 		chaosFrac    = flag.Float64("chaos", 0, "kill this fraction of contacted satellites mid-replay (requires -fault)")

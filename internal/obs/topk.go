@@ -36,9 +36,8 @@ type TopKEntry struct {
 // TopKShard is the single-owner form of a TopK instrument: a Space-Saving
 // summary and a Count-Min refinement grid, with no lock anywhere
 // (internal/obs/sketch is not synchronized either). One goroutine owns a
-// shard: per-worker shards absorb updates and merge into the registry's TopK
-// instrument at deterministic barriers (segment boundaries in the
-// concurrent replayer), and the TopK instrument's shard sits behind TopK.mu.
+// shard: the TopK instrument's sits behind TopK.mu, and a private one can be
+// folded into an instrument at a deterministic barrier (MergeShard).
 type TopKShard struct {
 	ss *sketch.SpaceSaving
 	cm *sketch.CountMin
@@ -149,9 +148,8 @@ func (t *TopK) SetNamer(f func(uint64) string) {
 	t.mu.Unlock()
 }
 
-// MergeShard folds a single-owner shard into the instrument — the
-// deterministic barrier merge the concurrent replayer performs per segment.
-// The shard is not modified.
+// MergeShard folds a single-owner shard into the instrument. The shard is
+// not modified.
 func (t *TopK) MergeShard(s *TopKShard) {
 	if t == nil || s == nil {
 		return
@@ -208,8 +206,8 @@ func (s *Sketch) ObserveEx(x float64, ex sketch.Exemplar) {
 	s.mu.Unlock()
 }
 
-// MergeQuantile folds a single-owner quantile sketch (a per-worker shard)
-// into the instrument. The donor is not modified.
+// MergeQuantile folds a single-owner quantile sketch into the instrument.
+// The donor is not modified.
 func (s *Sketch) MergeQuantile(q *sketch.Quantile) {
 	if s == nil {
 		return

@@ -118,8 +118,8 @@ func TestChaosSequentialReplayAccounting(t *testing.T) {
 
 // TestChaosConcurrentReplayCrossCheck is the acceptance chaos test: a seeded
 // schedule kills >= 5% of contacted servers mid-replay; ReplayConcurrent must
-// complete without error, account for every request and byte exactly, and
-// land within two points of an identically-scheduled sim.Run.
+// complete without error and equal an identically-scheduled sim.Run request
+// for request — the window drains at every kill and revival.
 func TestChaosConcurrentReplayCrossCheck(t *testing.T) {
 	const requests = 6000
 	const traceSeed = 13
@@ -168,18 +168,8 @@ func TestChaosConcurrentReplayCrossCheck(t *testing.T) {
 		t.Fatalf("concurrent chaos replay errored: %v", err)
 	}
 
-	// Exact accounting even though servers were killed mid-replay.
-	if m2.Requests != int64(len(trTCP.Requests)) {
-		t.Errorf("meter recorded %d of %d requests", m2.Requests, len(trTCP.Requests))
-	}
-	if m2.BytesHit+m2.BytesMissed != m2.BytesTotal {
-		t.Errorf("byte accounting leak: %d + %d != %d", m2.BytesHit, m2.BytesMissed, m2.BytesTotal)
-	}
-	// Interleaving differs across workers, so hit rates agree approximately.
-	d := m2.RequestHitRate() - m1.Meter.RequestHitRate()
-	if d < -0.02 || d > 0.02 {
-		t.Errorf("chaos RHR %.4f deviates from sim %.4f by more than 2 points",
-			m2.RequestHitRate(), m1.Meter.RequestHitRate())
+	if m2 != m1.Meter {
+		t.Errorf("chaos meters differ:\n sim %+v\n TCP %+v", m1.Meter, m2)
 	}
 	if m2.RequestHitRate() <= 0 {
 		t.Error("concurrent chaos replay produced no hits")

@@ -1,6 +1,7 @@
 package replayer
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
+	"starcdn/internal/orbit"
 	"starcdn/internal/shed"
 )
 
@@ -31,9 +33,10 @@ func defaultDial(addr string, timeout time.Duration) (net.Conn, error) {
 type ClientOptions struct {
 	// DialTimeout caps each dial attempt (0 = OS default).
 	DialTimeout time.Duration
-	// IOTimeout is the per-frame read/write deadline (0 = none). Every
-	// round trip arms the deadline anew, so one stalled server cannot hang
-	// a replay for longer than IOTimeout per attempt.
+	// IOTimeout is the read/write deadline of one attempt — a frame or a
+	// pipelined batch of them — at one server (0 = none). Every attempt arms
+	// it anew, so one stalled server cannot hang a replay for longer than
+	// IOTimeout per attempt.
 	IOTimeout time.Duration
 	// Retry bounds reconnect attempts; the zero value performs exactly one
 	// attempt (fail-fast).
@@ -109,7 +112,7 @@ func (o *clientObs) recordTerminal(err error) {
 }
 
 // Client issues cache operations to satellite servers, pooling one TCP
-// connection per address.
+// connection per address and pipelining each attempt's frames on it.
 //
 // Locking is two-level: the Client mutex guards only the pool map and is
 // never held across a dial or a round trip; each address has its own lock
@@ -136,10 +139,42 @@ type Client struct {
 type poolEntry struct {
 	mu   sync.Mutex
 	conn net.Conn
-	// scratch is the frame marshal buffer for this connection, guarded by mu
-	// like the conn it serves. Reusing it keeps the per-request exchange
-	// allocation-free (see writeFrameBuf).
+	r    *bufio.Reader // the connection's answers, a batch per read; new per dial
+	// out and scratch are the write and read buffers for this connection,
+	// guarded by mu like the conn they serve. Reusing them keeps the
+	// per-request exchange allocation-free.
+	out     []byte
 	scratch [frameSize]byte
+	sentAt  time.Time // the attempt's write, for the frame-latency histogram
+}
+
+// call is one request frame and, once exchanged, its answer.
+type call struct {
+	addr string
+	op   Op
+	obj  cache.ObjectID
+	size int64
+	sc   *obs.SpanContext // a sampled context rides ahead of the frame
+	req  int64            // request index: frames to one address go out in its order
+	st   Status
+	err  error
+
+	// For the window: the frame's server, the servers its request may still
+	// send to after it, whether a flush held it back, and the answered signal.
+	sat   orbit.SatID
+	later []orbit.SatID
+	held  bool
+	ready chan struct{}
+}
+
+// pipe is one address's share of an attempt: the calls it has not answered
+// yet and how the last attempt at them went.
+type pipe struct {
+	addr  string
+	calls []*call
+	e     *poolEntry
+	sent  bool // the last attempt may have delivered its frames
+	err   error
 }
 
 // NewClient returns a fail-fast client: no deadlines, no retries — the
@@ -181,16 +216,16 @@ func (c *Client) entry(addr string) *poolEntry {
 	return e
 }
 
-// drop closes and forgets a broken connection. The close error is
-// deliberately discarded: the connection is already known to be broken.
-func (c *Client) drop(addr string) {
+// forget severs the pooled connection to addr, if any.
+func (c *Client) forget(addr string) {
 	e := c.entry(addr)
 	e.mu.Lock()
 	e.dropLocked()
 	e.mu.Unlock()
 }
 
-// dropLocked severs the pooled connection; callers hold e.mu.
+// dropLocked severs the pooled connection; callers hold e.mu. The close error
+// is deliberately discarded: the connection is already known to be broken.
 func (e *poolEntry) dropLocked() {
 	if e.conn != nil {
 		_ = e.conn.Close()
@@ -228,82 +263,96 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return c.retry.Backoff(attempt, c.rng)
 }
 
-// roundTrip sends one request frame and reads the response, retrying per the
-// client's RetryPolicy with jittered backoff. Each attempt dials (if the
-// pool has no live connection), arms the I/O deadline, and exchanges one
-// frame; any failure severs the pooled connection so the next attempt
-// reconnects from scratch — which also transparently follows a satellite
-// server that was killed and revived on a new address... as long as the
-// caller re-resolves the address, which Replay does per request.
-//
-// A non-nil sampled sc rides ahead of the request frame as an OpTraceContext
-// frame and each backoff emits a "retry" child span under sc.Parent, so a
-// trace records not just where a request was served but every stall it
-// survived on the way.
+// roundTrip exchanges one request frame, retrying per the client's
+// RetryPolicy. A sampled sc rides ahead of the frame as an OpTraceContext
+// frame, and each backoff emits a "retry" child span under sc.Parent.
 func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.retry.attempts(); attempt++ {
-		if attempt > 0 {
-			d := c.backoff(attempt)
-			if c.obs != nil {
-				c.obs.retries.Inc()
-			}
-			c.emitRetrySpan(sc, attempt, d, lastErr)
-			rc := c.phases.Clock()
-			rc.Begin()
-			time.Sleep(d)
-			rc.Mark(obs.PhaseReplayRetry)
-		}
-		if c.obs != nil {
-			c.obs.attempts.Inc()
-		}
-		st, err := c.tryOnce(addr, op, obj, size, sc)
-		if err == nil {
-			// A shed is a deliberate answer, not a transport fault: the
-			// retry loop must never re-offer load the server just refused.
-			if st == StatusShed && c.obs != nil {
-				c.obs.rejShed.Inc()
-			}
-			return st, nil
-		}
-		lastErr = err
-	}
-	c.obs.recordTerminal(lastErr)
-	return StatusError, lastErr
+	f := oneFrames.Get().(*oneFrame)
+	f.c = call{addr: addr, op: op, obj: obj, size: size, sc: sc}
+	f.calls[0] = &f.c
+	f.pipes[0] = pipe{addr: addr, calls: f.calls[:]}
+	c.exchange(f.pipes[:])
+	st, err := f.c.st, f.c.err
+	*f = oneFrame{}
+	oneFrames.Put(f)
+	return st, err
 }
 
-// emitRetrySpan records one backoff as a child span of the propagated hop.
-func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Duration, cause error) {
-	if c.tracer == nil || sc == nil || !sc.Sampled {
-		return
-	}
-	span := &obs.Span{
-		TraceID: sc.TraceString(),
-		SpanID:  obs.SpanIDString(c.tracer.NewSpanID()),
-		Parent:  obs.SpanIDString(sc.Parent),
-		Proc:    "client",
-		Kind:    "retry",
-		WallMs:  float64(backoff) / float64(time.Millisecond),
-	}
-	if cause != nil {
-		span.Source = "attempt-" + strconv.Itoa(attempt)
-	}
-	c.tracer.Emit(span)
+// oneFrame is roundTrip's call and pipe. The attempt path lets them escape,
+// so they are pooled to keep a round trip allocation-free.
+type oneFrame struct {
+	c     call
+	calls [1]*call
+	pipes [1]pipe
 }
 
-// tryOnce performs a single attempt under the per-address lock.
-func (c *Client) tryOnce(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, error) {
-	e := c.entry(addr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// The mark chain is a stack value per attempt: tryOnce runs concurrently
-	// across addresses, and the clocks only meet at the profiler's atomics.
+var oneFrames = sync.Pool{New: func() any { return new(oneFrame) }}
+
+// exchange answers every call in pipes, one pipe per address, each pipe's
+// calls in the order their frames must reach the server; what the first
+// attempt leaves unanswered is retried address by address.
+func (c *Client) exchange(pipes []pipe) {
+	c.attempt(pipes)
+	for i := range pipes {
+		c.settle(pipes[i : i+1])
+	}
+}
+
+// attempt writes every pipe's frames, then reads every pipe's answers in
+// order — so the servers work on them together — and leaves in each pipe the
+// calls it did not answer. A failure severs the pooled connection, so the next
+// attempt redials (following a server revived on a new address, as long as
+// the caller re-resolves it, which the replay does per request).
+func (c *Client) attempt(pipes []pipe) {
+	// The mark chain is a stack value per attempt: attempts run concurrently
+	// across clients, and the clocks only meet at the profiler's atomics.
 	pc := c.phases.Clock()
 	pc.Begin()
-	if e.conn == nil {
-		conn, err := c.dial(addr, c.dialTimeout)
+	for i := range pipes {
+		p := &pipes[i]
+		p.e = c.entry(p.addr)
+		p.e.mu.Lock()
+		p.sent, p.err = c.send(p, &pc)
+	}
+	for i := range pipes {
+		p := &pipes[i]
+		for e := p.e; p.err == nil && len(p.calls) > 0; p.calls = p.calls[1:] {
+			var st Status
+			if st, p.err = readResponse(e.r, &e.scratch); p.err != nil {
+				e.dropLocked()
+				break
+			}
+			p.calls[0].st, p.calls[0].err = st, nil
+			if c.obs != nil {
+				c.obs.frameMs.Observe(float64(time.Since(e.sentAt)) / float64(time.Millisecond))
+				// A shed is a deliberate answer, not a transport fault: the
+				// retry loop never re-offers load the server just refused.
+				if st == StatusShed {
+					c.obs.rejShed.Inc()
+				}
+			}
+		}
+		if p.err == nil {
+			pc.Mark(obs.PhaseReplayRead)
+		}
+		p.e.mu.Unlock()
+	}
+}
+
+// send dials if the pool has no live connection, arms the I/O deadline and
+// writes a pipe's frames, each sampled context ahead of its frame, as one
+// buffer. sent is whether any of them may have reached the server. Callers
+// hold the pipe's entry lock.
+func (c *Client) send(p *pipe, pc *obs.PhaseClock) (sent bool, err error) {
+	e := p.e
+	if c.obs != nil {
+		c.obs.attempts.Add(int64(len(p.calls)))
+	}
+	dialed := e.conn == nil
+	if dialed {
+		conn, err := c.dial(p.addr, c.dialTimeout)
 		if err != nil {
-			return StatusError, fmt.Errorf("replayer: dial %s: %w", addr, err)
+			return false, fmt.Errorf("replayer: dial %s: %w", p.addr, err)
 		}
 		e.conn = conn
 		pc.Mark(obs.PhaseReplayDial)
@@ -311,89 +360,114 @@ func (c *Client) tryOnce(addr string, op Op, obj cache.ObjectID, size int64, sc 
 	if c.ioTimeout > 0 {
 		if err := e.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
 			e.dropLocked()
-			return StatusError, err
+			return false, err
 		}
 	}
-	var frameStart time.Time
+	if dialed {
+		e.r = bufio.NewReader(e.conn)
+	}
+	e.out = e.out[:0]
+	for _, cl := range p.calls {
+		if cl.sc != nil && cl.sc.Sampled {
+			e.out = appendTraceContext(e.out, *cl.sc)
+		}
+		e.out = appendFrame(e.out, uint8(cl.op), uint64(cl.obj), uint64(cl.size))
+	}
 	if c.obs != nil {
-		frameStart = time.Now()
+		e.sentAt = time.Now()
 	}
-	if sc != nil && sc.Sampled {
-		if err := writeTraceContext(e.conn, *sc); err != nil {
-			e.dropLocked()
-			return StatusError, err
-		}
-	}
-	if err := writeRequest(e.conn, &e.scratch, op, obj, size); err != nil {
+	if _, err := e.conn.Write(e.out); err != nil {
 		e.dropLocked()
-		return StatusError, err
+		return true, err
 	}
 	pc.Mark(obs.PhaseReplayWrite)
-	st, err := readResponse(e.conn, &e.scratch)
+	return true, nil
+}
+
+// settle retries what an attempt left unanswered at one address, with
+// jittered backoff, until the attempt budget runs out. An OpFetch that the
+// failed attempt may have delivered is not offered again (see RetryPolicy):
+// it fails with that attempt's error.
+func (c *Client) settle(one []pipe) {
+	p := &one[0]
+	for attempt := 1; p.err != nil; attempt++ {
+		retry := p.calls[:0]
+		for _, cl := range p.calls {
+			if attempt < c.retry.attempts() && !(p.sent && cl.op == OpFetch) {
+				retry = append(retry, cl)
+				continue
+			}
+			cl.st, cl.err = StatusError, p.err
+			c.obs.recordTerminal(p.err)
+		}
+		if p.calls = retry; len(retry) == 0 {
+			return
+		}
+		d := c.backoff(attempt)
+		for _, cl := range retry {
+			if c.obs != nil {
+				c.obs.retries.Inc()
+			}
+			c.emitRetrySpan(cl.sc, attempt, d)
+		}
+		rc := c.phases.Clock()
+		rc.Begin()
+		time.Sleep(d)
+		rc.Mark(obs.PhaseReplayRetry)
+		c.attempt(one)
+	}
+}
+
+// emitRetrySpan records one backoff as a child span of the propagated hop.
+func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Duration) {
+	if c.tracer == nil || sc == nil || !sc.Sampled {
+		return
+	}
+	c.tracer.Emit(&obs.Span{
+		TraceID: sc.TraceString(),
+		SpanID:  obs.SpanIDString(c.tracer.NewSpanID()),
+		Parent:  obs.SpanIDString(sc.Parent),
+		Proc:    "client",
+		Kind:    "retry",
+		Source:  "attempt-" + strconv.Itoa(attempt),
+		WallMs:  float64(backoff) / float64(time.Millisecond),
+	})
+}
+
+// hitAnswer reads the answer to a Get-shaped frame — OpGet, OpContains,
+// OpFetch, OpProbe: a hit, a miss, or a server-side shed as shed.ErrShed,
+// already terminal (no retry happened) and distinguishable from transport
+// faults with errors.Is.
+func hitAnswer(st Status, err error) (bool, error) {
 	if err != nil {
-		e.dropLocked()
-		return StatusError, err
+		return false, err
 	}
-	pc.Mark(obs.PhaseReplayRead)
-	if c.obs != nil {
-		c.obs.frameMs.Observe(float64(time.Since(frameStart)) / float64(time.Millisecond))
+	if st == StatusShed {
+		return false, shed.ErrShed
 	}
-	return st, nil
+	return st == StatusHit, nil
 }
 
 // Get performs a lookup (with recency update) and reports a hit.
 func (c *Client) Get(addr string, obj cache.ObjectID, size int64) (bool, error) {
-	return c.GetCtx(addr, obj, size, nil)
-}
-
-// GetCtx is Get with an optional propagated trace context. A server-side
-// shed surfaces as shed.ErrShed — already terminal (no retry happened) and
-// distinguishable from transport faults with errors.Is.
-func (c *Client) GetCtx(addr string, obj cache.ObjectID, size int64, sc *obs.SpanContext) (bool, error) {
-	st, err := c.roundTrip(addr, OpGet, obj, size, sc)
-	if err != nil {
-		return false, err
-	}
-	if st == StatusShed {
-		return false, shed.ErrShed
-	}
-	return st == StatusHit, nil
+	return hitAnswer(c.roundTrip(addr, OpGet, obj, size, nil))
 }
 
 // Contains peeks without updating recency.
 func (c *Client) Contains(addr string, obj cache.ObjectID) (bool, error) {
-	return c.ContainsCtx(addr, obj, nil)
+	return hitAnswer(c.roundTrip(addr, OpContains, obj, 0, nil))
 }
 
-// ContainsCtx is Contains with an optional propagated trace context. Sheds
-// surface as shed.ErrShed, as in GetCtx.
-func (c *Client) ContainsCtx(addr string, obj cache.ObjectID, sc *obs.SpanContext) (bool, error) {
-	st, err := c.roundTrip(addr, OpContains, obj, 0, sc)
-	if err != nil {
-		return false, err
-	}
-	if st == StatusShed {
-		return false, shed.ErrShed
-	}
-	return st == StatusHit, nil
-}
-
-// Admit inserts an object into the remote cache.
+// Admit inserts an object into the remote cache. Sheds surface as
+// shed.ErrShed, as in Get.
 func (c *Client) Admit(addr string, obj cache.ObjectID, size int64) error {
-	return c.AdmitCtx(addr, obj, size, nil)
-}
-
-// AdmitCtx is Admit with an optional propagated trace context. Sheds surface
-// as shed.ErrShed, as in GetCtx.
-func (c *Client) AdmitCtx(addr string, obj cache.ObjectID, size int64, sc *obs.SpanContext) error {
-	st, err := c.roundTrip(addr, OpAdmit, obj, size, sc)
-	if err != nil {
+	st, err := c.roundTrip(addr, OpAdmit, obj, size, nil)
+	switch {
+	case err != nil:
 		return err
-	}
-	if st == StatusShed {
+	case st == StatusShed:
 		return shed.ErrShed
-	}
-	if st != StatusOK {
+	case st != StatusOK:
 		return fmt.Errorf("replayer: admit rejected with status %d", st)
 	}
 	return nil

@@ -6,19 +6,24 @@ import (
 	"testing"
 
 	"starcdn/internal/cache"
+	"starcdn/internal/core"
+	"starcdn/internal/geo"
 	"starcdn/internal/obs"
 	"starcdn/internal/shed"
 	"starcdn/internal/sim"
+	"starcdn/internal/trace"
 )
 
 // TestDifferentialSimVsSequentialReplay is the one oracle behind every
 // sim-versus-TCP parity claim: over random small configurations — trace and
 // run seeds, a chaos schedule or none, a shed controller or none, wire-side
 // shed enforcement on or off, fault tolerance on or off, every hashing ×
-// relay ablation — sim.Run and sequential Replay must agree on the meter, on
-// every per-source count and on the controller's trajectory. Both run
+// relay ablation — sim.Run and both TCP replays, the sequential Replay and
+// the pipelined ReplayConcurrent, must agree on the meter, on every
+// per-source count and on the controller's trajectory. All three run
 // sim.Ladder; what this guards is everything around it (failure and epoch
-// ordering, the fabrics, error classes, accounting).
+// ordering, the window's admission and drain rules, the fabrics, error
+// classes, accounting).
 //
 // A second seed block draws only hashing-off runs under chaos — transient and
 // long-term kills, shedding on and off: a first contact killed mid-epoch must
@@ -60,36 +65,29 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 			n, traceSeed, runSeed, hashing, relay, chaos, shedding, serverShed, faulty)
 
 		t.Run(name, func(t *testing.T) {
+			newCtrl := func(reg *obs.Registry) *shed.Controller {
+				if !shedding {
+					return nil
+				}
+				cfg := shedChaosConfig(reg)
+				cfg.SessionQuota, cfg.MaxDegraded = quota, maxDegraded
+				ctrl, err := shed.NewController(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ctrl
+			}
 			hSim, usersSim, trSim := newReplayFixture(t, requests, traceSeed)
-			hTCP, usersTCP, trTCP := newReplayFixture(t, requests, traceSeed)
-			opts := Options{Hashing: hashing, Relay: relay, Seed: runSeed, Obs: obs.NewRegistry()}
+			opts := Options{Hashing: hashing, Relay: relay, Seed: runSeed}
 			if faulty {
 				opts.Fault = chaosFaultPolicy()
 			}
 			if chaos {
-				opts.Failures = sim.GenerateChaos(contacted(t, hTCP, usersTCP, trTCP, opts), chaosOpts)
+				opts.Failures = sim.GenerateChaos(contacted(t, hSim, usersSim, trSim, opts), chaosOpts)
 				t.Logf("chaos %+v: %d events", chaosOpts, len(opts.Failures))
 			}
-			regSim, regTCP := obs.NewRegistry(), obs.NewRegistry()
-			var simCtrl, tcpCtrl *shed.Controller
-			var sopts ServerOptions
-			if shedding {
-				newCtrl := func(reg *obs.Registry) *shed.Controller {
-					cfg := shedChaosConfig(reg)
-					cfg.SessionQuota, cfg.MaxDegraded = quota, maxDegraded
-					ctrl, err := shed.NewController(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return ctrl
-				}
-				simCtrl, tcpCtrl = newCtrl(regSim), newCtrl(regTCP)
-				opts.Shedder = tcpCtrl
-				if serverShed {
-					sopts.Shedder = tcpCtrl
-				}
-			}
-
+			regSim := obs.NewRegistry()
+			simCtrl := newCtrl(regSim)
 			pol := sim.NewStarCDN(hSim, sim.CacheConfig{Kind: cache.LRU, Bytes: capacity},
 				sim.StarCDNOptions{Hashing: hashing, Relay: relay})
 			scfg := sim.Config{Seed: runSeed, Failures: opts.Failures}
@@ -102,42 +100,63 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cluster, err := NewClusterOpts(cache.LRU, capacity, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = cluster.Close() }()
-			m2, err := Replay(hTCP, cluster, usersTCP, trTCP, opts)
-			if err != nil {
-				t.Fatal(err)
+			if simCtrl != nil {
+				sUp, sDown := simCtrl.Transitions()
+				t.Logf("hits %d/%d, shed %d, transitions %d up %d down", m1.Meter.Hits, m1.Meter.Requests,
+					m1.BySource[sim.SourceShed], sUp, sDown)
 			}
 
-			if m1.Meter != m2 {
-				t.Errorf("meters differ:\n sim %+v\n TCP %+v", m1.Meter, m2)
-			}
-			for _, s := range sim.Sources() {
-				tcp := counterValue(opts.Obs, `starcdn_replay_requests_total{source="`+s.String()+`"}`)
-				if float64(m1.BySource[s]) != tcp {
-					t.Errorf("source %v: sim %d vs TCP %.0f", s, m1.BySource[s], tcp)
+			for _, pipeline := range []struct {
+				name   string
+				replay func(*core.HashScheme, *Cluster, []geo.Point, *trace.Trace, Options) (cache.Meter, error)
+			}{{"Replay", Replay}, {"ReplayConcurrent", ReplayConcurrent}} {
+				hTCP, usersTCP, trTCP := newReplayFixture(t, requests, traceSeed)
+				regTCP := obs.NewRegistry()
+				tcpCtrl := newCtrl(regTCP)
+				opts := opts
+				opts.Obs = obs.NewRegistry()
+				var sopts ServerOptions
+				if tcpCtrl != nil {
+					opts.Shedder = tcpCtrl
+					if serverShed {
+						sopts.Shedder = tcpCtrl
+					}
+				}
+				cluster, err := NewClusterOpts(cache.LRU, capacity, sopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m2, err := pipeline.replay(hTCP, cluster, usersTCP, trTCP, opts)
+				_ = cluster.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", pipeline.name, err)
+				}
+
+				if m1.Meter != m2 {
+					t.Errorf("%s: meters differ:\n sim %+v\n TCP %+v", pipeline.name, m1.Meter, m2)
+				}
+				for _, s := range sim.Sources() {
+					tcp := counterValue(opts.Obs, `starcdn_replay_requests_total{source="`+s.String()+`"}`)
+					if float64(m1.BySource[s]) != tcp {
+						t.Errorf("%s: source %v: sim %d vs TCP %.0f", pipeline.name, s, m1.BySource[s], tcp)
+					}
+				}
+				if tcpCtrl == nil {
+					continue
+				}
+				for a := shed.ActionRelaySkip; a <= shed.ActionHitOnly; a++ {
+					key := `starcdn_shed_actions_total{action="` + a.String() + `"}`
+					if sv, tv := counterValue(regSim, key), counterValue(regTCP, key); sv != tv {
+						t.Errorf("%s: action %v: sim %.0f vs TCP %.0f", pipeline.name, a, sv, tv)
+					}
+				}
+				sUp, sDown := simCtrl.Transitions()
+				tUp, tDown := tcpCtrl.Transitions()
+				if sUp != tUp || sDown != tDown || simCtrl.Stage() != tcpCtrl.Stage() {
+					t.Errorf("%s: controller trajectories differ: sim %d up %d down at %v, TCP %d up %d down at %v",
+						pipeline.name, sUp, sDown, simCtrl.Stage(), tUp, tDown, tcpCtrl.Stage())
 				}
 			}
-			if !shedding {
-				return
-			}
-			for a := shed.ActionRelaySkip; a <= shed.ActionHitOnly; a++ {
-				key := `starcdn_shed_actions_total{action="` + a.String() + `"}`
-				if sv, tv := counterValue(regSim, key), counterValue(regTCP, key); sv != tv {
-					t.Errorf("action %v: sim %.0f vs TCP %.0f", a, sv, tv)
-				}
-			}
-			sUp, sDown := simCtrl.Transitions()
-			tUp, tDown := tcpCtrl.Transitions()
-			if sUp != tUp || sDown != tDown || simCtrl.Stage() != tcpCtrl.Stage() {
-				t.Errorf("controller trajectories differ: sim %d up %d down at %v, TCP %d up %d down at %v",
-					sUp, sDown, simCtrl.Stage(), tUp, tDown, tcpCtrl.Stage())
-			}
-			t.Logf("hits %d/%d, shed %d, transitions %d up %d down", m2.Hits, m2.Requests,
-				m1.BySource[sim.SourceShed], sUp, sDown)
 		})
 	}
 }

@@ -10,81 +10,59 @@ import (
 	"starcdn/internal/sim"
 )
 
-// tcpFabric is sim.Fabric over the wire: a satellite's cache is its cluster
-// server, a cache operation one frame round trip through the client. It owns
-// the hop chain of a sampled request — the role on each call says which hop
-// the exchange belongs to — and the error classes: with fault tolerance on, a
-// transport failure is sim.ErrUnreachable (the ladder degrades per §3.4);
-// without, it passes through and aborts the replay. A shed answer
-// (shed.ErrShed) is a served refusal either way.
-type tcpFabric struct {
-	cluster *Cluster
-	client  *Client
-	faulty  bool
+// A request in the window is its own sim.Fabric over the wire: a satellite's
+// cache is its cluster server, and each call is one frame sent with the
+// window's next flush. It owns its hop chain and the error classes: with
+// fault tolerance on, a transport failure is sim.ErrUnreachable (the ladder
+// degrades per §3.4); without, it passes through and aborts the replay. A shed
+// answer (shed.ErrShed) is a served refusal either way.
 
-	// The request being served, set by replay.serve.
-	rt   *reqTrace
-	addr string // the owner's address, resolved in plan
-
-	// The open relay probe. One hop span covers a neighbour's Contains and
-	// its touching Get, and is recorded only if that neighbour serves; a
-	// probe that finds no copy leaves its server-side span for -assemble to
-	// adopt under the trace root.
-	probeAddr  string
-	probeStart time.Time
-	probeSC    *obs.SpanContext
-	probeHop   string
-}
-
-func (f *tcpFabric) classify(err error) error {
-	if err != nil && f.faulty && !errors.Is(err, shed.ErrShed) {
-		return sim.ErrUnreachable
+// send puts one frame to sat on the wire and reads its Get-shaped answer.
+// later are the servers the request may still send to after this frame.
+func (r *request) send(sat orbitSat, later []orbitSat, addr string, op Op, obj cache.ObjectID, size int64,
+	sc *obs.SpanContext) (bool, error) {
+	r.c.sat, r.c.later, r.c.addr, r.c.op, r.c.obj, r.c.size, r.c.sc = sat, later, addr, op, obj, size, sc
+	r.w.do(&r.c)
+	hit, err := hitAnswer(r.c.st, r.c.err)
+	if err != nil && r.w.rp.opts.Fault != nil && !errors.Is(err, shed.ErrShed) {
+		err = sim.ErrUnreachable
 	}
-	return err
+	return hit, err
 }
 
-// Get implements sim.Fabric. The owner's hop is recorded even when the Get
-// errs.
-func (f *tcpFabric) Get(sat orbitSat, obj cache.ObjectID, size int64, role sim.Role) (bool, error) {
-	if role != sim.RoleOwner {
-		hit, err := f.client.GetCtx(f.probeAddr, obj, size, f.probeSC)
-		if err == nil {
-			f.rt.addHop(obs.Hop{Kind: role.String(), Sat: int(sat),
-				WallMs: wallMs(f.probeStart), SpanID: f.probeHop})
-		}
-		return hit, f.classify(err)
+// Fetch implements sim.Fabric: OpFetch, or OpGet when admit is off. The
+// owner's hop is recorded even when the frame errs.
+func (r *request) Fetch(sat orbitSat, obj cache.ObjectID, size int64, admit bool) (bool, error) {
+	op := OpGet
+	if admit {
+		op = OpFetch
 	}
 	start := time.Now()
-	sc, hopID := f.rt.nextHop()
-	hit, err := f.client.GetCtx(f.addr, obj, size, sc)
-	f.rt.addHop(obs.Hop{Kind: role.String(), Sat: int(sat), WallMs: wallMs(start), SpanID: hopID})
-	return hit, f.classify(err)
+	sc, hopID := r.rt.nextHop()
+	hit, err := r.send(sat, r.relay[:], r.addr, op, obj, size, sc)
+	r.rt.addHop(obs.Hop{Kind: "owner", Sat: int(sat), WallMs: wallMs(start), SpanID: hopID})
+	return hit, err
 }
 
-// Contains implements sim.Fabric: a relay probe. Failing to resolve the
-// neighbour's address (a server that cannot start) is not a §3.4 outage and
-// aborts.
-func (f *tcpFabric) Contains(sat orbitSat, obj cache.ObjectID, _ int64, _ sim.Role) (bool, error) {
-	addr, err := f.cluster.Addr(sat)
+// Probe implements sim.Fabric: OpProbe, or OpContains when touch is off. The
+// hop is recorded only if the neighbour serves; a probe that finds no copy
+// leaves its server-side span for -assemble to adopt under the trace root.
+// Failing to resolve the neighbour's address (a server that cannot start) is
+// not a §3.4 outage and aborts.
+func (r *request) Probe(sat orbitSat, obj cache.ObjectID, size int64, via sim.Source, touch bool) (bool, error) {
+	addr, err := r.w.rp.cluster.Addr(sat)
 	if err != nil {
 		return false, err
 	}
-	f.probeAddr, f.probeStart = addr, time.Now()
-	f.probeSC, f.probeHop = f.rt.nextHop()
-	has, err := f.client.ContainsCtx(addr, obj, f.probeSC)
-	return has, f.classify(err)
-}
-
-// Admit implements sim.Fabric, always at the owner. The relay write-back
-// rides under the serving neighbour's hop span (rt.cur), the step that
-// produced the copy; the ground fetch gets a hop of its own.
-func (f *tcpFabric) Admit(sat orbitSat, obj cache.ObjectID, size int64, role sim.Role) error {
-	if role != sim.RoleGround {
-		return f.classify(f.client.AdmitCtx(f.addr, obj, size, f.rt.cur()))
+	op := OpContains
+	if touch {
+		op = OpProbe
 	}
 	start := time.Now()
-	sc, hopID := f.rt.nextHop()
-	err := f.client.AdmitCtx(f.addr, obj, size, sc)
-	f.rt.addHop(obs.Hop{Kind: role.String(), Sat: int(sat), WallMs: wallMs(start), SpanID: hopID})
-	return f.classify(err)
+	sc, hopID := r.rt.nextHop()
+	has, err := r.send(sat, r.relay[1+via-sim.SourceRelayWest:], addr, op, obj, size, sc)
+	if err == nil && has && touch {
+		r.rt.addHop(obs.Hop{Kind: via.String(), Sat: int(sat), WallMs: wallMs(start), SpanID: hopID})
+	}
+	return has, err
 }

@@ -36,24 +36,25 @@ func requestFrames(data []byte) int {
 // answer exactly the request frames it was sent with valid statuses, and the
 // server must still serve a fresh client afterwards.
 func FuzzServerHandle(f *testing.F) {
-	var scratch [frameSize]byte
-	frame := func(op Op, a, b uint64) []byte {
-		var buf bytes.Buffer
-		_ = writeFrameBuf(&buf, &scratch, uint8(op), a, b)
-		return buf.Bytes()
-	}
-	var ctx bytes.Buffer
-	_ = writeTraceContext(&ctx, obs.SpanContext{TraceHi: 1, TraceLo: 2, Parent: 3, Sampled: true})
+	frame := func(op Op, a, b uint64) []byte { return appendFrame(nil, uint8(op), a, b) }
+	ctx := appendTraceContext(nil, obs.SpanContext{TraceHi: 1, TraceLo: 2, Parent: 3, Sampled: true})
 	get := frame(OpGet, 42, 100)
-	for _, op := range []Op{OpGet, OpContains, OpAdmit} {
+	for _, op := range []Op{OpGet, OpContains, OpAdmit, OpFetch, OpProbe} {
 		f.Add(frame(op, 42, 100))
 	}
-	f.Add(append(ctx.Bytes(), get...))        // a context frame, its tail, then a request
-	f.Add(ctx.Bytes()[:frameSize+4])          // truncated tail
+	f.Add(append(ctx, get...))                // a context frame, its tail, then a request
+	f.Add(ctx[:frameSize+4])                  // truncated tail
 	f.Add(get[:5])                            // truncated frame
 	f.Add(frame(OpAdmit, 7, 0))               // invalid size
+	f.Add(frame(OpFetch, 7, 0))               // a miss whose admit fails
 	f.Add(frame(Op(0xEE), 0xDEADBEEF, 1<<60)) // unknown op
 	f.Add([]byte("garbage"))
+	// One coalesced write, as a window flush sends it: fetch, probe and a
+	// context-led fetch pipelined behind one another, the last one cut short.
+	batch := append(frame(OpFetch, 42, 100), frame(OpProbe, 42, 100)...)
+	batch = appendTraceContext(batch, obs.SpanContext{TraceHi: 4, TraceLo: 5, Parent: 6, Sampled: true})
+	batch = append(batch, frame(OpFetch, 43, 100)...)
+	f.Add(append(batch, frame(OpProbe, 43, 100)[:9]...))
 
 	s, err := NewServer(1, cache.LRU, 1<<20)
 	if err != nil {
@@ -109,7 +110,7 @@ func FuzzServerHandle(f *testing.F) {
 // exactly what was written, consuming exactly its bytes, and every truncation
 // of the pair (cut bytes kept) is an error.
 func FuzzFrameRoundTrip(f *testing.F) {
-	for _, op := range []Op{OpGet, OpContains, OpAdmit, OpTraceContext} {
+	for _, op := range []Op{OpGet, OpContains, OpAdmit, OpTraceContext, OpFetch, OpProbe} {
 		f.Add(uint8(op), uint64(42), uint64(100), uint64(7), true, uint8(255))
 	}
 	f.Add(uint8(OpGet), uint64(1), uint64(2), uint64(3), false, uint8(frameSize+4)) // cut mid-tail
@@ -117,16 +118,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(0xEE), ^uint64(0), uint64(1)<<63, ^uint64(0), false, uint8(0))      // garbage, cut to nothing
 
 	f.Fuzz(func(t *testing.T, first uint8, a, b, parent uint64, sampled bool, cut uint8) {
-		var buf bytes.Buffer
 		var scratch [frameSize]byte
 		sc := obs.SpanContext{TraceHi: a, TraceLo: b, Parent: parent, Sampled: sampled}
-		if err := writeFrameBuf(&buf, &scratch, first, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeTraceContext(&buf, sc); err != nil {
-			t.Fatal(err)
-		}
-		wire := buf.Bytes()
+		wire := appendTraceContext(appendFrame(nil, first, a, b), sc)
 		n := min(int(cut), len(wire))
 
 		r := bytes.NewReader(wire[:n])

@@ -134,10 +134,10 @@ func TestReplayObsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplayConcurrentObsRace: every per-location worker hammers one shared
-// registry and tracer while chaos kills servers mid-replay — the atomic
-// instruments and the tracer mutex must hold up under -race, and the
-// kill/revive counters plus /healthz state must reflect the schedule.
+// TestReplayConcurrentObsRace: the window's request goroutines and the
+// client's flushes share one registry and tracer while chaos kills servers
+// mid-replay — the instruments must hold up under -race, and the kill/revive
+// counters plus /healthz state must reflect the schedule.
 func TestReplayConcurrentObsRace(t *testing.T) {
 	h, users, tr := obsEnv(t, 6000, 29)
 	reg := obs.NewRegistry()

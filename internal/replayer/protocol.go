@@ -9,12 +9,15 @@
 //	request:  op(1) | object(8, big endian) | size(8, big endian)
 //	response: status(1) | reserved(8) | reserved(8)
 //
-// Ops: OpGet (lookup + touch), OpContains (peek), OpAdmit (insert), and
-// OpTraceContext, which carries a sampled request's distributed-trace context:
-// the 128-bit trace ID in its two operand fields, then a fixed 9-byte tail —
-// parent span ID (8, big endian) | flags (1, bit 0 = sampled). It elicits no
-// response; the server attaches the context to the next request frame on the
-// connection.
+// Ops: OpGet (lookup + touch), OpContains (peek), OpAdmit (insert), the
+// replayed request's OpFetch (owner: Get, then admit on a miss) and OpProbe
+// (relay neighbour: Contains, then touch on a hit), and OpTraceContext, which
+// carries a sampled request's distributed-trace context: the 128-bit trace ID
+// in its two operand fields, then a fixed 9-byte tail — parent span ID (8, big
+// endian) | flags (1, bit 0 = sampled). It elicits no response; the server
+// attaches the context to the next request frame on the connection. Every
+// request frame gets one response, in order, so frames pipeline: both ends
+// buffer, and the server flushes when it has no complete frame left to read.
 //
 // There is one protocol and nothing to negotiate: every server is started by
 // NewServerOpts in the process, and from the build, of the client that dials
@@ -27,7 +30,6 @@ import (
 	"fmt"
 	"io"
 
-	"starcdn/internal/cache"
 	"starcdn/internal/obs"
 )
 
@@ -40,6 +42,8 @@ const (
 	OpContains     Op = 2
 	OpAdmit        Op = 3
 	OpTraceContext Op = 6 // trace context for the next request frame, plus a 9-byte tail
+	OpFetch        Op = 7 // OpGet, then OpAdmit on a miss
+	OpProbe        Op = 8 // OpContains, then OpGet on a hit
 )
 
 // Status is a response code.
@@ -66,17 +70,21 @@ type message struct {
 	b  uint64
 }
 
+// appendFrame marshals one frame onto buf.
+func appendFrame(buf []byte, first uint8, a, b uint64) []byte {
+	buf = append(buf, first)
+	buf = binary.BigEndian.AppendUint64(buf, a)
+	return binary.BigEndian.AppendUint64(buf, b)
+}
+
 // writeFrameBuf marshals one frame into the caller-owned scratch buffer and
 // writes it. Threading the buffer from the caller keeps the per-frame hot
 // paths allocation-free: a stack array declared here would escape through the
 // io.Writer interface and cost one heap allocation per frame, whereas the
-// client's per-connection scratch and the server's per-handler scratch are
-// each allocated once and reused for every frame on the connection.
+// server's per-handler scratch is allocated once and reused for every frame on
+// the connection.
 func writeFrameBuf(w io.Writer, buf *[frameSize]byte, first uint8, a, b uint64) error {
-	buf[0] = first
-	binary.BigEndian.PutUint64(buf[1:9], a)
-	binary.BigEndian.PutUint64(buf[9:17], b)
-	_, err := w.Write(buf[:])
+	_, err := w.Write(appendFrame(buf[:0], first, a, b))
 	return err
 }
 
@@ -90,11 +98,6 @@ func readFrameBuf(r io.Reader, buf *[frameSize]byte) (message, error) {
 		a:  binary.BigEndian.Uint64(buf[1:9]),
 		b:  binary.BigEndian.Uint64(buf[9:17]),
 	}, nil
-}
-
-// writeRequest sends a request frame through the caller's scratch buffer.
-func writeRequest(w io.Writer, buf *[frameSize]byte, op Op, obj cache.ObjectID, size int64) error {
-	return writeFrameBuf(w, buf, uint8(op), uint64(obj), uint64(size))
 }
 
 // writeResponse sends a response frame, reserved fields zero, through the
@@ -124,19 +127,16 @@ const traceTailSize = 9
 // traceSampledFlag marks a propagated context as sampled.
 const traceSampledFlag = 0x01
 
-// writeTraceContext sends an OpTraceContext frame: one standard frame
-// carrying the 128-bit trace ID, then the 9-byte parent/flags tail.
-func writeTraceContext(w io.Writer, sc obs.SpanContext) error {
-	var buf [frameSize + traceTailSize]byte
-	buf[0] = uint8(OpTraceContext)
-	binary.BigEndian.PutUint64(buf[1:9], sc.TraceHi)
-	binary.BigEndian.PutUint64(buf[9:17], sc.TraceLo)
-	binary.BigEndian.PutUint64(buf[17:25], sc.Parent)
+// appendTraceContext marshals an OpTraceContext frame onto buf: one standard
+// frame carrying the 128-bit trace ID, then the 9-byte parent/flags tail.
+func appendTraceContext(buf []byte, sc obs.SpanContext) []byte {
+	buf = appendFrame(buf, uint8(OpTraceContext), sc.TraceHi, sc.TraceLo)
+	buf = binary.BigEndian.AppendUint64(buf, sc.Parent)
+	var flags byte
 	if sc.Sampled {
-		buf[25] = traceSampledFlag
+		flags = traceSampledFlag
 	}
-	_, err := w.Write(buf[:])
-	return err
+	return append(buf, flags)
 }
 
 // readTraceTail completes an OpTraceContext frame (whose leading 17 bytes the

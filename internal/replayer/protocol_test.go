@@ -17,12 +17,8 @@ import (
 // TestReadFrameTruncated: every truncation of a valid frame must surface an
 // error — never a zero-value message, never a hang.
 func TestReadFrameTruncated(t *testing.T) {
-	var full bytes.Buffer
 	var scratch [frameSize]byte
-	if err := writeRequest(&full, &scratch, OpGet, 42, 100); err != nil {
-		t.Fatal(err)
-	}
-	raw := full.Bytes()
+	raw := appendFrame(nil, uint8(OpGet), 42, 100)
 	if len(raw) != frameSize {
 		t.Fatalf("frame size = %d, want %d", len(raw), frameSize)
 	}
@@ -40,13 +36,10 @@ func TestReadFrameTruncated(t *testing.T) {
 // TestReadFrameConsumesExactlyOneFrame: trailing bytes must be left for the
 // next read — the protocol never over-reads or over-allocates.
 func TestReadFrameConsumesExactlyOneFrame(t *testing.T) {
-	var buf bytes.Buffer
 	var scratch [frameSize]byte
-	if err := writeRequest(&buf, &scratch, OpAdmit, 7, 64); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(appendFrame(nil, uint8(OpAdmit), 7, 64))
 	buf.WriteString("trailing")
-	m, err := readFrameBuf(&buf, &scratch)
+	m, err := readFrameBuf(buf, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,19 @@ import (
 	"starcdn/internal/cache"
 	"starcdn/internal/core"
 	"starcdn/internal/geo"
-	"starcdn/internal/invariant"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/sched"
 	"starcdn/internal/shed"
 	"starcdn/internal/sim"
+	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 )
 
 // orbitSat shortens the satellite ID type in this file's signatures.
 type orbitSat = orbit.SatID
 
-// FaultPolicy enables fault-tolerant operation: per-frame I/O deadlines,
+// FaultPolicy enables fault-tolerant operation: per-attempt I/O deadlines,
 // bounded dials, and retry with seeded jittered backoff. When a satellite
 // server stays unreachable past the retry budget the replayer applies the
 // paper's §3.4 degradation — the request is recorded as a miss served from
@@ -29,7 +29,7 @@ type orbitSat = orbit.SatID
 type FaultPolicy struct {
 	// DialTimeout caps each dial attempt (0 selects 250ms).
 	DialTimeout time.Duration
-	// IOTimeout is the per-frame read/write deadline (0 selects 250ms).
+	// IOTimeout is the per-attempt read/write deadline (0 selects 250ms).
 	IOTimeout time.Duration
 	// Retry bounds attempts and backoff; the zero value selects
 	// DefaultRetryPolicy (3 attempts, 2ms..50ms jittered backoff).
@@ -99,10 +99,8 @@ type Options struct {
 	// and a sim run of one seed produce identical top-K entries) plus a
 	// wall-clock latency quantile sketch (starcdn_sketch_replay_wall_ms)
 	// over the requests actually served over TCP. Sketch updates never touch
-	// the seeded simulation streams, so results are identical on or off; in
-	// ReplayConcurrent each worker records into a private shard merged at
-	// segment barriers in location order, so the concurrent summaries equal
-	// the sequential ones.
+	// the seeded simulation streams, so results are identical on or off, and
+	// both replays record in request order, so their summaries are equal.
 	Sketches bool
 	// Tracer, when non-nil, emits one JSONL span per sampled request with
 	// wall-clock per-hop latencies measured around the real TCP exchanges.
@@ -137,20 +135,18 @@ type Options struct {
 	Shedder *shed.Controller
 }
 
-// replay is what the two drivers share. Each request is planned — everything
-// decided before a cache is contacted, in global request order — and then
-// served: sim.Ladder's Fetch over a tcpFabric. Replay does the two back to
-// back; ReplayConcurrent plans a segment ahead and serves it on workers.
+// replay is what one run of the window plans, serves and commits requests
+// with.
 type replay struct {
 	ladder    sim.Ladder
 	cluster   *Cluster
+	client    *Client // a terminal's connection pool and retry state
 	scheduler *sched.Scheduler
 	fs        *sim.FailureSchedule
 	tr        *trace.Trace
 	opts      Options
 	ro        *replayObs
-	fabrics   []*tcpFabric // every fabric handed out, for close
-	stopRec   func()       // stops the wall-clock recorder ticks; nil without a recorder
+	stopRec   func() // stops the wall-clock recorder ticks; nil without a recorder
 }
 
 // newReplay checks the arguments, binds the failure schedule to the
@@ -175,15 +171,26 @@ func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trac
 	if err != nil {
 		return nil, err
 	}
+	co := opts.Fault.clientOptions(opts.Seed)
+	co.Obs, co.Tracer, co.Phases = opts.Obs, opts.Tracer, opts.Phases
+	client := NewClientOpts(co)
 	fs.OnApply(func(ev sim.FailureEvent) error {
-		if ev.Down {
-			return cluster.Kill(ev.Sat)
+		if !ev.Down {
+			return cluster.Revive(ev.Sat)
 		}
-		return cluster.Revive(ev.Sat)
+		// A crash severs both ends: a pooled connection left behind would fail
+		// its next frame after the write, when a fetch cannot be retried.
+		if err := cluster.Kill(ev.Sat); err != nil {
+			return err
+		}
+		addr, err := cluster.Addr(ev.Sat)
+		client.forget(addr)
+		return err
 	})
 	rp := &replay{
 		ladder:  opts.ladder(h),
-		cluster: cluster, scheduler: scheduler, fs: fs, tr: tr, opts: opts,
+		cluster: cluster, client: client,
+		scheduler: scheduler, fs: fs, tr: tr, opts: opts,
 		ro: newReplayObs(opts.Obs, opts.Sketches),
 	}
 	if opts.Recorder != nil {
@@ -229,26 +236,21 @@ func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts 
 	return sats, nil
 }
 
-// newFabric gives one client (a terminal's connection pool and retry state,
-// configured from the options) its view of the cluster.
-func (rp *replay) newFabric() *tcpFabric {
-	opts := &rp.opts
-	co := opts.Fault.clientOptions(opts.Seed)
-	co.Obs, co.Tracer, co.Phases = opts.Obs, opts.Tracer, opts.Phases
-	f := &tcpFabric{cluster: rp.cluster, client: NewClientOpts(co), faulty: opts.Fault != nil}
-	rp.fabrics = append(rp.fabrics, f)
-	return f
-}
-
 // close stops the recorder and the pooled loopback connections; a close
 // error after a completed replay cannot invalidate the measured meter.
 func (rp *replay) close() {
 	if rp.stopRec != nil {
 		rp.stopRec()
 	}
-	for _, f := range rp.fabrics {
-		_ = f.client.Close()
-	}
+	_ = rp.client.Close()
+}
+
+// orderPoint reports whether planning at trace time t reads what earlier
+// requests did — a failure event falls due, or the shed controller closes an
+// epoch — so the window must drain first.
+func (rp *replay) orderPoint(t float64) bool {
+	next, ok := rp.fs.NextEventTime()
+	return ok && next <= t || rp.opts.Shedder != nil && rp.opts.Shedder.EpochDue(t)
 }
 
 // planned is one request with everything decided before a cache is contacted.
@@ -257,18 +259,19 @@ type planned struct {
 	index int64 // global request index (drives deterministic trace sampling)
 	stage shed.Stage
 	route sim.Route
-	addr  string // the owner's dial address when route.Contact
+	addr  string      // the owner's dial address when route.Contact
+	relay [2]orbitSat // the west and east neighbours it may probe, -1 for none
 }
 
-// plan decides request i up to the first cache contact. It must run in
-// global request order and never on a worker: the scheduler, the shed
-// controller's clock and session table, and lazy server starts
-// (Cluster.Addr) are all touched here. Ordering contract with sim.Run: the
-// caller advances failures, then the controller closes its epochs, then the
-// request is decided — so stage changes land on identical request boundaries.
+// plan decides request i up to the first cache contact. It runs on the
+// window's planning goroutine, in request order: the scheduler, the shed controller's clock and
+// session table, and lazy server starts (Cluster.Addr) are all touched here.
+// Ordering contract with sim.Run: the caller advances failures, then the
+// controller closes its epochs, then the request is decided — so stage
+// changes land on identical request boundaries.
 func (rp *replay) plan(i int) (planned, error) {
 	r := &rp.tr.Requests[i]
-	p := planned{req: r, index: int64(i)}
+	p := planned{req: r, index: int64(i), relay: [2]orbitSat{-1, -1}}
 	ctrl := rp.opts.Shedder
 	if ctrl != nil {
 		ctrl.Tick(r.TimeSec)
@@ -291,49 +294,76 @@ func (rp *replay) plan(i int) (planned, error) {
 	if !p.route.Contact {
 		return p, nil
 	}
+	for i, d := range [2]topo.Direction{topo.West, topo.East} {
+		if nb, ok := rp.ladder.Hash.RelayNeighbor(p.route.Home, d); ok && rp.ladder.Relay {
+			p.relay[i] = nb
+		}
+	}
 	var err error
 	p.addr, err = rp.cluster.Addr(p.route.Home)
 	return p, err
 }
 
-// popRecorder takes a request's sketch update: the shared instruments
-// (*sharedPop) or a concurrent worker's shard (*popShard). Both are nil-safe.
-type popRecorder interface {
-	Record(r *trace.Request, req int64, sat orbitSat, bucket int, wallLatencyMs float64, traceID string)
+// request is a window slot: a planned request, its frame on the wire (see
+// fabric.go) and, once served, its verdict.
+type request struct {
+	planned
+	w      *window
+	rt     *reqTrace
+	c      call // the request's frame on the wire; it has one at a time
+	got    sim.Fetched
+	err    error
+	wallMs float64       // NaN without contact: nothing to measure, the sketch skips it
+	start  chan struct{} // hands the request to its slot's goroutine
+	done   chan struct{} // signals that it is served
 }
 
-// serve carries a planned request to its verdict and accounts it. When the
-// request is sampled each TCP exchange appends a hop with its measured
-// wall-clock latency; a verdict reached without contact keeps the hop the sim
-// pipeline records for it, so the two hop chains stay comparable.
-func (rp *replay) serve(f *tcpFabric, p *planned, m *cache.Meter, pop popRecorder) error {
-	r, opts := p.req, &rp.opts
-	rt := newReqTrace(opts, p.index, r, p.route.First)
-	// The bucket key is a pure function of the object, so every path — shed,
-	// degraded, served — feeds the bucket top-K.
-	bucket := int(rp.ladder.Hash.BucketOf(r.Object))
-	got := p.route.Fetched
-	wallLatency := math.NaN() // no contact: nothing to measure, the sketch skips it
-	if p.route.Contact {
-		start := time.Now()
-		f.rt, f.addr = rt, p.addr
-		var err error
-		if got, err = rp.ladder.Fetch(f, p.route, r, p.stage, nil); err != nil {
-			return err
-		}
-		if got.Source == sim.SourceShed {
-			rt.addHop(obs.Hop{Kind: "shed", Sat: int(p.route.Home)})
-		}
-		wallLatency = wallMs(start)
-	} else {
-		rt.addHop(p.route.Hop())
+// serve carries a planned request to its verdict. When the request is sampled
+// each TCP exchange appends a hop with its measured wall-clock latency; a
+// verdict reached without contact keeps the hop the sim pipeline records for
+// it, so the two hop chains stay comparable.
+func (rp *replay) serve(r *request) {
+	r.rt = newReqTrace(&rp.opts, r.index, r.req, r.route.First)
+	r.got, r.err, r.wallMs = r.route.Fetched, nil, math.NaN()
+	if !r.route.Contact {
+		r.rt.addHop(r.route.Hop())
+		return
 	}
-	rt.finish(opts.Tracer, got.Source, wallLatency)
-	rp.ro.record(got.Source)
-	pop.Record(r, p.index, p.route.Home, bucket, wallLatency, rt.traceID())
-	m.Record(r.Size, got.Source.Hit())
-	if opts.Shedder != nil {
-		opts.Shedder.Observe(got.Signal())
+	start := time.Now()
+	r.c.req = r.index
+	if r.got, r.err = rp.ladder.Fetch(r, r.route, r.req, r.stage, nil); r.err != nil {
+		return
+	}
+	switch {
+	case r.got.Source == sim.SourceShed:
+		r.rt.addHop(obs.Hop{Kind: "shed", Sat: int(r.route.Home)})
+	case r.got.Source == sim.SourceGround && !r.got.Degraded:
+		// The owner admitted the copy in its fetch frame; this hop stands
+		// for the ground fetch behind it.
+		_, hopID := r.rt.nextHop()
+		r.rt.addHop(obs.Hop{Kind: "ground", Sat: int(r.route.Home), SpanID: hopID})
+	}
+	r.wallMs = wallMs(start)
+}
+
+// commit accounts a served request, in request order: span, counters,
+// sketches, meter and the overload controller's feedback.
+func (rp *replay) commit(r *request, m *cache.Meter) error {
+	if r.err != nil {
+		return r.err
+	}
+	src := r.got.Source
+	r.rt.finish(rp.opts.Tracer, src, r.wallMs)
+	rp.ro.record(src)
+	if rp.ro != nil && rp.ro.pop != nil {
+		// The bucket key is a pure function of the object, so every path —
+		// shed, degraded, served — feeds the bucket top-K.
+		bucket := int(rp.ladder.Hash.BucketOf(r.req.Object))
+		rp.ro.pop.Record(r.req, r.index, r.route.Home, bucket, r.wallMs, r.rt.traceID())
+	}
+	m.Record(r.req.Size, src.Hit())
+	if rp.opts.Shedder != nil {
+		rp.opts.Shedder.Observe(r.got.Signal())
 	}
 	return nil
 }
@@ -343,47 +373,32 @@ func wallMs(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// checkMeter asserts exact byte accounting after a completed replay: every
-// trace request is recorded exactly once, hits and misses partition the
-// bytes. Armed only in starcdn_debug builds.
-func checkMeter(m cache.Meter, tr *trace.Trace) {
-	if invariant.Enabled {
-		invariant.Assertf(m.Requests == int64(len(tr.Requests)),
-			"replayer: meter recorded %d of %d requests", m.Requests, len(tr.Requests))
-		invariant.Assertf(m.BytesHit+m.BytesMissed == m.BytesTotal,
-			"replayer: byte accounting leak: hit %d + missed %d != total %d",
-			m.BytesHit, m.BytesMissed, m.BytesTotal)
+// checkMeter checks a completed replay's byte accounting: every trace request
+// recorded exactly once, hits and misses partitioning the bytes.
+func checkMeter(m cache.Meter, requests int) error {
+	if m.Requests != int64(requests) || m.BytesHit+m.BytesMissed != m.BytesTotal {
+		return fmt.Errorf("replayer: meter recorded %d of %d requests, hit %d + missed %d of %d bytes",
+			m.Requests, requests, m.BytesHit, m.BytesMissed, m.BytesTotal)
 	}
+	return nil
 }
 
 // Replay drives a trace through a TCP cluster using StarCDN's request flow:
-// schedule a first-contact satellite, route to the bucket owner, Get over
-// TCP, relay-fetch from same-bucket neighbours on a miss, and Admit on the
-// way back from the ground — sim.Ladder, the decision code sim.StarCDN runs,
-// so the two can be cross-validated request for request and, with
-// Options.Failures, kill for kill.
+// schedule a first-contact satellite, route to the bucket owner, fetch over
+// TCP (a miss admits the copy the request brings back), relay-probe
+// same-bucket neighbours on a miss, else the ground — sim.Ladder, the
+// decision code sim.StarCDN runs, so the two can be cross-validated request
+// for request and, with Options.Failures, kill for kill. It serves one
+// request at a time: a window one wide.
 func Replay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) (cache.Meter, error) {
-	var meter cache.Meter
-	rp, err := newReplay(h, cluster, users, tr, opts)
-	if err != nil {
-		return meter, err
-	}
-	defer rp.close()
-	f := rp.newFabric()
-	for i := range tr.Requests {
-		if err := rp.fs.Advance(tr.Requests[i].TimeSec); err != nil {
-			return meter, err
-		}
-		p, err := rp.plan(i)
-		if err != nil {
-			return meter, err
-		}
-		if err := rp.serve(f, &p, &meter, rp.ro.popObs()); err != nil {
-			return meter, err
-		}
-	}
-	checkMeter(meter, tr)
-	return meter, nil
+	return drive(h, cluster, users, tr, opts, 1)
+}
+
+// ReplayConcurrent is Replay with concurrentWindow requests in flight,
+// pipelined to each server in request order (see window); its result equals
+// Replay's and sim.Run's request for request, under kills and shedding too.
+func ReplayConcurrent(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) (cache.Meter, error) {
+	return drive(h, cluster, users, tr, opts, concurrentWindow)
 }
 
 // reqTrace bundles one sampled request's span with its distributed-trace

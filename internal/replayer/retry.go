@@ -9,6 +9,12 @@ import (
 // how long it waits in between. Backoff is exponential with full-range
 // jitter drawn from an injected, seeded *rand.Rand, so replays with the same
 // seed sleep the same schedule — chaos runs stay reproducible.
+//
+// Every frame is retried but an OpFetch whose attempt failed after its bytes
+// were written: the server may have applied its miss and admit, and a retry
+// would read that admit back as a hit. It fails with the attempt's error,
+// which a replay under a FaultPolicy degrades to a §3.4 ground miss-through.
+// Recency touches (OpGet, OpProbe) repeat harmlessly and are retried.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per operation, including
 	// the first. Values <= 1 disable retrying.

@@ -1,8 +1,10 @@
 package replayer
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"sort"
@@ -46,8 +48,8 @@ type ServerOptions struct {
 	// accept.
 	Tracer *obs.Tracer
 	// Shedder, when non-nil, enforces overload control at the wire: at
-	// stage ≥ 1 relay probes (OpContains) are refused, at stage ≥ 3
-	// owner-miss fetches (OpGet on a miss, OpAdmit) are refused, each
+	// stage ≥ 1 relay probes (OpContains, OpProbe) are refused, at stage ≥ 3
+	// owner-miss fetches (OpGet or OpFetch on a miss, OpAdmit), each
 	// answered StatusShed. Cluster servers share the one controller, like
 	// satellites sharing a control plane; it survives Kill/Revive with the
 	// rest of the options.
@@ -58,6 +60,7 @@ type ServerOptions struct {
 type Server struct {
 	id     orbit.SatID
 	ln     net.Listener
+	addr   string // ln's address, formatted once
 	log    *slog.Logger
 	tracer *obs.Tracer
 	shed   *shed.Controller
@@ -102,6 +105,7 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 	s := &Server{
 		id:     id,
 		ln:     ln,
+		addr:   ln.Addr().String(),
 		log:    obs.NewLogger(nil).With("sat", int(id)),
 		tracer: opts.Tracer,
 		shed:   opts.Shedder,
@@ -125,7 +129,7 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.addr }
 
 // ID returns the satellite this server represents.
 func (s *Server) ID() orbit.SatID { return s.id }
@@ -190,9 +194,16 @@ func (s *Server) handle(conn net.Conn) {
 	// scratch is this handler's frame marshal buffer, reused for every frame
 	// on the connection so the serve loop allocates nothing per request.
 	var scratch [frameSize]byte
-	for {
-		//lint:ignore deadline server handlers block on the next request by design: clients arm per-frame deadlines on their side, and Server.Close severs every open conn so a stalled client cannot pin the wait group
-		m, err := readFrameBuf(conn, &scratch)
+	// A pipelined batch arrives in one read and its answers leave in one write.
+	//lint:ignore deadline server handlers block on the next request by design: clients arm per-attempt deadlines on their side, and Server.Close severs every open conn so a stalled client cannot pin the wait group
+	r := bufio.NewReader(conn)
+	//lint:ignore deadline response writes go to the kernel socket buffer of a loopback conn; a client that never drains is severed by Server.Close, and blocking here models a congested ISL rather than failing the frame
+	w := bufio.NewWriter(conn)
+	// ready flushes the buffered answers before a read of n bytes that could
+	// block: the client may be waiting on them before it sends more.
+	ready := func(n int) bool { return r.Buffered() >= n || w.Flush() == nil }
+	for ready(frameSize) {
+		m, err := readFrameBuf(r, &scratch)
 		if err != nil {
 			return // client closed, malformed/truncated frame, or broken pipe
 		}
@@ -200,14 +211,16 @@ func (s *Server) handle(conn net.Conn) {
 		case OpTraceContext:
 			// The context frame has a fixed 9-byte tail; it elicits no
 			// response and arms the context for the next request frame.
-			//lint:ignore deadline the context tail arrives back-to-back with its frame from a client that already armed its own per-frame deadline; Server.Close severs stalled conns
-			sc, err := readTraceTail(conn, m.a, m.b)
+			if !ready(traceTailSize) {
+				return
+			}
+			sc, err := readTraceTail(r, m.a, m.b)
 			if err != nil {
 				return
 			}
 			pending = &sc
 		default:
-			if err := s.serveOne(conn, &scratch, m, pending); err != nil {
+			if err := s.serveOne(w, &scratch, m, pending); err != nil {
 				return
 			}
 			pending = nil
@@ -215,7 +228,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *obs.SpanContext) error {
+func (s *Server) serveOne(w io.Writer, buf *[frameSize]byte, m message, sc *obs.SpanContext) error {
 	var opStart time.Time
 	if s.tracer != nil && sc != nil && sc.Sampled {
 		opStart = time.Now()
@@ -228,11 +241,12 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 		stage = s.shed.Stage()
 	}
 	s.mu.Lock()
-	var st Status
+	st := StatusError
+	obj, size := cache.ObjectID(m.a), int64(m.b)
 	switch m.op {
-	case OpGet:
-		hit := s.cache.Get(cache.ObjectID(m.a))
-		s.meter.Record(int64(m.b), hit)
+	case OpGet, OpFetch:
+		hit := s.cache.Get(obj)
+		s.meter.Record(size, hit)
 		switch {
 		case hit:
 			st = StatusHit
@@ -241,32 +255,33 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 			// miss metered — identical to the simulator's stage-3 path);
 			// the fetch behind it is refused.
 			st = StatusShed
-		default:
+		case m.op == OpGet:
+			st = StatusMiss
+		case s.admit(obj, size):
 			st = StatusMiss
 		}
-	case OpContains:
-		if stage.Sheds(core.ValueRelayProbe) {
+	case OpContains, OpProbe:
+		switch {
+		case stage.Sheds(core.ValueRelayProbe):
 			// Stage ≥ 1: relay probes are refused without touching the
 			// cache — the probe is speculative work this server is shedding.
 			st = StatusShed
-		} else if s.cache.Contains(cache.ObjectID(m.a)) {
-			st = StatusHit
-		} else {
+		case !s.cache.Contains(obj):
 			st = StatusMiss
+		case m.op == OpProbe:
+			// The touch of serving the copy is a Get hit.
+			s.meter.Record(size, s.cache.Get(obj))
+			st = StatusHit
+		default:
+			st = StatusHit
 		}
 	case OpAdmit:
-		if stage.Sheds(core.ValueMissFetch) {
+		switch {
+		case stage.Sheds(core.ValueMissFetch):
 			st = StatusShed
-		} else {
-			err := s.cache.Admit(cache.ObjectID(m.a), int64(m.b))
-			if err == nil || errors.Is(err, cache.ErrTooLarge) {
-				st = StatusOK
-			} else {
-				st = StatusError
-			}
+		case s.admit(obj, size):
+			st = StatusOK
 		}
-	default:
-		st = StatusError
 	}
 	s.reqs.Inc()
 	if s.meter.Requests > 0 {
@@ -276,8 +291,14 @@ func (s *Server) serveOne(conn net.Conn, buf *[frameSize]byte, m message, sc *ob
 	if !opStart.IsZero() {
 		s.emitOpSpan(m, st, sc, opStart)
 	}
-	//lint:ignore deadline response writes go to the kernel socket buffer of a loopback conn; a client that never drains is severed by Server.Close, and blocking here models a congested ISL rather than failing the frame
-	return writeResponse(conn, buf, st)
+	return writeResponse(w, buf, st)
+}
+
+// admit inserts an object; one larger than the cache bypasses it, as in
+// production CDNs. Callers hold s.mu.
+func (s *Server) admit(obj cache.ObjectID, size int64) bool {
+	err := s.cache.Admit(obj, size)
+	return err == nil || errors.Is(err, cache.ErrTooLarge)
 }
 
 // opName labels server-side operation spans.
@@ -289,6 +310,10 @@ func opName(op Op) string {
 		return "contains"
 	case OpAdmit:
 		return "admit"
+	case OpFetch:
+		return "fetch"
+	case OpProbe:
+		return "probe"
 	default:
 		return "op-" + strconv.Itoa(int(op))
 	}

@@ -154,23 +154,16 @@ func TestSketchTopKParitySimVsReplay(t *testing.T) {
 	}
 }
 
-// TestSketchTopKParityConcurrentVsSequential: the concurrent replayer's
-// per-worker shards, merged at segment barriers in location order, must
-// yield exactly the sequential replay's top-K summaries. The counting
-// inputs (object, home satellite, bucket) are precomputed sequentially in
-// both pipelines, and the merge operators are commutative with total-order
-// tie-breaks, so worker interleaving cannot leak into the summaries — even
-// across chaos segment boundaries.
+// TestSketchTopKParityConcurrentVsSequential: the pipelined window commits
+// in request order, so it must build exactly the sequential replay's top-K
+// summaries — across a kill and a revival, where the window drains.
 func TestSketchTopKParityConcurrentVsSequential(t *testing.T) {
-	// Exactness needs the satellite key space under the tracked capacity
-	// too: the serving owner varies with the per-epoch first contact, so a
-	// short trace (two scheduler epochs) over few cities keeps distinct
+	// A short trace (two scheduler epochs) over few cities keeps distinct
 	// serving satellites ≤ 32 and every summary in the no-eviction regime.
 	h, users, tr := sketchParityEnv(t, 6000, 4, 30, 43)
 	const capacity = 64 << 20
 
-	// A mid-trace kill (and later revival) forces at least three segments in
-	// ReplayConcurrent, exercising the shard merge/reset cycle.
+	// A mid-trace kill and its revival are two drain points.
 	victim := h.NearestOwner(0, h.BucketOf(tr.Requests[0].Object))
 	failures := []sim.FailureEvent{
 		{TimeSec: 10, Sat: victim, Down: true},

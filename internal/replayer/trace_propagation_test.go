@@ -111,7 +111,7 @@ func TestTracePropagationRoundTrip(t *testing.T) {
 			t.Fatalf("server span proc = %q", s.Proc)
 		}
 		switch s.Kind {
-		case "get", "contains", "admit":
+		case "fetch", "probe", "get", "contains":
 		default:
 			t.Fatalf("unexpected server span kind %q", s.Kind)
 		}
@@ -158,15 +158,15 @@ func TestTraceContextFrameOnlyWhenSampled(t *testing.T) {
 	cl := NewClient()
 	defer cl.Close()
 	sc := &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9, Sampled: true}
-	if err := cl.AdmitCtx(s.Addr(), 1, 64, sc); err != nil {
-		t.Fatal(err)
+	if st, err := cl.roundTrip(s.Addr(), OpAdmit, 1, 64, sc); err != nil || st != StatusOK {
+		t.Fatalf("admit: status %d err %v", st, err)
 	}
-	if hit, err := cl.GetCtx(s.Addr(), 1, 64, sc); err != nil || !hit {
+	if hit, err := hitAnswer(cl.roundTrip(s.Addr(), OpGet, 1, 64, sc)); err != nil || !hit {
 		t.Fatalf("get: hit=%v err=%v", hit, err)
 	}
 	// Unsampled contexts and nil contexts send no context frame but still
 	// round-trip.
-	if _, err := cl.GetCtx(s.Addr(), 1, 64, &obs.SpanContext{Sampled: false}); err != nil {
+	if _, err := cl.roundTrip(s.Addr(), OpGet, 1, 64, &obs.SpanContext{Sampled: false}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Get(s.Addr(), 1, 64); err != nil {

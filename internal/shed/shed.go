@@ -347,6 +347,15 @@ func (c *Controller) Tick(t float64) {
 	}
 }
 
+// EpochDue reports whether Tick(t) would close an epoch: the points at which
+// the controller reads the outcomes observed so far. A pipelined replay drains
+// its requests in flight before each.
+func (c *Controller) EpochDue(t float64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.started && t >= c.next
+}
+
 // closeEpochLocked integrates the finished epoch into the window, updates
 // the burn rate, and applies at most one stage transition.
 func (c *Controller) closeEpochLocked(now float64) {

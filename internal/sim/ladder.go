@@ -14,7 +14,7 @@ import (
 
 // Ladder is StarCDN's request decision ladder (§3.2–§3.4 plus the overload
 // stages of internal/shed), written once: first contact → §3.4 serving owner
-// → shed-stage gates → owner Get → west/east relay probe → admit/ground.
+// → shed-stage gates → owner fetch → west/east relay probe → ground.
 // sim.StarCDN runs it over in-memory caches and the TCP replayer over a
 // cluster, so the two pipelines decide every request with the same code;
 // they differ only in the Fabric underneath and in what they lay over the
@@ -27,37 +27,21 @@ type Ladder struct {
 	Relay bool // probe the west/east neighbours on an owner miss
 }
 
-// Role says in which capacity the ladder touches a satellite's cache, so a
-// Fabric can label its hops without re-deriving ladder state. An Admit under
-// a relay role is the write-back at the owner of the copy that neighbour
-// served; under RoleGround it is the ground fetch.
-type Role uint8
-
-const (
-	RoleOwner Role = iota
-	RoleRelayWest
-	RoleRelayEast
-	RoleGround
-)
-
-// String is the role's span hop kind.
-func (r Role) String() string {
-	return [...]string{"owner", "relay-west", "relay-east", "ground"}[r]
-}
-
-// Fabric is the cache plane under the ladder: *satCaches in memory, the
-// replayer's tcpFabric over the wire.
+// Fabric is the cache plane under the ladder: *satCaches in memory, a
+// replayed request over the wire. A call is all a request does to one cache,
+// one frame over the wire: Fetch is the owner's Get plus, on a miss with admit
+// set, the admit of the copy the request brings back; Probe is a relay
+// neighbour's Contains plus, when it has the object and touch is set, the
+// touch of serving it (via is SourceRelayWest or SourceRelayEast).
 type Fabric interface {
-	Get(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) (hit bool, err error)
-	Contains(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) (has bool, err error)
-	Admit(sat orbit.SatID, obj cache.ObjectID, size int64, role Role) error
+	Fetch(owner orbit.SatID, obj cache.ObjectID, size int64, admit bool) (hit bool, err error)
+	Probe(nb orbit.SatID, obj cache.ObjectID, size int64, via Source, touch bool) (has bool, err error)
 }
 
 // ErrUnreachable is the Fabric error for a satellite that did not answer
 // (§3.4, seen from the client). Like shed.ErrShed it degrades the step it
-// hit — owner Get: ground miss-through, nothing admitted; probe or touch:
-// skip that neighbour; admit: leave the object uncached. Any other Fabric
-// error aborts the request.
+// hit — owner fetch: ground miss-through; probe: skip that neighbour. Any
+// other Fabric error aborts the request.
 var ErrUnreachable = errors.New("sim: satellite unreachable")
 
 func soft(err error) bool {
@@ -132,15 +116,20 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 	return Route{First: first, Home: owner, Contact: true}
 }
 
-// Fetch serves a Contact route over the fabric: owner Get, on a miss the
-// relayed fetch of §3.3 — west first (it retraces this satellite's recent
-// footprint), then east — and last the ground, the owner caching the object
-// on the way through. Only with relayStats (Table 3 wants both answers) is
-// east probed after a west hit.
+// Fetch serves a Contact route over the fabric: the owner's fetch, on a miss
+// the relayed fetch of §3.3 — west first (it retraces this satellite's recent
+// footprint), then east — and last the ground. The owner keeps what the relay
+// or the ground serves, so its fetch admits on a miss: relay neighbours are
+// never the owner, so admitting before the probes changes no cache. Only with
+// relayStats (Table 3 wants both answers) is east probed, untouched, after a
+// west hit.
 func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.Stage,
 	relayStats *RelayAvailability) (Fetched, error) {
 	obj, size, home := req.Object, req.Size, rt.Home
-	hit, err := fabric.Get(home, obj, size, RoleOwner)
+	// Stage 3 serves hits only: the fetch still refreshes recency, as on a
+	// wire that refuses after answering, but admits nothing.
+	hitsOnly := stage.Sheds(core.ValueMissFetch)
+	hit, err := fabric.Fetch(home, obj, size, !hitsOnly)
 	if err != nil {
 		switch {
 		case errors.Is(err, shed.ErrShed):
@@ -157,9 +146,7 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 		}
 		return Fetched{Source: SourceBucket}, nil
 	}
-	// Stage 3 serves hits only. The Get above already refreshed recency, as
-	// on a wire that refuses after answering; nothing is admitted.
-	if stage.Sheds(core.ValueMissFetch) {
+	if hitsOnly {
 		return Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, nil
 	}
 	action := shed.ActionNone
@@ -178,40 +165,24 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 			if !ok {
 				continue
 			}
-			role := RoleRelayWest + Role(i)
-			if has[i], err = fabric.Contains(nb, obj, size, role); err != nil {
+			// A probe that fails softly skips that neighbour.
+			via := SourceRelayWest + Source(i)
+			if has[i], err = fabric.Probe(nb, obj, size, via, served < 0); err != nil {
 				if !soft(err) {
 					return Fetched{}, err
 				}
 				has[i] = false
 			}
-			if !has[i] || served >= 0 {
-				continue
+			if has[i] && served < 0 {
+				served, relay = i, nb
 			}
-			// Touch the serving neighbour's recency; if that fails softly,
-			// try the other direction.
-			if _, err = fabric.Get(nb, obj, size, role); err != nil {
-				if !soft(err) {
-					return Fetched{}, err
-				}
-				continue
-			}
-			served, relay = i, nb
 		}
 		if relayStats != nil && (has[0] || has[1]) {
 			relayStats.Record(size, has[0], has[1])
 		}
 		if served >= 0 {
-			// Keep a copy at the owner: later requests hit without the relay.
-			err = fabric.Admit(home, obj, size, RoleRelayWest+Role(served))
-			if err != nil && !soft(err) {
-				return Fetched{}, err
-			}
 			return Fetched{Source: SourceRelayWest + Source(served), Relay: relay}, nil
 		}
-	}
-	if err = fabric.Admit(home, obj, size, RoleGround); err != nil && !soft(err) {
-		return Fetched{}, err
 	}
 	return Fetched{Source: SourceGround, Action: action}, nil
 }

@@ -15,31 +15,27 @@ import (
 )
 
 // fakeFabric answers from a script keyed by "Op(sat)" and logs every call as
-// "Op(sat,role)" — the ladder's exact call sequence is part of its contract
-// (frames per request over the wire).
+// "Fetch(sat,admit)" or "Probe(sat,via,touch)" — the ladder's exact call
+// sequence is part of its contract (one frame per call over the wire).
 type fakeFabric struct {
 	has   map[string]bool
 	errs  map[string]error
 	calls []string
 }
 
-func (f *fakeFabric) do(op string, sat orbit.SatID, role Role) (bool, error) {
-	f.calls = append(f.calls, fmt.Sprintf("%s(%d,%v)", op, sat, role))
+func (f *fakeFabric) answer(op string, sat orbit.SatID) (bool, error) {
 	key := fmt.Sprintf("%s(%d)", op, sat)
 	return f.has[key], f.errs[key]
 }
 
-func (f *fakeFabric) Get(sat orbit.SatID, _ cache.ObjectID, _ int64, role Role) (bool, error) {
-	return f.do("Get", sat, role)
+func (f *fakeFabric) Fetch(sat orbit.SatID, _ cache.ObjectID, _ int64, admit bool) (bool, error) {
+	f.calls = append(f.calls, fmt.Sprintf("Fetch(%d,%v)", sat, admit))
+	return f.answer("Fetch", sat)
 }
 
-func (f *fakeFabric) Contains(sat orbit.SatID, _ cache.ObjectID, _ int64, role Role) (bool, error) {
-	return f.do("Contains", sat, role)
-}
-
-func (f *fakeFabric) Admit(sat orbit.SatID, _ cache.ObjectID, _ int64, role Role) error {
-	_, err := f.do("Admit", sat, role)
-	return err
+func (f *fakeFabric) Probe(sat orbit.SatID, _ cache.ObjectID, _ int64, via Source, touch bool) (bool, error) {
+	f.calls = append(f.calls, fmt.Sprintf("Probe(%d,%v,%v)", sat, via, touch))
+	return f.answer("Probe", sat)
 }
 
 // ladderFixture is a hash scheme over the default shell plus one object owned
@@ -172,12 +168,12 @@ func TestLadderFetch(t *testing.T) {
 	shedErr := fmt.Errorf("wrapped: %w", shed.ErrShed)
 	gone := fmt.Errorf("wrapped: %w", ErrUnreachable)
 	k := func(op string, sat orbit.SatID) string { return fmt.Sprintf("%s(%d)", op, sat) }
-	call := func(op string, sat orbit.SatID, role Role) string { return fmt.Sprintf("%s(%d,%v)", op, sat, role) }
-	get := call("Get", home, RoleOwner)
-	ground := call("Admit", home, RoleGround)
-	probeW, probeE := call("Contains", w, RoleRelayWest), call("Contains", e, RoleRelayEast)
-	touchW, touchE := call("Get", w, RoleRelayWest), call("Get", e, RoleRelayEast)
-	backW, backE := call("Admit", home, RoleRelayWest), call("Admit", home, RoleRelayEast)
+	probe := func(sat orbit.SatID, via Source, touch bool) string {
+		return fmt.Sprintf("Probe(%d,%v,%v)", sat, via, touch)
+	}
+	fetch, peek := fmt.Sprintf("Fetch(%d,true)", home), fmt.Sprintf("Fetch(%d,false)", home)
+	probeW, probeE := probe(w, SourceRelayWest, true), probe(e, SourceRelayEast, true)
+	peekE := probe(e, SourceRelayEast, false)
 
 	for _, tc := range []struct {
 		name    string
@@ -193,79 +189,73 @@ func TestLadderFetch(t *testing.T) {
 		calls   []string
 		tally   RelayAvailability
 	}{
-		{name: "bucket hit", ladder: full, first: fx.first, has: map[string]bool{k("Get", home): true},
-			want: Fetched{Source: SourceBucket}, calls: []string{get}},
-		{name: "local hit", ladder: full, first: home, has: map[string]bool{k("Get", home): true},
-			want: Fetched{Source: SourceLocal}, calls: []string{get}},
+		{name: "bucket hit", ladder: full, first: fx.first, has: map[string]bool{k("Fetch", home): true},
+			want: Fetched{Source: SourceBucket}, calls: []string{fetch}},
+		{name: "local hit", ladder: full, first: home, has: map[string]bool{k("Fetch", home): true},
+			want: Fetched{Source: SourceLocal}, calls: []string{fetch}},
 		{name: "stage 3 hit is served", ladder: full, first: home, stage: shed.StageHitsOnly,
-			has: map[string]bool{k("Get", home): true}, want: Fetched{Source: SourceLocal}, calls: []string{get}},
-		{name: "relay west", ladder: full, first: fx.first, has: map[string]bool{k("Contains", w): true, k("Contains", e): true},
-			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{get, probeW, touchW, backW}},
-		{name: "relay east", ladder: full, first: fx.first, has: map[string]bool{k("Contains", e): true},
-			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{get, probeW, probeE, touchE, backE}},
+			has: map[string]bool{k("Fetch", home): true}, want: Fetched{Source: SourceLocal}, calls: []string{peek}},
+		{name: "relay west", ladder: full, first: fx.first, has: map[string]bool{k("Probe", w): true, k("Probe", e): true},
+			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{fetch, probeW}},
+		{name: "relay east", ladder: full, first: fx.first, has: map[string]bool{k("Probe", e): true},
+			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE}},
 		{name: "full miss", ladder: full, first: fx.first,
-			want: Fetched{Source: SourceGround}, calls: []string{get, probeW, probeE, ground}},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch, probeW, probeE}},
 		{name: "stats: west hit still probes east", ladder: full, first: fx.first, stats: true,
-			has:  map[string]bool{k("Contains", w): true, k("Contains", e): true},
-			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{get, probeW, touchW, probeE, backW},
+			has:  map[string]bool{k("Probe", w): true, k("Probe", e): true},
+			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{fetch, probeW, peekE},
 			tally: RelayAvailability{BothReq: 1, BothBytes: 100}},
-		{name: "stats: west only", ladder: full, first: fx.first, stats: true, has: map[string]bool{k("Contains", w): true},
-			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{get, probeW, touchW, probeE, backW},
+		{name: "stats: west only", ladder: full, first: fx.first, stats: true, has: map[string]bool{k("Probe", w): true},
+			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{fetch, probeW, peekE},
 			tally: RelayAvailability{WestOnlyReq: 1, WestOnlyBytes: 100}},
-		{name: "stats: east only", ladder: full, first: fx.first, stats: true, has: map[string]bool{k("Contains", e): true},
-			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{get, probeW, probeE, touchE, backE},
+		{name: "stats: east only", ladder: full, first: fx.first, stats: true, has: map[string]bool{k("Probe", e): true},
+			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE},
 			tally: RelayAvailability{EastOnlyReq: 1, EastOnlyBytes: 100}},
 		{name: "stats: full miss tallies nothing", ladder: full, first: fx.first, stats: true,
-			want: Fetched{Source: SourceGround}, calls: []string{get, probeW, probeE, ground}},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch, probeW, probeE}},
 		{name: "stage 1 skips probes", ladder: full, first: home, stage: shed.StageRelayOff,
-			has:  map[string]bool{k("Contains", w): true},
-			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{get, ground}},
+			has:  map[string]bool{k("Probe", w): true},
+			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{fetch}},
 		{name: "stage 1 without relay skips nothing", ladder: Ladder{Hash: fx.h}, first: home,
-			stage: shed.StageRelayOff, want: Fetched{Source: SourceGround}, calls: []string{get, ground}},
+			stage: shed.StageRelayOff, want: Fetched{Source: SourceGround}, calls: []string{fetch}},
 		{name: "relay off", ladder: Ladder{Hash: fx.h}, first: fx.first,
-			has:  map[string]bool{k("Contains", w): true},
-			want: Fetched{Source: SourceGround}, calls: []string{get, ground}},
+			has:  map[string]bool{k("Probe", w): true},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch}},
 		{name: "stage 3 admits nothing", ladder: full, first: home, stage: shed.StageHitsOnly,
-			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{get}},
-		{name: "owner sheds", ladder: full, first: fx.first, errs: map[string]error{k("Get", home): shedErr},
-			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{get}},
-		{name: "owner unreachable", ladder: full, first: fx.first, errs: map[string]error{k("Get", home): gone},
-			want: Fetched{Source: SourceGround, Degraded: true}, calls: []string{get}},
-		{name: "owner hard error", ladder: full, first: fx.first, errs: map[string]error{k("Get", home): boom},
-			wantErr: boom, calls: []string{get}},
+			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{peek}},
+		{name: "owner sheds", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): shedErr},
+			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{fetch}},
+		{name: "owner unreachable", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): gone},
+			want: Fetched{Source: SourceGround, Degraded: true}, calls: []string{fetch}},
+		{name: "owner hard error", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): boom},
+			wantErr: boom, calls: []string{fetch}},
+		// The west neighbour has a copy, but its touching probe never answers.
 		{name: "west touch fails softly, east serves", ladder: full, first: fx.first,
-			has:  map[string]bool{k("Contains", w): true, k("Contains", e): true},
-			errs: map[string]error{k("Get", w): gone},
-			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{get, probeW, touchW, probeE, touchE, backE}},
+			has:  map[string]bool{k("Probe", w): true, k("Probe", e): true},
+			errs: map[string]error{k("Probe", w): gone},
+			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE}},
 		{name: "west probe shed, east serves", ladder: full, first: fx.first,
-			has:  map[string]bool{k("Contains", w): true, k("Contains", e): true},
-			errs: map[string]error{k("Contains", w): shedErr},
-			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{get, probeW, probeE, touchE, backE}},
+			has:  map[string]bool{k("Probe", w): true, k("Probe", e): true},
+			errs: map[string]error{k("Probe", w): shedErr},
+			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE}},
 		{name: "both probes unreachable", ladder: full, first: fx.first,
-			errs: map[string]error{k("Contains", w): gone, k("Contains", e): gone},
-			want: Fetched{Source: SourceGround}, calls: []string{get, probeW, probeE, ground}},
-		{name: "probe hard error", ladder: full, first: fx.first, errs: map[string]error{k("Contains", w): boom},
-			wantErr: boom, calls: []string{get, probeW}},
-		{name: "touch hard error", ladder: full, first: fx.first, has: map[string]bool{k("Contains", w): true},
-			errs: map[string]error{k("Get", w): boom}, wantErr: boom, calls: []string{get, probeW, touchW}},
-		{name: "write-back fails softly", ladder: full, first: fx.first, has: map[string]bool{k("Contains", w): true},
-			errs: map[string]error{k("Admit", home): shedErr},
-			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{get, probeW, touchW, backW}},
-		{name: "ground admit fails softly", ladder: full, first: fx.first, errs: map[string]error{k("Admit", home): gone},
-			want: Fetched{Source: SourceGround}, calls: []string{get, probeW, probeE, ground}},
-		{name: "ground admit hard error", ladder: full, first: fx.first, errs: map[string]error{k("Admit", home): boom},
-			wantErr: boom, calls: []string{get, probeW, probeE, ground}},
+			errs: map[string]error{k("Probe", w): gone, k("Probe", e): gone},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch, probeW, probeE}},
+		{name: "probe hard error", ladder: full, first: fx.first, errs: map[string]error{k("Probe", w): boom},
+			wantErr: boom, calls: []string{fetch, probeW}},
+		// A hard error aborts even from a neighbour that has the copy.
+		{name: "touch hard error", ladder: full, first: fx.first, has: map[string]bool{k("Probe", w): true},
+			errs: map[string]error{k("Probe", w): boom}, wantErr: boom, calls: []string{fetch, probeW}},
 		{name: "inactive west neighbour", ladder: full, first: fx.first, downSat: w,
-			has:  map[string]bool{k("Contains", w): true},
-			want: Fetched{Source: SourceGround}, calls: []string{get, probeE, ground}},
+			has:  map[string]bool{k("Probe", w): true},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch, probeE}},
 		{name: "hashing off probes the immediate neighbours", ladder: off, first: home,
-			has:  map[string]bool{k("Contains", eNear): true},
-			want: Fetched{Source: SourceRelayEast, Relay: eNear},
-			calls: []string{get, call("Contains", wNear, RoleRelayWest), call("Contains", eNear, RoleRelayEast),
-				call("Get", eNear, RoleRelayEast), backE}},
+			has:   map[string]bool{k("Probe", eNear): true},
+			want:  Fetched{Source: SourceRelayEast, Relay: eNear},
+			calls: []string{fetch, probe(wNear, SourceRelayWest, true), probe(eNear, SourceRelayEast, true)}},
 		{name: "hashing off, inactive immediate neighbour", ladder: off, first: home,
-			downSat: eNear, has: map[string]bool{k("Contains", eNear): true},
-			want: Fetched{Source: SourceGround}, calls: []string{get, call("Contains", wNear, RoleRelayWest), ground}},
+			downSat: eNear, has: map[string]bool{k("Probe", eNear): true},
+			want: Fetched{Source: SourceGround}, calls: []string{fetch, probe(wNear, SourceRelayWest, true)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.downSat > 0 {

@@ -35,43 +35,30 @@ type runObs struct {
 	perSat      []satObs // indexed by SatID; rate is nil until the satellite first serves
 	// pop is the opt-in streaming-sketch telemetry (Config.Sketches); nil
 	// keeps the metrics-only fast path.
-	pop *PopObs[*obs.TopK, *obs.Sketch]
+	pop *PopObs
 	// bucketOf maps an object to its consistent-hash bucket for the bucket
 	// top-K (-1, or a nil func, when the policy has no bucket structure).
 	bucketOf func(cache.ObjectID) int
 }
 
-// popTopK and popSketch are what the popularity rule needs of its
-// instruments: the registry's shared *obs.TopK and *obs.Sketch fit, and so do
-// a concurrent replay worker's single-owner *obs.TopKShard and
-// *sketch.Quantile.
-type popTopK interface {
-	ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar)
-}
-
-type popSketch interface {
-	ObserveEx(x float64, ex sketch.Exemplar)
-}
-
 // PopObs is one set of streaming-sketch instruments — top-K popularity
 // (objects, serving satellites, hash buckets) and a latency quantile sketch,
-// all deterministic and mergeable (see internal/obs/sketch) — and the one
-// rule that updates them. sim.Run and both TCP replay drivers feed every
-// request through Record, which is what makes per-seed top-K parity between
-// the pipelines an exact comparison. Updates are pure functions of the
-// request stream — no RNG, no wall clock — so enabling them cannot change
-// results.
-type PopObs[K popTopK, S popSketch] struct {
-	Objects, Sats, Buckets K
-	Latency                S
+// all deterministic (see internal/obs/sketch) — and the one rule that updates
+// them. sim.Run and the TCP replay feed every request through Record
+// in request order, which is what makes per-seed top-K parity between the
+// pipelines an exact comparison. Updates are pure functions of the request
+// stream — no RNG, no wall clock — so enabling them cannot change results.
+type PopObs struct {
+	Objects, Sats, Buckets *obs.TopK
+	Latency                *obs.Sketch
 }
 
 // NewPopObs resolves the shared popularity top-Ks in reg and pairs them with
 // the pipeline's own latency sketch. The top-Ks are keyed by integer identity
 // — the update path never builds a key string; the namers only run at
 // exposition time for tracked entries.
-func NewPopObs(reg *obs.Registry, latency *obs.Sketch) *PopObs[*obs.TopK, *obs.Sketch] {
-	po := &PopObs[*obs.TopK, *obs.Sketch]{
+func NewPopObs(reg *obs.Registry, latency *obs.Sketch) *PopObs {
+	po := &PopObs{
 		Objects: reg.TopK("starcdn_popularity_objects", 0),
 		Sats:    reg.TopK("starcdn_popularity_sats", 0),
 		Buckets: reg.TopK("starcdn_popularity_buckets", 0),
@@ -90,7 +77,7 @@ func NewPopObs(reg *obs.Registry, latency *obs.Sketch) *PopObs[*obs.TopK, *obs.S
 // traceID is the sampled request's trace identity ("" when unsampled) and
 // becomes the exemplar linking hot entries back to assembled distributed
 // traces.
-func (po *PopObs[K, S]) Record(r *trace.Request, req int64, sat orbit.SatID, bucket int, latencyMs float64, traceID string) {
+func (po *PopObs) Record(r *trace.Request, req int64, sat orbit.SatID, bucket int, latencyMs float64, traceID string) {
 	if po == nil {
 		return
 	}

@@ -107,24 +107,26 @@ func (s *satCaches) at(id orbit.SatID) cache.Policy {
 	return c
 }
 
-// Get implements Fabric.
-func (s *satCaches) Get(sat orbit.SatID, obj cache.ObjectID, _ int64, role Role) (bool, error) {
-	hit := s.at(sat).Get(obj)
-	if role == RoleOwner {
-		s.phase.Mark(obs.PhaseSimCache)
+// Fetch implements Fabric. The cache stage closes on the Get; the admit is
+// charged to the relay/ground stage that follows.
+func (s *satCaches) Fetch(sat orbit.SatID, obj cache.ObjectID, size int64, admitMiss bool) (bool, error) {
+	c := s.at(sat)
+	hit := c.Get(obj)
+	s.phase.Mark(obs.PhaseSimCache)
+	if !hit && admitMiss {
+		admit(c, obj, size)
 	}
 	return hit, nil
 }
 
-// Contains implements Fabric.
-func (s *satCaches) Contains(sat orbit.SatID, obj cache.ObjectID, _ int64, _ Role) (bool, error) {
-	return s.at(sat).Contains(obj), nil
-}
-
-// Admit implements Fabric.
-func (s *satCaches) Admit(sat orbit.SatID, obj cache.ObjectID, size int64, _ Role) error {
-	admit(s.at(sat), obj, size)
-	return nil
+// Probe implements Fabric.
+func (s *satCaches) Probe(sat orbit.SatID, obj cache.ObjectID, _ int64, _ Source, touch bool) (bool, error) {
+	c := s.at(sat)
+	has := c.Contains(obj)
+	if has && touch {
+		c.Get(obj)
+	}
+	return has, nil
 }
 
 // admit inserts an object, ignoring the object-larger-than-capacity error

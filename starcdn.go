@@ -315,8 +315,9 @@ func GenerateChaos(candidates []SatID, o ChaosOptions) []FailureEvent {
 // ReplayTCPOpts is the fully configurable distributed replay: fault policy
 // (deadlines, retries, §3.4 degrade-to-ground), an optional failure schedule
 // that kills and revives cache servers mid-replay, and a concurrent mode
-// that drives one worker per location like the paper's multi-process
-// replayer. A non-empty ReplayOptions.Failures requires ReplayOptions.Fault.
+// that keeps many requests in flight, pipelined to each server in request
+// order, with the sequential replay's result. A non-empty
+// ReplayOptions.Failures requires ReplayOptions.Fault.
 //
 // Failure schedules mutate the system's constellation availability as they
 // apply, exactly as Simulate does with SimConfig.Failures — reuse one System

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint waivers fmt bench bench-check bench-update debug-test race chaos obs fuzz clean
+.PHONY: all build test check lint waivers fmt bench bench-check bench-update race chaos obs fuzz clean
 
 all: build
 
@@ -14,10 +14,10 @@ test:
 	$(GO) test ./...
 
 ## check: the repository's CI gate — fmt, vet, starcdn-lint + waiver audit,
-## build (both tag sets), race tests, debug-invariant tests, a chaos pass,
-## an obs smoke, a bench smoke, and the starcdn-bench regression gate
-## (the hard allocs/op budgets). Independent steps run concurrently and
-## each reports its wall-clock time (scripts/check.sh).
+## build, race tests, a chaos pass, an obs smoke, a bench smoke, and the
+## starcdn-bench regression gate (the hard allocs/op budgets). Independent
+## steps run concurrently and each reports its wall-clock time
+## (scripts/check.sh).
 check:
 	sh scripts/check.sh
 
@@ -50,28 +50,24 @@ bench-check:
 bench-update:
 	$(GO) run ./cmd/starcdn-bench -update
 
-## debug-test: test with the starcdn_debug invariant sanitizers armed.
-debug-test:
-	$(GO) test -tags starcdn_debug ./...
-
 race:
 	$(GO) test -race ./...
 
 ## chaos: the fault-injection and failure-schedule suites under the race
-## detector with debug invariants armed (DESIGN.md §8); `make check` runs
-## this target as its chaos pass, so the list lives here only. TestDifferential
-## is the sim-vs-replay oracle, whose hashing-off cases under a kill schedule
-## put a dead first contact through the §3.4 rule in both pipelines. The TestShed
+## detector (DESIGN.md §8); `make check` runs this target as its chaos pass,
+## so the list lives here only. TestDifferential is the sim-vs-replay oracle,
+## whose hashing-off cases under a kill schedule put a dead first contact
+## through the §3.4 rule in both pipelines. The TestShed
 ## matches are the overload-control smoke: a kill schedule with shedding on
 ## recovers to stage 0 holding the latency SLO (sim), sheds the same request
 ## set over the wire (replayer parity), and an idle controller leaves every
 ## meter byte-identical; ./internal/shed runs the stage-machine unit suite
-## under the same race/debug armor.
+## under the race detector too.
 chaos:
-	$(GO) test -race -tags starcdn_debug -count=1 \
+	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestDifferential|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
 		./internal/replayer/ ./internal/sim/
-	$(GO) test -race -tags starcdn_debug -count=1 ./internal/shed/
+	$(GO) test -race -count=1 ./internal/shed/
 
 ## obs: end-to-end observability smoke — live /metrics + pprof scrape during
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).

@@ -88,19 +88,11 @@ func readModulePath(root string) (string, error) {
 	return "", fmt.Errorf("no module directive in %s", filepath.Join(root, "go.mod"))
 }
 
-// lintBuildTags is the tag set the loader evaluates build constraints
-// against. starcdn_debug is armed so the invariant sanitizer's real
-// implementation is linted; the release counterpart consists of empty
-// no-op bodies and would shadow it (one tag set must be chosen, because
-// both files together do not type-check).
-var lintBuildTags = []string{"starcdn_debug"}
-
 // buildContext returns the go/build context used to select files.
 func buildContext() build.Context {
 	ctx := build.Default
 	ctx.GOOS = runtime.GOOS
 	ctx.GOARCH = runtime.GOARCH
-	ctx.BuildTags = append([]string(nil), lintBuildTags...)
 	// File selection must not depend on what is installed; never consult
 	// the filesystem beyond the file contents themselves.
 	ctx.UseAllFiles = false

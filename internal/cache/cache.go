@@ -11,8 +11,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-
-	"starcdn/internal/invariant"
 )
 
 // ObjectID identifies a cached object. IDs are globally unique across the
@@ -90,24 +88,6 @@ func MustNew(kind Kind, capacity int64) Policy {
 	return p
 }
 
-// checkAccounting is the debug-build sanitizer shared by every eviction
-// policy: after any mutation the byte accounting must satisfy
-//
-//	0 <= used <= capacity   and   len(items) == 0  =>  used == 0.
-//
-// A violation means an eviction forgot to release (or double-released)
-// bytes, which would silently skew every byte-hit-rate figure.
-func checkAccounting(name string, used, capacity int64, items int) {
-	if !invariant.Enabled {
-		return
-	}
-	invariant.Assertf(used >= 0, "cache %s: negative used bytes %d", name, used)
-	invariant.Assertf(used <= capacity,
-		"cache %s: used %d exceeds capacity %d", name, used, capacity)
-	invariant.Assertf(items > 0 || used == 0,
-		"cache %s: empty cache accounts %d bytes", name, used)
-}
-
 // Meter accumulates request and byte hit rates for a request stream, the two
 // headline cache metrics in the paper (§2.2).
 type Meter struct {
@@ -120,9 +100,6 @@ type Meter struct {
 
 // Record registers one request of the given size and whether it hit.
 func (m *Meter) Record(size int64, hit bool) {
-	if invariant.Enabled {
-		invariant.Assertf(size >= 0, "cache meter: negative request size %d", size)
-	}
 	m.Requests++
 	m.BytesTotal += size
 	if hit {

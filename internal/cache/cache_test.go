@@ -3,7 +3,6 @@ package cache
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 var allKinds = []Kind{LRU, LFU, FIFO, SIEVE}
@@ -205,90 +204,6 @@ func TestSieveHandSurvivesRemove(t *testing.T) {
 	}
 }
 
-// invariantChecker exercises a policy with a random workload and verifies
-// the structural invariants that must hold for every policy.
-func runRandomWorkload(t *testing.T, kind Kind, seed int64, ops int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	p := MustNew(kind, 1000)
-	shadow := map[ObjectID]int64{} // objects we believe may be present
-	for i := 0; i < ops; i++ {
-		id := ObjectID(rng.Intn(60))
-		switch rng.Intn(4) {
-		case 0:
-			p.Get(id)
-		case 1:
-			size := int64(1 + rng.Intn(400))
-			if err := p.Admit(id, size); err != nil {
-				t.Fatalf("%s admit: %v", kind, err)
-			}
-			shadow[id] = size
-		case 2:
-			p.Remove(id)
-		case 3:
-			p.Contains(id)
-		}
-		if p.UsedBytes() > p.Capacity() {
-			t.Fatalf("%s: over capacity at op %d: %d", kind, i, p.UsedBytes())
-		}
-		if p.UsedBytes() < 0 {
-			t.Fatalf("%s: negative used bytes", kind)
-		}
-		if p.Len() < 0 {
-			t.Fatalf("%s: negative len", kind)
-		}
-	}
-	// Everything the cache claims to contain must have a consistent size.
-	var total int64
-	for id, size := range shadow {
-		if sz, ok := p.SizeOf(id); ok {
-			if sz != size {
-				t.Fatalf("%s: object %d size %d, want %d", kind, id, sz, size)
-			}
-			total += sz
-		}
-	}
-	if total != p.UsedBytes() {
-		t.Fatalf("%s: used bytes %d != sum of present sizes %d", kind, p.UsedBytes(), total)
-	}
-}
-
-func TestRandomWorkloadInvariants(t *testing.T) {
-	for _, k := range allKinds {
-		k := k
-		t.Run(string(k), func(t *testing.T) {
-			for seed := int64(1); seed <= 5; seed++ {
-				runRandomWorkload(t, k, seed, 5000)
-			}
-		})
-	}
-}
-
-func TestCapacityNeverExceededProperty(t *testing.T) {
-	for _, k := range allKinds {
-		k := k
-		f := func(ids []uint8, sizes []uint16) bool {
-			p := MustNew(k, 500)
-			for i, raw := range ids {
-				size := int64(1)
-				if len(sizes) > 0 {
-					size = int64(1 + int(sizes[i%len(sizes)])%500)
-				}
-				if err := p.Admit(ObjectID(raw), size); err != nil {
-					return false
-				}
-				if p.UsedBytes() > p.Capacity() {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Errorf("%s: %v", k, err)
-		}
-	}
-}
-
 func TestMeter(t *testing.T) {
 	var m Meter
 	if m.RequestHitRate() != 0 || m.ByteHitRate() != 0 {
@@ -364,11 +279,4 @@ func mustAdmit(t *testing.T, p Policy, id ObjectID, size int64) {
 	if err := p.Admit(id, size); err != nil {
 		t.Fatalf("admit %d: %v", id, err)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -75,7 +75,6 @@ func (c *fifoCache) Remove(id ObjectID) bool {
 	c.unlink(n)
 	delete(c.items, id)
 	c.used -= n.size
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 	return true
 }
 
@@ -86,7 +85,6 @@ func (c *fifoCache) evict() {
 		delete(c.items, v.id)
 		c.used -= v.size
 	}
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 }
 
 func (c *fifoCache) unlink(n *fifoNode) {

@@ -94,7 +94,6 @@ func (c *lfuCache) Remove(id ObjectID) bool {
 	c.detach(n)
 	delete(c.items, id)
 	c.used -= n.size
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 	return true
 }
 
@@ -111,7 +110,6 @@ func (c *lfuCache) evictUntilFits() {
 		delete(c.items, victim.id)
 		c.used -= victim.size
 	}
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 }
 
 // victim returns the least-frequently, least-recently used node.

@@ -77,7 +77,6 @@ func (c *lruCache) Remove(id ObjectID) bool {
 	delete(c.items, id)
 	c.used -= n.size
 	c.recycle(n)
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 	return true
 }
 
@@ -89,7 +88,6 @@ func (c *lruCache) evictUntilFits() {
 		c.used -= victim.size
 		c.recycle(victim)
 	}
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 }
 
 // newNode takes a recycled node from the free list when one is available, so

@@ -86,7 +86,6 @@ func (c *sieveCache) Admit(id ObjectID, size int64) error {
 		c.tail = n
 	}
 	c.used += size
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 	return nil
 }
 
@@ -98,7 +97,6 @@ func (c *sieveCache) Remove(id ObjectID) bool {
 	c.unlink(n)
 	delete(c.items, id)
 	c.used -= n.size
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 	return true
 }
 
@@ -112,7 +110,6 @@ func (c *sieveCache) evictUntilFits() {
 		delete(c.items, v.id)
 		c.used -= v.size
 	}
-	checkAccounting(c.Name(), c.used, c.capacity, len(c.items))
 }
 
 // findVictim advances the hand from its current position (or the tail) toward

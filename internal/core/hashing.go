@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"starcdn/internal/cache"
-	"starcdn/internal/invariant"
 	"starcdn/internal/orbit"
 	"starcdn/internal/topo"
 )
@@ -79,24 +78,13 @@ func (h *HashScheme) BucketOf(obj cache.ObjectID) BucketID {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	x ^= x >> 31
-	b := BucketID(x % uint64(h.l))
-	if invariant.Enabled {
-		invariant.Assertf(b >= 0 && int(b) < h.l,
-			"core: BucketOf(%d) = %d outside [0,%d)", obj, b, h.l)
-	}
-	return b
+	return BucketID(x % uint64(h.l))
 }
 
 // BucketAt returns the bucket a satellite slot owns under the √L×√L tiling.
 func (h *HashScheme) BucketAt(id orbit.SatID) BucketID {
 	plane, slot := h.grid.Constellation().PlaneSlot(id)
-	b := BucketID((plane%h.root)*h.root + slot%h.root)
-	if invariant.Enabled {
-		invariant.Assertf(b >= 0 && int(b) < h.l,
-			"core: BucketAt(%d) = %d outside [0,%d) (plane=%d slot=%d root=%d)",
-			id, b, h.l, plane, slot, h.root)
-	}
-	return b
+	return BucketID((plane%h.root)*h.root + slot%h.root)
 }
 
 // NearestOwner returns the satellite slot owning bucket b that is closest in

@@ -101,6 +101,15 @@ func TestBucketTiling(t *testing.T) {
 	if h.BucketAt(c.SatAt(3, 5)) != h.BucketAt(c.SatAt(5, 7)) {
 		t.Error("tiling should repeat every root planes/slots")
 	}
+	// Every slot owns a bucket in [0, L), seams included.
+	for _, l := range []int{1, 4, 9, 16} {
+		h := scheme(t, l)
+		for i := 0; i < c.NumSlots(); i++ {
+			if b := h.BucketAt(orbit.SatID(i)); b < 0 || int(b) >= l {
+				t.Fatalf("L=%d: BucketAt(%d) = %d outside [0,%d)", l, i, b, l)
+			}
+		}
+	}
 }
 
 func TestNearestOwnerWithinBound(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -211,72 +210,6 @@ func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 	}
 }
 
-// TestInstrumentMergeCommutes: merging two shards into an instrument in
-// either order yields identical snapshots — entries, counts, error bounds,
-// exemplars, and quantiles. The merge operators' total-order tie-breaks are
-// what the concurrent replayer's determinism rests on.
-func TestInstrumentMergeCommutes(t *testing.T) {
-	buildShards := func() (*TopKShard, *TopKShard) {
-		a, b := NewTopKShard(4), NewTopKShard(4)
-		const x, y, z = 1, 2, 3
-		for i := 0; i < 5; i++ {
-			a.ObserveIDEx(x, 1, sketch.Exemplar{TraceID: "ta", Req: int64(i), Value: 1})
-		}
-		a.ObserveIDEx(y, 2, noEx)
-		b.ObserveIDEx(x, 3, sketch.Exemplar{TraceID: "tb", Req: 9, Value: 2})
-		b.ObserveIDEx(z, 4, noEx)
-		return a, b
-	}
-
-	ab := NewRegistry().TopK("starcdn_popularity_objects", 4)
-	a1, b1 := buildShards()
-	ab.MergeShard(a1)
-	ab.MergeShard(b1)
-
-	ba := NewRegistry().TopK("starcdn_popularity_objects", 4)
-	a2, b2 := buildShards()
-	ba.MergeShard(b2)
-	ba.MergeShard(a2)
-
-	if ab.N() != ba.N() {
-		t.Errorf("merged N differs: %d vs %d", ab.N(), ba.N())
-	}
-	if !reflect.DeepEqual(ab.Top(), ba.Top()) {
-		t.Errorf("merge order changed top-K:\nab: %+v\nba: %+v", ab.Top(), ba.Top())
-	}
-	// The max-Req exemplar wins regardless of merge order.
-	if ex := ab.Top()[0].Exemplar; ex.TraceID != "tb" || ex.Req != 9 {
-		t.Errorf("rank-1 exemplar = %+v, want tb/9", ab.Top()[0].Exemplar)
-	}
-
-	// Quantile sketches likewise.
-	mkQ := func() (*sketch.Quantile, *sketch.Quantile) {
-		qa, qb := sketch.NewQuantile(0, 0), sketch.NewQuantile(0, 0)
-		for i := 1; i <= 50; i++ {
-			qa.Observe(float64(i))
-			qb.Observe(float64(i) * 10)
-		}
-		return qa, qb
-	}
-	sab := NewRegistry().Sketch("starcdn_sketch_serve_latency_ms", 0)
-	qa1, qb1 := mkQ()
-	sab.MergeQuantile(qa1)
-	sab.MergeQuantile(qb1)
-	sba := NewRegistry().Sketch("starcdn_sketch_serve_latency_ms", 0)
-	qa2, qb2 := mkQ()
-	sba.MergeQuantile(qb2)
-	sba.MergeQuantile(qa2)
-	if sab.Count() != sba.Count() || sab.Count() != 100 {
-		t.Fatalf("merged counts = %d vs %d, want 100", sab.Count(), sba.Count())
-	}
-	for _, q := range SketchQuantiles {
-		va, vb := sab.Quantile(q), sba.Quantile(q)
-		if va != vb {
-			t.Errorf("p%g differs by merge order: %v vs %v", q*100, va, vb)
-		}
-	}
-}
-
 // TestPopularityEndpoint: /metrics.json is the "which objects are hot, and
 // give me a trace of one" endpoint — it serves the full keyed top-K entries
 // and the sketch quantiles with their trace exemplars, the detail the bounded
@@ -398,8 +331,8 @@ func TestRecorderTopKSketchRings(t *testing.T) {
 
 // TestInstrumentsConcurrentObserveAndScrape: the sketches hold no lock of
 // their own, so TopK.mu and Sketch.mu are all that stands between
-// concurrent observers, a worker merging its single-owner shards, and a
-// scraper reading Top()/Quantile()/Snapshot() and driving recorder epochs.
+// concurrent observers and a scraper reading Top()/Quantile()/Snapshot()
+// and driving recorder epochs.
 // Run under -race; the totals must also come out exact.
 func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
 	r := NewRegistry()
@@ -407,7 +340,7 @@ func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
 	rec := NewRecorder(r, RecorderOptions{EpochSec: 1, Capacity: 16})
 
-	const writers, perWriter, merges, perMerge = 4, 4000, 40, 50
+	const writers, perWriter = 4, 4000
 	stop := make(chan struct{})
 	scraped := make(chan struct{})
 	go func() {
@@ -439,26 +372,11 @@ func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		shard, lat := NewTopKShard(8), sketch.NewQuantile(0, 0)
-		for m := 0; m < merges; m++ {
-			for i := 0; i < perMerge; i++ {
-				shard.ObserveIDEx(uint64(i%50), 1, noEx)
-				lat.Observe(float64(1 + i))
-			}
-			tk.MergeShard(shard)
-			sk.MergeQuantile(lat)
-			shard.Reset()
-			lat.Reset()
-		}
-	}()
 	wg.Wait()
 	close(stop)
 	<-scraped
 
-	const want = writers*perWriter + merges*perMerge
+	const want = writers * perWriter
 	if tk.N() != want || sk.Count() != want {
 		t.Errorf("after concurrent updates N = %d, Count = %d, want %d each", tk.N(), sk.Count(), want)
 	}

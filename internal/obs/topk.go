@@ -36,8 +36,7 @@ type TopKEntry struct {
 // TopKShard is the single-owner form of a TopK instrument: a Space-Saving
 // summary and a Count-Min refinement grid, with no lock anywhere
 // (internal/obs/sketch is not synchronized either). One goroutine owns a
-// shard: the TopK instrument's sits behind TopK.mu, and a private one can be
-// folded into an instrument at a deterministic barrier (MergeShard).
+// shard: the TopK instrument's sits behind TopK.mu.
 type TopKShard struct {
 	ss *sketch.SpaceSaving
 	cm *sketch.CountMin
@@ -73,15 +72,6 @@ func (t *TopKShard) N() int64 {
 	return t.ss.N()
 }
 
-// Reset clears the shard for the next segment.
-func (t *TopKShard) Reset() {
-	if t == nil {
-		return
-	}
-	t.ss.Reset()
-	t.cm.Reset()
-}
-
 // top renders the ranked entries with display names (the decimal key when
 // namer is nil) and refined estimates.
 func (t *TopKShard) top(namer func(uint64) string) []TopKEntry {
@@ -99,16 +89,6 @@ func (t *TopKShard) top(namer func(uint64) string) []TopKEntry {
 		out = append(out, TopKEntry{Key: name, Count: e.Count, Err: e.Err, Refined: refined, Exemplar: e.Ex})
 	}
 	return out
-}
-
-// merge folds o into t: mergeable-summaries merge for the Space-Saving
-// side, exact element-wise merge for the Count-Min grid.
-func (t *TopKShard) merge(o *TopKShard) {
-	if t == nil || o == nil {
-		return
-	}
-	t.ss.Merge(o.ss)
-	t.cm.Merge(o.cm)
 }
 
 // TopK is a registry instrument tracking the approximate top-K keys of a
@@ -145,17 +125,6 @@ func (t *TopK) SetNamer(f func(uint64) string) {
 	}
 	t.mu.Lock()
 	t.namer = f
-	t.mu.Unlock()
-}
-
-// MergeShard folds a single-owner shard into the instrument. The shard is
-// not modified.
-func (t *TopK) MergeShard(s *TopKShard) {
-	if t == nil || s == nil {
-		return
-	}
-	t.mu.Lock()
-	t.shard.merge(s)
 	t.mu.Unlock()
 }
 
@@ -203,17 +172,6 @@ func (s *Sketch) ObserveEx(x float64, ex sketch.Exemplar) {
 	}
 	s.mu.Lock()
 	s.q.ObserveEx(x, ex)
-	s.mu.Unlock()
-}
-
-// MergeQuantile folds a single-owner quantile sketch into the instrument.
-// The donor is not modified.
-func (s *Sketch) MergeQuantile(q *sketch.Quantile) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.q.Merge(q)
 	s.mu.Unlock()
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"starcdn/internal/cache"
 	"starcdn/internal/geo"
-	"starcdn/internal/invariant"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/sched"
@@ -172,17 +171,8 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	var demandWindowBytes int64
 	var utilization float64
 	gslCapacityBitsPerSec := lat.Links.GSL.BandwidthGbps * 1e9
-	prevTimeSec := 0.0
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
-		if invariant.Enabled {
-			// Monotone event time: the epoch memos, failure cursor, and
-			// congestion windows below all assume a forward-only clock.
-			invariant.Assertf(r.TimeSec >= prevTimeSec,
-				"sim: event time moved backwards at request %d (%v < %v)",
-				i, r.TimeSec, prevTimeSec)
-			prevTimeSec = r.TimeSec
-		}
 		// Advance cannot fail here: the only hook ever registered (the obs
 		// failure counters) never returns an error.
 		_ = failures.Advance(r.TimeSec)

@@ -70,10 +70,22 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(e.c, e.users[:2], e.tr, NewNaiveLRU(CacheConfig{Kind: cache.LRU, Bytes: 1 << 20}), cfg); err == nil {
 		t.Error("user/location mismatch should fail")
 	}
-	bad := &trace.Trace{Locations: e.tr.Locations,
-		Requests: []trace.Request{{TimeSec: 0, Object: 1, Size: 0, Location: 0}}}
-	if _, err := Run(e.c, e.users, bad, NewNaiveLRU(CacheConfig{Kind: cache.LRU, Bytes: 1 << 20}), cfg); err == nil {
-		t.Error("invalid trace should fail")
+	// Run owns these through trace.Validate: the cache admit and the meters
+	// assume positive sizes, and the epoch memos, failure cursor and
+	// congestion windows a forward-only clock.
+	for _, bad := range []struct {
+		name string
+		reqs []trace.Request
+	}{
+		{"size 0", []trace.Request{{TimeSec: 0, Object: 1, Size: 0, Location: 0}}},
+		{"backwards clock", []trace.Request{
+			{TimeSec: 5, Object: 1, Size: 100, Location: 0},
+			{TimeSec: 4, Object: 2, Size: 100, Location: 0}}},
+	} {
+		tr := &trace.Trace{Locations: e.tr.Locations, Requests: bad.reqs}
+		if _, err := Run(e.c, e.users, tr, NewNaiveLRU(CacheConfig{Kind: cache.LRU, Bytes: 1 << 20}), cfg); err == nil {
+			t.Errorf("%s: invalid trace should fail", bad.name)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 
-	"starcdn/internal/invariant"
 	"starcdn/internal/orbit"
 )
 
@@ -122,29 +121,7 @@ func (d Direction) Opposite() Direction {
 
 // NewGrid builds the ISL grid for the constellation with the given model.
 func NewGrid(c *orbit.Constellation, model LinkModel) *Grid {
-	g := &Grid{c: c, model: model, failed: make(map[edge]bool)}
-	if invariant.Enabled {
-		g.assertReciprocity()
-	}
-	return g
-}
-
-// assertReciprocity is the debug-build sanitizer for the torus wiring: for
-// every slot and direction, stepping to the neighbour and back must return
-// to the origin (Neighbor(Neighbor(id,d), d.Opposite()) == id), otherwise
-// the ISL graph is not the undirected grid the hashing tiling assumes.
-func (g *Grid) assertReciprocity() {
-	slots := g.c.NumSlots()
-	for i := 0; i < slots; i++ {
-		id := orbit.SatID(i)
-		for _, d := range Directions {
-			nb := g.Neighbor(id, d)
-			back := g.Neighbor(nb, d.Opposite())
-			invariant.Assertf(back == id,
-				"topo: neighbor reciprocity broken: %d --%s--> %d --%s--> %d",
-				id, d, nb, d.Opposite(), back)
-		}
-	}
+	return &Grid{c: c, model: model, failed: make(map[edge]bool)}
 }
 
 // Constellation returns the underlying constellation.

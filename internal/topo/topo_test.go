@@ -56,28 +56,28 @@ func TestDelaySample(t *testing.T) {
 }
 
 func TestNeighborsFormTorus(t *testing.T) {
+	small, err := orbit.New(orbit.Config{Planes: 7, SatsPerPlane: 5,
+		InclinationDeg: 53, AltitudeKm: 550, MinElevDeg: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := testGrid(t)
 	c := g.Constellation()
-	for _, id := range []orbit.SatID{0, 17, 18, 647, 1295} {
-		for _, d := range Directions {
-			nb := g.Neighbor(id, d)
-			if nb == id {
-				t.Errorf("neighbor(%d,%s) = self", id, d)
-			}
-			// Opposite direction returns home.
-			var back Direction
-			switch d {
-			case North:
-				back = South
-			case South:
-				back = North
-			case East:
-				back = West
-			case West:
-				back = East
-			}
-			if got := g.Neighbor(nb, back); got != id {
-				t.Errorf("neighbor(%d,%s)=%d, back=%d", id, d, nb, got)
+	// Every slot and direction of the 72×18 shell and of a small odd one:
+	// a neighbour is never the slot itself, and the opposite direction
+	// returns home, seams included.
+	for _, grid := range []*Grid{g, NewGrid(small, StarlinkTable1())} {
+		for i := 0; i < grid.Constellation().NumSlots(); i++ {
+			id := orbit.SatID(i)
+			for _, d := range Directions {
+				nb := grid.Neighbor(id, d)
+				if nb == id {
+					t.Fatalf("%d slots: neighbor(%d,%s) = self", grid.Constellation().NumSlots(), id, d)
+				}
+				if back := grid.Neighbor(nb, d.Opposite()); back != id {
+					t.Fatalf("%d slots: neighbor(%d,%s)=%d, back=%d",
+						grid.Constellation().NumSlots(), id, d, nb, back)
+				}
 			}
 		}
 	}

@@ -9,8 +9,8 @@
 # the CI output itself.
 #
 #   phase 1 (static):  gofmt, go vet, starcdn-lint, starcdn-lint -waivers
-#   phase 2 (build):   go build (release), go build (starcdn_debug)
-#   phase 3 (test):    go test -race, go test -tags starcdn_debug
+#   phase 2 (build):   go build
+#   phase 3 (test):    go test -race
 #   phase 4 (smoke):   chaos pass, obs smoke, bench smoke
 #   phase 5 (perf):    starcdn-bench regression gate (the hard allocs/op
 #                      budgets — the tree's single allocation gate)
@@ -44,17 +44,13 @@ step_lint() { go run ./cmd/starcdn-lint ./...; }
 # suppress something; stale waivers fail the gate (DESIGN.md §7).
 step_waivers() { go run ./cmd/starcdn-lint -waivers ./...; }
 
-step_build_release() { go build ./...; }
-
-step_build_debug() { go build -tags starcdn_debug ./...; }
+step_build() { go build ./...; }
 
 step_test_race() { go test -race ./...; }
 
-step_test_debug() { go test -tags starcdn_debug ./...; }
-
 # Seeded fault schedules + injected network faults through the TCP
-# replayer and the overload-control smoke, race detector and debug
-# invariants both armed (DESIGN.md §8). The test list is `make chaos`'s.
+# replayer and the overload-control smoke, under the race detector
+# (DESIGN.md §8). The test list is `make chaos`'s.
 step_chaos() { make -s chaos; }
 
 # Live /metrics + /healthz + pprof scrape during a TCP replay, then span
@@ -127,22 +123,18 @@ reap lint "starcdn-lint ./..."
 reap waivers "starcdn-lint -waivers ./... (waiver audit)"
 gate static
 
-spawn brel step_build_release
-spawn bdbg step_build_debug
-reap brel "go build ./..."
-reap bdbg "go build -tags starcdn_debug ./..."
+spawn build step_build
+reap build "go build ./..."
 gate build
 
 spawn trace step_test_race
-spawn tdbg step_test_debug
 reap trace "go test -race ./..."
-reap tdbg "go test -tags starcdn_debug ./..."
 gate test
 
 spawn chaos step_chaos
 spawn obs step_obs
 spawn bench step_bench
-reap chaos "chaos pass (-race -tags starcdn_debug)"
+reap chaos "chaos pass (-race)"
 reap obs "obs smoke (metrics endpoint + span tracing)"
 reap bench "bench smoke (-bench=. -benchtime=1x)"
 gate smoke

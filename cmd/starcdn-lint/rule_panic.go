@@ -9,7 +9,7 @@ import (
 // rulePanicFree forbids panic() in library code. A panic inside internal/
 // takes down a whole replay or the multi-process replayer cluster instead
 // of failing one request; library code must return errors. Exemptions:
-// cmd/ and examples/ binaries (panic == crash-on-startup is acceptable),
+// cmd/ binaries (panic == crash-on-startup is acceptable),
 // functions following the Must* convention (panic-on-error wrappers for
 // constant arguments, like regexp.MustCompile), and test files (which the
 // loader already skips). The builtin is recognised through type
@@ -19,10 +19,7 @@ type rulePanicFree struct{}
 func (rulePanicFree) Name() string { return "panicfree" }
 
 func (rulePanicFree) Applies(relPath string) bool {
-	if strings.HasPrefix(relPath, "cmd/") || strings.HasPrefix(relPath, "examples/") {
-		return false
-	}
-	return true
+	return !strings.HasPrefix(relPath, "cmd/")
 }
 
 func (r rulePanicFree) Check(tree *Tree, pkg *Package) []Diagnostic {

@@ -174,8 +174,11 @@ func TestReconstructShellFiltersOtherShells(t *testing.T) {
 	if got.NumActive() != 100 {
 		t.Errorf("active = %d, want 100", got.NumActive())
 	}
-	// All sets filtered => error.
+	// All sets filtered, or none given => error.
 	if _, err := ReconstructShell([]TLE{polar}, DefaultStarlinkShell()); err == nil {
 		t.Error("all-foreign feed accepted")
+	}
+	if _, err := ReconstructShell(nil, DefaultStarlinkShell()); err == nil {
+		t.Error("empty feed accepted")
 	}
 }

@@ -9,17 +9,27 @@ func TestNewSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Constellation.NumSlots() != 1296 {
-		t.Errorf("slots = %d", sys.Constellation.NumSlots())
+	if sys.constellation.NumSlots() != 1296 {
+		t.Errorf("slots = %d", sys.constellation.NumSlots())
 	}
-	if sys.Hash.Buckets() != 4 {
-		t.Errorf("buckets = %d", sys.Hash.Buckets())
+	if sys.hash.Buckets() != 4 {
+		t.Errorf("buckets = %d", sys.hash.Buckets())
 	}
 	if len(sys.Cities) != 9 {
 		t.Errorf("cities = %d", len(sys.Cities))
 	}
-	if len(sys.UserPoints()) != 9 {
-		t.Errorf("user points = %d", len(sys.UserPoints()))
+	if len(sys.userPoints()) != 9 {
+		t.Errorf("user points = %d", len(sys.userPoints()))
+	}
+	// A trace over other locations than the system's cities is rejected.
+	cls := VideoClass()
+	cls.NumObjects = 100
+	tr, err := GenerateWorkload(cls, sys.Cities[:3], 1, 100, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Simulate(tr, sys.StarCDN(CacheConfig{Kind: LRU, Bytes: 1 << 20}), SimConfig{}); err == nil {
+		t.Error("location/city mismatch should fail")
 	}
 }
 
@@ -28,162 +38,19 @@ func TestNewSystemOutageAndBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Constellation.NumActive() != 1170 {
-		t.Errorf("active = %d, want 1170", sys.Constellation.NumActive())
+	if sys.constellation.NumActive() != 1170 {
+		t.Errorf("active = %d, want 1170", sys.constellation.NumActive())
 	}
-	if sys.Hash.Buckets() != 9 {
-		t.Errorf("buckets = %d", sys.Hash.Buckets())
+	if sys.hash.Buckets() != 9 {
+		t.Errorf("buckets = %d", sys.hash.Buckets())
 	}
 	if _, err := NewSystem(SystemOptions{Buckets: 5}); err == nil {
 		t.Error("non-square bucket count should fail")
 	}
 }
 
-func TestEndToEndPipeline(t *testing.T) {
-	sys, err := NewSystem(SystemOptions{Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := VideoClass()
-	cls.NumObjects = 2000
-	cls.SizeSigma = 0.5
-	cls.MaxSizeBytes = 4 << 20
-	prod, err := GenerateWorkload(cls, sys.Cities, 42, 12000, 1800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := FitModels(prod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := GenerateSynthetic(models, 7, 12000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if syn.Len() != 12000 {
-		t.Fatalf("synthetic length = %d", syn.Len())
-	}
-	cacheCfg := CacheConfig{Kind: LRU, Bytes: 64 << 20}
-	m, err := sys.Simulate(syn, sys.StarCDN(cacheCfg), SimConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Meter.Requests != int64(syn.Len()) {
-		t.Errorf("requests = %d", m.Meter.Requests)
-	}
-	if m.Meter.RequestHitRate() <= 0 {
-		t.Error("zero hit rate through public API")
-	}
-	// Baselines construct and run.
-	if _, err := sys.Simulate(syn, sys.NaiveLRU(cacheCfg), SimConfig{Seed: 1}); err != nil {
-		t.Errorf("naive LRU: %v", err)
-	}
-	if _, err := sys.Simulate(syn, sys.StaticCache(cacheCfg), SimConfig{Seed: 1}); err != nil {
-		t.Errorf("static: %v", err)
-	}
-	if _, err := sys.Simulate(syn, sys.StarCDNVariant(cacheCfg, StarCDNOptions{Hashing: true}), SimConfig{Seed: 1}); err != nil {
-		t.Errorf("variant: %v", err)
-	}
-	// Mismatched city count is rejected.
-	sys2, _ := NewSystem(SystemOptions{Cities: ExtendedCities()})
-	if _, err := sys2.Simulate(syn, sys2.StarCDN(cacheCfg), SimConfig{}); err == nil {
-		t.Error("location/city mismatch should fail")
-	}
-}
-
-func TestGroundEdgeAndTLEFacade(t *testing.T) {
-	sys, err := NewSystem(SystemOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, err := sys.GroundEdge(CacheConfig{Kind: LRU, Bytes: 64 << 20}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ge.Name() != "ground-edge" {
-		t.Errorf("name = %s", ge.Name())
-	}
-	cls := VideoClass()
-	cls.NumObjects = 1000
-	tr, err := GenerateWorkload(cls, sys.Cities, 1, 5000, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sys.Simulate(tr, ge, SimConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ground-edge hits still consume the uplink (§7).
-	if m.UplinkFraction() < 0.99 {
-		t.Errorf("ground-edge uplink fraction = %v, want ~1", m.UplinkFraction())
-	}
-	if m.Meter.RequestHitRate() <= 0 {
-		t.Error("ground-edge never hit")
-	}
-
-	// TLE round trip through the facade.
-	tles := sys.Constellation.SyntheticTLEs(26, 1)
-	sys2, err := FromTLESet(tles, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys2.Constellation.NumActive() != sys.Constellation.NumActive() {
-		t.Errorf("TLE reconstruction active = %d, want %d",
-			sys2.Constellation.NumActive(), sys.Constellation.NumActive())
-	}
-	if sys2.Hash.Buckets() != 9 {
-		t.Errorf("buckets = %d", sys2.Hash.Buckets())
-	}
-	if _, err := FromTLESet(nil, 4); err == nil {
-		t.Error("empty TLE set should fail")
-	}
-}
-
 func TestTrafficClassConstructors(t *testing.T) {
-	for _, c := range []TrafficClass{VideoClass(), WebClass(), DownloadClass()} {
-		if c.NumObjects <= 0 || c.Name == "" {
-			t.Errorf("bad class: %+v", c.Name)
-		}
-	}
-}
-
-func TestFacadeExtensions(t *testing.T) {
-	sys, err := NewSystem(SystemOptions{Buckets: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mixed workload through the facade.
-	mixes := DefaultWorkloadMix()
-	for i := range mixes {
-		mixes[i].Class.NumObjects = 1000
-	}
-	tr, err := GenerateMixedWorkload(mixes, sys.Cities, 3, 9000, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() < 8000 {
-		t.Fatalf("mixed trace too short: %d", tr.Len())
-	}
-	if k := ClassOfObject(tr.Requests[0].Object); k < 0 || k > 2 {
-		t.Errorf("class index = %d", k)
-	}
-	// Sampling through the facade.
-	sampled, err := SampleTrace(tr, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.Len() == 0 || sampled.Len() >= tr.Len() {
-		t.Errorf("sampled %d of %d", sampled.Len(), tr.Len())
-	}
-	// Session simulation through the facade.
-	st, err := sys.SimulateSessions(SessionBucketAnchor, 1<<20, 1800, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Epochs == 0 {
-		t.Error("no epochs simulated")
-	}
-	if st.Strategy != SessionBucketAnchor {
-		t.Errorf("strategy = %v", st.Strategy)
+	if c := VideoClass(); c.NumObjects <= 0 || c.Name == "" {
+		t.Errorf("bad class: %+v", c.Name)
 	}
 }

@@ -4,8 +4,12 @@
 //
 // Objects are hashed into L buckets (L a perfect square). The buckets are
 // tiled over the ISL grid in a repeating √L × √L pattern: the satellite at
-// (plane, slot) owns bucket (plane mod √L)*√L + (slot mod √L). Any bucket is
-// therefore reachable from any first-contact satellite within 2⌊√L/2⌋ hops.
+// (plane, slot) owns bucket (plane mod √L)*√L + (slot mod √L). Where √L
+// divides both ring sizes, any bucket is therefore reachable from any
+// first-contact satellite within 2⌊√L/2⌋ hops. Where it does not, the tile
+// pattern breaks at the seam and the routed owner can lie further away: on the
+// 72×18 Starlink shell the worst route is 5 hops at L = 16 and 8 at L = 25,
+// against a bound of 4.
 // On a cache miss, the bucket's home satellite may relay the request to its
 // nearest same-bucket inter-orbit neighbours — √L planes east or west —
 // whose ground tracks retrace the home satellite's footprint, letting cached
@@ -29,6 +33,13 @@ type HashScheme struct {
 	grid *topo.Grid
 	l    int
 	root int
+	// near[first*l+b] is the nearest owner of bucket b seen from first, and
+	// relay[sat] holds sat's west and east relay neighbour slots. Both are pure
+	// functions of the grid and L, filled once at construction; satellite
+	// health is read at lookup time, so kills, revivals and outage masks
+	// applied later are seen exactly as before.
+	near  []orbit.SatID
+	relay [][2]orbit.SatID
 }
 
 // NewHashScheme builds a scheme with l buckets over the grid. l must be a
@@ -49,7 +60,25 @@ func NewHashScheme(g *topo.Grid, l int) (*HashScheme, error) {
 		return nil, fmt.Errorf("core: %d buckets need a %dx%d tile but the grid is %dx%d",
 			l, root, root, cfg.Planes, cfg.SatsPerPlane)
 	}
-	return &HashScheme{grid: g, l: l, root: root}, nil
+	return newScheme(g, l, root), nil
+}
+
+// newScheme builds the scheme and fills its owner and relay tables.
+func newScheme(g *topo.Grid, l, root int) *HashScheme {
+	h := &HashScheme{grid: g, l: l, root: root}
+	c := g.Constellation()
+	n := c.NumSlots()
+	h.near = make([]orbit.SatID, n*l)
+	h.relay = make([][2]orbit.SatID, n)
+	for i := 0; i < n; i++ {
+		first := orbit.SatID(i)
+		for b := 0; b < l; b++ {
+			h.near[i*l+b] = h.searchOwner(first, BucketID(b))
+		}
+		plane, slot := c.PlaneSlot(first)
+		h.relay[i] = [2]orbit.SatID{c.SatAt(plane-root, slot), c.SatAt(plane+root, slot)}
+	}
+	return h
 }
 
 // OneBucket is the scheme at L = 1 — the paper's no-hashing ablation as a
@@ -59,7 +88,7 @@ func NewHashScheme(g *topo.Grid, l int) (*HashScheme, error) {
 // §3.4 liveness rule (ServingOwner, Remap), which the first contact now
 // passes through like any other owner.
 func OneBucket(g *topo.Grid) *HashScheme {
-	return &HashScheme{grid: g, l: 1, root: 1}
+	return newScheme(g, 1, 1)
 }
 
 // Buckets returns L, the number of buckets.
@@ -87,11 +116,23 @@ func (h *HashScheme) BucketAt(id orbit.SatID) BucketID {
 	return BucketID((plane%h.root)*h.root + slot%h.root)
 }
 
-// NearestOwner returns the satellite slot owning bucket b that is closest in
-// grid hops to the first-contact satellite, ignoring satellite health (see
-// Responsible for the §3.4 remap). Ties prefer fewer plane hops, then the
-// eastern/northern candidate, so routing is deterministic.
+// NearestOwner returns the satellite slot that owns bucket b for requests
+// arriving at the first-contact satellite, ignoring satellite health (see
+// ServingOwner for the §3.4 remap). It is a table lookup; searchOwner filled
+// the table.
 func (h *HashScheme) NearestOwner(first orbit.SatID, b BucketID) orbit.SatID {
+	return h.near[int(first)*h.l+int(b)]
+}
+
+// searchOwner finds the owner of bucket b nearest to first by residue
+// arithmetic. Where √L divides both ring sizes it is the owner closest in grid
+// hops, ties preferring the eastern, then the northern candidate. At a seam it
+// keeps the nearest of its residue candidates that truly owns b and falls back
+// to a ring search only when none does, so the owner it returns can be further
+// than the nearest one and the tie rule need not hold (on the 72×18 shell: 896
+// of 32,400 pairs at L = 25 are not nearest, and 576 pairs at L = 16 break the
+// tie rule).
+func (h *HashScheme) searchOwner(first orbit.SatID, b BucketID) orbit.SatID {
 	c := h.grid.Constellation()
 	plane, slot := c.PlaneSlot(first)
 	cfg := c.Config()
@@ -257,17 +298,16 @@ func appendUniqueBucket(list []BucketID, b BucketID) []BucketID {
 // in the given east/west direction: √L planes away at the same slot. ok is
 // false if the direction is not East/West or the neighbour slot is dead.
 func (h *HashScheme) RelayNeighbor(sat orbit.SatID, d topo.Direction) (orbit.SatID, bool) {
-	if d != topo.East && d != topo.West {
+	var nb orbit.SatID
+	switch d {
+	case topo.West:
+		nb = h.relay[sat][0]
+	case topo.East:
+		nb = h.relay[sat][1]
+	default:
 		return sat, false
 	}
-	c := h.grid.Constellation()
-	plane, slot := c.PlaneSlot(sat)
-	step := h.root
-	if d == topo.West {
-		step = -h.root
-	}
-	nb := c.SatAt(plane+step, slot)
-	if nb == sat || !c.Active(nb) {
+	if nb == sat || !h.grid.Constellation().Active(nb) {
 		return nb, false
 	}
 	return nb, true

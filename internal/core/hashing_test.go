@@ -19,13 +19,30 @@ func testGrid(t *testing.T) *topo.Grid {
 	return topo.NewGrid(c, topo.StarlinkTable1())
 }
 
-func scheme(t *testing.T, l int) *HashScheme {
+// oddGrid is a 7×5 shell: no tile edge above 1 divides either ring, so every
+// L > 1 has seams on both axes.
+func oddGrid(t *testing.T) *topo.Grid {
 	t.Helper()
-	h, err := NewHashScheme(testGrid(t), l)
+	c, err := orbit.New(orbit.Config{Planes: 7, SatsPerPlane: 5,
+		InclinationDeg: 53, AltitudeKm: 550, MinElevDeg: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo.NewGrid(c, topo.StarlinkTable1())
+}
+
+func schemeOn(t *testing.T, g *topo.Grid, l int) *HashScheme {
+	t.Helper()
+	h, err := NewHashScheme(g, l)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return h
+}
+
+func scheme(t *testing.T, l int) *HashScheme {
+	t.Helper()
+	return schemeOn(t, testGrid(t), l)
 }
 
 func TestNewHashSchemeValidation(t *testing.T) {
@@ -139,23 +156,6 @@ func TestNearestOwnerWithinBound(t *testing.T) {
 			id := orbit.SatID(i)
 			if h.NearestOwner(id, h.BucketAt(id)) != id {
 				t.Errorf("L=%d: sat %d should own its own bucket", l, id)
-			}
-		}
-	}
-}
-
-func TestNearestOwnerSeam(t *testing.T) {
-	// L=16 on an 18-slot plane: 18 mod 4 != 0, so the slot axis has a seam.
-	// NearestOwner must still return true owners.
-	h := scheme(t, 16)
-	c := h.Grid().Constellation()
-	for i := 0; i < c.NumSlots(); i += 11 {
-		first := orbit.SatID(i)
-		for b := BucketID(0); int(b) < 16; b++ {
-			owner := h.NearestOwner(first, b)
-			if h.BucketAt(owner) != b {
-				t.Fatalf("seam: owner of bucket %d has bucket %d (first=%d)",
-					b, h.BucketAt(owner), first)
 			}
 		}
 	}
@@ -286,12 +286,7 @@ func TestRelayNeighbor(t *testing.T) {
 // plane away — on the Starlink shell and on a shell whose rings no tile edge
 // above 1 divides.
 func TestOneBucketIsFirstContactPlacement(t *testing.T) {
-	odd, err := orbit.New(orbit.Config{Planes: 7, SatsPerPlane: 5,
-		InclinationDeg: 53, AltitudeKm: 550, MinElevDeg: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*topo.Grid{testGrid(t), topo.NewGrid(odd, topo.StarlinkTable1())} {
+	for _, g := range []*topo.Grid{testGrid(t), oddGrid(t)} {
 		h := OneBucket(g)
 		c := g.Constellation()
 		if h.Buckets() != 1 || h.RelayHops() != 1 {

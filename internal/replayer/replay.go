@@ -294,9 +294,11 @@ func (rp *replay) plan(i int) (planned, error) {
 	if !p.route.Contact {
 		return p, nil
 	}
-	for i, d := range [2]topo.Direction{topo.West, topo.East} {
-		if nb, ok := rp.ladder.Hash.RelayNeighbor(p.route.Home, d); ok && rp.ladder.Relay {
-			p.relay[i] = nb
+	if rp.ladder.Relay {
+		for i, d := range [2]topo.Direction{topo.West, topo.East} {
+			if nb, ok := rp.ladder.Hash.RelayNeighbor(p.route.Home, d); ok {
+				p.relay[i] = nb
+			}
 		}
 	}
 	var err error

@@ -40,7 +40,7 @@ type LatencyModel struct {
 // paper's motivation that uplink contention degrades bent-pipe users
 // ("Starlink has started to pause new subscriptions in areas of high
 // demand", §3): schemes that fetch everything from the ground suffer first.
-func (m LatencyModel) QueueingDelayMs(utilization float64) float64 {
+func (m *LatencyModel) QueueingDelayMs(utilization float64) float64 {
 	if utilization <= 0 {
 		return 0
 	}
@@ -69,36 +69,36 @@ func DefaultLatencyModel() LatencyModel {
 }
 
 // AccessDelayMs samples one user-link traversal's scheduling delay.
-func (m LatencyModel) AccessDelayMs(rng *rand.Rand) float64 {
+func (m *LatencyModel) AccessDelayMs(rng *rand.Rand) float64 {
 	return m.AccessMinMs + rng.Float64()*(m.AccessMaxMs-m.AccessMinMs)
 }
 
 // UserLinkRTTMs samples the full user<->satellite round trip: propagation
 // both ways plus a scheduling delay per traversal.
-func (m LatencyModel) UserLinkRTTMs(propagationOneWayMs float64, rng *rand.Rand) float64 {
+func (m *LatencyModel) UserLinkRTTMs(propagationOneWayMs float64, rng *rand.Rand) float64 {
 	return 2*propagationOneWayMs + m.AccessDelayMs(rng) + m.AccessDelayMs(rng)
 }
 
 // OriginRTTMs samples the ground-station-to-origin round trip.
-func (m LatencyModel) OriginRTTMs(rng *rand.Rand) float64 {
+func (m *LatencyModel) OriginRTTMs(rng *rand.Rand) float64 {
 	return m.OriginRTTMedianMs * math.Exp(m.OriginRTTSigma*rng.NormFloat64())
 }
 
 // TerrestrialRTTMs samples the terrestrial-CDN baseline round trip.
-func (m LatencyModel) TerrestrialRTTMs(rng *rand.Rand) float64 {
+func (m *LatencyModel) TerrestrialRTTMs(rng *rand.Rand) float64 {
 	return m.TerrestrialRTTMedianMs * math.Exp(m.TerrestrialRTTSigma*rng.NormFloat64())
 }
 
 // GroundFetchRTTMs samples the extra round trip of a cache miss that must be
 // served from the ground: satellite->ground-station both ways plus the
 // terrestrial origin round trip.
-func (m LatencyModel) GroundFetchRTTMs(rng *rand.Rand) float64 {
+func (m *LatencyModel) GroundFetchRTTMs(rng *rand.Rand) float64 {
 	return m.Links.GSL.Sample(rng) + m.Links.GSL.Sample(rng) + m.OriginRTTMs(rng)
 }
 
 // ISLPathRTTMs samples the round trip over planeHops inter-orbit and
 // slotHops intra-orbit hops (each direction sampled independently).
-func (m LatencyModel) ISLPathRTTMs(planeHops, slotHops int, rng *rand.Rand) float64 {
+func (m *LatencyModel) ISLPathRTTMs(planeHops, slotHops int, rng *rand.Rand) float64 {
 	total := 0.0
 	for i := 0; i < 2*planeHops; i++ {
 		total += m.Links.InterOrbitISL.Sample(rng)

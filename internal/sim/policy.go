@@ -302,7 +302,7 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 		p.prefetch.maybePrefetch(p, home, req.TimeSec)
 	}
 	// Content served away from the first contact rides the ISLs back.
-	routeHops := p.hash.Grid().TotalHops(ctx.First, home)
+	routeHops := ph + sh
 	out := Outcome{ServerSat: home, SpaceMs: routeMs, ISLBytes: req.Size * int64(routeHops)}
 	ctx.Span.AddHop(obs.Hop{Kind: "owner", Sat: int(home),
 		ISLHops: routeHops, SimMs: routeMs})

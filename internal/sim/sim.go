@@ -136,6 +136,9 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	metrics := NewMetrics(cfg.CollectLatency, cfg.CollectPerSat)
+	if metrics.Latency != nil {
+		metrics.Latency.Grow(len(tr.Requests)) // one sample per request
+	}
 	if cfg.CollectPerLocation {
 		metrics.PerLocation = make(map[int]*cache.Meter)
 	}

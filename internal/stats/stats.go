@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -75,6 +76,10 @@ func (c *CDF) Add(x float64) {
 	c.xs = append(c.xs, x)
 	c.sorted = false
 }
+
+// Grow reserves room for n more samples, so a caller that knows its sample
+// count pays one allocation instead of repeated doubling.
+func (c *CDF) Grow(n int) { c.xs = slices.Grow(c.xs, n) }
 
 // AddN appends a sample n times (useful for weighted series).
 func (c *CDF) AddN(x float64, n int) {

@@ -85,6 +85,26 @@ func TestCDFQuantiles(t *testing.T) {
 	}
 }
 
+func TestCDFGrow(t *testing.T) {
+	var grown, plain CDF
+	grown.Add(3)
+	plain.Add(3)
+	grown.Grow(1000)
+	reserved := cap(grown.xs)
+	for i := 0; i < 1000; i++ {
+		grown.Add(float64(i % 7))
+		plain.Add(float64(i % 7))
+	}
+	if reserved < 1001 || cap(grown.xs) != reserved {
+		t.Errorf("Grow(1000) on one sample reserved %d, and the adds moved it to %d", reserved, cap(grown.xs))
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+		if grown.Quantile(q) != plain.Quantile(q) {
+			t.Errorf("q%v: grown %v, plain %v", q, grown.Quantile(q), plain.Quantile(q))
+		}
+	}
+}
+
 func TestCDFQuantileMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var c CDF

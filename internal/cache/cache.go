@@ -21,6 +21,8 @@ type ObjectID uint64
 // capacity and can therefore never be cached.
 var ErrTooLarge = errors.New("cache: object larger than capacity")
 
+var errInvalidSize = errors.New("cache: object size must be positive")
+
 // Policy is a byte-capacity cache with a pluggable eviction policy.
 //
 // Get performs a lookup that updates the policy's recency/frequency state.
@@ -66,14 +68,8 @@ func New(kind Kind, capacity int64) (Policy, error) {
 		return nil, fmt.Errorf("cache: capacity must be positive, got %d", capacity)
 	}
 	switch kind {
-	case LRU:
-		return newLRU(capacity), nil
-	case LFU:
-		return newLFU(capacity), nil
-	case FIFO:
-		return newFIFO(capacity), nil
-	case SIEVE:
-		return newSieve(capacity), nil
+	case LRU, LFU, FIFO, SIEVE:
+		return newStore(kind, capacity), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown policy kind %q", kind)
 	}

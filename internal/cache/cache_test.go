@@ -280,3 +280,29 @@ func mustAdmit(t *testing.T, p Policy, id ObjectID, size int64) {
 		t.Fatalf("admit %d: %v", id, err)
 	}
 }
+
+// TestPolicySteadyStateAllocs requires a full cache to serve a Get hit, a
+// Contains miss and an Admit that evicts without allocating: once the cache
+// has filled, its nodes, index and LFU frequency records are all recycled.
+func TestPolicySteadyStateAllocs(t *testing.T) {
+	const capacity = 1 << 10
+	for _, k := range allKinds {
+		p := MustNew(k, capacity)
+		for id := ObjectID(0); id < capacity; id++ {
+			mustAdmit(t, p, id, 1)
+		}
+		next, wrong := ObjectID(capacity), 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if !p.Get(next-1) || p.Contains(1<<40) || p.Admit(next, 1) != nil {
+				wrong++
+			}
+			next++
+		})
+		if wrong != 0 || p.Len() != capacity {
+			t.Errorf("%s: %d wrong answers, len %d", k, wrong, p.Len())
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per Get hit, Contains miss and evicting Admit, want 0", k, allocs)
+		}
+	}
+}

@@ -209,69 +209,134 @@ func drawSize(rng *rand.Rand, capacity int64) int64 {
 	}
 }
 
+// drawSmallSize keeps hundreds of objects resident: mostly 1 to 16 bytes,
+// and rarely up to the whole capacity (evicting much of the cache at once),
+// too large, or not positive.
+func drawSmallSize(rng *rand.Rand, capacity int64) int64 {
+	switch r := rng.Intn(400); {
+	case r == 0:
+		return -rng.Int63n(2)
+	case r == 1:
+		return capacity + 1 + rng.Int63n(capacity)
+	case r == 2:
+		return 1 + rng.Int63n(capacity)
+	default:
+		return 1 + rng.Int63n(16)
+	}
+}
+
+// modelSpace is one ID space of the model check and the caches it drives.
+type modelSpace struct {
+	ids        []ObjectID
+	ops        int
+	seeds      int64
+	capacities []int64
+	size       func(*rand.Rand, int64) int64
+}
+
+// modelSpaces are the ID spaces the model check draws from. Over 12 IDs
+// objects are re-admitted, resized, removed and evicted often. Over 2,048
+// IDs, caches holding hundreds of objects make the index double several
+// times from its 16 slots, and bulk evictions delete from long probe runs.
+func modelSpaces() []modelSpace {
+	return []modelSpace{
+		{ids: seqIDs(12), ops: 2000, seeds: 8, capacities: []int64{1, 10, 64, 257}, size: drawSize},
+		{ids: append(seqIDs(2048-16), wrapIDs(16)...), ops: 6000, seeds: 2,
+			capacities: []int64{1500, 6000}, size: drawSmallSize},
+	}
+}
+
+func seqIDs(n int) []ObjectID {
+	ids := make([]ObjectID, n)
+	for i := range ids {
+		ids[i] = ObjectID(i)
+	}
+	return ids
+}
+
+// wrapIDs returns n IDs, above any seqIDs, whose home is the last slot of
+// every index table up to 4,096 slots: their probe runs wrap around the
+// table's end, so deleting one shifts another back across it.
+func wrapIDs(n int) []ObjectID {
+	var ids []ObjectID
+	for id := uint64(1 << 32); len(ids) < n; id++ {
+		if id*golden64>>(64-12) == 1<<12-1 {
+			ids = append(ids, ObjectID(id))
+		}
+	}
+	return ids
+}
+
 // TestPolicyModelCheck drives every policy and its reference model with the
-// same seeded random Get/Admit/Contains/Remove/SizeOf sequence over a small
-// ID space, so objects are re-admitted, resized, removed and evicted often,
-// and after every op requires identical return values, Len, UsedBytes and
-// full policy order (Recent(Len())). Eviction order is thereby checked
-// exactly, including SIEVE's hand and visited bits, which show up in which
-// object goes next. UsedBytes must also equal the sum of the resident sizes
-// and never exceed the capacity.
+// same seeded random Get/Admit/Contains/Remove/SizeOf sequence over each of
+// modelSpaces, and after every op requires identical return values, Len,
+// UsedBytes and full policy order (Recent(Len())). Eviction order is thereby
+// checked exactly, including SIEVE's hand and visited bits, which show up in
+// which object goes next. UsedBytes must also equal the sum of the resident
+// sizes and never exceed the capacity.
 func TestPolicyModelCheck(t *testing.T) {
-	const ids, ops = 12, 2000
 	for _, kind := range allKinds {
 		t.Run(string(kind), func(t *testing.T) {
-			for _, capacity := range []int64{1, 10, 64, 257} {
-				for seed := int64(1); seed <= 8; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					p, m := MustNew(kind, capacity), &refCache{kind: kind, capacity: capacity}
-					for op := 0; op < ops; op++ {
-						id := ObjectID(rng.Intn(ids))
-						var call string
-						var got, want opResult
-						switch r := rng.Intn(10); {
-						case r < 3:
-							call = fmt.Sprintf("Get(%d)", id)
-							got.ok, want.ok = p.Get(id), m.Get(id)
-						case r < 7:
-							size := drawSize(rng, capacity)
-							call = fmt.Sprintf("Admit(%d, %d)", id, size)
-							got.err, want.err = p.Admit(id, size), m.Admit(id, size)
-						case r < 8:
-							call = fmt.Sprintf("Contains(%d)", id)
-							got.ok, want.ok = p.Contains(id), m.Contains(id)
-						case r < 9:
-							call = fmt.Sprintf("Remove(%d)", id)
-							got.ok, want.ok = p.Remove(id), m.Remove(id)
-						default:
-							call = fmt.Sprintf("SizeOf(%d)", id)
-							got.size, got.ok = p.SizeOf(id)
-							want.size, want.ok = m.SizeOf(id)
-						}
-						where := fmt.Sprintf("capacity %d seed %d op %d %s", capacity, seed, op, call)
-						if got != want {
-							t.Fatalf("%s: returned %+v, model %+v", where, got, want)
-						}
-						if p.Len() != len(m.order) || p.UsedBytes() != m.used {
-							t.Fatalf("%s: len %d used %d, model len %d used %d",
-								where, p.Len(), p.UsedBytes(), len(m.order), m.used)
-						}
-						order := p.(Recents).Recent(p.Len())
-						if !slices.Equal(order, m.recent()) {
-							t.Fatalf("%s: order %v, model %v", where, order, m.recent())
-						}
-						var sum int64
-						for _, resident := range order {
-							size, _ := p.SizeOf(resident)
-							sum += size
-						}
-						if sum != p.UsedBytes() || p.UsedBytes() > capacity {
-							t.Fatalf("%s: used %d, resident sizes sum to %d, capacity %d",
-								where, p.UsedBytes(), sum, capacity)
-						}
+			t.Parallel()
+			for _, space := range modelSpaces() {
+				for _, capacity := range space.capacities {
+					for seed := int64(1); seed <= space.seeds; seed++ {
+						modelCheck(t, kind, space, capacity, seed)
 					}
 				}
 			}
 		})
+	}
+}
+
+// modelCheck runs one seeded sequence of TestPolicyModelCheck.
+func modelCheck(t *testing.T, kind Kind, space modelSpace, capacity, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	p, m := MustNew(kind, capacity), &refCache{kind: kind, capacity: capacity}
+	for op := 0; op < space.ops; op++ {
+		id := space.ids[rng.Intn(len(space.ids))]
+		var call string
+		var got, want opResult
+		switch r := rng.Intn(10); {
+		case r < 3:
+			call = fmt.Sprintf("Get(%d)", id)
+			got.ok, want.ok = p.Get(id), m.Get(id)
+		case r < 7:
+			size := space.size(rng, capacity)
+			call = fmt.Sprintf("Admit(%d, %d)", id, size)
+			got.err, want.err = p.Admit(id, size), m.Admit(id, size)
+		case r < 8:
+			call = fmt.Sprintf("Contains(%d)", id)
+			got.ok, want.ok = p.Contains(id), m.Contains(id)
+		case r < 9:
+			call = fmt.Sprintf("Remove(%d)", id)
+			got.ok, want.ok = p.Remove(id), m.Remove(id)
+		default:
+			call = fmt.Sprintf("SizeOf(%d)", id)
+			got.size, got.ok = p.SizeOf(id)
+			want.size, want.ok = m.SizeOf(id)
+		}
+		where := fmt.Sprintf("%d ids capacity %d seed %d op %d %s", len(space.ids), capacity, seed, op, call)
+		if got != want {
+			t.Fatalf("%s: returned %+v, model %+v", where, got, want)
+		}
+		if p.Len() != len(m.order) || p.UsedBytes() != m.used {
+			t.Fatalf("%s: len %d used %d, model len %d used %d",
+				where, p.Len(), p.UsedBytes(), len(m.order), m.used)
+		}
+		order := p.(Recents).Recent(p.Len())
+		if !slices.Equal(order, m.recent()) {
+			t.Fatalf("%s: order %v, model %v", where, order, m.recent())
+		}
+		var sum int64
+		for _, resident := range order {
+			size, _ := p.SizeOf(resident)
+			sum += size
+		}
+		if sum != p.UsedBytes() || p.UsedBytes() > capacity {
+			t.Fatalf("%s: used %d, resident sizes sum to %d, capacity %d",
+				where, p.UsedBytes(), sum, capacity)
+		}
 	}
 }

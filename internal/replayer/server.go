@@ -266,14 +266,17 @@ func (s *Server) serveOne(w io.Writer, buf *[frameSize]byte, m message, sc *obs.
 			// Stage ≥ 1: relay probes are refused without touching the
 			// cache — the probe is speculative work this server is shedding.
 			st = StatusShed
-		case !s.cache.Contains(obj):
+		case m.op == OpContains:
 			st = StatusMiss
-		case m.op == OpProbe:
+			if s.cache.Contains(obj) {
+				st = StatusHit
+			}
+		case s.cache.Get(obj):
 			// The touch of serving the copy is a Get hit.
-			s.meter.Record(size, s.cache.Get(obj))
+			s.meter.Record(size, true)
 			st = StatusHit
 		default:
-			st = StatusHit
+			st = StatusMiss
 		}
 	case OpAdmit:
 		switch {

@@ -118,14 +118,13 @@ func (s *satCaches) Fetch(sat orbit.SatID, obj cache.ObjectID, size int64, admit
 	return hit, nil
 }
 
-// Probe implements Fabric.
+// Probe implements Fabric. A touching probe is a Get: it answers the same
+// and touches on a hit.
 func (s *satCaches) Probe(sat orbit.SatID, obj cache.ObjectID, _ int64, _ Source, touch bool) (bool, error) {
-	c := s.at(sat)
-	has := c.Contains(obj)
-	if has && touch {
-		c.Get(obj)
+	if touch {
+		return s.at(sat).Get(obj), nil
 	}
-	return has, nil
+	return s.at(sat).Contains(obj), nil
 }
 
 // admit inserts an object, ignoring the object-larger-than-capacity error

@@ -87,6 +87,7 @@ FUZZTIME ?= 60s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTLE$$' -fuzztime=$(FUZZTIME) ./internal/orbit/
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzSort$$' -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzServerHandle$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/replayer/
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/replayer/
 

@@ -134,8 +134,8 @@ type Metrics struct {
 	// abundant bandwidth (100 Gbps, Table 1), so StarCDN deliberately trades
 	// ISL traffic for uplink savings — this metric quantifies that trade.
 	ISLBytes int64
-	// BySource counts requests per service source.
-	BySource map[Source]int64
+	// BySource counts requests per service source, indexed by Source.
+	BySource [numSources]int64
 	// Latency is the per-request end-to-end round-trip CDF (Fig. 10);
 	// only collected when enabled in the runner config.
 	Latency *stats.CDF
@@ -175,7 +175,7 @@ func (m *Metrics) PeakUplinkGbps() float64 {
 // NewMetrics returns Metrics with optional latency and per-satellite
 // collection.
 func NewMetrics(collectLatency, collectPerSat bool) *Metrics {
-	m := &Metrics{BySource: make(map[Source]int64)}
+	m := &Metrics{}
 	if collectLatency {
 		m.Latency = &stats.CDF{}
 	}

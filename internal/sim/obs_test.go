@@ -96,7 +96,7 @@ func TestRunObsMirrorsMetrics(t *testing.T) {
 		}
 	}
 	for src, n := range m.BySource {
-		key := fmt.Sprintf("{source=%q}", src.String())
+		key := fmt.Sprintf("{source=%q}", Source(src).String())
 		if int64(counts[key]) != n {
 			t.Errorf("requests_total%s = %v, metrics say %d", key, counts[key], n)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -72,7 +73,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	// Run owns these through trace.Validate: the cache admit and the meters
 	// assume positive sizes, and the epoch memos, failure cursor and
-	// congestion windows a forward-only clock.
+	// congestion windows a finite, forward-only clock.
 	for _, bad := range []struct {
 		name string
 		reqs []trace.Request
@@ -81,6 +82,10 @@ func TestRunValidation(t *testing.T) {
 		{"backwards clock", []trace.Request{
 			{TimeSec: 5, Object: 1, Size: 100, Location: 0},
 			{TimeSec: 4, Object: 2, Size: 100, Location: 0}}},
+		{"NaN time", []trace.Request{{TimeSec: math.NaN(), Object: 1, Size: 100, Location: 0}}},
+		{"infinite time", []trace.Request{
+			{TimeSec: 5, Object: 1, Size: 100, Location: 0},
+			{TimeSec: math.Inf(1), Object: 2, Size: 100, Location: 0}}},
 	} {
 		tr := &trace.Trace{Locations: e.tr.Locations, Requests: bad.reqs}
 		if _, err := Run(e.c, e.users, tr, NewNaiveLRU(CacheConfig{Kind: cache.LRU, Bytes: 1 << 20}), cfg); err == nil {

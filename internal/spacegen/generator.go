@@ -90,7 +90,10 @@ func (g *Generator) Generate(totalRequests int) (*trace.Trace, error) {
 		return nil, fmt.Errorf("spacegen: totalRequests must be positive")
 	}
 	n := len(g.caches)
-	tr := &trace.Trace{Locations: append([]string(nil), g.models.GPD.Locations...)}
+	tr := &trace.Trace{
+		Locations: append([]string(nil), g.models.GPD.Locations...),
+		Requests:  make([]trace.Request, 0, totalRequests),
+	}
 	counter := make([]float64, n)
 	emitted := 0
 	for tick := 0; emitted < totalRequests; tick++ {

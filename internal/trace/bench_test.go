@@ -54,3 +54,21 @@ func BenchmarkRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSort sorts a million requests in shuffled time order. An op
+// allocates Sort's scratch buffer and its histogram, nothing else.
+func BenchmarkSort(b *testing.B) {
+	shuffled := benchTrace(1 << 20).Requests
+	rand.New(rand.NewSource(2)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	tr := &Trace{Requests: make([]Request, len(shuffled))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(tr.Requests, shuffled)
+		b.StartTimer()
+		tr.Sort()
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 
 	"starcdn/internal/cache"
 )
@@ -34,18 +34,63 @@ type Trace struct {
 // Append adds a request; callers should keep time monotone or call Sort.
 func (t *Trace) Append(r Request) { t.Requests = append(t.Requests, r) }
 
-// Sort orders requests by time (stable, so same-time requests keep their
-// generation order).
+// Sort orders requests by time, stably, so same-time requests keep their
+// generation order. It is an LSD radix sort on timeKey, 16 bits a pass, in
+// O(n) time with one n-request scratch buffer; a pass whose digit is the
+// same for every request is skipped. The result is in t.Requests' own
+// backing array, so callers holding the slice see it sorted.
 func (t *Trace) Sort() {
-	slices.SortStableFunc(t.Requests, func(a, b Request) int {
-		switch {
-		case a.TimeSec < b.TimeSec:
-			return -1
-		case b.TimeSec < a.TimeSec:
-			return 1
+	src := t.Requests
+	if len(src) < 2 {
+		return
+	}
+	// One histogram per digit, all from one read of the keys. At 2 MiB it
+	// is over the compiler's stack limit, so it is the second allocation.
+	count := new([64 / radixBits][1 << radixBits]int)
+	for i := range src {
+		k := timeKey(src[i].TimeSec)
+		for p := range count {
+			count[p][uint16(k>>(p*radixBits))]++
 		}
-		return 0
-	})
+	}
+	var dst []Request
+	for p := range count {
+		c, shift := &count[p], p*radixBits
+		if c[uint16(timeKey(src[0].TimeSec)>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		if dst == nil {
+			dst = make([]Request, len(src))
+		}
+		for i := range src {
+			d := uint16(timeKey(src[i].TimeSec) >> shift)
+			dst[c[d]] = src[i]
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &t.Requests[0] {
+		copy(t.Requests, src)
+	}
+}
+
+// radixBits is the digit width of Sort's passes.
+const radixBits = 16
+
+// timeKey maps a time to a uint64 whose unsigned order is the order of <:
+// a non-negative value gets its sign bit set, a negative one all its bits
+// flipped. −0 shares +0's key, since < holds between neither.
+func timeKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if x == 0 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // Len returns the number of requests.
@@ -96,11 +141,14 @@ func (t *Trace) SplitByLocation() []*Trace {
 	return out
 }
 
-// Validate checks structural invariants: non-negative monotone time,
-// positive sizes, and in-range location indices.
+// Validate checks structural invariants: finite, non-negative, monotone
+// time, positive sizes, and in-range location indices.
 func (t *Trace) Validate() error {
 	last := -1.0
 	for i, r := range t.Requests {
+		if math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 0) {
+			return fmt.Errorf("trace: request %d has non-finite time %v", i, r.TimeSec)
+		}
 		if r.TimeSec < 0 {
 			return fmt.Errorf("trace: request %d has negative time %v", i, r.TimeSec)
 		}

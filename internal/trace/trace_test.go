@@ -62,6 +62,10 @@ func TestValidate(t *testing.T) {
 		{Locations: []string{"a"}, Requests: []Request{{TimeSec: 0, Object: 1, Size: 0}}},
 		{Locations: []string{"a"}, Requests: []Request{{TimeSec: 0, Object: 1, Size: 1, Location: 1}}},
 		{Locations: nil, Requests: []Request{{TimeSec: 0, Object: 1, Size: 1, Location: 0}}},
+		{Locations: []string{"a"}, Requests: []Request{{TimeSec: math.NaN(), Object: 1, Size: 1}}},
+		{Locations: []string{"a"}, Requests: []Request{{TimeSec: 1, Object: 1, Size: 1}, {TimeSec: math.NaN(), Object: 1, Size: 1}}},
+		{Locations: []string{"a"}, Requests: []Request{{TimeSec: 1, Object: 1, Size: 1}, {TimeSec: math.Inf(1), Object: 1, Size: 1}}},
+		{Locations: []string{"a"}, Requests: []Request{{TimeSec: math.Inf(-1), Object: 1, Size: 1}}},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {

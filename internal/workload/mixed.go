@@ -46,7 +46,8 @@ func GenerateMixed(mixes []Mix, cities []geo.City, seed int64, totalRequests int
 		}
 		shareSum += m.Share
 	}
-	out := &trace.Trace{}
+	subs := make([]*trace.Trace, len(mixes))
+	total := 0
 	for k, m := range mixes {
 		g, err := NewGenerator(m.Class, cities, seed+int64(k)*7919)
 		if err != nil {
@@ -56,9 +57,15 @@ func GenerateMixed(mixes []Mix, cities []geo.City, seed int64, totalRequests int
 		if n == 0 {
 			continue
 		}
-		sub, err := g.Generate(n, durationSec)
-		if err != nil {
+		if subs[k], err = g.Generate(n, durationSec); err != nil {
 			return nil, fmt.Errorf("workload: class %q: %w", m.Class.Name, err)
+		}
+		total += subs[k].Len()
+	}
+	out := &trace.Trace{Requests: make([]trace.Request, 0, total)}
+	for k, sub := range subs {
+		if sub == nil {
+			continue
 		}
 		if len(out.Locations) == 0 {
 			out.Locations = sub.Locations
@@ -68,6 +75,7 @@ func GenerateMixed(mixes []Mix, cities []geo.City, seed int64, totalRequests int
 			r.Object += offset
 			out.Append(r)
 		}
+		subs[k] = nil // copied, so the collector may take it before the next class
 	}
 	out.Sort()
 	return out, nil

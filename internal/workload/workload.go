@@ -327,9 +327,15 @@ func (g *Generator) Generate(totalRequests int, durationSec float64) (*trace.Tra
 	for i, c := range g.cities {
 		tr.Locations[i] = c.Name
 	}
+	perCity := make([]int, len(g.cities))
+	total := 0
+	for loc := range perCity {
+		perCity[loc] = int(math.Round(float64(totalRequests) * g.locWeight[loc]))
+		total += perCity[loc]
+	}
+	tr.Requests = make([]trace.Request, 0, total)
 	amp := g.class.DiurnalAmplitude
-	for loc := range g.cities {
-		n := int(math.Round(float64(totalRequests) * g.locWeight[loc]))
+	for loc, n := range perCity {
 		phase := geo.Radians(g.cities[loc].Point.LonDeg) // solar phase by longitude
 		for k := 0; k < n; k++ {
 			t := g.sampleArrival(durationSec, amp, phase)

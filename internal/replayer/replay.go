@@ -361,7 +361,8 @@ func (rp *replay) commit(r *request, m *cache.Meter) error {
 		// The bucket key is a pure function of the object, so every path —
 		// shed, degraded, served — feeds the bucket top-K.
 		bucket := int(rp.ladder.Hash.BucketOf(r.req.Object))
-		rp.ro.pop.Record(r.req, r.index, r.route.Home, bucket, r.wallMs, r.rt.traceID())
+		rp.ro.pop.Apply([]sim.PopRecord{{Req: r.index, Object: r.req.Object, Size: r.req.Size,
+			LatencyMs: r.wallMs, TraceID: r.rt.traceID(), Sat: r.route.Home, Bucket: bucket}})
 	}
 	m.Record(r.req.Size, src.Hit())
 	if rp.opts.Shedder != nil {

@@ -3,11 +3,16 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
+	"starcdn/internal/trace"
 )
 
 // runTwice replays the same env/policy-config with and without observability
@@ -182,4 +187,130 @@ func TestRunObsFailureCounters(t *testing.T) {
 	if got := reg.Counter("starcdn_sim_failures_total", obs.L("kind", "revive")).Value(); got != 1 {
 		t.Errorf("revives = %d, want 1", got)
 	}
+}
+
+// consumers counts the live goroutines running the telemetry consumer. A
+// consumer that Run has stopped may still be unwinding when Run returns, so
+// a count above zero is re-read for up to a second before it is reported.
+func consumers(t *testing.T) int {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*runObs).consume"))
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// requestsAt returns, for each recorder point of starcdn_sim_requests_total
+// (summed over its source labels), how many requests the run had recorded.
+func requestsAt(t *testing.T, rec *obs.Recorder) []obs.Point {
+	t.Helper()
+	var sum []obs.Point
+	for _, key := range rec.Series() {
+		if !strings.HasPrefix(key, "starcdn_sim_requests_total{") {
+			continue
+		}
+		pts := rec.Window(key, 0)
+		if sum == nil {
+			sum = make([]obs.Point, len(pts))
+		}
+		for i, p := range pts {
+			sum[i].T = p.T
+			sum[i].V += p.V
+		}
+	}
+	return sum
+}
+
+// checkRequestsAt asserts that every recorder point counts exactly the
+// trace requests before its boundary and the sealing point counts them all,
+// over a run that recorded base requests before this trace.
+func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int) {
+	t.Helper()
+	n := len(tr.Requests)
+	if len(pts) < 2 {
+		t.Fatalf("%d recorder points; the run crossed no epoch boundary", len(pts))
+	}
+	for i, p := range pts {
+		want := n
+		if i < len(pts)-1 {
+			want = sort.Search(n, func(j int) bool { return tr.Requests[j].TimeSec >= p.T })
+		}
+		if int(p.V) != base+want {
+			t.Errorf("point %d at t=%v: requests_total = %v, want %d", i, p.T, p.V, base+want)
+		}
+	}
+}
+
+// TestRunObsPipelineLifecycle: the telemetry consumer never outlives Run —
+// not for an empty trace, not for Metrics without a Recorder, and not for
+// one Recorder reused across two Runs, whose first Run leaves an inert
+// barrier hook behind. The dense trace puts thousands of requests in each
+// recorder epoch, so batches are handed off between snapshots and every
+// snapshot goes through the barrier.
+func TestRunObsPipelineLifecycle(t *testing.T) {
+	e := newEnv(t, 5*obsBatchLen*4, 60)
+	mk := func() Policy {
+		return e.starcdn(t, 9, 16<<20, StarCDNOptions{Hashing: true, Relay: true})
+	}
+
+	t.Run("empty-trace", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		rec := obs.NewRecorder(reg, obs.RecorderOptions{EpochSec: 15})
+		empty := &trace.Trace{Locations: e.tr.Locations}
+		cfg := Config{Seed: 3, Metrics: reg, Sketches: true, Recorder: rec}
+		if _, err := Run(e.c, e.users, empty, mk(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n := consumers(t); n != 0 {
+			t.Errorf("%d consumers outlive an empty run", n)
+		}
+	})
+
+	t.Run("metrics-without-recorder", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		m, err := Run(e.c, e.users, e.tr, mk(), Config{Seed: 3, Metrics: reg, Sketches: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := consumers(t); n != 0 {
+			t.Errorf("%d consumers outlive the run", n)
+		}
+		var total int64
+		for src := range m.BySource {
+			total += reg.Counter("starcdn_sim_requests_total", obs.L("source", Source(src).String())).Value()
+		}
+		if total != int64(len(e.tr.Requests)) {
+			t.Errorf("requests_total = %d after Run, want %d", total, len(e.tr.Requests))
+		}
+	})
+
+	t.Run("recorder-reused", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		rec := obs.NewRecorder(reg, obs.RecorderOptions{EpochSec: 15, Capacity: 64})
+		cfg := Config{Seed: 3, Metrics: reg, Sketches: true, Recorder: rec}
+		if _, err := Run(e.c, e.users, e.tr, mk(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		checkRequestsAt(t, e.tr, requestsAt(t, rec), 0)
+		if n := consumers(t); n != 0 {
+			t.Errorf("%d consumers outlive the first run", n)
+		}
+		// The second run snapshots through both runs' hooks; the first's
+		// must do nothing, and the second's sealing point counts both runs.
+		if _, err := Run(e.c, e.users, e.tr, mk(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if n := consumers(t); n != 0 {
+			t.Errorf("%d consumers outlive the second run", n)
+		}
+		all := requestsAt(t, rec)
+		if last := all[len(all)-1].V; int(last) != 2*len(e.tr.Requests) {
+			t.Errorf("sealing point after two runs = %v, want %d", last, 2*len(e.tr.Requests))
+		}
+	})
 }

@@ -241,9 +241,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 //	metrics          — live registry, no sketches (the BenchmarkObsOverhead
 //	                   "metrics" configuration; the comparison baseline)
 //	metrics+sketches — Config.Sketches on: three top-K popularity summaries
-//	                   (objects, satellites, buckets — Space-Saving plus a
-//	                   Count-Min refinement grid each) and one serve-latency
-//	                   quantile sketch, all updated on every request
+//	                   (objects, satellites, buckets — one Space-Saving
+//	                   summary each) and one serve-latency quantile sketch,
+//	                   all fed every request
 //
 // The acceptance bar, in ns per request over metrics-only, is stated next to
 // its data in BENCH_obs.json. Results must stay identical — the assertion

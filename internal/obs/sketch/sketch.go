@@ -1,6 +1,5 @@
 // Package sketch implements deterministic, mergeable streaming summaries:
-// Space-Saving top-K, Count-Min counting, and a DDSketch-style
-// relative-error quantile sketch — the constant-memory telemetry needed to
+// Space-Saving top-K and a DDSketch-style relative-error quantile sketch — the constant-memory telemetry needed to
 // answer "which objects are hot on which satellites" at 10⁸-request scale
 // without materialising per-object state.
 //
@@ -15,14 +14,14 @@
 //
 //   - Mergeable: merge(a, b) == merge(b, a), and per-shard sketches merged
 //     at epoch boundaries summarise the union stream within the documented
-//     error bounds. Count-Min and the quantile sketch are pure counter
-//     grids, so their merge is exact (order-independent); Space-Saving
+//     error bounds. The quantile sketch is a pure counter grid, so its
+//     merge is exact (order-independent); Space-Saving
 //     merges follow the mergeable-summaries construction, with absent keys
 //     bounded by the other side's minimum tracked count.
 //
-//   - Bounded: memory is fixed by construction (k entries, width×depth
-//     counters, a capped number of occupied buckets in one window over the
-//     value range), independent of stream length or key cardinality.
+//   - Bounded: memory is fixed by construction (k entries, a capped number
+//     of occupied buckets in one window over the value range), independent
+//     of stream length or key cardinality.
 //
 // Sketches carry optional trace exemplars: the sampled trace ID of a
 // request that contributed to a top-K entry or quantile bucket, linking a
@@ -71,8 +70,8 @@ func (e Exemplar) better(old Exemplar) bool {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed bijection
-// used to derive per-row Count-Min hashes. The same mixer derives trace
-// IDs in the obs package, but the two uses never feed each other.
+// that places Space-Saving keys in its index table. The same mixer derives
+// trace IDs in the obs package, but the two uses never feed each other.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

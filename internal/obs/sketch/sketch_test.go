@@ -175,64 +175,6 @@ func TestSpaceSavingEvictionChurn(t *testing.T) {
 	}
 }
 
-// TestCountMinBounds: estimates never undercount, and on a zipf stream the
-// overcount stays within the e·N/w bound for every queried key.
-func TestCountMinBounds(t *testing.T) {
-	const w, d, n = 1024, 4, 100000
-	stream := zipfStream(t, 11, 8192, n)
-	exact := exactCounts(stream)
-	cm := NewCountMin(w, d)
-	for _, key := range stream {
-		cm.Update(key, 1)
-	}
-	if cm.N() != n {
-		t.Fatalf("N() = %d, want %d", cm.N(), n)
-	}
-	bound := int64(math.Ceil(math.E * float64(n) / float64(w)))
-	for key, truth := range exact {
-		est := cm.Estimate(key)
-		if est < truth {
-			t.Fatalf("key %d: estimate %d undercounts %d", key, est, truth)
-		}
-		if est > truth+bound {
-			t.Errorf("key %d: estimate %d exceeds %d + e·N/w bound %d", key, est, truth, bound)
-		}
-	}
-}
-
-// TestCountMinMergeExact: merged per-shard grids equal the single-stream
-// grid exactly, for every key, in any merge order.
-func TestCountMinMergeExact(t *testing.T) {
-	stream := zipfStream(t, 13, 4096, 60000)
-	whole := NewCountMin(256, 3)
-	a, b := NewCountMin(256, 3), NewCountMin(256, 3)
-	for i, key := range stream {
-		whole.Update(key, 1)
-		if i%2 == 0 {
-			a.Update(key, 1)
-		} else {
-			b.Update(key, 1)
-		}
-	}
-	ab := NewCountMin(256, 3)
-	if !ab.Merge(a) || !ab.Merge(b) {
-		t.Fatal("merge of matching dimensions refused")
-	}
-	ba := NewCountMin(256, 3)
-	if !ba.Merge(b) || !ba.Merge(a) {
-		t.Fatal("merge of matching dimensions refused")
-	}
-	for key := uint64(0); key < 4096; key++ {
-		if ab.Estimate(key) != whole.Estimate(key) || ba.Estimate(key) != whole.Estimate(key) {
-			t.Fatalf("key %d: merged estimates %d/%d differ from whole %d",
-				key, ab.Estimate(key), ba.Estimate(key), whole.Estimate(key))
-		}
-	}
-	if mismatched := NewCountMin(128, 3); mismatched.Merge(a) {
-		t.Fatal("merge across differing widths must refuse")
-	}
-}
-
 // TestQuantileRelativeError is the quantile accuracy proof: on a seeded
 // log-normal-ish latency stream, every checked quantile is within the
 // configured relative error of the exact order statistic.

@@ -74,7 +74,7 @@ func popularitySeries(t *testing.T, reg *obs.Registry) map[string]obs.SeriesSnap
 
 // comparePopularity asserts the two registries hold identical top-K
 // summaries: same entries in the same order with the same counts, error
-// bounds, refined estimates, and trace exemplars.
+// bounds, and trace exemplars.
 func comparePopularity(t *testing.T, got, want map[string]obs.SeriesSnapshot, gotName, wantName string) {
 	t.Helper()
 	for _, name := range popularityNames {

@@ -17,11 +17,12 @@ import (
 // seeded full-stack run (Metrics + Sketches + Recorder + Phases + a sampling
 // tracer for exemplars): the JSON exposition, whose top-K and sketch objects
 // carry the full keyed entries and exemplars, and every recorder ring. It was
-// recorded on the commit before the never-read families were deleted and the
-// recorder plan became incremental, restricted to the families that survive,
-// so a change to bucket indices, eviction order, Count-Min placements, the
-// exemplar rule or a ring value shows here as a digest mismatch.
-const obsArtifactsDigest = "a6f411f9b3b36da72de8e3774a81fa2468b4357e8b51aa5989dce0986bc993d6"
+// re-pinned when the top-K entries lost their Count-Min "refined" estimate,
+// after checking that the exposition equals the previous one with those keys
+// removed and every ring is unchanged, so a change to bucket indices,
+// eviction order, the exemplar rule or a ring value shows here as a digest
+// mismatch.
+const obsArtifactsDigest = "001be32ec51e2f02fdcba7d8f6965f0c1b77cbc6716a8caaaab21657d1ebd4b2"
 
 // wallClockSeries reports the families whose values are wall-clock
 // measurements and therefore differ run to run.

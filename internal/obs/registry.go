@@ -120,6 +120,51 @@ func (h *Histogram) Observe(x float64) {
 	}
 }
 
+// ObserveEach records n samples given in index order by at(i), with one
+// atomic update per touched bucket, one for the count and one for the sum.
+// The sum adds the samples in index order, so a histogram no one else
+// observes meanwhile ends exactly as after n Observe calls. No-op on nil.
+func (h *Histogram) ObserveEach(n int, at func(i int) float64) {
+	if h == nil {
+		return
+	}
+	var buf [32]int64
+	local := buf[:0]
+	if len(h.counts) <= len(buf) {
+		local = buf[:len(h.counts)]
+	} else {
+		local = make([]int64, len(h.counts))
+	}
+	var count int64
+	old := h.sum.Load()
+	sum := math.Float64frombits(old)
+	for i := 0; i < n; i++ {
+		x := at(i)
+		if math.IsNaN(x) {
+			continue
+		}
+		local[sort.SearchFloat64s(h.bounds, x)]++
+		count++
+		sum += x
+	}
+	for !h.sum.CompareAndSwap(old, math.Float64bits(sum)) {
+		// Another observer got in between: add the samples to its sum.
+		old = h.sum.Load()
+		sum = math.Float64frombits(old)
+		for i := 0; i < n; i++ {
+			if x := at(i); !math.IsNaN(x) {
+				sum += x
+			}
+		}
+	}
+	for i, c := range local {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(count)
+}
+
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() int64 {
 	if h == nil {

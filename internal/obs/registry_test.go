@@ -323,3 +323,59 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// TestHistogramObserveEach: a batch ends the histogram exactly where the
+// same samples observed one at a time do — bucket counts, count, and the
+// sum to the bit, since it is added in order — on a geometry small enough
+// for the stack buffer and one larger than it, with NaN skipped. Concurrent
+// batches (the sum's retry path) lose nothing.
+func TestHistogramObserveEach(t *testing.T) {
+	var xs []float64
+	for i := 0; i < 1000; i++ {
+		xs = append(xs, 0.1*float64(i%37), 1e16/float64(i+1), 3.3)
+	}
+	xs[17] = math.NaN()
+	var wide []float64
+	for i := 1; i <= 40; i++ {
+		wide = append(wide, float64(i*i))
+	}
+	for _, bounds := range [][]float64{{1, 10, 100}, wide} {
+		r := NewRegistry()
+		one := r.Histogram("one_ms", bounds)
+		batch := r.Histogram("batch_ms", bounds)
+		for _, x := range xs {
+			one.Observe(x)
+		}
+		for lo := 0; lo < len(xs); lo += 97 {
+			b := xs[lo:min(lo+97, len(xs))]
+			batch.ObserveEach(len(b), func(i int) float64 { return b[i] })
+		}
+		_, cumOne := one.snapshot()
+		_, cumBatch := batch.snapshot()
+		if one.Count() != batch.Count() || math.Float64bits(one.Sum()) != math.Float64bits(batch.Sum()) {
+			t.Errorf("%d bounds: batch count %d sum %v, one at a time %d %v",
+				len(bounds), batch.Count(), batch.Sum(), one.Count(), one.Sum())
+		}
+		for i := range cumOne {
+			if cumOne[i] != cumBatch[i] {
+				t.Errorf("%d bounds: bucket %d holds %d, one at a time %d", len(bounds), i, cumBatch[i], cumOne[i])
+			}
+		}
+	}
+
+	h := NewRegistry().Histogram("conc_ms", []float64{1, 10, 100})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 500; k++ {
+				h.ObserveEach(8, func(i int) float64 { return float64(i) })
+			}
+		}()
+	}
+	wg.Wait()
+	if h.Count() != 4*500*8 || h.Sum() != 4*500*28 {
+		t.Errorf("concurrent batches: count %d sum %v, want %d %d", h.Count(), h.Sum(), 4*500*8, 4*500*28)
+	}
+}

@@ -1,7 +1,7 @@
 // Command starcdn-lint is the repository's stdlib-only static analyzer:
 // every package of the module is parsed under one file set and type-checked
 // with go/types (load.go), and a static interprocedural call graph
-// (callgraph.go) makes the determinism rules taint analyses. Ten rules:
+// (callgraph.go) makes the determinism rules taint analyses. Eleven rules:
 //
 //	simtime    — no wall-clock time (time.Now/Since/Until) inside the
 //	             simulation packages; sim time must flow through the clock
@@ -35,6 +35,10 @@
 //	printf     — no fmt.Print*/global log.* in internal/ (outside
 //	             internal/obs); library output must flow through injected
 //	             writers and the obs slog logger so tests can capture it.
+//	deadexport — no exported func, method, const or var in internal/ that
+//	             no non-test code of either module references; a method
+//	             that implements an interface in use is exempt, and a kept
+//	             export's waiver names its reader.
 //
 // Every rule is held to one standard (DESIGN.md §7): it names a defect it
 // caught in this tree or TestInjectedDefectsCaught reintroduces the defect
@@ -114,7 +118,7 @@ func allRules() []Rule {
 
 // allTreeRules returns the whole-module analyses.
 func allTreeRules() []TreeRule {
-	return []TreeRule{ruleTaint{}}
+	return []TreeRule{ruleTaint{}, ruleDeadExport{}}
 }
 
 // ignoreDirective is a parsed //lint:ignore comment.

@@ -62,7 +62,7 @@ func TestEachRuleFires(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"simtime", "globalrand", "maporder", "panicfree", "errdrop",
-		"atomicmix", "deadline", "printf", "metricname", "directive",
+		"atomicmix", "deadline", "printf", "metricname", "deadexport", "directive",
 	} {
 		if seen[rule] == 0 {
 			t.Errorf("rule %s produced no findings on fixtures", rule)
@@ -113,7 +113,8 @@ func TestInterproceduralTaint(t *testing.T) {
 
 // TestWaiverAudit runs the -waivers audit over the fixture tree: every
 // directive must be listed with its rule(s) and reason, the misattached
-// directive in internal/directives must be reported stale, and the two
+// directive in internal/directives and the deadexport waiver on an export
+// that has gained a caller must be reported stale, and the two
 // inert/malformed directives must count as problems.
 func TestWaiverAudit(t *testing.T) {
 	root := filepath.Join("testdata", "src")
@@ -125,15 +126,16 @@ func TestWaiverAudit(t *testing.T) {
 	problems := auditWaivers(res, &buf)
 	out := buf.String()
 
-	// 3 problems: one stale waiver (the misattached globalrand directive in
-	// internal/directives), one missing-reason directive
-	// (internal/replayer/conn.go), one block-comment directive
-	// (internal/directives/directives.go).
-	if problems != 3 {
-		t.Errorf("auditWaivers problems = %d, want 3\n%s", problems, out)
+	// 4 problems: two stale waivers (the misattached globalrand directive in
+	// internal/directives, the deadexport waiver on exports.Revived), one
+	// missing-reason directive (internal/replayer/conn.go), one
+	// block-comment directive (internal/directives/directives.go).
+	if problems != 4 {
+		t.Errorf("auditWaivers problems = %d, want 4\n%s", problems, out)
 	}
 	for _, want := range []string{
 		"internal/directives/directives.go:23: STALE waiver for globalrand",
+		"internal/exports/exports.go:51: STALE waiver for deadexport",
 		// the comma-rule directive lists both rules, sorted, and is live
 		// for both (no stale line may name it).
 		"internal/directives/directives.go:14: errdrop,globalrand: fixture: one directive waiving two rules on one line",
@@ -149,6 +151,9 @@ func TestWaiverAudit(t *testing.T) {
 		if strings.Contains(out, "STALE waiver for "+live) {
 			t.Errorf("live %s waiver reported stale\n%s", live, out)
 		}
+	}
+	if strings.Contains(out, "exports.go:45: STALE") {
+		t.Errorf("live deadexport waiver on exports.Legacy reported stale\n%s", out)
 	}
 }
 
@@ -380,11 +385,16 @@ import "fmt"
 
 func injectedTrace() { fmt.Println("epoch") } // want printf
 `,
+	"internal/geo/zz_injected.go": `package geo
+
+func InjectedBearing(a, b Point) float64 { return b.LonDeg - a.LonDeg } // want deadexport
+`,
 }
 
 // copyModule copies what the loader reads of the module at root into dst:
-// go.mod, the root package, internal/ and cmd/ (non-test Go files only, no
-// testdata).
+// go.mod, the root package, internal/, cmd/ and benchmark/ (non-test Go files
+// only, no testdata). benchmark/ is its own module, but the loader reads it
+// as a package of this one, and deadexport counts its references.
 func copyModule(t *testing.T, root, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -397,7 +407,7 @@ func copyModule(t *testing.T, root, dst string) {
 		}
 		if d.IsDir() {
 			top := strings.Split(filepath.ToSlash(rel), "/")[0]
-			if d.Name() == "testdata" || (rel != "." && top != "internal" && top != "cmd") {
+			if d.Name() == "testdata" || (rel != "." && top != "internal" && top != "cmd" && top != "benchmark") {
 				return filepath.SkipDir
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)

@@ -58,6 +58,7 @@ type Tree struct {
 	Fset     *token.FileSet
 	Packages []*Package
 	byPath   map[string]*Package // import path -> package
+	std      *stdImporter        // the importer every package was checked with
 
 	graph *callGraph // built on first use
 }
@@ -256,7 +257,8 @@ func loadTree(root string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := &treeImporter{module: module, byPath: tree.byPath, std: newStdImporter(fset)}
+	tree.std = newStdImporter(fset)
+	imp := &treeImporter{module: module, byPath: tree.byPath, std: tree.std}
 	var typeErrs []error
 	for _, pkg := range order {
 		conf := types.Config{

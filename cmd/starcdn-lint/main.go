@@ -14,10 +14,10 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: starcdn-lint [-waivers] [packages]\n\n"+
-				"Type-checked lint for StarCDN Go packages, ten rules: determinism\n"+
+				"Type-checked lint for StarCDN Go packages, eleven rules: determinism\n"+
 				"(simtime, globalrand, their interprocedural taint, maporder),\n"+
-				"robustness (errdrop, deadline, panicfree, atomicmix) and output\n"+
-				"hygiene (metricname, printf).\n"+
+				"robustness (errdrop, deadline, panicfree, atomicmix), output\n"+
+				"hygiene (metricname, printf) and dead API (deadexport).\n"+
 				"Patterns: ./... (whole module), ./dir/... (subtree), or a directory.\n"+
 				"Defaults to ./... relative to the enclosing module root.\n")
 		flag.PrintDefaults()

@@ -11,7 +11,7 @@ import (
 )
 
 // Run drives the per-step cost model in fixture/simutil.
-func Run(steps int) float64 {
+func Run(steps int) float64 { // want deadexport
 	total := 0.0
 	for i := 0; i < steps; i++ {
 		total += simutil.StepCost(i)
@@ -20,6 +20,6 @@ func Run(steps int) float64 {
 }
 
 // Profile aggregates through internal/stats.
-func Profile(xs []float64) float64 {
+func Profile(xs []float64) float64 { // want deadexport
 	return stats.TimedMean(xs)
 }

@@ -10,19 +10,19 @@ import "fixture/reachutil"
 // Sampler never calls Draw; it only references it as a method value. The
 // reference must still produce a call edge (the stored value is invoked
 // later by whoever holds the sampler).
-func Sampler() func() float64 {
+func Sampler() func() float64 { // want deadexport
 	s := reachutil.NewSource()
 	return s.Draw
 }
 
 // DeferredTeardown reaches StampNow only through a defer.
-func DeferredTeardown() {
+func DeferredTeardown() { // want deadexport
 	defer reachutil.StampNow()
 }
 
 // SpawnJitter reaches DrawJitter only as a go-statement callee; the
 // receive on done joins it.
-func SpawnJitter() {
+func SpawnJitter() { // want deadexport
 	done := make(chan struct{})
 	go reachutil.DrawJitter(done)
 	<-done

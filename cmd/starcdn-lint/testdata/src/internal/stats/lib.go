@@ -30,7 +30,7 @@ func okError(nbins int) (*Histogram, error) {
 
 // MustHistogram follows the Must* convention: panic-on-error for constant
 // arguments, exempt from the rule.
-func MustHistogram(nbins int) *Histogram {
+func MustHistogram(nbins int) *Histogram { // want deadexport
 	h, err := okError(nbins)
 	if err != nil {
 		panic(err)

@@ -35,12 +35,6 @@ type Coloring struct {
 	assign  []BucketID // indexed by SatID
 }
 
-// Buckets returns L.
-func (c *Coloring) Buckets() int { return c.buckets }
-
-// BucketAt returns the bucket assigned to a satellite.
-func (c *Coloring) BucketAt(id orbit.SatID) BucketID { return c.assign[id] }
-
 // ComputeColoring produces a distance-constrained colouring of the active
 // satellites with a greedy farthest-first sweep: satellites are visited in a
 // deterministic order and each takes the bucket whose nearest existing owner

@@ -54,7 +54,7 @@ func TestComputedColoringCoversHealthyGrid(t *testing.T) {
 		c := g.Constellation()
 		counts := make([]int, l)
 		for i := 0; i < c.NumSlots(); i++ {
-			b := col.BucketAt(orbit.SatID(i))
+			b := col.assign[i]
 			if b < 0 || int(b) >= l {
 				t.Fatalf("satellite %d has bucket %d", i, b)
 			}
@@ -91,7 +91,7 @@ func TestComputedColoringHandlesIrregularTopology(t *testing.T) {
 	// Dead satellites keep the -1 sentinel.
 	for i := 0; i < c.NumSlots(); i++ {
 		id := orbit.SatID(i)
-		if !c.Active(id) && col.BucketAt(id) != -1 {
+		if !c.Active(id) && col.assign[id] != -1 {
 			t.Fatalf("dead satellite %d was coloured", i)
 		}
 	}

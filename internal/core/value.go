@@ -58,12 +58,3 @@ func (v ValueClass) String() string {
 	}
 	return "ValueClass(?)"
 }
-
-// ValueClasses enumerates the defined classes cheapest-to-lose first.
-func ValueClasses() []ValueClass {
-	out := make([]ValueClass, numValueClasses)
-	for i := range out {
-		out[i] = ValueClass(i)
-	}
-	return out
-}

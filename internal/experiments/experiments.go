@@ -85,11 +85,6 @@ type Env struct {
 	// re-simulation and therefore do not re-emit metrics or spans.
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
-	// Sketches opts every simulation run into streaming-sketch telemetry on
-	// Obs (sim.Config.Sketches): top-K popularity and latency quantile
-	// sketches with trace exemplars. Like Obs/Tracer it cannot alter
-	// results — reports are byte-identical with sketches on or off.
-	Sketches bool
 	// Recorder, when non-nil, ticks on simulated time through every run,
 	// turning Obs into a flight-recorder time series (sim.Config.Recorder).
 	Recorder *obs.Recorder
@@ -251,7 +246,6 @@ func (e *Env) runSchemeUncached(constKey, scheme string, l int, cacheBytes int64
 	}
 	cfg.Metrics = e.Obs
 	cfg.Tracer = e.Tracer
-	cfg.Sketches = e.Sketches
 	cfg.Recorder = e.Recorder
 	cfg.Phases = e.Phases
 	if e.ShedConfig != nil {

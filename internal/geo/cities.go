@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // City is a populated place hosting CDN users in the evaluation. The paper
 // collects traces from nine edge-server clusters; the same nine cities are
@@ -87,17 +84,6 @@ func CityByName(cities []City, name string) (City, error) {
 		}
 	}
 	return City{}, fmt.Errorf("geo: unknown city %q", name)
-}
-
-// SortByDistance returns a copy of cities ordered by increasing great-circle
-// distance from the origin point.
-func SortByDistance(cities []City, origin Point) []City {
-	out := make([]City, len(cities))
-	copy(out, cities)
-	sort.SliceStable(out, func(i, j int) bool {
-		return DistanceKm(origin, out[i].Point) < DistanceKm(origin, out[j].Point)
-	})
-	return out
 }
 
 // NearestGroundStation returns the index of the ground station closest to p

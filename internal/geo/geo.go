@@ -31,13 +31,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%.3f°, %.3f°)", p.LatDeg, p.LonDeg)
 }
 
-// Valid reports whether the point has a latitude within [-90, 90] and a
-// finite longitude.
-func (p Point) Valid() bool {
-	return p.LatDeg >= -90 && p.LatDeg <= 90 &&
-		!math.IsNaN(p.LonDeg) && !math.IsInf(p.LonDeg, 0)
-}
-
 // NormalizeLonDeg wraps a longitude in degrees into [-180, 180).
 func NormalizeLonDeg(lon float64) float64 {
 	lon = math.Mod(lon, 360)
@@ -134,29 +127,4 @@ func CoverageAngleRad(altKm, minElevDeg float64) float64 {
 func PropagationDelayMs(distKm float64) float64 {
 	const cKmPerMs = 299.792458 // speed of light, km per millisecond
 	return distKm / cKmPerMs
-}
-
-// InitialBearingDeg returns the initial great-circle bearing from a to b in
-// degrees clockwise from north, in [0, 360).
-func InitialBearingDeg(a, b Point) float64 {
-	lat1 := Radians(a.LatDeg)
-	lat2 := Radians(b.LatDeg)
-	dLon := Radians(b.LonDeg - a.LonDeg)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	brg := Degrees(math.Atan2(y, x))
-	return math.Mod(brg+360, 360)
-}
-
-// Destination returns the point reached by travelling distKm along the great
-// circle with the given initial bearing from p.
-func Destination(p Point, bearingDeg, distKm float64) Point {
-	lat1 := Radians(p.LatDeg)
-	lon1 := Radians(p.LonDeg)
-	brg := Radians(bearingDeg)
-	ang := distKm / EarthRadiusKm
-	lat2 := math.Asin(math.Sin(lat1)*math.Cos(ang) + math.Cos(lat1)*math.Sin(ang)*math.Cos(brg))
-	lon2 := lon1 + math.Atan2(math.Sin(brg)*math.Sin(ang)*math.Cos(lat1),
-		math.Cos(ang)-math.Sin(lat1)*math.Sin(lat2))
-	return NewPoint(Degrees(lat2), Degrees(lon2))
 }

@@ -19,9 +19,15 @@ import (
 
 const benchStream = 1 << 16 // pre-drawn stream length; a power of two, so i&(benchStream-1) cycles it
 
-// BenchmarkTopKObserve is one TopK.ObserveIDEx at the default k=32 under the
-// two key streams of a run: Zipf object IDs (the hot keys stay tracked, the
-// tail evicts) and near-uniform satellite IDs (almost every update evicts).
+// benchBatch is how many updates one ObserveEach call applies: the batch
+// length sim.Run hands its telemetry consumer.
+const benchBatch = 1024
+
+// BenchmarkTopKObserve is one top-K update at the default k=32, applied in
+// TopK.ObserveEach batches as sim.Run's consumer applies them and reported
+// per update, under the two key streams of a run: Zipf object IDs (the hot
+// keys stay tracked, the tail evicts) and near-uniform satellite IDs (almost
+// every update evicts).
 func BenchmarkTopKObserve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.1, 1, 7999)
@@ -37,8 +43,10 @@ func BenchmarkTopKObserve(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			tk := NewRegistry().TopK("bench_topk", 32)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tk.ObserveIDEx(v.keys[i&(benchStream-1)], 1, sketch.Exemplar{Req: int64(i)})
+			for i := 0; i < b.N; i += benchBatch {
+				tk.ObserveEach(min(benchBatch, b.N-i), func(j int) (uint64, sketch.Exemplar, bool) {
+					return v.keys[(i+j)&(benchStream-1)], sketch.Exemplar{Req: int64(i + j)}, true
+				})
 			}
 		})
 	}
@@ -54,9 +62,11 @@ func benchLatenciesMs(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// BenchmarkSketchObserve is one Sketch.ObserveEx: "continuous" never repeats
-// a value, so every observation pays the math.Log of the bucket index;
-// "repeated" is the memo hit — the lock, the counters and one indexed add.
+// BenchmarkSketchObserve is one sketch observation, applied in
+// Sketch.ObserveEach batches and reported per observation: "continuous"
+// never repeats a value, so every observation pays the math.Log of the
+// bucket index; "repeated" is the memo hit — the counters and one indexed
+// add, with the lock shared by the batch.
 func BenchmarkSketchObserve(b *testing.B) {
 	continuous := benchLatenciesMs(rand.New(rand.NewSource(2)), benchStream)
 	repeated := make([]float64, benchStream)
@@ -70,9 +80,11 @@ func BenchmarkSketchObserve(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			sk := NewRegistry().Sketch("bench_sketch", 0)
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x := v.xs[i&(benchStream-1)]
-				sk.ObserveEx(x, sketch.Exemplar{Req: int64(i), Value: x})
+			for i := 0; i < b.N; i += benchBatch {
+				sk.ObserveEach(min(benchBatch, b.N-i), func(j int) (float64, sketch.Exemplar) {
+					x := v.xs[(i+j)&(benchStream-1)]
+					return x, sketch.Exemplar{Req: int64(i + j), Value: x}
+				})
 			}
 		})
 	}
@@ -122,9 +134,8 @@ func sketchRecorder(n int) *Recorder {
 	rng := rand.New(rand.NewSource(3))
 	for s := 0; s < n; s++ {
 		sk := reg.Sketch("bench_sat_latency_ms", 0, L("sat", strconv.Itoa(s)))
-		for _, x := range benchLatenciesMs(rng, 400) {
-			sk.Observe(x)
-		}
+		xs := benchLatenciesMs(rng, 400)
+		sk.ObserveEach(len(xs), func(i int) (float64, sketch.Exemplar) { return xs[i], sketch.Exemplar{} })
 	}
 	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1, Capacity: 64})
 	rec.Seal(0)

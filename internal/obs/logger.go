@@ -41,6 +41,8 @@ type Capture struct {
 }
 
 // NewCapture returns an empty capture handler.
+//
+//lint:ignore deadexport test double: internal/replayer/protocol_test.go captures the client's logs with it
 func NewCapture() *Capture {
 	return &Capture{state: &captureState{}}
 }
@@ -81,6 +83,8 @@ func (c *Capture) WithAttrs(attrs []slog.Attr) slog.Handler {
 func (c *Capture) WithGroup(string) slog.Handler { return c }
 
 // Records returns a snapshot of everything captured so far.
+//
+//lint:ignore deadexport test double: internal/replayer/protocol_test.go captures the client's logs with it
 func (c *Capture) Records() []CapturedRecord {
 	c.state.mu.Lock()
 	defer c.state.mu.Unlock()
@@ -88,6 +92,8 @@ func (c *Capture) Records() []CapturedRecord {
 }
 
 // Messages returns just the captured messages, in order.
+//
+//lint:ignore deadexport test double: internal/replayer/protocol_test.go captures the client's logs with it
 func (c *Capture) Messages() []string {
 	c.state.mu.Lock()
 	defer c.state.mu.Unlock()

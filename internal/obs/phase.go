@@ -62,7 +62,6 @@ type PhaseProfiler struct {
 	accum    []atomic.Int64 // lit ns per stage since the last flush
 	dark     atomic.Int64   // ns of closed dark stretches not yet spread over the stages
 	flushed  []atomic.Int64 // ns per stage drained by past flushes
-	epochs   atomic.Int64   // flushes that recorded at least one stage
 }
 
 // DefPhaseBucketsSec is the default bucket geometry of the per-epoch stage
@@ -135,22 +134,6 @@ func NewSimPhases(reg *Registry) *PhaseProfiler {
 // PhaseReplay*). Pass it as replayer Options.Phases.
 func NewReplayPhases(reg *Registry) *PhaseProfiler {
 	return NewPhaseProfiler(reg, "replay", ReplayPhaseStages...)
-}
-
-// Pipeline returns the profiler's pipeline label ("" on nil).
-func (p *PhaseProfiler) Pipeline() string {
-	if p == nil {
-		return ""
-	}
-	return p.pipeline
-}
-
-// Stages returns a copy of the stage vocabulary (nil on nil).
-func (p *PhaseProfiler) Stages() []string {
-	if p == nil {
-		return nil
-	}
-	return append([]string(nil), p.stages...)
 }
 
 // phaseBase anchors the profiler's clock: reading it via time.Since stays on
@@ -312,7 +295,6 @@ func (p *PhaseProfiler) FlushEpoch() {
 		p.flushed[i].Add(v)
 		p.hists[i].Observe(float64(v) / 1e9)
 	}
-	p.epochs.Add(1)
 }
 
 // BindRecorder flushes the profiler on every recorder epoch, inside the
@@ -323,14 +305,6 @@ func (p *PhaseProfiler) BindRecorder(rec *Recorder) {
 		return
 	}
 	rec.OnEpochPre(func(float64) { p.FlushEpoch() })
-}
-
-// Epochs returns how many flushes recorded at least one stage (0 on nil).
-func (p *PhaseProfiler) Epochs() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.epochs.Load()
 }
 
 // PhaseStageSeconds is one stage's share of a Breakdown.

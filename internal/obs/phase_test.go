@@ -34,8 +34,7 @@ func TestPhaseClockMarkChain(t *testing.T) {
 }
 
 // TestPhaseFlushEpoch: flushes drain accumulators into the histograms as one
-// observation per active stage, skip idle stages, and count epochs only when
-// something flushed.
+// observation per active stage and skip idle stages.
 func TestPhaseFlushEpoch(t *testing.T) {
 	reg := NewRegistry()
 	p := NewSimPhases(reg)
@@ -43,21 +42,18 @@ func TestPhaseFlushEpoch(t *testing.T) {
 	p.FlushEpoch()
 	h := reg.Histogram("starcdn_phase_stage_seconds", DefPhaseBucketsSec,
 		L("pipeline", "sim"), L("stage", "cache"))
-	if h.Count() != 1 || h.Sum() != 2 {
-		t.Errorf("cache hist after flush: count=%d sum=%v, want 1 observation of 2s", h.Count(), h.Sum())
+	if histCount(h) != 1 || h.Sum() != 2 {
+		t.Errorf("cache hist after flush: count=%d sum=%v, want 1 observation of 2s", histCount(h), h.Sum())
 	}
 	idle := reg.Histogram("starcdn_phase_stage_seconds", DefPhaseBucketsSec,
 		L("pipeline", "sim"), L("stage", "shed"))
-	if idle.Count() != 0 {
-		t.Errorf("idle stage observed %d times, want 0", idle.Count())
+	if histCount(idle) != 0 {
+		t.Errorf("idle stage observed %d times, want 0", histCount(idle))
 	}
-	if p.Epochs() != 1 {
-		t.Errorf("epochs = %d, want 1", p.Epochs())
-	}
-	// An all-idle flush records nothing and does not count as an epoch.
+	// An all-idle flush records nothing.
 	p.FlushEpoch()
-	if h.Count() != 1 || p.Epochs() != 1 {
-		t.Errorf("idle flush changed state: count=%d epochs=%d", h.Count(), p.Epochs())
+	if histCount(h) != 1 {
+		t.Errorf("idle flush changed state: count=%d", histCount(h))
 	}
 }
 
@@ -111,11 +107,8 @@ func TestPhaseNilDiscipline(t *testing.T) {
 	c.Lap()
 	p.FlushEpoch()
 	p.BindRecorder(nil)
-	if p.Breakdown() != nil || p.String() != "" || p.Epochs() != 0 {
+	if p.Breakdown() != nil || p.String() != "" {
 		t.Error("nil profiler leaked state")
-	}
-	if p.Pipeline() != "" || p.Stages() != nil {
-		t.Error("nil profiler reported a pipeline")
 	}
 	if c.last != 0 || c.lit {
 		t.Error("inert clock read the clock")
@@ -137,8 +130,8 @@ func TestPhaseBindRecorder(t *testing.T) {
 
 	p.accum[PhaseSimCache].Store(1e9)
 	rec.TickAt(1)
-	if p.Epochs() != 1 {
-		t.Fatalf("bound profiler did not flush on the recorder epoch: epochs=%d", p.Epochs())
+	if got := p.flushed[PhaseSimCache].Load(); got != 1e9 {
+		t.Fatalf("bound profiler did not flush on the recorder epoch: flushed=%dns", got)
 	}
 	key := `starcdn_phase_stage_seconds{pipeline="sim",stage="cache"}_sum`
 	pts := rec.Window(key, 0)
@@ -245,8 +238,8 @@ func TestPhaseDarkSplit(t *testing.T) {
 	}
 	h := reg.Histogram("starcdn_phase_stage_seconds", DefPhaseBucketsSec,
 		L("pipeline", "sim"), L("stage", "cache"))
-	if h.Count() != 1 || h.Sum() != 9 {
-		t.Errorf("cache hist: count=%d sum=%v, want one observation of 9s", h.Count(), h.Sum())
+	if histCount(h) != 1 || h.Sum() != 9 {
+		t.Errorf("cache hist: count=%d sum=%v, want one observation of 9s", histCount(h), h.Sum())
 	}
 	if p.flushed[PhaseSimShed].Load() != 0 || p.dark.Load() != 0 {
 		t.Errorf("idle stage got %dns, %dns left dark", p.flushed[PhaseSimShed].Load(), p.dark.Load())
@@ -273,13 +266,13 @@ func TestPhaseDarkSplit(t *testing.T) {
 
 // TestPhaseDarkCarry: dark time banked in a flush with no lit request has no
 // proportions to follow; it waits for the next flush that has some instead
-// of being dropped, and the empty flush counts no epoch.
+// of being dropped.
 func TestPhaseDarkCarry(t *testing.T) {
 	p := NewSimPhases(nil)
 	p.dark.Store(4e9)
 	p.FlushEpoch()
-	if _, dark, flushed := phaseTotals(p); dark != 4e9 || flushed != 0 || p.Epochs() != 0 {
-		t.Fatalf("unlit flush: dark=%d flushed=%d epochs=%d, want 4e9 carried", dark, flushed, p.Epochs())
+	if _, dark, flushed := phaseTotals(p); dark != 4e9 || flushed != 0 {
+		t.Fatalf("unlit flush: dark=%d flushed=%d, want 4e9 carried", dark, flushed)
 	}
 	for _, s := range p.Breakdown() {
 		if s.Seconds != 0 {
@@ -289,9 +282,9 @@ func TestPhaseDarkCarry(t *testing.T) {
 	p.accum[PhaseSimSched].Store(1e9)
 	p.dark.Add(1e9)
 	p.FlushEpoch()
-	if got := p.flushed[PhaseSimSched].Load(); got != 6e9 || p.dark.Load() != 0 || p.Epochs() != 1 {
-		t.Errorf("sched = %dns, dark left %d, epochs %d; want 1s lit + 5s dark in one epoch",
-			got, p.dark.Load(), p.Epochs())
+	if got := p.flushed[PhaseSimSched].Load(); got != 6e9 || p.dark.Load() != 0 {
+		t.Errorf("sched = %dns, dark left %d; want 1s lit + 5s dark in one flush",
+			got, p.dark.Load())
 	}
 }
 

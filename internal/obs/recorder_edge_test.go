@@ -72,7 +72,7 @@ func TestTimeseriesFreshRecorder(t *testing.T) {
 
 	// A topk instrument with unfilled ranks records NaN points; the handler
 	// must render them as JSON nulls.
-	reg.TopK("starcdn_popularity_objects", 4).ObserveIDEx(1, 1, noEx)
+	observeID(reg.TopK("starcdn_popularity_objects", 4), 1, 1, noEx)
 	rec.TickAt(2)
 	w, body := get("?match=rank")
 	if w.Code != http.StatusOK {
@@ -152,7 +152,6 @@ func TestHistQuantileAcrossCounterReset(t *testing.T) {
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sum.Store(0)
 	h.Observe(50)
 	rec.TickAt(2)

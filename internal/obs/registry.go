@@ -59,19 +59,6 @@ func (g *Gauge) Set(x float64) {
 	g.bits.Store(math.Float64bits(x))
 }
 
-// Add adds d to the gauge with a CAS loop (no-op on nil).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -86,8 +73,7 @@ func (g *Gauge) Value() float64 {
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	sum    atomic.Uint64  // float64 bits, CAS-updated
 }
 
 // DefLatencyBucketsMs is the default latency histogram geometry, spanning
@@ -111,7 +97,6 @@ func (h *Histogram) Observe(x float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, x) // first bound >= x
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+x)) {
@@ -121,7 +106,7 @@ func (h *Histogram) Observe(x float64) {
 }
 
 // ObserveEach records n samples given in index order by at(i), with one
-// atomic update per touched bucket, one for the count and one for the sum.
+// atomic update per touched bucket and one for the sum.
 // The sum adds the samples in index order, so a histogram no one else
 // observes meanwhile ends exactly as after n Observe calls. No-op on nil.
 func (h *Histogram) ObserveEach(n int, at func(i int) float64) {
@@ -135,7 +120,6 @@ func (h *Histogram) ObserveEach(n int, at func(i int) float64) {
 	} else {
 		local = make([]int64, len(h.counts))
 	}
-	var count int64
 	old := h.sum.Load()
 	sum := math.Float64frombits(old)
 	for i := 0; i < n; i++ {
@@ -144,7 +128,6 @@ func (h *Histogram) ObserveEach(n int, at func(i int) float64) {
 			continue
 		}
 		local[sort.SearchFloat64s(h.bounds, x)]++
-		count++
 		sum += x
 	}
 	for !h.sum.CompareAndSwap(old, math.Float64bits(sum)) {
@@ -162,15 +145,6 @@ func (h *Histogram) ObserveEach(n int, at func(i int) float64) {
 			h.counts[i].Add(c)
 		}
 	}
-	h.count.Add(count)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of all observations (0 on nil).

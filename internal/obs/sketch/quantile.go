@@ -27,7 +27,7 @@ type QBucket struct {
 // for any distribution, at any scale — which is what replaces fixed-bucket
 // histograms where the value range is unknown. Observations map to
 // log-spaced buckets (index ⌈log_γ x⌉ with γ=(1+α)/(1−α)); bucket counts
-// are order-independent, so Merge (bucket-wise addition) is exact.
+// are order-independent.
 //
 // Buckets live in one contiguous window over the log-γ indices seen so far
 // (a bucket exists iff its Count > 0), so an observation is an index and
@@ -41,7 +41,6 @@ type QBucket struct {
 // Not synchronized: a Quantile has one owner, or sits behind its owner's
 // lock (obs.Sketch).
 type Quantile struct {
-	alpha      float64
 	gamma, lg  float64
 	maxBuckets int
 
@@ -74,21 +73,12 @@ func NewQuantile(alpha float64, maxBuckets int) *Quantile {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Quantile{
-		alpha:      alpha,
 		gamma:      gamma,
 		lg:         math.Log(gamma),
 		maxBuckets: maxBuckets,
 		min:        math.Inf(1),
 		max:        math.Inf(-1),
 	}
-}
-
-// Alpha returns the configured relative accuracy (0 on nil).
-func (s *Quantile) Alpha() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.alpha
 }
 
 // Count returns the number of observations (0 on nil).
@@ -99,9 +89,7 @@ func (s *Quantile) Count() int64 {
 	return s.n
 }
 
-// Sum returns the sum of observations (0 on nil). Note the sum is a float
-// accumulation, so sharded merges may differ from a single stream in the
-// last bits; quantiles, counts, and buckets are exact under merge.
+// Sum returns the sum of observations (0 on nil).
 func (s *Quantile) Sum() float64 {
 	if s == nil {
 		return 0
@@ -125,10 +113,8 @@ func (s *Quantile) Max() float64 {
 	return s.max
 }
 
-// Observe records one sample.
-func (s *Quantile) Observe(x float64) { s.ObserveEx(x, Exemplar{}) }
-
-// ObserveEx is Observe carrying an exemplar for the contributing request.
+// ObserveEx records one sample, carrying an exemplar for the contributing
+// request.
 // NaN observations are ignored (they have no quantile position).
 func (s *Quantile) ObserveEx(x float64, ex Exemplar) {
 	if s == nil || math.IsNaN(x) {
@@ -287,86 +273,4 @@ func (s *Quantile) Quantile(q float64) float64 {
 	qs, v := [1]float64{q}, [1]float64{}
 	s.At(qs[:], v[:], nil)
 	return v[0]
-}
-
-// ExemplarNear returns the exemplar of the bucket holding the q-quantile —
-// the trace of a request that actually experienced roughly that value.
-// ok=false when the sketch is empty or the bucket carries no exemplar.
-func (s *Quantile) ExemplarNear(q float64) (Exemplar, bool) {
-	qs, ex := [1]float64{q}, [1]Exemplar{}
-	s.At(qs[:], nil, ex[:])
-	return ex[0], ex[0].Valid()
-}
-
-// Buckets returns the occupied buckets sorted ascending by index, plus the
-// zero-bucket count and its exemplar. The slice is a copy.
-func (s *Quantile) Buckets() (buckets []QBucket, zero int64, zeroEx Exemplar) {
-	if s == nil {
-		return nil, 0, Exemplar{}
-	}
-	buckets = make([]QBucket, 0, s.occupied)
-	for _, b := range s.win {
-		if b.Count > 0 {
-			buckets = append(buckets, b)
-		}
-	}
-	return buckets, s.zero, s.zeroEx
-}
-
-// ZeroExemplar returns the exemplar of the zero bucket.
-func (s *Quantile) ZeroExemplar() Exemplar {
-	if s == nil {
-		return Exemplar{}
-	}
-	return s.zeroEx
-}
-
-// Merge folds o into s bucket-wise — the exact union sketch (counts and
-// quantile walks agree with a single-stream sketch over the concatenated
-// observations, whatever the interleaving; only the float Sum is
-// order-sensitive in its last bits). Sketches must share alpha to merge
-// meaningfully; differing geometries are folded by re-indexing o's bucket
-// midpoints, an α-bounded approximation. o is not modified.
-func (s *Quantile) Merge(o *Quantile) {
-	if s == nil || o == nil || o.n == 0 {
-		return
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.min = math.Min(s.min, o.min)
-	s.max = math.Max(s.max, o.max)
-	s.zero += o.zero
-	if o.zeroEx.better(s.zeroEx) {
-		s.zeroEx = o.zeroEx
-	}
-	sameGeometry := o.gamma == s.gamma
-	for _, ob := range o.win {
-		if ob.Count == 0 {
-			continue
-		}
-		idx := ob.Index
-		if !sameGeometry {
-			idx = s.index(o.value(ob.Index))
-		}
-		s.add(idx, ob.Count, ob.Ex)
-	}
-	s.collapse()
-}
-
-// Reset clears the sketch for reuse (per-segment worker sketches); the
-// window keeps its extent, so the next segment's values index straight in.
-func (s *Quantile) Reset() {
-	if s == nil {
-		return
-	}
-	s.n = 0
-	s.sum = 0
-	s.zero = 0
-	s.zeroEx = Exemplar{}
-	s.min = math.Inf(1)
-	s.max = math.Inf(-1)
-	s.occupied = 0
-	for i := range s.win {
-		s.win[i].Count, s.win[i].Ex = 0, Exemplar{}
-	}
 }

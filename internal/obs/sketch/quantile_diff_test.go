@@ -88,28 +88,6 @@ func (r *refQuantile) collapse() {
 	}
 }
 
-func (r *refQuantile) merge(o *refQuantile) {
-	if o.n == 0 {
-		return
-	}
-	r.n += o.n
-	r.sum += o.sum
-	r.min = math.Min(r.min, o.min)
-	r.max = math.Max(r.max, o.max)
-	r.zero += o.zero
-	if o.zeroEx.better(r.zeroEx) {
-		r.zeroEx = o.zeroEx
-	}
-	for _, ob := range o.asc() {
-		idx := ob.Index
-		if o.gamma != r.gamma {
-			idx = r.index(o.value(ob.Index))
-		}
-		r.add(idx, ob.Count, ob.Ex)
-	}
-	r.collapse()
-}
-
 // at is the single-quantile walk over bs = r.asc(): estimate and bucket
 // exemplar.
 func (r *refQuantile) at(bs []QBucket, q float64) (float64, Exemplar) {
@@ -144,13 +122,18 @@ func checkAgainstRef(t *testing.T, step int, what string, q *Quantile, r *refQua
 		t.Helper()
 		t.Fatalf("step %d (%s): %s", step, what, fmt.Sprintf(format, args...))
 	}
-	bs, zero, zeroEx := q.Buckets()
+	bs := make([]QBucket, 0, q.occupied)
+	for _, b := range q.win {
+		if b.Count > 0 {
+			bs = append(bs, b)
+		}
+	}
 	want := r.asc()
 	if !reflect.DeepEqual(bs, want) {
 		fail("buckets = %v, reference %v", bs, want)
 	}
-	if zero != r.zero || zeroEx != r.zeroEx || q.ZeroExemplar() != r.zeroEx {
-		fail("zero bucket = %d/%v, reference %d/%v", zero, zeroEx, r.zero, r.zeroEx)
+	if q.zero != r.zero || q.zeroEx != r.zeroEx {
+		fail("zero bucket = %d/%v, reference %d/%v", q.zero, q.zeroEx, r.zero, r.zeroEx)
 	}
 	if len(bs) > r.maxBuckets {
 		fail("%d buckets exceed the cap %d", len(bs), r.maxBuckets)
@@ -168,11 +151,11 @@ func checkAgainstRef(t *testing.T, step int, what string, q *Quantile, r *refQua
 		if got := q.Quantile(p); !sameFloat(got, wv) {
 			fail("Quantile(%g) = %v, reference %v", p, got, wv)
 		}
-		if ex, ok := q.ExemplarNear(p); ex != wex || ok != wex.Valid() {
-			fail("ExemplarNear(%g) = %v/%v, reference %v", p, ex, ok, wex)
+		if ex := exemplarAt(q, p); ex != wex {
+			fail("exemplar at %g = %v, reference %v", p, ex, wex)
 		}
 	}
-	// One At walk equals the six single calls, in ascending and in
+	// One At walk equals the six single walks, in ascending and in
 	// non-ascending order, and with either destination left out.
 	for _, qs := range [][]float64{{0.5, 0.9, 0.99}, {0.99, 0.5, 0.9}} {
 		vals, exs := make([]float64, len(qs)), make([]Exemplar, len(qs))
@@ -181,7 +164,7 @@ func checkAgainstRef(t *testing.T, step int, what string, q *Quantile, r *refQua
 		q.At(qs, onlyVals, nil)
 		q.At(qs, nil, onlyExs)
 		for i, p := range qs {
-			ex, _ := q.ExemplarNear(p)
+			ex := exemplarAt(q, p)
 			if v := q.Quantile(p); !sameFloat(vals[i], v) || !sameFloat(onlyVals[i], v) || exs[i] != ex || onlyExs[i] != ex {
 				fail("At(%v)[%d] = %v/%v (values-only %v, exemplars-only %v), single calls %v/%v",
 					qs, i, vals[i], exs[i], onlyVals[i], onlyExs[i], v, ex)
@@ -190,12 +173,19 @@ func checkAgainstRef(t *testing.T, step int, what string, q *Quantile, r *refQua
 	}
 }
 
+// exemplarAt is the exemplar of the bucket holding q's p-quantile.
+func exemplarAt(q *Quantile, p float64) Exemplar {
+	ex := []Exemplar{{}}
+	q.At([]float64{p}, nil, ex)
+	return ex[0]
+}
+
 // TestQuantileMatchesMapReference drives the dense-window sketch and the
-// map-based reference through the same random operations — observations
-// with and without exemplars over zero, negative, NaN, tiny, huge and
-// repeated values, merges within and across geometries, resets — with a
-// bucket cap small enough that collapse fires on almost every step, and
-// requires every observable to agree after each one.
+// map-based reference through the same random observations — with and
+// without exemplars, over zero, negative, NaN, tiny, huge and repeated
+// values, in several geometries — with a bucket cap small enough that
+// collapse fires on almost every step, and requires every observable to
+// agree after each one.
 func TestQuantileMatchesMapReference(t *testing.T) {
 	type pair struct {
 		q *Quantile
@@ -221,40 +211,18 @@ func TestQuantileMatchesMapReference(t *testing.T) {
 		}
 		for step := 0; step < steps; step++ {
 			i := rng.Intn(len(ps))
-			j := i // the donor of a merge, which must come out unchanged
-			what := ""
-			switch op := rng.Intn(100); {
-			case op < 86:
-				x := math.Exp(rng.NormFloat64()*4 + 1)
-				if rng.Intn(5) == 0 {
-					x = specials[rng.Intn(len(specials))]
-				}
-				var ex Exemplar
-				if rng.Intn(2) == 0 {
-					// Req collides across steps so the trace-ID tie-break runs.
-					ex = Exemplar{TraceID: fmt.Sprintf("t%04d", rng.Intn(500)), Req: int64(step / 3), Value: x}
-				}
-				what = fmt.Sprintf("observe %v into %d", x, i)
-				ps[i].q.ObserveEx(x, ex)
-				ps[i].r.observe(x, ex)
-			case op < 98:
-				j = rng.Intn(len(ps))
-				if j == i || ps[i].r.n+ps[j].r.n > 1<<40 {
-					continue // mutual merges double the counts; stay far from overflow
-				}
-				what = fmt.Sprintf("merge %d into %d", j, i)
-				ps[i].q.Merge(ps[j].q)
-				ps[i].r.merge(ps[j].r)
-			default:
-				what = fmt.Sprintf("reset %d", i)
-				ps[i].q.Reset()
-				cap := ps[i].r.maxBuckets
-				ps[i].r = newRefQuantile(ps[i].q.Alpha(), cap)
+			x := math.Exp(rng.NormFloat64()*4 + 1)
+			if rng.Intn(5) == 0 {
+				x = specials[rng.Intn(len(specials))]
 			}
-			checkAgainstRef(t, step, what, ps[i].q, ps[i].r)
-			if j != i {
-				checkAgainstRef(t, step, what+", donor", ps[j].q, ps[j].r)
+			var ex Exemplar
+			if rng.Intn(2) == 0 {
+				// Req collides across steps so the trace-ID tie-break runs.
+				ex = Exemplar{TraceID: fmt.Sprintf("t%04d", rng.Intn(500)), Req: int64(step / 3), Value: x}
 			}
+			ps[i].q.ObserveEx(x, ex)
+			ps[i].r.observe(x, ex)
+			checkAgainstRef(t, step, fmt.Sprintf("observe %v into %d", x, i), ps[i].q, ps[i].r)
 		}
 	}
 }

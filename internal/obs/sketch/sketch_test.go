@@ -42,7 +42,7 @@ func TestSpaceSavingErrorBound(t *testing.T) {
 	exact := exactCounts(stream)
 	ss := NewSpaceSaving(k)
 	for _, key := range stream {
-		ss.Update(key, 1)
+		ss.UpdateEx(key, 1, Exemplar{})
 	}
 	if ss.N() != n {
 		t.Fatalf("N() = %d, want %d", ss.N(), n)
@@ -78,7 +78,7 @@ func TestSpaceSavingExactBelowCapacity(t *testing.T) {
 	exact := exactCounts(stream)
 	ss := NewSpaceSaving(64)
 	for _, key := range stream {
-		ss.Update(key, 1)
+		ss.UpdateEx(key, 1, Exemplar{})
 	}
 	top := ss.Top()
 	if len(top) != len(exact) {
@@ -110,60 +110,13 @@ func TestSpaceSavingDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpaceSavingMergeCommutes requires merge(a,b) == merge(b,a) exactly —
-// entries, counts, errors, and exemplars — for sketches built from
-// disjoint and from overlapping shards.
-func TestSpaceSavingMergeCommutes(t *testing.T) {
-	streamA := zipfStream(t, 1, 512, 30000)
-	streamB := zipfStream(t, 2, 512, 20000)
-	build := func(stream []uint64, shard string) *SpaceSaving {
-		ss := NewSpaceSaving(32)
-		for i, key := range stream {
-			ss.UpdateEx(key, 1, Exemplar{TraceID: fmt.Sprintf("%s-%03d", shard, i%100), Req: int64(i)})
-		}
-		return ss
-	}
-	ab := build(streamA, "a")
-	ab.Merge(build(streamB, "b"))
-	ba := build(streamB, "b")
-	ba.Merge(build(streamA, "a"))
-	if ab.N() != ba.N() {
-		t.Fatalf("merged N differs: %d vs %d", ab.N(), ba.N())
-	}
-	if got, want := ab.Top(), ba.Top(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge not commutative:\nmerge(a,b): %v\nmerge(b,a): %v", got, want)
-	}
-}
-
-// TestSpaceSavingMergeOfShardsEqualsStreamWithoutEviction: while no shard
-// evicts, per-shard summaries merged together equal the single-stream
-// summary exactly — the epoch-merge discipline the concurrent replayer
-// (and the parked sharded parallel sim engine) builds on.
-func TestSpaceSavingMergeOfShardsEqualsStream(t *testing.T) {
-	stream := zipfStream(t, 5, 100, 40000)
-	whole := NewSpaceSaving(128)
-	shards := []*SpaceSaving{NewSpaceSaving(128), NewSpaceSaving(128), NewSpaceSaving(128)}
-	for i, key := range stream {
-		ex := Exemplar{TraceID: fmt.Sprintf("t%05d", i), Req: int64(i)}
-		whole.UpdateEx(key, 1, ex)
-		shards[i%3].UpdateEx(key, 1, ex)
-	}
-	merged := NewSpaceSaving(128)
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	if !reflect.DeepEqual(merged.Top(), whole.Top()) {
-		t.Fatal("merged shard summaries differ from the single-stream summary in the exact regime")
-	}
-}
-
 // TestSpaceSavingEvictionChurn hammers a capacity-1 summary with distinct
 // keys: every update evicts, counts telescope, and the final entry's error
 // brackets the truth.
 func TestSpaceSavingEvictionChurn(t *testing.T) {
 	ss := NewSpaceSaving(1)
 	for i := uint64(0); i < 100; i++ {
-		ss.Update(i, 1)
+		ss.UpdateEx(i, 1, Exemplar{})
 	}
 	top := ss.Top()
 	if len(top) != 1 {
@@ -187,7 +140,7 @@ func TestQuantileRelativeError(t *testing.T) {
 		// Latencies spanning ~4 orders of magnitude: sub-ms to multi-second.
 		v := math.Exp(rng.NormFloat64()*1.4 + 2.5)
 		vals[i] = v
-		q.Observe(v)
+		q.ObserveEx(v, Exemplar{})
 	}
 	sort.Float64s(vals)
 	for _, p := range []float64{0.01, 0.1, 0.5, 0.9, 0.99, 0.999} {
@@ -206,47 +159,6 @@ func TestQuantileRelativeError(t *testing.T) {
 	}
 }
 
-// TestQuantileMergeExact: bucket-wise merge equals the single-stream sketch
-// for every quantile, in any merge order, with exemplars agreeing.
-func TestQuantileMergeExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	whole := NewQuantile(0.01, 0)
-	a, b := NewQuantile(0.01, 0), NewQuantile(0.01, 0)
-	for i := 0; i < 20000; i++ {
-		v := math.Exp(rng.NormFloat64() * 2)
-		ex := Exemplar{TraceID: fmt.Sprintf("t%05d", i), Req: int64(i), Value: v}
-		whole.ObserveEx(v, ex)
-		if i%2 == 0 {
-			a.ObserveEx(v, ex)
-		} else {
-			b.ObserveEx(v, ex)
-		}
-	}
-	ab := NewQuantile(0.01, 0)
-	ab.Merge(a)
-	ab.Merge(b)
-	ba := NewQuantile(0.01, 0)
-	ba.Merge(b)
-	ba.Merge(a)
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		w, g1, g2 := whole.Quantile(p), ab.Quantile(p), ba.Quantile(p)
-		if w != g1 || w != g2 {
-			t.Errorf("p%g: whole %v, merge(a,b) %v, merge(b,a) %v", p*100, w, g1, g2)
-		}
-		e0, ok0 := whole.ExemplarNear(p)
-		e1, ok1 := ab.ExemplarNear(p)
-		if ok0 != ok1 || e0 != e1 {
-			t.Errorf("p%g: exemplar diverged under merge: %v/%v vs %v/%v", p*100, e0, ok0, e1, ok1)
-		}
-	}
-	wb, _, _ := whole.Buckets()
-	ab1, _, _ := ab.Buckets()
-	ba1, _, _ := ba.Buckets()
-	if !reflect.DeepEqual(wb, ab1) || !reflect.DeepEqual(wb, ba1) {
-		t.Fatal("merged bucket tables differ from the single-stream sketch")
-	}
-}
-
 // TestQuantileZeroAndEmpty pins the edges: empty sketches answer NaN, the
 // zero bucket absorbs non-positive values and answers 0 at low quantiles.
 func TestQuantileZeroAndEmpty(t *testing.T) {
@@ -254,9 +166,9 @@ func TestQuantileZeroAndEmpty(t *testing.T) {
 	if !math.IsNaN(q.Quantile(0.5)) || !math.IsNaN(q.Min()) {
 		t.Fatal("empty sketch must answer NaN")
 	}
-	q.Observe(0)
-	q.Observe(-5)
-	q.Observe(10)
+	q.ObserveEx(0, Exemplar{})
+	q.ObserveEx(-5, Exemplar{})
+	q.ObserveEx(10, Exemplar{})
 	if got := q.Quantile(0.25); got != 0 {
 		t.Errorf("p25 over {0,-5,10} = %v, want 0 (zero bucket)", got)
 	}
@@ -280,11 +192,10 @@ func TestQuantileCollapseBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		v := math.Exp(rng.NormFloat64() * 3)
 		vals = append(vals, v)
-		q.Observe(v)
+		q.ObserveEx(v, Exemplar{})
 	}
-	bs, _, _ := q.Buckets()
-	if len(bs) > maxBuckets {
-		t.Fatalf("%d buckets exceed the %d cap", len(bs), maxBuckets)
+	if q.occupied > maxBuckets {
+		t.Fatalf("%d buckets exceed the %d cap", q.occupied, maxBuckets)
 	}
 	if q.Count() != int64(len(vals)) {
 		t.Fatalf("collapse lost observations: %d != %d", q.Count(), len(vals))

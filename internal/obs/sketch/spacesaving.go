@@ -40,10 +40,8 @@ type cell struct {
 // above N/k is guaranteed to be tracked.
 //
 // Determinism: the eviction victim is the minimum by (count, key) — a total
-// order — so identical streams produce identical summaries. Note that the
-// summary is a function of stream *order* once eviction starts: per-shard
-// sketches merged with Merge agree with a single-stream sketch exactly
-// while no eviction occurred, and within the error bounds after.
+// order — so identical streams produce identical summaries. The summary is
+// a function of stream *order* once eviction starts.
 //
 // The tracked set is indexed two ways, both flat and pointer-free: a min-heap
 // of slots ordered by the (count, key) total order, whose root is the unique
@@ -140,10 +138,8 @@ func (s *SpaceSaving) unindex(key uint64, c int32) {
 	}
 }
 
-// Update adds weight inc to key. Non-positive increments are ignored.
-func (s *SpaceSaving) Update(key uint64, inc int64) { s.UpdateEx(key, inc, Exemplar{}) }
-
-// UpdateEx is Update carrying an exemplar for the contributing request.
+// UpdateEx adds weight inc to key, carrying an exemplar for the
+// contributing request. Non-positive increments are ignored.
 func (s *SpaceSaving) UpdateEx(key uint64, inc int64, ex Exemplar) {
 	if s == nil || inc <= 0 {
 		return
@@ -179,8 +175,8 @@ func (s *SpaceSaving) UpdateEx(key uint64, inc int64, ex Exemplar) {
 	s.siftDown(0)
 }
 
-// entryGreater is the (count desc, key asc) total order shared by Top and
-// Merge. Taking entries by value keeps the comparison free of shared state.
+// entryGreater is Top's (count desc, key asc) total order. Taking entries by
+// value keeps the comparison free of shared state.
 func entryGreater(a, b Entry) bool {
 	if a.Count != b.Count {
 		return a.Count > b.Count
@@ -243,16 +239,6 @@ func (s *SpaceSaving) siftDown(i int) {
 	s.cells[x.cell].pos = int32(i)
 }
 
-// minCount is the smallest tracked count when the summary is full — the
-// upper bound on any untracked key's true frequency — and 0 otherwise
-// (an unfull summary tracks every key it has seen exactly).
-func (s *SpaceSaving) minCount() int64 {
-	if s == nil || len(s.h) < s.k {
-		return 0
-	}
-	return s.h[0].count
-}
-
 // entry assembles the exported view of the entry in heap slot i.
 func (s *SpaceSaving) entry(i int) Entry {
 	sl := s.h[i]
@@ -273,67 +259,4 @@ func (s *SpaceSaving) Top() []Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return entryGreater(out[i], out[j]) })
 	return out
-}
-
-// Merge folds o into s following the mergeable-summaries construction: for
-// every key tracked on either side, the merged count (and error) is the sum
-// of the per-side counts, with a side that does not track the key
-// contributing its minimum tracked count — the tightest upper bound it can
-// state for an unseen key. The k largest merged entries by (count desc,
-// key asc) survive, so merge(a,b) and merge(b,a) produce identical
-// summaries. The receiver keeps its own capacity; o is not modified.
-func (s *SpaceSaving) Merge(o *SpaceSaving) {
-	if s == nil || o == nil || o.n == 0 {
-		return
-	}
-	minS, minO := s.minCount(), o.minCount()
-	merged := make([]Entry, 0, len(s.h)+len(o.h))
-	for i := range s.h {
-		me := s.entry(i)
-		if c, ok := o.find(me.Key); ok {
-			oc := &o.cells[c]
-			me.Count += o.h[oc.pos].count
-			me.Err += oc.err
-			if oc.ex.better(me.Ex) {
-				me.Ex = oc.ex
-			}
-		} else {
-			me.Count += minO
-			me.Err += minO
-		}
-		merged = append(merged, me)
-	}
-	for i := range o.h {
-		oe := o.entry(i)
-		if _, ok := s.find(oe.Key); ok {
-			continue
-		}
-		merged = append(merged, Entry{Key: oe.Key, Count: oe.Count + minS, Err: oe.Err + minS, Ex: oe.Ex})
-	}
-	sort.Slice(merged, func(i, j int) bool { return entryGreater(merged[i], merged[j]) })
-	if len(merged) > s.k {
-		merged = merged[:s.k]
-	}
-	n := s.n + o.n
-	s.Reset()
-	for i, me := range merged {
-		s.index(me.Key, int32(i))
-		s.cells = append(s.cells, cell{err: me.Err, ex: me.Ex, pos: int32(i)})
-		s.h = append(s.h, slot{count: me.Count, key: me.Key, cell: int32(i)})
-	}
-	for i := len(s.h)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-	s.n = n
-}
-
-// Reset clears the summary for reuse (per-segment worker sketches).
-func (s *SpaceSaving) Reset() {
-	if s == nil {
-		return
-	}
-	s.n = 0
-	s.h = s.h[:0]
-	s.cells = s.cells[:0]
-	clear(s.tab)
 }

@@ -19,6 +19,17 @@ func objNamer(id uint64) string { return fmt.Sprintf("obj-%d", id) }
 // noEx is the exemplar of an untraced update.
 var noEx sketch.Exemplar
 
+// observeID feeds inc unit observations of id, each carrying ex, through
+// TopK.ObserveEach.
+func observeID(tk *TopK, id uint64, inc int, ex sketch.Exemplar) {
+	tk.ObserveEach(inc, func(int) (uint64, sketch.Exemplar, bool) { return id, ex, true })
+}
+
+// observe records one sample through Sketch.ObserveEach.
+func observe(sk *Sketch, x float64, ex sketch.Exemplar) {
+	sk.ObserveEach(1, func(int) (float64, sketch.Exemplar) { return x, ex })
+}
+
 // TestTopKExposition: a TopK instrument emits bounded-cardinality rank rows
 // plus a samples counter on the Prometheus exposition, and the full keyed
 // entry list on the JSON exposition.
@@ -27,10 +38,10 @@ func TestTopKExposition(t *testing.T) {
 	tk := r.TopK("starcdn_popularity_objects", 4, L("pipeline", "sim"))
 	tk.SetNamer(objNamer)
 	for i := 0; i < 10; i++ {
-		tk.ObserveIDEx(1, 1, noEx)
+		observeID(tk, 1, 1, noEx)
 	}
-	tk.ObserveIDEx(2, 3, noEx)
-	tk.ObserveIDEx(3, 1, noEx)
+	observeID(tk, 2, 3, noEx)
+	observeID(tk, 3, 1, noEx)
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -84,9 +95,9 @@ func TestTopKExposition(t *testing.T) {
 func TestTopKLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	hostile := "a\nb\"c\\d"
-	r.TopK("starcdn_popularity_objects", 2, L("path", hostile)).ObserveIDEx(1, 1, noEx)
+	observeID(r.TopK("starcdn_popularity_objects", 2, L("path", hostile)), 1, 1, noEx)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0, L("path", hostile))
-	sk.Observe(5)
+	observe(sk, 5, noEx)
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -174,7 +185,7 @@ func TestTopKEvictionChurnAtCapacity(t *testing.T) {
 	// keys cycling through the 8 tracked slots.
 	for count := 1; count <= 200; count++ {
 		for j := 0; j < count; j++ {
-			tk.ObserveIDEx(uint64(count), 1, noEx)
+			observeID(tk, uint64(count), 1, noEx)
 		}
 	}
 	if got := tk.N(); got != 20100 {
@@ -215,12 +226,12 @@ func TestPopularityEndpoint(t *testing.T) {
 	r := NewRegistry()
 	tk := r.TopK("starcdn_popularity_objects", 8)
 	tk.SetNamer(objNamer)
-	tk.ObserveIDEx(1, 5, sketch.Exemplar{TraceID: "deadbeef", Req: 3, Value: 100})
-	tk.ObserveIDEx(2, 2, noEx)
-	tk.ObserveIDEx(3, 1, noEx)
+	observeID(tk, 1, 5, sketch.Exemplar{TraceID: "deadbeef", Req: 3, Value: 100})
+	observeID(tk, 2, 2, noEx)
+	observeID(tk, 3, 1, noEx)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
-	sk.ObserveEx(4, sketch.Exemplar{TraceID: "cafef00d", Req: 1, Value: 4})
-	sk.Observe(40)
+	observe(sk, 4, sketch.Exemplar{TraceID: "cafef00d", Req: 1, Value: 4})
+	observe(sk, 40, noEx)
 
 	s, err := ServeWith("127.0.0.1:0", ServeOptions{Registry: r})
 	if err != nil {
@@ -267,9 +278,9 @@ func TestRecorderTopKSketchRings(t *testing.T) {
 	tk := r.TopK("starcdn_popularity_objects", 4)
 	sk := r.Sketch("starcdn_sketch_serve_latency_ms", 0)
 	for i := 1; i <= 3; i++ {
-		tk.ObserveIDEx(1, 2, noEx) // hot
-		tk.ObserveIDEx(2, 1, noEx) // warm
-		sk.Observe(float64(10 * i))
+		observeID(tk, 1, 2, noEx) // hot
+		observeID(tk, 2, 1, noEx) // warm
+		observe(sk, float64(10*i), noEx)
 		rec.TickAt(float64(i))
 	}
 	keys := rec.Series()
@@ -364,8 +375,8 @@ func TestInstrumentsConcurrentObserveAndScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				ex := sketch.Exemplar{TraceID: fmt.Sprintf("w%d", w), Req: int64(i)}
-				tk.ObserveIDEx(uint64(i%50), 1, ex)
-				sk.ObserveEx(float64(1+i%200), ex)
+				observeID(tk, uint64(i%50), 1, ex)
+				observe(sk, float64(1+i%200), ex)
 			}
 		}(w)
 	}

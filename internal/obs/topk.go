@@ -54,24 +54,12 @@ func newTopK(k int) *TopK {
 	return &TopK{ss: sketch.NewSpaceSaving(k)}
 }
 
-// ObserveIDEx adds weight inc to the entry keyed by an integer identity
-// (object ID, satellite ID, bucket index), carrying a trace exemplar for the
-// contributing request. The key IS the identity — no hashing, no name table
-// — and the display name is rendered lazily at exposition time by the
-// instrument's namer (SetNamer). No-op on nil or inc <= 0.
-func (t *TopK) ObserveIDEx(id uint64, inc int64, ex sketch.Exemplar) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ss.UpdateEx(id, inc, ex)
-	t.mu.Unlock()
-}
-
 // ObserveEach adds weight 1 for each of n observations, in index order,
 // under one lock hold: at(i) returns observation i's key and exemplar, or
-// ok == false to skip it. The result equals n ObserveIDEx calls in the same
-// order. No-op on nil.
+// ok == false to skip it. The key IS the integer identity (object ID,
+// satellite ID, bucket index) — no hashing, no name table — and the display
+// name is rendered lazily at exposition time by the instrument's namer
+// (SetNamer). No-op on nil.
 func (t *TopK) ObserveEach(n int, at func(i int) (id uint64, ex sketch.Exemplar, ok bool)) {
 	if t == nil {
 		return
@@ -139,22 +127,8 @@ func newSketchInstrument(alpha float64) *Sketch {
 	return &Sketch{q: sketch.NewQuantile(alpha, 0)}
 }
 
-// Observe records one sample (no-op on nil).
-func (s *Sketch) Observe(x float64) { s.ObserveEx(x, sketch.Exemplar{}) }
-
-// ObserveEx is Observe carrying a trace exemplar.
-func (s *Sketch) ObserveEx(x float64, ex sketch.Exemplar) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.q.ObserveEx(x, ex)
-	s.mu.Unlock()
-}
-
 // ObserveEach records n samples, in index order, under one lock hold: at(i)
-// returns sample i and its exemplar. The result equals n ObserveEx calls in
-// the same order. No-op on nil.
+// returns sample i and its exemplar. No-op on nil.
 func (s *Sketch) ObserveEach(n int, at func(i int) (x float64, ex sketch.Exemplar)) {
 	if s == nil {
 		return

@@ -188,13 +188,6 @@ func (t TLE) Format() (line1, line2 string) {
 	return l1, l2
 }
 
-// AltitudeKm derives the circular-orbit altitude from the mean motion.
-func (t TLE) AltitudeKm() float64 {
-	n := t.MeanMotionRevPerDay * 2 * math.Pi / 86400 // rad/s
-	a := math.Cbrt(MuEarth / (n * n))
-	return a - 6371.0
-}
-
 // SyntheticTLEs emits one element set per active slot of the constellation,
 // matching its Walker geometry at epoch (t=0). Used to round-trip shell
 // reconstruction and to produce CelesTrak-like inputs for tests and tools.

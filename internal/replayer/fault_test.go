@@ -351,11 +351,8 @@ func TestClusterKillReviveLifecycle(t *testing.T) {
 	if err := cluster.Kill(5); err != nil {
 		t.Fatal(err)
 	}
-	if !cluster.Down(5) {
-		t.Error("killed satellite not reported down")
-	}
-	if _, err := cluster.Server(5); err == nil {
-		t.Error("Server() on a killed satellite should error")
+	if _, down := cluster.downAddr[5]; !down {
+		t.Error("killed satellite not recorded down")
 	}
 	downAddr, err := cluster.Addr(5)
 	if err != nil {

@@ -19,8 +19,8 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.ID() != 7 {
-		t.Errorf("id = %d", s.ID())
+	if s.id != 7 {
+		t.Errorf("id = %d", s.id)
 	}
 	cl := NewClient()
 	defer cl.Close()
@@ -123,18 +123,18 @@ func TestClusterLazyServers(t *testing.T) {
 	if cl.Len() != 0 {
 		t.Errorf("fresh cluster has %d servers", cl.Len())
 	}
-	s1, err := cl.Server(5)
+	a1, err := cl.Addr(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := cl.Server(5)
+	a2, err := cl.Addr(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
+	if a1 != a2 {
 		t.Error("same satellite should reuse its server")
 	}
-	if _, err := cl.Server(9); err != nil {
+	if _, err := cl.Addr(9); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Len() != 2 {

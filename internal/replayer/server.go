@@ -131,9 +131,6 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.addr }
 
-// ID returns the satellite this server represents.
-func (s *Server) ID() orbit.SatID { return s.id }
-
 // Meter returns a snapshot of the server-side hit accounting.
 func (s *Server) Meter() cache.Meter {
 	s.mu.Lock()
@@ -410,21 +407,6 @@ func (c *Cluster) startLocked(id orbit.SatID) (*Server, error) {
 	return s, nil
 }
 
-// Server returns (starting if needed) the server for a satellite. Killed
-// satellites return an error until revived; use Addr to obtain the dialable
-// (refusing) address of a down satellite.
-func (c *Cluster) Server(id orbit.SatID) (*Server, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.servers[id]; ok {
-		return s, nil
-	}
-	if _, down := c.downAddr[id]; down {
-		return nil, fmt.Errorf("replayer: sat %d server is down", id)
-	}
-	return c.startLocked(id)
-}
-
 // Addr returns the dial address for a satellite. A killed satellite keeps
 // returning its last-known address — which refuses connections — so clients
 // experience the outage through the network, not through an API error.
@@ -443,15 +425,6 @@ func (c *Cluster) Addr(id orbit.SatID) (string, error) {
 		return "", err
 	}
 	return s.Addr(), nil
-}
-
-// Down reports whether a satellite's server has been killed (and not yet
-// revived).
-func (c *Cluster) Down(id orbit.SatID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, down := c.downAddr[id]
-	return down
 }
 
 // Kill crashes a satellite's cache server mid-replay: the listener closes,

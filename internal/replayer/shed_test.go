@@ -39,9 +39,11 @@ func counterValue(reg *obs.Registry, key string) float64 {
 	return 0
 }
 
-// stage3Controller escalates a fresh controller to StageHitsOnly via the
-// external burn signal: each Tick closes one 1-second epoch, and a burn of
-// 10 clears every Enter threshold, so three closed epochs climb the ladder.
+// stage3Controller escalates a fresh controller to StageHitsOnly: each Tick
+// closes one 1-second epoch whose one request was degraded, so every epoch
+// breaches and the burn, 1/BudgetFraction = 4, clears every Enter threshold;
+// three closed epochs climb the ladder. The server only reads the stage, so
+// the controller stays there.
 func stage3Controller(t *testing.T) *shed.Controller {
 	t.Helper()
 	cfg := shed.Defaults()
@@ -51,9 +53,9 @@ func stage3Controller(t *testing.T) *shed.Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.SetBurn(10)
 	for ts := 0.0; ts <= 4; ts++ {
 		ctrl.Tick(ts)
+		ctrl.Observe(shed.Signal{Degraded: true})
 	}
 	if got := ctrl.Stage(); got != shed.StageHitsOnly {
 		t.Fatalf("controller at %v, want stage-3", got)

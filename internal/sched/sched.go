@@ -20,10 +20,8 @@ const DefaultEpochSec = 15.0
 // safe for concurrent use: callers that share a Scheduler across goroutines
 // (e.g. network servers) must serialise access.
 type Scheduler struct {
-	c        *orbit.Constellation
 	epochSec float64
 	seed     uint64
-	users    []geo.Point
 	// cache of the current epoch's assignments
 	haveEpoch   bool // false until the first recompute: every int64 is a real epoch
 	epochIdx    int64
@@ -48,10 +46,8 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 		epochSec = DefaultEpochSec
 	}
 	s := &Scheduler{
-		c:           c,
 		epochSec:    epochSec,
 		seed:        uint64(seed),
-		users:       append([]geo.Point(nil), users...),
 		assignments: make([]orbit.SatID, len(users)),
 		timeline:    c.Timeline(users, epochSec),
 		visBuf:      make([]orbit.SatID, 0, 64), // a few dozen in view at most; append grows it if a shell shows more
@@ -62,14 +58,11 @@ func New(c *orbit.Constellation, users []geo.Point, epochSec float64, seed int64
 // EpochSec returns the scheduling interval.
 func (s *Scheduler) EpochSec() float64 { return s.epochSec }
 
-// NumUsers returns the number of user terminals.
-func (s *Scheduler) NumUsers() int { return len(s.users) }
-
 // FirstContact returns the satellite assigned to user u at time tSec, and
 // whether any satellite is in view. Assignments are stable within an epoch
 // and deterministic in (seed, user, epoch).
 func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
-	if u < 0 || u >= len(s.users) {
+	if u < 0 || u >= len(s.assignments) {
 		return -1, false
 	}
 	epoch := int64(math.Floor(tSec / s.epochSec))
@@ -89,7 +82,7 @@ func (s *Scheduler) FirstContact(u int, tSec float64) (orbit.SatID, bool) {
 func (s *Scheduler) recompute(epoch int64) {
 	s.haveEpoch, s.epochIdx = true, epoch
 	row := s.timeline.Epoch(epoch)
-	for u := range s.users {
+	for u := range s.assignments {
 		s.visBuf = row.VisibleFrom(s.visBuf[:0], u)
 		if len(s.visBuf) == 0 {
 			s.assignments[u] = -1
@@ -98,16 +91,6 @@ func (s *Scheduler) recompute(epoch int64) {
 		pick := int(mix(s.seed, uint64(u)+1, uint64(epoch)+1) % uint64(len(s.visBuf)))
 		s.assignments[u] = s.visBuf[pick]
 	}
-}
-
-// VisibleCount returns how many satellites user u sees at tSec (for
-// diagnostics and tests).
-func (s *Scheduler) VisibleCount(u int, tSec float64) int {
-	if u < 0 || u >= len(s.users) {
-		return 0
-	}
-	s.visBuf = s.c.VisibleFrom(s.visBuf[:0], s.users[u], tSec)
-	return len(s.visBuf)
 }
 
 // mix is a splitmix64-style hash of three words.

@@ -53,8 +53,8 @@ func TestNewValidation(t *testing.T) {
 	if s.EpochSec() != DefaultEpochSec {
 		t.Errorf("default epoch = %v", s.EpochSec())
 	}
-	if s.NumUsers() != len(users) {
-		t.Errorf("users = %d", s.NumUsers())
+	if len(s.assignments) != len(users) {
+		t.Errorf("users = %d", len(s.assignments))
 	}
 }
 
@@ -147,21 +147,6 @@ func TestOutOfRangeUser(t *testing.T) {
 	if _, ok := s.FirstContact(len(users), 0); ok {
 		t.Error("user index past end should fail")
 	}
-	if s.VisibleCount(-1, 0) != 0 {
-		t.Error("out-of-range VisibleCount should be 0")
-	}
-}
-
-func TestVisibleCount(t *testing.T) {
-	c, users := setup(t)
-	s, _ := New(c, users, 15, 1)
-	total := 0
-	for u := range users {
-		total += s.VisibleCount(u, 0)
-	}
-	if total == 0 {
-		t.Error("expected some visibility across nine cities")
-	}
 }
 
 func TestNoVisibleSatellites(t *testing.T) {
@@ -232,7 +217,7 @@ func TestNegativeTimeOnFreshScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if id, ok := polar.FirstContact(0, -20); ok {
-		t.Errorf("polar user at t=-20 on a fresh scheduler got satellite %d; it sees %d", id, polar.VisibleCount(0, -20))
+		t.Errorf("polar user at t=-20 on a fresh scheduler got satellite %d; it sees %d", id, len(c.VisibleFrom(nil, geo.NewPoint(89.9, 0), -20)))
 	}
 	for _, tSec := range []float64{-20, -7.5} {
 		fresh, _ := New(c, users, 15, 3)

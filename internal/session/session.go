@@ -82,15 +82,6 @@ type Stats struct {
 	AccessHops stats.Summary
 }
 
-// MigrationsPerUserHour normalises migrations by user-hours.
-func (s *Stats) MigrationsPerUserHour() float64 {
-	hours := float64(s.Epochs) * s.EpochSec / 3600
-	if hours == 0 || s.Users == 0 {
-		return 0
-	}
-	return float64(s.Migrations) / float64(s.Users) / hours
-}
-
 // Run simulates the strategy for the given user terminals.
 func Run(h *core.HashScheme, users []geo.Point, cfg Config) (*Stats, error) {
 	if h == nil {

@@ -115,8 +115,8 @@ func TestStrategiesCompareAsDesigned(t *testing.T) {
 		t.Errorf("bucket reattach median (%.1f) should not exceed ground (%.1f)",
 			bucket.ReattachMs.Median(), ground.ReattachMs.Median())
 	}
-	if v := follow.MigrationsPerUserHour(); v <= 0 {
-		t.Errorf("migrations per user-hour = %v", v)
+	if follow.Migrations <= 0 {
+		t.Errorf("follow-satellite migrations = %d", follow.Migrations)
 	}
 	t.Logf("handovers=%d follow-mig=%d bucket-mig=%d ground-reattach-p50=%.1fms",
 		follow.Handovers, follow.Migrations, bucket.Migrations, ground.ReattachMs.Median())

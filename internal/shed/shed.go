@@ -20,10 +20,7 @@
 // compared against per-stage entry thresholds to escalate and against
 // strictly lower exit thresholds to recover, and every transition must be
 // preceded by a minimum dwell (epochs at the current stage) so a single
-// noisy window cannot bounce the stage. SetBurn swaps in an external burn
-// signal (the replayer's shed tests force a stage with it); the internal
-// degraded-fraction mode is the deterministic one the sim/replay parity
-// tests rely on.
+// noisy window cannot bounce the stage.
 //
 // Everything is a pure function of the observed request sequence: no wall
 // clock, no global randomness, no package-level state — the same
@@ -135,12 +132,6 @@ func (a Action) String() string {
 		return actionNames[a]
 	}
 	return "Action(?)"
-}
-
-// Rejected reports whether the action turned the request away (ErrShed)
-// rather than serving it in a degraded form.
-func (a Action) Rejected() bool {
-	return a == ActionRejectSession || a == ActionHitOnly
 }
 
 // Signal is one request's contribution to the controller's burn signal,
@@ -302,8 +293,6 @@ type Controller struct {
 	stage      Stage
 	dwell      int // closed epochs since the last transition
 	burn       float64
-	extBurn    float64 // SetBurn override, NaN-free; <0 = unset
-	useExtBurn bool
 	lastFrac   float64
 	ups, downs int
 	// session admission, keyed by trace location index (the session
@@ -374,17 +363,13 @@ func (c *Controller) closeEpochLocked(now float64) {
 	if n := len(c.breaches) - c.cfg.WindowEpochs; n > 0 {
 		c.breaches = c.breaches[n:]
 	}
-	if !c.useExtBurn {
-		breaks := 0
-		for _, b := range c.breaches {
-			if b {
-				breaks++
-			}
+	breaks := 0
+	for _, b := range c.breaches {
+		if b {
+			breaks++
 		}
-		c.burn = float64(breaks) / float64(len(c.breaches)) / c.cfg.BudgetFraction
-	} else {
-		c.burn = c.extBurn
 	}
+	c.burn = float64(breaks) / float64(len(c.breaches)) / c.cfg.BudgetFraction
 
 	c.dwell++
 	if c.dwell >= c.cfg.DwellEpochs {
@@ -469,23 +454,6 @@ func (c *Controller) Stage() Stage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stage
-}
-
-// Burn returns the burn rate as of the last closed epoch.
-func (c *Controller) Burn() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.burn
-}
-
-// SetBurn overrides the internal degraded-fraction burn signal with an
-// external one at the next epoch close; the internal signal is the
-// deterministic one.
-func (c *Controller) SetBurn(burn float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.useExtBurn = true
-	c.extBurn = burn
 }
 
 // Status is a snapshot of the controller: what the end-of-run summary prints

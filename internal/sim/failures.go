@@ -86,12 +86,6 @@ func (s *FailureSchedule) NextEventTime() (t float64, ok bool) {
 	return s.events[s.next].TimeSec, true
 }
 
-// Remaining returns the number of unapplied events.
-func (s *FailureSchedule) Remaining() int { return len(s.events) - s.next }
-
-// Len returns the total number of events in the schedule.
-func (s *FailureSchedule) Len() int { return len(s.events) }
-
 // TransientDown reports whether a satellite is currently in a transient
 // outage (serve the request from the ground rather than remapping, §3.4).
 // The method value is what ServeContext.TransientDown and the replayer's

@@ -46,8 +46,8 @@ func TestFailureScheduleAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Len() != 3 || fs.Remaining() != 3 {
-		t.Fatalf("len=%d remaining=%d", fs.Len(), fs.Remaining())
+	if len(fs.events) != 3 || len(fs.events)-fs.next != 3 {
+		t.Fatalf("len=%d remaining=%d", len(fs.events), len(fs.events)-fs.next)
 	}
 	if tm, ok := fs.NextEventTime(); !ok || tm != 10 {
 		t.Fatalf("next = (%v,%v)", tm, ok)
@@ -57,7 +57,7 @@ func TestFailureScheduleAdvance(t *testing.T) {
 	if err := fs.Advance(9.99); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Active(2) || fs.Remaining() != 3 {
+	if !c.Active(2) || len(fs.events)-fs.next != 3 {
 		t.Fatal("event fired early")
 	}
 
@@ -79,7 +79,7 @@ func TestFailureScheduleAdvance(t *testing.T) {
 	if err := fs.Advance(0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Active(2) || fs.Remaining() != 2 {
+	if c.Active(2) || len(fs.events)-fs.next != 2 {
 		t.Error("rewinding the clock mutated the schedule")
 	}
 
@@ -104,8 +104,8 @@ func TestFailureScheduleAdvance(t *testing.T) {
 	if fs.TransientDown(2) {
 		t.Error("revived sat still flagged transient")
 	}
-	if fs.Remaining() != 0 {
-		t.Errorf("remaining = %d", fs.Remaining())
+	if len(fs.events)-fs.next != 0 {
+		t.Errorf("remaining = %d", len(fs.events)-fs.next)
 	}
 	if _, ok := fs.NextEventTime(); ok {
 		t.Error("exhausted schedule still reports a next event")
@@ -161,8 +161,8 @@ func TestFailureScheduleOnApplyHook(t *testing.T) {
 		t.Fatalf("hook error not propagated: %v", err)
 	}
 	// The failing event was consumed; the remaining one is still pending.
-	if fs2.Remaining() != 1 {
-		t.Errorf("remaining after hook error = %d, want 1", fs2.Remaining())
+	if len(fs2.events)-fs2.next != 1 {
+		t.Errorf("remaining after hook error = %d, want 1", len(fs2.events)-fs2.next)
 	}
 }
 
@@ -304,7 +304,7 @@ func TestChaosRunOnWarmConstellationMatchesFresh(t *testing.T) {
 	opts := StarCDNOptions{Hashing: true, Relay: true}
 	chaos := ChaosOptions{StartSec: 100, EndSec: 1000, KillFraction: 0.15,
 		TransientFraction: 0.5, ReviveAfterSec: 200, Seed: 6}
-	cfg := Config{Seed: 1, CollectLatency: true, CollectPerSat: true, CollectPerLocation: true}
+	cfg := Config{Seed: 1, CollectLatency: true, CollectPerSat: true}
 	run := func(e *testEnv) *Metrics {
 		t.Helper()
 		e.c.ApplyOutageMask(126, 42)

@@ -144,9 +144,6 @@ type Metrics struct {
 	// PerSat meters each serving satellite's cache performance (Fig. 11);
 	// only collected when enabled.
 	PerSat map[orbit.SatID]*cache.Meter
-	// PerLocation meters hit rates per trace location; only collected when
-	// enabled.
-	PerLocation map[int]*cache.Meter
 	// UplinkWindows holds ground-to-satellite bytes per time window when
 	// Config.UplinkWindowSec is set, for peak-utilisation analysis against
 	// the 20 Gbps GSL budget of Table 1.
@@ -186,7 +183,7 @@ func NewMetrics(collectLatency, collectPerSat bool) *Metrics {
 }
 
 // record registers one served request.
-func (m *Metrics) record(sat orbit.SatID, loc int, size int64, src Source, latencyMs float64) {
+func (m *Metrics) record(sat orbit.SatID, size int64, src Source, latencyMs float64) {
 	hit := src.Hit()
 	m.Meter.Record(size, hit)
 	// Ground-edge hits avoid the origin fetch but still climb the uplink —
@@ -206,14 +203,6 @@ func (m *Metrics) record(sat orbit.SatID, loc int, size int64, src Source, laten
 			m.PerSat[sat] = pm
 		}
 		pm.Record(size, hit)
-	}
-	if m.PerLocation != nil {
-		lm := m.PerLocation[loc]
-		if lm == nil {
-			lm = &cache.Meter{}
-			m.PerLocation[loc] = lm
-		}
-		lm.Record(size, hit)
 	}
 }
 

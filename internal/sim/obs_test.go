@@ -42,15 +42,16 @@ func runTwice(t *testing.T, e *testEnv, mkPolicy func() Policy, cfg Config) (pla
 	return plain, observed, reg, spans
 }
 
-// TestRunObsDoesNotChangeResults: enabling the registry and a rate-1 tracer
-// must leave every simulation result byte-identical — observability reads
-// the event stream, it never perturbs it.
+// TestRunObsDoesNotChangeResults: enabling the registry, the streaming
+// sketches and a rate-1 tracer must leave every simulation result
+// byte-identical — observability reads the event stream, it never perturbs
+// it.
 func TestRunObsDoesNotChangeResults(t *testing.T) {
 	e := newEnv(t, 3000, 900)
 	mk := func() Policy {
 		return e.starcdn(t, 9, 64<<20, StarCDNOptions{Hashing: true, Relay: true})
 	}
-	cfg := Config{Seed: 5, CollectLatency: true}
+	cfg := Config{Seed: 5, CollectLatency: true, Sketches: true}
 	plain, observed, _, _ := runTwice(t, e, mk, cfg)
 	if plain.Meter != observed.Meter {
 		t.Errorf("meters diverged: plain=%+v observed=%+v", plain.Meter, observed.Meter)

@@ -47,7 +47,8 @@ func TestRunPhasesDoNotChangeResults(t *testing.T) {
 func TestRunPhaseBreakdownCoversStages(t *testing.T) {
 	e := newEnv(t, 3000, 900)
 	p := e.starcdn(t, 9, 64<<20, StarCDNOptions{Hashing: true, Relay: true})
-	phases := obs.NewSimPhases(nil) // breakdown needs no registry
+	reg := obs.NewRegistry()
+	phases := obs.NewSimPhases(reg)
 	if _, err := Run(e.c, e.users, e.tr, p, Config{Seed: 5, Phases: phases}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,16 @@ func TestRunPhaseBreakdownCoversStages(t *testing.T) {
 	if totalFrac < 0.999 || totalFrac > 1.001 {
 		t.Errorf("stage fractions sum to %v, want ~1 (stages must cover the pipeline)", totalFrac)
 	}
-	// The tail flush ran (either via a bound recorder or sim.Run's own
-	// end-of-run drain), so the accumulators are not the only copy.
-	if phases.Epochs() < 1 {
-		t.Errorf("epochs = %d, want >= 1 after the end-of-run flush", phases.Epochs())
+	// The tail flush ran (sim.Run's own end-of-run drain), so the
+	// accumulators are not the only copy: the stage histograms observed it.
+	var flushed int64
+	for _, s := range reg.Snapshot() {
+		if s.Name == "starcdn_phase_stage_seconds" {
+			flushed += s.HistCount
+		}
+	}
+	if flushed < 1 {
+		t.Errorf("stage histograms hold %d observations, want >= 1 after the end-of-run flush", flushed)
 	}
 }
 

@@ -148,33 +148,6 @@ func prefetchUseful(p *StarCDN) float64 {
 	return st.UsefulFraction()
 }
 
-func TestPerLocationMetrics(t *testing.T) {
-	e := newEnv(t, 20000, 1800)
-	h, err := core.NewHashScheme(e.grid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewStarCDN(h, CacheConfig{Kind: cache.LRU, Bytes: 128 << 20},
-		StarCDNOptions{Hashing: true, Relay: true})
-	m, err := Run(e.c, e.users, e.tr, p, Config{Seed: 2, CollectPerLocation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.PerLocation) != len(e.tr.Locations) {
-		t.Fatalf("per-location meters = %d, want %d", len(m.PerLocation), len(e.tr.Locations))
-	}
-	var total int64
-	for loc, lm := range m.PerLocation {
-		if loc < 0 || loc >= len(e.tr.Locations) {
-			t.Fatalf("bad location key %d", loc)
-		}
-		total += lm.Requests
-	}
-	if total != m.Meter.Requests {
-		t.Errorf("per-location requests sum %d != total %d", total, m.Meter.Requests)
-	}
-}
-
 func TestRunDeterministicPerSeed(t *testing.T) {
 	e := newEnv(t, 15000, 1800)
 	run := func(seed int64) *Metrics {

@@ -35,8 +35,6 @@ type Config struct {
 	CollectLatency bool
 	// CollectPerSat enables per-satellite hit-rate meters.
 	CollectPerSat bool
-	// CollectPerLocation enables per-trace-location hit-rate meters.
-	CollectPerLocation bool
 	// UplinkWindowSec, when positive, collects per-window uplink byte
 	// counters for peak-utilisation analysis.
 	UplinkWindowSec float64
@@ -143,9 +141,6 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	metrics := NewMetrics(cfg.CollectLatency, cfg.CollectPerSat)
 	if metrics.Latency != nil {
 		metrics.Latency.Grow(len(tr.Requests)) // one sample per request
-	}
-	if cfg.CollectPerLocation {
-		metrics.PerLocation = make(map[int]*cache.Meter)
 	}
 	metrics.UplinkWindowSec = cfg.UplinkWindowSec
 	if cfg.ClassOf != nil {
@@ -274,7 +269,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 			traceID = span.TraceID
 		}
 		ro.record(&out, r, int64(i), totalMs, traceID)
-		metrics.record(out.ServerSat, r.Location, r.Size, out.Source, totalMs)
+		metrics.record(out.ServerSat, r.Size, out.Source, totalMs)
 		if cfg.Shedder != nil {
 			// The burn signal is the §3.4 miss-through: a ground serve with
 			// no serving satellite that shedding did not cause. Both

@@ -376,9 +376,8 @@ func TestLatencyModelSamplers(t *testing.T) {
 
 func TestMetricsRecordAndUplink(t *testing.T) {
 	m := NewMetrics(true, true)
-	m.PerLocation = map[int]*cache.Meter{}
-	m.record(5, 2, 100, SourceLocal, 10)
-	m.record(5, 2, 300, SourceGround, 50)
+	m.record(5, 100, SourceLocal, 10)
+	m.record(5, 300, SourceGround, 50)
 	if m.Meter.Requests != 2 || m.Meter.Hits != 1 {
 		t.Errorf("meter: %+v", m.Meter)
 	}
@@ -393,9 +392,6 @@ func TestMetricsRecordAndUplink(t *testing.T) {
 	}
 	if m.PerSat[5].Requests != 2 {
 		t.Errorf("per-sat meter: %+v", m.PerSat[5])
-	}
-	if m.PerLocation[2].Requests != 2 || m.PerLocation[2].Hits != 1 {
-		t.Errorf("per-location meter: %+v", m.PerLocation[2])
 	}
 	if m.String() == "" {
 		t.Error("empty String()")

@@ -119,13 +119,6 @@ func (l *byteList) PushBack(e Entry) {
 	l.root = merge(l.root, n)
 }
 
-// PushFront prepends an entry at the head of the list.
-func (l *byteList) PushFront(e Entry) {
-	n := &blNode{entry: e, pri: l.rng.next()}
-	n.update()
-	l.root = merge(n, l.root)
-}
-
 // PopFront removes and returns the first entry.
 func (l *byteList) PopFront() (Entry, bool) {
 	if l.root == nil {
@@ -144,18 +137,6 @@ func (l *byteList) PopFront() (Entry, bool) {
 	}
 	l.root = pop(l.root)
 	return popped, true
-}
-
-// PeekFront returns the first entry without removing it.
-func (l *byteList) PeekFront() (Entry, bool) {
-	t := l.root
-	if t == nil {
-		return Entry{}, false
-	}
-	for t.left != nil {
-		t = t.left
-	}
-	return t.entry, true
 }
 
 // InsertAtBytes inserts e so that the total size of entries preceding it is

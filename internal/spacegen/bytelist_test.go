@@ -18,9 +18,6 @@ func TestByteListPushPop(t *testing.T) {
 	if _, ok := l.PopFront(); ok {
 		t.Error("pop from empty list should fail")
 	}
-	if _, ok := l.PeekFront(); ok {
-		t.Error("peek on empty list should fail")
-	}
 	for i := 1; i <= 5; i++ {
 		l.PushBack(Entry{Obj: 10, Size: int64(i * 10), Pop: int64(i)})
 	}
@@ -30,8 +27,8 @@ func TestByteListPushPop(t *testing.T) {
 	if l.TotalBytes() != 150 {
 		t.Errorf("bytes = %d", l.TotalBytes())
 	}
-	if e, ok := l.PeekFront(); !ok || e.Size != 10 {
-		t.Errorf("peek = %+v", e)
+	if e := entries(l)[0]; e.Size != 10 {
+		t.Errorf("head = %+v", e)
 	}
 	for i := 1; i <= 5; i++ {
 		e, ok := l.PopFront()
@@ -41,15 +38,6 @@ func TestByteListPushPop(t *testing.T) {
 	}
 	if l.Len() != 0 || l.TotalBytes() != 0 {
 		t.Errorf("list not empty after drain")
-	}
-}
-
-func TestByteListPushFront(t *testing.T) {
-	l := newByteList(2)
-	l.PushBack(Entry{Obj: 1, Size: 10})
-	l.PushFront(Entry{Obj: 2, Size: 20})
-	if e, _ := l.PopFront(); e.Obj != 2 {
-		t.Errorf("front = %v, want 2", e.Obj)
 	}
 }
 
@@ -73,7 +61,7 @@ func TestInsertAtBytes(t *testing.T) {
 	}
 	// Insert at 0 goes to the front.
 	l.InsertAtBytes(Entry{Obj: 888, Size: 1}, 0)
-	if e, _ := l.PeekFront(); e.Obj != 888 {
+	if e := entries(l)[0]; e.Obj != 888 {
 		t.Error("insert at 0 should be the head")
 	}
 	// Insert beyond the end appends.

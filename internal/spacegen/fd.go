@@ -265,22 +265,6 @@ func fitStackDistances(sub *trace.Trace, pops map[cache.ObjectID][]int64, loc in
 	}
 }
 
-// StackDistances exposes the fitted finite stack distances of a pFD
-// (for validation and tests).
-func (p *PFD) StackDistances() []int64 { return p.fallback }
-
-// MeanStackDistance returns the mean finite stack distance.
-func (p *PFD) MeanStackDistance() float64 {
-	if len(p.fallback) == 0 {
-		return 0
-	}
-	var s float64
-	for _, d := range p.fallback {
-		s += float64(d)
-	}
-	return s / float64(len(p.fallback))
-}
-
 // fenwick is a classic binary indexed tree over int64 values.
 type fenwick struct {
 	tree []int64

@@ -86,11 +86,8 @@ func TestFitBasics(t *testing.T) {
 		if p.MaxStackDist <= 0 {
 			t.Errorf("pFD %s max stack distance = %d", p.Location, p.MaxStackDist)
 		}
-		if len(p.StackDistances()) == 0 {
+		if len(p.fallback) == 0 {
 			t.Errorf("pFD %s has no stack distances", p.Location)
-		}
-		if p.MeanStackDistance() <= 0 {
-			t.Errorf("pFD %s mean stack distance = %v", p.Location, p.MeanStackDistance())
 		}
 	}
 	if err := m.ValidateRates(); err != nil {
@@ -117,7 +114,7 @@ func TestStackDistanceHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := m.PFDs[0].StackDistances()
+	ds := m.PFDs[0].fallback
 	want := map[int64]int{50: 1, 40: 1, 20: 1}
 	if len(ds) != 3 {
 		t.Fatalf("stack distances = %v, want 3 values", ds)

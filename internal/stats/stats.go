@@ -36,9 +36,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -52,12 +49,6 @@ func (s *Summary) Var() float64 {
 
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 { return s.max }
 
 // String implements fmt.Stringer.
 func (s *Summary) String() string {
@@ -80,13 +71,6 @@ func (c *CDF) Add(x float64) {
 // Grow reserves room for n more samples, so a caller that knows its sample
 // count pays one allocation instead of repeated doubling.
 func (c *CDF) Grow(n int) { c.xs = slices.Grow(c.xs, n) }
-
-// AddN appends a sample n times (useful for weighted series).
-func (c *CDF) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		c.Add(x)
-	}
-}
 
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.xs) }
@@ -124,41 +108,10 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 50th percentile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// At returns the empirical CDF value P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return 0
-	}
-	c.sortIfNeeded()
-	idx := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.xs))
-}
-
-// Points returns n evenly spaced (x, P(X<=x)) points spanning the sample
-// range, suitable for plotting the CDF curve.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.xs) == 0 || n <= 0 {
-		return nil
-	}
-	c.sortIfNeeded()
-	lo, hi := c.xs[0], c.xs[len(c.xs)-1]
-	out := make([][2]float64, 0, n)
-	if n == 1 || hi == lo {
-		return append(out, [2]float64{hi, 1})
-	}
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out = append(out, [2]float64{x, c.At(x)})
-	}
-	return out
-}
-
 // Histogram is a fixed-bin histogram over [min, max).
 type Histogram struct {
 	min, max float64
 	bins     []int
-	under    int
-	over     int
 	total    int
 }
 
@@ -173,15 +126,11 @@ func MustNewHistogram(min, max float64, nbins int) *Histogram {
 	return &Histogram{min: min, max: max, bins: make([]int, nbins)}
 }
 
-// Add records one observation.
+// Add records one observation; one outside [min, max) counts toward the
+// total only.
 func (h *Histogram) Add(x float64) {
 	h.total++
-	switch {
-	case x < h.min:
-		h.under++
-	case x >= h.max:
-		h.over++
-	default:
+	if x >= h.min && x < h.max {
 		i := int((x - h.min) / (h.max - h.min) * float64(len(h.bins)))
 		if i == len(h.bins) { // guard against float rounding at the edge
 			i--
@@ -190,17 +139,8 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
 // NumBins returns the number of bins.
 func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Total returns the total number of observations including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the counts below min and at-or-above max.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
 
 // Fraction returns the fraction of all observations in bin i.
 func (h *Histogram) Fraction(i int) float64 {

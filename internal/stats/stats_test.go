@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,14 +11,14 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Std() != 0 {
+	if s.n != 0 || s.Mean() != 0 || s.Std() != 0 {
 		t.Error("zero-value summary should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
+	if s.n != 8 {
+		t.Errorf("N = %d", s.n)
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v, want 5", s.Mean())
@@ -25,8 +26,8 @@ func TestSummaryBasics(t *testing.T) {
 	if math.Abs(s.Std()-2) > 1e-12 {
 		t.Errorf("std = %v, want 2", s.Std())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
+	if s.min != 2 || s.max != 9 {
+		t.Errorf("min/max = %v/%v", s.min, s.max)
 	}
 	if !strings.Contains(s.String(), "n=8") {
 		t.Errorf("String() = %q", s.String())
@@ -47,7 +48,7 @@ func TestSummaryMatchesNaive(t *testing.T) {
 			sum += x
 		}
 		if len(clean) == 0 {
-			return s.N() == 0
+			return s.n == 0
 		}
 		naive := sum / float64(len(clean))
 		return math.Abs(s.Mean()-naive) <= 1e-6*(1+math.Abs(naive))
@@ -59,7 +60,7 @@ func TestSummaryMatchesNaive(t *testing.T) {
 
 func TestCDFQuantiles(t *testing.T) {
 	var c CDF
-	if c.Quantile(0.5) != 0 || c.At(1) != 0 {
+	if c.Quantile(0.5) != 0 {
 		t.Error("empty CDF should report zeros")
 	}
 	for i := 1; i <= 100; i++ {
@@ -73,15 +74,6 @@ func TestCDFQuantiles(t *testing.T) {
 	}
 	if got := c.Quantile(1); got != 100 {
 		t.Errorf("q1 = %v", got)
-	}
-	if got := c.At(50); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("At(50) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v, want 0", got)
-	}
-	if got := c.At(100); got != 1 {
-		t.Errorf("At(100) = %v, want 1", got)
 	}
 }
 
@@ -121,57 +113,16 @@ func TestCDFQuantileMonotonic(t *testing.T) {
 	}
 }
 
-func TestCDFAddNAndPoints(t *testing.T) {
-	var c CDF
-	c.AddN(1, 3)
-	c.AddN(2, 1)
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
-	}
-	if got := c.At(1); math.Abs(got-0.75) > 1e-9 {
-		t.Errorf("At(1) = %v, want 0.75", got)
-	}
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0][0] != 1 || pts[4][0] != 2 {
-		t.Errorf("x range = %v..%v", pts[0][0], pts[4][0])
-	}
-	if pts[4][1] != 1 {
-		t.Errorf("last CDF value = %v, want 1", pts[4][1])
-	}
-	// Degenerate single-value and n==1 cases.
-	var d CDF
-	d.Add(5)
-	if pts := d.Points(3); len(pts) != 1 || pts[0][0] != 5 || pts[0][1] != 1 {
-		t.Errorf("degenerate points = %v", pts)
-	}
-	if d.Points(0) != nil {
-		t.Error("Points(0) should be nil")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := MustNewHistogram(0, 10, 5)
 	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
 		h.Add(x)
 	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
+	if h.total != 7 {
+		t.Errorf("total = %d", h.total)
 	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("under/over = %d/%d", under, over)
-	}
-	if h.Bin(0) != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Bin(0))
-	}
-	if h.Bin(1) != 1 { // 2
-		t.Errorf("bin1 = %d", h.Bin(1))
-	}
-	if h.Bin(4) != 1 { // 9.999
-		t.Errorf("bin4 = %d", h.Bin(4))
+	if want := []int{2, 1, 0, 0, 1}; !slices.Equal(h.bins, want) { // {0, 1.9}, {2}, {9.999}; -1, 10, 11 out of range
+		t.Errorf("bins = %v, want %v", h.bins, want)
 	}
 	if h.NumBins() != 5 {
 		t.Errorf("numbins = %d", h.NumBins())
@@ -201,20 +152,22 @@ func TestHistogramPanicsOnBadGeometry(t *testing.T) {
 func TestHistogramCountsSumToTotal(t *testing.T) {
 	f := func(xs []float64) bool {
 		h := MustNewHistogram(-5, 5, 7)
-		n := 0
+		n, in := 0, 0
 		for _, x := range xs {
 			if math.IsNaN(x) {
 				continue
 			}
 			h.Add(x)
 			n++
+			if x >= -5 && x < 5 {
+				in++
+			}
 		}
 		sum := 0
-		for i := 0; i < h.NumBins(); i++ {
-			sum += h.Bin(i)
+		for _, c := range h.bins {
+			sum += c
 		}
-		u, o := h.OutOfRange()
-		return sum+u+o == n && h.Total() == n
+		return sum == in && h.total == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

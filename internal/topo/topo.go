@@ -42,9 +42,6 @@ func (d Direction) String() string {
 	}
 }
 
-// Directions lists all four ISL directions.
-var Directions = [4]Direction{North, South, East, West}
-
 // DelaySpec is a one-way propagation delay distribution (milliseconds) and a
 // link bandwidth, as published in Table 1 of the paper.
 type DelaySpec struct {
@@ -79,49 +76,15 @@ func StarlinkTable1() LinkModel {
 	}
 }
 
-// Spec returns the delay spec for a hop in the given direction.
-func (m LinkModel) Spec(d Direction) DelaySpec {
-	if d == North || d == South {
-		return m.IntraOrbitISL
-	}
-	return m.InterOrbitISL
-}
-
-// edge is a canonical undirected satellite pair (lo < hi).
-type edge struct{ lo, hi orbit.SatID }
-
-func canonicalEdge(a, b orbit.SatID) edge {
-	if a > b {
-		a, b = b, a
-	}
-	return edge{a, b}
-}
-
-// Grid is the ISL torus over a constellation, plus an explicit set of failed
-// links (e.g. during collision-avoidance maneuvers, §3.4).
+// Grid is the ISL torus over a constellation.
 type Grid struct {
-	c      *orbit.Constellation
-	model  LinkModel
-	failed map[edge]bool
-}
-
-// Opposite returns the reverse grid direction.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	default:
-		return East
-	}
+	c     *orbit.Constellation
+	model LinkModel
 }
 
 // NewGrid builds the ISL grid for the constellation with the given model.
 func NewGrid(c *orbit.Constellation, model LinkModel) *Grid {
-	return &Grid{c: c, model: model, failed: make(map[edge]bool)}
+	return &Grid{c: c, model: model}
 }
 
 // Constellation returns the underlying constellation.
@@ -131,8 +94,8 @@ func (g *Grid) Constellation() *orbit.Constellation { return g.c }
 func (g *Grid) Model() LinkModel { return g.model }
 
 // Neighbor returns the satellite in the given grid direction. The grid wraps
-// in both axes (torus). The neighbour is returned regardless of whether the
-// link to it is currently usable; use LinkUp for that.
+// in both axes (torus). The neighbour is returned whether or not either
+// satellite is active.
 func (g *Grid) Neighbor(id orbit.SatID, d Direction) orbit.SatID {
 	plane, slot := g.c.PlaneSlot(id)
 	switch d {
@@ -146,32 +109,6 @@ func (g *Grid) Neighbor(id orbit.SatID, d Direction) orbit.SatID {
 		return g.c.SatAt(plane-1, slot)
 	}
 	return id
-}
-
-// FailLink marks the undirected link between a and b as down.
-func (g *Grid) FailLink(a, b orbit.SatID) { g.failed[canonicalEdge(a, b)] = true }
-
-// RestoreLink clears a failure injected with FailLink.
-func (g *Grid) RestoreLink(a, b orbit.SatID) { delete(g.failed, canonicalEdge(a, b)) }
-
-// RestoreAllLinks clears all injected link failures.
-func (g *Grid) RestoreAllLinks() { g.failed = make(map[edge]bool) }
-
-// LinkUp reports whether the direct ISL between a and b is usable: both
-// endpoints active, actually grid-adjacent, and not explicitly failed.
-func (g *Grid) LinkUp(a, b orbit.SatID) bool {
-	if !g.c.Active(a) || !g.c.Active(b) {
-		return false
-	}
-	if g.failed[canonicalEdge(a, b)] {
-		return false
-	}
-	for _, d := range Directions {
-		if g.Neighbor(a, d) == b {
-			return true
-		}
-	}
-	return false
 }
 
 // BrokenISLCount returns the number of grid links that are down because at
@@ -213,49 +150,6 @@ func (g *Grid) TotalHops(a, b orbit.SatID) int {
 	return p + s
 }
 
-// PathDelayMs returns the expected one-way propagation delay along a minimal
-// grid path between a and b using average per-hop delays from the model.
-func (g *Grid) PathDelayMs(a, b orbit.SatID) float64 {
-	p, s := g.HopDistance(a, b)
-	return float64(p)*g.model.InterOrbitISL.AvgMs + float64(s)*g.model.IntraOrbitISL.AvgMs
-}
-
-// SamplePathDelayMs draws a one-way delay along a minimal grid path, sampling
-// each hop independently.
-func (g *Grid) SamplePathDelayMs(a, b orbit.SatID, rng *rand.Rand) float64 {
-	p, s := g.HopDistance(a, b)
-	total := 0.0
-	for i := 0; i < p; i++ {
-		total += g.model.InterOrbitISL.Sample(rng)
-	}
-	for i := 0; i < s; i++ {
-		total += g.model.IntraOrbitISL.Sample(rng)
-	}
-	return total
-}
-
-// GridPath returns a minimal hop sequence from a to b (plane axis first, then
-// slot axis), including both endpoints. Paths do not consider failures; the
-// caller is responsible for rerouting around dead satellites.
-func (g *Grid) GridPath(a, b orbit.SatID) []orbit.SatID {
-	pa, sa := g.c.PlaneSlot(a)
-	pb, sb := g.c.PlaneSlot(b)
-	cfg := g.c.Config()
-	path := []orbit.SatID{a}
-	p, s := pa, sa
-	for p != pb {
-		p += torusStep(p, pb, cfg.Planes)
-		p = mod(p, cfg.Planes)
-		path = append(path, g.c.SatAt(p, s))
-	}
-	for s != sb {
-		s += torusStep(s, sb, cfg.SatsPerPlane)
-		s = mod(s, cfg.SatsPerPlane)
-		path = append(path, g.c.SatAt(p, s))
-	}
-	return path
-}
-
 // torusDist is the minimal ring distance between i and j modulo n.
 func torusDist(i, j, n int) int {
 	d := i - j
@@ -266,25 +160,6 @@ func torusDist(i, j, n int) int {
 		d = n - d
 	}
 	return d
-}
-
-// torusStep returns -1 or +1: the direction of the shorter way around the
-// ring from i to j (ties resolve to +1).
-func torusStep(i, j, n int) int {
-	fwd := mod(j-i, n)
-	bwd := mod(i-j, n)
-	if bwd < fwd {
-		return -1
-	}
-	return 1
-}
-
-func mod(a, n int) int {
-	m := a % n
-	if m < 0 {
-		m += n
-	}
-	return m
 }
 
 // WorstCaseBucketHops returns the paper's bound on the number of hops needed

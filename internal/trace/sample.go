@@ -8,6 +8,8 @@ import "fmt"
 // §3.1 "subsampled at 1% ... by objects"): every request of a sampled
 // object is kept, so reuse distances and hit rates remain representative
 // while cache sizes scale down with the rate.
+//
+//lint:ignore deadexport roadmap caller: ROADMAP item 10(c)'s Paper() scale samples its 5-day trace to 1 % with it
 func Sample(tr *Trace, rate float64, seed int64) (*Trace, error) {
 	if rate <= 0 || rate > 1 {
 		return nil, fmt.Errorf("trace: sample rate must be in (0, 1], got %v", rate)

@@ -187,15 +187,6 @@ func NewGenerator(class Class, cities []geo.City, seed int64) (*Generator, error
 	return g, nil
 }
 
-// Cities returns the generator's city list.
-func (g *Generator) Cities() []geo.City { return g.cities }
-
-// Class returns the traffic class.
-func (g *Generator) Class() Class { return g.class }
-
-// NumObjects returns the catalogue size.
-func (g *Generator) NumObjects() int { return len(g.objects) }
-
 func (g *Generator) buildCatalogue() {
 	n := g.class.NumObjects
 	g.objects = make([]object, n)

@@ -74,8 +74,8 @@ func TestGenerateBasicShape(t *testing.T) {
 		t.Errorf("duration = %v", tr.DurationSec())
 	}
 	nObj, _ := tr.UniqueObjects()
-	if nObj < 1000 || nObj > g.NumObjects() {
-		t.Errorf("unique objects = %d (catalogue %d)", nObj, g.NumObjects())
+	if nObj < 1000 || nObj > len(g.objects) {
+		t.Errorf("unique objects = %d (catalogue %d)", nObj, len(g.objects))
 	}
 	// All cities receive traffic.
 	counts := make([]int, len(tr.Locations))

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check lint waivers fmt bench bench-check bench-update race chaos obs fuzz clean
+.PHONY: all build test check lint waivers fmt bench bench-check bench-update race chaos obs reports fuzz clean
 
 all: build
 
@@ -14,8 +14,8 @@ test:
 	$(GO) test ./...
 
 ## check: the repository's CI gate — fmt, vet, starcdn-lint + waiver audit,
-## build, race tests, a chaos pass, an obs smoke, a bench smoke, and the
-## starcdn-bench regression gate (the hard allocs/op budgets). Independent
+## build, race tests, a chaos pass, an obs smoke, a bench smoke, the report
+## goldens, and the starcdn-bench regression gate (the hard allocs/op budgets). Independent
 ## steps run concurrently and each reports its wall-clock time
 ## (scripts/check.sh).
 check:
@@ -40,8 +40,8 @@ bench:
 
 ## bench-check: the statistical regression harness — rerun the recorded
 ## suite at -count=8 and compare against the committed BENCH_*.json with
-## Mann-Whitney U at the medians (~15 minutes; DESIGN.md §11). `make check`
-## runs the cheap smoke mode of the same gate.
+## Mann-Whitney U at the medians (3 min 38 s on a 2-vCPU Xeon host; DESIGN.md
+## §11). `make check` runs the cheap smoke mode of the same gate.
 bench-check:
 	$(GO) run ./cmd/starcdn-bench -check
 
@@ -76,6 +76,13 @@ chaos:
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).
 obs:
 	sh scripts/obs_smoke.sh
+
+## reports: regenerate the experiment-report goldens that `make check` diffs
+## against (`starcdn-sim -experiment all` at seeds 42 and 107, ~20 s each);
+## commit the diff alongside the change that explains it.
+reports:
+	$(GO) run ./cmd/starcdn-sim -experiment all -seed 42 > testdata/reports/small-seed42.txt
+	$(GO) run ./cmd/starcdn-sim -experiment all -seed 107 > testdata/reports/small-seed107.txt
 
 ## fuzz: run every fuzz target in the tree for FUZZTIME each, one at a time
 ## (`go test -fuzz` takes one target per run) — the wire-fuzzing gate: a change

@@ -1,7 +1,7 @@
 // Command starcdn-lint is the repository's stdlib-only static analyzer:
 // every package of the module is parsed under one file set and type-checked
 // with go/types (load.go), and a static interprocedural call graph
-// (callgraph.go) makes the determinism rules taint analyses. Eleven rules:
+// (callgraph.go) makes the determinism rules taint analyses. Twelve rules:
 //
 //	simtime    — no wall-clock time (time.Now/Since/Until) inside the
 //	             simulation packages; sim time must flow through the clock
@@ -39,6 +39,10 @@
 //	             no non-test code of either module references; a method
 //	             that implements an interface in use is exempt, and a kept
 //	             export's waiver names its reader.
+//	deadfield  — no struct field in internal/ that no non-test code reads,
+//	             and no exported one that no non-test code sets; tagged,
+//	             embedded and sync fields are exempt, and a kept field's
+//	             waiver names its reader or the test that sets it.
 //
 // Every rule is held to one standard (DESIGN.md §7): it names a defect it
 // caught in this tree or TestInjectedDefectsCaught reintroduces the defect
@@ -118,7 +122,7 @@ func allRules() []Rule {
 
 // allTreeRules returns the whole-module analyses.
 func allTreeRules() []TreeRule {
-	return []TreeRule{ruleTaint{}, ruleDeadExport{}}
+	return []TreeRule{ruleTaint{}, ruleDeadExport{}, ruleDeadField{}}
 }
 
 // ignoreDirective is a parsed //lint:ignore comment.

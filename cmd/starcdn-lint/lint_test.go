@@ -62,7 +62,7 @@ func TestEachRuleFires(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"simtime", "globalrand", "maporder", "panicfree", "errdrop",
-		"atomicmix", "deadline", "printf", "metricname", "deadexport", "directive",
+		"atomicmix", "deadline", "printf", "metricname", "deadexport", "deadfield", "directive",
 	} {
 		if seen[rule] == 0 {
 			t.Errorf("rule %s produced no findings on fixtures", rule)
@@ -126,16 +126,18 @@ func TestWaiverAudit(t *testing.T) {
 	problems := auditWaivers(res, &buf)
 	out := buf.String()
 
-	// 4 problems: two stale waivers (the misattached globalrand directive in
-	// internal/directives, the deadexport waiver on exports.Revived), one
-	// missing-reason directive (internal/replayer/conn.go), one
-	// block-comment directive (internal/directives/directives.go).
-	if problems != 4 {
-		t.Errorf("auditWaivers problems = %d, want 4\n%s", problems, out)
+	// 5 problems: three stale waivers (the misattached globalrand directive
+	// in internal/directives, the deadexport waiver on exports.Revived, the
+	// deadfield waiver on fields.Config.Retries), one missing-reason
+	// directive (internal/replayer/conn.go), one block-comment directive
+	// (internal/directives/directives.go).
+	if problems != 5 {
+		t.Errorf("auditWaivers problems = %d, want 5\n%s", problems, out)
 	}
 	for _, want := range []string{
 		"internal/directives/directives.go:23: STALE waiver for globalrand",
 		"internal/exports/exports.go:51: STALE waiver for deadexport",
+		"internal/fields/fields.go:13: STALE waiver for deadfield",
 		// the comma-rule directive lists both rules, sorted, and is live
 		// for both (no stale line may name it).
 		"internal/directives/directives.go:14: errdrop,globalrand: fixture: one directive waiving two rules on one line",
@@ -154,6 +156,9 @@ func TestWaiverAudit(t *testing.T) {
 	}
 	if strings.Contains(out, "exports.go:45: STALE") {
 		t.Errorf("live deadexport waiver on exports.Legacy reported stale\n%s", out)
+	}
+	if strings.Contains(out, "fields.go:11: STALE") {
+		t.Errorf("live deadfield waiver on fields.Config.Trace reported stale\n%s", out)
 	}
 }
 
@@ -388,6 +393,12 @@ func injectedTrace() { fmt.Println("epoch") } // want printf
 	"internal/geo/zz_injected.go": `package geo
 
 func InjectedBearing(a, b Point) float64 { return b.LonDeg - a.LonDeg } // want deadexport
+`,
+	"internal/cache/zz_injected.go": `package cache
+
+type injectedTally struct{ hits int } // want deadfield
+
+func injectedCount(t *injectedTally) { t.hits++ }
 `,
 }
 

@@ -7,7 +7,7 @@
 package metrics
 
 // Label mirrors obs.Label.
-type Label struct{ K, V string }
+type Label struct{ K, V string } // want deadfield
 
 // L mirrors the obs label constructor; the rule matches the function name
 // and Label result type, so literal keys here feed the bounded-cardinality

@@ -81,7 +81,7 @@ func (p *pool) blockForPeer(conn net.Conn) (byte, error) {
 // whoever holds the wrapper.
 type loggedConn struct {
 	net.Conn
-	reads int
+	reads int // want deadfield
 }
 
 func (l *loggedConn) Read(p []byte) (int, error) {

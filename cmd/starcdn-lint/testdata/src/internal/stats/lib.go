@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-type Histogram struct{ bins []int }
+type Histogram struct{ bins []int } // want deadfield
 
 func badPanicString(nbins int) *Histogram {
 	if nbins <= 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"starcdn/internal/orbit"
 	"starcdn/internal/topo"
@@ -19,42 +18,33 @@ import (
 // future non-grid shells) and is also used to verify the tiling's
 // optimality on the healthy grid.
 
-// ColoringOptions configures ComputeColoring.
-type ColoringOptions struct {
-	// Buckets is the number of colours L (need not be a perfect square).
-	Buckets int
-	// MaxHops is the reachability budget: from every active satellite, every
-	// bucket must be owned by some active satellite within MaxHops grid
-	// hops. Zero selects the paper's bound for the nearest perfect square.
-	MaxHops int
-}
-
 // Coloring is a bucket assignment for every satellite slot.
 type Coloring struct {
 	buckets int
 	assign  []BucketID // indexed by SatID
 }
 
-// ComputeColoring produces a distance-constrained colouring of the active
-// satellites with a greedy farthest-first sweep: satellites are visited in a
-// deterministic order and each takes the bucket whose nearest existing owner
-// is farthest away, balancing owner density per bucket across the grid.
-func ComputeColoring(g *topo.Grid, opts ColoringOptions) (*Coloring, error) {
-	if opts.Buckets <= 0 {
+// ComputeColoring colours the active satellites with buckets colours (need
+// not be a perfect square) by a greedy farthest-first sweep: satellites are
+// visited in a deterministic order and each takes the bucket whose nearest
+// existing owner is farthest away, balancing owner density per bucket across
+// the grid.
+func ComputeColoring(g *topo.Grid, buckets int) (*Coloring, error) {
+	if buckets <= 0 {
 		return nil, fmt.Errorf("core: coloring needs a positive bucket count")
 	}
 	c := g.Constellation()
 	n := c.NumSlots()
-	if opts.Buckets > c.NumActive() {
+	if buckets > c.NumActive() {
 		return nil, fmt.Errorf("core: %d buckets exceed %d active satellites",
-			opts.Buckets, c.NumActive())
+			buckets, c.NumActive())
 	}
-	col := &Coloring{buckets: opts.Buckets, assign: make([]BucketID, n)}
+	col := &Coloring{buckets: buckets, assign: make([]BucketID, n)}
 	for i := range col.assign {
 		col.assign[i] = -1
 	}
 	// owners[b] lists satellites already owning bucket b.
-	owners := make([][]orbit.SatID, opts.Buckets)
+	owners := make([][]orbit.SatID, buckets)
 
 	// Deterministic sweep order: interleave planes and slots so early
 	// assignments spread over the grid rather than filling plane 0 first.
@@ -65,7 +55,7 @@ func ComputeColoring(g *topo.Grid, opts ColoringOptions) (*Coloring, error) {
 		}
 		best := BucketID(0)
 		bestDist := -1
-		for b := 0; b < opts.Buckets; b++ {
+		for b := 0; b < buckets; b++ {
 			d := nearestOwnerDist(g, owners[b], id)
 			if d > bestDist {
 				bestDist = d
@@ -109,9 +99,6 @@ func gcd(a, b int) int {
 // nearestOwnerDist returns the grid distance from id to the nearest owner,
 // or a large sentinel when the bucket has no owner yet.
 func nearestOwnerDist(g *topo.Grid, owners []orbit.SatID, id orbit.SatID) int {
-	if len(owners) == 0 {
-		return 1 << 20
-	}
 	best := 1 << 20
 	for _, o := range owners {
 		if d := g.TotalHops(id, o); d < best {
@@ -121,18 +108,10 @@ func nearestOwnerDist(g *topo.Grid, owners []orbit.SatID, id orbit.SatID) int {
 	return best
 }
 
-// Verify checks the colouring's reachability property: from every active
-// satellite, every bucket has an active owner within maxHops. It returns the
-// worst observed distance and the list of (satellite, bucket) violations.
-type ColoringViolation struct {
-	From   orbit.SatID
-	Bucket BucketID
-	Dist   int
-}
-
-// Verify computes the worst-case bucket distance of the colouring and any
-// violations of the maxHops budget.
-func (col *Coloring) Verify(g *topo.Grid, maxHops int) (worst int, violations []ColoringViolation) {
+// Verify checks the colouring's reachability property: it returns the worst
+// distance, over every active satellite and bucket, from the satellite to an
+// active owner of the bucket.
+func (col *Coloring) Verify(g *topo.Grid) (worst int) {
 	c := g.Constellation()
 	n := c.NumSlots()
 	// Collect owners per bucket.
@@ -153,13 +132,9 @@ func (col *Coloring) Verify(g *topo.Grid, maxHops int) (worst int, violations []
 			if d > worst {
 				worst = d
 			}
-			if d > maxHops {
-				violations = append(violations, ColoringViolation{From: id, Bucket: BucketID(b), Dist: d})
-			}
 		}
 	}
-	sort.Slice(violations, func(i, j int) bool { return violations[i].Dist > violations[j].Dist })
-	return worst, violations
+	return worst
 }
 
 // TilingColoring returns the paper's closed-form √L×√L tiling as a Coloring,

@@ -9,10 +9,10 @@ import (
 
 func TestComputeColoringValidation(t *testing.T) {
 	g := testGrid(t)
-	if _, err := ComputeColoring(g, ColoringOptions{Buckets: 0}); err == nil {
+	if _, err := ComputeColoring(g, 0); err == nil {
 		t.Error("zero buckets accepted")
 	}
-	if _, err := ComputeColoring(g, ColoringOptions{Buckets: 1 << 20}); err == nil {
+	if _, err := ComputeColoring(g, 1<<20); err == nil {
 		t.Error("more buckets than satellites accepted")
 	}
 }
@@ -24,12 +24,7 @@ func TestTilingColoringMatchesPaperBound(t *testing.T) {
 		h := scheme(t, l)
 		col := TilingColoring(h)
 		bound := topo.WorstCaseBucketHops(l)
-		worst, violations := col.Verify(h.Grid(), bound)
-		if len(violations) != 0 {
-			t.Errorf("L=%d: tiling violates its own bound: %d violations (worst %d)",
-				l, len(violations), worst)
-		}
-		if worst > bound {
+		if worst := col.Verify(h.Grid()); worst > bound {
 			t.Errorf("L=%d: tiling worst distance %d > bound %d", l, worst, bound)
 		}
 	}
@@ -40,12 +35,12 @@ func TestComputedColoringCoversHealthyGrid(t *testing.T) {
 	// close to the tiling's on a healthy grid (within 2x of the bound).
 	for _, l := range []int{4, 9} {
 		g := testGrid(t)
-		col, err := ComputeColoring(g, ColoringOptions{Buckets: l})
+		col, err := ComputeColoring(g, l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bound := topo.WorstCaseBucketHops(l)
-		worst, _ := col.Verify(g, 2*bound+1)
+		worst := col.Verify(g)
 		if worst > 2*bound+1 {
 			t.Errorf("L=%d: greedy colouring worst distance %d, tiling bound %d",
 				l, worst, bound)
@@ -84,7 +79,7 @@ func TestComputedColoringHandlesIrregularTopology(t *testing.T) {
 	c := g.Constellation()
 	c.ApplyOutageMask(126, 11)
 	defer c.ApplyOutageMask(0, 11)
-	col, err := ComputeColoring(g, ColoringOptions{Buckets: 9})
+	col, err := ComputeColoring(g, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +90,15 @@ func TestComputedColoringHandlesIrregularTopology(t *testing.T) {
 			t.Fatalf("dead satellite %d was coloured", i)
 		}
 	}
-	worst, violations := col.Verify(g, 6)
-	if len(violations) > 0 {
-		t.Errorf("irregular colouring has %d violations beyond 6 hops (worst %d)",
-			len(violations), worst)
+	if worst := col.Verify(g); worst > 6 {
+		t.Errorf("irregular colouring has a bucket %d hops away, beyond 6", worst)
 	}
 	// Non-perfect-square bucket counts work too (no tiling equivalent).
-	col5, err := ComputeColoring(g, ColoringOptions{Buckets: 5})
+	col5, err := ComputeColoring(g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := col5.Verify(g, 8); w > 8 {
+	if w := col5.Verify(g); w > 8 {
 		t.Errorf("L=5 colouring worst distance %d", w)
 	}
 }

@@ -29,7 +29,6 @@ import (
 // at laptop scale by shrinking the trace and the caches together, following
 // the paper's own 1 %-sampling methodology (§5.2).
 type Scale struct {
-	Name        string
 	Requests    int     // trace length (requests)
 	DurationSec float64 // trace span
 	Objects     int     // catalogue size per class
@@ -45,7 +44,6 @@ type Scale struct {
 // Small returns the default laptop-scale configuration used by the benches.
 func Small() Scale {
 	return Scale{
-		Name:        "small",
 		Requests:    150_000,
 		DurationSec: 3 * 3600,
 		Objects:     8000,
@@ -60,7 +58,6 @@ func Small() Scale {
 // Medium returns a larger configuration for overnight runs.
 func Medium() Scale {
 	s := Small()
-	s.Name = "medium"
 	s.Requests = 1_500_000
 	s.DurationSec = 24 * 3600
 	s.Objects = 60_000
@@ -279,10 +276,3 @@ func gb(bytes int64) string {
 		return fmt.Sprintf("%.0fMB", float64(bytes)/float64(1<<20))
 	}
 }
-
-// simConfigForSeed returns the default metrics-only simulation config used
-// by the memoised runs.
-func simConfigForSeed(seed int64) sim.Config { return sim.Config{Seed: seed} }
-
-// orbitSatID converts an int slot index to a satellite ID.
-func orbitSatID(i int) orbit.SatID { return orbit.SatID(i) }

@@ -3,12 +3,13 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"starcdn/internal/sim"
 )
 
 // tinyScale keeps experiment tests fast; the benches run the real Small().
 func tinyScale() Scale {
 	return Scale{
-		Name:             "tiny",
 		Requests:         25_000,
 		DurationSec:      2700,
 		Objects:          3000,
@@ -111,37 +112,37 @@ func TestRunSchemeMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := e.runScheme("memo", "lru", 0, 16<<20, tr, simConfigForSeed(5))
+	m1, err := e.runScheme("memo", "lru", 0, 16<<20, tr, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := e.runScheme("memo", "lru", 0, 16<<20, tr, simConfigForSeed(5))
+	m2, err := e.runScheme("memo", "lru", 0, 16<<20, tr, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
 		t.Error("identical runs should be memoised")
 	}
-	m3, err := e.runScheme("memo", "lru", 0, 32<<20, tr, simConfigForSeed(5))
+	m3, err := e.runScheme("memo", "lru", 0, 32<<20, tr, sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 == m3 {
 		t.Error("different cache sizes must not share memo entries")
 	}
-	if _, err := e.runScheme("memo", "nope", 0, 1, tr, simConfigForSeed(5)); err == nil {
+	if _, err := e.runScheme("memo", "nope", 0, 1, tr, sim.Config{Seed: 5}); err == nil {
 		t.Error("unknown scheme should fail")
 	}
 }
 
 func TestScalePresets(t *testing.T) {
-	for _, s := range []Scale{Small(), Medium()} {
+	for name, s := range map[string]Scale{"small": Small(), "medium": Medium()} {
 		if s.Requests <= 0 || s.DurationSec <= 0 || len(s.CacheSizes) == 0 {
-			t.Errorf("bad scale %s: %+v", s.Name, s)
+			t.Errorf("bad scale %s: %+v", name, s)
 		}
 		for i := 1; i < len(s.CacheSizes); i++ {
 			if s.CacheSizes[i] <= s.CacheSizes[i-1] {
-				t.Errorf("scale %s cache sizes not increasing", s.Name)
+				t.Errorf("scale %s cache sizes not increasing", name)
 			}
 		}
 	}

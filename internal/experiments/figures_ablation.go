@@ -5,6 +5,7 @@ import (
 
 	"starcdn/internal/cache"
 	"starcdn/internal/core"
+	"starcdn/internal/orbit"
 	"starcdn/internal/sim"
 )
 
@@ -104,9 +105,9 @@ func AblationFailureMode(e *Env) (string, error) {
 	c := e.Constellation("abl-fail")
 	c.ApplyOutageMask(126, e.Scale.Seed)
 	var dead []sim.FailureEvent
-	for i := 0; i < c.NumSlots(); i++ {
-		if !c.Active(orbitSatID(i)) {
-			dead = append(dead, sim.FailureEvent{TimeSec: 0, Sat: orbitSatID(i), Down: true})
+	for id := range orbit.SatID(c.NumSlots()) {
+		if !c.Active(id) {
+			dead = append(dead, sim.FailureEvent{TimeSec: 0, Sat: id, Down: true})
 		}
 	}
 	c.ApplyOutageMask(0, e.Scale.Seed)

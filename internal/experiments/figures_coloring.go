@@ -47,13 +47,13 @@ func ExtraColoring(e *Env) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			worst, _ = core.TilingColoring(h).Verify(g, 1<<20)
+			worst = core.TilingColoring(h).Verify(g)
 		default:
-			col, err := core.ComputeColoring(g, core.ColoringOptions{Buckets: cs.l})
+			col, err := core.ComputeColoring(g, cs.l)
 			if err != nil {
 				return "", err
 			}
-			worst, _ = col.Verify(g, 1<<20)
+			worst = col.Verify(g)
 		}
 		boundStr := fmt.Sprintf("%d", bound)
 		if cs.l == 5 {

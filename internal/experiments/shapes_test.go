@@ -31,16 +31,16 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 
 	lru := run("lru", 0)
-	hashingOnly := run("starcdn-hashing", 4)
+	relayOnly := run("starcdn-hashing", 4)
 	fetch := run("starcdn-fetch", 9)
 	full := run("starcdn", 9)
 
 	// Fig. 7 ordering: every StarCDN mechanism adds hit rate over LRU.
-	if !(lru.Meter.RequestHitRate() < hashingOnly.Meter.RequestHitRate() &&
-		hashingOnly.Meter.RequestHitRate() < fetch.Meter.RequestHitRate() &&
+	if !(lru.Meter.RequestHitRate() < relayOnly.Meter.RequestHitRate() &&
+		relayOnly.Meter.RequestHitRate() < fetch.Meter.RequestHitRate() &&
 		fetch.Meter.RequestHitRate() < full.Meter.RequestHitRate()) {
-		t.Errorf("Fig.7 ordering broken: lru=%.3f hashing=%.3f fetch=%.3f full=%.3f",
-			lru.Meter.RequestHitRate(), hashingOnly.Meter.RequestHitRate(),
+		t.Errorf("Fig.7 ordering broken: lru=%.3f relay-only=%.3f hashing-only=%.3f full=%.3f",
+			lru.Meter.RequestHitRate(), relayOnly.Meter.RequestHitRate(),
 			fetch.Meter.RequestHitRate(), full.Meter.RequestHitRate())
 	}
 

@@ -173,8 +173,8 @@ func TestNearestGroundStation(t *testing.T) {
 	if idx < 0 || idx >= len(gs) {
 		t.Fatalf("bad index %d", idx)
 	}
-	if gs[idx].Name != "Greenville PA" {
-		t.Errorf("nearest GS to NY = %s", gs[idx].Name)
+	if idx != 2 { // Greenville PA
+		t.Errorf("nearest GS to NY = station %d, want 2 (Greenville PA)", idx)
 	}
 	if d <= 0 || d > 1000 {
 		t.Errorf("distance to nearest GS = %v", d)

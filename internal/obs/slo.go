@@ -17,13 +17,6 @@ import (
 //     histogram _count series) and the objective is "ΔGood/ΔTotal over the
 //     window stays >= MinRatio" — e.g. "hit rate >= 60% over 1 min".
 //
-// A quantile objective with Sketch set targets a recorded quantile-sketch
-// series instead of a histogram: the engine reads the sketch's recorded
-// `<name>_q{q="..."}` ring, so Quantile must be one of SketchQuantiles.
-// Sketch quantiles are running (whole-stream) values with a relative-error
-// guarantee, where histogram quantiles are windowed with fixed-bucket
-// interpolation error — pick per objective.
-//
 // Epochs whose window holds no samples are skipped (no breach, no budget
 // burn): an idle system is not failing its objectives.
 type SLO struct {
@@ -31,12 +24,9 @@ type SLO struct {
 	Name string
 
 	// Quantile objective.
-	Series   string  // recorded histogram (or sketch) key, e.g. `starcdn_sim_latency_ms`
+	Series   string  // recorded histogram key, e.g. `starcdn_sim_latency_ms`
 	Quantile float64 // e.g. 0.99
 	MaxValue float64 // inclusive upper bound on the windowed quantile
-	// Sketch marks Series as a quantile-sketch series rather than a
-	// histogram; Quantile must then be one of SketchQuantiles.
-	Sketch bool
 
 	// Ratio objective.
 	Good     string  // cumulative "good events" series key
@@ -73,19 +63,6 @@ func (s SLO) Validate() error {
 		if s.Quantile <= 0 || s.Quantile > 1 {
 			return fmt.Errorf("obs: SLO %s quantile %v outside (0,1]", s.Name, s.Quantile)
 		}
-		if s.Sketch {
-			found := false
-			for _, q := range SketchQuantiles {
-				if q == s.Quantile {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("obs: SLO %s targets sketch quantile %v, but only %v are recorded",
-					s.Name, s.Quantile, SketchQuantiles)
-			}
-		}
 	default:
 		return fmt.Errorf("obs: SLO %s names no objective series", s.Name)
 	}
@@ -115,9 +92,8 @@ type sloState struct {
 type SLOEngine struct {
 	rec *Recorder
 
-	mu    sync.Mutex
-	slos  []*sloState
-	epoch int64
+	mu   sync.Mutex
+	slos []*sloState
 }
 
 // NewSLOEngine validates the objectives, registers their exported series in
@@ -160,7 +136,6 @@ func (e *SLOEngine) evaluate(float64) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.epoch++
 	for _, st := range e.slos {
 		v, ok := e.windowValue(st.spec)
 		if !ok {
@@ -206,24 +181,10 @@ func (e *SLOEngine) evaluate(float64) {
 // SLOStatus is one objective's current state, as the commands' end-of-run
 // summary prints it.
 type SLOStatus struct {
-	Name      string
-	Objective string  // human-readable objective description
-	Value     float64 // current windowed value
-	Breach    bool    // current epoch breaches
-	BurnRate  float64
-	Budget    float64 // remaining error budget fraction
-	Evals     int64   // evaluated epochs
-}
-
-// Describe renders the objective in one line.
-func (s SLO) Describe() string {
-	if s.ratio() {
-		return fmt.Sprintf("%s/%s >= %g over %gs", s.Good, s.Total, s.MinRatio, s.WindowSec)
-	}
-	if s.Sketch {
-		return fmt.Sprintf("sketch p%g(%s) <= %g", s.Quantile*100, s.Series, s.MaxValue)
-	}
-	return fmt.Sprintf("p%g(%s) <= %g over %gs", s.Quantile*100, s.Series, s.MaxValue, s.WindowSec)
+	Name     string
+	Value    float64 // current windowed value
+	BurnRate float64
+	Budget   float64 // remaining error budget fraction
 }
 
 // Snapshot freezes every objective's current state (nil-safe).
@@ -236,13 +197,10 @@ func (e *SLOEngine) Snapshot() []SLOStatus {
 	out := make([]SLOStatus, 0, len(e.slos))
 	for _, st := range e.slos {
 		out = append(out, SLOStatus{
-			Name:      st.spec.Name,
-			Objective: st.spec.Describe(),
-			Value:     st.value.Value(),
-			Breach:    st.breach.Value() > 0,
-			BurnRate:  st.burn.Value(),
-			Budget:    st.budget.Value(),
-			Evals:     st.evals,
+			Name:     st.spec.Name,
+			Value:    st.value.Value(),
+			BurnRate: st.burn.Value(),
+			Budget:   st.budget.Value(),
 		})
 	}
 	return out
@@ -301,20 +259,6 @@ func (e *SLOEngine) windowValue(s SLO) (float64, bool) {
 		}
 		good, _ := e.rec.Delta(s.Good, s.WindowSec)
 		return good / total, true
-	}
-	if s.Sketch {
-		// The recorder fans a sketch series out into one ring per recorded
-		// quantile; the objective reads that ring's freshest in-window value
-		// (the running quantile as of the latest epoch).
-		name, labels := splitSeriesKey(s.Series)
-		key := derivedRingKey(name+"_q", labels, "q", formatFloat(s.Quantile))
-		pts := e.rec.Window(key, s.WindowSec)
-		for i := len(pts) - 1; i >= 0; i-- {
-			if !math.IsNaN(pts[i].V) {
-				return pts[i].V, true
-			}
-		}
-		return 0, false
 	}
 	bounds, delta, ok := e.rec.HistogramWindow(s.Series, s.WindowSec)
 	if !ok {

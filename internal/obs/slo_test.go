@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// breaching reads objective i's starcdn_slo_breach gauge: whether its latest
+// evaluated epoch breached.
+func breaching(e *SLOEngine, i int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.slos[i].breach.Value() > 0
+}
+
+// evals returns how many epochs objective i has evaluated (windows that held
+// samples).
+func evals(e *SLOEngine, i int) int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.slos[i].evals
+}
+
 // TestSLOValidate rejects malformed objectives.
 func TestSLOValidate(t *testing.T) {
 	bad := []SLO{
@@ -93,7 +109,7 @@ func TestSLORatioBurn(t *testing.T) {
 		t.Fatalf("burning during healthy phase: %v", burning)
 	}
 	snap := eng.Snapshot()
-	if len(snap) != 1 || snap[0].Breach || snap[0].Value < 0.5 {
+	if len(snap) != 1 || breaching(eng, 0) || snap[0].Value < 0.5 {
 		t.Fatalf("healthy snapshot = %+v", snap)
 	}
 
@@ -103,7 +119,7 @@ func TestSLORatioBurn(t *testing.T) {
 		step(float64(i), 10, 0)
 	}
 	snap = eng.Snapshot()
-	if !snap[0].Breach {
+	if !breaching(eng, 0) {
 		t.Fatalf("no breach after kill window: %+v", snap[0])
 	}
 	if snap[0].BurnRate <= 1 {
@@ -157,7 +173,7 @@ func TestSLOQuantile(t *testing.T) {
 		rec.TickAt(float64(i))
 	}
 	snap := eng.Snapshot()
-	if snap[0].Breach || snap[0].Value > 10 {
+	if breaching(eng, 0) || snap[0].Value > 10 {
 		t.Fatalf("fast phase snapshot = %+v", snap[0])
 	}
 
@@ -167,7 +183,7 @@ func TestSLOQuantile(t *testing.T) {
 	}
 	rec.TickAt(4)
 	snap = eng.Snapshot()
-	if !snap[0].Breach {
+	if !breaching(eng, 0) {
 		t.Fatalf("no breach after stall: %+v", snap[0])
 	}
 	if snap[0].Value <= 100 {
@@ -190,7 +206,7 @@ func TestSLOIdleWindows(t *testing.T) {
 		rec.TickAt(float64(i))
 	}
 	snap := eng.Snapshot()
-	if snap[0].Evals != 0 || snap[0].Breach || len(eng.Burning()) != 0 {
+	if evals(eng, 0) != 0 || breaching(eng, 0) || len(eng.Burning()) != 0 {
 		t.Errorf("idle engine evaluated: %+v burning=%v", snap[0], eng.Burning())
 	}
 }
@@ -237,18 +253,6 @@ func TestSLOHealth(t *testing.T) {
 	}
 }
 
-// TestSLODescribe pins the human-readable objective strings.
-func TestSLODescribe(t *testing.T) {
-	r := SLO{Name: "hr", Good: "hits", Total: "served", MinRatio: 0.6, WindowSec: 60}
-	if got := r.Describe(); got != "hits/served >= 0.6 over 60s" {
-		t.Errorf("ratio Describe = %q", got)
-	}
-	q := SLO{Name: "lat", Series: "lat_ms", Quantile: 0.99, MaxValue: 50, WindowSec: 300}
-	if got := q.Describe(); got != "p99(lat_ms) <= 50 over 300s" {
-		t.Errorf("quantile Describe = %q", got)
-	}
-}
-
 // TestSLOZeroTrafficBurnIsZero pins the zero-traffic contract for both
 // objective forms: registered-but-silent series produce skipped epochs, so
 // the burn rate stays exactly 0 — never NaN from a 0/0 ratio or an empty
@@ -276,9 +280,9 @@ func TestSLOZeroTrafficBurnIsZero(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		rec.TickAt(float64(i))
 	}
-	for _, s := range eng.Snapshot() {
-		if s.Evals != 0 {
-			t.Errorf("%s evaluated %d zero-traffic epochs", s.Name, s.Evals)
+	for i, s := range eng.Snapshot() {
+		if n := evals(eng, i); n != 0 {
+			t.Errorf("%s evaluated %d zero-traffic epochs", s.Name, n)
 		}
 		if math.IsNaN(s.BurnRate) || s.BurnRate != 0 {
 			t.Errorf("%s zero-traffic burn = %v, want 0", s.Name, s.BurnRate)
@@ -299,9 +303,9 @@ func TestSLOZeroTrafficBurnIsZero(t *testing.T) {
 	for i := 7; i <= 10; i++ {
 		rec.TickAt(float64(i))
 	}
-	for _, s := range eng.Snapshot() {
-		if s.Evals != 4 {
-			t.Errorf("%s evals = %d after one traffic epoch, want 4", s.Name, s.Evals)
+	for i, s := range eng.Snapshot() {
+		if n := evals(eng, i); n != 4 {
+			t.Errorf("%s evals = %d after one traffic epoch, want 4", s.Name, n)
 		}
 		if math.IsNaN(s.BurnRate) || s.BurnRate != 0 {
 			t.Errorf("%s post-idle burn = %v, want 0", s.Name, s.BurnRate)
@@ -375,13 +379,13 @@ func TestSLOQuantileSingleSample(t *testing.T) {
 	h.Observe(5)
 	rec.TickAt(1)
 	s := eng.Snapshot()[0]
-	if s.Evals != 1 {
-		t.Fatalf("evals = %d after single-sample window, want 1", s.Evals)
+	if n := evals(eng, 0); n != 1 {
+		t.Fatalf("evals = %d after single-sample window, want 1", n)
 	}
 	if math.IsNaN(s.Value) || s.Value <= 1 || s.Value > 10 {
 		t.Errorf("single-sample p99 = %v, want in (1,10]", s.Value)
 	}
-	if s.Breach || s.BurnRate != 0 {
+	if breaching(eng, 0) || s.BurnRate != 0 {
 		t.Errorf("single fast sample breached: %+v", s)
 	}
 
@@ -393,7 +397,7 @@ func TestSLOQuantileSingleSample(t *testing.T) {
 	if math.IsNaN(s.Value) || s.Value <= 100 || s.Value > 1000 {
 		t.Errorf("single slow sample p99 = %v, want in (100,1000]", s.Value)
 	}
-	if !s.Breach {
+	if !breaching(eng, 0) {
 		t.Errorf("single slow sample did not breach: %+v", s)
 	}
 }
@@ -432,8 +436,8 @@ func TestSLOBudgetMath(t *testing.T) {
 		t.Errorf("hitless epoch value gauge = %v, want 0", value.Value())
 	}
 	snap := eng.Snapshot()
-	if snap[0].Evals != 4 {
-		t.Fatalf("evals = %d, want 4", snap[0].Evals)
+	if n := evals(eng, 0); n != 4 {
+		t.Fatalf("evals = %d, want 4", n)
 	}
 	if math.Abs(snap[0].Budget-0) > 1e-9 {
 		t.Errorf("budget = %v, want 0 (1 - (1/4)/0.25)", snap[0].Budget)

@@ -53,7 +53,6 @@ type FaultConfig struct {
 type FaultStats struct {
 	Dials       int64 // dial attempts seen by the injector
 	Refused     int64 // dials refused
-	Wrapped     int64 // connections wrapped
 	Resets      int64 // injected connection resets
 	Stalls      int64 // injected read stalls
 	Truncations int64 // injected truncated writes
@@ -89,7 +88,6 @@ func (f *FaultInjector) newConnRng() *rand.Rand {
 	f.mu.Lock()
 	f.conns++
 	n := f.conns
-	f.stats.Wrapped++
 	f.mu.Unlock()
 	// splitmix-style combination keeps per-connection streams decorrelated.
 	return rand.New(rand.NewSource(f.cfg.Seed ^ int64(uint64(n)*0x9E3779B97F4A7C15)))

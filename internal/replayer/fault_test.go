@@ -242,9 +242,8 @@ func TestReplayDeadServerMakesProgress(t *testing.T) {
 	opts := Options{
 		Hashing: true, Relay: true, Seed: 99,
 		Fault: &FaultPolicy{
-			DialTimeout: 100 * time.Millisecond,
-			IOTimeout:   100 * time.Millisecond,
-			Retry:       RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
+			IOTimeout: 100 * time.Millisecond,
+			Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond},
 		},
 	}
 	sats := contacted(t, h, users, tr, opts)

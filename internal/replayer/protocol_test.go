@@ -99,7 +99,7 @@ func TestWriteFramePropagatesShortWrite(t *testing.T) {
 // TestServerSurvivesGarbageAndTruncatedInput: malformed client bytes must
 // neither hang a handler nor take the server down for other clients.
 func TestServerSurvivesGarbageAndTruncatedInput(t *testing.T) {
-	capture := obs.NewCapture()
+	capture := newCapture()
 	s, err := NewServerOpts(1, cache.LRU, 1000, ServerOptions{
 		Log: obs.NewLogger(capture),
 	})
@@ -149,7 +149,7 @@ func TestServerSurvivesGarbageAndTruncatedInput(t *testing.T) {
 // the injected slog handler instead of the global logger, carrying the
 // satellite ID as an attribute rather than baked into a format string.
 func TestServerLogInjectable(t *testing.T) {
-	capture := obs.NewCapture()
+	capture := newCapture()
 	s, err := NewServerOpts(3, cache.LRU, 1000, ServerOptions{
 		Log: obs.NewLogger(capture),
 	})

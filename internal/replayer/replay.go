@@ -27,8 +27,6 @@ type orbitSat = orbit.SatID
 // the ground (a transient outage from the client's point of view) and the
 // replay continues; it never errors out because one satellite died.
 type FaultPolicy struct {
-	// DialTimeout caps each dial attempt (0 selects 250ms).
-	DialTimeout time.Duration
 	// IOTimeout is the per-attempt read/write deadline (0 selects 250ms).
 	IOTimeout time.Duration
 	// Retry bounds attempts and backoff; the zero value selects
@@ -40,10 +38,10 @@ type FaultPolicy struct {
 	Injector *FaultInjector
 }
 
-// defaultFaultTimeout bounds dials and frame exchanges when the caller
-// enables fault tolerance without picking timeouts. Loopback round trips
-// are microseconds, so 250ms cleanly separates "slow" from "dead" without
-// making a chaos replay crawl.
+// defaultFaultTimeout bounds every dial under a FaultPolicy, and frame
+// exchanges when the policy picks no IOTimeout. Loopback round trips are
+// microseconds and a dead server refuses its dial at once, so 250ms cleanly
+// separates "slow" from "dead" without making a chaos replay crawl.
 const defaultFaultTimeout = 250 * time.Millisecond
 
 // clientOptions lowers the policy into ClientOptions.
@@ -52,10 +50,7 @@ func (p *FaultPolicy) clientOptions(seed int64) ClientOptions {
 	if p == nil {
 		return o
 	}
-	o.DialTimeout = p.DialTimeout
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = defaultFaultTimeout
-	}
+	o.DialTimeout = defaultFaultTimeout
 	o.IOTimeout = p.IOTimeout
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = defaultFaultTimeout
@@ -72,10 +67,9 @@ func (p *FaultPolicy) clientOptions(seed int64) ClientOptions {
 
 // Options configures a distributed replay.
 type Options struct {
-	Hashing  bool
-	Relay    bool
-	EpochSec float64
-	Seed     int64
+	Hashing bool
+	Relay   bool
+	Seed    int64
 	// Fault enables fault-tolerant operation (deadlines, retries, §3.4
 	// degradation). Nil preserves the legacy fail-fast behaviour: the
 	// first network error aborts the replay.
@@ -163,7 +157,7 @@ func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trac
 		return nil, fmt.Errorf("replayer: a failure schedule requires a FaultPolicy")
 	}
 	c := h.Grid().Constellation()
-	scheduler, err := sched.New(c, users, opts.EpochSec, opts.Seed)
+	scheduler, err := sched.New(c, users, sched.DefaultEpochSec, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +209,7 @@ func (o *Options) ladder(h *core.HashScheme) sim.Ladder {
 // the chaos candidate set: a kill fraction of it is a fraction of the servers
 // that matter.
 func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts Options) ([]orbit.SatID, error) {
-	scheduler, err := sched.New(h.Grid().Constellation(), users, opts.EpochSec, opts.Seed)
+	scheduler, err := sched.New(h.Grid().Constellation(), users, sched.DefaultEpochSec, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

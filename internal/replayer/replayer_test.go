@@ -19,8 +19,8 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.id != 7 {
-		t.Errorf("id = %d", s.id)
+	if s.proc != "sat-7" {
+		t.Errorf("proc = %q, want sat-7", s.proc)
 	}
 	cl := NewClient()
 	defer cl.Close()

@@ -22,9 +22,10 @@ import (
 // ServerOptions configures optional server behaviour.
 type ServerOptions struct {
 	// Log receives structured server events (accept-loop errors). Nil logs
-	// through a stderr text handler; tests inject obs.NewCapture so `make
+	// through a stderr text handler; tests inject a capturing handler so `make
 	// check` output stays clean and accept errors can be asserted on as
 	// records rather than formatted strings.
+	//lint:ignore deadfield test seam: TestServerLogInjectable and TestServerSurvivesGarbageAndTruncatedInput (internal/replayer/protocol_test.go) set it to assert on accept errors as records
 	Log *slog.Logger
 	// Obs, when non-nil, registers live per-satellite series: request
 	// counters, hit-rate gauges, open-connection gauges, and — on clusters —
@@ -32,6 +33,7 @@ type ServerOptions struct {
 	Obs *obs.Registry
 	// Injector, when non-nil, wraps every accepted connection with
 	// deterministic fault injection (server-side chaos).
+	//lint:ignore deadfield test seam: TestServerSideTruncationIsRetried (internal/replayer/fault_test.go) sets it to truncate the server's response writes, a path no loopback run reaches otherwise
 	Injector *FaultInjector
 	// Cache, when non-nil, is served instead of a freshly built one.
 	// Cluster.Revive uses this to model a §3.4 reboot whose local storage
@@ -58,7 +60,6 @@ type ServerOptions struct {
 
 // Server runs one satellite's cache behind a TCP listener.
 type Server struct {
-	id     orbit.SatID
 	ln     net.Listener
 	addr   string // ln's address, formatted once
 	log    *slog.Logger
@@ -103,7 +104,6 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 		ln = opts.Injector.WrapListener(ln)
 	}
 	s := &Server{
-		id:     id,
 		ln:     ln,
 		addr:   ln.Addr().String(),
 		log:    obs.NewLogger(nil).With("sat", int(id)),

@@ -56,16 +56,11 @@ type Config struct {
 	Strategy    Strategy
 	StateBytes  int64   // session state size per user
 	DurationSec float64 // simulated span
-	EpochSec    float64 // scheduler interval (default 15 s)
 	Seed        int64
 }
 
 // Stats aggregates a session simulation.
 type Stats struct {
-	Strategy  Strategy
-	Users     int
-	Epochs    int64
-	EpochSec  float64
 	Handovers int64 // first-contact satellite changes
 	// Migrations counts state moves (FollowSatellite: every handover;
 	// BucketAnchor: only when the anchor satellite changes; GroundAnchor:
@@ -94,13 +89,13 @@ func Run(h *core.HashScheme, users []geo.Point, cfg Config) (*Stats, error) {
 		return nil, fmt.Errorf("session: StateBytes and DurationSec must be positive")
 	}
 	c := h.Grid().Constellation()
-	scheduler, err := sched.New(c, users, cfg.EpochSec, cfg.Seed)
+	scheduler, err := sched.New(c, users, sched.DefaultEpochSec, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	lat := sim.DefaultLatencyModel()
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	st := &Stats{Strategy: cfg.Strategy, Users: len(users), EpochSec: scheduler.EpochSec()}
+	st := &Stats{}
 
 	// Per-user anchor state. -1 = not yet attached.
 	anchor := make([]orbit.SatID, len(users))
@@ -112,7 +107,6 @@ func Run(h *core.HashScheme, users []geo.Point, cfg Config) (*Stats, error) {
 	epochSec := scheduler.EpochSec()
 	g := h.Grid()
 	for t := 0.0; t < cfg.DurationSec; t += epochSec {
-		st.Epochs++
 		for u := range users {
 			first, ok := scheduler.FirstContact(u, t)
 			if !ok {

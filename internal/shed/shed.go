@@ -293,7 +293,6 @@ type Controller struct {
 	stage      Stage
 	dwell      int // closed epochs since the last transition
 	burn       float64
-	lastFrac   float64
 	ups, downs int
 	// session admission, keyed by trace location index (the session
 	// identity both the simulator and the replayer share)
@@ -356,7 +355,6 @@ func (c *Controller) closeEpochLocked(now float64) {
 	if c.served > 0 {
 		frac = float64(c.degraded) / float64(c.served)
 	}
-	c.lastFrac = frac
 	c.served, c.degraded = 0, 0
 
 	c.breaches = append(c.breaches, frac > c.cfg.MaxDegraded)
@@ -459,14 +457,8 @@ func (c *Controller) Stage() Stage {
 // Status is a snapshot of the controller: what the end-of-run summary prints
 // and what the starcdn_shed_* gauges carry per epoch.
 type Status struct {
-	Stage        int
 	StageName    string
 	Burn         float64
-	Degraded     float64
-	Enter        float64 // threshold to escalate (0 at top stage)
-	Exit         float64 // threshold to recover (0 at stage 0)
-	DwellEpochs  int
-	Dwell        int
 	SessionsOpen int
 }
 
@@ -474,22 +466,11 @@ type Status struct {
 func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Status{
-		Stage:        int(c.stage),
+	return Status{
 		StageName:    c.stage.String(),
 		Burn:         c.burn,
-		Degraded:     c.lastFrac,
-		DwellEpochs:  c.cfg.DwellEpochs,
-		Dwell:        c.dwell,
 		SessionsOpen: len(c.sessions),
 	}
-	if c.stage < StageHitsOnly {
-		st.Enter = c.cfg.Enter[c.stage]
-	}
-	if c.stage > StageNormal {
-		st.Exit = c.cfg.Exit[c.stage-1]
-	}
-	return st
 }
 
 // Transitions returns the cumulative (up, down) stage-transition counts.

@@ -15,7 +15,7 @@ import (
 // harness uses it to quantify exactly that trade-off against StarCDN.
 type GroundEdgeCDN struct {
 	cfg      CacheConfig
-	stations []geo.GroundStation
+	stations []geo.Point
 	users    []geo.Point
 	caches   map[int]cache.Policy // keyed by ground-station index
 	// nearest[l] is the ground station serving trace location l.
@@ -24,7 +24,7 @@ type GroundEdgeCDN struct {
 
 // NewGroundEdgeCDN builds the baseline. users[i] must be the terminal
 // position of trace location i (the same slice passed to Run).
-func NewGroundEdgeCDN(cfg CacheConfig, stations []geo.GroundStation, users []geo.Point) (*GroundEdgeCDN, error) {
+func NewGroundEdgeCDN(cfg CacheConfig, stations []geo.Point, users []geo.Point) (*GroundEdgeCDN, error) {
 	if len(stations) == 0 {
 		return nil, fmt.Errorf("sim: ground-edge CDN needs at least one ground station")
 	}

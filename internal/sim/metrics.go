@@ -139,8 +139,6 @@ type Metrics struct {
 	// Latency is the per-request end-to-end round-trip CDF (Fig. 10);
 	// only collected when enabled in the runner config.
 	Latency *stats.CDF
-	// Relay is the Table 3 availability tally.
-	Relay RelayAvailability
 	// PerSat meters each serving satellite's cache performance (Fig. 11);
 	// only collected when enabled.
 	PerSat map[orbit.SatID]*cache.Meter

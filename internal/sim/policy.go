@@ -207,9 +207,8 @@ type StarCDNOptions struct {
 	Hashing bool
 	Relay   bool
 
-	Prefetch         bool
-	PrefetchCount    int     // objects pulled per epoch (default 32)
-	PrefetchEpochSec float64 // pull interval (default 15 s)
+	Prefetch      bool
+	PrefetchCount int // objects pulled per epoch (default 32)
 }
 
 // StarCDN is the paper's system (§3): consistent-hashing routing to a bucket
@@ -236,7 +235,7 @@ func NewStarCDN(h *core.HashScheme, cfg CacheConfig, opts StarCDNOptions) *StarC
 	p := &StarCDN{hash: h, opts: opts, caches: newSatCaches(cfg),
 		ladder: Ladder{Hash: h, Relay: opts.Relay}}
 	if opts.Prefetch {
-		p.prefetch = newPrefetcher(opts.PrefetchCount, opts.PrefetchEpochSec)
+		p.prefetch = newPrefetcher(opts.PrefetchCount)
 	}
 	return p
 }
@@ -250,7 +249,8 @@ func (p *StarCDN) PrefetchStats() PrefetchStats {
 	return p.prefetch.stats
 }
 
-// SetRelayStats wires a Table 3 tally sink (usually &Metrics.Relay).
+// SetRelayStats wires a Table 3 tally sink: the Table 3 experiment passes
+// its own RelayAvailability and reads it after the run.
 func (p *StarCDN) SetRelayStats(r *RelayAvailability) { p.relayStats = r }
 
 // ObjectBucket returns the consistent-hash bucket that owns obj (always 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"starcdn/internal/cache"
 	"starcdn/internal/orbit"
+	"starcdn/internal/sched"
 	"starcdn/internal/topo"
 )
 
@@ -24,29 +25,24 @@ func (p *PrefetchStats) UsefulFraction() float64 {
 }
 
 // prefetcher implements the paper's discussed-and-rejected alternative to
-// relayed fetch: at every scheduler epoch, a satellite proactively copies
+// relayed fetch: at every scheduler epoch (sched.DefaultEpochSec), a satellite proactively copies
 // the hottest objects from its west same-bucket neighbour (the satellite
 // whose ground track it is about to retrace). The paper argues (§3.3) that
 // unused prefetches waste cache space, transmit power, and ISL bandwidth;
 // the ablation experiment quantifies that trade-off.
 type prefetcher struct {
-	count     int     // objects pulled per epoch
-	epochSec  float64 // trigger interval
+	count     int // objects pulled per epoch
 	lastEpoch map[orbit.SatID]int64
 	pulled    map[orbit.SatID]map[cache.ObjectID]bool
 	stats     PrefetchStats
 }
 
-func newPrefetcher(count int, epochSec float64) *prefetcher {
+func newPrefetcher(count int) *prefetcher {
 	if count <= 0 {
 		count = 32
 	}
-	if epochSec <= 0 {
-		epochSec = 15
-	}
 	return &prefetcher{
 		count:     count,
-		epochSec:  epochSec,
 		lastEpoch: make(map[orbit.SatID]int64),
 		pulled:    make(map[orbit.SatID]map[cache.ObjectID]bool),
 	}
@@ -55,7 +51,7 @@ func newPrefetcher(count int, epochSec float64) *prefetcher {
 // maybePrefetch runs once per (satellite, epoch): it copies up to count of
 // the west neighbour's most recently used objects into home's cache.
 func (pf *prefetcher) maybePrefetch(p *StarCDN, home orbit.SatID, timeSec float64) {
-	epoch := int64(timeSec / pf.epochSec)
+	epoch := int64(timeSec / sched.DefaultEpochSec)
 	if pf.lastEpoch[home] == epoch {
 		return
 	}

@@ -95,8 +95,8 @@ func TestShedHoldsP99UnderChaosKillWave(t *testing.T) {
 	const seed = 9
 	// The latency SLO the shedding run must hold. The control run's p99
 	// sits well above it (the kill wave's miss-through flood keeps GSL
-	// utilisation at the queueing cap for the whole outage, ~117ms at this
-	// calibration); the shedding run's sits well below (~63ms: hits-only
+	// utilisation at the queueing cap for the whole outage, ~121ms at this
+	// calibration); the shedding run's sits well below (~72ms: hits-only
 	// mode starves the uplink queue, and rejected requests never join it).
 	const sloP99Ms = 90.0
 
@@ -112,16 +112,14 @@ func TestShedHoldsP99UnderChaosKillWave(t *testing.T) {
 	// Scale the sampled trace so full demand sits at 3x the 20 Gbps GSL:
 	// with warm caches the healthy-state uplink is near idle, while the
 	// kill wave's miss-through flood pins utilisation at the queueing cap.
-	// A tight origin-RTT sigma keeps the ground-fetch tail below the
-	// queueing cap, so congestion — the thing shedding relieves —
-	// dominates p99 rather than origin-network noise.
+	// Under the default latency model the ground-fetch tail stays below the
+	// queueing cap, so congestion — the thing shedding relieves — dominates
+	// p99 rather than origin-network noise.
 	demandGbps := float64(eCtl.tr.TotalBytes()) * 8 / eCtl.tr.DurationSec() / 1e9
 	if demandGbps == 0 {
 		t.Fatal("empty trace")
 	}
 	scale := 3.0 * 20 / demandGbps
-	lat := DefaultLatencyModel()
-	lat.OriginRTTSigma = 0.15
 
 	// Warm both policies with a failure-free pre-pass over the same trace so
 	// the measured runs start from steady state: compulsory cold misses would
@@ -137,8 +135,7 @@ func TestShedHoldsP99UnderChaosKillWave(t *testing.T) {
 	}
 
 	mCtl, err := Run(eCtl.c, eCtl.users, eCtl.tr, pCtl,
-		Config{Seed: seed, Failures: events, TrafficScale: scale, Latency: &lat,
-			CollectLatency: true})
+		Config{Seed: seed, Failures: events, TrafficScale: scale, CollectLatency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +148,7 @@ func TestShedHoldsP99UnderChaosKillWave(t *testing.T) {
 	}
 	mShed, err := Run(eShed.c, eShed.users, eShed.tr, pShed,
 		Config{Seed: seed, Failures: transientKillWave(eShed), TrafficScale: scale,
-			Latency: &lat, CollectLatency: true,
-			Metrics: reg, Recorder: rec, Shedder: ctrl})
+			CollectLatency: true, Metrics: reg, Recorder: rec, Shedder: ctrl})
 	if err != nil {
 		t.Fatal(err)
 	}

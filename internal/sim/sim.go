@@ -26,9 +26,6 @@ type FailureEvent struct {
 
 // Config controls a simulation run.
 type Config struct {
-	// EpochSec is the link scheduler reconfiguration interval
-	// (default sched.DefaultEpochSec).
-	EpochSec float64
 	// Seed drives the scheduler and all latency sampling.
 	Seed int64
 	// CollectLatency enables the per-request latency CDF (costs memory).
@@ -46,8 +43,6 @@ type Config struct {
 	// computing GSL utilisation and the resulting queueing delay. Zero
 	// disables congestion modelling (the Fig. 10 idle-latency setting).
 	TrafficScale float64
-	// Latency overrides the latency model; zero value selects the default.
-	Latency *LatencyModel
 	// Failures are applied in time order as the trace replays. They must be
 	// sorted by TimeSec.
 	Failures []FailureEvent
@@ -129,14 +124,11 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if ro != nil {
 		failures.OnApply(ro.onFailure)
 	}
-	scheduler, err := sched.New(c, users, cfg.EpochSec, cfg.Seed)
+	scheduler, err := sched.New(c, users, sched.DefaultEpochSec, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	lat := DefaultLatencyModel()
-	if cfg.Latency != nil {
-		lat = *cfg.Latency
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	metrics := NewMetrics(cfg.CollectLatency, cfg.CollectPerSat)
 	if metrics.Latency != nil {

@@ -198,8 +198,8 @@ func TestRelaySourcesAndTable3(t *testing.T) {
 	}
 	p := NewStarCDN(h, CacheConfig{Kind: cache.LRU, Bytes: 128 << 20},
 		StarCDNOptions{Hashing: true, Relay: true})
-	m := NewMetrics(false, false)
-	p.SetRelayStats(&m.Relay)
+	var relay RelayAvailability
+	p.SetRelayStats(&relay)
 	got, err := Run(e.c, e.users, e.tr, p, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -214,13 +214,13 @@ func TestRelaySourcesAndTable3(t *testing.T) {
 		t.Errorf("west relays (%d) should dominate east relays (%d)",
 			got.BySource[SourceRelayWest], got.BySource[SourceRelayEast])
 	}
-	tally := m.Relay.WestOnlyReq + m.Relay.EastOnlyReq + m.Relay.BothReq
+	tally := relay.WestOnlyReq + relay.EastOnlyReq + relay.BothReq
 	if tally == 0 {
 		t.Error("Table 3 tally empty despite relays")
 	}
-	if m.Relay.WestOnlyReq <= m.Relay.EastOnlyReq {
+	if relay.WestOnlyReq <= relay.EastOnlyReq {
 		t.Errorf("west-only (%d) should exceed east-only (%d) (Table 3)",
-			m.Relay.WestOnlyReq, m.Relay.EastOnlyReq)
+			relay.WestOnlyReq, relay.EastOnlyReq)
 	}
 }
 

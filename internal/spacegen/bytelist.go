@@ -147,17 +147,3 @@ func (l *byteList) InsertAtBytes(e Entry, d int64) {
 	a, b := splitBytes(l.root, d)
 	l.root = merge(merge(a, n), b)
 }
-
-// walk applies f to every entry in list order (for tests and accounting).
-func (l *byteList) walk(f func(Entry)) {
-	var rec func(t *blNode)
-	rec = func(t *blNode) {
-		if t == nil {
-			return
-		}
-		rec(t.left)
-		f(t.entry)
-		rec(t.right)
-	}
-	rec(l.root)
-}

@@ -7,9 +7,18 @@ import (
 	"starcdn/internal/cache"
 )
 
+// entries returns the list's entries in list order.
 func entries(l *byteList) []Entry {
 	var out []Entry
-	l.walk(func(e Entry) { out = append(out, e) })
+	var rec func(t *blNode)
+	rec = func(t *blNode) {
+		if t != nil {
+			rec(t.left)
+			out = append(out, t.entry)
+			rec(t.right)
+		}
+	}
+	rec(l.root)
 	return out
 }
 

@@ -11,7 +11,7 @@
 #   phase 1 (static):  gofmt, go vet, starcdn-lint, starcdn-lint -waivers
 #   phase 2 (build):   go build
 #   phase 3 (test):    go test -race
-#   phase 4 (smoke):   chaos pass, obs smoke, bench smoke
+#   phase 4 (smoke):   chaos pass, obs smoke, bench smoke, report goldens
 #   phase 5 (perf):    starcdn-bench regression gate (the hard allocs/op
 #                      budgets — the tree's single allocation gate)
 #
@@ -59,6 +59,18 @@ step_chaos() { make -s chaos; }
 step_obs() { sh scripts/obs_smoke.sh; }
 
 step_bench() { go test -run='^$' -bench=. -benchtime=1x ./... >/dev/null; }
+
+# The experiment reports are a gated artifact: `starcdn-sim -experiment all`
+# is byte-deterministic per seed, so both runs must equal the committed
+# goldens (testdata/reports). An intended change regenerates them with
+# `make reports` in the same commit, and the golden diff is the review.
+step_reports() {
+	go build -o "$TMP/starcdn-sim" ./cmd/starcdn-sim || return 1
+	for seed in 42 107; do
+		"$TMP/starcdn-sim" -experiment all -seed "$seed" >"$TMP/report-$seed.txt" 2>/dev/null || return 1
+		diff -u "testdata/reports/small-seed$seed.txt" "$TMP/report-$seed.txt" || return 1
+	done
+}
 
 # The statistical benchmark harness in CI smoke mode: one cheap run per
 # smoke-capable benchmark against the committed BENCH_*.json baselines,
@@ -134,9 +146,11 @@ gate test
 spawn chaos step_chaos
 spawn obs step_obs
 spawn bench step_bench
+spawn reports step_reports
 reap chaos "chaos pass (-race)"
 reap obs "obs smoke (metrics endpoint + span tracing)"
 reap bench "bench smoke (-bench=. -benchtime=1x)"
+reap reports "report goldens (starcdn-sim -experiment all, seeds 42 and 107)"
 gate smoke
 
 spawn benchgate step_benchgate

@@ -22,7 +22,6 @@ type baselineBench struct {
 	Date             string            `json:"date,omitempty"`
 	Host             string            `json:"host,omitempty"`
 	Results          []*baselineResult `json:"results"`
-	AllocsBudget     *int64            `json:"allocs_per_op_budget,omitempty"`
 	AllocsBudgetNote string            `json:"allocs_per_op_budget_note,omitempty"`
 	Acceptance       string            `json:"acceptance,omitempty"`
 }
@@ -35,6 +34,7 @@ type baselineResult struct {
 	RequestsPerOp  int64    `json:"requests_per_op,omitempty"`
 	RequestsPerSec int64    `json:"requests_per_sec,omitempty"`
 	AllocsPerOp    *int64   `json:"allocs_per_op,omitempty"`
+	AllocsBudget   *int64   `json:"allocs_per_op_budget,omitempty"`
 	AllocsPerOpNt  string   `json:"allocs_per_op_note,omitempty"`
 	OverheadOff    *float64 `json:"overhead_vs_off_pct,omitempty"`
 	OverheadHit    *float64 `json:"overhead_vs_hit_pct,omitempty"`

@@ -7,7 +7,8 @@ import (
 )
 
 // fixtureBaseline builds an in-memory baseline with one multi-variant
-// benchmark and one bare-name benchmark carrying an allocs/op budget.
+// benchmark and one bare-name benchmark whose variant carries an allocs/op
+// budget.
 func fixtureBaseline() *baselineFile {
 	budget := int64(76000)
 	allocs := int64(74829)
@@ -26,14 +27,14 @@ func fixtureBaseline() *baselineFile {
 				},
 			},
 			{
-				Benchmark:    "BenchmarkSimHotPath",
-				AllocsBudget: &budget,
+				Benchmark: "BenchmarkSimHotPath",
 				Results: []*baselineResult{
 					{Variant: "hashing+relay/LRU",
 						NsPerOpRuns:   []int64{2600, 2610, 2620, 2630, 2640, 2650, 2660, 2670},
 						NsPerOpMedian: 2635,
 						RequestsPerOp: 150000,
-						AllocsPerOp:   &allocs},
+						AllocsPerOp:   &allocs,
+						AllocsBudget:  &budget},
 				},
 			},
 		},
@@ -46,7 +47,7 @@ func mkRuns(name string, base float64, count int, allocs int64, hasAllocs bool) 
 	out := make([]benchRun, count)
 	for i := range out {
 		off := (float64(i) - float64(count-1)/2) * 0.002
-		out[i] = benchRun{Name: name, N: 5,
+		out[i] = benchRun{Name: name,
 			NsPerOp: base * (1 + off), AllocsPerOp: allocs, HasAllocs: hasAllocs}
 	}
 	return out
@@ -147,6 +148,37 @@ func TestEvalAllocBudget(t *testing.T) {
 	if len(vs) != 1 || vs[0].fails() {
 		t.Errorf("within budget: %+v", vs)
 	}
+
+	// A budget belongs to its variant: a sibling without one is not judged
+	// by it, however many allocations it reports, and a budgeted sibling is.
+	zero, eight := int64(0), int64(8)
+	frame := &baselineFile{Benchmarks: []*baselineBench{{
+		Benchmark: "BenchmarkReplayFrame",
+		Results: []*baselineResult{
+			{Variant: "get/hit", NsPerOpRuns: []int64{10000}, NsPerOpMedian: 10000,
+				AllocsPerOp: &zero, AllocsBudget: &zero},
+			{Variant: "get/traced", NsPerOpRuns: []int64{20000}, NsPerOpMedian: 20000,
+				AllocsPerOp: &eight},
+		},
+	}}}
+	runs := map[string][]benchRun{
+		"BenchmarkReplayFrame/get/hit":    mkRuns("BenchmarkReplayFrame/get/hit", 10000, 8, 1, true),
+		"BenchmarkReplayFrame/get/traced": mkRuns("BenchmarkReplayFrame/get/traced", 20000, 8, 8, true),
+	}
+	for name, eval := range map[string]func(*baselineFile, map[string][]benchRun) []Verdict{
+		"full": evalFull, "smoke": evalSmoke,
+	} {
+		byVariant := map[string]Verdict{}
+		for _, v := range eval(frame, runs) {
+			byVariant[v.Variant] = v
+		}
+		if got := byVariant["get/traced"]; got.Verdict == verdictAllocs || got.fails() {
+			t.Errorf("%s: unbudgeted variant judged by its sibling's budget: %+v", name, got)
+		}
+		if got := byVariant["get/hit"]; got.Verdict != verdictAllocs {
+			t.Errorf("%s: 1 alloc/op over its own 0 budget not flagged: %+v", name, got)
+		}
+	}
 }
 
 // TestEvalSmokeWallBound: smoke mode has no wall bound — a single slow run
@@ -227,10 +259,10 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 
 	sim := got.findBench("BenchmarkSimHotPath")
-	if sim.AllocsBudgetNote != note || sim.AllocsBudget == nil || *sim.AllocsBudget != 76000 {
-		t.Errorf("budget fields not preserved: %+v", sim)
-	}
 	r := sim.Results[0]
+	if sim.AllocsBudgetNote != note || r.AllocsBudget == nil || *r.AllocsBudget != 76000 {
+		t.Errorf("budget fields not preserved: %+v, %+v", sim, r)
+	}
 	if r.AllocsPerOp == nil || *r.AllocsPerOp != 74500 {
 		t.Errorf("allocs/op not rewritten: %+v", r)
 	}

@@ -10,7 +10,6 @@ import (
 // benchRun is one parsed `go test -bench` result line.
 type benchRun struct {
 	Name        string // benchmark name with the -<GOMAXPROCS> suffix stripped
-	N           int64
 	NsPerOp     float64
 	AllocsPerOp int64
 	HasAllocs   bool // -benchmem was on and the line carried allocs/op
@@ -34,11 +33,10 @@ func parseBenchOutput(r io.Reader) ([]benchRun, error) {
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		n, err := strconv.ParseInt(f[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
 			continue // a "Benchmark..." word inside prose, not a result line
 		}
-		run := benchRun{Name: stripProcs(f[0]), N: n}
+		run := benchRun{Name: stripProcs(f[0])}
 		seenNs := false
 		for i := 2; i+1 <= len(f)-1; i++ {
 			switch f[i+1] {

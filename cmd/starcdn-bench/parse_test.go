@@ -28,7 +28,7 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d runs, want 5: %+v", len(runs), runs)
 	}
 	first := runs[0]
-	if first.Name != "BenchmarkSimHotPath" || first.N != 5 ||
+	if first.Name != "BenchmarkSimHotPath" ||
 		first.NsPerOp != 2600814062 || !first.HasAllocs || first.AllocsPerOp != 74829 {
 		t.Errorf("first run parsed wrong: %+v", first)
 	}

@@ -76,7 +76,7 @@ func lastAllocs(runs []benchRun) (int64, bool) {
 
 // evalFull compares every recorded variant of a baseline file against fresh
 // full-mode runs: Mann–Whitney on the run sets for the wall-clock verdict,
-// plus the hard allocs/op budget where the baseline records one.
+// plus the hard allocs/op budget of each variant that carries one.
 func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	var out []Verdict
 	for _, b := range f.Benchmarks {
@@ -102,12 +102,12 @@ func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 			default:
 				v.Verdict = verdictIndist
 			}
-			if av := allocVerdict(b, r, runs); av != "" {
+			if av := allocVerdict(r, runs); av != "" {
 				v.Verdict = verdictAllocs
 				v.Detail = av
 				a, _ := lastAllocs(runs)
 				v.AllocsPerOp = &a
-				v.AllocsBudget = b.AllocsBudget
+				v.AllocsBudget = r.AllocsBudget
 			}
 			out = append(out, v)
 		}
@@ -149,12 +149,12 @@ func evalSmoke(f *baselineFile, groups map[string][]benchRun) []Verdict {
 			v.MedianNs = int64(fresh)
 			v.EffectPct = round1(effectPct(float64(r.NsPerOpMedian), fresh))
 			v.Verdict = verdictSmokeOK
-			if av := allocVerdict(b, r, runs); av != "" {
+			if av := allocVerdict(r, runs); av != "" {
 				v.Verdict = verdictAllocs
 				v.Detail = av
 				a, _ := lastAllocs(runs)
 				v.AllocsPerOp = &a
-				v.AllocsBudget = b.AllocsBudget
+				v.AllocsBudget = r.AllocsBudget
 			}
 			out = append(out, v)
 		}
@@ -162,19 +162,19 @@ func evalSmoke(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	return out
 }
 
-// allocVerdict enforces the benchmark's hard allocs/op ceiling. The budget
-// applies to the variants whose baseline entry records an allocs_per_op
-// figure (the budgeted hot paths); "" means within budget or not applicable.
-func allocVerdict(b *baselineBench, r *baselineResult, runs []benchRun) string {
-	if b.AllocsBudget == nil || r.AllocsPerOp == nil {
+// allocVerdict enforces a variant's hard allocs/op ceiling. Each budget sits
+// on its own result entry, so a sibling's budget never judges a variant that
+// has none; "" means within budget or not budgeted.
+func allocVerdict(r *baselineResult, runs []benchRun) string {
+	if r.AllocsBudget == nil {
 		return ""
 	}
 	got, ok := lastAllocs(runs)
 	if !ok {
-		return "baseline records allocs/op but the fresh run carried none (-benchmem missing?)"
+		return "variant has an allocs/op budget but the fresh run carried none (-benchmem missing?)"
 	}
-	if got > *b.AllocsBudget {
-		return fmt.Sprintf("%d allocs/op over the %d budget", got, *b.AllocsBudget)
+	if got > *r.AllocsBudget {
+		return fmt.Sprintf("%d allocs/op over the %d budget", got, *r.AllocsBudget)
 	}
 	return ""
 }

@@ -38,7 +38,7 @@ func BenchmarkNearestOwner(b *testing.B) {
 	}
 }
 
-func BenchmarkResponsibleWithOutage(b *testing.B) {
+func BenchmarkServingOwnerWithOutage(b *testing.B) {
 	h := benchScheme(b, 9)
 	c := h.Grid().Constellation()
 	c.ApplyOutageMask(126, 42)
@@ -46,6 +46,6 @@ func BenchmarkResponsibleWithOutage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Responsible(orbit.SatID(i%n), BucketID(i%9))
+		h.ServingOwner(orbit.SatID(i%n), BucketID(i%9), nil)
 	}
 }

@@ -7,9 +7,11 @@
 // (plane, slot) owns bucket (plane mod √L)*√L + (slot mod √L). Where √L
 // divides both ring sizes, any bucket is therefore reachable from any
 // first-contact satellite within 2⌊√L/2⌋ hops. Where it does not, the tile
-// pattern breaks at the seam and the routed owner can lie further away: on the
-// 72×18 Starlink shell the worst route is 5 hops at L = 16 and 8 at L = 25,
-// against a bound of 4.
+// pattern breaks at the seam and even the nearest owner can lie further away:
+// on the 72×18 Starlink shell the worst route is 5 hops at L = 16 and 7 at
+// L = 25, against a bound of 4. The owner table is filled by one outward walk
+// per first-contact satellite, so it holds the nearest owner at every L, seams
+// included; there is no residue search.
 // On a cache miss, the bucket's home satellite may relay the request to its
 // nearest same-bucket inter-orbit neighbours — √L planes east or west —
 // whose ground tracks retrace the home satellite's footprint, letting cached
@@ -72,13 +74,42 @@ func newScheme(g *topo.Grid, l, root int) *HashScheme {
 	h.relay = make([][2]orbit.SatID, n)
 	for i := 0; i < n; i++ {
 		first := orbit.SatID(i)
-		for b := 0; b < l; b++ {
-			h.near[i*l+b] = h.searchOwner(first, BucketID(b))
-		}
+		h.fillOwners(first)
 		plane, slot := c.PlaneSlot(first)
 		h.relay[i] = [2]orbit.SatID{c.SatAt(plane-root, slot), c.SatAt(plane+root, slot)}
 	}
 	return h
+}
+
+// fillOwners fills near[first*L:] by walking outward from first in the order
+// fewest total hops, then fewest plane hops, then east before west, then north
+// before south, and keeping the first owner it meets of each bucket. Offsets
+// go the shorter way round each ring, so the walk reaches every slot and stops
+// once all L buckets have an owner: each is the nearest one in grid hops, ties
+// broken by that order, seams included.
+func (h *HashScheme) fillOwners(first orbit.SatID) {
+	c := h.grid.Constellation()
+	cfg := c.Config()
+	plane, slot := c.PlaneSlot(first)
+	near := h.near[int(first)*h.l:][:h.l]
+	for b := range near {
+		near[b] = -1
+	}
+	left := h.l
+	for r := 0; left > 0; r++ {
+		for dp := max(0, r-cfg.SatsPerPlane/2); dp <= min(r, cfg.Planes/2); dp++ {
+			ds := r - dp
+			for _, cand := range [4]orbit.SatID{
+				c.SatAt(plane+dp, slot+ds), c.SatAt(plane+dp, slot-ds),
+				c.SatAt(plane-dp, slot+ds), c.SatAt(plane-dp, slot-ds),
+			} {
+				if b := h.BucketAt(cand); near[b] < 0 {
+					near[b] = cand
+					left--
+				}
+			}
+		}
+	}
 }
 
 // OneBucket is the scheme at L = 1 — the paper's no-hashing ablation as a
@@ -118,94 +149,10 @@ func (h *HashScheme) BucketAt(id orbit.SatID) BucketID {
 
 // NearestOwner returns the satellite slot that owns bucket b for requests
 // arriving at the first-contact satellite, ignoring satellite health (see
-// ServingOwner for the §3.4 remap). It is a table lookup; searchOwner filled
+// ServingOwner for the §3.4 remap). It is a table lookup; fillOwners filled
 // the table.
 func (h *HashScheme) NearestOwner(first orbit.SatID, b BucketID) orbit.SatID {
 	return h.near[int(first)*h.l+int(b)]
-}
-
-// searchOwner finds the owner of bucket b nearest to first by residue
-// arithmetic. Where √L divides both ring sizes it is the owner closest in grid
-// hops, ties preferring the eastern, then the northern candidate. At a seam it
-// keeps the nearest of its residue candidates that truly owns b and falls back
-// to a ring search only when none does, so the owner it returns can be further
-// than the nearest one and the tie rule need not hold (on the 72×18 shell: 896
-// of 32,400 pairs at L = 25 are not nearest, and 576 pairs at L = 16 break the
-// tie rule).
-func (h *HashScheme) searchOwner(first orbit.SatID, b BucketID) orbit.SatID {
-	c := h.grid.Constellation()
-	plane, slot := c.PlaneSlot(first)
-	cfg := c.Config()
-	wantP := int(b) / h.root // plane residue owning b
-	wantS := int(b) % h.root // slot residue owning b
-
-	bestSat := orbit.SatID(-1)
-	bestCost := math.MaxInt32
-	// Candidate plane offsets: the two nearest k with (plane+k) mod root ==
-	// wantP, one in each direction; same for slots. Candidates are verified
-	// against BucketAt because the residue arithmetic is only exact when the
-	// ring sizes divide by root; near a seam the tile pattern is broken.
-	for _, dp := range nearestResidueOffsets(plane, wantP, h.root, cfg.Planes) {
-		for _, ds := range nearestResidueOffsets(slot, wantS, h.root, cfg.SatsPerPlane) {
-			cand := c.SatAt(plane+dp, slot+ds)
-			if h.BucketAt(cand) != b {
-				continue
-			}
-			cost := abs(dp) + abs(ds)
-			if cost < bestCost {
-				bestCost = cost
-				bestSat = cand
-			}
-		}
-	}
-	if bestSat >= 0 {
-		return bestSat
-	}
-	// Seam fallback: expand grid rings until a true owner of b is found.
-	maxR := cfg.Planes/2 + cfg.SatsPerPlane/2
-	for r := 0; r <= maxR; r++ {
-		for dp := r; dp >= -r; dp-- {
-			dsAbs := r - abs(dp)
-			for _, ds := range []int{dsAbs, -dsAbs} {
-				cand := c.SatAt(plane+dp, slot+ds)
-				if h.BucketAt(cand) == b {
-					return cand
-				}
-				if ds == 0 {
-					break
-				}
-			}
-		}
-	}
-	return first // unreachable for any valid tiling
-}
-
-// nearestResidueOffsets returns the smallest non-negative and smallest
-// non-positive offsets k such that (pos+k) mod root == want, clamped to the
-// ring size so the two candidates are distinct positions.
-func nearestResidueOffsets(pos, want, root, ringSize int) []int {
-	fwd := mod(want-pos, root) // 0..root-1
-	bwd := fwd - root          // negative counterpart
-	if fwd == 0 {
-		return []int{0}
-	}
-	if ringSize <= root {
-		return []int{fwd}
-	}
-	return []int{fwd, bwd}
-}
-
-// Responsible returns the satellite that currently serves bucket b for a
-// request arriving at the first-contact satellite, applying the §3.4 remap:
-// if the nearest owner is unavailable, the bucket is remapped to the next
-// available satellite (which then serves multiple buckets).
-func (h *HashScheme) Responsible(first orbit.SatID, b BucketID) (orbit.SatID, bool) {
-	owner := h.NearestOwner(first, b)
-	c := h.grid.Constellation()
-	if c.Active(owner) {
-		return owner, true
-	}
-	return h.Remap(owner)
 }
 
 // ServingOwner resolves the satellite that serves bucket b for a request
@@ -220,8 +167,8 @@ func (h *HashScheme) Responsible(first orbit.SatID, b BucketID) (orbit.SatID, bo
 // resort. transientDown may be nil when no transient failures are active,
 // in which case every down owner is treated as a long-term loss.
 //
-// sim.Ladder is its one caller outside tests, for the simulator and the TCP
-// replayer alike.
+// Outside tests it is called by sim.Ladder, for the simulator and the TCP
+// replayer alike, and by internal/session's bucket anchor.
 func (h *HashScheme) ServingOwner(first orbit.SatID, b BucketID, transientDown func(orbit.SatID) bool) (owner orbit.SatID, serve bool) {
 	owner = h.NearestOwner(first, b)
 	if h.grid.Constellation().Active(owner) {
@@ -337,12 +284,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-func mod(a, n int) int {
-	m := a % n
-	if m < 0 {
-		m += n
-	}
-	return m
 }

@@ -161,29 +161,29 @@ func TestNearestOwnerWithinBound(t *testing.T) {
 	}
 }
 
-func TestResponsibleRemapsAroundDeadOwner(t *testing.T) {
+func TestServingOwnerRemapsAroundDeadOwner(t *testing.T) {
 	h := scheme(t, 4)
 	c := h.Grid().Constellation()
 	first := c.SatAt(10, 5)
 	b := BucketID(3)
 	owner := h.NearestOwner(first, b)
-	got, ok := h.Responsible(first, b)
+	got, ok := h.ServingOwner(first, b, nil)
 	if !ok || got != owner {
-		t.Fatalf("healthy: responsible = %d, want owner %d", got, owner)
+		t.Fatalf("healthy: serving owner = %d, want owner %d", got, owner)
 	}
 	c.SetActive(owner, false)
-	got, ok = h.Responsible(first, b)
+	got, ok = h.ServingOwner(first, b, nil)
 	if !ok {
 		t.Fatal("remap failed with one dead satellite")
 	}
 	if got == owner {
-		t.Error("dead owner still responsible")
+		t.Error("dead owner still serving")
 	}
 	if !c.Active(got) {
 		t.Error("remap target is dead")
 	}
 	// Remap is deterministic.
-	got2, _ := h.Responsible(first, b)
+	got2, _ := h.ServingOwner(first, b, nil)
 	if got2 != got {
 		t.Error("remap not deterministic")
 	}

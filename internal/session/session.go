@@ -157,10 +157,7 @@ func Run(h *core.HashScheme, users []geo.Point, cfg Config) (*Stats, error) {
 					st.AccessHops.Add(float64(g.TotalHops(first, anchor[u])))
 					continue
 				}
-				owner, ok := h.Responsible(first, h.BucketOf(key))
-				if !ok {
-					continue
-				}
+				owner, _ := h.ServingOwner(first, h.BucketOf(key), nil)
 				if anchor[u] != -1 && anchor[u] != owner {
 					hops := g.TotalHops(anchor[u], owner)
 					st.Migrations++

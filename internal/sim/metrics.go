@@ -78,6 +78,14 @@ func (s Source) Hit() bool {
 	return false
 }
 
+// Uplink reports whether the source's bytes climb the satellite uplink: a
+// ground fetch, a bent-pipe serve, and a ground-edge hit, which avoids the
+// origin fetch but not the uplink — the §7 trade-off Metrics.UplinkBytes
+// exists to expose. A shed request moved no bytes at all.
+func (s Source) Uplink() bool {
+	return s == SourceGround || s == SourceNoCover || s == SourceGroundEdge
+}
+
 // MarshalText implements encoding.TextMarshaler with the stable source
 // names, so labels and trace JSONL never leak the numeric fallback.
 func (s Source) MarshalText() ([]byte, error) {
@@ -184,10 +192,7 @@ func NewMetrics(collectLatency, collectPerSat bool) *Metrics {
 func (m *Metrics) record(sat orbit.SatID, size int64, src Source, latencyMs float64) {
 	hit := src.Hit()
 	m.Meter.Record(size, hit)
-	// Ground-edge hits avoid the origin fetch but still climb the uplink —
-	// the §7 trade-off this metric exists to expose. Shed requests move no
-	// bytes at all: that is the whole point of shedding.
-	if (!hit || src == SourceGroundEdge) && src != SourceShed {
+	if src.Uplink() {
 		m.UplinkBytes += size
 	}
 	m.BySource[src]++

@@ -57,20 +57,23 @@ func TestSourceTextRoundTrip(t *testing.T) {
 }
 
 // TestSourceHit: the hit set is exactly the satellite-cache (and ground-edge)
-// sources; ground fetches and uncovered requests are misses.
+// sources; ground fetches and uncovered requests are misses. The uplink set is
+// every source whose bytes come up from the ground: ground fetches, uncovered
+// requests and ground-edge hits, never a shed request.
 func TestSourceHit(t *testing.T) {
-	want := map[Source]bool{
-		SourceLocal:      true,
-		SourceBucket:     true,
-		SourceRelayWest:  true,
-		SourceRelayEast:  true,
-		SourceGround:     false,
-		SourceNoCover:    false,
-		SourceGroundEdge: true,
+	want := map[Source]struct{ hit, uplink bool }{
+		SourceLocal:      {hit: true},
+		SourceBucket:     {hit: true},
+		SourceRelayWest:  {hit: true},
+		SourceRelayEast:  {hit: true},
+		SourceGround:     {uplink: true},
+		SourceNoCover:    {uplink: true},
+		SourceGroundEdge: {hit: true, uplink: true},
 	}
 	for _, s := range Sources() {
-		if s.Hit() != want[s] {
-			t.Errorf("%v.Hit() = %v, want %v", s, s.Hit(), want[s])
+		if s.Hit() != want[s].hit || s.Uplink() != want[s].uplink {
+			t.Errorf("%v: Hit() = %v, Uplink() = %v, want %v, %v",
+				s, s.Hit(), s.Uplink(), want[s].hit, want[s].uplink)
 		}
 	}
 }

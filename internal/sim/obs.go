@@ -305,8 +305,7 @@ func (ro *runObs) apply(b []PopRecord) {
 		}
 		hit := src.Hit()
 		bySource[src]++
-		// The same rule as Metrics.record: a shed request moved no bytes.
-		if (!hit || src == SourceGroundEdge) && src != SourceShed {
+		if src.Uplink() {
 			uplink += rec.Size
 		}
 		isl += rec.isl

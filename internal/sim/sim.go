@@ -224,12 +224,12 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		} else {
 			out = p.Serve(&ctx)
 		}
-		if cfg.TrafficScale > 0 && uplinkSource(out.Source) {
+		if cfg.TrafficScale > 0 && out.Source.Uplink() {
 			demandWindowBytes += r.Size
 		}
 
 		totalMs := out.SpaceMs
-		if cfg.TrafficScale > 0 && uplinkSource(out.Source) {
+		if cfg.TrafficScale > 0 && out.Source.Uplink() {
 			totalMs += lat.QueueingDelayMs(utilization)
 		}
 		if !out.SkipUserLink {
@@ -279,9 +279,9 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 				cm = &cache.Meter{}
 				metrics.PerClass[k] = cm
 			}
-			cm.Record(r.Size, hitSource(out.Source))
+			cm.Record(r.Size, out.Source.Hit())
 		}
-		if cfg.UplinkWindowSec > 0 && uplinkSource(out.Source) {
+		if cfg.UplinkWindowSec > 0 && out.Source.Uplink() {
 			w := int(r.TimeSec / cfg.UplinkWindowSec)
 			for len(metrics.UplinkWindows) <= w {
 				metrics.UplinkWindows = append(metrics.UplinkWindows, 0)
@@ -336,11 +336,3 @@ func (TerrestrialCDN) Serve(ctx *ServeContext) Outcome {
 		SkipUserLink: true,
 	}
 }
-
-// uplinkSource reports whether a service source consumes the uplink.
-func uplinkSource(s Source) bool {
-	return s == SourceGround || s == SourceNoCover || s == SourceGroundEdge
-}
-
-// hitSource reports whether a service source counts as a cache hit.
-func hitSource(s Source) bool { return s.Hit() }

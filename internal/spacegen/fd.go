@@ -15,10 +15,8 @@ package spacegen
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/trace"
@@ -285,16 +283,4 @@ func (f *fenwick) sum(i int) int64 {
 		s += f.tree[i]
 	}
 	return s
-}
-
-// quantileInt64 returns the q-quantile of xs (copied, nearest rank), used by
-// validation output.
-func quantileInt64(xs []int64, q float64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]int64(nil), xs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(math.Round(q * float64(len(cp)-1)))
-	return cp[idx]
 }

@@ -170,22 +170,6 @@ func TestLog2Bucket(t *testing.T) {
 	}
 }
 
-func TestQuantileInt64(t *testing.T) {
-	if quantileInt64(nil, 0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-	xs := []int64{5, 1, 9, 3, 7}
-	if got := quantileInt64(xs, 0.5); got != 5 {
-		t.Errorf("median = %d", got)
-	}
-	if got := quantileInt64(xs, 0); got != 1 {
-		t.Errorf("min = %d", got)
-	}
-	if got := quantileInt64(xs, 1); got != 9 {
-		t.Errorf("max = %d", got)
-	}
-}
-
 func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(nil, 1); err == nil {
 		t.Error("nil models should fail")

@@ -62,15 +62,17 @@ race:
 ## recovers to stage 0 holding the latency SLO (sim), sheds the same request
 ## set over the wire (replayer parity), and an idle controller leaves every
 ## meter byte-identical; ./internal/shed runs the stage-machine unit suite
-## under the race detector too. The last line repeats sim.Run's telemetry
-## pipeline tests (consumer lifecycle, barrier, pinned artifacts) twenty
-## times: a handoff race shows only under repetition.
+## under the race detector too. The last line repeats sim.Run's pipeline
+## tests twenty times: the consumer's lifecycle with the fold on either
+## goroutine (no obs fold, tracer only, shorter than a batch, recorder
+## barriers) and the pinned obs artifacts. A handoff race shows only under
+## repetition.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestDifferential|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
 		./internal/replayer/ ./internal/sim/
 	$(GO) test -race -count=1 ./internal/shed/
-	$(GO) test -race -count=20 -run 'TestRunObsPipelineLifecycle|TestObsArtifactsPinned' ./internal/sim/
+	$(GO) test -race -count=20 -run 'TestRunPipelineLifecycle|TestObsArtifactsPinned' ./internal/sim/
 
 ## obs: end-to-end observability smoke — live /metrics + pprof scrape during
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).

@@ -105,6 +105,28 @@ func TestEvalFullImprovement(t *testing.T) {
 	}
 }
 
+// TestEvalFullFewNsDirection: on a few-ns variant the int64 medians
+// truncate — recorded runs of 3 and 4 ns keep a median of 3, and fresh runs
+// near 3.4 ns truncate to 3 — so the verdict must come from the float
+// medians, and its direction must agree with the sign of EffectPct.
+func TestEvalFullFewNsDirection(t *testing.T) {
+	f := &baselineFile{Benchmarks: []*baselineBench{{
+		Benchmark: "BenchmarkPhaseMark",
+		Results: []*baselineResult{{Variant: "sim/dark",
+			NsPerOpRuns:   []int64{3, 3, 3, 3, 3, 3, 3, 4},
+			NsPerOpMedian: 3}},
+	}}}
+	groups := map[string][]benchRun{"BenchmarkPhaseMark/sim/dark": mkRuns("BenchmarkPhaseMark/sim/dark", 3.4, 8, 0, false)}
+	vs := evalFull(f, groups)
+	if len(vs) != 1 {
+		t.Fatalf("%d verdicts, want 1: %+v", len(vs), vs)
+	}
+	if v := vs[0]; v.Verdict != verdictRegressed || v.EffectPct <= 0 {
+		t.Errorf("fresh ~3.4 ns against runs of 3 and 4 ns: verdict %q at %+.1f%% (p=%v), want %q at a positive effect",
+			v.Verdict, v.EffectPct, v.P, verdictRegressed)
+	}
+}
+
 // TestEvalFullMissingVariant: a baseline variant absent from fresh output
 // fails (a renamed benchmark must not silently drop out of the gate).
 func TestEvalFullMissingVariant(t *testing.T) {

@@ -90,12 +90,16 @@ func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 				out = append(out, v)
 				continue
 			}
-			fresh := nsValues(runs)
-			v.MedianNs = int64(median(fresh))
-			v.P = mannWhitneyP(r.runsFloat(), fresh)
-			v.EffectPct = round1(effectPct(float64(r.NsPerOpMedian), median(fresh)))
+			recorded, fresh := r.runsFloat(), nsValues(runs)
+			// Direction and effect come from the float medians of both run
+			// sets: the int64 medians truncate, so on a few-ns variant they
+			// could call a slowdown "improved".
+			base, now := median(recorded), median(fresh)
+			v.MedianNs = int64(now)
+			v.P = mannWhitneyP(recorded, fresh)
+			v.EffectPct = round1(effectPct(base, now))
 			switch {
-			case v.P < alpha && v.MedianNs > r.NsPerOpMedian:
+			case v.P < alpha && now > base:
 				v.Verdict = verdictRegressed
 			case v.P < alpha:
 				v.Verdict = verdictImproved

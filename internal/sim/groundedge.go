@@ -58,13 +58,12 @@ func (p *GroundEdgeCDN) Serve(ctx *ServeContext) Outcome {
 		p.caches[gsIdx] = c
 	}
 	// The request always traverses the bent pipe down to the ground station.
-	gslRTT := ctx.Latency.Links.GSL.Sample(ctx.Rng) + ctx.Latency.Links.GSL.Sample(ctx.Rng)
 	if c.Get(ctx.Req.Object) {
 		// Served from the GS-colocated edge: no origin round trip, but the
 		// bytes still climb the uplink to reach the user.
-		return Outcome{Source: SourceGroundEdge, ServerSat: ctx.First, SpaceMs: gslRTT}
+		return Outcome{Source: SourceGroundEdge, ServerSat: ctx.First, Legs: Legs{Tail: TailGSLPair}}
 	}
 	admit(c, ctx.Req.Object, ctx.Req.Size)
-	return Outcome{Source: SourceGround, ServerSat: ctx.First,
-		SpaceMs: gslRTT + ctx.Latency.OriginRTTMs(ctx.Rng)}
+	// The bent pipe and the origin: a ground fetch's draws, in its order.
+	return Outcome{Source: SourceGround, ServerSat: ctx.First, Legs: Legs{Tail: TailGround}}
 }

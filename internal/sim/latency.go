@@ -15,8 +15,9 @@ import (
 // distributions. ISL and GSL propagation comes from Table 1; the remaining
 // parameters are calibrated against the idle-latency baselines the paper
 // takes from the Cloudflare AIM dataset (§5.3): regular Starlink access to a
-// terrestrial CDN has a median around 55 ms, while StarCDN's in-space hits
-// land near 22 ms.
+// terrestrial CDN has a median around 55 ms. The paper puts StarCDN's median
+// near 22 ms; at L = 4 this model gives 32.3 ms (EXPERIMENTS.md), the one
+// headline row that misses, which ROADMAP item 4 is to close or explain.
 type LatencyModel struct {
 	Links topo.LinkModel
 	// AccessMinMs/AccessMaxMs bound the per-traversal user-link scheduling
@@ -32,6 +33,25 @@ type LatencyModel struct {
 	// to a terrestrial CDN edge (the Fig. 10 "Terrestrial CDN" baseline).
 	TerrestrialRTTMedianMs float64
 	TerrestrialRTTSigma    float64
+}
+
+// Tail is the ground leg after a request's ISL legs; the zero Tail is none.
+type Tail uint8
+
+const (
+	TailGround      Tail = 1 + iota // GroundFetchRTTMs: the GSL both ways and the origin
+	TailGSLPair                     // the GSL both ways: a ground-edge hit
+	TailTerrestrial                 // TerrestrialRTTMs: the whole path, no user link
+)
+
+// Legs are the latency legs a decided request crosses, which Run's fold
+// prices from the run's one seeded stream in this order: the ISL route from
+// the first contact to the owner, the relayed fetch, the tail, then the user
+// link unless the tail is terrestrial.
+type Legs struct {
+	PlaneHops, SlotHops uint16
+	RelayHops           uint8
+	Tail                Tail
 }
 
 // QueueingDelayMs models congestion on the ground-satellite link as an

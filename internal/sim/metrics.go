@@ -188,17 +188,14 @@ func NewMetrics(collectLatency, collectPerSat bool) *Metrics {
 	return m
 }
 
-// record registers one served request.
-func (m *Metrics) record(sat orbit.SatID, size int64, src Source, latencyMs float64) {
+// record registers one served request; the fold samples its latency.
+func (m *Metrics) record(sat orbit.SatID, size int64, src Source) {
 	hit := src.Hit()
 	m.Meter.Record(size, hit)
 	if src.Uplink() {
 		m.UplinkBytes += size
 	}
 	m.BySource[src]++
-	if m.Latency != nil {
-		m.Latency.Add(latencyMs)
-	}
 	if m.PerSat != nil && sat >= 0 {
 		pm := m.PerSat[sat]
 		if pm == nil {

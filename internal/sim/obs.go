@@ -2,13 +2,11 @@ package sim
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
 	"starcdn/internal/obs/sketch"
 	"starcdn/internal/orbit"
-	"starcdn/internal/trace"
 )
 
 // TraceSeed keys the trace sampling hash and the span identities of the
@@ -17,34 +15,11 @@ import (
 // agree on it.
 const TraceSeed = 1
 
-// obsBatchLen is how many requests the request path appends to a batch
-// before it hands the batch to the consumer goroutine, and obsBatches how
-// many batches a run cycles through: one filling, the rest queued or being
-// applied.
-const (
-	obsBatchLen = 1024
-	obsBatches  = 3
-)
-
-// runObs holds the pre-resolved obs instruments for one Run and the
-// pipeline that keeps their updates off the request path. Handles are
-// fetched once up front (registry lookups take a mutex). A nil *runObs is the
-// disabled configuration; every method is a nil-safe no-op, so the hot loop
-// pays one pointer test when observability is off.
-//
-// The request path only appends one PopRecord per request to the batch it
-// fills (record). A full batch goes to one consumer goroutine, started with
-// the first full batch, which applies batches in the order they were handed
-// over; apply is the only code that touches the instruments. A barrier
-// (sync) — before every recorder snapshot and at the end of Run — waits
-// until the consumer has applied every queued batch, then applies the
-// partial batch inline, so every snapshot and every read after Run sees
-// exactly the requests before it, as if each had been applied in place. When
-// nothing is queued the barrier costs no handoff, which is all a trace with
-// fewer than obsBatchLen requests per recorder epoch ever pays.
-//
-// Instrument updates never read or advance the run's seeded RNG streams, so
-// enabling metrics or tracing cannot change simulation results.
+// runObs holds the pre-resolved obs instruments for one Run, the obs fold the
+// pipeline's consumer applies. Handles are fetched once up front (registry
+// lookups take a mutex); nil is the disabled configuration. Instrument
+// updates never read or advance the run's seeded RNG streams, so enabling
+// metrics or tracing cannot change simulation results.
 type runObs struct {
 	bySource    [numSources]*obs.Counter
 	uplinkBytes *obs.Counter
@@ -61,21 +36,6 @@ type runObs struct {
 	// top-K (-1, or a nil func, when the policy has no bucket structure or
 	// pop is nil).
 	bucketOf func(cache.ObjectID) int
-
-	// The pipeline, owned by the request path's goroutine. cur is the batch
-	// being filled. work carries full batches to the consumer and free
-	// brings them back applied; queued counts the batches on work or being
-	// applied, and spare holds the applied ones taken back. done closes
-	// when the consumer exits. work is nil until the first handoff.
-	cur    []PopRecord
-	spare  [][]PopRecord
-	queued int
-	work   chan []PopRecord
-	free   chan []PopRecord
-	done   chan struct{}
-	// live is the run a bound recorder's pre-snapshot hook reaches; finish
-	// clears it, so the hook a finished run leaves behind is inert.
-	live *atomic.Pointer[runObs]
 }
 
 // PopObs is one set of streaming-sketch instruments — top-K popularity
@@ -179,7 +139,6 @@ func newRunObs(reg *obs.Registry, numSats int, sketches bool, bucketOf func(cach
 		kills:       reg.Counter("starcdn_sim_failures_total", obs.L("kind", "kill")),
 		revives:     reg.Counter("starcdn_sim_failures_total", obs.L("kind", "revive")),
 		perSat:      make([]satObs, numSats),
-		cur:         make([]PopRecord, 0, obsBatchLen),
 	}
 	for _, s := range Sources() {
 		ro.bySource[s] = reg.Counter("starcdn_sim_requests_total", obs.L("source", s.String()))
@@ -189,103 +148,6 @@ func newRunObs(reg *obs.Registry, numSats int, sketches bool, bucketOf func(cach
 		ro.bucketOf = bucketOf
 	}
 	return ro
-}
-
-// bind makes rec's pre-snapshot hook the pipeline's barrier, so every
-// snapshot sees exactly the requests before its boundary. Run must be rec's
-// only driver while it runs: the hook touches the run's batch. Nil-safe.
-func (ro *runObs) bind(rec *obs.Recorder) {
-	if ro == nil || rec == nil {
-		return
-	}
-	// A recorder can outlive the run (experiments.Env reuses one), so the
-	// hook reaches the run through a pointer finish clears.
-	live := new(atomic.Pointer[runObs])
-	live.Store(ro)
-	ro.live = live
-	rec.OnEpochPre(func(float64) { live.Load().sync() })
-}
-
-// record appends one served request to the batch, handing the batch to the
-// consumer when it is full. req is the global request index and traceID the
-// sampled trace identity ("" when unsampled); both only feed sketch
-// exemplars.
-func (ro *runObs) record(out *Outcome, r *trace.Request, req int64, totalMs float64, traceID string) {
-	if ro == nil {
-		return
-	}
-	ro.cur = append(ro.cur, PopRecord{Req: req, Object: r.Object, Size: r.Size,
-		LatencyMs: totalMs, TraceID: traceID, Sat: out.ServerSat,
-		src: out.Source, isl: out.ISLBytes})
-	if len(ro.cur) == obsBatchLen {
-		ro.handOff()
-	}
-}
-
-// handOff queues the full batch for the consumer, starting it on the first
-// call, and takes an empty batch to fill: a spare one, or the next one the
-// consumer gives back, which makes the request path wait when every batch
-// is queued.
-func (ro *runObs) handOff() {
-	if ro.work == nil {
-		// Both channels hold every batch there is, so neither side ever
-		// blocks on a send.
-		ro.work = make(chan []PopRecord, obsBatches)
-		ro.free = make(chan []PopRecord, obsBatches)
-		ro.done = make(chan struct{})
-		for range obsBatches - 1 {
-			ro.spare = append(ro.spare, make([]PopRecord, 0, obsBatchLen))
-		}
-		go ro.consume()
-	}
-	ro.work <- ro.cur
-	ro.queued++
-	if n := len(ro.spare); n > 0 {
-		ro.cur = ro.spare[n-1]
-		ro.spare = ro.spare[:n-1]
-		return
-	}
-	ro.cur = (<-ro.free)[:0]
-	ro.queued--
-}
-
-// consume is the consumer goroutine: it applies batches in handoff order
-// and gives each back.
-func (ro *runObs) consume() {
-	defer close(ro.done)
-	for b := range ro.work {
-		ro.apply(b)
-		ro.free <- b
-	}
-}
-
-// sync is the barrier: when it returns, every request recorded so far has
-// been applied to the instruments. Nil-safe.
-func (ro *runObs) sync() {
-	if ro == nil {
-		return
-	}
-	for ; ro.queued > 0; ro.queued-- {
-		ro.spare = append(ro.spare, (<-ro.free)[:0])
-	}
-	ro.apply(ro.cur)
-	ro.cur = ro.cur[:0]
-}
-
-// finish applies what is left, unbinds the recorder and stops the
-// consumer: no goroutine of the run outlives Run. Nil-safe.
-func (ro *runObs) finish() {
-	if ro == nil {
-		return
-	}
-	ro.sync()
-	if ro.live != nil {
-		ro.live.Store(nil)
-	}
-	if ro.work != nil {
-		close(ro.work)
-		<-ro.done
-	}
 }
 
 // apply mirrors a batch of served requests into the instruments, in order:

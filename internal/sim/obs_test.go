@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -144,7 +145,8 @@ func TestRunObsMirrorsMetrics(t *testing.T) {
 			t.Fatalf("span %d has no hops", i)
 		}
 		// Coverage implies the chain starts at first contact and ends with
-		// the user link; the sum of hop latencies never exceeds the total.
+		// the user link; with no congestion the hop latencies sum to the
+		// total, so every priced leg landed on its hop.
 		if src != SourceNoCover {
 			if s.Hops[0].Kind != "first-contact" {
 				t.Errorf("span %d starts with %q", i, s.Hops[0].Kind)
@@ -157,8 +159,8 @@ func TestRunObsMirrorsMetrics(t *testing.T) {
 		for _, h := range s.Hops {
 			hopMs += h.SimMs
 		}
-		if hopMs > s.SimMs+1e-9 {
-			t.Errorf("span %d: hop latencies %v exceed total %v", i, hopMs, s.SimMs)
+		if math.Abs(hopMs-s.SimMs) > 1e-9 {
+			t.Errorf("span %d: hop latencies sum to %v, total %v", i, hopMs, s.SimMs)
 		}
 	}
 	if hits != m.Meter.Hits {
@@ -190,7 +192,7 @@ func TestRunObsFailureCounters(t *testing.T) {
 	}
 }
 
-// consumers counts the live goroutines running the telemetry consumer. A
+// consumers counts the live goroutines running the pipeline's consumer. A
 // consumer that Run has stopped may still be unwinding when Run returns, so
 // a count above zero is re-read for up to a second before it is reported.
 func consumers(t *testing.T) int {
@@ -198,7 +200,7 @@ func consumers(t *testing.T) int {
 	buf := make([]byte, 1<<20)
 	deadline := time.Now().Add(time.Second)
 	for {
-		n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*runObs).consume"))
+		n := bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*pipeline).consume"))
 		if n == 0 || time.Now().After(deadline) {
 			return n
 		}
@@ -247,17 +249,62 @@ func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int) {
 	}
 }
 
-// TestRunObsPipelineLifecycle: the telemetry consumer never outlives Run —
-// not for an empty trace, not for Metrics without a Recorder, and not for
-// one Recorder reused across two Runs, whose first Run leaves an inert
-// barrier hook behind. The dense trace puts thousands of requests in each
-// recorder epoch, so batches are handed off between snapshots and every
-// snapshot goes through the barrier.
-func TestRunObsPipelineLifecycle(t *testing.T) {
-	e := newEnv(t, 5*obsBatchLen*4, 60)
+// TestRunPipelineLifecycle: the pipeline's consumer never outlives Run, and
+// Run returns complete Metrics — with no obs fold (the consumer prices), with
+// a tracer only, for a trace shorter than one batch, for an empty trace, for
+// Metrics without a Recorder, and for one Recorder reused across two Runs,
+// whose first Run leaves an inert barrier hook behind. The dense trace puts
+// thousands of requests in each recorder epoch, so batches are handed off
+// between snapshots and every snapshot goes through the barrier.
+func TestRunPipelineLifecycle(t *testing.T) {
+	e := newEnv(t, 5*batchLen*4, 60)
 	mk := func() Policy {
 		return e.starcdn(t, 9, 16<<20, StarCDNOptions{Hashing: true, Relay: true})
 	}
+
+	// complete fails unless m metered every one of n requests, latency too.
+	complete := func(t *testing.T, m *Metrics, n int) {
+		t.Helper()
+		if m.Meter.Requests != int64(n) || m.Latency.N() != n {
+			t.Errorf("Metrics after Run: %d requests, %d latency samples; want %d of each",
+				m.Meter.Requests, m.Latency.N(), n)
+		}
+		if n := consumers(t); n != 0 {
+			t.Errorf("%d consumers outlive the run", n)
+		}
+	}
+
+	t.Run("obs-off", func(t *testing.T) {
+		m, err := Run(e.c, e.users, e.tr, mk(), Config{Seed: 3, CollectLatency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete(t, m, len(e.tr.Requests))
+	})
+
+	t.Run("tracer-only", func(t *testing.T) {
+		var buf bytes.Buffer
+		tracer := obs.NewTracer(&buf, 1, TraceSeed)
+		m, err := Run(e.c, e.users, e.tr, mk(), Config{Seed: 3, CollectLatency: true, Tracer: tracer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		complete(t, m, len(e.tr.Requests))
+		if got := tracer.Emitted(); got != int64(len(e.tr.Requests)) {
+			t.Errorf("%d spans emitted when Run returned, want %d", got, len(e.tr.Requests))
+		}
+	})
+
+	t.Run("shorter-than-one-batch", func(t *testing.T) {
+		short := &trace.Trace{Locations: e.tr.Locations, Requests: e.tr.Requests[:batchLen/2]}
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			m, err := Run(e.c, e.users, short, mk(), Config{Seed: 3, CollectLatency: true, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			complete(t, m, len(short.Requests))
+		}
+	})
 
 	t.Run("empty-trace", func(t *testing.T) {
 		reg := obs.NewRegistry()

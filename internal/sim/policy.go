@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/core"
@@ -14,10 +13,8 @@ import (
 
 // ServeContext carries one request through a policy.
 type ServeContext struct {
-	First   orbit.SatID // first-contact satellite (-1 when none visible)
-	Req     *trace.Request
-	Rng     *rand.Rand
-	Latency LatencyModel
+	First orbit.SatID // first-contact satellite (-1 when none visible)
+	Req   *trace.Request
 	// TransientDown reports whether a satellite is in a transient outage
 	// (served as a miss, §3.4) rather than a long-term one (remapped).
 	// Nil means no transient failures are active.
@@ -42,17 +39,13 @@ type ServeContext struct {
 }
 
 // Outcome is a policy's answer: where the request was served and the
-// space-segment latency (the runner adds the user-link round trip).
+// latency legs it crossed, which Run prices after the decision (a policy
+// never draws). The ISL legs also carry the request's inter-satellite
+// traffic: its bytes times the route and relay hops, unless it was shed.
 type Outcome struct {
 	Source    Source
 	ServerSat orbit.SatID // satellite whose cache served or missed
-	SpaceMs   float64     // latency beyond the user link round trip
-	// SkipUserLink marks outcomes whose SpaceMs already is the full
-	// end-to-end latency (terrestrial baselines).
-	SkipUserLink bool
-	// ISLBytes is the inter-satellite traffic this request generated,
-	// measured in byte-hops (content bytes times ISL hops traversed).
-	ISLBytes int64
+	Legs      Legs
 	// Shed records what overload control did to this request
 	// (shed.ActionNone when untouched).
 	Shed shed.Action
@@ -152,18 +145,16 @@ func (p *NaiveLRU) Name() string { return "naive-" + string(p.caches.cfg.Kind) }
 // Serve implements Policy.
 func (p *NaiveLRU) Serve(ctx *ServeContext) Outcome {
 	if ctx.First < 0 {
-		groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: -1, SimMs: groundMs})
-		return Outcome{Source: SourceNoCover, ServerSat: -1, SpaceMs: groundMs}
+		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: -1})
+		return Outcome{Source: SourceNoCover, ServerSat: -1, Legs: Legs{Tail: TailGround}}
 	}
 	c := p.caches.at(ctx.First)
 	if c.Get(ctx.Req.Object) {
 		return Outcome{Source: SourceLocal, ServerSat: ctx.First}
 	}
 	admit(c, ctx.Req.Object, ctx.Req.Size)
-	groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-	ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(ctx.First), SimMs: groundMs})
-	return Outcome{Source: SourceGround, ServerSat: ctx.First, SpaceMs: groundMs}
+	ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(ctx.First)})
+	return Outcome{Source: SourceGround, ServerSat: ctx.First, Legs: Legs{Tail: TailGround}}
 }
 
 // StaticCache is the paper's idealised north-star baseline (§5.1): orbital
@@ -193,8 +184,7 @@ func (p *StaticCache) Serve(ctx *ServeContext) Outcome {
 		return Outcome{Source: SourceLocal, ServerSat: -1}
 	}
 	admit(c, ctx.Req.Object, ctx.Req.Size)
-	return Outcome{Source: SourceGround, ServerSat: -1,
-		SpaceMs: ctx.Latency.GroundFetchRTTMs(ctx.Rng)}
+	return Outcome{Source: SourceGround, ServerSat: -1, Legs: Legs{Tail: TailGround}}
 }
 
 // StarCDNOptions toggles the two StarCDN mechanisms, yielding the paper's
@@ -278,33 +268,27 @@ func (p *StarCDN) Name() string {
 }
 
 // Serve implements Policy: the Ladder decides, over the in-memory caches;
-// Serve lays the latency model, ISL byte-hops, span hops and phase marks over
-// its verdict. The seeded draws sit between the ladder's two halves — the
-// route RTT after Route, the relay or ground RTT after Fetch.
+// Serve lays the latency legs, span hops and phase marks over its verdict —
+// the route legs after Route, the relay or ground leg after Fetch.
 func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 	req := ctx.Req
 	rt := p.ladder.Route(ctx.First, req.Object, ctx.ShedStage, ctx.TransientDown)
 	if !rt.Contact {
 		out := Outcome{Source: rt.Source, ServerSat: rt.Home, Shed: rt.Action}
-		hop := rt.Hop()
 		if rt.Source != SourceShed {
-			out.SpaceMs = ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-			hop.SimMs = out.SpaceMs
+			out.Legs.Tail = TailGround
 		}
-		ctx.Span.AddHop(hop)
+		ctx.Span.AddHop(rt.Hop())
 		return out
 	}
 	home := rt.Home
 	ph, sh := p.hash.RoutingHops(ctx.First, home)
-	routeMs := ctx.Latency.ISLPathRTTMs(ph, sh, ctx.Rng)
 	if p.prefetch != nil {
 		p.prefetch.maybePrefetch(p, home, req.TimeSec)
 	}
 	// Content served away from the first contact rides the ISLs back.
-	routeHops := ph + sh
-	out := Outcome{ServerSat: home, SpaceMs: routeMs, ISLBytes: req.Size * int64(routeHops)}
-	ctx.Span.AddHop(obs.Hop{Kind: "owner", Sat: int(home),
-		ISLHops: routeHops, SimMs: routeMs})
+	out := Outcome{ServerSat: home, Legs: Legs{PlaneHops: uint16(ph), SlotHops: uint16(sh)}}
+	ctx.Span.AddHop(obs.Hop{Kind: "owner", Sat: int(home), ISLHops: ph + sh})
 	ctx.Phase.Mark(obs.PhaseSimHash)
 	p.caches.phase = ctx.Phase
 	// No error to handle: satCaches' Fetch and Probe return a literal nil.
@@ -316,19 +300,15 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 			p.prefetch.recordHit(home, req.Object)
 		}
 	case SourceShed:
-		out.ISLBytes = 0 // no content moved
 		ctx.Span.AddHop(obs.Hop{Kind: "shed", Sat: int(home)})
 	case SourceRelayWest, SourceRelayEast:
-		relayMs := ctx.Latency.ISLPathRTTMs(p.hash.RelayHops(), 0, ctx.Rng)
-		out.SpaceMs += relayMs
-		out.ISLBytes += req.Size * int64(p.hash.RelayHops())
+		out.Legs.RelayHops = uint8(p.hash.RelayHops())
 		ctx.Span.AddHop(obs.Hop{Kind: got.Source.String(), Sat: int(got.Relay),
-			ISLHops: p.hash.RelayHops(), SimMs: relayMs})
+			ISLHops: p.hash.RelayHops()})
 		ctx.Phase.Mark(obs.PhaseSimRelay)
 	case SourceGround:
-		groundMs := ctx.Latency.GroundFetchRTTMs(ctx.Rng)
-		out.SpaceMs += groundMs
-		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(home), SimMs: groundMs})
+		out.Legs.Tail = TailGround
+		ctx.Span.AddHop(obs.Hop{Kind: "ground", Sat: int(home)})
 		ctx.Phase.Mark(obs.PhaseSimRelay)
 	}
 	return out

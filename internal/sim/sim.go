@@ -128,8 +128,6 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	lat := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	metrics := NewMetrics(cfg.CollectLatency, cfg.CollectPerSat)
 	if metrics.Latency != nil {
 		metrics.Latency.Grow(len(tr.Requests)) // one sample per request
@@ -138,21 +136,18 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if cfg.ClassOf != nil {
 		metrics.PerClass = make(map[int]*cache.Meter)
 	}
+	pl := &pipeline{ro: ro, fold: &fold{c: c, users: users, reqs: tr.Requests, cfg: cfg,
+		lat: DefaultLatencyModel(), rng: *rand.New(rand.NewSource(cfg.Seed + 1)), m: metrics,
+		// Each memo has a cache line of padding on either side (see fold).
+		epochSec: scheduler.EpochSec(), memoEpoch: make([]int64, len(users)+16)[8 : 8+len(users)],
+		propMs: make([]float64, len(users)+16)[8 : 8+len(users)]}}
+	pl.cur = pl.newBatch()
 
-	// Per-user memo of the user-link propagation delay, refreshed per epoch
-	// (the first-contact satellite is stable within an epoch).
-	epochSec := scheduler.EpochSec()
-	lastEpoch := make([]int64, len(users))
-	propMs := make([]float64, len(users))
-	for i := range lastEpoch {
-		lastEpoch[i] = -1
-	}
-
-	ctx := ServeContext{Rng: rng, Latency: lat}
+	var ctx ServeContext
 	if len(cfg.Failures) > 0 {
 		ctx.TransientDown = failures.TransientDown
 	}
-	ro.bind(cfg.Recorder)
+	pl.bind(cfg.Recorder)
 	// One mark chain for the whole run, begun once: the shed mark of request
 	// i+1 closes what the obs mark of request i opened, so the stage seconds
 	// sum to the loop's wall time. Lap ends each request, which lets the clock
@@ -161,12 +156,8 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	pc := cfg.Phases.Clock()
 	ctx.Phase = &pc
 	pc.Begin()
-	// Rolling uplink demand for congestion modelling (15 s window).
-	const demandWindowSec = 15.0
-	var demandWindowStart float64
-	var demandWindowBytes int64
-	var utilization float64
-	gslCapacityBitsPerSec := lat.Links.GSL.BandwidthGbps * 1e9
+	// The decision loop: everything after a decision — pricing, Metrics,
+	// spans, instruments — is the pipeline's in-order fold over its records.
 	for i := range tr.Requests {
 		r := &tr.Requests[i]
 		// Advance cannot fail here: the only hook ever registered (the obs
@@ -202,12 +193,6 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 			}
 		}
 		ctx.Span = span
-		if cfg.TrafficScale > 0 && r.TimeSec-demandWindowStart >= demandWindowSec {
-			demandBits := float64(demandWindowBytes) * 8 * cfg.TrafficScale
-			utilization = demandBits / demandWindowSec / gslCapacityBitsPerSec
-			demandWindowStart = r.TimeSec
-			demandWindowBytes = 0
-		}
 		ctx.First = first
 		ctx.Req = r
 		ctx.ShedStage = shed.StageNormal
@@ -224,44 +209,6 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		} else {
 			out = p.Serve(&ctx)
 		}
-		if cfg.TrafficScale > 0 && out.Source.Uplink() {
-			demandWindowBytes += r.Size
-		}
-
-		totalMs := out.SpaceMs
-		if cfg.TrafficScale > 0 && out.Source.Uplink() {
-			totalMs += lat.QueueingDelayMs(utilization)
-		}
-		if !out.SkipUserLink {
-			prop := 0.0
-			if first >= 0 {
-				epoch := int64(r.TimeSec / epochSec)
-				if lastEpoch[r.Location] != epoch {
-					lastEpoch[r.Location] = epoch
-					d := c.SlantRangeKm(first, users[r.Location], r.TimeSec)
-					propMs[r.Location] = geo.PropagationDelayMs(d)
-				}
-				prop = propMs[r.Location]
-			} else {
-				// No coverage: account a nominal overhead-path user link.
-				prop = geo.PropagationDelayMs(c.Config().AltitudeKm)
-			}
-			userMs := lat.UserLinkRTTMs(prop, rng)
-			totalMs += userMs
-			span.AddHop(obs.Hop{Kind: "user-link", Sat: int(first), SimMs: userMs})
-		}
-		if span != nil {
-			span.Source = out.Source.String()
-			span.Hit = out.Source.Hit()
-			span.SimMs = totalMs
-			cfg.Tracer.Emit(span)
-		}
-		traceID := ""
-		if span != nil {
-			traceID = span.TraceID
-		}
-		ro.record(&out, r, int64(i), totalMs, traceID)
-		metrics.record(out.ServerSat, r.Size, out.Source, totalMs)
 		if cfg.Shedder != nil {
 			// The burn signal is the §3.4 miss-through: a ground serve with
 			// no serving satellite that shedding did not cause. Both
@@ -271,27 +218,12 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 				Action:   out.Shed,
 			})
 		}
-		metrics.ISLBytes += out.ISLBytes
-		if metrics.PerClass != nil {
-			k := cfg.ClassOf(r.Object)
-			cm := metrics.PerClass[k]
-			if cm == nil {
-				cm = &cache.Meter{}
-				metrics.PerClass[k] = cm
-			}
-			cm.Record(r.Size, out.Source.Hit())
-		}
-		if cfg.UplinkWindowSec > 0 && out.Source.Uplink() {
-			w := int(r.TimeSec / cfg.UplinkWindowSec)
-			for len(metrics.UplinkWindows) <= w {
-				metrics.UplinkWindows = append(metrics.UplinkWindows, 0)
-			}
-			metrics.UplinkWindows[w] += r.Size
-		}
+		pl.add(record{first: int32(first), server: int32(out.ServerSat), legs: out.Legs,
+			src: uint8(out.Source)}, span)
 		pc.Mark(obs.PhaseSimObs)
 		pc.Lap()
 	}
-	ro.finish()
+	pl.finish()
 	if cfg.Recorder != nil && len(tr.Requests) > 0 {
 		cfg.Recorder.Seal(tr.Requests[len(tr.Requests)-1].TimeSec)
 	}
@@ -316,8 +248,7 @@ func (NoCacheBentPipe) Serve(ctx *ServeContext) Outcome {
 	if sat < 0 {
 		src = SourceNoCover
 	}
-	return Outcome{Source: src, ServerSat: sat,
-		SpaceMs: ctx.Latency.GroundFetchRTTMs(ctx.Rng)}
+	return Outcome{Source: src, ServerSat: sat, Legs: Legs{Tail: TailGround}}
 }
 
 // TerrestrialCDN is the Fig. 10 baseline of a terrestrial user served by a
@@ -329,10 +260,5 @@ func (TerrestrialCDN) Name() string { return "terrestrial-cdn" }
 
 // Serve implements Policy.
 func (TerrestrialCDN) Serve(ctx *ServeContext) Outcome {
-	return Outcome{
-		Source:       SourceGround,
-		ServerSat:    -1,
-		SpaceMs:      ctx.Latency.TerrestrialRTTMs(ctx.Rng),
-		SkipUserLink: true,
-	}
+	return Outcome{Source: SourceGround, ServerSat: -1, Legs: Legs{Tail: TailTerrestrial}}
 }

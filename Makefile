@@ -39,9 +39,10 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
 ## bench-check: the statistical regression harness — rerun the recorded
-## suite at -count=8 and compare against the committed BENCH_*.json with
-## Mann-Whitney U at the medians (3 min 38 s on a 2-vCPU Xeon host; DESIGN.md
-## §11). `make check` runs the cheap smoke mode of the same gate.
+## per-operation suite at -count=8 and compare against the committed
+## BENCH_*.json with Mann-Whitney U at the medians, plus the allocs/op budgets
+## (67-71 s on a 2-vCPU Xeon host; DESIGN.md §11). `make check` runs the
+## cheap smoke mode of the same gate.
 bench-check:
 	$(GO) run ./cmd/starcdn-bench -check
 

@@ -26,21 +26,21 @@ type baselineBench struct {
 	Acceptance       string            `json:"acceptance,omitempty"`
 }
 
-// baselineResult is one variant's recorded runs and derived figures.
+// baselineResult is one variant's recorded runs and derived figures. A
+// variant with no recorded runs is gated on its allocs/op alone: its wall
+// time is neither recorded nor judged.
 type baselineResult struct {
-	Variant        string   `json:"variant"`
-	NsPerOpRuns    []int64  `json:"ns_per_op_runs"`
-	NsPerOpMedian  int64    `json:"ns_per_op_median"`
-	RequestsPerOp  int64    `json:"requests_per_op,omitempty"`
-	RequestsPerSec int64    `json:"requests_per_sec,omitempty"`
-	AllocsPerOp    *int64   `json:"allocs_per_op,omitempty"`
-	AllocsBudget   *int64   `json:"allocs_per_op_budget,omitempty"`
-	AllocsPerOpNt  string   `json:"allocs_per_op_note,omitempty"`
-	OverheadOff    *float64 `json:"overhead_vs_off_pct,omitempty"`
-	OverheadHit    *float64 `json:"overhead_vs_hit_pct,omitempty"`
-	OverheadMet    *float64 `json:"overhead_vs_metrics_pct,omitempty"`
-	OverheadRec    *float64 `json:"overhead_vs_recorder_pct,omitempty"`
+	Variant       string   `json:"variant"`
+	NsPerOpRuns   []int64  `json:"ns_per_op_runs,omitempty"`
+	NsPerOpMedian int64    `json:"ns_per_op_median,omitempty"`
+	AllocsPerOp   *int64   `json:"allocs_per_op,omitempty"`
+	AllocsBudget  *int64   `json:"allocs_per_op_budget,omitempty"`
+	AllocsPerOpNt string   `json:"allocs_per_op_note,omitempty"`
+	OverheadHit   *float64 `json:"overhead_vs_hit_pct,omitempty"`
 }
+
+// allocsOnly reports whether the variant is gated on allocs/op alone.
+func (r *baselineResult) allocsOnly() bool { return len(r.NsPerOpRuns) == 0 }
 
 // runsFloat converts the recorded runs for the statistics helpers.
 func (r *baselineResult) runsFloat() []float64 {

@@ -6,22 +6,22 @@ import (
 	"testing"
 )
 
-// fixtureBaseline builds an in-memory baseline with one multi-variant
-// benchmark and one bare-name benchmark whose variant carries an allocs/op
-// budget.
+// fixtureBaseline builds an in-memory baseline with one multi-variant timed
+// benchmark and one bare-name benchmark whose single variant has no recorded
+// runs and is gated on its allocs/op budget alone.
 func fixtureBaseline() *baselineFile {
-	budget := int64(76000)
-	allocs := int64(74829)
+	budget := int64(14190)
+	allocs := int64(13978)
 	return &baselineFile{
 		Benchmarks: []*baselineBench{
 			{
-				Benchmark:   "BenchmarkObsOverhead",
+				Benchmark:   "BenchmarkReplayFrame",
 				Description: "fixture",
 				Results: []*baselineResult{
-					{Variant: "off",
+					{Variant: "get/hit",
 						NsPerOpRuns:   []int64{2390, 2395, 2400, 2405, 2410, 2415, 2420, 2425},
 						NsPerOpMedian: 2407},
-					{Variant: "metrics",
+					{Variant: "get/propagate",
 						NsPerOpRuns:   []int64{2500, 2505, 2510, 2515, 2520, 2525, 2530, 2535},
 						NsPerOpMedian: 2517},
 				},
@@ -30,11 +30,8 @@ func fixtureBaseline() *baselineFile {
 				Benchmark: "BenchmarkSimHotPath",
 				Results: []*baselineResult{
 					{Variant: "hashing+relay/LRU",
-						NsPerOpRuns:   []int64{2600, 2610, 2620, 2630, 2640, 2650, 2660, 2670},
-						NsPerOpMedian: 2635,
-						RequestsPerOp: 150000,
-						AllocsPerOp:   &allocs,
-						AllocsBudget:  &budget},
+						AllocsPerOp:  &allocs,
+						AllocsBudget: &budget},
 				},
 			},
 		},
@@ -59,10 +56,10 @@ func mkRuns(name string, base float64, count int, allocs int64, hasAllocs bool) 
 func TestEvalFullFlagsInjectedRegression(t *testing.T) {
 	f := fixtureBaseline()
 	groups := map[string][]benchRun{}
-	for _, r := range mkRuns("BenchmarkObsOverhead/off", 2407, 8, 0, false) {
+	for _, r := range mkRuns("BenchmarkReplayFrame/get/hit", 2407, 8, 0, false) {
 		groups[r.Name] = append(groups[r.Name], r)
 	}
-	for _, r := range mkRuns("BenchmarkObsOverhead/metrics", 2517*1.3, 8, 0, false) {
+	for _, r := range mkRuns("BenchmarkReplayFrame/get/propagate", 2517*1.3, 8, 0, false) {
 		groups[r.Name] = append(groups[r.Name], r)
 	}
 	vs := evalFull(&baselineFile{Benchmarks: f.Benchmarks[:1]}, groups)
@@ -70,13 +67,13 @@ func TestEvalFullFlagsInjectedRegression(t *testing.T) {
 	for _, v := range vs {
 		byVariant[v.Variant] = v
 	}
-	if got := byVariant["metrics"]; got.Verdict != verdictRegressed {
+	if got := byVariant["get/propagate"]; got.Verdict != verdictRegressed {
 		t.Errorf("injected 1.3x regression: verdict %q (p=%v), want %q", got.Verdict, got.P, verdictRegressed)
 	}
-	if got := byVariant["metrics"]; got.EffectPct < 25 || got.EffectPct > 35 {
+	if got := byVariant["get/propagate"]; got.EffectPct < 25 || got.EffectPct > 35 {
 		t.Errorf("effect size %v%%, want ~30%%", got.EffectPct)
 	}
-	if got := byVariant["off"]; got.Verdict != verdictIndist {
+	if got := byVariant["get/hit"]; got.Verdict != verdictIndist {
 		t.Errorf("unchanged variant: verdict %q (p=%v), want %q", got.Verdict, got.P, verdictIndist)
 	}
 	if !anyFailure(vs) {
@@ -88,15 +85,15 @@ func TestEvalFullFlagsInjectedRegression(t *testing.T) {
 func TestEvalFullImprovement(t *testing.T) {
 	f := fixtureBaseline()
 	groups := map[string][]benchRun{}
-	for _, r := range mkRuns("BenchmarkObsOverhead/off", 2407*0.7, 8, 0, false) {
+	for _, r := range mkRuns("BenchmarkReplayFrame/get/hit", 2407*0.7, 8, 0, false) {
 		groups[r.Name] = append(groups[r.Name], r)
 	}
-	for _, r := range mkRuns("BenchmarkObsOverhead/metrics", 2517, 8, 0, false) {
+	for _, r := range mkRuns("BenchmarkReplayFrame/get/propagate", 2517, 8, 0, false) {
 		groups[r.Name] = append(groups[r.Name], r)
 	}
 	vs := evalFull(&baselineFile{Benchmarks: f.Benchmarks[:1]}, groups)
 	for _, v := range vs {
-		if v.Variant == "off" && v.Verdict != verdictImproved {
+		if v.Variant == "get/hit" && v.Verdict != verdictImproved {
 			t.Errorf("0.7x runs: verdict %q, want %q", v.Verdict, verdictImproved)
 		}
 	}
@@ -132,13 +129,13 @@ func TestEvalFullFewNsDirection(t *testing.T) {
 func TestEvalFullMissingVariant(t *testing.T) {
 	f := fixtureBaseline()
 	groups := map[string][]benchRun{}
-	for _, r := range mkRuns("BenchmarkObsOverhead/off", 2407, 8, 0, false) {
+	for _, r := range mkRuns("BenchmarkReplayFrame/get/hit", 2407, 8, 0, false) {
 		groups[r.Name] = append(groups[r.Name], r)
 	}
 	vs := evalFull(&baselineFile{Benchmarks: f.Benchmarks[:1]}, groups)
 	found := false
 	for _, v := range vs {
-		if v.Variant == "metrics" && v.Verdict == verdictMissing {
+		if v.Variant == "get/propagate" && v.Verdict == verdictMissing {
 			found = true
 		}
 	}
@@ -148,27 +145,28 @@ func TestEvalFullMissingVariant(t *testing.T) {
 }
 
 // TestEvalAllocBudget: bare-name benchmark resolution plus the hard
-// allocs/op ceiling, in both full and smoke modes.
+// allocs/op ceiling, in both full and smoke modes. The fixture's SimHotPath
+// variant has no recorded runs, so full mode judges its one fresh run on
+// allocs/op alone, as smoke mode does: one allocation per 100 of its 150k
+// requests is over the budget, and a run twice as slow within it passes.
 func TestEvalAllocBudget(t *testing.T) {
 	f := fixtureBaseline()
 	over := map[string][]benchRun{
-		"BenchmarkSimHotPath": mkRuns("BenchmarkSimHotPath", 2635, 8, 80000, true),
+		"BenchmarkSimHotPath": mkRuns("BenchmarkSimHotPath", 2635, 1, 13978+1500, true),
+	}
+	within := map[string][]benchRun{
+		"BenchmarkSimHotPath": mkRuns("BenchmarkSimHotPath", 2635*2, 1, 13978, true),
 	}
 	sub := &baselineFile{Benchmarks: f.Benchmarks[1:]}
 	for name, eval := range map[string]func(*baselineFile, map[string][]benchRun) []Verdict{
 		"full": evalFull, "smoke": evalSmoke,
 	} {
-		vs := eval(sub, over)
-		if len(vs) != 1 || vs[0].Verdict != verdictAllocs {
-			t.Errorf("%s: 80000 allocs vs 76000 budget: %+v", name, vs)
+		if vs := eval(sub, over); len(vs) != 1 || vs[0].Verdict != verdictAllocs || !vs[0].fails() {
+			t.Errorf("%s: 15478 allocs vs 14190 budget: %+v", name, vs)
 		}
-	}
-	within := map[string][]benchRun{
-		"BenchmarkSimHotPath": mkRuns("BenchmarkSimHotPath", 2635, 8, 74829, true),
-	}
-	vs := evalFull(sub, within)
-	if len(vs) != 1 || vs[0].fails() {
-		t.Errorf("within budget: %+v", vs)
+		if vs := eval(sub, within); len(vs) != 1 || vs[0].Verdict != verdictAllocsOK || vs[0].fails() {
+			t.Errorf("%s: within budget: %+v", name, vs)
+		}
 	}
 
 	// A budget belongs to its variant: a sibling without one is not judged
@@ -204,25 +202,33 @@ func TestEvalAllocBudget(t *testing.T) {
 }
 
 // TestEvalSmokeWallBound: smoke mode has no wall bound — a single slow run
-// within its allocs/op budget is smoke-ok, however slow.
+// within its allocs/op budget is allocs-ok, however slow.
 func TestEvalSmokeWallBound(t *testing.T) {
 	f := fixtureBaseline()
-	sub := &baselineFile{Benchmarks: f.Benchmarks[1:]}
+	sub := &baselineFile{Benchmarks: f.Benchmarks[:1]}
 	slow := map[string][]benchRun{
-		"BenchmarkSimHotPath": mkRuns("BenchmarkSimHotPath", 2635*2, 1, 74829, true),
+		"BenchmarkReplayFrame/get/hit":       mkRuns("BenchmarkReplayFrame/get/hit", 2407*2, 1, 0, true),
+		"BenchmarkReplayFrame/get/propagate": mkRuns("BenchmarkReplayFrame/get/propagate", 2517*2, 1, 0, true),
 	}
-	if vs := evalSmoke(sub, slow); len(vs) != 1 || vs[0].Verdict != verdictSmokeOK {
-		t.Errorf("2x smoke run within its alloc budget: %+v", vs)
+	vs := evalSmoke(sub, slow)
+	if len(vs) != 2 {
+		t.Fatalf("%d verdicts, want 2: %+v", len(vs), vs)
+	}
+	for _, v := range vs {
+		if v.Verdict != verdictAllocsOK || v.EffectPct < 99 {
+			t.Errorf("2x smoke run with no alloc budget: %+v", v)
+		}
 	}
 	// Variants with no fresh runs are skipped, not failed.
-	if vs := evalSmoke(sub, map[string][]benchRun{}); len(vs) != 1 || vs[0].Verdict != verdictSkipped || vs[0].fails() {
+	if vs := evalSmoke(sub, map[string][]benchRun{}); len(vs) != 2 || vs[0].Verdict != verdictSkipped || anyFailure(vs) {
 		t.Errorf("absent smoke runs: %+v", vs)
 	}
 }
 
 // TestUpdateRoundTrip: -update rewrites runs/medians/derived figures in a
 // temp file while preserving prose fields, budgets, and host strings, and
-// appends newly appearing sub-bench variants.
+// appends newly appearing sub-bench variants. A variant with no recorded
+// runs gets its allocs/op rewritten and stays without runs.
 func TestUpdateRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fixture.json")
 	f := fixtureBaseline()
@@ -238,15 +244,14 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 
 	var runs []benchRun
-	runs = append(runs, mkRuns("BenchmarkObsOverhead/off", 3000, 8, 0, false)...)
-	runs = append(runs, mkRuns("BenchmarkObsOverhead/metrics", 3300, 8, 0, false)...)
-	runs = append(runs, mkRuns("BenchmarkObsOverhead/metrics+phases+runtime", 3350, 8, 0, false)...)
-	spec := benchSpecs[2] // BenchmarkObsOverhead
-	if err := applyUpdate(loaded, spec, runs); err != nil {
+	runs = append(runs, mkRuns("BenchmarkReplayFrame/get/hit", 3000, 8, 0, true)...)
+	runs = append(runs, mkRuns("BenchmarkReplayFrame/get/propagate", 3300, 8, 0, true)...)
+	runs = append(runs, mkRuns("BenchmarkReplayFrame/get/traced", 3350, 8, 8, true)...)
+	frameSpec, simSpec := specNamed(t, "BenchmarkReplayFrame"), specNamed(t, "BenchmarkSimHotPath")
+	if err := applyUpdate(loaded, frameSpec, runs); err != nil {
 		t.Fatal(err)
 	}
-	simRuns := mkRuns("BenchmarkSimHotPath", 2700, 8, 74500, true)
-	if err := applyUpdate(loaded, benchSpecs[0], simRuns); err != nil {
+	if err := applyUpdate(loaded, simSpec, mkRuns("BenchmarkSimHotPath", 2700, 1, 13950, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := saveBaseline(path, loaded); err != nil {
@@ -257,39 +262,39 @@ func TestUpdateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	obs := got.findBench("BenchmarkObsOverhead")
-	if obs == nil || obs.Host != "fixture-host" || obs.Description != "fixture" {
-		t.Fatalf("prose fields not preserved: %+v", obs)
+	frame := got.findBench("BenchmarkReplayFrame")
+	if frame == nil || frame.Host != "fixture-host" || frame.Description != "fixture" {
+		t.Fatalf("prose fields not preserved: %+v", frame)
 	}
-	if obs.Command != benchSpecs[2].commandString() {
-		t.Errorf("command not rewritten: %q", obs.Command)
+	if frame.Command != frameSpec.commandString() {
+		t.Errorf("command not rewritten: %q", frame.Command)
 	}
-	off := obs.findResult("off")
-	if off == nil || len(off.NsPerOpRuns) != 8 || off.NsPerOpMedian < 3000 {
-		t.Fatalf("off runs not rewritten: %+v", off)
+	hit := frame.findResult("get/hit")
+	if hit == nil || len(hit.NsPerOpRuns) != 8 || hit.NsPerOpMedian < 3000 || hit.OverheadHit != nil {
+		t.Fatalf("get/hit runs not rewritten: %+v", hit)
 	}
-	met := obs.findResult("metrics")
-	if met == nil || met.OverheadOff == nil || *met.OverheadOff < 5 || *met.OverheadOff > 15 {
-		t.Errorf("metrics overhead_vs_off not recomputed: %+v", met)
+	prop := frame.findResult("get/propagate")
+	if prop == nil || prop.OverheadHit == nil || *prop.OverheadHit < 5 || *prop.OverheadHit > 15 {
+		t.Errorf("get/propagate overhead_vs_hit not recomputed: %+v", prop)
 	}
-	pr := obs.findResult("metrics+phases+runtime")
-	if pr == nil {
-		t.Fatal("new variant not appended")
+	traced := frame.findResult("get/traced")
+	if traced == nil || len(traced.NsPerOpRuns) != 8 {
+		t.Fatalf("new variant not appended with its runs: %+v", traced)
 	}
-	if pr.OverheadMet == nil || *pr.OverheadMet < 0.5 || *pr.OverheadMet > 3 {
-		t.Errorf("phases+runtime overhead_vs_metrics not derived: %+v", pr)
+	if traced.OverheadHit == nil || *traced.OverheadHit < 10 || *traced.OverheadHit > 14 {
+		t.Errorf("get/traced overhead_vs_hit not derived: %+v", traced)
 	}
 
 	sim := got.findBench("BenchmarkSimHotPath")
 	r := sim.Results[0]
-	if sim.AllocsBudgetNote != note || r.AllocsBudget == nil || *r.AllocsBudget != 76000 {
+	if sim.AllocsBudgetNote != note || r.AllocsBudget == nil || *r.AllocsBudget != 14190 {
 		t.Errorf("budget fields not preserved: %+v, %+v", sim, r)
 	}
-	if r.AllocsPerOp == nil || *r.AllocsPerOp != 74500 {
+	if r.AllocsPerOp == nil || *r.AllocsPerOp != 13950 {
 		t.Errorf("allocs/op not rewritten: %+v", r)
 	}
-	if r.RequestsPerSec == 0 || r.RequestsPerOp != 150000 {
-		t.Errorf("throughput not recomputed: %+v", r)
+	if !r.allocsOnly() || r.NsPerOpMedian != 0 {
+		t.Errorf("allocs-only variant gained wall-time figures: %+v", r)
 	}
 
 	// The rewritten file stays loadable under DisallowUnknownFields and ends
@@ -301,6 +306,18 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
 		t.Error("saved baseline missing trailing newline")
 	}
+}
+
+// specNamed returns the bench spec of the named benchmark.
+func specNamed(t *testing.T, name string) benchSpec {
+	t.Helper()
+	for _, s := range benchSpecs {
+		if s.name == name {
+			return s
+		}
+	}
+	t.Fatalf("no spec for %s", name)
+	return benchSpec{}
 }
 
 // TestLoadCommittedBaselines: the real committed files parse under the strict
@@ -317,9 +334,16 @@ func TestLoadCommittedBaselines(t *testing.T) {
 			t.Fatalf("%s: no %s entry", spec.file, spec.name)
 		}
 		for _, r := range b.Results {
-			if len(r.NsPerOpRuns) == 0 || r.NsPerOpMedian == 0 {
-				t.Errorf("%s/%s: empty runs in committed baseline", spec.name, r.Variant)
+			if r.allocsOnly() && (r.AllocsBudget == nil || r.NsPerOpMedian != 0) {
+				t.Errorf("%s/%s: no recorded runs, so it needs an allocs/op budget and no median", spec.name, r.Variant)
 			}
+			if !r.allocsOnly() && r.NsPerOpMedian == 0 {
+				t.Errorf("%s/%s: recorded runs without a median", spec.name, r.Variant)
+			}
+		}
+		// A whole sim.Run is judged by its allocations alone, in one cold run.
+		if spec.name == "BenchmarkSimHotPath" && (spec.benchtime != "1x" || spec.count != 1 || !b.Results[0].allocsOnly()) {
+			t.Errorf("%s: want one -benchtime=1x run and no recorded wall time: %+v", spec.name, spec)
 		}
 	}
 }

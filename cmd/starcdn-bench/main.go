@@ -1,10 +1,14 @@
-// Command starcdn-bench is the repo's statistical benchmark harness. It runs
-// the recorded benchmark suite (bench_test.go, internal/replayer), parses the
-// `go test -bench` output, and compares fresh runs against the committed
-// BENCH_core.json / BENCH_obs.json baselines with a Mann–Whitney U test at
-// the 8-run medians. Verdicts are machine-readable: improved, regressed,
-// indistinguishable (each with p-value and median-delta effect size),
-// alloc-regressed (hard allocs/op budget), missing, or smoke-ok.
+// Command starcdn-bench is the repo's allocation gate and per-operation
+// benchmark harness. It runs the recorded micro-benchmarks (internal/obs,
+// internal/sched, internal/replayer) and one whole seeded sim.Run
+// (bench_test.go's BenchmarkSimHotPath), parses the `go test -bench` output,
+// and compares fresh runs against the committed BENCH_core.json /
+// BENCH_obs.json baselines with a Mann–Whitney U test at the 8-run medians.
+// A variant with no recorded runs, like the whole run, is gated on its
+// allocs/op alone; whole-run wall time is benchmark/'s to judge. Verdicts are
+// machine-readable: improved, regressed, indistinguishable (each with p-value
+// and median-delta effect size), alloc-regressed (hard allocs/op budget),
+// missing, or allocs-ok.
 //
 // Modes:
 //

@@ -18,8 +18,8 @@ type benchRun struct {
 // parseBenchOutput extracts the benchmark result lines from `go test -bench`
 // output. Lines look like:
 //
-//	BenchmarkObsOverhead/metrics-8   5  2391489942 ns/op  62.72 MB/s
-//	BenchmarkSimHotPath-8            5  2600814062 ns/op  57.67 MB/s  12345678 B/op  74829 allocs/op
+//	BenchmarkPhaseMark/sim/dark-8    2000000  3.412 ns/op  0 B/op  0 allocs/op
+//	BenchmarkSimHotPath-8            1  249059084 ns/op  0.60 MB/s  10712568 B/op  13978 allocs/op
 //
 // Everything else (PASS, ok, experiment report prose) is skipped. Value
 // precedes unit, so the scan walks unit tokens and reads the field before
@@ -64,7 +64,7 @@ func parseBenchOutput(r io.Reader) ([]benchRun, error) {
 // stripProcs removes the trailing -<GOMAXPROCS> decoration go test appends to
 // benchmark names ("BenchmarkSimHotPath-8" -> "BenchmarkSimHotPath"). Only a
 // purely numeric suffix is stripped — sub-benchmark names keep their dashes
-// ("BenchmarkObsOverhead/metrics+trace-8" loses just the "-8").
+// ("BenchmarkTopKObserve/zipf-objects-8" loses just the "-8").
 func stripProcs(name string) string {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {

@@ -34,9 +34,11 @@ const (
 )
 
 var benchSpecs = []benchSpec{
+	// A whole seeded sim.Run, gated on its allocs/op only: one cold run in
+	// both modes. Its wall time is benchmark/'s sim_sparse_video workload.
 	{
 		name: "BenchmarkSimHotPath", pkg: ".",
-		pattern: "^BenchmarkSimHotPath$", benchtime: "5x", count: 8, benchmem: true,
+		pattern: "^BenchmarkSimHotPath$", benchtime: "1x", count: 1, benchmem: true,
 		file:         coreFile,
 		smokePattern: "^BenchmarkSimHotPath$", smokeBenchtime: "1x",
 	},
@@ -46,17 +48,8 @@ var benchSpecs = []benchSpec{
 		file:         coreFile,
 		smokePattern: "^BenchmarkReplayFrame$/^(get|fetch)$/^(hit|pipelined)$", smokeBenchtime: "2000x",
 	},
-	{
-		name: "BenchmarkObsOverhead", pkg: ".",
-		pattern: "^BenchmarkObsOverhead$", benchtime: "5x", count: 8,
-		file: obsFile,
-	},
-	{
-		name: "BenchmarkSketchOverhead", pkg: ".",
-		pattern: "^BenchmarkSketchOverhead$", benchtime: "5x", count: 8,
-		file: obsFile,
-	},
-	// The per-operation prices behind the two whole-run benchmarks above.
+	// The per-operation prices of the sketches; what they cost a whole run
+	// is benchmark/'s sim_dense_obs workload.
 	{
 		name: "BenchmarkTopKObserve", pkg: "./internal/obs/",
 		pattern: "^BenchmarkTopKObserve$", benchtime: "2000000x", count: 8, benchmem: true,

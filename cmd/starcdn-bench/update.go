@@ -6,10 +6,11 @@ import (
 )
 
 // applyUpdate folds a fresh full run into the baseline file in place:
-// recorded runs, medians, allocs/op, throughput, date, and command are
-// rewritten; descriptions, notes, budgets, host strings, and acceptance
-// prose are preserved verbatim. New sub-bench variants present in the fresh
-// output but absent from the baseline are appended in output order.
+// recorded runs, medians, allocs/op, date, and command are rewritten;
+// descriptions, notes, budgets, host strings, and acceptance prose are
+// preserved verbatim. A variant with no recorded runs keeps none: only its
+// allocs/op is rewritten. New sub-bench variants present in the fresh output
+// but absent from the baseline are appended in output order.
 func applyUpdate(f *baselineFile, spec benchSpec, runs []benchRun) error {
 	b := f.findBench(spec.name)
 	if b == nil {
@@ -22,7 +23,7 @@ func applyUpdate(f *baselineFile, spec benchSpec, runs []benchRun) error {
 		if len(fresh) == 0 {
 			return fmt.Errorf("%s/%s: baseline variant produced no fresh runs", b.Benchmark, r.Variant)
 		}
-		updateResult(r, fresh)
+		updateResult(r, fresh, !r.allocsOnly())
 	}
 
 	// Append variants the baseline has not seen, in fresh-output order.
@@ -40,7 +41,7 @@ func applyUpdate(f *baselineFile, spec benchSpec, runs []benchRun) error {
 			continue
 		}
 		nr := &baselineResult{Variant: variant}
-		updateResult(nr, groups[name])
+		updateResult(nr, groups[name], true)
 		b.Results = append(b.Results, nr)
 	}
 
@@ -50,77 +51,35 @@ func applyUpdate(f *baselineFile, spec benchSpec, runs []benchRun) error {
 	return nil
 }
 
-// updateResult rewrites one variant's measured figures from fresh runs.
-func updateResult(r *baselineResult, fresh []benchRun) {
+// updateResult rewrites one variant's measured figures from fresh runs; the
+// runs and their median only when the variant records wall time.
+func updateResult(r *baselineResult, fresh []benchRun, timed bool) {
+	if a, ok := lastAllocs(fresh); ok {
+		r.AllocsPerOp = &a
+	}
+	if !timed {
+		return
+	}
 	ns := nsValues(fresh)
 	r.NsPerOpRuns = make([]int64, len(ns))
 	for i, v := range ns {
 		r.NsPerOpRuns[i] = int64(v)
 	}
 	r.NsPerOpMedian = int64(median(ns))
-	if a, ok := lastAllocs(fresh); ok {
-		r.AllocsPerOp = &a
-	}
-	if r.RequestsPerOp > 0 && r.NsPerOpMedian > 0 {
-		r.RequestsPerSec = int64(float64(r.RequestsPerOp) * 1e9 / float64(r.NsPerOpMedian))
-	}
 }
 
-// recomputeDerived refreshes the overhead_vs_* percentages from the new
-// medians, per benchmark family. Reference variants:
-//
-//   - BenchmarkObsOverhead: "off" anchors overhead_vs_off_pct; the
-//     "metrics" variant anchors overhead_vs_metrics_pct for the recorder and
-//     phases+runtime variants; "metrics+recorder" anchors
-//     overhead_vs_recorder_pct for phases+runtime — the isolated cost of the
-//     phase profiler + runtime bridge on an otherwise-identical stack, which
-//     is what the ≤2% acceptance bar governs (the vs_metrics aggregate folds
-//     in the recorder's own host-noise-sensitive reading).
-//   - BenchmarkSketchOverhead: "metrics" anchors overhead_vs_metrics_pct.
-//   - BenchmarkReplayFrame: "get/hit" anchors overhead_vs_hit_pct.
-//
-// A variant keeps an overhead field only if it already carried one or the
-// family policy adds one; references themselves carry none.
+// recomputeDerived refreshes BenchmarkReplayFrame's overhead_vs_hit_pct from
+// the new medians: "get/hit" is the reference and carries none.
 func recomputeDerived(b *baselineBench) {
-	pct := func(ref, v int64) *float64 {
-		if ref <= 0 {
-			return nil
-		}
-		p := round1(float64(v-ref) / float64(ref) * 100)
-		return &p
+	if b.Benchmark != "BenchmarkReplayFrame" {
+		return
 	}
-	switch b.Benchmark {
-	case "BenchmarkObsOverhead":
-		off := b.findResult("off")
-		met := b.findResult("metrics")
-		rec := b.findResult("metrics+recorder")
-		for _, r := range b.Results {
-			r.OverheadOff, r.OverheadMet, r.OverheadRec = nil, nil, nil
-			if off != nil && r != off {
-				r.OverheadOff = pct(off.NsPerOpMedian, r.NsPerOpMedian)
-			}
-			if met != nil && (r.Variant == "metrics+recorder" || r.Variant == "metrics+phases+runtime") {
-				r.OverheadMet = pct(met.NsPerOpMedian, r.NsPerOpMedian)
-			}
-			if rec != nil && r.Variant == "metrics+phases+runtime" {
-				r.OverheadRec = pct(rec.NsPerOpMedian, r.NsPerOpMedian)
-			}
-		}
-	case "BenchmarkSketchOverhead":
-		met := b.findResult("metrics")
-		for _, r := range b.Results {
-			r.OverheadMet = nil
-			if met != nil && r != met {
-				r.OverheadMet = pct(met.NsPerOpMedian, r.NsPerOpMedian)
-			}
-		}
-	case "BenchmarkReplayFrame":
-		hit := b.findResult("get/hit")
-		for _, r := range b.Results {
-			r.OverheadHit = nil
-			if hit != nil && r != hit {
-				r.OverheadHit = pct(hit.NsPerOpMedian, r.NsPerOpMedian)
-			}
+	hit := b.findResult("get/hit")
+	for _, r := range b.Results {
+		r.OverheadHit = nil
+		if hit != nil && r != hit && hit.NsPerOpMedian > 0 {
+			p := round1(float64(r.NsPerOpMedian-hit.NsPerOpMedian) / float64(hit.NsPerOpMedian) * 100)
+			r.OverheadHit = &p
 		}
 	}
 }

@@ -19,13 +19,15 @@ type Verdict struct {
 
 // Verdict values. Only regressed/alloc-regressed/missing fail the gate:
 // improved means faster at significance (refresh the baseline when it
-// sticks), indistinguishable means the difference is inside the noise.
+// sticks), indistinguishable means the difference is inside the noise, and
+// allocs-ok means within the allocs/op budget with the wall time reported
+// but not judged (every smoke run, and every variant with no recorded runs).
 const (
 	verdictImproved  = "improved"
 	verdictRegressed = "regressed"
 	verdictIndist    = "indistinguishable"
 	verdictAllocs    = "alloc-regressed"
-	verdictSmokeOK   = "smoke-ok"
+	verdictAllocsOK  = "allocs-ok"
 	verdictMissing   = "missing"
 	verdictNew       = "new-variant"
 	verdictSkipped   = "skipped"
@@ -76,44 +78,23 @@ func lastAllocs(runs []benchRun) (int64, bool) {
 
 // evalFull compares every recorded variant of a baseline file against fresh
 // full-mode runs: Mann–Whitney on the run sets for the wall-clock verdict,
-// plus the hard allocs/op budget of each variant that carries one.
+// plus the hard allocs/op budget of each variant that carries one. A variant
+// with no recorded runs is judged on its allocs/op alone, as in smoke mode.
 func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	var out []Verdict
 	for _, b := range f.Benchmarks {
 		for _, r := range b.Results {
-			v := Verdict{Benchmark: b.Benchmark, Variant: r.Variant,
-				BaselineMedianNs: r.NsPerOpMedian}
 			runs := freshRuns(groups, b.Benchmark, r.Variant, len(b.Results))
-			if len(runs) == 0 {
-				v.Verdict = verdictMissing
-				v.Detail = "variant produced no fresh runs (renamed or deleted benchmark?)"
-				out = append(out, v)
-				continue
-			}
-			recorded, fresh := r.runsFloat(), nsValues(runs)
-			// Direction and effect come from the float medians of both run
-			// sets: the int64 medians truncate, so on a few-ns variant they
-			// could call a slowdown "improved".
-			base, now := median(recorded), median(fresh)
-			v.MedianNs = int64(now)
-			v.P = mannWhitneyP(recorded, fresh)
-			v.EffectPct = round1(effectPct(base, now))
 			switch {
-			case v.P < alpha && now > base:
-				v.Verdict = verdictRegressed
-			case v.P < alpha:
-				v.Verdict = verdictImproved
+			case len(runs) == 0:
+				out = append(out, Verdict{Benchmark: b.Benchmark, Variant: r.Variant,
+					BaselineMedianNs: r.NsPerOpMedian, Verdict: verdictMissing,
+					Detail: "variant produced no fresh runs (renamed or deleted benchmark?)"})
+			case r.allocsOnly():
+				out = append(out, untimedVerdict(b, r, runs))
 			default:
-				v.Verdict = verdictIndist
+				out = append(out, timedVerdict(b, r, runs))
 			}
-			if av := allocVerdict(r, runs); av != "" {
-				v.Verdict = verdictAllocs
-				v.Detail = av
-				a, _ := lastAllocs(runs)
-				v.AllocsPerOp = &a
-				v.AllocsBudget = r.AllocsBudget
-			}
-			out = append(out, v)
 		}
 		// Fresh sub-bench variants the baseline does not know yet: surfaced
 		// so -update can be run to record them, but not a failure.
@@ -131,6 +112,41 @@ func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	return out
 }
 
+// timedVerdict judges a variant's fresh runs against its recorded ones.
+func timedVerdict(b *baselineBench, r *baselineResult, runs []benchRun) Verdict {
+	v := Verdict{Benchmark: b.Benchmark, Variant: r.Variant, BaselineMedianNs: r.NsPerOpMedian}
+	recorded, fresh := r.runsFloat(), nsValues(runs)
+	// Direction and effect come from the float medians of both run sets:
+	// the int64 medians truncate, so on a few-ns variant they could call a
+	// slowdown "improved".
+	base, now := median(recorded), median(fresh)
+	v.MedianNs = int64(now)
+	v.P = mannWhitneyP(recorded, fresh)
+	v.EffectPct = round1(effectPct(base, now))
+	switch {
+	case v.P < alpha && now > base:
+		v.Verdict = verdictRegressed
+	case v.P < alpha:
+		v.Verdict = verdictImproved
+	default:
+		v.Verdict = verdictIndist
+	}
+	judgeAllocs(&v, r, runs)
+	return v
+}
+
+// untimedVerdict gates a variant on its allocs/op alone; the fresh wall time
+// is reported beside the recorded median, if any, but never judged.
+func untimedVerdict(b *baselineBench, r *baselineResult, runs []benchRun) Verdict {
+	v := Verdict{Benchmark: b.Benchmark, Variant: r.Variant, BaselineMedianNs: r.NsPerOpMedian,
+		Verdict: verdictAllocsOK}
+	fresh := median(nsValues(runs))
+	v.MedianNs = int64(fresh)
+	v.EffectPct = round1(effectPct(float64(r.NsPerOpMedian), fresh))
+	judgeAllocs(&v, r, runs)
+	return v
+}
+
 // evalSmoke is the CI gate's cheap mode: one run per smoke benchmark,
 // gating only what is deterministic — the hard allocs/op budgets (seeded,
 // so exact at one run). The single run's wall time is reported, never
@@ -141,46 +157,38 @@ func evalSmoke(f *baselineFile, groups map[string][]benchRun) []Verdict {
 	var out []Verdict
 	for _, b := range f.Benchmarks {
 		for _, r := range b.Results {
-			v := Verdict{Benchmark: b.Benchmark, Variant: r.Variant,
-				BaselineMedianNs: r.NsPerOpMedian}
 			runs := freshRuns(groups, b.Benchmark, r.Variant, len(b.Results))
 			if len(runs) == 0 {
-				v.Verdict = verdictSkipped
-				out = append(out, v)
+				out = append(out, Verdict{Benchmark: b.Benchmark, Variant: r.Variant,
+					BaselineMedianNs: r.NsPerOpMedian, Verdict: verdictSkipped})
 				continue
 			}
-			fresh := median(nsValues(runs))
-			v.MedianNs = int64(fresh)
-			v.EffectPct = round1(effectPct(float64(r.NsPerOpMedian), fresh))
-			v.Verdict = verdictSmokeOK
-			if av := allocVerdict(r, runs); av != "" {
-				v.Verdict = verdictAllocs
-				v.Detail = av
-				a, _ := lastAllocs(runs)
-				v.AllocsPerOp = &a
-				v.AllocsBudget = r.AllocsBudget
-			}
-			out = append(out, v)
+			out = append(out, untimedVerdict(b, r, runs))
 		}
 	}
 	return out
 }
 
-// allocVerdict enforces a variant's hard allocs/op ceiling. Each budget sits
-// on its own result entry, so a sibling's budget never judges a variant that
-// has none; "" means within budget or not budgeted.
-func allocVerdict(r *baselineResult, runs []benchRun) string {
+// judgeAllocs enforces a variant's hard allocs/op ceiling, turning v into an
+// alloc-regressed verdict when the fresh runs exceed it. Each budget sits on
+// its own result entry, so a sibling's budget never judges a variant that
+// has none.
+func judgeAllocs(v *Verdict, r *baselineResult, runs []benchRun) {
 	if r.AllocsBudget == nil {
-		return ""
+		return
 	}
 	got, ok := lastAllocs(runs)
-	if !ok {
-		return "variant has an allocs/op budget but the fresh run carried none (-benchmem missing?)"
+	switch {
+	case !ok:
+		v.Detail = "variant has an allocs/op budget but the fresh run carried none (-benchmem missing?)"
+	case got > *r.AllocsBudget:
+		v.Detail = fmt.Sprintf("%d allocs/op over the %d budget", got, *r.AllocsBudget)
+	default:
+		return
 	}
-	if got > *r.AllocsBudget {
-		return fmt.Sprintf("%d allocs/op over the %d budget", got, *r.AllocsBudget)
-	}
-	return ""
+	v.Verdict = verdictAllocs
+	v.AllocsPerOp = &got
+	v.AllocsBudget = r.AllocsBudget
 }
 
 // hasPrefixVariant reports whether name is a sub-benchmark of bench.

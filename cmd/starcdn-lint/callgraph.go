@@ -34,9 +34,8 @@ type srcCall struct {
 
 // funcNode is one declared function or method of the module.
 type funcNode struct {
-	obj  *types.Func
-	pkg  *Package
-	decl *ast.FuncDecl
+	obj *types.Func
+	pkg *Package
 
 	callees    []*types.Func // statically resolved callees and references, in source order
 	wallClock  []srcCall     // time.Now/Since/Until call sites
@@ -131,7 +130,7 @@ func buildCallGraph(t *Tree) *callGraph {
 				if !ok {
 					continue
 				}
-				node := &funcNode{obj: obj, pkg: pkg, decl: fd}
+				node := &funcNode{obj: obj, pkg: pkg}
 				// callPos marks identifiers consumed as the callee of a call
 				// expression; Inspect visits the CallExpr before its Fun
 				// children, so the marks land before the idents are revisited.

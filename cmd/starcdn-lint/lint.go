@@ -129,7 +129,6 @@ func allTreeRules() []TreeRule {
 type ignoreDirective struct {
 	rules  map[string]bool
 	reason string
-	line   int // line the directive appears on
 	pos    token.Position
 	used   map[string]bool // rules that actually suppressed a finding
 }
@@ -200,7 +199,6 @@ func parseIgnores(fset *token.FileSet, file *ast.File) (map[int]*ignoreDirective
 			d := &ignoreDirective{
 				rules:  make(map[string]bool),
 				reason: strings.Join(fields[1:], " "),
-				line:   pos.Line,
 				pos:    pos,
 				used:   make(map[string]bool),
 			}
@@ -330,7 +328,7 @@ func runLint(root string, patterns []string) (*lintResult, error) {
 	return &lintResult{tree: tree, diags: diags, directives: ignores.directives}, nil
 }
 
-// lintTree is the plain-findings entry point used by main and the tests.
+// lintTree returns runLint's findings alone; only the tests call it.
 func lintTree(root string, patterns []string) ([]Diagnostic, error) {
 	res, err := runLint(root, patterns)
 	if err != nil {

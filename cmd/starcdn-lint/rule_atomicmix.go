@@ -40,11 +40,6 @@ func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	return s.Obj().(*types.Var)
 }
 
-// access is one source location touching a field.
-type access struct {
-	pos ast.Node
-}
-
 func (r ruleAtomicMix) Check(tree *Tree, pkg *Package) []Diagnostic {
 	// Pass 1: find every &x.f argument to a sync/atomic function, keyed by
 	// field object; remember those selector nodes so pass 2 does not count

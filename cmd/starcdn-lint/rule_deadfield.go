@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// ruleDeadField reports struct fields in internal/ that carry nothing: a
-// field that no non-test code reads (it is only written), and an exported
-// field that no non-test code sets (every run sees its zero value). Uses are
-// the field identifiers in Info.Uses of every loaded package, the reference
-// set deadexport walks, classified by where they sit.
+// ruleDeadField reports struct fields in internal/ and cmd/ that carry
+// nothing: a field that no non-test code reads (it is only written), and an
+// exported field that no non-test code sets (every run sees its zero value).
+// Uses are the field identifiers in Info.Uses of every loaded package, the
+// reference set deadexport walks, classified by where they sit.
 //
 // A use is a set when it is an assignment, op= or ++ target, a keyed
 // literal value, a field of a positional literal, the operand of &, the
@@ -32,7 +32,7 @@ func (r ruleDeadField) CheckTree(tree *Tree) []Diagnostic {
 	read := make(map[*types.Var]bool)
 	set := make(map[*types.Var]bool)
 	for _, pkg := range tree.Packages {
-		internal := pathIn(pkg.RelPath, []string{"internal"})
+		scoped := pathIn(pkg.RelPath, []string{"internal", "cmd"})
 		for _, file := range pkg.Files {
 			names := make(map[ast.Expr]string)
 			var stack []ast.Node
@@ -49,7 +49,7 @@ func (r ruleDeadField) CheckTree(tree *Tree) []Diagnostic {
 					for _, f := range n.Fields.List {
 						for _, name := range f.Names {
 							v, ok := pkg.Info.Defs[name].(*types.Var)
-							if ok && internal && f.Tag == nil && !syncType(v.Type()) {
+							if ok && scoped && f.Tag == nil && !syncType(v.Type()) {
 								owner[v] = names[n]
 							}
 						}

@@ -33,7 +33,7 @@ type Recorder struct {
 	mu    sync.Mutex
 	times []float64            // shared epoch-timestamp ring
 	vals  map[string][]float64 // per-series ring, NaN-padded, aligned to times
-	hists map[string][]float64 // histogram series key -> bucket bounds
+	hists map[string]int       // histogram series key -> its plan index
 	head  int                  // next physical write slot
 	n     int                  // live entries (<= capN)
 	ticks int64                // total snapshots taken
@@ -93,7 +93,7 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 		capN:     opts.Capacity,
 		times:    make([]float64, opts.Capacity),
 		vals:     make(map[string][]float64),
-		hists:    make(map[string][]float64),
+		hists:    make(map[string]int),
 		qv:       make([]float64, len(SketchQuantiles)),
 	}
 	r.setNext(opts.EpochSec)
@@ -288,7 +288,7 @@ func (r *Recorder) planLocked(added []*series) {
 		rs := recSeries{src: s}
 		switch s.kind {
 		case histogramKind:
-			r.hists[s.key] = s.h.bounds
+			r.hists[s.key] = len(r.plan)
 			rs.cntRing = r.ringLocked(s.key + "_count")
 			rs.sumRing = r.ringLocked(s.key + "_sum")
 			rs.buckets = make([][]float64, len(s.h.counts))
@@ -322,8 +322,7 @@ func (r *Recorder) planLocked(added []*series) {
 // derivedRingKey renders the ring key of a derived series — the base
 // labels plus one appended dimension (rank for top-K, q for sketches),
 // following the histogram _bucket convention of appending the extra label
-// last. The SLO engine rebuilds the same key when targeting a recorded
-// sketch quantile.
+// last.
 func derivedRingKey(name string, labels []Label, extraKey, extraVal string) string {
 	bs := SeriesSnapshot{Labels: append(append([]Label(nil), labels...), L(extraKey, extraVal))}
 	return name + bs.LabelString()
@@ -416,7 +415,15 @@ func (r *Recorder) Delta(key string, windowSec float64) (float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ring, ok := r.vals[key]
-	if !ok || r.n == 0 {
+	if !ok {
+		return 0, false
+	}
+	return r.deltaLocked(ring, windowSec)
+}
+
+// deltaLocked is Delta over one ring. Callers hold r.mu.
+func (r *Recorder) deltaLocked(ring []float64, windowSec float64) (float64, bool) {
+	if r.n == 0 {
 		return 0, false
 	}
 	latest := r.times[r.slotAt(r.n-1)]
@@ -454,25 +461,18 @@ func (r *Recorder) HistogramWindow(key string, windowSec float64) (bounds []floa
 		return nil, nil, false
 	}
 	r.mu.Lock()
-	bounds = r.hists[key]
-	r.mu.Unlock()
-	if bounds == nil {
+	defer r.mu.Unlock()
+	p, ok := r.hists[key]
+	if !ok {
 		return nil, nil, false
 	}
-	name, labels := splitSeriesKey(key)
-	counts = make([]int64, len(bounds)+1)
+	rs := &r.plan[p]
+	counts = make([]int64, len(rs.buckets))
 	any := false
 	prev := int64(0)
-	for i := range counts {
-		le := "+Inf"
-		if i < len(bounds) {
-			le = formatFloat(bounds[i])
-		}
-		bs := SeriesSnapshot{Labels: append(append([]Label(nil), labels...), L("le", le))}
-		d, dok := r.Delta(name+"_bucket"+bs.LabelString(), windowSec)
-		if dok {
-			any = true
-		}
+	for i, ring := range rs.buckets {
+		d, dok := r.deltaLocked(ring, windowSec)
+		any = any || dok
 		// The recorded _bucket series are cumulative across buckets;
 		// de-cumulate so counts[i] holds just bucket i's samples.
 		counts[i] = int64(d) - prev
@@ -481,75 +481,7 @@ func (r *Recorder) HistogramWindow(key string, windowSec float64) (bounds []floa
 		}
 		prev = int64(d)
 	}
-	return bounds, counts, any
-}
-
-// splitSeriesKey splits a canonical series key (name{k="v",...}) back into
-// name and labels. Values were rendered with %q, so strconv-style unquoting
-// applies; the recorder only ever splits keys it rendered itself.
-func splitSeriesKey(key string) (string, []Label) {
-	i := indexByte(key, '{')
-	if i < 0 {
-		return key, nil
-	}
-	name := key[:i]
-	body := key[i+1 : len(key)-1]
-	var labels []Label
-	for len(body) > 0 {
-		eq := indexByte(body, '=')
-		if eq < 0 {
-			break
-		}
-		k := body[:eq]
-		rest := body[eq+1:]
-		v, n := unquotePrefix(rest)
-		labels = append(labels, Label{Key: k, Value: v})
-		if n < len(rest) && rest[n] == ',' {
-			n++
-		}
-		body = rest[n:]
-	}
-	return name, labels
-}
-
-// indexByte is strings.IndexByte without the import churn.
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// unquotePrefix decodes one leading %q-quoted string, returning the value and
-// the number of input bytes consumed.
-func unquotePrefix(s string) (string, int) {
-	if len(s) == 0 || s[0] != '"' {
-		return "", 0
-	}
-	var b []byte
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			if i+1 < len(s) {
-				i++
-				switch s[i] {
-				case 'n':
-					b = append(b, '\n')
-				case 't':
-					b = append(b, '\t')
-				default:
-					b = append(b, s[i])
-				}
-			}
-		case '"':
-			return string(b), i + 1
-		default:
-			b = append(b, s[i])
-		}
-	}
-	return string(b), len(s)
+	return rs.src.h.bounds, counts, any
 }
 
 // HistQuantile computes quantile q (in [0,1]) from bucket bounds and

@@ -183,8 +183,8 @@ func TestRecorderHistogramWindow(t *testing.T) {
 	}
 }
 
-// TestRecorderLabelledHistogram checks the key round trip through
-// splitSeriesKey for histograms carrying labels.
+// TestRecorderLabelledHistogram checks HistogramWindow on a histogram
+// carrying labels, whose _bucket series append le after them.
 func TestRecorderLabelledHistogram(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("starcdn_test_latency_ms", []float64{1, 10}, L("op", "get"))

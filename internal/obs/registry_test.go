@@ -170,15 +170,6 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 				t.Errorf("%s: sample line broken by unescaped character: %q", tc.name, l)
 			}
 		}
-		// Round trip: the canonical key parses back to the original value.
-		snap := r.Snapshot()[0]
-		key := snap.Name + snap.LabelString()
-		name, labels := splitSeriesKey(key)
-		if name != "starcdn_test_events_total" || len(labels) != 1 ||
-			labels[0].Value != tc.value {
-			t.Errorf("%s: key %q parsed to name=%q labels=%v, want value %q",
-				tc.name, key, name, labels, tc.value)
-		}
 	}
 }
 

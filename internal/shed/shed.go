@@ -96,7 +96,7 @@ func (s Stage) Sheds(v core.ValueClass) bool {
 // Action records what overload control did to one request. ActionNone
 // means the request was served (or degraded) exactly as it would have been
 // with shedding disabled.
-type Action int
+type Action uint8
 
 // Actions, roughly in stage order.
 const (
@@ -124,7 +124,7 @@ var actionNames = [numActions]string{
 }
 
 // Valid reports whether a is a defined action.
-func (a Action) Valid() bool { return a >= 0 && int(a) < numActions }
+func (a Action) Valid() bool { return int(a) < numActions }
 
 // String implements fmt.Stringer with the stable metric-label names.
 func (a Action) String() string {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -9,6 +10,7 @@ import (
 	"starcdn/internal/cache"
 	"starcdn/internal/geo"
 	"starcdn/internal/obs"
+	"starcdn/internal/trace"
 	"starcdn/internal/workload"
 )
 
@@ -18,6 +20,46 @@ import (
 func TestRecordFitsSixteenBytes(t *testing.T) {
 	if n := unsafe.Sizeof(record{}); n > 16 {
 		t.Errorf("record is %d bytes, want at most 16", n)
+	}
+}
+
+// TestOutcomeStaysInRegisters: every Serve returns an Outcome by value, and
+// the compiler keeps a struct in registers only up to four fields and 32
+// bytes (cmd/compile's CanSSA). A fifth field cost the sim_dense_hits
+// workload about a tenth of its throughput.
+func TestOutcomeStaysInRegisters(t *testing.T) {
+	if n, f := unsafe.Sizeof(Outcome{}), reflect.TypeOf(Outcome{}).NumField(); n > 32 || f > 4 {
+		t.Errorf("Outcome is %d bytes in %d fields, want at most 32 in 4", n, f)
+	}
+}
+
+// TestPipelineFinishJoinsConsumer: when finish returns, the consumer has
+// exited. done must be closed already, with no grace period to reach it
+// (TestRunPipelineLifecycle's stack scan allows a second); each round starts
+// a consumer, so a finish that does not wait for it fails in any of them.
+func TestPipelineFinishJoinsConsumer(t *testing.T) {
+	reqs := make([]trace.Request, 2*batchLen+1)
+	for i := range reqs {
+		reqs[i] = trace.Request{TimeSec: float64(i), Size: 1}
+	}
+	// Terrestrial ground serves: priced without the constellation or users.
+	rec := record{first: -1, server: -1, legs: Legs{Tail: TailTerrestrial}, src: uint8(SourceGround)}
+	for round := 0; round < 20; round++ {
+		p := &pipeline{fold: &fold{reqs: reqs, lat: DefaultLatencyModel(),
+			rng: *rand.New(rand.NewSource(1)), m: NewMetrics(false, false)}}
+		p.cur = p.newBatch()
+		for range reqs {
+			p.add(rec, nil)
+		}
+		p.finish()
+		select {
+		case <-p.done:
+		default:
+			t.Fatalf("round %d: finish returned before the consumer exited", round)
+		}
+		if n := p.fold.m.Meter.Requests; n != int64(len(reqs)) {
+			t.Fatalf("round %d: %d requests metered, want %d", round, n, len(reqs))
+		}
 	}
 }
 

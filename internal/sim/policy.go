@@ -46,9 +46,12 @@ type Outcome struct {
 	Source    Source
 	ServerSat orbit.SatID // satellite whose cache served or missed
 	Legs      Legs
-	// Shed records what overload control did to this request
-	// (shed.ActionNone when untouched).
-	Shed shed.Action
+	// Signal is the overload controller's feedback: what overload control
+	// did to this request, and whether it was the §3.4 miss-through — the
+	// ladder's verdict (Fetched.Signal), so only StarCDN reports one; a
+	// baseline's ground serve is its design, not a failure. Four fields in
+	// 32 bytes is what the compiler keeps in registers.
+	Signal shed.Signal
 }
 
 // Policy is a satellite CDN content placement/fetch scheme.
@@ -274,7 +277,7 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 	req := ctx.Req
 	rt := p.ladder.Route(ctx.First, req.Object, ctx.ShedStage, ctx.TransientDown)
 	if !rt.Contact {
-		out := Outcome{Source: rt.Source, ServerSat: rt.Home, Shed: rt.Action}
+		out := Outcome{Source: rt.Source, ServerSat: rt.Home, Signal: rt.Signal()}
 		if rt.Source != SourceShed {
 			out.Legs.Tail = TailGround
 		}
@@ -293,7 +296,7 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 	p.caches.phase = ctx.Phase
 	// No error to handle: satCaches' Fetch and Probe return a literal nil.
 	got, _ := p.ladder.Fetch(p.caches, rt, req, ctx.ShedStage, p.relayStats)
-	out.Source, out.Shed = got.Source, got.Action
+	out.Source, out.Signal = got.Source, got.Signal()
 	switch got.Source {
 	case SourceLocal, SourceBucket:
 		if p.prefetch != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"starcdn/internal/cache"
 	"starcdn/internal/geo"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
@@ -251,5 +252,33 @@ func TestShedderIdleIsByteIdentical(t *testing.T) {
 	}
 	if a, b := plain.Latency.Quantile(0.99), shedded.Latency.Quantile(0.99); a != b {
 		t.Errorf("latency CDFs differ: p99 %.3f vs %.3f", a, b)
+	}
+}
+
+// TestShedBaselinesNeverBurn: the burn signal is the §3.4 miss-through, the
+// ladder's verdict, so a baseline's ground serve never feeds it. On a
+// failure-free trace a wired controller stays at stage 0 under every scheme,
+// including those that serve every miss from the ground with no serving
+// satellite (static, terrestrial-cdn) or with none in view (ground-edge).
+func TestShedBaselinesNeverBurn(t *testing.T) {
+	e := shedEnv(t, 6000, 600)
+	cfg := CacheConfig{Kind: cache.LRU, Bytes: shedCacheBytes}
+	edge, err := NewGroundEdgeCDN(cfg, geo.DefaultGroundStations(), e.users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []Policy{NewStaticCache(cfg), TerrestrialCDN{}, NoCacheBentPipe{},
+		NewNaiveLRU(cfg), edge, e.starcdn(t, 4, shedCacheBytes, StarCDNOptions{Hashing: true, Relay: true})}
+	for _, p := range policies {
+		ctrl, err := shed.NewController(shed.Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(e.c, e.users, e.tr, p, Config{Seed: 5, Shedder: ctrl}); err != nil {
+			t.Fatal(err)
+		}
+		if up, _ := ctrl.Transitions(); up != 0 || ctrl.Stage() != shed.StageNormal {
+			t.Errorf("%s: failure-free run climbed %d stages, ending at %v", p.Name(), up, ctrl.Stage())
+		}
 	}
 }

@@ -204,19 +204,16 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		if cfg.Shedder != nil && first >= 0 && !cfg.Shedder.AdmitSession(r.Location, r.TimeSec) {
 			// Stage ≥ 2 turned the session away: no cache touch, no
 			// uplink, just the rejection riding the user link back.
-			out = Outcome{Source: SourceShed, ServerSat: -1, Shed: shed.ActionRejectSession}
+			out = Outcome{Source: SourceShed, ServerSat: -1,
+				Signal: shed.Signal{Action: shed.ActionRejectSession}}
 			span.AddHop(obs.Hop{Kind: "shed", Sat: int(first)})
 		} else {
 			out = p.Serve(&ctx)
 		}
 		if cfg.Shedder != nil {
-			// The burn signal is the §3.4 miss-through: a ground serve with
-			// no serving satellite that shedding did not cause. Both
-			// pipelines emit exactly this signal, so the controllers agree.
-			cfg.Shedder.Observe(shed.Signal{
-				Degraded: out.Source == SourceGround && out.ServerSat < 0 && out.Shed == shed.ActionNone,
-				Action:   out.Shed,
-			})
+			// The burn signal is the ladder's verdict, as Fetched.Signal
+			// gives the replay's controller, so the controllers agree.
+			cfg.Shedder.Observe(out.Signal)
 		}
 		pl.add(record{first: int32(first), server: int32(out.ServerSat), legs: out.Legs,
 			src: uint8(out.Source)}, span)

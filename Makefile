@@ -67,13 +67,17 @@ race:
 ## tests twenty times: the consumer's lifecycle with the fold on either
 ## goroutine (no obs fold, tracer only, shorter than a batch, recorder
 ## barriers) and the pinned obs artifacts. A handoff race shows only under
-## repetition.
+## repetition. The next line repeats the lock-free replay client's tests ten
+## times: the pipelined window, whose flushes run on whichever worker blocks
+## last, against the sequential replay, and eight clients each with its own
+## pool.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'TestChaos|TestDifferential|TestGenerateChaos|TestFault|TestClientRetries|TestClientExhausts|TestClientDeadline|TestServerSide|TestReplayDeadServer|TestFailureSchedule|TestShed' \
 		./internal/replayer/ ./internal/sim/
 	$(GO) test -race -count=1 ./internal/shed/
 	$(GO) test -race -count=20 -run 'TestRunPipelineLifecycle|TestObsArtifactsPinned' ./internal/sim/
+	$(GO) test -race -count=10 -run 'TestReplayConcurrentEqualsSequential|TestConcurrentClients' ./internal/replayer/
 
 ## obs: end-to-end observability smoke — live /metrics + pprof scrape during
 ## a TCP replay, then span summarisation with starcdn-trace (DESIGN.md §9).

@@ -30,26 +30,17 @@ type baselineBench struct {
 // variant with no recorded runs is gated on its allocs/op alone: its wall
 // time is neither recorded nor judged.
 type baselineResult struct {
-	Variant       string   `json:"variant"`
-	NsPerOpRuns   []int64  `json:"ns_per_op_runs,omitempty"`
-	NsPerOpMedian int64    `json:"ns_per_op_median,omitempty"`
-	AllocsPerOp   *int64   `json:"allocs_per_op,omitempty"`
-	AllocsBudget  *int64   `json:"allocs_per_op_budget,omitempty"`
-	AllocsPerOpNt string   `json:"allocs_per_op_note,omitempty"`
-	OverheadHit   *float64 `json:"overhead_vs_hit_pct,omitempty"`
+	Variant       string    `json:"variant"`
+	NsPerOpRuns   []float64 `json:"ns_per_op_runs,omitempty"`
+	NsPerOpMedian int64     `json:"ns_per_op_median,omitempty"`
+	AllocsPerOp   *int64    `json:"allocs_per_op,omitempty"`
+	AllocsBudget  *int64    `json:"allocs_per_op_budget,omitempty"`
+	AllocsPerOpNt string    `json:"allocs_per_op_note,omitempty"`
+	OverheadHit   *float64  `json:"overhead_vs_hit_pct,omitempty"`
 }
 
 // allocsOnly reports whether the variant is gated on allocs/op alone.
 func (r *baselineResult) allocsOnly() bool { return len(r.NsPerOpRuns) == 0 }
-
-// runsFloat converts the recorded runs for the statistics helpers.
-func (r *baselineResult) runsFloat() []float64 {
-	out := make([]float64, len(r.NsPerOpRuns))
-	for i, v := range r.NsPerOpRuns {
-		out[i] = float64(v)
-	}
-	return out
-}
 
 // loadBaseline reads and parses one BENCH_*.json file.
 func loadBaseline(path string) (*baselineFile, error) {

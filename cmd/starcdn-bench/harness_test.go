@@ -19,10 +19,10 @@ func fixtureBaseline() *baselineFile {
 				Description: "fixture",
 				Results: []*baselineResult{
 					{Variant: "get/hit",
-						NsPerOpRuns:   []int64{2390, 2395, 2400, 2405, 2410, 2415, 2420, 2425},
+						NsPerOpRuns:   []float64{2390, 2395, 2400, 2405, 2410, 2415, 2420, 2425},
 						NsPerOpMedian: 2407},
 					{Variant: "get/propagate",
-						NsPerOpRuns:   []int64{2500, 2505, 2510, 2515, 2520, 2525, 2530, 2535},
+						NsPerOpRuns:   []float64{2500, 2505, 2510, 2515, 2520, 2525, 2530, 2535},
 						NsPerOpMedian: 2517},
 				},
 			},
@@ -110,7 +110,7 @@ func TestEvalFullFewNsDirection(t *testing.T) {
 	f := &baselineFile{Benchmarks: []*baselineBench{{
 		Benchmark: "BenchmarkPhaseMark",
 		Results: []*baselineResult{{Variant: "sim/dark",
-			NsPerOpRuns:   []int64{3, 3, 3, 3, 3, 3, 3, 4},
+			NsPerOpRuns:   []float64{3, 3, 3, 3, 3, 3, 3, 4},
 			NsPerOpMedian: 3}},
 	}}}
 	groups := map[string][]benchRun{"BenchmarkPhaseMark/sim/dark": mkRuns("BenchmarkPhaseMark/sim/dark", 3.4, 8, 0, false)}
@@ -121,6 +121,31 @@ func TestEvalFullFewNsDirection(t *testing.T) {
 	if v := vs[0]; v.Verdict != verdictRegressed || v.EffectPct <= 0 {
 		t.Errorf("fresh ~3.4 ns against runs of 3 and 4 ns: verdict %q at %+.1f%% (p=%v), want %q at a positive effect",
 			v.Verdict, v.EffectPct, v.P, verdictRegressed)
+	}
+}
+
+// TestUpdateFewNsRecordsAsMeasured: -update keeps each run as measured, so
+// a few-ns variant it has just recorded, written out and read back, reads
+// indistinguishable against fresh runs identical to the recorded ones. Runs
+// truncated to whole ns, 3.4 ns kept as 3, read regressed against the same
+// runs.
+func TestUpdateFewNsRecordsAsMeasured(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_fixture.json")
+	f := &baselineFile{Benchmarks: []*baselineBench{{Benchmark: "BenchmarkPhaseMark"}}}
+	runs := mkRuns("BenchmarkPhaseMark/sim/dark", 3.4, 8, 0, true)
+	if err := applyUpdate(f, specNamed(t, "BenchmarkPhaseMark"), runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveBaseline(path, f); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := evalFull(loaded, groupRuns(runs))
+	if len(vs) != 1 || vs[0].Verdict != verdictIndist {
+		t.Errorf("a row just recorded against the runs it recorded: %+v, want one %q verdict", vs, verdictIndist)
 	}
 }
 
@@ -175,9 +200,9 @@ func TestEvalAllocBudget(t *testing.T) {
 	frame := &baselineFile{Benchmarks: []*baselineBench{{
 		Benchmark: "BenchmarkReplayFrame",
 		Results: []*baselineResult{
-			{Variant: "get/hit", NsPerOpRuns: []int64{10000}, NsPerOpMedian: 10000,
+			{Variant: "get/hit", NsPerOpRuns: []float64{10000}, NsPerOpMedian: 10000,
 				AllocsPerOp: &zero, AllocsBudget: &zero},
-			{Variant: "get/traced", NsPerOpRuns: []int64{20000}, NsPerOpMedian: 20000,
+			{Variant: "get/traced", NsPerOpRuns: []float64{20000}, NsPerOpMedian: 20000,
 				AllocsPerOp: &eight},
 		},
 	}}}

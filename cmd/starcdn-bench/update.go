@@ -60,12 +60,10 @@ func updateResult(r *baselineResult, fresh []benchRun, timed bool) {
 	if !timed {
 		return
 	}
-	ns := nsValues(fresh)
-	r.NsPerOpRuns = make([]int64, len(ns))
-	for i, v := range ns {
-		r.NsPerOpRuns[i] = int64(v)
-	}
-	r.NsPerOpMedian = int64(median(ns))
+	// The runs are kept as measured: truncated, a few-ns variant would read
+	// regressed against fresh runs identical to the ones just recorded.
+	r.NsPerOpRuns = nsValues(fresh)
+	r.NsPerOpMedian = int64(median(r.NsPerOpRuns))
 }
 
 // recomputeDerived refreshes BenchmarkReplayFrame's overhead_vs_hit_pct from

@@ -115,7 +115,7 @@ func evalFull(f *baselineFile, groups map[string][]benchRun) []Verdict {
 // timedVerdict judges a variant's fresh runs against its recorded ones.
 func timedVerdict(b *baselineBench, r *baselineResult, runs []benchRun) Verdict {
 	v := Verdict{Benchmark: b.Benchmark, Variant: r.Variant, BaselineMedianNs: r.NsPerOpMedian}
-	recorded, fresh := r.runsFloat(), nsValues(runs)
+	recorded, fresh := r.NsPerOpRuns, nsValues(runs)
 	// Direction and effect come from the float medians of both run sets:
 	// the int64 medians truncate, so on a few-ns variant they could call a
 	// slowdown "improved".

@@ -16,10 +16,14 @@ import (
 // names the reader.
 //
 // A method is exempt when its receiver type implements an interface that
-// declares it and that the tree uses (written as a type, or the type of a
-// referenced func parameter, result, var or field — fmt.Fprintf's io.Writer
-// counts), or one of the interfaces the standard library calls dynamically
-// on any value (deadExportDynamic).
+// declares it and something calls the method through it. For an interface
+// declared in the tree that is a call, method value or method expression
+// naming the interface's method. The tree cannot see the calls of readers
+// outside it, so a standard-library interface counts when the tree uses it
+// (written as a type, or the type of a referenced func parameter, result,
+// var or field — fmt.Fprintf's io.Writer counts), and so do the interfaces
+// the standard library calls dynamically on any value (deadExportDynamic)
+// and those the root package, the module's API, names.
 type ruleDeadExport struct{}
 
 func (ruleDeadExport) Name() string { return "deadexport" }
@@ -70,13 +74,18 @@ func (r ruleDeadExport) CheckTree(tree *Tree) []Diagnostic {
 		}
 	}
 
-	// References, and the interfaces the tree uses.
+	// References, the interfaces the tree uses (api: those the root package
+	// names), and the interface methods it calls.
 	used := make(map[types.Object]bool)
-	ifaces := make(map[*types.Interface]bool)
+	ifaces, api := make(map[*types.Interface]bool), make(map[*types.Interface]bool)
+	callable := make(map[*types.Func]bool)
 	ref := func(obj types.Object, at token.Pos) {
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				callable[o.Origin()] = true
+			}
 		case *types.Var:
 			obj = o.Origin()
 		}
@@ -97,6 +106,9 @@ func (r ruleDeadExport) CheckTree(tree *Tree) []Diagnostic {
 		for _, tv := range pkg.Info.Types {
 			if tv.IsType() {
 				addIface(ifaces, tv.Type)
+				if pkg.RelPath == "" {
+					addIface(api, tv.Type)
+				}
 			}
 		}
 	}
@@ -105,13 +117,22 @@ func (r ruleDeadExport) CheckTree(tree *Tree) []Diagnostic {
 			addIface(ifaces, t)
 		}
 	}
+	// Readers outside the tree may call every method of an interface they
+	// share with it: a standard-library one, or one the API names.
+	for it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if m := it.Method(i); api[it] || m.Pkg() == nil || tree.byPath[m.Pkg().Path()] == nil {
+				callable[m] = true
+			}
+		}
+	}
 
 	var diags []Diagnostic
 	for _, obj := range order {
 		if used[obj] {
 			continue
 		}
-		if fn, ok := obj.(*types.Func); ok && implementsUsed(fn, ifaces) {
+		if fn, ok := obj.(*types.Func); ok && implementsCallable(fn, callable) {
 			continue
 		}
 		diags = append(diags, Diagnostic{
@@ -179,9 +200,9 @@ func addIfaces(ifaces map[*types.Interface]bool, t types.Type) {
 	}
 }
 
-// implementsUsed reports whether method fn's receiver type, or a pointer to
-// it, implements one of ifaces that declares fn.
-func implementsUsed(fn *types.Func, ifaces map[*types.Interface]bool) bool {
+// implementsCallable reports whether method fn's receiver type, or a pointer
+// to it, implements the interface of a callable method of fn's name.
+func implementsCallable(fn *types.Func, callable map[*types.Func]bool) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return false
@@ -190,12 +211,12 @@ func implementsUsed(fn *types.Func, ifaces map[*types.Interface]bool) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	for it := range ifaces {
-		declares := false
-		for i := 0; i < it.NumMethods() && !declares; i++ {
-			declares = it.Method(i).Name() == fn.Name()
+	for m := range callable {
+		if m.Name() != fn.Name() {
+			continue
 		}
-		if declares && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+		it := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
 			return true
 		}
 	}

@@ -1,7 +1,7 @@
 // Package exports is the deadexport fixture: an exported func, method, const
 // or var under internal/ that no non-test code references is a finding,
-// unless its method satisfies an interface in use or a waiver names the
-// reader that keeps it.
+// unless its method implements an interface method something calls, or a
+// waiver names the reader that keeps it.
 package exports
 
 import "fmt"
@@ -30,8 +30,8 @@ type Shape interface{ Area() float64 }
 // Square satisfies Shape and fmt.Stringer.
 type Square struct{ side float64 }
 
-// Area is exempt: nothing calls it by name, but it implements Shape, which
-// the package uses.
+// Area is exempt: nothing calls it by name, but total calls it through
+// Shape.
 func (s Square) Area() float64 { return s.side * s.side }
 
 // String is exempt: it implements fmt.Stringer, which fmt calls dynamically.
@@ -60,3 +60,18 @@ func total(shapes []Shape) float64 {
 	}
 	return sum
 }
+
+// Polygon is written as a type below, but nothing calls its Corners.
+type Polygon interface{ Corners() int }
+
+var _ Polygon = Square{}
+
+// Corners implements Polygon, whose Corners no code calls.
+func (s Square) Corners() int { return 4 } // want deadexport
+
+// Labeler is exported by the module's API (the root package), so readers
+// outside the tree may call Label through it.
+type Labeler interface{ Label() string }
+
+// Label is exempt: it implements Labeler.
+func (s Square) Label() string { return "square" }

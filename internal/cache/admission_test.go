@@ -34,8 +34,8 @@ func TestSizeThreshold(t *testing.T) {
 	if p.Contains(2) {
 		t.Error("oversize object should be bypassed")
 	}
-	if p.UsedBytes() != 50 {
-		t.Errorf("used = %d", p.UsedBytes())
+	if used := storeOf(p).used; used != 50 {
+		t.Errorf("used = %d", used)
 	}
 }
 

@@ -39,14 +39,8 @@ type Policy interface {
 	Contains(id ObjectID) bool
 	// SizeOf returns the stored size of id and whether it is cached.
 	SizeOf(id ObjectID) (int64, bool)
-	// Remove evicts id if present and reports whether it was present.
-	Remove(id ObjectID) bool
 	// Len returns the number of cached objects.
 	Len() int
-	// UsedBytes returns the total bytes currently cached.
-	UsedBytes() int64
-	// Capacity returns the configured capacity in bytes.
-	Capacity() int64
 	// Name returns the policy name ("lru", "lfu", "fifo", "sieve").
 	Name() string
 }

@@ -49,7 +49,7 @@ func TestAdmitValidation(t *testing.T) {
 		if err := p.Admit(1, 101); err != ErrTooLarge {
 			t.Errorf("%s: oversize = %v, want ErrTooLarge", k, err)
 		}
-		if p.Len() != 0 || p.UsedBytes() != 0 {
+		if p.Len() != 0 || storeOf(p).used != 0 {
 			t.Errorf("%s: failed admits must not mutate state", k)
 		}
 	}
@@ -73,17 +73,8 @@ func TestBasicHitMiss(t *testing.T) {
 		if _, ok := p.SizeOf(2); ok {
 			t.Errorf("%s: SizeOf of absent object", k)
 		}
-		if p.UsedBytes() != 40 || p.Len() != 1 {
-			t.Errorf("%s: used=%d len=%d", k, p.UsedBytes(), p.Len())
-		}
-		if !p.Remove(1) {
-			t.Errorf("%s: Remove failed", k)
-		}
-		if p.Remove(1) {
-			t.Errorf("%s: double Remove succeeded", k)
-		}
-		if p.UsedBytes() != 0 || p.Len() != 0 {
-			t.Errorf("%s: state after remove: used=%d len=%d", k, p.UsedBytes(), p.Len())
+		if used := storeOf(p).used; used != 40 || p.Len() != 1 {
+			t.Errorf("%s: used=%d len=%d", k, used, p.Len())
 		}
 	}
 }
@@ -93,12 +84,12 @@ func TestResizeExistingObject(t *testing.T) {
 		p := MustNew(k, 100)
 		mustAdmit(t, p, 1, 40)
 		mustAdmit(t, p, 1, 60) // same object, larger now
-		if p.UsedBytes() != 60 || p.Len() != 1 {
-			t.Errorf("%s: resize: used=%d len=%d", k, p.UsedBytes(), p.Len())
+		if used := storeOf(p).used; used != 60 || p.Len() != 1 {
+			t.Errorf("%s: resize: used=%d len=%d", k, used, p.Len())
 		}
 		mustAdmit(t, p, 1, 10)
-		if p.UsedBytes() != 10 {
-			t.Errorf("%s: shrink: used=%d", k, p.UsedBytes())
+		if used := storeOf(p).used; used != 10 {
+			t.Errorf("%s: shrink: used=%d", k, used)
 		}
 	}
 }
@@ -176,31 +167,14 @@ func TestSieveAllVisitedStillEvicts(t *testing.T) {
 		p.Get(id)
 	}
 	mustAdmit(t, p, 3, 50) // everything visited: sweep clears bits then evicts
-	if p.UsedBytes() > p.Capacity() {
-		t.Errorf("over capacity: %d > %d", p.UsedBytes(), p.Capacity())
+	if s := storeOf(p); s.used > s.capacity {
+		t.Errorf("over capacity: %d > %d", s.used, s.capacity)
 	}
 	if !p.Contains(3) {
 		t.Error("fresh object should be cached")
 	}
 	if p.Len() != 2 {
 		t.Errorf("len = %d, want 2", p.Len())
-	}
-}
-
-func TestSieveHandSurvivesRemove(t *testing.T) {
-	p := MustNew(SIEVE, 100)
-	for id := ObjectID(1); id <= 4; id++ {
-		mustAdmit(t, p, id, 25)
-	}
-	p.Get(1)
-	p.Get(2)
-	mustAdmit(t, p, 5, 25) // moves the hand
-	p.Remove(1)
-	p.Remove(2)
-	mustAdmit(t, p, 6, 50)
-	mustAdmit(t, p, 7, 50)
-	if p.UsedBytes() > p.Capacity() {
-		t.Errorf("over capacity after hand-adjacent removals")
 	}
 }
 
@@ -272,6 +246,15 @@ func TestPolicyHitRateOrdering(t *testing.T) {
 	if rates[SIEVE] < rates[FIFO] {
 		t.Errorf("SIEVE (%v) should beat FIFO (%v) on skewed workload", rates[SIEVE], rates[FIFO])
 	}
+}
+
+// storeOf returns the store behind p, unwrapping an admission filter, so a
+// test can read its byte count and capacity.
+func storeOf(p Policy) *store {
+	if f, ok := p.(*filtered); ok {
+		p = f.Policy
+	}
+	return p.(*store)
 }
 
 func mustAdmit(t *testing.T, p Policy, id ObjectID, size int64) {

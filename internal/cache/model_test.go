@@ -169,15 +169,6 @@ func (m *refCache) SizeOf(id ObjectID) (int64, bool) {
 	return 0, false
 }
 
-func (m *refCache) Remove(id ObjectID) bool {
-	i := m.find(id)
-	if i < 0 {
-		return false
-	}
-	m.drop(i)
-	return true
-}
-
 func (m *refCache) recent() []ObjectID {
 	out := make([]ObjectID, len(m.order))
 	for i, e := range m.order {
@@ -235,7 +226,7 @@ type modelSpace struct {
 }
 
 // modelSpaces are the ID spaces the model check draws from. Over 12 IDs
-// objects are re-admitted, resized, removed and evicted often. Over 2,048
+// objects are re-admitted, resized and evicted often. Over 2,048
 // IDs, caches holding hundreds of objects make the index double several
 // times from its 16 slots, and bulk evictions delete from long probe runs.
 func modelSpaces() []modelSpace {
@@ -268,12 +259,13 @@ func wrapIDs(n int) []ObjectID {
 }
 
 // TestPolicyModelCheck drives every policy and its reference model with the
-// same seeded random Get/Admit/Contains/Remove/SizeOf sequence over each of
+// same seeded random Get/Admit/Contains/SizeOf sequence over each of
 // modelSpaces, and after every op requires identical return values, Len,
-// UsedBytes and full policy order (Recent(Len())). Eviction order is thereby
+// used bytes and full policy order (Recent(Len())). Eviction order is thereby
 // checked exactly, including SIEVE's hand and visited bits, which show up in
 // which object goes next. UsedBytes must also equal the sum of the resident
-// sizes and never exceed the capacity.
+// sizes and never exceed the capacity. Only eviction deletes, so every
+// delete, and every SIEVE hand move, is one a cache in use makes.
 func TestPolicyModelCheck(t *testing.T) {
 	for _, kind := range allKinds {
 		t.Run(string(kind), func(t *testing.T) {
@@ -302,16 +294,13 @@ func modelCheck(t *testing.T, kind Kind, space modelSpace, capacity, seed int64)
 		case r < 3:
 			call = fmt.Sprintf("Get(%d)", id)
 			got.ok, want.ok = p.Get(id), m.Get(id)
-		case r < 7:
+		case r < 8:
 			size := space.size(rng, capacity)
 			call = fmt.Sprintf("Admit(%d, %d)", id, size)
 			got.err, want.err = p.Admit(id, size), m.Admit(id, size)
-		case r < 8:
+		case r < 9:
 			call = fmt.Sprintf("Contains(%d)", id)
 			got.ok, want.ok = p.Contains(id), m.Contains(id)
-		case r < 9:
-			call = fmt.Sprintf("Remove(%d)", id)
-			got.ok, want.ok = p.Remove(id), m.Remove(id)
 		default:
 			call = fmt.Sprintf("SizeOf(%d)", id)
 			got.size, got.ok = p.SizeOf(id)
@@ -321,9 +310,10 @@ func modelCheck(t *testing.T, kind Kind, space modelSpace, capacity, seed int64)
 		if got != want {
 			t.Fatalf("%s: returned %+v, model %+v", where, got, want)
 		}
-		if p.Len() != len(m.order) || p.UsedBytes() != m.used {
+		used := storeOf(p).used
+		if p.Len() != len(m.order) || used != m.used {
 			t.Fatalf("%s: len %d used %d, model len %d used %d",
-				where, p.Len(), p.UsedBytes(), len(m.order), m.used)
+				where, p.Len(), used, len(m.order), m.used)
 		}
 		order := p.(Recents).Recent(p.Len())
 		if !slices.Equal(order, m.recent()) {
@@ -334,9 +324,9 @@ func modelCheck(t *testing.T, kind Kind, space modelSpace, capacity, seed int64)
 			size, _ := p.SizeOf(resident)
 			sum += size
 		}
-		if sum != p.UsedBytes() || p.UsedBytes() > capacity {
+		if sum != used || used > capacity {
 			t.Fatalf("%s: used %d, resident sizes sum to %d, capacity %d",
-				where, p.UsedBytes(), sum, capacity)
+				where, used, sum, capacity)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // replayer's Server, which serialises cache access per satellite. Under
 // `go test -race` this catches (a) any internal state that would need more
 // than the caller's lock and (b) byte-accounting drift under concurrent
-// Get/Admit/Remove/evict interleavings. The final used-bytes figure is
+// Get/Admit/SizeOf/evict interleavings. The final used-bytes figure is
 // recomputed from surviving entries and must match exactly.
 func TestConcurrentAccounting(t *testing.T) {
 	const (
@@ -46,11 +46,11 @@ func TestConcurrentAccounting(t *testing.T) {
 								return
 							}
 						case 2:
-							p.Remove(obj)
+							p.SizeOf(obj)
 						case 3:
 							p.Contains(obj)
 						}
-						used, n := p.UsedBytes(), p.Len()
+						used, n := storeOf(p).used, p.Len()
 						mu.Unlock()
 						if used < 0 || used > capacity {
 							t.Errorf("%s: used bytes %d outside [0,%d]", kind, used, capacity)
@@ -75,8 +75,8 @@ func TestConcurrentAccounting(t *testing.T) {
 					recomputed += size
 				}
 			}
-			if got := p.UsedBytes(); got != recomputed {
-				t.Fatalf("%s: UsedBytes()=%d but entries sum to %d", kind, got, recomputed)
+			if got := storeOf(p).used; got != recomputed {
+				t.Fatalf("%s: used bytes %d but entries sum to %d", kind, got, recomputed)
 			}
 		})
 	}

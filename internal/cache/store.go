@@ -80,10 +80,8 @@ func newStore(kind Kind, capacity int64) *store {
 		hand: nilIdx, freeBucket: nilIdx}
 }
 
-func (c *store) Name() string     { return string(c.kind) }
-func (c *store) Len() int         { return c.len }
-func (c *store) UsedBytes() int64 { return c.used }
-func (c *store) Capacity() int64  { return c.capacity }
+func (c *store) Name() string { return string(c.kind) }
+func (c *store) Len() int     { return c.len }
 
 func (c *store) Contains(id ObjectID) bool { return c.find(id) != nilIdx }
 
@@ -132,15 +130,6 @@ func (c *store) Admit(id ObjectID, size int64) error {
 	c.len++
 	c.evictUntil(0)
 	return nil
-}
-
-func (c *store) Remove(id ObjectID) bool {
-	i := c.find(id)
-	if i == nilIdx {
-		return false
-	}
-	c.drop(i)
-	return true
 }
 
 // Recents is an optional interface for caches that can enumerate their most
@@ -255,13 +244,10 @@ func (c *store) linkBefore(i, at int32) {
 	}
 }
 
-// unlink detaches node i from the list. A SIEVE hand on it moves to the next
-// newer node, or back to the tail when i was the newest.
+// unlink detaches node i from the list. The SIEVE hand is never on i: the
+// only SIEVE node unlinked is sweep's victim, and sweep moved the hand off it.
 func (c *store) unlink(i int32) {
 	n := &c.nodes[i]
-	if c.hand == i {
-		c.hand = n.prev
-	}
 	if n.prev == nilIdx {
 		c.head = n.next
 	} else {

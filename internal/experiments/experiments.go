@@ -82,8 +82,9 @@ type Env struct {
 	// re-simulation and therefore do not re-emit metrics or spans.
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
-	// Recorder, when non-nil, ticks on simulated time through every run,
-	// turning Obs into a flight-recorder time series (sim.Config.Recorder).
+	// Recorder, when non-nil, ticks on simulated time through every run, each
+	// run after the last (sim.Config.Recorder), turning Obs into a
+	// flight-recorder time series.
 	Recorder *obs.Recorder
 	// Phases, when non-nil, attributes every run's hot-path wall-clock cost
 	// to the sim pipeline stages (sim.Config.Phases; build with

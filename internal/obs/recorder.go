@@ -153,6 +153,33 @@ func (r *Recorder) OnEpochPre(fn func(t float64)) {
 	r.mu.Unlock()
 }
 
+// Resume starts a new run of an event clock that begins at zero and returns
+// the origin the caller adds to it. A fresh recorder's origin is 0. One that
+// holds points resumes at the first epoch boundary after the last of them,
+// and its next snapshot falls one epoch later, as a fresh recorder's does:
+// a later run's points follow the earlier runs' in time, one per epoch the
+// run spans. Nil-safe.
+func (r *Recorder) Resume() float64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ticks == 0 {
+		return 0
+	}
+	origin := r.nextBoundary()
+	r.setNext(origin + r.epochSec)
+	return origin
+}
+
+// Due reports whether TickAt(t) would snapshot: t has reached the next epoch
+// boundary. A caller with state to settle before a snapshot settles it when
+// Due. Nil-safe.
+func (r *Recorder) Due(t float64) bool {
+	return r != nil && t >= r.nextBoundary()
+}
+
 // TickAt drives the recorder from a monotone event clock (simulated seconds):
 // the first call at or past the next epoch boundary snapshots the registry,
 // stamped with the boundary time. At most one snapshot is taken per call, so
@@ -161,7 +188,7 @@ func (r *Recorder) TickAt(t float64) {
 	if r == nil {
 		return
 	}
-	if t < r.nextBoundary() {
+	if !r.Due(t) {
 		return
 	}
 	r.mu.Lock()

@@ -59,6 +59,41 @@ func TestRecorderSeal(t *testing.T) {
 	}
 }
 
+// TestRecorderResume drives one recorder through three 600 s runs of an
+// event clock that starts at zero, each sealed at its last event, as
+// sim.Run does: every run records one point per 15 s epoch it spans, and
+// each run's points follow the last run's.
+func TestRecorderResume(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("starcdn_test_events_total")
+	rec := NewRecorder(reg, RecorderOptions{EpochSec: 15})
+	for run, wantOrigin := range []float64{0, 600, 1200} {
+		origin := rec.Resume()
+		if origin != wantOrigin {
+			t.Fatalf("run %d: origin %v, want %v", run, origin, wantOrigin)
+		}
+		for ts := 0.5; ts < 600; ts++ {
+			if rec.Due(origin + ts) {
+				rec.TickAt(origin + ts)
+			}
+			c.Inc()
+		}
+		rec.Seal(origin + 599.5)
+		if got, want := rec.Epochs(), int64(40*(run+1)); got != want {
+			t.Errorf("after run %d: %d epochs, want %d", run, got, want)
+		}
+	}
+	pts := rec.Window("starcdn_test_events_total", 0)
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T <= pts[i-1].T {
+			t.Fatalf("point %d at t=%v follows t=%v", i, pts[i].T, pts[i-1].T)
+		}
+	}
+	if last := pts[len(pts)-1]; last.T != 1799.5 || last.V != 1800 {
+		t.Errorf("last point %+v, want {T:1799.5 V:1800}", last)
+	}
+}
+
 // TestRecorderRingWrap fills the ring past capacity and checks only the
 // newest epochs survive, in order.
 func TestRecorderRingWrap(t *testing.T) {
@@ -241,7 +276,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.OnEpoch(func(float64) {})
 	stop := r.StartWall()
 	stop()
-	if r.EpochSec() != 0 || r.Epochs() != 0 || r.Series() != nil {
+	if r.EpochSec() != 0 || r.Epochs() != 0 || r.Series() != nil || r.Resume() != 0 || r.Due(1e9) {
 		t.Error("nil recorder reported non-zero state")
 	}
 	if pts := r.Window("x", 0); pts != nil {

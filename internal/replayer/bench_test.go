@@ -68,7 +68,7 @@ func BenchmarkReplayFrame(b *testing.B) {
 		run(b, NewClient(), OpGet, &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9})
 	})
 	b.Run("get/traced", func(b *testing.B) {
-		cl := NewClientOpts(ClientOptions{Tracer: obs.NewTracer(io.Discard, 1, 2)})
+		cl := newClientOpts(clientOptions{Tracer: obs.NewTracer(io.Discard, 1, 2)})
 		run(b, cl, OpGet, &obs.SpanContext{TraceHi: 7, TraceLo: 8, Parent: 9, Sampled: true})
 	})
 	b.Run("fetch/hit", func(b *testing.B) {

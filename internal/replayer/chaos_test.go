@@ -258,7 +258,7 @@ func TestChaosWithInjectedNetworkFaults(t *testing.T) {
 func TestClientRejectedRefusedCounter(t *testing.T) {
 	inj := NewFaultInjector(FaultConfig{Seed: 2, RefuseRate: 1.0})
 	reg := obs.NewRegistry()
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		DialTimeout: 100 * time.Millisecond,
 		Retry:       RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		Dial:        inj.Dialer(),
@@ -282,7 +282,7 @@ func TestClientRejectedRefusedCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg2 := obs.NewRegistry()
-	cl2 := NewClientOpts(ClientOptions{
+	cl2 := newClientOpts(clientOptions{
 		DialTimeout: 100 * time.Millisecond,
 		Retry:       RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		Obs:         reg2,
@@ -311,7 +311,7 @@ func TestClientRejectedDeadlineCounter(t *testing.T) {
 	}
 	defer func() { _ = s.Close() }()
 	reg := obs.NewRegistry()
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		DialTimeout: 100 * time.Millisecond,
 		IOTimeout:   50 * time.Millisecond,
 		Retry:       RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -29,8 +28,8 @@ func defaultDial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-// ClientOptions configures a fault-tolerant client.
-type ClientOptions struct {
+// clientOptions configures a fault-tolerant client.
+type clientOptions struct {
 	// DialTimeout caps each dial attempt (0 = OS default).
 	DialTimeout time.Duration
 	// IOTimeout is the read/write deadline of one attempt — a frame or a
@@ -114,14 +113,14 @@ func (o *clientObs) recordTerminal(err error) {
 // Client issues cache operations to satellite servers, pooling one TCP
 // connection per address and pipelining each attempt's frames on it.
 //
-// Locking is two-level: the Client mutex guards only the pool map and is
-// never held across a dial or a round trip; each address has its own lock
-// that serialises dialing and frame exchange on that connection. A stalled
-// or dead server therefore delays only operations against that server —
-// traffic to every other satellite proceeds unimpeded.
+// A Client has one owner: it holds no lock, and its methods must not be
+// called concurrently. A replay's only caller is its window's flusher, and
+// flushes never overlap. An attempt writes to every address before it reads
+// any answer, so a stalled server stalls the whole exchange for up to
+// IOTimeout per attempt; the other servers' frames are already on their wire.
 type Client struct {
-	mu    sync.Mutex
 	conns map[string]*poolEntry
+	one   oneFrame // roundTrip's call and pipe
 
 	dialTimeout time.Duration
 	ioTimeout   time.Duration
@@ -130,19 +129,15 @@ type Client struct {
 	obs         *clientObs
 	tracer      *obs.Tracer
 	phases      *obs.PhaseProfiler
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // backoff jitter
+	rng         *rand.Rand // backoff jitter
 }
 
-// poolEntry is one address's pooled connection plus its serialising lock.
+// poolEntry is one address's pooled connection.
 type poolEntry struct {
-	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader // the connection's answers, a batch per read; new per dial
-	// out and scratch are the write and read buffers for this connection,
-	// guarded by mu like the conn they serve. Reusing them keeps the
-	// per-request exchange allocation-free.
+	// out and scratch are the write and read buffers for this connection.
+	// Reusing them keeps the per-request exchange allocation-free.
 	out     []byte
 	scratch [frameSize]byte
 	sentAt  time.Time // the attempt's write, for the frame-latency histogram
@@ -181,11 +176,11 @@ type pipe struct {
 // legacy behaviour, appropriate when the cluster is known healthy and any
 // error should abort the replay.
 func NewClient() *Client {
-	return NewClientOpts(ClientOptions{})
+	return newClientOpts(clientOptions{})
 }
 
-// NewClientOpts returns a client with fault-handling configured.
-func NewClientOpts(o ClientOptions) *Client {
+// newClientOpts returns a client with fault-handling configured.
+func newClientOpts(o clientOptions) *Client {
 	d := o.Dial
 	if d == nil {
 		d = defaultDial
@@ -203,11 +198,8 @@ func NewClientOpts(o ClientOptions) *Client {
 	}
 }
 
-// entry returns the pool slot for addr, creating it if needed. Only the map
-// access is under the client mutex; dialing happens under the entry lock.
+// entry returns the pool slot for addr, creating it if needed.
 func (c *Client) entry(addr string) *poolEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.conns[addr]
 	if !ok {
 		e = &poolEntry{}
@@ -218,15 +210,14 @@ func (c *Client) entry(addr string) *poolEntry {
 
 // forget severs the pooled connection to addr, if any.
 func (c *Client) forget(addr string) {
-	e := c.entry(addr)
-	e.mu.Lock()
-	e.dropLocked()
-	e.mu.Unlock()
+	if e, ok := c.conns[addr]; ok {
+		e.drop()
+	}
 }
 
-// dropLocked severs the pooled connection; callers hold e.mu. The close error
-// is deliberately discarded: the connection is already known to be broken.
-func (e *poolEntry) dropLocked() {
+// drop severs the pooled connection. The close error is deliberately
+// discarded: the connection is already known to be broken.
+func (e *poolEntry) drop() {
 	if e.conn != nil {
 		_ = e.conn.Close()
 		e.conn = nil
@@ -235,58 +226,38 @@ func (e *poolEntry) dropLocked() {
 
 // Close closes all pooled connections, returning the first close error.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	entries := make([]*poolEntry, 0, len(c.conns))
-	for _, e := range c.conns {
-		entries = append(entries, e)
-	}
-	c.conns = make(map[string]*poolEntry)
-	c.mu.Unlock()
 	var first error
-	for _, e := range entries {
-		e.mu.Lock()
+	for _, e := range c.conns {
 		if e.conn != nil {
 			if err := e.conn.Close(); err != nil && first == nil {
 				first = err
 			}
 			e.conn = nil
 		}
-		e.mu.Unlock()
 	}
+	clear(c.conns)
 	return first
-}
-
-// backoff draws one jittered backoff delay thread-safely.
-func (c *Client) backoff(attempt int) time.Duration {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.retry.Backoff(attempt, c.rng)
 }
 
 // roundTrip exchanges one request frame, retrying per the client's
 // RetryPolicy. A sampled sc rides ahead of the frame as an OpTraceContext
 // frame, and each backoff emits a "retry" child span under sc.Parent.
 func (c *Client) roundTrip(addr string, op Op, obj cache.ObjectID, size int64, sc *obs.SpanContext) (Status, error) {
-	f := oneFrames.Get().(*oneFrame)
+	f := &c.one
 	f.c = call{addr: addr, op: op, obj: obj, size: size, sc: sc}
 	f.calls[0] = &f.c
 	f.pipes[0] = pipe{addr: addr, calls: f.calls[:]}
 	c.exchange(f.pipes[:])
-	st, err := f.c.st, f.c.err
-	*f = oneFrame{}
-	oneFrames.Put(f)
-	return st, err
+	return f.c.st, f.c.err
 }
 
 // oneFrame is roundTrip's call and pipe. The attempt path lets them escape,
-// so they are pooled to keep a round trip allocation-free.
+// so the client holds one to keep a round trip allocation-free.
 type oneFrame struct {
 	c     call
 	calls [1]*call
 	pipes [1]pipe
 }
-
-var oneFrames = sync.Pool{New: func() any { return new(oneFrame) }}
 
 // exchange answers every call in pipes, one pipe per address, each pipe's
 // calls in the order their frames must reach the server; what the first
@@ -311,7 +282,6 @@ func (c *Client) attempt(pipes []pipe) {
 	for i := range pipes {
 		p := &pipes[i]
 		p.e = c.entry(p.addr)
-		p.e.mu.Lock()
 		p.sent, p.err = c.send(p, &pc)
 	}
 	for i := range pipes {
@@ -319,7 +289,7 @@ func (c *Client) attempt(pipes []pipe) {
 		for e := p.e; p.err == nil && len(p.calls) > 0; p.calls = p.calls[1:] {
 			var st Status
 			if st, p.err = readResponse(e.r, &e.scratch); p.err != nil {
-				e.dropLocked()
+				e.drop()
 				break
 			}
 			p.calls[0].st, p.calls[0].err = st, nil
@@ -335,14 +305,12 @@ func (c *Client) attempt(pipes []pipe) {
 		if p.err == nil {
 			pc.Mark(obs.PhaseReplayRead)
 		}
-		p.e.mu.Unlock()
 	}
 }
 
 // send dials if the pool has no live connection, arms the I/O deadline and
 // writes a pipe's frames, each sampled context ahead of its frame, as one
-// buffer. sent is whether any of them may have reached the server. Callers
-// hold the pipe's entry lock.
+// buffer. sent is whether any of them may have reached the server.
 func (c *Client) send(p *pipe, pc *obs.PhaseClock) (sent bool, err error) {
 	e := p.e
 	if c.obs != nil {
@@ -359,7 +327,7 @@ func (c *Client) send(p *pipe, pc *obs.PhaseClock) (sent bool, err error) {
 	}
 	if c.ioTimeout > 0 {
 		if err := e.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
-			e.dropLocked()
+			e.drop()
 			return false, err
 		}
 	}
@@ -377,7 +345,7 @@ func (c *Client) send(p *pipe, pc *obs.PhaseClock) (sent bool, err error) {
 		e.sentAt = time.Now()
 	}
 	if _, err := e.conn.Write(e.out); err != nil {
-		e.dropLocked()
+		e.drop()
 		return true, err
 	}
 	pc.Mark(obs.PhaseReplayWrite)
@@ -403,7 +371,7 @@ func (c *Client) settle(one []pipe) {
 		if p.calls = retry; len(retry) == 0 {
 			return
 		}
-		d := c.backoff(attempt)
+		d := c.retry.Backoff(attempt, c.rng)
 		for _, cl := range retry {
 			if c.obs != nil {
 				c.obs.retries.Inc()

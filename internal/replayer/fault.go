@@ -139,8 +139,8 @@ func (f *FaultInjector) count(field *int64) {
 }
 
 // faultConn injects faults in front of a real connection. Each conn owns a
-// seeded rng guarded by mu (connections are shared only between a client's
-// per-address critical sections, but the server side may see concurrent use).
+// seeded rng guarded by mu: a client's connection has one user at a time, but
+// the server side may see concurrent use.
 type faultConn struct {
 	net.Conn
 	inj *FaultInjector

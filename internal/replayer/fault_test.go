@@ -88,7 +88,7 @@ func TestClientRetriesThroughInjectedResets(t *testing.T) {
 	defer func() { _ = s.Close() }()
 
 	inj := NewFaultInjector(FaultConfig{Seed: 5, ResetRate: 0.3})
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		IOTimeout: time.Second,
 		Retry:     RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		Dial:      inj.Dialer(),
@@ -114,7 +114,7 @@ func TestClientRetriesThroughInjectedResets(t *testing.T) {
 // client fails after exactly MaxAttempts dials — bounded, not hanging.
 func TestClientExhaustsRetriesOnRefusedDials(t *testing.T) {
 	inj := NewFaultInjector(FaultConfig{Seed: 3, RefuseRate: 1})
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
 		Dial:  inj.Dialer(),
 	})
@@ -139,7 +139,7 @@ func TestClientDeadlineTripsOnStall(t *testing.T) {
 	defer func() { _ = s.Close() }()
 
 	inj := NewFaultInjector(FaultConfig{Seed: 9, StallRate: 1, StallFor: 300 * time.Millisecond})
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		IOTimeout: 50 * time.Millisecond,
 		Retry:     RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
 		Dial:      inj.Dialer(),
@@ -176,7 +176,7 @@ func TestServerSideTruncationIsRetried(t *testing.T) {
 	}
 	defer func() { _ = s.Close() }()
 
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		IOTimeout: time.Second,
 		Retry:     RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 	})
@@ -337,7 +337,7 @@ func TestClusterKillReviveLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cluster.Close() }()
-	cl := NewClientOpts(ClientOptions{IOTimeout: time.Second})
+	cl := newClientOpts(clientOptions{IOTimeout: time.Second})
 	defer func() { _ = cl.Close() }()
 
 	addr, err := cluster.Addr(5)

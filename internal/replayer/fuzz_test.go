@@ -95,7 +95,7 @@ func FuzzServerHandle(f *testing.F) {
 			}
 		}
 
-		cl := NewClientOpts(ClientOptions{IOTimeout: time.Second})
+		cl := newClientOpts(clientOptions{IOTimeout: time.Second})
 		defer func() { _ = cl.Close() }()
 		if err := cl.Admit(s.Addr(), 7, 1); err != nil {
 			t.Fatal(err)

@@ -122,7 +122,7 @@ func TestServerSurvivesGarbageAndTruncatedInput(t *testing.T) {
 
 	// A garbage full-size frame: the server answers StatusError and keeps
 	// the connection usable.
-	cl := NewClientOpts(ClientOptions{IOTimeout: 2 * time.Second})
+	cl := newClientOpts(clientOptions{IOTimeout: 2 * time.Second})
 	defer func() { _ = cl.Close() }()
 	st, err := cl.roundTrip(s.Addr(), Op(0xEE), 0xDEADBEEF, 1<<60, nil)
 	if err != nil {

@@ -44,9 +44,9 @@ type FaultPolicy struct {
 // separates "slow" from "dead" without making a chaos replay crawl.
 const defaultFaultTimeout = 250 * time.Millisecond
 
-// clientOptions lowers the policy into ClientOptions.
-func (p *FaultPolicy) clientOptions(seed int64) ClientOptions {
-	o := ClientOptions{Seed: seed}
+// options lowers the policy into the client's options.
+func (p *FaultPolicy) options(seed int64) clientOptions {
+	o := clientOptions{Seed: seed}
 	if p == nil {
 		return o
 	}
@@ -165,9 +165,9 @@ func newReplay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trac
 	if err != nil {
 		return nil, err
 	}
-	co := opts.Fault.clientOptions(opts.Seed)
+	co := opts.Fault.options(opts.Seed)
 	co.Obs, co.Tracer, co.Phases = opts.Obs, opts.Tracer, opts.Phases
-	client := NewClientOpts(co)
+	client := newClientOpts(co)
 	fs.OnApply(func(ev sim.FailureEvent) error {
 		if !ev.Down {
 			return cluster.Revive(ev.Sat)

@@ -194,7 +194,7 @@ func TestShedWireStatusShedNoRetry(t *testing.T) {
 	defer func() { _ = s.Close() }()
 
 	reg := obs.NewRegistry()
-	cl := NewClientOpts(ClientOptions{
+	cl := newClientOpts(clientOptions{
 		IOTimeout: 2 * time.Second,
 		Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		Obs:       reg,
@@ -245,7 +245,7 @@ func TestShedWirePlainClientSeesErrShed(t *testing.T) {
 	}
 	s.mu.Unlock()
 
-	cl := NewClientOpts(ClientOptions{IOTimeout: 2 * time.Second})
+	cl := newClientOpts(clientOptions{IOTimeout: 2 * time.Second})
 	defer func() { _ = cl.Close() }()
 	if _, err := cl.Get(s.Addr(), 42, 100); !errors.Is(err, shed.ErrShed) {
 		t.Errorf("stage-3 miss returned %v, want shed.ErrShed", err)

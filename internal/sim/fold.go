@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/geo"
@@ -48,8 +47,9 @@ func (b *batch) reset() *batch {
 // order. Without an obs fold the consumer prices and meters (fold.apply);
 // with one, the request goroutine prices each batch just before its handoff
 // and the consumer applies the instruments (runObs.apply); DESIGN.md §9 has
-// the measured layouts. The barrier (sync) before every recorder snapshot
-// and at the end of Run makes each see exactly the requests before it.
+// the measured layouts. The barrier (sync), which Run calls before every
+// recorder snapshot and at its end, makes each see exactly the requests
+// before it.
 type pipeline struct {
 	fold *fold
 	ro   *runObs // nil: no obs fold
@@ -59,9 +59,6 @@ type pipeline struct {
 	cur        *batch
 	work, free chan *batch
 	done       chan struct{}
-	// live is the run a bound recorder's pre-snapshot hook reaches; finish
-	// clears it, so the hook a finished run leaves behind is inert.
-	live *atomic.Pointer[pipeline]
 }
 
 func (p *pipeline) newBatch() *batch {
@@ -70,21 +67,6 @@ func (p *pipeline) newBatch() *batch {
 		b.pop = make([]PopRecord, 0, batchLen)
 	}
 	return b
-}
-
-// bind makes rec's pre-snapshot hook the pipeline's barrier, so every
-// snapshot of the instruments sees exactly the requests before its boundary.
-// Run must be rec's only driver while it runs: the hook touches the batch.
-func (p *pipeline) bind(rec *obs.Recorder) {
-	if p.ro == nil || rec == nil {
-		return
-	}
-	// A recorder can outlive the run (experiments.Env reuses one), so the
-	// hook reaches the run through a pointer finish clears.
-	live := new(atomic.Pointer[pipeline])
-	live.Store(p)
-	p.live = live
-	rec.OnEpochPre(func(float64) { live.Load().sync() })
 }
 
 // add appends one decided request, and its span when sampled, handing the
@@ -136,11 +118,8 @@ func (p *pipeline) consume() {
 }
 
 // sync is the barrier: when it returns, every request added so far has been
-// folded. Nil-safe.
+// folded.
 func (p *pipeline) sync() {
-	if p == nil {
-		return
-	}
 	if p.work != nil {
 		// Once every batch but cur is back on free, all are folded.
 		var back [batches - 1]*batch
@@ -158,13 +137,10 @@ func (p *pipeline) sync() {
 	p.cur.reset()
 }
 
-// finish folds what is left, unbinds the recorder and stops the consumer: no
-// goroutine of the run outlives Run.
+// finish folds what is left and stops the consumer: no goroutine of the run
+// outlives Run.
 func (p *pipeline) finish() {
 	p.sync()
-	if p.live != nil {
-		p.live.Store(nil)
-	}
 	if p.work != nil {
 		close(p.work)
 		<-p.done

@@ -231,8 +231,9 @@ func requestsAt(t *testing.T, rec *obs.Recorder) []obs.Point {
 
 // checkRequestsAt asserts that every recorder point counts exactly the
 // trace requests before its boundary and the sealing point counts them all,
-// over a run that recorded base requests before this trace.
-func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int) {
+// over a run that recorded base requests before this trace and whose clock
+// the recorder started at origin.
+func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int, origin float64) {
 	t.Helper()
 	n := len(tr.Requests)
 	if len(pts) < 2 {
@@ -241,7 +242,7 @@ func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int) {
 	for i, p := range pts {
 		want := n
 		if i < len(pts)-1 {
-			want = sort.Search(n, func(j int) bool { return tr.Requests[j].TimeSec >= p.T })
+			want = sort.Search(n, func(j int) bool { return origin+tr.Requests[j].TimeSec >= p.T })
 		}
 		if int(p.V) != base+want {
 			t.Errorf("point %d at t=%v: requests_total = %v, want %d", i, p.T, p.V, base+want)
@@ -253,9 +254,10 @@ func checkRequestsAt(t *testing.T, tr *trace.Trace, pts []obs.Point, base int) {
 // Run returns complete Metrics — with no obs fold (the consumer prices), with
 // a tracer only, for a trace shorter than one batch, for an empty trace, for
 // Metrics without a Recorder, and for one Recorder reused across two Runs,
-// whose first Run leaves an inert barrier hook behind. The dense trace puts
-// thousands of requests in each recorder epoch, so batches are handed off
-// between snapshots and every snapshot goes through the barrier.
+// where the second Run records one point per epoch it spans, after the
+// first Run's points. The dense trace puts thousands of requests in each
+// recorder epoch, so batches are handed off between snapshots and every
+// snapshot goes through the barrier Run calls before it.
 func TestRunPipelineLifecycle(t *testing.T) {
 	e := newEnv(t, 5*batchLen*4, 60)
 	mk := func() Policy {
@@ -344,12 +346,14 @@ func TestRunPipelineLifecycle(t *testing.T) {
 		if _, err := Run(e.c, e.users, e.tr, mk(), cfg); err != nil {
 			t.Fatal(err)
 		}
-		checkRequestsAt(t, e.tr, requestsAt(t, rec), 0)
+		first := requestsAt(t, rec)
+		checkRequestsAt(t, e.tr, first, 0, 0)
 		if n := consumers(t); n != 0 {
 			t.Errorf("%d consumers outlive the first run", n)
 		}
-		// The second run snapshots through both runs' hooks; the first's
-		// must do nothing, and the second's sealing point counts both runs.
+		// The second run carries on from the first epoch boundary after the
+		// first run's sealing point, and every one of its points counts both
+		// runs' requests up to its boundary.
 		if _, err := Run(e.c, e.users, e.tr, mk(), cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +361,16 @@ func TestRunPipelineLifecycle(t *testing.T) {
 			t.Errorf("%d consumers outlive the second run", n)
 		}
 		all := requestsAt(t, rec)
-		if last := all[len(all)-1].V; int(last) != 2*len(e.tr.Requests) {
-			t.Errorf("sealing point after two runs = %v, want %d", last, 2*len(e.tr.Requests))
+		for i := 1; i < len(all); i++ {
+			if all[i].T <= all[i-1].T {
+				t.Fatalf("point %d at t=%v follows t=%v: points out of time order", i, all[i].T, all[i-1].T)
+			}
 		}
+		second := all[len(first):]
+		if len(second) != len(first) {
+			t.Fatalf("second run recorded %d points, the first %d", len(second), len(first))
+		}
+		origin := math.Floor(first[len(first)-1].T/15)*15 + 15
+		checkRequestsAt(t, e.tr, second, len(e.tr.Requests), origin)
 	})
 }

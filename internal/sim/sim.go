@@ -71,9 +71,10 @@ type Config struct {
 	// replays (one epoch per Recorder.EpochSec of trace time) and sealed at
 	// the last request, turning the Metrics registry into a flight-recorder
 	// time series. Like Metrics and Tracer it only reads run state — results
-	// are byte-identical with the recorder on or off. Run must be its only
-	// driver while Run runs: each snapshot first applies the run's pending
-	// instrument updates (see runObs).
+	// are byte-identical with the recorder on or off. Each snapshot Run takes
+	// first folds the run's pending instrument updates, so it sees exactly
+	// the requests before its boundary. A recorder reused by a later Run
+	// carries on after its last point (Recorder.Resume).
 	Recorder *obs.Recorder
 	// Phases, when non-nil, attributes the run's wall-clock cost to the
 	// pipeline stages (shed tick, scheduler lookup, hash ownership, cache op,
@@ -147,7 +148,8 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	if len(cfg.Failures) > 0 {
 		ctx.TransientDown = failures.TransientDown
 	}
-	pl.bind(cfg.Recorder)
+	// A recorder that already holds points continues after the last of them.
+	recOrigin := cfg.Recorder.Resume()
 	// One mark chain for the whole run, begun once: the shed mark of request
 	// i+1 closes what the obs mark of request i opened, so the stage seconds
 	// sum to the loop's wall time. Lap ends each request, which lets the clock
@@ -170,7 +172,10 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		if cfg.Shedder != nil {
 			cfg.Shedder.Tick(r.TimeSec)
 		}
-		cfg.Recorder.TickAt(r.TimeSec)
+		if t := recOrigin + r.TimeSec; cfg.Recorder.Due(t) {
+			pl.sync() // the snapshot sees exactly the requests before it
+			cfg.Recorder.TickAt(t)
+		}
 		pc.Mark(obs.PhaseSimShed)
 		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
 		if !visible {
@@ -222,7 +227,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	}
 	pl.finish()
 	if cfg.Recorder != nil && len(tr.Requests) > 0 {
-		cfg.Recorder.Seal(tr.Requests[len(tr.Requests)-1].TimeSec)
+		cfg.Recorder.Seal(recOrigin + tr.Requests[len(tr.Requests)-1].TimeSec)
 	}
 	// Drain the tail into the histograms; a no-op when the recorder's Seal
 	// (with a bound profiler) already flushed it.

@@ -60,10 +60,10 @@ race:
 ## whose hashing-off cases under a kill schedule put a dead first contact
 ## through the §3.4 rule in both pipelines. The TestShed
 ## matches are the overload-control smoke: a kill schedule with shedding on
-## recovers to stage 0 holding the latency SLO (sim), sheds the same request
-## set over the wire (replayer parity), and an idle controller leaves every
-## meter byte-identical; ./internal/shed runs the stage-machine unit suite
-## under the race detector too. The last line repeats sim.Run's pipeline
+## recovers to stage 0 holding the latency SLO (sim), sheds in a sequential
+## TCP replay exactly the requests sim.Run sheds (replayer parity), and an
+## idle controller leaves every meter byte-identical; ./internal/shed runs
+## the stage-machine unit suite under the race detector too. The last line repeats sim.Run's pipeline
 ## tests twenty times: the consumer's lifecycle with the fold on either
 ## goroutine (no obs fold, tracer only, shorter than a batch, recorder
 ## barriers) and the pinned obs artifacts. A handoff race shows only under

@@ -80,7 +80,7 @@ func main() {
 		sloHitRate  = flag.Float64("slo-hit-rate", 0, "SLO: request hit rate >= this fraction over -slo-window (0 disables; requires -record-epoch)")
 		sloWindow   = flag.Duration("slo-window", time.Minute, "SLO evaluation window")
 
-		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (servers answer refused operations with StatusShed)")
+		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (the client's decision ladder drops work before any frame is sent)")
 		shedEpoch = flag.Float64("shed-epoch-sec", 15, "overload-controller epoch in trace seconds (with -shed)")
 		shedQuota = flag.Int("shed-quota", 64, "admitted-session quota at the admission-control stage (with -shed)")
 	)
@@ -282,10 +282,8 @@ func main() {
 		opts.Phases = phases
 	}
 
-	// Overload control: one controller closes the loop on both sides — the
-	// client pipeline consults it per request (Options.Shedder) and every
-	// satellite server enforces its stage at the wire (ServerOptions.Shedder),
-	// answering refused operations with StatusShed.
+	// Overload control: the client pipeline consults one controller per
+	// request (Options.Shedder); servers never see the stage.
 	var shedCtrl *shed.Controller
 	if *shedOn {
 		cfg := shed.Defaults()
@@ -300,7 +298,7 @@ func main() {
 	}
 
 	cluster, err := replayer.NewClusterOpts(cache.LRU, *cacheMB<<20,
-		replayer.ServerOptions{Obs: reg, Tracer: serverTracer, Shedder: shedCtrl})
+		replayer.ServerOptions{Obs: reg, Tracer: serverTracer})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -392,7 +390,8 @@ func main() {
 			st.StageName, st.Burn, st.SessionsOpen, up, down)
 	}
 	if recorder != nil {
-		fmt.Printf("flight recorder:  %d epochs @ %s\n", recorder.Epochs(), *recordEpoch)
+		fmt.Printf("flight recorder:  %d epochs @ %s, the last %d held for /timeseries.json\n",
+			recorder.Epochs(), *recordEpoch, recorder.Retained())
 		for _, s := range sloEngine.Snapshot() {
 			state := "ok"
 			if s.BurnRate > 1 {

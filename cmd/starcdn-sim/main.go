@@ -40,7 +40,7 @@ func main() {
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the experiments finish")
 		traceOut      = flag.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
 		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
-		recordEpoch   = flag.Float64("record-epoch", 0, "flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json")
+		recordEpoch   = flag.Float64("record-epoch", 0, fmt.Sprintf("flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json, which holds the last %d epochs", obs.DefaultRecorderCapacity))
 		phasesOn      = flag.Bool("phases", false, "attribute hot-path time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
 
 		shedOn    = flag.Bool("shed", false, "wire a fresh overload controller into every run (graded load shedding under §3.4 degradation; changes results by design)")
@@ -171,8 +171,8 @@ func main() {
 		fmt.Printf("trace spans: %d written to %s\n", env.Tracer.Emitted(), *traceOut)
 	}
 	if env.Recorder != nil {
-		fmt.Printf("recorder: %d epochs at %gs (simulated time)\n",
-			env.Recorder.Epochs(), env.Recorder.EpochSec())
+		fmt.Printf("recorder: %d epochs at %gs (simulated time), the last %d held for /timeseries.json\n",
+			env.Recorder.Epochs(), env.Recorder.EpochSec(), env.Recorder.Retained())
 	}
 	if env.Phases != nil {
 		env.Phases.FlushEpoch()

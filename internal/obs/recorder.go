@@ -73,9 +73,14 @@ type RecorderOptions struct {
 	// EpochSec is the snapshot interval in seconds (simulated or wall,
 	// depending on the driver). 0 selects 1s.
 	EpochSec float64
-	// Capacity is the ring size in epochs. 0 selects 512.
+	// Capacity is the ring size in epochs. 0 selects
+	// DefaultRecorderCapacity.
 	Capacity int
 }
+
+// DefaultRecorderCapacity is the ring size, in epochs, of a recorder built
+// without RecorderOptions.Capacity: older epochs are overwritten.
+const DefaultRecorderCapacity = 512
 
 // NewRecorder builds a flight recorder over reg. A nil registry yields a
 // recorder that ticks but records nothing (hooks still fire, so SLOs over an
@@ -85,7 +90,7 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 		opts.EpochSec = 1
 	}
 	if opts.Capacity <= 0 {
-		opts.Capacity = 512
+		opts.Capacity = DefaultRecorderCapacity
 	}
 	r := &Recorder{
 		reg:      reg,
@@ -120,6 +125,17 @@ func (r *Recorder) Epochs() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ticks
+}
+
+// Retained returns how many snapshots the ring still holds: the newest, at
+// most its capacity (0 on nil).
+func (r *Recorder) Retained() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
 // OnEpoch registers a hook invoked (outside the recorder lock) after every

@@ -116,6 +116,35 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestRecorderRetainedAfterWrap: past its capacity a recorder keeps counting
+// epochs, but Retained reports only what the ring still holds — what a
+// /timeseries.json query can return.
+func TestRecorderRetainedAfterWrap(t *testing.T) {
+	reg := NewRegistry()
+	g := reg.Gauge("starcdn_test_value")
+	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
+	const ticks = DefaultRecorderCapacity + 88
+	for i := 1; i <= ticks; i++ {
+		g.Set(float64(i))
+		rec.TickAt(float64(i))
+		if want := min(i, DefaultRecorderCapacity); rec.Retained() != want {
+			t.Fatalf("after %d ticks Retained = %d, want %d", i, rec.Retained(), want)
+		}
+	}
+	if rec.Epochs() != ticks {
+		t.Errorf("Epochs = %d, want %d", rec.Epochs(), ticks)
+	}
+	pts := rec.Window("starcdn_test_value", 0)
+	if len(pts) != rec.Retained() || pts[0].T != ticks-DefaultRecorderCapacity+1 {
+		t.Errorf("window holds %d points from T=%v, want %d from T=%d",
+			len(pts), pts[0].T, rec.Retained(), ticks-DefaultRecorderCapacity+1)
+	}
+	var nilRec *Recorder
+	if nilRec.Retained() != 0 {
+		t.Error("nil recorder retains epochs")
+	}
+}
+
 // TestRecorderLateSeries checks a series born mid-flight is NaN-backfilled
 // for the epochs before its first appearance.
 func TestRecorderLateSeries(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 )
 
 // Dialer opens a TCP connection to addr. timeout <= 0 means the operating
@@ -68,11 +67,9 @@ type clientObs struct {
 	retries  *obs.Counter
 	failures *obs.Counter
 	frameMs  *obs.Histogram
-	// rejected counts terminal rejections by cause: an overload-control
-	// shed (the server said no on purpose), an exhausted deadline, or a
-	// refused dial (dead server). Retried-then-recovered attempts are
+	// rejected counts terminal rejections by cause: an exhausted deadline
+	// or a refused dial (dead server). Retried-then-recovered attempts are
 	// retries, not rejections.
-	rejShed     *obs.Counter
 	rejDeadline *obs.Counter
 	rejRefused  *obs.Counter
 }
@@ -86,7 +83,6 @@ func newClientObs(reg *obs.Registry) *clientObs {
 		retries:     reg.Counter("starcdn_client_retries_total"),
 		failures:    reg.Counter("starcdn_client_failures_total"),
 		frameMs:     reg.Histogram("starcdn_client_frame_ms", nil),
-		rejShed:     reg.Counter("starcdn_client_rejected_total", obs.L("reason", "shed")),
 		rejDeadline: reg.Counter("starcdn_client_rejected_total", obs.L("reason", "deadline")),
 		rejRefused:  reg.Counter("starcdn_client_rejected_total", obs.L("reason", "refused")),
 	}
@@ -295,11 +291,6 @@ func (c *Client) attempt(pipes []pipe) {
 			p.calls[0].st, p.calls[0].err = st, nil
 			if c.obs != nil {
 				c.obs.frameMs.Observe(float64(time.Since(e.sentAt)) / float64(time.Millisecond))
-				// A shed is a deliberate answer, not a transport fault: the
-				// retry loop never re-offers load the server just refused.
-				if st == StatusShed {
-					c.obs.rejShed.Inc()
-				}
 			}
 		}
 		if p.err == nil {
@@ -403,15 +394,10 @@ func (c *Client) emitRetrySpan(sc *obs.SpanContext, attempt int, backoff time.Du
 }
 
 // hitAnswer reads the answer to a Get-shaped frame — OpGet, OpContains,
-// OpFetch, OpProbe: a hit, a miss, or a server-side shed as shed.ErrShed,
-// already terminal (no retry happened) and distinguishable from transport
-// faults with errors.Is.
+// OpFetch, OpProbe: a hit or a miss.
 func hitAnswer(st Status, err error) (bool, error) {
 	if err != nil {
 		return false, err
-	}
-	if st == StatusShed {
-		return false, shed.ErrShed
 	}
 	return st == StatusHit, nil
 }
@@ -426,15 +412,12 @@ func (c *Client) Contains(addr string, obj cache.ObjectID) (bool, error) {
 	return hitAnswer(c.roundTrip(addr, OpContains, obj, 0, nil))
 }
 
-// Admit inserts an object into the remote cache. Sheds surface as
-// shed.ErrShed, as in Get.
+// Admit inserts an object into the remote cache.
 func (c *Client) Admit(addr string, obj cache.ObjectID, size int64) error {
 	st, err := c.roundTrip(addr, OpAdmit, obj, size, nil)
 	switch {
 	case err != nil:
 		return err
-	case st == StatusShed:
-		return shed.ErrShed
 	case st != StatusOK:
 		return fmt.Errorf("replayer: admit rejected with status %d", st)
 	}

@@ -16,8 +16,8 @@ import (
 
 // TestDifferentialSimVsSequentialReplay is the one oracle behind every
 // sim-versus-TCP parity claim: over random small configurations — trace and
-// run seeds, a chaos schedule or none, a shed controller or none, wire-side
-// shed enforcement on or off, fault tolerance on or off, every hashing ×
+// run seeds, a chaos schedule or none, a shed controller or none, fault
+// tolerance on or off, every hashing ×
 // relay ablation — sim.Run and both TCP replays, the sequential Replay and
 // the pipelined ReplayConcurrent, must agree on the meter, on every
 // per-source count and on the controller's trajectory. All three run
@@ -55,14 +55,17 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 			Seed: chaosSeed,
 		}
 		chaosOpts.EndSec = chaosOpts.StartSec + 1 + 300*rng.Float64()
-		shedding, serverShed := rng.Intn(3) > 0, rng.Intn(2) == 0
+		shedding := rng.Intn(3) > 0
+		// A retired coin (wire-side shedding), still drawn so that every
+		// case keeps the inputs it always had.
+		_ = rng.Intn(2)
 		quota, maxDegraded := 3+rng.Intn(6), 0.01+0.04*rng.Float64()
 		// The coin is skipped only where it always was (chaos with hashing),
 		// so the first block keeps its 20 cases.
 		coin := chaos && hashing || rng.Intn(2) == 0
 		faulty := chaos || coin
-		name := fmt.Sprintf("case=%d/trace=%d/run=%d/hashing=%v/relay=%v/chaos=%v/shed=%v/server-shed=%v/fault=%v",
-			n, traceSeed, runSeed, hashing, relay, chaos, shedding, serverShed, faulty)
+		name := fmt.Sprintf("case=%d/trace=%d/run=%d/hashing=%v/relay=%v/chaos=%v/shed=%v/fault=%v",
+			n, traceSeed, runSeed, hashing, relay, chaos, shedding, faulty)
 
 		t.Run(name, func(t *testing.T) {
 			newCtrl := func(reg *obs.Registry) *shed.Controller {
@@ -115,14 +118,10 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 				tcpCtrl := newCtrl(regTCP)
 				opts := opts
 				opts.Obs = obs.NewRegistry()
-				var sopts ServerOptions
 				if tcpCtrl != nil {
 					opts.Shedder = tcpCtrl
-					if serverShed {
-						sopts.Shedder = tcpCtrl
-					}
 				}
-				cluster, err := NewClusterOpts(cache.LRU, capacity, sopts)
+				cluster, err := NewCluster(cache.LRU, capacity)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,12 +1,10 @@
 package replayer
 
 import (
-	"errors"
 	"time"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 )
 
@@ -14,8 +12,7 @@ import (
 // cache is its cluster server, and each call is one frame sent with the
 // window's next flush. It owns its hop chain and the error classes: with
 // fault tolerance on, a transport failure is sim.ErrUnreachable (the ladder
-// degrades per §3.4); without, it passes through and aborts the replay. A shed
-// answer (shed.ErrShed) is a served refusal either way.
+// degrades per §3.4); without, it passes through and aborts the replay.
 
 // send puts one frame to sat on the wire and reads its Get-shaped answer.
 // later are the servers the request may still send to after this frame.
@@ -24,7 +21,7 @@ func (r *request) send(sat orbitSat, later []orbitSat, addr string, op Op, obj c
 	r.c.sat, r.c.later, r.c.addr, r.c.op, r.c.obj, r.c.size, r.c.sc = sat, later, addr, op, obj, size, sc
 	r.w.do(&r.c)
 	hit, err := hitAnswer(r.c.st, r.c.err)
-	if err != nil && r.w.rp.opts.Fault != nil && !errors.Is(err, shed.ErrShed) {
+	if err != nil && r.w.rp.opts.Fault != nil {
 		err = sim.ErrUnreachable
 	}
 	return hit, err

@@ -9,6 +9,7 @@ import (
 	"starcdn/internal/cache"
 	"starcdn/internal/core"
 	"starcdn/internal/geo"
+	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
@@ -79,7 +80,8 @@ func TestFaultInjectorDeterminism(t *testing.T) {
 }
 
 // TestClientRetriesThroughInjectedResets: a reset on the first attempt is
-// absorbed by the retry budget; the operation still succeeds.
+// absorbed by the retry budget; the operation still succeeds, and
+// starcdn_client_retries_total counts one retry per injected reset.
 func TestClientRetriesThroughInjectedResets(t *testing.T) {
 	s, err := NewServer(1, cache.LRU, 1<<20)
 	if err != nil {
@@ -88,11 +90,13 @@ func TestClientRetriesThroughInjectedResets(t *testing.T) {
 	defer func() { _ = s.Close() }()
 
 	inj := NewFaultInjector(FaultConfig{Seed: 5, ResetRate: 0.3})
+	reg := obs.NewRegistry()
 	cl := newClientOpts(clientOptions{
 		IOTimeout: time.Second,
 		Retry:     RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 		Dial:      inj.Dialer(),
 		Seed:      1,
+		Obs:       reg,
 	})
 	defer func() { _ = cl.Close() }()
 
@@ -105,8 +109,17 @@ func TestClientRetriesThroughInjectedResets(t *testing.T) {
 			t.Fatalf("get %d: hit=%v err=%v", i, hit, err)
 		}
 	}
-	if st := inj.Stats(); st.Resets == 0 {
-		t.Error("injector never fired; test exercised nothing")
+	st := inj.Stats()
+	if st.Resets == 0 {
+		t.Fatal("injector never fired; test exercised nothing")
+	}
+	// Each reset fails the one frame of its attempt, and the budget is never
+	// exhausted, so every reset costs exactly one retry.
+	if got := counterValue(reg, "starcdn_client_retries_total"); got != float64(st.Resets) {
+		t.Errorf("retries = %.0f, want %d (one per injected reset)", got, st.Resets)
+	}
+	if got := counterValue(reg, "starcdn_client_failures_total"); got != 0 {
+		t.Errorf("failures = %.0f, want 0", got)
 	}
 }
 

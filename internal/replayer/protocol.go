@@ -21,8 +21,8 @@
 //
 // There is one protocol and nothing to negotiate: every server is started by
 // NewServerOpts in the process, and from the build, of the client that dials
-// it. A server under overload control answers a refused operation with
-// StatusShed, which the client maps to shed.ErrShed and never retries.
+// it. Overload control never reaches the wire: the ladder decides what to
+// send before a frame leaves (sim.Ladder).
 package replayer
 
 import (
@@ -49,16 +49,12 @@ const (
 // Status is a response code.
 type Status uint8
 
-// Wire statuses.
+// Wire statuses. The byte values are fixed; 4 is a retired status.
 const (
 	StatusMiss Status = iota
 	StatusHit
 	StatusOK
 	StatusError
-	// StatusShed rejects the operation by overload control: the server is
-	// shedding this value class. Not an error in the transport sense — the
-	// connection stays healthy and retrying is forbidden.
-	StatusShed
 )
 
 const frameSize = 17
@@ -114,7 +110,7 @@ func readResponse(r io.Reader, buf *[frameSize]byte) (Status, error) {
 		return StatusError, err
 	}
 	st := Status(m.op)
-	if st > StatusShed {
+	if st > StatusError {
 		return StatusError, fmt.Errorf("replayer: bad status byte %d", m.op)
 	}
 	return st, nil

@@ -55,7 +55,8 @@ func TestReadFrameConsumesExactlyOneFrame(t *testing.T) {
 // a protocol violation, not a silently-propagated status.
 func TestReadResponseCorruptStatus(t *testing.T) {
 	var scratch [frameSize]byte
-	for _, bad := range []uint8{uint8(StatusShed) + 1, 42, 255} {
+	// 4 is the retired overload-control status.
+	for _, bad := range []uint8{4, 42, 255} {
 		var buf bytes.Buffer
 		if err := writeFrameBuf(&buf, &scratch, bad, 1, 2); err != nil {
 			t.Fatal(err)
@@ -65,7 +66,7 @@ func TestReadResponseCorruptStatus(t *testing.T) {
 		}
 	}
 	// All defined statuses round-trip.
-	for _, st := range []Status{StatusMiss, StatusHit, StatusOK, StatusError, StatusShed} {
+	for _, st := range []Status{StatusMiss, StatusHit, StatusOK, StatusError} {
 		var buf bytes.Buffer
 		if err := writeResponse(&buf, &scratch, st); err != nil {
 			t.Fatal(err)

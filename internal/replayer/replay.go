@@ -123,9 +123,8 @@ type Options struct {
 	// for session admission and the active stage, and fed each outcome —
 	// the same contract sim.Config.Shedder follows, so a sequential replay
 	// and a sim run sharing a seed and shed config shed the identical
-	// request set. Pass the same controller in the cluster's
-	// ServerOptions.Shedder to also enforce it at the wire (StatusShed); the
-	// shed set is the same either way.
+	// request set. Only the ladder's gates read its stage; servers never
+	// see it.
 	Shedder *shed.Controller
 }
 

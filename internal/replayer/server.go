@@ -13,10 +13,8 @@ import (
 	"time"
 
 	"starcdn/internal/cache"
-	"starcdn/internal/core"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 )
 
 // ServerOptions configures optional server behaviour.
@@ -49,13 +47,6 @@ type ServerOptions struct {
 	// tracer still parse context frames — propagation costs nothing to
 	// accept.
 	Tracer *obs.Tracer
-	// Shedder, when non-nil, enforces overload control at the wire: at
-	// stage ≥ 1 relay probes (OpContains, OpProbe) are refused, at stage ≥ 3
-	// owner-miss fetches (OpGet or OpFetch on a miss, OpAdmit), each
-	// answered StatusShed. Cluster servers share the one controller, like
-	// satellites sharing a control plane; it survives Kill/Revive with the
-	// rest of the options.
-	Shedder *shed.Controller
 }
 
 // Server runs one satellite's cache behind a TCP listener.
@@ -64,7 +55,6 @@ type Server struct {
 	addr   string // ln's address, formatted once
 	log    *slog.Logger
 	tracer *obs.Tracer
-	shed   *shed.Controller
 	proc   string     // span Proc label, "sat-<id>"
 	mu     sync.Mutex // serialises cache access across connections
 	cache  cache.Policy
@@ -108,7 +98,6 @@ func NewServerOpts(id orbit.SatID, kind cache.Kind, capacity int64, opts ServerO
 		addr:   ln.Addr().String(),
 		log:    obs.NewLogger(nil).With("sat", int(id)),
 		tracer: opts.Tracer,
-		shed:   opts.Shedder,
 		proc:   "sat-" + strconv.Itoa(int(id)),
 		cache:  c,
 		meter:  opts.Meter,
@@ -230,13 +219,6 @@ func (s *Server) serveOne(w io.Writer, buf *[frameSize]byte, m message, sc *obs.
 	if s.tracer != nil && sc != nil && sc.Sampled {
 		opStart = time.Now()
 	}
-	// Snapshot the stage outside s.mu: the controller has its own lock and
-	// the stage holds for the whole operation, exactly as the simulator
-	// reads it once per request.
-	stage := shed.StageNormal
-	if s.shed != nil {
-		stage = s.shed.Stage()
-	}
 	s.mu.Lock()
 	st := StatusError
 	obj, size := cache.ObjectID(m.a), int64(m.b)
@@ -247,39 +229,25 @@ func (s *Server) serveOne(w io.Writer, buf *[frameSize]byte, m message, sc *obs.
 		switch {
 		case hit:
 			st = StatusHit
-		case stage.Sheds(core.ValueMissFetch):
-			// Stage ≥ 3: hits-only. The Get already ran (recency touched,
-			// miss metered — identical to the simulator's stage-3 path);
-			// the fetch behind it is refused.
-			st = StatusShed
 		case m.op == OpGet:
 			st = StatusMiss
 		case s.admit(obj, size):
 			st = StatusMiss
 		}
-	case OpContains, OpProbe:
-		switch {
-		case stage.Sheds(core.ValueRelayProbe):
-			// Stage ≥ 1: relay probes are refused without touching the
-			// cache — the probe is speculative work this server is shedding.
-			st = StatusShed
-		case m.op == OpContains:
-			st = StatusMiss
-			if s.cache.Contains(obj) {
-				st = StatusHit
-			}
-		case s.cache.Get(obj):
+	case OpContains:
+		st = StatusMiss
+		if s.cache.Contains(obj) {
+			st = StatusHit
+		}
+	case OpProbe:
+		st = StatusMiss
+		if s.cache.Get(obj) {
 			// The touch of serving the copy is a Get hit.
 			s.meter.Record(size, true)
 			st = StatusHit
-		default:
-			st = StatusMiss
 		}
 	case OpAdmit:
-		switch {
-		case stage.Sheds(core.ValueMissFetch):
-			st = StatusShed
-		case s.admit(obj, size):
+		if s.admit(obj, size) {
 			st = StatusOK
 		}
 	}

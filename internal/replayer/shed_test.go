@@ -1,9 +1,7 @@
 package replayer
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"starcdn/internal/cache"
 	"starcdn/internal/obs"
@@ -39,48 +37,20 @@ func counterValue(reg *obs.Registry, key string) float64 {
 	return 0
 }
 
-// stage3Controller escalates a fresh controller to StageHitsOnly: each Tick
-// closes one 1-second epoch whose one request was degraded, so every epoch
-// breaches and the burn, 1/BudgetFraction = 4, clears every Enter threshold;
-// three closed epochs climb the ladder. The server only reads the stage, so
-// the controller stays there.
-func stage3Controller(t *testing.T) *shed.Controller {
-	t.Helper()
-	cfg := shed.Defaults()
-	cfg.EpochSec = 1
-	cfg.DwellEpochs = 1
-	ctrl, err := shed.NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := 0.0; ts <= 4; ts++ {
-		ctrl.Tick(ts)
-		ctrl.Observe(shed.Signal{Degraded: true})
-	}
-	if got := ctrl.Stage(); got != shed.StageHitsOnly {
-		t.Fatalf("controller at %v, want stage-3", got)
-	}
-	return ctrl
-}
-
 // TestShedParitySimVsSequentialReplay is the overload-control cross-check in
 // its strictest form: under an identical §3.4 kill schedule and an identical
 // shed configuration, the in-process simulator and the sequential TCP replay
 // must shed the identical request set — same per-action shed counters, same
 // stage transitions, same final stage — and the kill wave must overload the
-// controller and let it recover. Options.Shedder alone promises that; wire
-// enforcement (ServerOptions.Shedder) must change nothing. (Meter equality is
-// the oracle's: TestDifferentialSimVsSequentialReplay, shed=true cases.)
+// controller and let it recover. (Meter equality is the oracle's:
+// TestDifferentialSimVsSequentialReplay, shed=true cases.) Servers never
+// enforce stages, so the one case runs with the client-side controller as
+// the only shedder.
 func TestShedParitySimVsSequentialReplay(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		serverShed bool
-	}{{"server-shedder-on", true}, {"server-shedder-off", false}} {
-		t.Run(tc.name, func(t *testing.T) { shedParitySimVsSequentialReplay(t, tc.serverShed) })
-	}
+	t.Run("server-shedder-off", testShedParity)
 }
 
-func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
+func testShedParity(t *testing.T) {
 	const requests = 6000
 	const traceSeed = 31
 	const capacity = 64 << 20
@@ -122,14 +92,7 @@ func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With serverShed the one controller drives both sides of the wire: the
-	// replay loop's client-side decisions and the servers' StatusShed
-	// enforcement.
-	var sopts ServerOptions
-	if serverShed {
-		sopts.Shedder = tcpCtrl
-	}
-	cluster, err := NewClusterOpts(cache.LRU, capacity, sopts)
+	cluster, err := NewCluster(cache.LRU, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,79 +141,5 @@ func shedParitySimVsSequentialReplay(t *testing.T, serverShed bool) {
 	}
 	if got := tcpCtrl.Stage(); got != shed.StageNormal {
 		t.Errorf("replay ended at %v, want full hysteretic recovery to stage-0", got)
-	}
-}
-
-// TestShedWireStatusShedNoRetry: a StatusShed answer is a served refusal,
-// not a transport fault — the client maps it to shed.ErrShed on exactly one
-// attempt (retrying would add the very load being shed) and counts it under
-// starcdn_client_rejected_total{reason="shed"}.
-func TestShedWireStatusShedNoRetry(t *testing.T) {
-	ctrl := stage3Controller(t)
-	s, err := NewServerOpts(1, cache.LRU, 1<<20, ServerOptions{Shedder: ctrl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-
-	reg := obs.NewRegistry()
-	cl := newClientOpts(clientOptions{
-		IOTimeout: 2 * time.Second,
-		Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Obs:       reg,
-	})
-	defer func() { _ = cl.Close() }()
-
-	// Owner miss at stage 3: the fetch behind it is refused.
-	if _, err := cl.Get(s.Addr(), 42, 100); !errors.Is(err, shed.ErrShed) {
-		t.Fatalf("stage-3 miss returned %v, want shed.ErrShed", err)
-	}
-	if err := cl.Admit(s.Addr(), 42, 100); !errors.Is(err, shed.ErrShed) {
-		t.Fatalf("stage-3 admit returned %v, want shed.ErrShed", err)
-	}
-	if _, err := cl.Contains(s.Addr(), 42); !errors.Is(err, shed.ErrShed) {
-		t.Fatalf("stage-3 contains returned %v, want shed.ErrShed", err)
-	}
-	// Three single-attempt operations; a retried shed would add attempts
-	// and show up here.
-	if got := counterValue(reg, "starcdn_client_attempts_total"); got != 3 {
-		t.Errorf("attempts = %.0f, want 3 (sheds must not retry)", got)
-	}
-	if got := counterValue(reg, "starcdn_client_retries_total"); got != 0 {
-		t.Errorf("retries = %.0f, want 0", got)
-	}
-	if got := counterValue(reg, `starcdn_client_rejected_total{reason="shed"}`); got != 3 {
-		t.Errorf("rejected{shed} = %.0f, want 3", got)
-	}
-	// Sheds are served answers, not failures.
-	if got := counterValue(reg, "starcdn_client_failures_total"); got != 0 {
-		t.Errorf("failures = %.0f, want 0", got)
-	}
-}
-
-// TestShedWirePlainClientSeesErrShed: a shed is always StatusShed, so a client
-// built with no shed configuration still gets shed.ErrShed for a refused miss,
-// and a hit is served even at stage 3.
-func TestShedWirePlainClientSeesErrShed(t *testing.T) {
-	s, err := NewServerOpts(3, cache.LRU, 1<<20, ServerOptions{Shedder: stage3Controller(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	// Every admit is shed at stage 3, so seed the cache through its handle.
-	s.mu.Lock()
-	if err := s.cache.Admit(9, 10); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
-	}
-	s.mu.Unlock()
-
-	cl := newClientOpts(clientOptions{IOTimeout: 2 * time.Second})
-	defer func() { _ = cl.Close() }()
-	if _, err := cl.Get(s.Addr(), 42, 100); !errors.Is(err, shed.ErrShed) {
-		t.Errorf("stage-3 miss returned %v, want shed.ErrShed", err)
-	}
-	if hit, err := cl.Get(s.Addr(), 9, 10); err != nil || !hit {
-		t.Errorf("cached object at stage 3: hit=%v err=%v; hits must never shed", hit, err)
 	}
 }

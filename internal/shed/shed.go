@@ -2,14 +2,16 @@
 // stage machine that converts a degradation burn rate into graded shedding
 // actions, with hysteretic recovery so the controller does not flap.
 //
-// The stage ladder drops request value classes (internal/core.ValueClass)
-// cheapest-first:
+// The stage ladder drops the kinds of work a request needs cheapest-first;
+// the gates that read a stage to drop work live in sim.Ladder, the one
+// implementation of the request decision ladder, and in
+// Controller.AdmitSession:
 //
 //	stage 0 (normal)     serve everything
 //	stage 1 (relay-off)  skip relay probes; serve the §3.4 ground miss
 //	                     directly for remote-owner requests (no ISL fetch)
-//	stage 2 (admission)  additionally reject over-quota *new* sessions with
-//	                     ErrShed; in-flight sessions keep flowing
+//	stage 2 (admission)  additionally reject over-quota *new* sessions;
+//	                     in-flight sessions keep flowing
 //	stage 3 (hits-only)  additionally shed the ground fetch behind owner
 //	                     misses: only cache hits are served
 //
@@ -30,20 +32,11 @@
 package shed
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"starcdn/internal/core"
 	"starcdn/internal/obs"
 )
-
-// ErrShed is returned to callers whose request was rejected by overload
-// control (stage 2 session rejection, stage 3 miss shedding). It is the
-// typed sentinel clients match with errors.Is to degrade gracefully
-// instead of retrying: the rejection is deliberate, a retry would only
-// add load.
-var ErrShed = errors.New("shed: rejected by overload control")
 
 // Stage is the controller's escalation level. Higher stages shed more.
 type Stage int
@@ -77,22 +70,6 @@ func (s Stage) String() string {
 	return "Stage(?)"
 }
 
-// Sheds reports whether work of value class v is dropped at stage s. This
-// is the single mapping both execution paths consult, so the sim and the
-// TCP cluster agree on what every stage means.
-func (s Stage) Sheds(v core.ValueClass) bool {
-	switch v {
-	case core.ValueRelayProbe, core.ValueRemoteFetch:
-		return s >= StageRelayOff
-	case core.ValueSessionNew:
-		return s >= StageAdmission
-	case core.ValueMissFetch:
-		return s >= StageHitsOnly
-	default: // ValueHit and anything unknown: never shed.
-		return false
-	}
-}
-
 // Action records what overload control did to one request. ActionNone
 // means the request was served (or degraded) exactly as it would have been
 // with shedding disabled.
@@ -109,10 +86,10 @@ const (
 	// ActionDirectGround: stage ≥ 1 served a remote-owner request from
 	// the ground without contacting the owner (proactive §3.4).
 	ActionDirectGround
-	// ActionRejectSession: stage ≥ 2 rejected a new session with ErrShed.
+	// ActionRejectSession: stage ≥ 2 rejected a new session.
 	ActionRejectSession
 	// ActionHitOnly: stage ≥ 3 shed the ground fetch behind an owner
-	// miss; the request got ErrShed instead of content.
+	// miss; the request got a refusal instead of content.
 	ActionHitOnly
 )
 

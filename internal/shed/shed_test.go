@@ -1,10 +1,8 @@
 package shed
 
 import (
-	"errors"
 	"testing"
 
-	"starcdn/internal/core"
 	"starcdn/internal/obs"
 )
 
@@ -60,29 +58,6 @@ func TestConfigValidate(t *testing.T) {
 		tc.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad config", tc.name)
-		}
-	}
-}
-
-// TestStageSheds pins the stage→value-class mapping both pipelines rely on.
-func TestStageSheds(t *testing.T) {
-	type row struct {
-		v    core.ValueClass
-		from Stage // first stage that sheds it; -1 for never
-	}
-	rows := []row{
-		{core.ValueRelayProbe, StageRelayOff},
-		{core.ValueRemoteFetch, StageRelayOff},
-		{core.ValueSessionNew, StageAdmission},
-		{core.ValueMissFetch, StageHitsOnly},
-		{core.ValueHit, -1},
-	}
-	for _, r := range rows {
-		for s := StageNormal; s <= StageHitsOnly; s++ {
-			want := r.from >= 0 && s >= r.from
-			if got := s.Sheds(r.v); got != want {
-				t.Errorf("%v.Sheds(%v) = %v, want %v", s, r.v, got, want)
-			}
 		}
 	}
 }
@@ -320,13 +295,6 @@ func TestStatusSnapshot(t *testing.T) {
 	// The per-epoch gauges carry the same signals into the recorder rings.
 	assertGauge(t, reg, "starcdn_shed_burn_rate", st.Burn)
 	assertGauge(t, reg, "starcdn_shed_degraded_ratio", 1)
-}
-
-func TestErrShedIsTyped(t *testing.T) {
-	wrapped := errors.Join(errors.New("transport"), ErrShed)
-	if !errors.Is(wrapped, ErrShed) {
-		t.Fatal("ErrShed must survive wrapping for errors.Is")
-	}
 }
 
 func TestDeterministicReplayOfSignalStream(t *testing.T) {

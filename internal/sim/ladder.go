@@ -39,14 +39,10 @@ type Fabric interface {
 }
 
 // ErrUnreachable is the Fabric error for a satellite that did not answer
-// (§3.4, seen from the client). Like shed.ErrShed it degrades the step it
-// hit — owner fetch: ground miss-through; probe: skip that neighbour. Any
-// other Fabric error aborts the request.
+// (§3.4, seen from the client). It degrades the step it hit — owner fetch:
+// ground miss-through; probe: skip that neighbour. Any other Fabric error
+// aborts the request.
 var ErrUnreachable = errors.New("sim: satellite unreachable")
-
-func soft(err error) bool {
-	return errors.Is(err, ErrUnreachable) || errors.Is(err, shed.ErrShed)
-}
 
 // Fetched is the ladder's verdict on one request.
 type Fetched struct {
@@ -101,12 +97,12 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 		return Route{First: first, Home: -1,
 			Fetched: Fetched{Source: SourceGround, Degraded: true}}
 	}
-	if owner != first && stage.Sheds(core.ValueRemoteFetch) {
+	if owner != first && stage >= shed.StageRelayOff {
 		// Stage ≥ 1 sheds the ISL route to a remote owner and serves the
 		// §3.4-shaped ground miss directly. Stage 3 (hits only) rejects the
 		// request instead: it cannot be a hit without the route just shed,
 		// and the ground fallback would keep the congested uplink saturated.
-		if stage.Sheds(core.ValueMissFetch) {
+		if stage >= shed.StageHitsOnly {
 			return Route{First: first, Home: owner,
 				Fetched: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}}
 		}
@@ -126,16 +122,12 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.Stage,
 	relayStats *RelayAvailability) (Fetched, error) {
 	obj, size, home := req.Object, req.Size, rt.Home
-	// Stage 3 serves hits only: the fetch still refreshes recency, as on a
-	// wire that refuses after answering, but admits nothing.
-	hitsOnly := stage.Sheds(core.ValueMissFetch)
+	// Stage 3 serves hits only: the fetch still refreshes recency but
+	// admits nothing.
+	hitsOnly := stage >= shed.StageHitsOnly
 	hit, err := fabric.Fetch(home, obj, size, !hitsOnly)
 	if err != nil {
-		switch {
-		case errors.Is(err, shed.ErrShed):
-			// The wire enforced stage 3 itself; same verdict as below.
-			return Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, nil
-		case errors.Is(err, ErrUnreachable):
+		if errors.Is(err, ErrUnreachable) {
 			return Fetched{Source: SourceGround, Degraded: true}, nil
 		}
 		return Fetched{}, err
@@ -152,7 +144,7 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 	action := shed.ActionNone
 	switch {
 	case !l.Relay:
-	case stage.Sheds(core.ValueRelayProbe):
+	case stage >= shed.StageRelayOff:
 		action = shed.ActionRelaySkip // stage ≥ 1: straight to the ground
 	default:
 		var has [2]bool
@@ -165,10 +157,10 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 			if !ok {
 				continue
 			}
-			// A probe that fails softly skips that neighbour.
+			// An unreachable neighbour is skipped.
 			via := SourceRelayWest + Source(i)
 			if has[i], err = fabric.Probe(nb, obj, size, via, served < 0); err != nil {
-				if !soft(err) {
+				if !errors.Is(err, ErrUnreachable) {
 					return Fetched{}, err
 				}
 				has[i] = false

@@ -165,7 +165,6 @@ func TestLadderFetch(t *testing.T) {
 	full := Ladder{Hash: fx.h, Relay: true}
 	off := Ladder{Hash: core.OneBucket(fx.h.Grid()), Relay: true}
 	boom := errors.New("boom")
-	shedErr := fmt.Errorf("wrapped: %w", shed.ErrShed)
 	gone := fmt.Errorf("wrapped: %w", ErrUnreachable)
 	k := func(op string, sat orbit.SatID) string { return fmt.Sprintf("%s(%d)", op, sat) }
 	probe := func(sat orbit.SatID, via Source, touch bool) string {
@@ -221,10 +220,13 @@ func TestLadderFetch(t *testing.T) {
 		{name: "relay off", ladder: Ladder{Hash: fx.h}, first: fx.first,
 			has:  map[string]bool{k("Probe", w): true},
 			want: Fetched{Source: SourceGround}, calls: []string{fetch}},
+		// Stage 2 gates only new sessions: an owner miss still admits, and
+		// the relay stays off as at stage 1.
+		{name: "stage 2 still admits", ladder: full, first: home, stage: shed.StageAdmission,
+			has:  map[string]bool{k("Probe", w): true},
+			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{fetch}},
 		{name: "stage 3 admits nothing", ladder: full, first: home, stage: shed.StageHitsOnly,
 			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{peek}},
-		{name: "owner sheds", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): shedErr},
-			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{fetch}},
 		{name: "owner unreachable", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): gone},
 			want: Fetched{Source: SourceGround, Degraded: true}, calls: []string{fetch}},
 		{name: "owner hard error", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): boom},
@@ -233,10 +235,6 @@ func TestLadderFetch(t *testing.T) {
 		{name: "west touch fails softly, east serves", ladder: full, first: fx.first,
 			has:  map[string]bool{k("Probe", w): true, k("Probe", e): true},
 			errs: map[string]error{k("Probe", w): gone},
-			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE}},
-		{name: "west probe shed, east serves", ladder: full, first: fx.first,
-			has:  map[string]bool{k("Probe", w): true, k("Probe", e): true},
-			errs: map[string]error{k("Probe", w): shedErr},
 			want: Fetched{Source: SourceRelayEast, Relay: e}, calls: []string{fetch, probeW, probeE}},
 		{name: "both probes unreachable", ladder: full, first: fx.first,
 			errs: map[string]error{k("Probe", w): gone, k("Probe", e): gone},

@@ -23,7 +23,7 @@ const (
 	// (§7 intermediate design): a cache hit for latency purposes, but the
 	// content still consumes the satellite uplink.
 	SourceGroundEdge
-	// SourceShed is a request rejected by overload control (shed.ErrShed):
+	// SourceShed is a request rejected by overload control (shed.Action):
 	// no content moved, no uplink or ISL capacity consumed. It counts as a
 	// miss for hit-rate purposes but is excluded from uplink accounting.
 	SourceShed

@@ -24,8 +24,8 @@ type ServeContext struct {
 	// instrumented paths need no guard).
 	Span *obs.Span
 	// ShedStage is the overload-control stage active for this request
-	// (shed.StageNormal when no shedder is wired in). Policies consult it
-	// through Stage.Sheds to drop value classes; the runner handles
+	// (shed.StageNormal when no shedder is wired in). Policies hand it to
+	// the Ladder, whose gates drop work by stage; the runner handles
 	// session admission before Serve is reached.
 	ShedStage shed.Stage
 	// Phase is the request's phase-timer mark chain (obs.PhaseProfiler):

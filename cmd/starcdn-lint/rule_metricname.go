@@ -17,7 +17,7 @@ import (
 //   - every name matches `starcdn_[a-z0-9_]+` (lowercase, namespaced, no
 //     trailing underscore)
 //   - the component after the prefix names a known subsystem family
-//     (starcdn_shed_*, starcdn_slo_*, ...), so new series land in an
+//     (starcdn_sim_*, starcdn_slo_*, ...), so new series land in an
 //     existing group instead of inventing a private namespace
 //   - counters end in `_total` (the Prometheus cumulative convention)
 //   - gauges do NOT end in `_total` — a gauge named like a counter lies to
@@ -49,11 +49,11 @@ func (ruleMetricName) Applies(relPath string) bool { return true }
 
 // metricFamilies is the subsystem vocabulary: the first component after the
 // starcdn_ prefix must be one of these, so every series lands in a known
-// group a ?match= query can select. A new subsystem earns its entry here in the same PR that
-// introduces its first metric ("shed" arrived with the overload controller).
+// group a ?match= query can select. A new subsystem earns its entry here in
+// the same PR that introduces its first metric, and leaves with its last.
 var metricFamilies = []string{
 	"cache", "client", "cluster", "fixture", "go", "phase", "popularity",
-	"replay", "server", "shed", "sim", "sketch", "slo", "test",
+	"replay", "server", "sim", "sketch", "slo", "test",
 }
 
 // metricGoUnitless are the suffixes the runtime-bridge family may carry
@@ -89,8 +89,8 @@ var metricReservedSuffixes = []string{
 // the rest are small enums. Object/bucket identity is deliberately absent —
 // per-key series belong in top-K/sketch instruments.
 var metricLabelKeys = []string{
-	"action", "class", "dir", "kind", "le", "path", "pipeline", "q",
-	"rank", "reason", "sat", "scheme", "slo", "source", "stage",
+	"class", "kind", "le", "path", "pipeline", "q", "rank", "reason", "sat",
+	"scheme", "slo", "source", "stage",
 }
 
 // wellFormedMetricName reports whether name matches starcdn_[a-z0-9_]+ with

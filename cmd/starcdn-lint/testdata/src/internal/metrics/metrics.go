@@ -50,8 +50,8 @@ func register(r *Registry, shard string) {
 	r.Histogram("starcdn_fixture_payload_bytes", []float64{1024})
 
 	// Known subsystem families pass; an invented one does not.
-	r.Gauge("starcdn_shed_stage")
-	r.Counter("starcdn_shed_actions_total", Label{K: "action", V: "hit-only"})
+	r.Gauge("starcdn_slo_budget_remaining")
+	r.Counter("starcdn_slo_breaches_total", Label{K: "slo", V: "hit-rate"})
 	r.Counter("starcdn_warp_events_total") // want metricname
 
 	r.Counter("starcdn_fixture_events")                         // want metricname

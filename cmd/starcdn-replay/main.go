@@ -31,7 +31,6 @@ import (
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/replayer"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
@@ -79,10 +78,6 @@ func main() {
 		sloP99Ms    = flag.Float64("slo-p99-ms", 0, "SLO: p99 client frame latency <= this many ms over -slo-window (0 disables; requires -record-epoch)")
 		sloHitRate  = flag.Float64("slo-hit-rate", 0, "SLO: request hit rate >= this fraction over -slo-window (0 disables; requires -record-epoch)")
 		sloWindow   = flag.Duration("slo-window", time.Minute, "SLO evaluation window")
-
-		shedOn    = flag.Bool("shed", false, "closed-loop overload control: graded load shedding driven by the §3.4 degraded fraction (the client's decision ladder drops work before any frame is sent)")
-		shedEpoch = flag.Float64("shed-epoch-sec", 15, "overload-controller epoch in trace seconds (with -shed)")
-		shedQuota = flag.Int("shed-quota", 64, "admitted-session quota at the admission-control stage (with -shed)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -282,21 +277,6 @@ func main() {
 		opts.Phases = phases
 	}
 
-	// Overload control: the client pipeline consults one controller per
-	// request (Options.Shedder); servers never see the stage.
-	var shedCtrl *shed.Controller
-	if *shedOn {
-		cfg := shed.Defaults()
-		cfg.EpochSec = *shedEpoch
-		cfg.SessionQuota = *shedQuota
-		cfg.Metrics = reg // nil keeps the controller silent but functional
-		shedCtrl, err = shed.NewController(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Shedder = shedCtrl
-	}
-
 	cluster, err := replayer.NewClusterOpts(cache.LRU, *cacheMB<<20,
 		replayer.ServerOptions{Obs: reg, Tracer: serverTracer})
 	if err != nil {
@@ -309,15 +289,11 @@ func main() {
 	}()
 
 	if *metricsAddr != "" {
-		health := sloEngine.Health(cluster.Health)
-		if shedCtrl != nil {
-			health = shedCtrl.Health(health)
-		}
 		runtimeBridge := obs.NewRuntimeBridge(reg)
 		runtimeBridge.BindRecorder(recorder)
 		srv, err := obs.ServeWith(*metricsAddr, obs.ServeOptions{
 			Registry: reg,
-			Health:   health,
+			Health:   sloEngine.Health(cluster.Health),
 			Recorder: recorder,
 			Runtime:  runtimeBridge,
 		})
@@ -382,12 +358,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("server spans:     %d written to %s\n", serverTracer.Emitted(), *serverTrace)
-	}
-	if shedCtrl != nil {
-		st := shedCtrl.Status()
-		up, down := shedCtrl.Transitions()
-		fmt.Printf("overload control: final %s, burn %.3g, %d open sessions (%d escalations, %d recoveries)\n",
-			st.StageName, st.Burn, st.SessionsOpen, up, down)
 	}
 	if recorder != nil {
 		fmt.Printf("flight recorder:  %d epochs @ %s, the last %d held for /timeseries.json\n",

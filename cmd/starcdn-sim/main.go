@@ -23,7 +23,6 @@ import (
 
 	"starcdn/internal/experiments"
 	"starcdn/internal/obs"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 )
 
@@ -42,10 +41,6 @@ func main() {
 		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
 		recordEpoch   = flag.Float64("record-epoch", 0, fmt.Sprintf("flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json, which holds the last %d epochs", obs.DefaultRecorderCapacity))
 		phasesOn      = flag.Bool("phases", false, "attribute hot-path time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
-
-		shedOn    = flag.Bool("shed", false, "wire a fresh overload controller into every run (graded load shedding under §3.4 degradation; changes results by design)")
-		shedEpoch = flag.Float64("shed-epoch-sec", 15, "overload-controller epoch in simulated seconds (with -shed)")
-		shedQuota = flag.Int("shed-quota", 64, "admitted-session quota at the admission-control stage (with -shed)")
 	)
 	flag.Parse()
 
@@ -77,18 +72,6 @@ func main() {
 	}
 
 	env := experiments.NewEnv(scale)
-	if *shedOn {
-		cfg := shed.Defaults()
-		cfg.EpochSec = *shedEpoch
-		cfg.SessionQuota = *shedQuota
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "shed: %v\n", err)
-			os.Exit(2)
-		}
-		env.ShedConfig = &cfg
-		fmt.Printf("overload control: enabled (epoch %gs, session quota %d); shed runs are not memoised\n",
-			*shedEpoch, *shedQuota)
-	}
 
 	// Observability is strictly opt-in: a nil registry/tracer keeps the
 	// simulator's hot path free of instrument lookups.

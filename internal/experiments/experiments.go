@@ -17,7 +17,6 @@ import (
 	"starcdn/internal/geo"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
@@ -91,13 +90,6 @@ type Env struct {
 	// obs.NewSimPhases). Like Obs/Tracer it cannot alter results — reports
 	// are byte-identical with phases on or off.
 	Phases *obs.PhaseProfiler
-	// ShedConfig, when non-nil, wires a fresh overload controller into every
-	// simulation run (sim.Config.Shedder). Fresh per run: the controller's
-	// stage machine and session table are stateful, and sharing one across
-	// runs would leak burn history between experiments. Unlike Obs/Tracer
-	// this CAN alter results (that is its purpose), so shed runs are never
-	// memoised.
-	ShedConfig *shed.Config
 
 	mu     sync.Mutex
 	consts map[string]*orbit.Constellation
@@ -188,7 +180,7 @@ func (e *Env) grid(key string) *topo.Grid {
 // (no latency/per-satellite collection) are memoised per environment so that
 // figures sharing cells don't re-simulate.
 func (e *Env) runScheme(constKey, scheme string, l int, cacheBytes int64, tr *trace.Trace, cfg sim.Config) (*sim.Metrics, error) {
-	memoizable := !cfg.CollectLatency && !cfg.CollectPerSat && e.ShedConfig == nil
+	memoizable := !cfg.CollectLatency && !cfg.CollectPerSat
 	key := fmt.Sprintf("%s|%s|%d|%d|%p|%d", constKey, scheme, l, cacheBytes, tr, cfg.Seed)
 	if memoizable {
 		e.mu.Lock()
@@ -246,15 +238,6 @@ func (e *Env) runSchemeUncached(constKey, scheme string, l int, cacheBytes int64
 	cfg.Tracer = e.Tracer
 	cfg.Recorder = e.Recorder
 	cfg.Phases = e.Phases
-	if e.ShedConfig != nil {
-		shedCfg := *e.ShedConfig
-		shedCfg.Metrics = e.Obs
-		ctrl, err := shed.NewController(shedCfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Shedder = ctrl
-	}
 	return sim.Run(c, e.Users(), tr, p, cfg)
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // RuntimeBridge samples the Go runtime's own telemetry (runtime/metrics)
-// into the starcdn_go_* gauge family, so a chaos or shed run shows GC and
-// goroutine behaviour in the same /metrics scrape, flight-recorder rings
-// and /timeseries.json epochs as hit rate and burn rate.
+// into the starcdn_go_* gauge family, so a chaos run shows GC and goroutine
+// behaviour in the same /metrics scrape, flight-recorder rings and
+// /timeseries.json epochs as hit rate and burn rate.
 //
 // The bridge pre-registers its gauges and pre-builds its sample batch at
 // construction; Sample only reads the runtime and stores — it allocates

@@ -20,10 +20,6 @@ type Health struct {
 	Down []string `json:"down,omitempty"`
 	// Note carries free-form state ("replaying", "idle", ...).
 	Note string `json:"note,omitempty"`
-	// Shed is the active overload-control stage ("stage-0" .. "stage-3")
-	// when a shed controller is wired in; empty otherwise. Shedding does
-	// not flip OK — it is the system protecting itself, not an outage.
-	Shed string `json:"shed,omitempty"`
 	// Runtime is the compact runtime-bridge line (goroutines, heap bytes,
 	// last GC pause, sched latency), filled from ServeOptions.Runtime when
 	// the health source leaves it empty.

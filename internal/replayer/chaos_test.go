@@ -19,6 +19,17 @@ func chaosFaultPolicy() *FaultPolicy {
 	}
 }
 
+// counterValue reads one counter series (name plus rendered labels) from a
+// registry snapshot, returning 0 when the series does not exist.
+func counterValue(reg *obs.Registry, key string) float64 {
+	for _, s := range reg.Snapshot() {
+		if s.Name+s.LabelString() == key {
+			return s.Value
+		}
+	}
+	return 0
+}
+
 // TestGenerateChaosDeterminism: the schedule is a pure function of its
 // inputs — same seed yields a byte-identical event list, a different seed a
 // different one, and candidate slice order is irrelevant.

@@ -9,24 +9,23 @@ import (
 	"starcdn/internal/core"
 	"starcdn/internal/geo"
 	"starcdn/internal/obs"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 	"starcdn/internal/trace"
 )
 
 // TestDifferentialSimVsSequentialReplay is the one oracle behind every
 // sim-versus-TCP parity claim: over random small configurations — trace and
-// run seeds, a chaos schedule or none, a shed controller or none, fault
-// tolerance on or off, every hashing ×
-// relay ablation — sim.Run and both TCP replays, the sequential Replay and
-// the pipelined ReplayConcurrent, must agree on the meter, on every
-// per-source count and on the controller's trajectory. All three run
-// sim.Ladder; what this guards is everything around it (failure and epoch
-// ordering, the window's admission and drain rules, the fabrics, error
-// classes, accounting).
+// run seeds, a chaos schedule or none, fault tolerance on or off, every
+// hashing × relay ablation — sim.Run and both TCP replays, the sequential
+// Replay and the pipelined ReplayConcurrent, must agree on the meter and on
+// every per-source count. All three run sim.Ladder; what this guards is
+// everything around it (failure ordering, the window's admission and drain
+// rules, the fabrics, error classes, accounting). Cases 10, 12 and 16 are
+// all-transient kill waves (TransientFraction 1.0) with hashing and relay on;
+// case 10 kills a third of the contacted servers and revives them after 200 s.
 //
 // A second seed block draws only hashing-off runs under chaos — transient and
-// long-term kills, shedding on and off: a first contact killed mid-epoch must
+// long-term kills: a first contact killed mid-epoch must
 // go through the §3.4 rule in both pipelines, which a ladder that skips the
 // rule without hashing gets wrong in the sim alone (it keeps serving from the
 // dead satellite's in-memory cache).
@@ -55,31 +54,18 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 			Seed: chaosSeed,
 		}
 		chaosOpts.EndSec = chaosOpts.StartSec + 1 + 300*rng.Float64()
-		shedding := rng.Intn(3) > 0
-		// A retired coin (wire-side shedding), still drawn so that every
-		// case keeps the inputs it always had.
-		_ = rng.Intn(2)
-		quota, maxDegraded := 3+rng.Intn(6), 0.01+0.04*rng.Float64()
+		// Retired draws (the overload controller's on/off coin, wire-side
+		// shedding, its session quota and degraded tolerance), still drawn
+		// so that every case keeps the inputs it always had.
+		_, _, _, _ = rng.Intn(3), rng.Intn(2), rng.Intn(6), rng.Float64()
 		// The coin is skipped only where it always was (chaos with hashing),
 		// so the first block keeps its 20 cases.
 		coin := chaos && hashing || rng.Intn(2) == 0
 		faulty := chaos || coin
-		name := fmt.Sprintf("case=%d/trace=%d/run=%d/hashing=%v/relay=%v/chaos=%v/shed=%v/fault=%v",
-			n, traceSeed, runSeed, hashing, relay, chaos, shedding, faulty)
+		name := fmt.Sprintf("case=%d/trace=%d/run=%d/hashing=%v/relay=%v/chaos=%v/fault=%v",
+			n, traceSeed, runSeed, hashing, relay, chaos, faulty)
 
 		t.Run(name, func(t *testing.T) {
-			newCtrl := func(reg *obs.Registry) *shed.Controller {
-				if !shedding {
-					return nil
-				}
-				cfg := shedChaosConfig(reg)
-				cfg.SessionQuota, cfg.MaxDegraded = quota, maxDegraded
-				ctrl, err := shed.NewController(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ctrl
-			}
 			hSim, usersSim, trSim := newReplayFixture(t, requests, traceSeed)
 			opts := Options{Hashing: hashing, Relay: relay, Seed: runSeed}
 			if faulty {
@@ -89,24 +75,12 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 				opts.Failures = sim.GenerateChaos(contacted(t, hSim, usersSim, trSim, opts), chaosOpts)
 				t.Logf("chaos %+v: %d events", chaosOpts, len(opts.Failures))
 			}
-			regSim := obs.NewRegistry()
-			simCtrl := newCtrl(regSim)
 			pol := sim.NewStarCDN(hSim, sim.CacheConfig{Kind: cache.LRU, Bytes: capacity},
 				sim.StarCDNOptions{Hashing: hashing, Relay: relay})
-			scfg := sim.Config{Seed: runSeed, Failures: opts.Failures}
-			if simCtrl != nil {
-				// Assigned only when set: a nil *Controller in the field must
-				// stay a nil field.
-				scfg.Shedder = simCtrl
-			}
-			m1, err := sim.Run(hSim.Grid().Constellation(), usersSim, trSim, pol, scfg)
+			m1, err := sim.Run(hSim.Grid().Constellation(), usersSim, trSim, pol,
+				sim.Config{Seed: runSeed, Failures: opts.Failures})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if simCtrl != nil {
-				sUp, sDown := simCtrl.Transitions()
-				t.Logf("hits %d/%d, shed %d, transitions %d up %d down", m1.Meter.Hits, m1.Meter.Requests,
-					m1.BySource[sim.SourceShed], sUp, sDown)
 			}
 
 			for _, pipeline := range []struct {
@@ -114,13 +88,8 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 				replay func(*core.HashScheme, *Cluster, []geo.Point, *trace.Trace, Options) (cache.Meter, error)
 			}{{"Replay", Replay}, {"ReplayConcurrent", ReplayConcurrent}} {
 				hTCP, usersTCP, trTCP := newReplayFixture(t, requests, traceSeed)
-				regTCP := obs.NewRegistry()
-				tcpCtrl := newCtrl(regTCP)
 				opts := opts
 				opts.Obs = obs.NewRegistry()
-				if tcpCtrl != nil {
-					opts.Shedder = tcpCtrl
-				}
 				cluster, err := NewCluster(cache.LRU, capacity)
 				if err != nil {
 					t.Fatal(err)
@@ -139,21 +108,6 @@ func TestDifferentialSimVsSequentialReplay(t *testing.T) {
 					if float64(m1.BySource[s]) != tcp {
 						t.Errorf("%s: source %v: sim %d vs TCP %.0f", pipeline.name, s, m1.BySource[s], tcp)
 					}
-				}
-				if tcpCtrl == nil {
-					continue
-				}
-				for a := shed.ActionRelaySkip; a <= shed.ActionHitOnly; a++ {
-					key := `starcdn_shed_actions_total{action="` + a.String() + `"}`
-					if sv, tv := counterValue(regSim, key), counterValue(regTCP, key); sv != tv {
-						t.Errorf("%s: action %v: sim %.0f vs TCP %.0f", pipeline.name, a, sv, tv)
-					}
-				}
-				sUp, sDown := simCtrl.Transitions()
-				tUp, tDown := tcpCtrl.Transitions()
-				if sUp != tUp || sDown != tDown || simCtrl.Stage() != tcpCtrl.Stage() {
-					t.Errorf("%s: controller trajectories differ: sim %d up %d down at %v, TCP %d up %d down at %v",
-						pipeline.name, sUp, sDown, simCtrl.Stage(), tUp, tDown, tcpCtrl.Stage())
 				}
 			}
 		})

@@ -27,16 +27,12 @@ func (r *request) send(sat orbitSat, later []orbitSat, addr string, op Op, obj c
 	return hit, err
 }
 
-// Fetch implements sim.Fabric: OpFetch, or OpGet when admit is off. The
-// owner's hop is recorded even when the frame errs.
-func (r *request) Fetch(sat orbitSat, obj cache.ObjectID, size int64, admit bool) (bool, error) {
-	op := OpGet
-	if admit {
-		op = OpFetch
-	}
+// Fetch implements sim.Fabric: OpFetch. The owner's hop is recorded even when
+// the frame errs.
+func (r *request) Fetch(sat orbitSat, obj cache.ObjectID, size int64) (bool, error) {
 	start := time.Now()
 	sc, hopID := r.rt.nextHop()
-	hit, err := r.send(sat, r.relay[:], r.addr, op, obj, size, sc)
+	hit, err := r.send(sat, r.relay[:], r.addr, OpFetch, obj, size, sc)
 	r.rt.addHop(obs.Hop{Kind: "owner", Sat: int(sat), WallMs: wallMs(start), SpanID: hopID})
 	return hit, err
 }

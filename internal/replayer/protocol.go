@@ -21,8 +21,7 @@
 //
 // There is one protocol and nothing to negotiate: every server is started by
 // NewServerOpts in the process, and from the build, of the client that dials
-// it. Overload control never reaches the wire: the ladder decides what to
-// send before a frame leaves (sim.Ladder).
+// it.
 package replayer
 
 import (

@@ -11,7 +11,6 @@ import (
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/sched"
-	"starcdn/internal/shed"
 	"starcdn/internal/sim"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
@@ -118,14 +117,6 @@ type Options struct {
 	// Build it with obs.NewReplayPhases; bind it to Recorder (BindRecorder)
 	// to flush per wall-clock epoch. Like Obs, it cannot change behaviour.
 	Phases *obs.PhaseProfiler
-	// Shedder, when non-nil, closes the overload-control loop on the client
-	// side of the wire: ticked on trace time before each request, consulted
-	// for session admission and the active stage, and fed each outcome —
-	// the same contract sim.Config.Shedder follows, so a sequential replay
-	// and a sim run sharing a seed and shed config shed the identical
-	// request set. Only the ladder's gates read its stage; servers never
-	// see it.
-	Shedder *shed.Controller
 }
 
 // replay is what one run of the window plans, serves and commits requests
@@ -203,10 +194,9 @@ func (o *Options) ladder(h *core.HashScheme) sim.Ladder {
 
 // ContactedSats dry-runs the replay's routing decisions — the scheduler's
 // first contact, then sim.Ladder's Route — over the constellation as it
-// stands, no failure schedule and no shedding applied, and returns the
-// distinct satellites the replay would contact, in first-contact order. It is
-// the chaos candidate set: a kill fraction of it is a fraction of the servers
-// that matter.
+// stands, no failure schedule applied, and returns the distinct satellites
+// the replay would contact, in first-contact order. It is the chaos candidate
+// set: a kill fraction of it is a fraction of the servers that matter.
 func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts Options) ([]orbit.SatID, error) {
 	scheduler, err := sched.New(h.Grid().Constellation(), users, sched.DefaultEpochSec, opts.Seed)
 	if err != nil {
@@ -221,7 +211,7 @@ func ContactedSats(h *core.HashScheme, users []geo.Point, tr *trace.Trace, opts 
 		if !visible {
 			continue
 		}
-		if rt := ladder.Route(first, r.Object, shed.StageNormal, nil); rt.Contact && !seen[rt.Home] {
+		if rt := ladder.Route(first, r.Object, nil); rt.Contact && !seen[rt.Home] {
 			seen[rt.Home] = true
 			sats = append(sats, rt.Home)
 		}
@@ -238,52 +228,35 @@ func (rp *replay) close() {
 	_ = rp.client.Close()
 }
 
-// orderPoint reports whether planning at trace time t reads what earlier
-// requests did — a failure event falls due, or the shed controller closes an
-// epoch — so the window must drain first.
+// orderPoint reports whether a failure event falls due at trace time t: the
+// one point where planning reads what earlier requests did, so the window
+// must drain first.
 func (rp *replay) orderPoint(t float64) bool {
 	next, ok := rp.fs.NextEventTime()
-	return ok && next <= t || rp.opts.Shedder != nil && rp.opts.Shedder.EpochDue(t)
+	return ok && next <= t
 }
 
 // planned is one request with everything decided before a cache is contacted.
 type planned struct {
 	req   *trace.Request
 	index int64 // global request index (drives deterministic trace sampling)
-	stage shed.Stage
 	route sim.Route
 	addr  string      // the owner's dial address when route.Contact
 	relay [2]orbitSat // the west and east neighbours it may probe, -1 for none
 }
 
 // plan decides request i up to the first cache contact. It runs on the
-// window's planning goroutine, in request order: the scheduler, the shed controller's clock and
-// session table, and lazy server starts (Cluster.Addr) are all touched here.
-// Ordering contract with sim.Run: the caller advances failures, then the
-// controller closes its epochs, then the request is decided — so stage
-// changes land on identical request boundaries.
+// window's planning goroutine, in request order: the scheduler and lazy
+// server starts (Cluster.Addr) are touched here. Ordering contract with
+// sim.Run: the caller advances failures, then the request is decided.
 func (rp *replay) plan(i int) (planned, error) {
 	r := &rp.tr.Requests[i]
 	p := planned{req: r, index: int64(i), relay: [2]orbitSat{-1, -1}}
-	ctrl := rp.opts.Shedder
-	if ctrl != nil {
-		ctrl.Tick(r.TimeSec)
-	}
 	first, visible := rp.scheduler.FirstContact(r.Location, r.TimeSec)
 	if !visible {
 		first = -1
 	}
-	if ctrl != nil {
-		p.stage = ctrl.Stage()
-		if first >= 0 && !ctrl.AdmitSession(r.Location, r.TimeSec) {
-			// Stage ≥ 2 turned the session away before any satellite was
-			// contacted, where sim.Run rejects it.
-			p.route = sim.Route{First: first, Home: -1, Fetched: sim.Fetched{
-				Source: sim.SourceShed, Action: shed.ActionRejectSession}}
-			return p, nil
-		}
-	}
-	p.route = rp.ladder.Route(first, r.Object, p.stage, rp.fs.TransientDown)
+	p.route = rp.ladder.Route(first, r.Object, rp.fs.TransientDown)
 	if !p.route.Contact {
 		return p, nil
 	}
@@ -326,13 +299,10 @@ func (rp *replay) serve(r *request) {
 	}
 	start := time.Now()
 	r.c.req = r.index
-	if r.got, r.err = rp.ladder.Fetch(r, r.route, r.req, r.stage, nil); r.err != nil {
+	if r.got, r.err = rp.ladder.Fetch(r, r.route, r.req, nil); r.err != nil {
 		return
 	}
-	switch {
-	case r.got.Source == sim.SourceShed:
-		r.rt.addHop(obs.Hop{Kind: "shed", Sat: int(r.route.Home)})
-	case r.got.Source == sim.SourceGround && !r.got.Degraded:
+	if r.got.Source == sim.SourceGround && !r.got.Degraded {
 		// The owner admitted the copy in its fetch frame; this hop stands
 		// for the ground fetch behind it.
 		_, hopID := r.rt.nextHop()
@@ -342,7 +312,7 @@ func (rp *replay) serve(r *request) {
 }
 
 // commit accounts a served request, in request order: span, counters,
-// sketches, meter and the overload controller's feedback.
+// sketches and meter.
 func (rp *replay) commit(r *request, m *cache.Meter) error {
 	if r.err != nil {
 		return r.err
@@ -352,15 +322,12 @@ func (rp *replay) commit(r *request, m *cache.Meter) error {
 	rp.ro.record(src)
 	if rp.ro != nil && rp.ro.pop != nil {
 		// The bucket key is a pure function of the object, so every path —
-		// shed, degraded, served — feeds the bucket top-K.
+		// degraded or served — feeds the bucket top-K.
 		bucket := int(rp.ladder.Hash.BucketOf(r.req.Object))
 		rp.ro.pop.Apply([]sim.PopRecord{{Req: r.index, Object: r.req.Object, Size: r.req.Size,
 			LatencyMs: r.wallMs, TraceID: r.rt.traceID(), Sat: r.route.Home, Bucket: bucket}})
 	}
 	m.Record(r.req.Size, src.Hit())
-	if rp.opts.Shedder != nil {
-		rp.opts.Shedder.Observe(r.got.Signal())
-	}
 	return nil
 }
 
@@ -392,7 +359,7 @@ func Replay(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.T
 
 // ReplayConcurrent is Replay with concurrentWindow requests in flight,
 // pipelined to each server in request order (see window); its result equals
-// Replay's and sim.Run's request for request, under kills and shedding too.
+// Replay's and sim.Run's request for request, under kills too.
 func ReplayConcurrent(h *core.HashScheme, cluster *Cluster, users []geo.Point, tr *trace.Trace, opts Options) (cache.Meter, error) {
 	return drive(h, cluster, users, tr, opts, concurrentWindow)
 }

@@ -26,8 +26,8 @@ const concurrentWindow = 256
 //   - Hold: a request sends to owner, then west, then east. A frame waits for
 //     a later flush while an earlier request in flight may still send to its
 //     server after its own frame in this flush. The earliest frame always goes.
-//   - Drain: everything in flight commits before a failure event or a shed
-//     epoch close, the only points where planning reads earlier outcomes.
+//   - Drain: everything in flight commits before a failure event, the only
+//     point where planning reads earlier outcomes.
 type window struct {
 	rp         *replay
 	slots      []request // request i lives in slots[i%len(slots)]

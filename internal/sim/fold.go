@@ -209,10 +209,7 @@ func (f *fold) apply(b *batch) {
 			}
 		}
 		totalMs := f.price(rec, r, src, span)
-		var isl int64
-		if src != SourceShed { // a shed request moved no content
-			isl = r.Size * int64(int(rec.legs.PlaneHops)+int(rec.legs.SlotHops)+int(rec.legs.RelayHops))
-		}
+		isl := r.Size * int64(int(rec.legs.PlaneHops)+int(rec.legs.SlotHops)+int(rec.legs.RelayHops))
 		m.record(orbit.SatID(rec.server), r.Size, src)
 		if m.Latency != nil {
 			cdf.Add(totalMs)

@@ -7,16 +7,14 @@ import (
 	"starcdn/internal/core"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 )
 
-// Ladder is StarCDN's request decision ladder (§3.2–§3.4 plus the overload
-// stages of internal/shed), written once: first contact → §3.4 serving owner
-// → shed-stage gates → owner fetch → west/east relay probe → ground.
-// sim.StarCDN runs it over in-memory caches and the TCP replayer over a
-// cluster, so the two pipelines decide every request with the same code;
+// Ladder is StarCDN's request decision ladder (§3.2–§3.4), written once:
+// first contact → §3.4 serving owner → owner fetch → west/east relay probe →
+// ground. sim.StarCDN runs it over in-memory caches and the TCP replayer over
+// a cluster, so the two pipelines decide every request with the same code;
 // they differ only in the Fabric underneath and in what they lay over the
 // verdict (a latency model here, wall-clock hops there).
 //
@@ -29,12 +27,12 @@ type Ladder struct {
 
 // Fabric is the cache plane under the ladder: *satCaches in memory, a
 // replayed request over the wire. A call is all a request does to one cache,
-// one frame over the wire: Fetch is the owner's Get plus, on a miss with admit
-// set, the admit of the copy the request brings back; Probe is a relay
-// neighbour's Contains plus, when it has the object and touch is set, the
-// touch of serving it (via is SourceRelayWest or SourceRelayEast).
+// one frame over the wire: Fetch is the owner's Get plus, on a miss, the
+// admit of the copy the request brings back; Probe is a relay neighbour's
+// Contains plus, when it has the object and touch is set, the touch of
+// serving it (via is SourceRelayWest or SourceRelayEast).
 type Fabric interface {
-	Fetch(owner orbit.SatID, obj cache.ObjectID, size int64, admit bool) (hit bool, err error)
+	Fetch(owner orbit.SatID, obj cache.ObjectID, size int64) (hit bool, err error)
 	Probe(nb orbit.SatID, obj cache.ObjectID, size int64, via Source, touch bool) (has bool, err error)
 }
 
@@ -47,45 +45,27 @@ var ErrUnreachable = errors.New("sim: satellite unreachable")
 // Fetched is the ladder's verdict on one request.
 type Fetched struct {
 	Source Source
-	Action shed.Action // what overload control did to the request
-	// Degraded marks the §3.4 miss-through (transient or unreachable owner),
-	// the overload controller's burn signal.
+	// Degraded marks the §3.4 miss-through (transient or unreachable owner).
 	Degraded bool
 	Relay    orbit.SatID // the neighbour that served, on a relay source only
-}
-
-// Signal is the overload-controller feedback for the verdict.
-func (f Fetched) Signal() shed.Signal {
-	return shed.Signal{Degraded: f.Degraded, Action: f.Action}
 }
 
 // Route is everything decided before a cache is contacted.
 type Route struct {
 	First orbit.SatID // first-contact satellite, -1 when none is visible
-	// Home is the satellite to contact — or, without contact, the one charged
-	// with the refusal; -1 when no satellite takes part.
+	// Home is the satellite to contact; -1 when no satellite takes part.
 	Home    orbit.SatID
 	Contact bool
 	Fetched // the final verdict when Contact is false
 }
 
-// Hop is the span hop a verdict reached without contact leaves: the refusal
-// at the satellite charged with it (the first contact for a session turned
-// away), or a ground fetch no satellite took part in.
-func (r Route) Hop() obs.Hop {
-	if r.Source != SourceShed {
-		return obs.Hop{Kind: "ground", Sat: -1}
-	}
-	if r.Home < 0 {
-		return obs.Hop{Kind: "shed", Sat: int(r.First)}
-	}
-	return obs.Hop{Kind: "shed", Sat: int(r.Home)}
-}
+// Hop is the span hop a verdict reached without contact leaves: a ground
+// fetch no satellite took part in.
+func (r Route) Hop() obs.Hop { return obs.Hop{Kind: "ground", Sat: -1} }
 
 // Route resolves where a request is served. transientDown may be nil (see
 // core.HashScheme.ServingOwner).
-func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
-	transientDown func(orbit.SatID) bool) Route {
+func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, transientDown func(orbit.SatID) bool) Route {
 	if first < 0 {
 		return Route{First: -1, Home: -1, Fetched: Fetched{Source: SourceNoCover}}
 	}
@@ -97,18 +77,6 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 		return Route{First: first, Home: -1,
 			Fetched: Fetched{Source: SourceGround, Degraded: true}}
 	}
-	if owner != first && stage >= shed.StageRelayOff {
-		// Stage ≥ 1 sheds the ISL route to a remote owner and serves the
-		// §3.4-shaped ground miss directly. Stage 3 (hits only) rejects the
-		// request instead: it cannot be a hit without the route just shed,
-		// and the ground fallback would keep the congested uplink saturated.
-		if stage >= shed.StageHitsOnly {
-			return Route{First: first, Home: owner,
-				Fetched: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}}
-		}
-		return Route{First: first, Home: -1,
-			Fetched: Fetched{Source: SourceGround, Action: shed.ActionDirectGround}}
-	}
 	return Route{First: first, Home: owner, Contact: true}
 }
 
@@ -119,13 +87,9 @@ func (l Ladder) Route(first orbit.SatID, obj cache.ObjectID, stage shed.Stage,
 // never the owner, so admitting before the probes changes no cache. Only with
 // relayStats (Table 3 wants both answers) is east probed, untouched, after a
 // west hit.
-func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.Stage,
-	relayStats *RelayAvailability) (Fetched, error) {
+func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, relayStats *RelayAvailability) (Fetched, error) {
 	obj, size, home := req.Object, req.Size, rt.Home
-	// Stage 3 serves hits only: the fetch still refreshes recency but
-	// admits nothing.
-	hitsOnly := stage >= shed.StageHitsOnly
-	hit, err := fabric.Fetch(home, obj, size, !hitsOnly)
+	hit, err := fabric.Fetch(home, obj, size)
 	if err != nil {
 		if errors.Is(err, ErrUnreachable) {
 			return Fetched{Source: SourceGround, Degraded: true}, nil
@@ -138,15 +102,7 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 		}
 		return Fetched{Source: SourceBucket}, nil
 	}
-	if hitsOnly {
-		return Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, nil
-	}
-	action := shed.ActionNone
-	switch {
-	case !l.Relay:
-	case stage >= shed.StageRelayOff:
-		action = shed.ActionRelaySkip // stage ≥ 1: straight to the ground
-	default:
+	if l.Relay {
 		var has [2]bool
 		served, relay := -1, orbit.SatID(-1)
 		for i, d := range [2]topo.Direction{topo.West, topo.East} {
@@ -176,5 +132,5 @@ func (l Ladder) Fetch(fabric Fabric, rt Route, req *trace.Request, stage shed.St
 			return Fetched{Source: SourceRelayWest + Source(served), Relay: relay}, nil
 		}
 	}
-	return Fetched{Source: SourceGround, Action: action}, nil
+	return Fetched{Source: SourceGround}, nil
 }

@@ -9,13 +9,12 @@ import (
 	"starcdn/internal/cache"
 	"starcdn/internal/core"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 	"starcdn/internal/topo"
 	"starcdn/internal/trace"
 )
 
 // fakeFabric answers from a script keyed by "Op(sat)" and logs every call as
-// "Fetch(sat,admit)" or "Probe(sat,via,touch)" — the ladder's exact call
+// "Fetch(sat)" or "Probe(sat,via,touch)" — the ladder's exact call
 // sequence is part of its contract (one frame per call over the wire).
 type fakeFabric struct {
 	has   map[string]bool
@@ -28,8 +27,8 @@ func (f *fakeFabric) answer(op string, sat orbit.SatID) (bool, error) {
 	return f.has[key], f.errs[key]
 }
 
-func (f *fakeFabric) Fetch(sat orbit.SatID, _ cache.ObjectID, _ int64, admit bool) (bool, error) {
-	f.calls = append(f.calls, fmt.Sprintf("Fetch(%d,%v)", sat, admit))
+func (f *fakeFabric) Fetch(sat orbit.SatID, _ cache.ObjectID, _ int64) (bool, error) {
+	f.calls = append(f.calls, fmt.Sprintf("Fetch(%d)", sat))
 	return f.answer("Fetch", sat)
 }
 
@@ -81,7 +80,6 @@ func TestLadderRoute(t *testing.T) {
 		ladder    Ladder
 		first     orbit.SatID
 		obj       cache.ObjectID
-		stage     shed.Stage
 		ownerDown bool
 		transient func(orbit.SatID) bool
 		want      Route
@@ -92,22 +90,8 @@ func TestLadderRoute(t *testing.T) {
 		{name: "local owner", ladder: l, first: fx.first, obj: fx.local, want: contact(fx.first)},
 		{name: "remote owner", ladder: l, first: fx.first, obj: fx.remote, want: contact(fx.owner)},
 		{name: "hashing off", ladder: Ladder{Hash: core.OneBucket(fx.h.Grid()), Relay: true}, first: fx.first, obj: fx.remote,
-			stage: shed.StageHitsOnly, want: contact(fx.first)},
-		{name: "transient owner", ladder: l, first: fx.first, obj: fx.remote, ownerDown: true, transient: down,
-			want: verdict(-1, Fetched{Source: SourceGround, Degraded: true}), hop: "ground -1"},
-		{name: "stage 1 remote owner", ladder: l, first: fx.first, obj: fx.remote, stage: shed.StageRelayOff,
-			want: verdict(-1, Fetched{Source: SourceGround, Action: shed.ActionDirectGround}), hop: "ground -1"},
-		{name: "stage 2 remote owner", ladder: l, first: fx.first, obj: fx.remote, stage: shed.StageAdmission,
-			want: verdict(-1, Fetched{Source: SourceGround, Action: shed.ActionDirectGround}), hop: "ground -1"},
-		{name: "stage 3 remote owner", ladder: l, first: fx.first, obj: fx.remote, stage: shed.StageHitsOnly,
-			want: verdict(fx.owner, Fetched{Source: SourceShed, Action: shed.ActionHitOnly}),
-			hop:  fmt.Sprintf("shed %d", fx.owner)},
-		{name: "stage 3 local owner", ladder: l, first: fx.first, obj: fx.local, stage: shed.StageHitsOnly,
 			want: contact(fx.first)},
-		// The transient verdict outranks the stage gates: the §3.4 burn
-		// signal persists at every stage.
-		{name: "stage 3 transient owner", ladder: l, first: fx.first, obj: fx.remote, stage: shed.StageHitsOnly,
-			ownerDown: true, transient: down,
+		{name: "transient owner", ladder: l, first: fx.first, obj: fx.remote, ownerDown: true, transient: down,
 			want: verdict(-1, Fetched{Source: SourceGround, Degraded: true}), hop: "ground -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,7 +99,7 @@ func TestLadderRoute(t *testing.T) {
 				c.SetActive(fx.owner, false)
 				defer c.SetActive(fx.owner, true)
 			}
-			got := tc.ladder.Route(tc.first, tc.obj, tc.stage, tc.transient)
+			got := tc.ladder.Route(tc.first, tc.obj, tc.transient)
 			if got != tc.want {
 				t.Errorf("Route = %+v, want %+v", got, tc.want)
 			}
@@ -136,17 +120,11 @@ func TestLadderRoute(t *testing.T) {
 		}
 		// A long-term loss: with or without a transient oracle that clears it.
 		for _, transient := range []func(orbit.SatID) bool{nil, func(orbit.SatID) bool { return false }} {
-			if got := l.Route(fx.first, fx.remote, shed.StageNormal, transient); got != contact(heir) {
+			if got := l.Route(fx.first, fx.remote, transient); got != contact(heir) {
 				t.Errorf("Route = %+v, want contact with heir %d", got, heir)
 			}
 		}
 	})
-
-	// A session turned away is charged to the first contact.
-	reject := Route{First: fx.first, Home: -1, Fetched: Fetched{Source: SourceShed, Action: shed.ActionRejectSession}}
-	if hop := reject.Hop(); hop.Kind != "shed" || hop.Sat != int(fx.first) {
-		t.Errorf("session-reject hop = %+v, want shed at first contact %d", hop, fx.first)
-	}
 }
 
 func TestLadderFetch(t *testing.T) {
@@ -170,7 +148,7 @@ func TestLadderFetch(t *testing.T) {
 	probe := func(sat orbit.SatID, via Source, touch bool) string {
 		return fmt.Sprintf("Probe(%d,%v,%v)", sat, via, touch)
 	}
-	fetch, peek := fmt.Sprintf("Fetch(%d,true)", home), fmt.Sprintf("Fetch(%d,false)", home)
+	fetch := fmt.Sprintf("Fetch(%d)", home)
 	probeW, probeE := probe(w, SourceRelayWest, true), probe(e, SourceRelayEast, true)
 	peekE := probe(e, SourceRelayEast, false)
 
@@ -178,7 +156,6 @@ func TestLadderFetch(t *testing.T) {
 		name    string
 		ladder  Ladder
 		first   orbit.SatID // Route.First; home is always fx.owner
-		stage   shed.Stage
 		has     map[string]bool
 		errs    map[string]error
 		stats   bool
@@ -192,8 +169,6 @@ func TestLadderFetch(t *testing.T) {
 			want: Fetched{Source: SourceBucket}, calls: []string{fetch}},
 		{name: "local hit", ladder: full, first: home, has: map[string]bool{k("Fetch", home): true},
 			want: Fetched{Source: SourceLocal}, calls: []string{fetch}},
-		{name: "stage 3 hit is served", ladder: full, first: home, stage: shed.StageHitsOnly,
-			has: map[string]bool{k("Fetch", home): true}, want: Fetched{Source: SourceLocal}, calls: []string{peek}},
 		{name: "relay west", ladder: full, first: fx.first, has: map[string]bool{k("Probe", w): true, k("Probe", e): true},
 			want: Fetched{Source: SourceRelayWest, Relay: w}, calls: []string{fetch, probeW}},
 		{name: "relay east", ladder: full, first: fx.first, has: map[string]bool{k("Probe", e): true},
@@ -212,21 +187,9 @@ func TestLadderFetch(t *testing.T) {
 			tally: RelayAvailability{EastOnlyReq: 1, EastOnlyBytes: 100}},
 		{name: "stats: full miss tallies nothing", ladder: full, first: fx.first, stats: true,
 			want: Fetched{Source: SourceGround}, calls: []string{fetch, probeW, probeE}},
-		{name: "stage 1 skips probes", ladder: full, first: home, stage: shed.StageRelayOff,
-			has:  map[string]bool{k("Probe", w): true},
-			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{fetch}},
-		{name: "stage 1 without relay skips nothing", ladder: Ladder{Hash: fx.h}, first: home,
-			stage: shed.StageRelayOff, want: Fetched{Source: SourceGround}, calls: []string{fetch}},
 		{name: "relay off", ladder: Ladder{Hash: fx.h}, first: fx.first,
 			has:  map[string]bool{k("Probe", w): true},
 			want: Fetched{Source: SourceGround}, calls: []string{fetch}},
-		// Stage 2 gates only new sessions: an owner miss still admits, and
-		// the relay stays off as at stage 1.
-		{name: "stage 2 still admits", ladder: full, first: home, stage: shed.StageAdmission,
-			has:  map[string]bool{k("Probe", w): true},
-			want: Fetched{Source: SourceGround, Action: shed.ActionRelaySkip}, calls: []string{fetch}},
-		{name: "stage 3 admits nothing", ladder: full, first: home, stage: shed.StageHitsOnly,
-			want: Fetched{Source: SourceShed, Action: shed.ActionHitOnly}, calls: []string{peek}},
 		{name: "owner unreachable", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): gone},
 			want: Fetched{Source: SourceGround, Degraded: true}, calls: []string{fetch}},
 		{name: "owner hard error", ladder: full, first: fx.first, errs: map[string]error{k("Fetch", home): boom},
@@ -266,7 +229,7 @@ func TestLadderFetch(t *testing.T) {
 				stats = &RelayAvailability{}
 			}
 			rt := Route{First: tc.first, Home: home, Contact: true}
-			got, err := tc.ladder.Fetch(f, rt, &trace.Request{Object: fx.remote, Size: 100}, tc.stage, stats)
+			got, err := tc.ladder.Fetch(f, rt, &trace.Request{Object: fx.remote, Size: 100}, stats)
 			if !errors.Is(err, tc.wantErr) || (err != nil) != (tc.wantErr != nil) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -280,13 +243,5 @@ func TestLadderFetch(t *testing.T) {
 				t.Errorf("relay tally = %+v, want %+v", *stats, tc.tally)
 			}
 		})
-	}
-}
-
-// TestLadderSignal: the controller feedback is the verdict's two fields.
-func TestLadderSignal(t *testing.T) {
-	f := Fetched{Source: SourceGround, Degraded: true, Action: shed.ActionRelaySkip}
-	if got := f.Signal(); got != (shed.Signal{Degraded: true, Action: shed.ActionRelaySkip}) {
-		t.Errorf("Signal = %+v", got)
 	}
 }

@@ -23,15 +23,11 @@ const (
 	// (§7 intermediate design): a cache hit for latency purposes, but the
 	// content still consumes the satellite uplink.
 	SourceGroundEdge
-	// SourceShed is a request rejected by overload control (shed.Action):
-	// no content moved, no uplink or ISL capacity consumed. It counts as a
-	// miss for hit-rate purposes but is excluded from uplink accounting.
-	SourceShed
 )
 
 // numSources is the number of defined service sources; Sources() and the
 // per-source metric vectors in Run are sized by it.
-const numSources = int(SourceShed) + 1
+const numSources = int(SourceGroundEdge) + 1
 
 // sourceNames maps each Source to its stable wire/metric-label name. Metric
 // series and trace JSONL use these names, never the Source(%d) fallback.
@@ -43,7 +39,6 @@ var sourceNames = [numSources]string{
 	SourceGround:     "ground",
 	SourceNoCover:    "no-coverage",
 	SourceGroundEdge: "ground-edge",
-	SourceShed:       "shed",
 }
 
 // Sources enumerates every defined service source in declaration order —
@@ -81,7 +76,7 @@ func (s Source) Hit() bool {
 // Uplink reports whether the source's bytes climb the satellite uplink: a
 // ground fetch, a bent-pipe serve, and a ground-edge hit, which avoids the
 // origin fetch but not the uplink — the §7 trade-off Metrics.UplinkBytes
-// exists to expose. A shed request moved no bytes at all.
+// exists to expose.
 func (s Source) Uplink() bool {
 	return s == SourceGround || s == SourceNoCover || s == SourceGroundEdge
 }

@@ -59,7 +59,7 @@ func TestSourceTextRoundTrip(t *testing.T) {
 // TestSourceHit: the hit set is exactly the satellite-cache (and ground-edge)
 // sources; ground fetches and uncovered requests are misses. The uplink set is
 // every source whose bytes come up from the ground: ground fetches, uncovered
-// requests and ground-edge hits, never a shed request.
+// requests and ground-edge hits.
 func TestSourceHit(t *testing.T) {
 	want := map[Source]struct{ hit, uplink bool }{
 		SourceLocal:      {hit: true},

@@ -51,10 +51,9 @@ type PopObs struct {
 }
 
 // PopRecord is one served request as the telemetry sees it. Sat < 0 means no
-// satellite served (no coverage, degraded, or session-rejected) and Bucket <
-// 0 that the object has no consistent-hash bucket; a NaN LatencyMs (a
-// replayed request that never crossed the wire) is skipped by the quantile
-// sketch. TraceID is the sampled request's trace identity ("" when
+// satellite served (no coverage or degraded) and Bucket < 0 that the object
+// has no consistent-hash bucket; a NaN LatencyMs (a replayed request that
+// never crossed the wire) is skipped by the quantile sketch. TraceID is the sampled request's trace identity ("" when
 // unsampled) and becomes the exemplar linking hot entries back to assembled
 // distributed traces. The unexported fields carry what sim.Run's counters
 // need besides.

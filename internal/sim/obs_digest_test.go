@@ -19,10 +19,14 @@ import (
 // carry the full keyed entries and exemplars, and every recorder ring. It was
 // re-pinned when the top-K entries lost their Count-Min "refined" estimate,
 // after checking that the exposition equals the previous one with those keys
-// removed and every ring is unchanged, so a change to bucket indices,
-// eviction order, the exemplar rule or a ring value shows here as a digest
-// mismatch.
-const obsArtifactsDigest = "001be32ec51e2f02fdcba7d8f6965f0c1b77cbc6716a8caaaab21657d1ebd4b2"
+// removed and every ring is unchanged. It was re-pinned again when the
+// overload controller and its source went, after checking that the
+// exposition equals the previous one with the one series
+// starcdn_sim_requests_total{source="shed"} removed, and that the rings are
+// the previous rings less that series' ring, every other one bit for bit. So
+// a change to bucket indices, eviction order, the exemplar rule or a ring
+// value shows here as a digest mismatch.
+const obsArtifactsDigest = "e9f1745e9eb0b1d9798cd7afeb5075a3ebd2b8efab0b14c5a74c7d09879cb796"
 
 // wallClockSeries reports the families whose values are wall-clock
 // measurements and therefore differ run to run.

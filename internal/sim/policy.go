@@ -7,7 +7,6 @@ import (
 	"starcdn/internal/core"
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
-	"starcdn/internal/shed"
 	"starcdn/internal/trace"
 )
 
@@ -23,35 +22,24 @@ type ServeContext struct {
 	// hop per segment the request traverses (AddHop is nil-safe, so
 	// instrumented paths need no guard).
 	Span *obs.Span
-	// ShedStage is the overload-control stage active for this request
-	// (shed.StageNormal when no shedder is wired in). Policies hand it to
-	// the Ladder, whose gates drop work by stage; the runner handles
-	// session admission before Serve is reached.
-	ShedStage shed.Stage
 	// Phase is the request's phase-timer mark chain (obs.PhaseProfiler):
 	// policies mark the obs.PhaseSim* stage boundaries (hash ownership,
 	// cache op, relay/ground) as the request traverses them. Mark is
 	// nil-safe and free when profiling is off; policies without internal
 	// marks leave their serve time attributed to the obs stage. Rare early
-	// exits (no coverage, degraded owner, shed short-circuits) skip marking
-	// and likewise fall into the obs residue.
+	// exits (no coverage, degraded owner) skip marking and likewise fall
+	// into the obs residue.
 	Phase *obs.PhaseClock
 }
 
 // Outcome is a policy's answer: where the request was served and the
 // latency legs it crossed, which Run prices after the decision (a policy
 // never draws). The ISL legs also carry the request's inter-satellite
-// traffic: its bytes times the route and relay hops, unless it was shed.
+// traffic: its bytes times the route and relay hops.
 type Outcome struct {
 	Source    Source
 	ServerSat orbit.SatID // satellite whose cache served or missed
 	Legs      Legs
-	// Signal is the overload controller's feedback: what overload control
-	// did to this request, and whether it was the §3.4 miss-through — the
-	// ladder's verdict (Fetched.Signal), so only StarCDN reports one; a
-	// baseline's ground serve is its design, not a failure. Four fields in
-	// 32 bytes is what the compiler keeps in registers.
-	Signal shed.Signal
 }
 
 // Policy is a satellite CDN content placement/fetch scheme.
@@ -104,11 +92,11 @@ func (s *satCaches) at(id orbit.SatID) cache.Policy {
 
 // Fetch implements Fabric. The cache stage closes on the Get; the admit is
 // charged to the relay/ground stage that follows.
-func (s *satCaches) Fetch(sat orbit.SatID, obj cache.ObjectID, size int64, admitMiss bool) (bool, error) {
+func (s *satCaches) Fetch(sat orbit.SatID, obj cache.ObjectID, size int64) (bool, error) {
 	c := s.at(sat)
 	hit := c.Get(obj)
 	s.phase.Mark(obs.PhaseSimCache)
-	if !hit && admitMiss {
+	if !hit {
 		admit(c, obj, size)
 	}
 	return hit, nil
@@ -275,14 +263,10 @@ func (p *StarCDN) Name() string {
 // the route legs after Route, the relay or ground leg after Fetch.
 func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 	req := ctx.Req
-	rt := p.ladder.Route(ctx.First, req.Object, ctx.ShedStage, ctx.TransientDown)
+	rt := p.ladder.Route(ctx.First, req.Object, ctx.TransientDown)
 	if !rt.Contact {
-		out := Outcome{Source: rt.Source, ServerSat: rt.Home, Signal: rt.Signal()}
-		if rt.Source != SourceShed {
-			out.Legs.Tail = TailGround
-		}
 		ctx.Span.AddHop(rt.Hop())
-		return out
+		return Outcome{Source: rt.Source, ServerSat: rt.Home, Legs: Legs{Tail: TailGround}}
 	}
 	home := rt.Home
 	ph, sh := p.hash.RoutingHops(ctx.First, home)
@@ -295,15 +279,13 @@ func (p *StarCDN) Serve(ctx *ServeContext) Outcome {
 	ctx.Phase.Mark(obs.PhaseSimHash)
 	p.caches.phase = ctx.Phase
 	// No error to handle: satCaches' Fetch and Probe return a literal nil.
-	got, _ := p.ladder.Fetch(p.caches, rt, req, ctx.ShedStage, p.relayStats)
-	out.Source, out.Signal = got.Source, got.Signal()
+	got, _ := p.ladder.Fetch(p.caches, rt, req, p.relayStats)
+	out.Source = got.Source
 	switch got.Source {
 	case SourceLocal, SourceBucket:
 		if p.prefetch != nil {
 			p.prefetch.recordHit(home, req.Object)
 		}
-	case SourceShed:
-		ctx.Span.AddHop(obs.Hop{Kind: "shed", Sat: int(home)})
 	case SourceRelayWest, SourceRelayEast:
 		out.Legs.RelayHops = uint8(p.hash.RelayHops())
 		ctx.Span.AddHop(obs.Hop{Kind: got.Source.String(), Sat: int(got.Relay),

@@ -9,7 +9,6 @@ import (
 	"starcdn/internal/obs"
 	"starcdn/internal/orbit"
 	"starcdn/internal/sched"
-	"starcdn/internal/shed"
 	"starcdn/internal/trace"
 )
 
@@ -77,22 +76,15 @@ type Config struct {
 	// carries on after its last point (Recorder.Resume).
 	Recorder *obs.Recorder
 	// Phases, when non-nil, attributes the run's wall-clock cost to the
-	// pipeline stages (shed tick, scheduler lookup, hash ownership, cache op,
-	// relay/ground path, obs emit). Build it with obs.NewSimPhases — the
-	// runner and the StarCDN policy mark the obs.PhaseSim* stage indices.
+	// pipeline stages (failure cursor and recorder tick, scheduler lookup,
+	// hash ownership, cache op, relay/ground path, obs emit). Build it with
+	// obs.NewSimPhases — the runner and the StarCDN policy mark the
+	// obs.PhaseSim* stage indices.
 	// Marks only read the monotonic clock into write-only accumulators — no
 	// RNG, no simulation state — so results are byte-identical with phases on
 	// or off. Bind the profiler to Recorder (BindRecorder) to flush stage
 	// seconds per recorder epoch; Run always flushes the tail at the end.
 	Phases *obs.PhaseProfiler
-	// Shedder, when non-nil, closes the overload-control loop: it is ticked
-	// on simulated time before each request, consulted for session
-	// admission and the active shed stage, and fed the request's outcome.
-	// Unlike Metrics/Tracer/Recorder it DOES change results — that is its
-	// job — but deterministically: the same seed, trace, failures, and shed
-	// config shed the identical request set, in the sim and in the
-	// sequential TCP replayer alike.
-	Shedder *shed.Controller
 }
 
 // Run replays the trace through the policy over the constellation. users[i]
@@ -150,7 +142,7 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 	}
 	// A recorder that already holds points continues after the last of them.
 	recOrigin := cfg.Recorder.Resume()
-	// One mark chain for the whole run, begun once: the shed mark of request
+	// One mark chain for the whole run, begun once: the first mark of request
 	// i+1 closes what the obs mark of request i opened, so the stage seconds
 	// sum to the loop's wall time. Lap ends each request, which lets the clock
 	// light one request per stride and time the rest as one dark stretch. With
@@ -165,18 +157,11 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		// Advance cannot fail here: the only hook ever registered (the obs
 		// failure counters) never returns an error.
 		_ = failures.Advance(r.TimeSec)
-		// Ordering contract with the TCP replayer: failures advance, then
-		// the shed controller closes its epochs, then the request is
-		// decided — so stage changes land on identical request boundaries
-		// in both pipelines.
-		if cfg.Shedder != nil {
-			cfg.Shedder.Tick(r.TimeSec)
-		}
 		if t := recOrigin + r.TimeSec; cfg.Recorder.Due(t) {
 			pl.sync() // the snapshot sees exactly the requests before it
 			cfg.Recorder.TickAt(t)
 		}
-		pc.Mark(obs.PhaseSimShed)
+		pc.Mark(obs.PhaseSimShed) // the failure cursor and the recorder tick
 		first, visible := scheduler.FirstContact(r.Location, r.TimeSec)
 		if !visible {
 			first = -1
@@ -200,26 +185,8 @@ func Run(c *orbit.Constellation, users []geo.Point, tr *trace.Trace, p Policy, c
 		ctx.Span = span
 		ctx.First = first
 		ctx.Req = r
-		ctx.ShedStage = shed.StageNormal
-		if cfg.Shedder != nil {
-			ctx.ShedStage = cfg.Shedder.Stage()
-		}
 		pc.Mark(obs.PhaseSimSched)
-		var out Outcome
-		if cfg.Shedder != nil && first >= 0 && !cfg.Shedder.AdmitSession(r.Location, r.TimeSec) {
-			// Stage ≥ 2 turned the session away: no cache touch, no
-			// uplink, just the rejection riding the user link back.
-			out = Outcome{Source: SourceShed, ServerSat: -1,
-				Signal: shed.Signal{Action: shed.ActionRejectSession}}
-			span.AddHop(obs.Hop{Kind: "shed", Sat: int(first)})
-		} else {
-			out = p.Serve(&ctx)
-		}
-		if cfg.Shedder != nil {
-			// The burn signal is the ladder's verdict, as Fetched.Signal
-			// gives the replay's controller, so the controllers agree.
-			cfg.Shedder.Observe(out.Signal)
-		}
+		out := p.Serve(&ctx)
 		pl.add(record{first: int32(first), server: int32(out.ServerSat), legs: out.Legs,
 			src: uint8(out.Source)}, span)
 		pc.Mark(obs.PhaseSimObs)

@@ -10,7 +10,7 @@
 #
 #   phase 1 (static):  gofmt, go vet, starcdn-lint, starcdn-lint -waivers
 #   phase 2 (build):   go build
-#   phase 3 (test):    go test -race
+#   phase 3 (test):    go test -race -count=1 (never answered from the cache)
 #   phase 4 (smoke):   chaos pass, obs smoke, bench smoke, report goldens
 #   phase 5 (perf):    starcdn-bench regression gate (the hard allocs/op
 #                      budgets — the tree's single allocation gate)
@@ -46,11 +46,13 @@ step_waivers() { go run ./cmd/starcdn-lint -waivers ./...; }
 
 step_build() { go build ./...; }
 
-step_test_race() { go test -race ./...; }
+# Every test once under the race detector, the chaos, differential and fault
+# suites included. -count=1 makes the run real: a cached pass would prove
+# nothing about this tree's scheduling.
+step_test_race() { go test -race -count=1 ./...; }
 
-# Seeded fault schedules + injected network faults through the TCP
-# replayer and the overload-control smoke, under the race detector
-# (DESIGN.md §8). The test list is `make chaos`'s.
+# The concurrent handoffs repeated under the race detector (DESIGN.md §8):
+# sim.Run's pipeline and the replay window. The lists are `make chaos`'s.
 step_chaos() { make -s chaos; }
 
 # Live /metrics + /healthz + pprof scrape during a TCP replay, then span
@@ -140,14 +142,14 @@ reap build "go build ./..."
 gate build
 
 spawn trace step_test_race
-reap trace "go test -race ./..."
+reap trace "go test -race -count=1 ./..."
 gate test
 
 spawn chaos step_chaos
 spawn obs step_obs
 spawn bench step_bench
 spawn reports step_reports
-reap chaos "chaos pass (-race)"
+reap chaos "chaos pass (-race, repeated)"
 reap obs "obs smoke (metrics endpoint + span tracing)"
 reap bench "bench smoke (-bench=. -benchtime=1x)"
 reap reports "report goldens (starcdn-sim -experiment all, seeds 42 and 107)"

@@ -34,7 +34,9 @@ waivers:
 fmt:
 	gofmt -w $(shell gofmt -l . | grep -v '^cmd/starcdn-lint/testdata/')
 
-## bench: full benchmark run (figures regenerate; see bench_test.go).
+## bench: run every Go benchmark in the tree once over (the per-layer
+## micro-benchmarks and BenchmarkSimHotPath); the figures come from
+## `starcdn-sim -experiment`, and the gated numbers from `make bench-check`.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
@@ -92,7 +94,6 @@ reports:
 ## execs/s; 100 shrink attempts keep it exploring.
 FUZZTIME ?= 60s
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzParseTLE$$' -fuzztime=$(FUZZTIME) ./internal/orbit/
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzSort$$' -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run='^$$' -fuzz='^FuzzServerHandle$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/replayer/

@@ -12,9 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"starcdn/internal/geo"
@@ -24,169 +25,201 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("spacegen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "spacegen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, writes trace statistics to stdout and
+// notes on the files it writes to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("spacegen", flag.ContinueOnError)
 	var (
-		synthProd = flag.Bool("synthesize-production", false,
+		synthProd = fs.Bool("synthesize-production", false,
 			"generate a production-like trace (Akamai-trace substitute) instead of reading one")
-		class      = flag.String("class", "video", "traffic class: video, web, download")
-		requests   = flag.Int("requests", 100000, "requests for -synthesize-production")
-		duration   = flag.Float64("duration", 86400, "trace span in seconds for -synthesize-production")
-		in         = flag.String("in", "", "input trace file (binary format)")
-		generate   = flag.Int("generate", 0, "fit models from -in (or -models) and generate this many synthetic requests")
-		out        = flag.String("out", "", "output trace file (binary format)")
-		saveModels = flag.String("save-models", "", "fit models from -in and save them as JSON to this file")
-		models     = flag.String("models", "", "load previously saved models instead of fitting from -in")
-		text       = flag.String("text", "", "write the -in trace as tab-separated text to this file")
-		stats      = flag.Bool("stats", false, "print statistics of the -in trace")
-		seed       = flag.Int64("seed", 42, "random seed")
+		class      = fs.String("class", "video", "traffic class: video, web, download")
+		requests   = fs.Int("requests", 100000, "requests for -synthesize-production")
+		duration   = fs.Float64("duration", 86400, "trace span in seconds for -synthesize-production")
+		in         = fs.String("in", "", "input trace file (binary format)")
+		generate   = fs.Int("generate", 0, "fit models from -in (or -models) and generate this many synthetic requests")
+		out        = fs.String("out", "", "output trace file (binary format)")
+		saveModels = fs.String("save-models", "", "fit models from -in and save them as JSON to this file")
+		models     = fs.String("models", "", "load previously saved models instead of fitting from -in")
+		text       = fs.String("text", "", "write the -in trace as tab-separated text to this file")
+		stats      = fs.Bool("stats", false, "print statistics of the -in trace")
+		seed       = fs.Int64("seed", 42, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch {
 	case *synthProd:
 		cls, err := workload.ClassByName(*class)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		g, err := workload.NewGenerator(cls, geo.PaperCities(), *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tr, err := g.Generate(*requests, *duration)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		writeTrace(*out, tr)
-		printStats(tr)
+		if err := writeTrace(*out, tr); err != nil {
+			return err
+		}
+		printStats(stdout, tr)
 
 	case *saveModels != "":
-		m, err := spacegen.Fit(readTrace(*in))
+		tr, err := readTrace(*in)
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		m, err := spacegen.Fit(tr)
+		if err != nil {
+			return err
 		}
 		f, err := os.Create(*saveModels)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if err := spacegen.SaveModels(f, m); err != nil {
-			log.Fatal(err)
+		err = spacegen.SaveModels(f, m)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+		if err != nil {
+			return err
 		}
-		log.Printf("saved models for %d locations (%d GPD tuples) to %s",
+		fmt.Fprintf(os.Stderr, "spacegen: saved models for %d locations (%d GPD tuples) to %s\n",
 			len(m.GPD.Locations), len(m.GPD.Tuples), *saveModels)
 
 	case *generate > 0:
 		var m *spacegen.Models
-		var err error
 		if *models != "" {
-			f, ferr := os.Open(*models)
-			if ferr != nil {
-				log.Fatal(ferr)
+			f, err := os.Open(*models)
+			if err != nil {
+				return err
 			}
 			m, err = spacegen.LoadModels(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
+			if err != nil {
+				return err
+			}
 		} else {
-			m, err = spacegen.Fit(readTrace(*in))
-		}
-		if err != nil {
-			log.Fatal(err)
+			tr, err := readTrace(*in)
+			if err != nil {
+				return err
+			}
+			if m, err = spacegen.Fit(tr); err != nil {
+				return err
+			}
 		}
 		if err := m.ValidateRates(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gen, err := spacegen.NewGenerator(m, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		syn, err := gen.Generate(*generate)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		writeTrace(*out, syn)
-		printStats(syn)
+		if err := writeTrace(*out, syn); err != nil {
+			return err
+		}
+		printStats(stdout, syn)
 
 	case *stats:
-		printStats(readTrace(*in))
+		tr, err := readTrace(*in)
+		if err != nil {
+			return err
+		}
+		printStats(stdout, tr)
 
 	case *text != "":
-		tr := readTrace(*in)
+		tr, err := readTrace(*in)
+		if err != nil {
+			return err
+		}
 		f, err := os.Create(*text)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		err = trace.WriteText(f, tr)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			log.Fatal(err)
-		}
+		return err
 
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("nothing to do: give -synthesize-production, -save-models, -generate, -stats or -text")
 	}
+	return nil
 }
 
-func readTrace(path string) *trace.Trace {
+func readTrace(path string) (*trace.Trace, error) {
 	if path == "" {
-		log.Fatal("missing -in")
+		return nil, errors.New("missing -in")
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	tr, err := trace.Read(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("read %s: %v", path, err)
+		return nil, fmt.Errorf("read %s: %w", path, err)
 	}
-	return tr
+	return tr, nil
 }
 
-func writeTrace(path string, tr *trace.Trace) {
+// writeTrace writes tr to path; an empty path writes nothing.
+func writeTrace(path string, tr *trace.Trace) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	err = trace.Write(f, tr)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("write %s: %v", path, err)
+		return fmt.Errorf("write %s: %w", path, err)
 	}
-	log.Printf("wrote %s (%d requests)", path, tr.Len())
+	fmt.Fprintf(os.Stderr, "spacegen: wrote %s (%d requests)\n", path, tr.Len())
+	return nil
 }
 
-func printStats(tr *trace.Trace) {
+func printStats(w io.Writer, tr *trace.Trace) {
 	nObj, objBytes := tr.UniqueObjects()
-	fmt.Printf("requests:        %d\n", tr.Len())
-	fmt.Printf("duration:        %.1f h\n", tr.DurationSec()/3600)
-	fmt.Printf("traffic:         %.2f GB\n", float64(tr.TotalBytes())/(1<<30))
-	fmt.Printf("unique objects:  %d (%.2f GB footprint)\n", nObj, float64(objBytes)/(1<<30))
-	fmt.Printf("locations:       %d\n", len(tr.Locations))
+	fmt.Fprintf(w, "requests:        %d\n", tr.Len())
+	fmt.Fprintf(w, "duration:        %.1f h\n", tr.DurationSec()/3600)
+	fmt.Fprintf(w, "traffic:         %.2f GB\n", float64(tr.TotalBytes())/(1<<30))
+	fmt.Fprintf(w, "unique objects:  %d (%.2f GB footprint)\n", nObj, float64(objBytes)/(1<<30))
+	fmt.Fprintf(w, "locations:       %d\n", len(tr.Locations))
 	for i, parts := 0, tr.SplitByLocation(); i < len(parts); i++ {
-		fmt.Printf("  %-16s %10d requests\n", tr.Locations[i], parts[i].Len())
+		fmt.Fprintf(w, "  %-16s %10d requests\n", tr.Locations[i], parts[i].Len())
 	}
 	objSpread, trafSpread := workload.SpreadDistributions(tr)
-	fmt.Printf("object spread:   ")
+	fmt.Fprintf(w, "object spread:   ")
 	for k := 1; k < len(objSpread); k++ {
-		fmt.Printf("%d:%.2f ", k, objSpread[k])
+		fmt.Fprintf(w, "%d:%.2f ", k, objSpread[k])
 	}
-	fmt.Printf("\ntraffic spread:  ")
+	fmt.Fprintf(w, "\ntraffic spread:  ")
 	for k := 1; k < len(trafSpread); k++ {
-		fmt.Printf("%d:%.2f ", k, trafSpread[k])
+		fmt.Fprintf(w, "%d:%.2f ", k, trafSpread[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

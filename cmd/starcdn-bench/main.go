@@ -23,29 +23,41 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "starcdn-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command. It runs from the module root: the specs' package
+// paths and the baseline files are relative to it.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("starcdn-bench", flag.ContinueOnError)
 	var (
-		check  = flag.Bool("check", false, "compare fresh runs against committed baselines")
-		update = flag.Bool("update", false, "refresh BENCH_*.json baselines from a full run")
-		smoke  = flag.Bool("smoke", false, "with -check: single cheap run gating the allocs/op budgets only (CI gate)")
-		asJSON = flag.Bool("json", false, "emit the verdict array as JSON on stdout")
-		filter = flag.String("bench", "", "only run benchmarks whose name contains this substring")
+		check  = fs.Bool("check", false, "compare fresh runs against committed baselines")
+		update = fs.Bool("update", false, "refresh BENCH_*.json baselines from a full run")
+		smoke  = fs.Bool("smoke", false, "with -check: single cheap run gating the allocs/op budgets only (CI gate)")
+		asJSON = fs.Bool("json", false, "emit the verdict array as JSON on stdout")
+		filter = fs.String("bench", "", "only run benchmarks whose name contains this substring")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *check == *update {
-		fmt.Fprintln(os.Stderr, "starcdn-bench: exactly one of -check or -update is required")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("exactly one of -check or -update is required")
 	}
 	if *smoke && *update {
-		fmt.Fprintln(os.Stderr, "starcdn-bench: -smoke applies to -check only")
-		os.Exit(2)
+		return errors.New("-smoke applies to -check only")
 	}
 
 	files := make(map[string]*baselineFile)
@@ -55,7 +67,7 @@ func main() {
 		}
 		f, err := loadBaseline(spec.file)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		files[spec.file] = f
 	}
@@ -71,12 +83,12 @@ func main() {
 		}
 		runs, err := runSpec(spec, *smoke)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		f := files[spec.file]
 		if *update {
 			if err := applyUpdate(f, spec, runs); err != nil {
-				fatal(err)
+				return err
 			}
 			updated[spec.file] = true
 			continue
@@ -98,24 +110,25 @@ func main() {
 	if *update {
 		for path := range updated {
 			if err := saveBaseline(path, files[path]); err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "starcdn-bench: refreshed %s\n", path)
 		}
-		return
+		return nil
 	}
 
 	printTable(all)
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(all); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if anyFailure(all) {
-		os.Exit(1)
+		return errors.New("a verdict failed")
 	}
+	return nil
 }
 
 // printTable renders the human-readable verdict summary on stderr, keeping
@@ -138,9 +151,4 @@ func printTable(vs []Verdict) {
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "starcdn-bench:", err)
-	os.Exit(1)
 }

@@ -500,3 +500,25 @@ func TestInjectedDefectsCaught(t *testing.T) {
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestRunWaivers runs the command as check.sh does, from inside the module:
+// -waivers prints the waiver ledger and passes on a tree without stale
+// waivers, and without it a clean package prints nothing.
+func TestRunWaivers(t *testing.T) {
+	var ledger strings.Builder
+	if err := run([]string{"-waivers", "./internal/replayer/..."}, &ledger); err != nil {
+		t.Fatalf("-waivers: %v\n%s", err, ledger.String())
+	}
+	for _, want := range []string{
+		"internal/replayer/server.go:184: deadline: ",
+		" waiver(s), 0 problem(s)\n",
+	} {
+		if !strings.Contains(ledger.String(), want) {
+			t.Errorf("-waivers ledger lacks %q:\n%s", want, ledger.String())
+		}
+	}
+	var plain strings.Builder
+	if err := run([]string{"./internal/replayer/..."}, &plain); err != nil || plain.Len() != 0 {
+		t.Errorf("lint of a clean package: %v\n%s", err, plain.String())
+	}
+}

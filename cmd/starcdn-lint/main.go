@@ -1,18 +1,44 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
+// failure is a finished run that failed its check: findings, or waiver
+// problems with -waivers. It exits 1; any other error exits 2.
+type failure string
+
+func (f failure) Error() string { return string(f) }
+
 func main() {
-	waivers := flag.Bool("waivers", false,
+	err := run(os.Args[1:], os.Stdout)
+	var f failure
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &f):
+		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
+		os.Exit(1)
+	default:
+		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
+		os.Exit(2)
+	}
+}
+
+// run is the command: it lints the patterns, relative to the module root
+// above the working directory, and writes findings or the waiver ledger to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("starcdn-lint", flag.ContinueOnError)
+	waivers := fs.Bool("waivers", false,
 		"audit //lint:ignore directives: list rule, reason, and file:line for each, "+
 			"and fail on stale waivers (waived lines that no longer trigger the rule)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(),
 			"usage: starcdn-lint [-waivers] [packages]\n\n"+
 				"Type-checked lint for StarCDN Go packages, twelve rules: determinism\n"+
 				"(simtime, globalrand, their interprocedural taint, maporder),\n"+
@@ -20,38 +46,37 @@ func main() {
 				"hygiene (metricname, printf) and dead API (deadexport, deadfield).\n"+
 				"Patterns: ./... (whole module), ./dir/... (subtree), or a directory.\n"+
 				"Defaults to ./... relative to the enclosing module root.\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	root, err := findModuleRoot()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
-		os.Exit(2)
+		return err
 	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	res, err := runLint(root, patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "starcdn-lint:", err)
-		os.Exit(2)
+		return err
 	}
 	if *waivers {
-		if problems := auditWaivers(res, os.Stdout); problems > 0 {
-			fmt.Fprintf(os.Stderr, "starcdn-lint: %d waiver problem(s)\n", problems)
-			os.Exit(1)
+		if problems := auditWaivers(res, stdout); problems > 0 {
+			return failure(fmt.Sprintf("%d waiver problem(s)", problems))
 		}
-		return
+		return nil
 	}
 	for _, d := range res.diags {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(res.diags) > 0 {
-		fmt.Fprintf(os.Stderr, "starcdn-lint: %d finding(s)\n", len(res.diags))
-		os.Exit(1)
+		return failure(fmt.Sprintf("%d finding(s)", len(res.diags)))
 	}
+	return nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest go.mod.

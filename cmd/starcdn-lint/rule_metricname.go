@@ -86,11 +86,12 @@ var metricReservedSuffixes = []string{
 // metricLabelKeys is the bounded-cardinality label vocabulary: every literal
 // key passed to L() must name a value set bounded by design. "sat" is bounded
 // by the constellation, "le"/"rank"/"q" by the recorder's fan-out geometry,
-// the rest are small enums. Object/bucket identity is deliberately absent —
-// per-key series belong in top-K/sketch instruments.
+// "kind", "pipeline", "reason", "slo", "source" and "stage" are small enums.
+// Each key has a non-test L() call that uses it. Object/bucket identity is
+// deliberately absent — per-key series belong in top-K/sketch instruments.
 var metricLabelKeys = []string{
-	"class", "kind", "le", "path", "pipeline", "q", "rank", "reason", "sat",
-	"scheme", "slo", "source", "stage",
+	"kind", "le", "pipeline", "q", "rank", "reason", "sat", "slo", "source",
+	"stage",
 }
 
 // wellFormedMetricName reports whether name matches starcdn_[a-z0-9_]+ with

@@ -5,7 +5,7 @@
 //	starcdn-sim -list
 //	starcdn-sim -experiment fig7-l4
 //	starcdn-sim -experiment all -scale medium
-//	starcdn-sim -experiment fig9-latency -metrics-addr 127.0.0.1:9090 \
+//	starcdn-sim -experiment fig10-l9 -metrics-addr 127.0.0.1:9090 \
 //	    -trace-out spans.jsonl -trace-sample 0.1
 //
 // Each experiment prints its measured series next to the values the paper
@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,28 +29,39 @@ import (
 )
 
 func main() {
-	var (
-		list       = flag.Bool("list", false, "list available experiments and exit")
-		experiment = flag.String("experiment", "all", "experiment name, or 'all'")
-		scaleName  = flag.String("scale", "small", "experiment scale: small or medium")
-		requests   = flag.Int("requests", 0, "override trace length (requests)")
-		objects    = flag.Int("objects", 0, "override catalogue size (objects)")
-		seed       = flag.Int64("seed", 0, "override random seed")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "starcdn-sim:", err)
+		os.Exit(1)
+	}
+}
 
-		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz, and /debug/pprof on this address while experiments run (empty disables)")
-		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the experiments finish")
-		traceOut      = flag.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
-		traceSample   = flag.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
-		recordEpoch   = flag.Float64("record-epoch", 0, fmt.Sprintf("flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json, which holds the last %d epochs", obs.DefaultRecorderCapacity))
-		phasesOn      = flag.Bool("phases", false, "attribute hot-path time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
+// run is the command: it parses args and writes the reports to stdout.
+// Per-experiment timing lines go to stderr, so stdout is byte-deterministic
+// per seed.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("starcdn-sim", flag.ContinueOnError)
+	var (
+		list       = fs.Bool("list", false, "list available experiments and exit")
+		experiment = fs.String("experiment", "all", "experiment name, or 'all'")
+		scaleName  = fs.String("scale", "small", "experiment scale: small or medium")
+		seed       = fs.Int64("seed", 42, "random seed")
+
+		metricsAddr   = fs.String("metrics-addr", "", "serve /metrics, /metrics.json, /healthz, and /debug/pprof on this address while experiments run (empty disables)")
+		metricsLinger = fs.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the experiments finish")
+		traceOut      = fs.String("trace-out", "", "write request-path spans as JSONL to this file (consumed by starcdn-trace)")
+		traceSample   = fs.Float64("trace-sample", 1, "fraction of requests to trace (deterministic per-request hash)")
+		recordEpoch   = fs.Float64("record-epoch", 0, fmt.Sprintf("flight-recorder epoch in simulated seconds (0 disables; requires -metrics-addr); enables /timeseries.json, which holds the last %d epochs", obs.DefaultRecorderCapacity))
+		phasesOn      = fs.Bool("phases", false, "attribute hot-path time to pipeline stages (starcdn_phase_* histograms with -metrics-addr, end-of-run breakdown always); never changes results")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, n := range experiments.Names() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return nil
 	}
 
 	var scale experiments.Scale
@@ -58,30 +71,19 @@ func main() {
 	case "medium":
 		scale = experiments.Medium()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (small or medium)\n", *scaleName)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q (small or medium)", *scaleName)
 	}
-	if *requests > 0 {
-		scale.Requests = *requests
-	}
-	if *objects > 0 {
-		scale.Objects = *objects
-	}
-	if *seed != 0 {
-		scale.Seed = *seed
-	}
+	scale.Seed = *seed
 
 	env := experiments.NewEnv(scale)
 
 	// Observability is strictly opt-in: a nil registry/tracer keeps the
 	// simulator's hot path free of instrument lookups.
 	if *recordEpoch > 0 && *metricsAddr == "" {
-		fmt.Fprintln(os.Stderr, "-record-epoch requires -metrics-addr")
-		os.Exit(2)
+		return errors.New("-record-epoch requires -metrics-addr")
 	}
 	if *metricsAddr != "" {
 		env.Obs = obs.NewRegistry()
-		var runtimeBridge *obs.RuntimeBridge
 		if *recordEpoch > 0 {
 			// The recorder ticks on simulated time: sim.Run advances it per
 			// request, so epochs line up with the trace clock, not wall time.
@@ -89,7 +91,7 @@ func main() {
 		}
 		// The runtime bridge rides the recorder's epochs when there is one;
 		// otherwise /healthz samples it on demand.
-		runtimeBridge = obs.NewRuntimeBridge(env.Obs)
+		runtimeBridge := obs.NewRuntimeBridge(env.Obs)
 		runtimeBridge.BindRecorder(env.Recorder)
 		srv, err := obs.ServeWith(*metricsAddr, obs.ServeOptions{
 			Registry: env.Obs,
@@ -102,11 +104,14 @@ func main() {
 			Runtime:  runtimeBridge,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("metrics: %w", err)
 		}
-		defer func() { _ = srv.Close() }()
-		fmt.Printf("metrics: listening on %s\n", srv.Addr())
+		defer func() {
+			if cerr := srv.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		fmt.Fprintf(stdout, "metrics: listening on %s\n", srv.Addr())
 	}
 	if *phasesOn {
 		// With a registry the per-epoch stage costs also land in
@@ -117,11 +122,9 @@ func main() {
 	}
 	var traceFile *os.File
 	if *traceOut != "" {
-		var err error
 		traceFile, err = os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("trace: %w", err)
 		}
 		env.Tracer = obs.NewTracer(traceFile, *traceSample, sim.TraceSeed)
 	}
@@ -134,35 +137,33 @@ func main() {
 		start := time.Now()
 		out, err := experiments.Run(env, name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		// Timing goes to stderr: stdout is the report, byte-deterministic per seed.
 		fmt.Fprintf(os.Stderr, "[%s completed in %s]\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if env.Tracer != nil {
 		if err := env.Tracer.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("trace: %w", err)
 		}
 		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("trace spans: %d written to %s\n", env.Tracer.Emitted(), *traceOut)
+		fmt.Fprintf(stdout, "trace spans: %d written to %s\n", env.Tracer.Emitted(), *traceOut)
 	}
 	if env.Recorder != nil {
-		fmt.Printf("recorder: %d epochs at %gs (simulated time), the last %d held for /timeseries.json\n",
+		fmt.Fprintf(stdout, "recorder: %d epochs at %gs (simulated time), the last %d held for /timeseries.json\n",
 			env.Recorder.Epochs(), env.Recorder.EpochSec(), env.Recorder.Retained())
 	}
 	if env.Phases != nil {
 		env.Phases.FlushEpoch()
-		fmt.Print(env.Phases.String())
+		fmt.Fprint(stdout, env.Phases.String())
 	}
 	if *metricsAddr != "" && *metricsLinger > 0 {
-		fmt.Printf("metrics: lingering %s for scrapes\n", *metricsLinger)
+		fmt.Fprintf(stdout, "metrics: lingering %s for scrapes\n", *metricsLinger)
 		time.Sleep(*metricsLinger)
 	}
+	return nil
 }

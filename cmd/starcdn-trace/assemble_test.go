@@ -1,8 +1,8 @@
 package main
 
 import (
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -135,27 +135,22 @@ func TestEmptyInputExitsZero(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "starcdn-trace")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
 	for _, args := range [][]string{
 		{"-in", empty},
 		{"-assemble", "-in", empty},
 		{"-in", empty + "," + empty},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err != nil {
-			t.Errorf("%v: exited non-zero: %v\n%s", args, err, out)
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Errorf("%v: %v\n%s", args, err, out.String())
 			continue
 		}
-		if !strings.Contains(string(out), "no spans") {
-			t.Errorf("%v: output %q lacks 'no spans'", args, out)
+		if !strings.Contains(out.String(), "no spans") {
+			t.Errorf("%v: output %q lacks 'no spans'", args, out.String())
 		}
 	}
 	// A missing file is still an error.
-	if _, err := exec.Command(bin, "-in", filepath.Join(dir, "nope.jsonl")).CombinedOutput(); err == nil {
+	if err := run([]string{"-in", filepath.Join(dir, "nope.jsonl")}, io.Discard); err == nil {
 		t.Error("missing input file did not fail")
 	}
 }

@@ -20,9 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -30,45 +31,54 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("starcdn-trace: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "starcdn-trace:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("starcdn-trace", flag.ContinueOnError)
 	var (
-		in       = flag.String("in", "", "input span file(s), comma-separated (JSONL from -trace-out, required)")
-		top      = flag.Int("top", 10, "number of slowest paths/traces to list")
-		by       = flag.String("by", "auto", "latency axis: sim, wall, or auto (wall when present)")
-		doAssemb = flag.Bool("assemble", false, "stitch multi-process span files into per-trace trees")
+		in       = fs.String("in", "", "input span file(s), comma-separated (JSONL from -trace-out, required)")
+		top      = fs.Int("top", 10, "number of slowest paths/traces to list")
+		by       = fs.String("by", "auto", "latency axis: sim, wall, or auto (wall when present)")
+		doAssemb = fs.Bool("assemble", false, "stitch multi-process span files into per-trace trees")
 	)
-	flag.Parse()
-	files := splitFiles(*in)
-	files = append(files, flag.Args()...)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	files := append(splitFiles(*in), fs.Args()...)
 	if len(files) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("no input span files")
 	}
 	switch *by {
 	case "sim", "wall", "auto":
 	default:
-		log.Fatalf("-by %q: want sim, wall, or auto", *by)
+		return fmt.Errorf("-by %q: want sim, wall, or auto", *by)
 	}
 	var spans []obs.Span
 	for _, name := range files {
 		s, err := readSpanFile(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		spans = append(spans, s...)
 	}
 	if *doAssemb {
-		fmt.Print(assembleReport(spans, len(files), *by, *top))
-		return
+		fmt.Fprint(stdout, assembleReport(spans, len(files), *by, *top))
+		return nil
 	}
 	if len(spans) == 0 {
 		// Zero-span inputs are a valid (if disappointing) result, not an
 		// error: report it plainly and exit 0.
-		fmt.Printf("no spans (%d input files)\n", len(files))
-		return
+		fmt.Fprintf(stdout, "no spans (%d input files)\n", len(files))
+		return nil
 	}
-	fmt.Print(summarize(spans, *by, *top))
+	fmt.Fprint(stdout, summarize(spans, *by, *top))
+	return nil
 }
 
 // splitFiles parses the comma-separated -in list, dropping empty entries.

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -116,5 +119,68 @@ func TestSummarizeWallAxis(t *testing.T) {
 func TestSummarizeEmpty(t *testing.T) {
 	if out := summarize(nil, "auto", 5); !strings.Contains(out, "no spans") {
 		t.Errorf("empty input: %q", out)
+	}
+}
+
+// writeSpans writes spans as a JSONL span file and returns its path.
+func writeSpans(t *testing.T, name string, spans []obs.Span) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(f)
+	for _, s := range spans {
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runTrace runs the command in-process and returns its stdout.
+func runTrace(t *testing.T, args ...string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return out.String()
+}
+
+// TestRunFlags drives the command's four flags: -in reads the span files
+// (comma-separated), -top bounds the slow-path list, -by picks the latency
+// axis, and -assemble switches to the cross-process tree report.
+func TestRunFlags(t *testing.T) {
+	wall := writeSpans(t, "wall.jsonl", []obs.Span{
+		{Req: 0, Source: "bucket", Hit: true, SimMs: 5, WallMs: 2.5,
+			Hops: []obs.Hop{{Kind: "owner", Sat: 7, WallMs: 2.5}}},
+		{Req: 1, Source: "ground", Hit: false, SimMs: 1, WallMs: 9},
+	})
+	auto := runTrace(t, "-in", wall, "-top", "1")
+	if !strings.Contains(auto, "latency axis: wall") || !strings.Contains(auto, "top 1 slow paths") {
+		t.Errorf("-top 1 on wall spans:\n%s", auto)
+	}
+	if strings.Contains(auto, "req 0") {
+		t.Errorf("-top 1 listed the faster request:\n%s", auto)
+	}
+	sim := runTrace(t, "-in", wall, "-top", "1", "-by", "sim")
+	if !strings.Contains(sim, "latency axis: sim") || !strings.Contains(sim, "req 0") {
+		t.Errorf("-by sim did not rank by sim latency:\n%s", sim)
+	}
+	if err := run([]string{"-in", wall, "-by", "cpu"}, &strings.Builder{}); err == nil {
+		t.Error("-by cpu accepted")
+	}
+
+	spans := assemblyFixture()
+	client := writeSpans(t, "client.jsonl", spans[:4])
+	servers := writeSpans(t, "servers.jsonl", spans[4:])
+	out := runTrace(t, "-assemble", "-top", "5", "-in", client+","+servers)
+	if want := assembleReport(spans, 2, "auto", 5); out != want {
+		t.Errorf("-assemble over two files:\n%s\nwant\n%s", out, want)
 	}
 }

@@ -3,8 +3,7 @@
 // prints the measured series next to the values the paper reports, so the
 // shape claims (scheme ordering, StarCDN-vs-LRU gap, uplink savings, latency
 // improvement, west-relay dominance, failure degradation) can be checked at
-// a glance. The same functions back the bench harness (bench_test.go) and
-// the starcdn-sim binary.
+// a glance. starcdn-sim runs them by registry name.
 package experiments
 
 import (
@@ -40,7 +39,8 @@ type Scale struct {
 	Seed             int64
 }
 
-// Small returns the default laptop-scale configuration used by the benches.
+// Small returns the default laptop-scale configuration, the scale of the
+// report goldens and of BenchmarkSimHotPath.
 func Small() Scale {
 	return Scale{
 		Requests:    150_000,

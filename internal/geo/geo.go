@@ -85,28 +85,6 @@ func SlantRangeKm(gammaRad, altKm float64) float64 {
 	return math.Sqrt(d2)
 }
 
-// ElevationDeg returns the elevation angle (degrees above the horizon) at
-// which a ground observer sees a satellite at altitude altKm whose
-// sub-satellite point is gammaRad away. Negative values mean the satellite
-// is below the horizon.
-func ElevationDeg(gammaRad, altKm float64) float64 {
-	r := EarthRadiusKm
-	s := r + altKm
-	d := SlantRangeKm(gammaRad, altKm)
-	if d == 0 {
-		return 90
-	}
-	// sin(elev) = (s*cos(gamma) - r) / d
-	sinE := (s*math.Cos(gammaRad) - r) / d
-	if sinE > 1 {
-		sinE = 1
-	}
-	if sinE < -1 {
-		sinE = -1
-	}
-	return Degrees(math.Asin(sinE))
-}
-
 // CoverageAngleRad returns the maximum great-circle central angle at which a
 // satellite at altitude altKm is still visible above minElevDeg degrees of
 // elevation. This is the angular radius of the satellite's footprint.

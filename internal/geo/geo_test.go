@@ -76,15 +76,38 @@ func clampLat(v float64) float64 {
 	return math.Mod(v, 90)
 }
 
+// elevationDeg returns the elevation angle (degrees above the horizon) at
+// which a ground observer sees a satellite at altitude altKm whose
+// sub-satellite point is gammaRad away. Negative values mean the satellite
+// is below the horizon. It is the oracle CoverageAngleRad is checked
+// against.
+func elevationDeg(gammaRad, altKm float64) float64 {
+	r := EarthRadiusKm
+	s := r + altKm
+	d := SlantRangeKm(gammaRad, altKm)
+	if d == 0 {
+		return 90
+	}
+	// sin(elev) = (s*cos(gamma) - r) / d
+	sinE := (s*math.Cos(gammaRad) - r) / d
+	if sinE > 1 {
+		sinE = 1
+	}
+	if sinE < -1 {
+		sinE = -1
+	}
+	return Degrees(math.Asin(sinE))
+}
+
 func TestElevationAndCoverage(t *testing.T) {
 	// Directly overhead: elevation 90.
-	if e := ElevationDeg(0, 550); !almostEq(e, 90, 1e-6) {
+	if e := elevationDeg(0, 550); !almostEq(e, 90, 1e-6) {
 		t.Errorf("overhead elevation = %v, want 90", e)
 	}
 	// At the coverage edge the elevation equals the mask.
 	for _, mask := range []float64{10, 25, 40} {
 		gamma := CoverageAngleRad(550, mask)
-		if e := ElevationDeg(gamma, 550); !almostEq(e, mask, 1e-6) {
+		if e := elevationDeg(gamma, 550); !almostEq(e, mask, 1e-6) {
 			t.Errorf("elevation at coverage edge (mask %v) = %v", mask, e)
 		}
 	}

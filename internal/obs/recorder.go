@@ -21,8 +21,7 @@ import (
 //
 // Counters and gauges record their value per epoch under their canonical
 // series key (name{labels}). Histograms fan out into `<key>_count`,
-// `<key>_sum`, and one `<name>_bucket{...,le="..."}` series per bound, which
-// is what lets the SLO engine compute windowed quantiles from bucket deltas.
+// `<key>_sum`, and one `<name>_bucket{...,le="..."}` series per bound.
 //
 // A nil *Recorder ignores every call, like the rest of this package.
 type Recorder struct {
@@ -33,7 +32,6 @@ type Recorder struct {
 	mu    sync.Mutex
 	times []float64            // shared epoch-timestamp ring
 	vals  map[string][]float64 // per-series ring, NaN-padded, aligned to times
-	hists map[string]int       // histogram series key -> its plan index
 	head  int                  // next physical write slot
 	n     int                  // live entries (<= capN)
 	ticks int64                // total snapshots taken
@@ -98,7 +96,6 @@ func NewRecorder(reg *Registry, opts RecorderOptions) *Recorder {
 		capN:     opts.Capacity,
 		times:    make([]float64, opts.Capacity),
 		vals:     make(map[string][]float64),
-		hists:    make(map[string]int),
 		qv:       make([]float64, len(SketchQuantiles)),
 	}
 	r.setNext(opts.EpochSec)
@@ -331,7 +328,6 @@ func (r *Recorder) planLocked(added []*series) {
 		rs := recSeries{src: s}
 		switch s.kind {
 		case histogramKind:
-			r.hists[s.key] = len(r.plan)
 			rs.cntRing = r.ringLocked(s.key + "_count")
 			rs.sumRing = r.ringLocked(s.key + "_sum")
 			rs.buckets = make([][]float64, len(s.h.counts))
@@ -448,7 +444,7 @@ func (r *Recorder) Window(key string, windowSec float64) []Point {
 //     restarted from zero (a killed-and-revived server re-registering its
 //     meters); the post-reset value is counted as that epoch's increase, so
 //     the delta stays monotone non-negative instead of going negative and
-//     poisoning rates, quantiles, and SLO ratios across the reset.
+//     poisoning rates and SLO ratios across the reset.
 //
 // ok=false without at least one in-window sample.
 func (r *Recorder) Delta(key string, windowSec float64) (float64, bool) {
@@ -458,15 +454,7 @@ func (r *Recorder) Delta(key string, windowSec float64) (float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ring, ok := r.vals[key]
-	if !ok {
-		return 0, false
-	}
-	return r.deltaLocked(ring, windowSec)
-}
-
-// deltaLocked is Delta over one ring. Callers hold r.mu.
-func (r *Recorder) deltaLocked(ring []float64, windowSec float64) (float64, bool) {
-	if r.n == 0 {
+	if !ok || r.n == 0 {
 		return 0, false
 	}
 	latest := r.times[r.slotAt(r.n-1)]
@@ -493,88 +481,4 @@ func (r *Recorder) deltaLocked(ring []float64, windowSec float64) (float64, bool
 		return 0, false
 	}
 	return total, true
-}
-
-// HistogramWindow returns a histogram series' bucket bounds and per-bucket
-// (non-cumulative) counts of the samples observed within the window, ready
-// for HistQuantile. ok=false when the key is not a recorded histogram or the
-// window holds no epochs.
-func (r *Recorder) HistogramWindow(key string, windowSec float64) (bounds []float64, counts []int64, ok bool) {
-	if r == nil {
-		return nil, nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.hists[key]
-	if !ok {
-		return nil, nil, false
-	}
-	rs := &r.plan[p]
-	counts = make([]int64, len(rs.buckets))
-	any := false
-	prev := int64(0)
-	for i, ring := range rs.buckets {
-		d, dok := r.deltaLocked(ring, windowSec)
-		any = any || dok
-		// The recorded _bucket series are cumulative across buckets;
-		// de-cumulate so counts[i] holds just bucket i's samples.
-		counts[i] = int64(d) - prev
-		if counts[i] < 0 {
-			counts[i] = 0
-		}
-		prev = int64(d)
-	}
-	return rs.src.h.bounds, counts, any
-}
-
-// HistQuantile computes quantile q (in [0,1]) from bucket bounds and
-// per-bucket (non-cumulative) counts, with linear interpolation inside the
-// target bucket — the histogram_quantile convention. The +Inf bucket answers
-// with the highest finite bound. Zero samples yield NaN; with a single
-// sample, q interpolates across that sample's bucket (its lower edge at q=0,
-// its upper bound at q=1). Out-of-range q values are clamped.
-func HistQuantile(bounds []float64, counts []int64, q float64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total <= 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var run int64
-	for i, c := range counts {
-		prev := run
-		run += c
-		if float64(run) < rank || c == 0 {
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: report the highest finite bound.
-			if len(bounds) == 0 {
-				return math.NaN()
-			}
-			return bounds[len(bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := bounds[i]
-		frac := (rank - float64(prev)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		}
-		return lo + (hi-lo)*frac
-	}
-	if len(bounds) == 0 {
-		return math.NaN()
-	}
-	return bounds[len(bounds)-1]
 }

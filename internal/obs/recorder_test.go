@@ -206,94 +206,23 @@ func TestRecorderWindowAndDelta(t *testing.T) {
 	}
 }
 
-// TestRecorderHistogramWindow checks histogram fan-out: bucket series are
-// recorded per epoch and HistogramWindow de-cumulates them into per-bucket
-// counts restricted to the window.
-func TestRecorderHistogramWindow(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("starcdn_test_latency_ms", []float64{1, 10, 100})
-	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
-
-	h.Observe(0.5) // bucket le=1
-	h.Observe(5)   // bucket le=10
-	rec.TickAt(1)
-	h.Observe(50)  // bucket le=100
-	h.Observe(500) // +Inf
-	rec.TickAt(2)
-
-	bounds, counts, ok := rec.HistogramWindow("starcdn_test_latency_ms", 0)
-	if !ok {
-		t.Fatal("HistogramWindow not ok")
-	}
-	if len(bounds) != 3 || len(counts) != 4 {
-		t.Fatalf("bounds=%v counts=%v, want 3 bounds and 4 buckets", bounds, counts)
-	}
-	want := []int64{1, 1, 1, 1}
-	for i, c := range counts {
-		if c != want[i] {
-			t.Errorf("counts[%d] = %d, want %d (all %v)", i, c, want[i], counts)
-		}
-	}
-	// A 1s window sees only epoch 2's samples: just the tail buckets.
-	_, counts, ok = rec.HistogramWindow("starcdn_test_latency_ms", 1)
-	if !ok {
-		t.Fatal("1s HistogramWindow not ok")
-	}
-	if counts[0] != 0 || counts[1] != 0 || counts[2] != 1 || counts[3] != 1 {
-		t.Errorf("1s window counts = %v, want [0 0 1 1]", counts)
-	}
-	if _, _, ok := rec.HistogramWindow("starcdn_test_missing", 0); ok {
-		t.Error("HistogramWindow on unknown key reported ok")
-	}
-}
-
-// TestRecorderLabelledHistogram checks HistogramWindow on a histogram
-// carrying labels, whose _bucket series append le after them.
+// TestRecorderLabelledHistogram checks the fan-out of a histogram carrying
+// labels: its _bucket series append le after them.
 func TestRecorderLabelledHistogram(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("starcdn_test_latency_ms", []float64{1, 10}, L("op", "get"))
 	rec := NewRecorder(reg, RecorderOptions{EpochSec: 1})
 	h.Observe(5)
 	rec.TickAt(1)
-	key := `starcdn_test_latency_ms{op="get"}`
-	_, counts, ok := rec.HistogramWindow(key, 0)
-	if !ok {
-		t.Fatalf("HistogramWindow(%q) not ok; series = %v", key, rec.Series())
-	}
-	if counts[0] != 0 || counts[1] != 1 {
-		t.Errorf("counts = %v, want [0 1 0]", counts)
-	}
-}
-
-// TestHistQuantile exercises the interpolation convention and edge cases.
-func TestHistQuantile(t *testing.T) {
-	bounds := []float64{1, 10, 100}
-	cases := []struct {
-		name   string
-		counts []int64
-		q      float64
-		want   float64
-	}{
-		{"median interpolates", []int64{10, 10, 0, 0}, 0.5, 1},
-		{"p75 inside second bucket", []int64{10, 10, 0, 0}, 0.75, 5.5},
-		{"q=1 hits bucket top", []int64{10, 10, 0, 0}, 1, 10},
-		{"q=0 hits bucket bottom", []int64{0, 10, 0, 0}, 0, 1},
-		{"+Inf answers highest finite bound", []int64{0, 0, 0, 5}, 0.99, 100},
-		{"single sample q=0.5", []int64{0, 1, 0, 0}, 0.5, 5.5},
-		{"clamped q>1", []int64{10, 0, 0, 0}, 2, 1},
-		{"clamped q<0", []int64{10, 0, 0, 0}, -1, 0},
-	}
-	for _, tc := range cases {
-		got := HistQuantile(bounds, tc.counts, tc.q)
-		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("%s: HistQuantile(q=%v) = %v, want %v", tc.name, tc.q, got, tc.want)
+	for key, want := range map[string]float64{
+		`starcdn_test_latency_ms_bucket{op="get",le="1"}`:    0,
+		`starcdn_test_latency_ms_bucket{op="get",le="10"}`:   1,
+		`starcdn_test_latency_ms_bucket{op="get",le="+Inf"}`: 1,
+		`starcdn_test_latency_ms{op="get"}_count`:            1,
+	} {
+		if got, ok := rec.Delta(key, 0); !ok || got != want {
+			t.Errorf("Delta(%q) = %v,%v; want %v,true (series %v)", key, got, ok, want, rec.Series())
 		}
-	}
-	if got := HistQuantile(bounds, []int64{0, 0, 0, 0}, 0.5); !math.IsNaN(got) {
-		t.Errorf("zero samples: got %v, want NaN", got)
-	}
-	if got := HistQuantile(nil, []int64{5}, 0.5); !math.IsNaN(got) {
-		t.Errorf("no bounds: got %v, want NaN", got)
 	}
 }
 
@@ -313,9 +242,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 	if _, ok := r.Delta("x", 0); ok {
 		t.Error("nil Delta ok")
-	}
-	if _, _, ok := r.HistogramWindow("x", 0); ok {
-		t.Error("nil HistogramWindow ok")
 	}
 }
 

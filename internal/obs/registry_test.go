@@ -246,47 +246,6 @@ func TestHistogramExpositionConsistency(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileEdgeSamples: quantiles over registry snapshots with
-// zero and one observation — the cases a naive interpolation divides by zero
-// on.
-func TestHistogramQuantileEdgeSamples(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("starcdn_test_latency_ms", []float64{1, 10})
-
-	toCounts := func() (bounds []float64, counts []int64) {
-		snap := r.Snapshot()[0]
-		counts = make([]int64, len(snap.HistCumulative))
-		prev := int64(0)
-		for i, c := range snap.HistCumulative {
-			counts[i] = c - prev
-			prev = c
-		}
-		return snap.HistBounds, counts
-	}
-
-	// Zero samples: NaN at every quantile.
-	bounds, counts := toCounts()
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := HistQuantile(bounds, counts, q); !math.IsNaN(got) {
-			t.Errorf("empty histogram q=%v = %v, want NaN", q, got)
-		}
-	}
-
-	// One sample in the middle bucket: q=0 pins its lower edge, q=1 its
-	// upper bound, q=0.5 lands between.
-	h.Observe(5)
-	bounds, counts = toCounts()
-	if got := HistQuantile(bounds, counts, 0); got != 1 {
-		t.Errorf("single-sample q=0 = %v, want 1", got)
-	}
-	if got := HistQuantile(bounds, counts, 1); got != 10 {
-		t.Errorf("single-sample q=1 = %v, want 10", got)
-	}
-	if got := HistQuantile(bounds, counts, 0.5); got <= 1 || got >= 10 {
-		t.Errorf("single-sample q=0.5 = %v, want inside (1,10)", got)
-	}
-}
-
 // TestConcurrentUpdates exercises the atomic instruments from many
 // goroutines; run under -race this is the registry's thread-safety proof.
 func TestConcurrentUpdates(t *testing.T) {

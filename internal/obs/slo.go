@@ -2,20 +2,13 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
 // SLO is one service-level objective evaluated per recorder epoch over a
-// sliding window. Exactly one of the two objective forms is used:
-//
-//   - Quantile objective: Series names a recorded histogram (canonical
-//     name{labels} key, without the _bucket suffix) and the objective is
-//     "quantile Q of the window's samples stays <= MaxValue" — e.g. "p99
-//     request latency <= 50ms over 5 min".
-//   - Ratio objective: Good and Total name cumulative series (counters or
-//     histogram _count series) and the objective is "ΔGood/ΔTotal over the
-//     window stays >= MinRatio" — e.g. "hit rate >= 60% over 1 min".
+// sliding window: Good and Total name cumulative series (counters or
+// histogram _count series) and the objective is "ΔGood/ΔTotal over the
+// window stays >= MinRatio" — e.g. "hit rate >= 60% over 1 min".
 //
 // Epochs whose window holds no samples are skipped (no breach, no budget
 // burn): an idle system is not failing its objectives.
@@ -23,12 +16,6 @@ type SLO struct {
 	// Name labels the exported starcdn_slo_* series ({slo="<name>"}).
 	Name string
 
-	// Quantile objective.
-	Series   string  // recorded histogram key, e.g. `starcdn_sim_latency_ms`
-	Quantile float64 // e.g. 0.99
-	MaxValue float64 // inclusive upper bound on the windowed quantile
-
-	// Ratio objective.
 	Good     string  // cumulative "good events" series key
 	Total    string  // cumulative "total events" series key
 	MinRatio float64 // inclusive lower bound on ΔGood/ΔTotal
@@ -40,31 +27,18 @@ type SLO struct {
 	BudgetFraction float64
 }
 
-// ratio reports whether this is a ratio-form objective.
-func (s SLO) ratio() bool { return s.Good != "" }
-
 // Validate rejects malformed objectives before an engine is built on them.
 func (s SLO) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("obs: SLO needs a name")
 	}
 	switch {
-	case s.ratio():
-		if s.Series != "" {
-			return fmt.Errorf("obs: SLO %s mixes ratio and quantile forms", s.Name)
-		}
-		if s.Total == "" {
-			return fmt.Errorf("obs: SLO %s has Good without Total", s.Name)
-		}
-		if s.MinRatio < 0 || s.MinRatio > 1 {
-			return fmt.Errorf("obs: SLO %s MinRatio %v outside [0,1]", s.Name, s.MinRatio)
-		}
-	case s.Series != "":
-		if s.Quantile <= 0 || s.Quantile > 1 {
-			return fmt.Errorf("obs: SLO %s quantile %v outside (0,1]", s.Name, s.Quantile)
-		}
-	default:
+	case s.Good == "":
 		return fmt.Errorf("obs: SLO %s names no objective series", s.Name)
+	case s.Total == "":
+		return fmt.Errorf("obs: SLO %s has Good without Total", s.Name)
+	case s.MinRatio < 0 || s.MinRatio > 1:
+		return fmt.Errorf("obs: SLO %s MinRatio %v outside [0,1]", s.Name, s.MinRatio)
 	}
 	return nil
 }
@@ -73,7 +47,7 @@ func (s SLO) Validate() error {
 type sloState struct {
 	spec SLO
 
-	value   *Gauge   // current windowed value (quantile or ratio)
+	value   *Gauge   // current windowed ratio
 	breach  *Gauge   // 1 when the current epoch breaches, else 0
 	burn    *Gauge   // window breach fraction / budget fraction
 	budget  *Gauge   // remaining error budget fraction (can go negative)
@@ -142,12 +116,7 @@ func (e *SLOEngine) evaluate(float64) {
 			continue // idle window: no evaluation, no budget burn
 		}
 		st.value.Set(v)
-		breach := false
-		if st.spec.ratio() {
-			breach = v < st.spec.MinRatio
-		} else {
-			breach = v > st.spec.MaxValue
-		}
+		breach := v < st.spec.MinRatio
 		st.evals++
 		if breach {
 			st.breaks++
@@ -250,23 +219,12 @@ func (e *SLOEngine) Health(base HealthFunc) HealthFunc {
 	}
 }
 
-// windowValue computes the objective's current windowed value.
+// windowValue computes the objective's current windowed ratio.
 func (e *SLOEngine) windowValue(s SLO) (float64, bool) {
-	if s.ratio() {
-		total, ok := e.rec.Delta(s.Total, s.WindowSec)
-		if !ok || total <= 0 {
-			return 0, false
-		}
-		good, _ := e.rec.Delta(s.Good, s.WindowSec)
-		return good / total, true
-	}
-	bounds, delta, ok := e.rec.HistogramWindow(s.Series, s.WindowSec)
-	if !ok {
+	total, ok := e.rec.Delta(s.Total, s.WindowSec)
+	if !ok || total <= 0 {
 		return 0, false
 	}
-	q := HistQuantile(bounds, delta, s.Quantile)
-	if math.IsNaN(q) {
-		return 0, false
-	}
-	return q, true
+	good, _ := e.rec.Delta(s.Good, s.WindowSec)
+	return good / total, true
 }

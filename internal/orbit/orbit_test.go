@@ -210,8 +210,10 @@ func TestVisibleFrom(t *testing.T) {
 		}
 		for _, id := range sats {
 			sp := c.SubSatellitePoint(id, tSec)
-			if e := geo.ElevationDeg(geo.CentralAngleRad(ny, sp), c.Config().AltitudeKm); e < c.Config().MinElevDeg-0.01 {
-				t.Errorf("sat %d visible below mask: elev=%v", id, e)
+			// Inside the coverage angle is above the elevation mask
+			// (geo's TestElevationAndCoverage).
+			if g := geo.CentralAngleRad(ny, sp); g > c.CoverageAngleRad()+1e-9 {
+				t.Errorf("sat %d visible outside the coverage angle: %v > %v rad", id, g, c.CoverageAngleRad())
 			}
 		}
 		counts += len(sats)

@@ -60,13 +60,11 @@ type clientOptions struct {
 }
 
 // clientObs holds the client's pre-resolved instruments. A nil *clientObs is
-// the disabled configuration; the wall-clock frame timer is only armed when
-// observability is on, so the no-op path never calls time.Now.
+// the disabled configuration.
 type clientObs struct {
 	attempts *obs.Counter
 	retries  *obs.Counter
 	failures *obs.Counter
-	frameMs  *obs.Histogram
 	// rejected counts terminal rejections by cause: an exhausted deadline
 	// or a refused dial (dead server). Retried-then-recovered attempts are
 	// retries, not rejections.
@@ -82,7 +80,6 @@ func newClientObs(reg *obs.Registry) *clientObs {
 		attempts:    reg.Counter("starcdn_client_attempts_total"),
 		retries:     reg.Counter("starcdn_client_retries_total"),
 		failures:    reg.Counter("starcdn_client_failures_total"),
-		frameMs:     reg.Histogram("starcdn_client_frame_ms", nil),
 		rejDeadline: reg.Counter("starcdn_client_rejected_total", obs.L("reason", "deadline")),
 		rejRefused:  reg.Counter("starcdn_client_rejected_total", obs.L("reason", "refused")),
 	}
@@ -136,7 +133,6 @@ type poolEntry struct {
 	// Reusing them keeps the per-request exchange allocation-free.
 	out     []byte
 	scratch [frameSize]byte
-	sentAt  time.Time // the attempt's write, for the frame-latency histogram
 }
 
 // call is one request frame and, once exchanged, its answer.
@@ -289,9 +285,6 @@ func (c *Client) attempt(pipes []pipe) {
 				break
 			}
 			p.calls[0].st, p.calls[0].err = st, nil
-			if c.obs != nil {
-				c.obs.frameMs.Observe(float64(time.Since(e.sentAt)) / float64(time.Millisecond))
-			}
 		}
 		if p.err == nil {
 			pc.Mark(obs.PhaseReplayRead)
@@ -331,9 +324,6 @@ func (c *Client) send(p *pipe, pc *obs.PhaseClock) (sent bool, err error) {
 			e.out = appendTraceContext(e.out, *cl.sc)
 		}
 		e.out = appendFrame(e.out, uint8(cl.op), uint64(cl.obj), uint64(cl.size))
-	}
-	if c.obs != nil {
-		e.sentAt = time.Now()
 	}
 	if _, err := e.conn.Write(e.out); err != nil {
 		e.drop()
